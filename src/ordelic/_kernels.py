@@ -19,6 +19,9 @@ import os
 import numpy as np
 
 _DEN_TOL = 1e-12
+# The one tie tolerance of every region decision (kernels, link, target sets):
+# a score against a boundary normal at most this is on the lower side.
+BOUNDARY_TOL = 1e-10
 
 
 def _numba_requested() -> bool:
@@ -73,7 +76,7 @@ def _roe_batch_np(normals: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """
     S = probs @ normals.T  # (batch, k)
     k = normals.shape[0]
-    npos = (S > 0.0).sum(axis=1)
+    npos = (S > BOUNDARY_TOL).sum(axis=1)
     out = np.empty(S.shape[0])
 
     first = npos == 0
@@ -100,7 +103,7 @@ def _roe_batch_np(normals: np.ndarray, probs: np.ndarray) -> np.ndarray:
 def _region_index_batch_np(normals: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """1-based region index per row: ties resolve to the lower region."""
     S = probs @ normals.T
-    return (S > 0.0).sum(axis=1) + 1
+    return (S > BOUNDARY_TOL).sum(axis=1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +182,7 @@ if _HAVE_NUMBA:
                 for y in range(n):
                     acc += normals[i, y] * probs[r, y]
                 s[i] = acc
-                if acc > 0.0:
+                if acc > BOUNDARY_TOL:
                     npos += 1
             if npos == 0:
                 out[r] = s[0]
@@ -207,7 +210,7 @@ if _HAVE_NUMBA:
                 acc = 0.0
                 for y in range(n):
                     acc += normals[i, y] * probs[r, y]
-                if acc > 0.0:
+                if acc > BOUNDARY_TOL:
                     npos += 1
             out[r] = npos + 1
         return out

@@ -13,7 +13,6 @@ driven by distance-to-threshold margins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +20,11 @@ import numpy as np
 from ordelic.embedding import gamma_surrogate_eval_many, link_eval_many
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
 from ordelic.normals import clip_ceiling_link_many, roe_eval_many
-from ordelic.properties import CostMatrix, OrientedNormals, gamma_from_cost
+from ordelic.properties import BOUNDARY_TOL, CostMatrix, OrientedNormals
 from ordelic.simplex import (
     LabeledDataset,
-    as_simplex_point,
+    as_simplex_points,
+    first_appearance,
     norm_order,
     sample_simplex,
     ternary_plot_coords,
@@ -46,6 +46,11 @@ class PredictorTable:
 
     def __getitem__(self, x_id):
         return self.table[x_id]
+
+    def values(self, x_ids) -> np.ndarray:
+        """Predictions for ``x_ids`` stacked into one array (int for reports)."""
+        dtype = np.int64 if self.kind == "report" else np.float64
+        return np.asarray([self.table[x] for x in x_ids], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -142,19 +147,22 @@ class LinkedProperty:
     def link(self, u: float) -> int:
         return int(self.link_many(np.array([u]))[0])
 
-    def discrete_set(self, p, tol: float = 1e-10) -> set[int]:
-        """Target reports at p; boundary points return both adjacent reports."""
+    def discrete_set_many(self, probs, tol: float = BOUNDARY_TOL) -> np.ndarray:
+        """(rows, reports) mask of the target reports at each row of probs;
+        a point within ``tol`` of a boundary gets both adjacent reports."""
+        P = as_simplex_points(probs)
         if self.cost is not None:
-            return gamma_from_cost(self.cost, p, tol=tol)
-        scores = self.normals.o @ as_simplex_point(p)
-        k = len(scores)
-        out = set()
-        for j in range(1, k + 2):
-            lo_ok = all(scores[i] >= -tol for i in range(j - 1))
-            hi_ok = all(scores[i] <= tol for i in range(j - 1, k))
-            if lo_ok and hi_ok:
-                out.add(j)
-        return out
+            ec = P @ self.cost.entries.T
+            return ec <= ec.min(axis=1, keepdims=True) + tol
+        S = P @ self.normals.o.T
+        ones = np.ones((len(S), 1), dtype=bool)
+        lo_ok = np.logical_and.accumulate(np.hstack([ones, S >= -tol]), axis=1)
+        hi_ok = np.logical_and.accumulate(np.hstack([S <= tol, ones])[:, ::-1], axis=1)
+        return lo_ok & hi_ok[:, ::-1]
+
+    def discrete_set(self, p, tol: float = BOUNDARY_TOL) -> set[int]:
+        """Target reports at p; boundary points return both adjacent reports."""
+        return {int(r) + 1 for r in np.flatnonzero(self.discrete_set_many([p], tol)[0])}
 
 
 def _rescaled(linked: LinkedProperty, alpha: float):
@@ -167,60 +175,69 @@ def _rescaled(linked: LinkedProperty, alpha: float):
 # ---------------------------------------------------------------------------
 # shared binning plumbing
 #
-# Estimators aggregate the dataset once per distinct x_id (weighted label
-# counts) and then work per feature, since every prediction and bin key is a
-# function of x_id alone.  This keeps large Monte Carlo audits off the
-# per-row Python path.
+# Every prediction and bin key is a function of x_id alone, so an audit needs
+# only the (features x outcomes) weighted label counts, built by one bincount
+# over the rows.  Estimators then work on per-feature and per-bin arrays.
 
 
-def _aggregate(data: LabeledDataset) -> dict:
-    """x_id -> weighted label-count vector."""
-    agg: dict = {}
-    weights = data.row_weights
-    for xid, y, w in zip(data.x_ids, data.y, weights):
-        rec = agg.get(xid)
-        if rec is None:
-            rec = np.zeros(data.n)
-            agg[xid] = rec
-        rec[y - 1] += w
-    return agg
+@dataclass(frozen=True)
+class _Bins:
+    """Features of positive mass grouped by a per-feature key; bins are
+    numbered by first appearance in ``data.keys`` order."""
+
+    live: np.ndarray    # (features,) bool: the feature has positive mass
+    mass: np.ndarray    # (live features,) mass
+    of: np.ndarray      # (live features,) bin index
+    keys: np.ndarray    # (bins, ...) bin keys
+    counts: np.ndarray  # (bins, outcomes) weighted label counts
+    empty: tuple        # keys held only by zero-mass features
+
+    @property
+    def cond(self) -> np.ndarray:
+        """(bins, outcomes) empirical conditional of each bin."""
+        return self.counts / self.counts.sum(axis=1, keepdims=True)
+
+    def mean(self, loss) -> float:
+        """Mass-weighted mean of a per-live-feature loss."""
+        return float(np.sum(self.mass * loss) / np.sum(self.mass))
+
+    def report(self, notion: str, norm, loss, **extra) -> AuditReport:
+        """Report whose epsilon_hat is the mean of ``loss``."""
+        return AuditReport(
+            notion=notion,
+            norm=str(norm),
+            epsilon_hat=self.mean(loss),
+            bin_count=len(self.counts),
+            bin_min_size=float(self.counts.sum(axis=1).min()),
+            empty_bins=self.empty,
+            **extra,
+        )
 
 
-def _group_bins(agg: dict, key_of) -> tuple[dict, dict, dict]:
-    """(bin -> conditional, bin -> total weight, x_id -> bin)."""
-    totals: dict = {}
-    xid_bin: dict = {}
-    for xid, rec in agg.items():
-        key = key_of(xid)
-        xid_bin[xid] = key
-        tot = totals.get(key)
-        if tot is None:
-            totals[key] = rec.copy()
-        else:
-            tot += rec
-    cond = {key: vec / vec.sum() for key, vec in totals.items()}
-    sizes = {key: float(vec.sum()) for key, vec in totals.items()}
-    return cond, sizes, xid_bin
+def _bin(data: LabeledDataset, feature_keys) -> _Bins:
+    """Group the features of ``data`` by key (one key, or one key row, per
+    entry of ``data.keys``), from its (features, outcomes) label counts."""
+    n = data.n
+    counts = np.bincount(data.codes * n + (data.y - 1), weights=data.weights,
+                         minlength=len(data.keys) * n).reshape(-1, n).astype(np.float64)
+    mass = counts.sum(axis=1)
+    live = mass > 0
+    keys = np.asarray(feature_keys)
+    uniq, inv = np.unique(keys, return_inverse=True,
+                          axis=0 if keys.ndim > 1 else None)
+    order, of = first_appearance(inv.reshape(-1), len(uniq))
+    bin_counts = np.zeros((len(order), n))
+    np.add.at(bin_counts, of, counts)
+    full = bin_counts.sum(axis=1) > 0
+    renumber = np.cumsum(full) - 1
+    return _Bins(live, mass[live], renumber[of[live]], uniq[order[full]],
+                 bin_counts[full], tuple(uniq[order[~full]].tolist()))
 
 
-def _scalar_bins(g: PredictorTable, data: LabeledDataset, bin_width: float | None):
-    """Exact-value bins by default; optional uniform-width bins with midpoint
-    representatives for continuous-valued predictors."""
-    if bin_width is None:
-        def key_of(xid):
-            return float(g[xid])
-
-        def rep_of(key):
-            return float(key)
-    else:
-        w = float(bin_width)
-
-        def key_of(xid):
-            return int(math.floor(float(g[xid]) / w))
-
-        def rep_of(key):
-            return (key + 0.5) * w
-    return key_of, rep_of
+def _member(sets: np.ndarray, reports) -> np.ndarray:
+    """sets[b, reports[b] - 1]; False for a report outside the set's range."""
+    ok = (reports >= 1) & (reports <= sets.shape[1])
+    return ok & sets[np.arange(len(reports)), np.where(ok, reports - 1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,36 +253,22 @@ def dist_calibration_wrt(
 ) -> AuditReport:
     """Mean norm distance between f(x) and its bin's empirical conditional.
 
-    ``binner`` maps a distributional prediction to a bin key.  With
-    convention "plot" (3 outcomes only) distances are taken in the ternary
-    plot plane instead of raw simplex coordinates.
+    ``binner`` maps a (features, outcomes) array of distributional
+    predictions to one bin key (or key row) per feature.  With convention
+    "plot" (3 outcomes only) distances are taken in the ternary plot plane
+    instead of raw simplex coordinates.
     """
     if f.kind != "distribution":
         raise SpecError("distribution calibration needs a distributional predictor")
     ordv = norm_order(norm)
-    agg = _aggregate(data)
-    preds = {xid: np.asarray(f[xid], dtype=np.float64) for xid in agg}
-    cond, sizes, xid_bin = _group_bins(agg, lambda xid: binner(preds[xid]))
-    total = sum(rec.sum() for rec in agg.values())
-    acc = 0.0
-    for xid, rec in agg.items():
-        p = preds[xid]
-        q = cond[xid_bin[xid]]
-        if convention == "plot":
-            d = float(np.linalg.norm(
-                ternary_plot_coords(p) - ternary_plot_coords(q), ord=ordv))
-        else:
-            d = float(np.linalg.norm(p - q, ord=ordv))
-        acc += rec.sum() * d
-    return AuditReport(
-        notion="distribution",
-        norm=str(norm),
-        epsilon_hat=acc / total,
-        bin_count=len(cond),
-        bin_min_size=min(sizes.values()) if sizes else 0.0,
-        empty_bins=(),
-        extras={"convention": convention},
-    )
+    P = f.values(data.keys)
+    bins = _bin(data, binner(P))
+    p, q = P[bins.live], bins.cond[bins.of]
+    if convention == "plot":
+        p, q = ternary_plot_coords(p), ternary_plot_coords(q)
+    return bins.report("distribution", norm,
+                       np.linalg.norm(p - q, ord=ordv, axis=1),
+                       extras={"convention": convention})
 
 
 def surrogate_calibration(
@@ -275,30 +278,18 @@ def surrogate_calibration(
     norm="l2",
     bin_width: float | None = None,
 ) -> AuditReport:
-    """Mean |gamma(bin conditional) - g(x)| with exact-value bins by default.
+    """Mean |gamma(bin conditional) - g(x)| with exact-value bins by default,
+    or uniform bins of width ``bin_width``.
 
     ``gamma_eval`` maps a batch of distributions to property values.
     """
     if g.kind != "scalar":
         raise SpecError("surrogate calibration needs a scalar predictor")
-    key_of, _ = _scalar_bins(g, data, bin_width)
-    agg = _aggregate(data)
-    cond, sizes, xid_bin = _group_bins(agg, key_of)
-    keys = list(cond.keys())
-    gamma_of = dict(zip(keys, gamma_eval(np.stack([cond[k] for k in keys]))))
-    total = sum(rec.sum() for rec in agg.values())
-    acc = 0.0
-    for xid, rec in agg.items():
-        acc += rec.sum() * abs(float(gamma_of[xid_bin[xid]]) - float(g[xid]))
-    return AuditReport(
-        notion="surrogate",
-        norm=str(norm),
-        epsilon_hat=acc / total,
-        bin_count=len(cond),
-        bin_min_size=min(sizes.values()) if sizes else 0.0,
-        empty_bins=(),
-        extras={"bin_width": bin_width},
-    )
+    u = g.values(data.keys)
+    keys = u if bin_width is None else np.floor(u / float(bin_width)).astype(np.int64)
+    bins = _bin(data, keys)
+    gaps = np.abs(gamma_eval(bins.cond)[bins.of] - u[bins.live])
+    return bins.report("surrogate", norm, gaps, extras={"bin_width": bin_width})
 
 
 def discrete_calibration(
@@ -308,24 +299,15 @@ def discrete_calibration(
 ) -> AuditReport:
     """Probability that h(x) is outside the target set of its bin conditional.
 
-    ``gamma_set`` maps a distribution to the set of optimal reports, so
-    boundary conditionals count as matches for either adjacent report.
+    ``gamma_set`` maps a batch of distributions to a (rows, reports) mask of
+    optimal reports, so boundary conditionals count as matches for either
+    adjacent report.
     """
     if h.kind != "report":
         raise SpecError("discrete calibration needs a report-valued predictor")
-    agg = _aggregate(data)
-    cond, sizes, xid_bin = _group_bins(agg, lambda xid: int(h[xid]))
-    match = {key: int(key) in gamma_set(vec) for key, vec in cond.items()}
-    total = sum(rec.sum() for rec in agg.values())
-    acc = sum(rec.sum() for xid, rec in agg.items() if not match[xid_bin[xid]])
-    return AuditReport(
-        notion="discrete",
-        norm="0-1",
-        epsilon_hat=float(acc / total),
-        bin_count=len(cond),
-        bin_min_size=min(sizes.values()) if sizes else 0.0,
-        empty_bins=(),
-    )
+    bins = _bin(data, h.values(data.keys))
+    hit = _member(gamma_set(bins.cond), bins.keys)
+    return bins.report("discrete", "0-1", ~hit[bins.of])
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +327,14 @@ def check_postprocessing_bound(
     if f.kind != "distribution":
         raise SpecError("post-processing bound needs a distributional predictor")
     K = linked.lipschitz_bound
-    ids = list(dict.fromkeys(f.table.keys()))
-    gvals = dict(zip(ids, linked.gamma_many(
-        np.stack([np.asarray(f[x], dtype=np.float64) for x in ids]))))
-    g = PredictorTable("scalar", {x: float(gvals[x]) for x in ids})
-
-    def binner(p):
-        return float(linked.gamma(p))
-
-    eps_report = dist_calibration_wrt(f, data, binner, norm=norm)
-    eps = eps_report.epsilon_hat
-    eps_prime_report = surrogate_calibration(g, data, linked.gamma_many, norm=norm)
-    eps_prime = eps_prime_report.epsilon_hat
+    P = f.values(data.keys)
+    u = linked.gamma_many(P)
+    bins = _bin(data, u)
+    cond = bins.cond
+    eps = bins.mean(np.linalg.norm(P[bins.live] - cond[bins.of],
+                                   ord=norm_order(norm), axis=1))
+    gaps = np.abs(linked.gamma_many(cond)[bins.of] - u[bins.live])
+    eps_prime = bins.mean(gaps)
     bounds = [
         BoundCheck(
             name="postprocessing",
@@ -376,16 +354,8 @@ def check_postprocessing_bound(
                 params={"K": K},
             )
         )
-    return AuditReport(
-        notion="postprocessing",
-        norm=str(norm),
-        epsilon_hat=eps_prime,
-        bin_count=eps_prime_report.bin_count,
-        bin_min_size=eps_prime_report.bin_min_size,
-        empty_bins=eps_prime_report.empty_bins,
-        bounds=tuple(bounds),
-        extras={"epsilon_dist": eps, "epsilon_surrogate": eps_prime},
-    )
+    return bins.report("postprocessing", norm, gaps, bounds=tuple(bounds),
+                       extras={"epsilon_dist": eps, "epsilon_surrogate": eps_prime})
 
 
 def counterexample_gap(
@@ -465,12 +435,13 @@ def instance_dataset(instance: dict) -> tuple[PredictorTable, LabeledDataset]:
     return f, data
 
 
-def delta_to_threshold(thresholds, u: float) -> float:
-    """Distance from u to the nearest link threshold."""
+def delta_to_threshold(thresholds, u):
+    """Distance from u (a value or an array) to the nearest link threshold."""
     t = np.asarray(thresholds, dtype=np.float64)
     if t.size == 0:
         raise SpecError("threshold set is empty")
-    return float(np.abs(t - float(u)).min())
+    d = np.abs(np.asarray(u, dtype=np.float64)[..., None] - t).min(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def link_diameter(thresholds, value_range) -> float:
@@ -507,25 +478,18 @@ def check_discretization_bound(
     lo, hi = linked.value_range
     diam = link_diameter(thresholds, (lo, hi))
 
-    image = sorted(set(float(g[x]) for x in g.table))
-    if not image:
+    image = g.values(g.table)
+    if not image.size:
         raise SpecError("predictor image is empty")
-    delta_min = min(delta_to_threshold(thresholds, u) for u in image)
+    delta_min = float(delta_to_threshold(thresholds, image).min())
 
-    eps_report = surrogate_calibration(g, data, linked.gamma_many)
-    eps_prime = eps_report.epsilon_hat
-
-    agg = _aggregate(data)
-    cond, _, xid_bin = _group_bins(agg, lambda xid: float(g[xid]))
-    mismatch_of = {
-        key: linked.link(key) not in linked.discrete_set(vec)
-        for key, vec in cond.items()
-    }
-    xids = list(agg.keys())
-    xw = np.array([agg[x].sum() for x in xids])
-    total = xw.sum()
-    deltas = np.array([delta_to_threshold(thresholds, float(g[x])) for x in xids])
-    lhs = float(sum(w for x, w in zip(xids, xw) if mismatch_of[xid_bin[x]]) / total)
+    u = g.values(data.keys)
+    bins = _bin(data, u)
+    cond = bins.cond
+    eps_prime = bins.mean(np.abs(linked.gamma_many(cond)[bins.of] - u[bins.live]))
+    miss = ~_member(linked.discrete_set_many(cond), linked.link_many(bins.keys))[bins.of]
+    lhs = bins.mean(miss)
+    deltas = delta_to_threshold(thresholds, u[bins.live])
 
     width = hi - lo
     if t_grid is None:
@@ -535,14 +499,10 @@ def check_discretization_bound(
                                    [delta_min] if delta_min > 0 else []]))
     ts = ts[ts > 0]
     numer = eps_prime + K * C_marginal * diam
-    best_rhs = np.inf
-    best_t = None
-    for t in ts:
-        tail = float(np.sum(xw[deltas < t]) / total)
-        rhs = tail + numer / t
-        if rhs < best_rhs:
-            best_rhs = rhs
-            best_t = float(t)
+    tails = np.where(deltas < ts[:, None], bins.mass, 0.0).sum(axis=1) / bins.mass.sum()
+    rhs = tails + numer / ts
+    best = int(np.argmin(rhs))
+    best_rhs, best_t = float(rhs[best]), float(ts[best])
     vacuous = bool(best_rhs >= 1.0)
     bound = BoundCheck(
         name="discretization",
@@ -560,29 +520,19 @@ def check_discretization_bound(
             "vacuous": vacuous,
         },
     )
-    return AuditReport(
-        notion="discretization",
-        norm="0-1",
-        epsilon_hat=lhs,
-        bin_count=eps_report.bin_count,
-        bin_min_size=eps_report.bin_min_size,
-        empty_bins=eps_report.empty_bins,
-        bounds=(bound,),
-        extras={"vacuous": vacuous},
-    )
+    return bins.report("discretization", "0-1", miss, bounds=(bound,),
+                       extras={"vacuous": vacuous})
 
 
 def estimate_marginal_lipschitz(g: PredictorTable, data: LabeledDataset) -> float:
     """Max difference quotient of bin conditionals across adjacent prediction
     values: a data-driven stand-in for C_marginal, flagged as an estimate."""
-    agg = _aggregate(data)
-    cond, _, _ = _group_bins(agg, lambda xid: float(g[xid]))
-    keys = sorted(cond.keys())
-    best = 0.0
-    for a, b in zip(keys[:-1], keys[1:]):
-        if b - a > 1e-15:
-            best = max(best, float(np.linalg.norm(cond[b] - cond[a]) / (b - a)))
-    return best
+    bins = _bin(data, g.values(data.keys))
+    order = np.argsort(bins.keys, kind="stable")
+    du = np.diff(bins.keys[order])
+    dq = np.linalg.norm(np.diff(bins.cond[order], axis=0), axis=1)
+    apart = du > 1e-15
+    return float(np.max(dq[apart] / du[apart], initial=0.0))
 
 
 def lipschitz_estimate(

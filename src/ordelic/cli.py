@@ -238,11 +238,15 @@ def _cmd_audit(args) -> int:
         data = exact_dataset(scenario)
     else:
         data = serialize.read_dataset_csv(args.data, linked.n_outcomes)
+    missing = next((x for x in data.keys if x not in predictor.table), None)
+    if missing is not None:
+        raise SpecError(f"x_id {missing!r} from {args.data or args.scenario} has "
+                        f"no prediction in {args.predictor}")
 
     reports = []
     if predictor.kind == "distribution":
         reports.append(audit_mod.dist_calibration_wrt(
-            predictor, data, lambda p: float(linked.gamma(p)),
+            predictor, data, linked.gamma_many,
             norm=args.norm, convention=args.convention))
         reports.append(audit_mod.check_postprocessing_bound(
             predictor, data, linked, norm=args.norm))
@@ -259,7 +263,7 @@ def _cmd_audit(args) -> int:
             predictor, data, linked, C_marginal=c_marg, c_estimated=estimated))
     else:
         reports.append(audit_mod.discrete_calibration(
-            predictor, data, linked.discrete_set))
+            predictor, data, linked.discrete_set_many))
 
     payload = {
         "config": {"surrogate": args.surrogate, "data": args.data,
@@ -282,7 +286,7 @@ def _cmd_counterexample(args) -> int:
         budget=args.samples, seed=seed, norm=args.norm)
     f, data = audit_mod.instance_dataset(instance)
     dist_report = audit_mod.dist_calibration_wrt(
-        f, data, lambda v: float(linked.gamma(v)), norm=args.norm)
+        f, data, linked.gamma_many, norm=args.norm)
     g = audit_mod.PredictorTable(
         "scalar", {instance["x_id"]: linked.gamma(p)})
     sur_report = audit_mod.surrogate_calibration(g, data, linked.gamma_many,

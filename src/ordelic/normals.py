@@ -17,6 +17,7 @@ from ordelic._kernels import node_root_batch, roe_batch
 from ordelic.errors import RankDeficiencyError
 from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import (
+    BOUNDARY_TOL,
     CostMatrix,
     OrderableSpec,
     OrientedNormals,
@@ -190,13 +191,14 @@ def root_eval_many(s: NormalsSurrogate, probs) -> np.ndarray:
 
 
 def clip_ceiling_link(s: NormalsSurrogate, u: float) -> int:
-    """Report index clip(ceil(u), 0, k) + 1."""
-    return int(np.clip(np.ceil(float(u)), 0, s.k)) + 1
+    """Report index clip(ceil(u), 0, k) + 1; a value within BOUNDARY_TOL
+    above an integer boundary value links to the lower report."""
+    return int(clip_ceiling_link_many(s, [u])[0])
 
 
 def clip_ceiling_link_many(s: NormalsSurrogate, us) -> np.ndarray:
     us = np.asarray(us, dtype=np.float64)
-    return np.clip(np.ceil(us), 0, s.k).astype(np.int64) + 1
+    return np.clip(np.ceil(us - BOUNDARY_TOL), 0, s.k).astype(np.int64) + 1
 
 
 def full_pipeline(

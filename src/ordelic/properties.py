@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ordelic._kernels import region_index_batch
+from ordelic._kernels import BOUNDARY_TOL, region_index_batch
 from ordelic.errors import (
     OrderabilityError,
     RankDeficiencyError,
@@ -22,7 +22,6 @@ from ordelic.errors import (
 from ordelic.simplex import as_simplex_point, as_simplex_points
 
 TIE_TOL = 1e-10
-BOUNDARY_TOL = 1e-10
 _SV_RTOL = 1e-9
 
 

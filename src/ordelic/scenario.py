@@ -14,7 +14,7 @@ import numpy as np
 
 from ordelic.audit import PredictorTable
 from ordelic.errors import SpecError
-from ordelic.simplex import LabeledDataset, as_simplex_points
+from ordelic.simplex import LabeledDataset, as_simplex_points, first_appearance
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,12 @@ def sample_dataset(scenario: ScenarioSpec, rows: int, seed: int) -> LabeledDatas
     f_idx = rng.choice(len(scenario.feature_ids), size=rows, p=scenario.weights)
     u = rng.random(rows)
     cum = np.cumsum(scenario.conditionals, axis=1)
-    y = 1 + (u[:, None] > cum[f_idx, :-1]).sum(axis=1)
-    x_ids = np.array([scenario.feature_ids[i] for i in f_idx], dtype=object)
-    return LabeledDataset(x_ids, y.astype(np.int64), scenario.n_outcomes)
+    y = np.ones(rows, dtype=np.int64)
+    for j in range(scenario.n_outcomes - 1):
+        y += u > cum[f_idx, j]
+    order, codes = first_appearance(f_idx, len(scenario.feature_ids))
+    return LabeledDataset.from_codes(codes, [scenario.feature_ids[i] for i in order],
+                                     y, scenario.n_outcomes)
 
 
 def exact_dataset(scenario: ScenarioSpec) -> LabeledDataset:

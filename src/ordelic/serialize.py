@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from ordelic.piecewise import PiecewiseAffine, PiecewiseQuadratic
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals
 from ordelic.scenario import ScenarioSpec
 from ordelic.simplex import LabeledDataset
+
+# Dataset CSV files are read in chunks of about this many bytes.
+CSV_CHUNK_BYTES = 1 << 20
 
 
 def dumps(obj) -> str:
@@ -170,30 +174,75 @@ def surrogate_from_json(d: dict):
 # datasets
 
 
-def dataset_to_csv(data: LabeledDataset) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x_id", "y"])
-    for xid, y in zip(data.x_ids, data.y):
-        writer.writerow([xid, int(y)])
-    return buf.getvalue()
-
-
 def write_dataset_csv(path, data: LabeledDataset) -> None:
+    """Write ``x_id,y`` rows.  csv.writer formats each (id, label) pair once;
+    rows are then written by feature code and label."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerows([key, y] for key in data.keys for y in range(1, data.n + 1))
+    table = np.array(lines, dtype=object).reshape(len(data.keys), data.n)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dataset_to_csv(data))
+        fh.write("x_id,y\n")
+        fh.write("".join(table[data.codes, data.y - 1]))
 
 
 def read_dataset_csv(path, n: int) -> LabeledDataset:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    """Read an ``x_id,y`` file in chunks of whole lines, coding ids in order
+    of first appearance as they arrive; errors name the line at fault."""
+    index: dict = {}
+    codes, labels = [], []
+    with open(path, "rb") as fh:
+        header = next(csv.reader([fh.readline().decode("utf-8")]), None)
         if header != ["x_id", "y"]:
-            raise SpecError(f"expected header 'x_id,y', got {header}")
-        rows = [(xid, int(y)) for xid, y in reader]
-    if not rows:
-        raise SpecError("dataset file has no rows")
-    return LabeledDataset.from_rows(rows, n)
+            raise SpecError(f"{path}, line 1: expected header 'x_id,y', got {header}")
+        line = 2
+        while chunk := fh.read(CSV_CHUNK_BYTES):
+            chunk += fh.readline()
+            while chunk.count(b'"') % 2 and (more := fh.readline()):
+                chunk += more  # finish a quoted field that spans lines
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+            ids, y = _parse_rows(chunk, line, path, n)
+            for key in dict.fromkeys(ids):
+                index.setdefault(key, len(index))
+            codes.append(np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)))
+            labels.append(y)
+            line += chunk.count(b"\n")
+    if not codes:
+        raise SpecError(f"{path}, line 2: dataset file has no rows")
+    return LabeledDataset.from_codes(np.concatenate(codes), tuple(index),
+                                     np.concatenate(labels), n)
+
+
+def _parse_rows(chunk: bytes, line: int, path, n: int) -> tuple[list, np.ndarray]:
+    """(ids, labels) of newline-terminated CSV lines numbered from ``line``.
+
+    A chunk without quotes or carriage returns whose lines each hold one
+    comma and a one-digit label in range is split with str.split; any other
+    chunk goes through csv.reader, which also pins down the line at fault.
+    """
+    if b'"' not in chunk and b"\r" not in chunk:
+        buf = np.frombuffer(chunk, dtype=np.uint8)
+        seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+        y = buf[seps[1::2] - 1].astype(np.int64) - ord("0")
+        if (np.array_equal(buf[seps], np.resize(np.frombuffer(b",\n", np.uint8), len(seps)))
+                and np.all(np.diff(seps)[0::2] == 2) and np.all((y >= 1) & (y <= min(n, 9)))):
+            return chunk.decode("utf-8").replace("\n", ",").split(",")[0:-1:2], y
+    ids, labels = [], []
+    reader = csv.reader(io.StringIO(chunk.decode("utf-8")))
+    try:
+        for fields in reader:
+            where = f"{path}, line {line + reader.line_num - 1}"
+            if len(fields) != 2:
+                raise SpecError(f"{where}: expected 2 fields (x_id,y), got {len(fields)}")
+            label = fields[1].strip()
+            if not (label.isdecimal() and 1 <= int(label) <= n):
+                raise SpecError(f"{where}: label {fields[1]!r} is not an integer in 1..{n}")
+            ids.append(fields[0])
+            labels.append(int(label))
+    except csv.Error as exc:
+        raise SpecError(f"{path}, line {line + reader.line_num - 1}: {exc}") from None
+    return ids, np.array(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

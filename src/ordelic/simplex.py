@@ -1,4 +1,4 @@
-"""Probability-vector arithmetic, sampling, and empirical conditionals.
+"""Probability-vector arithmetic, sampling, and labeled datasets.
 
 Points on the simplex are plain float64 numpy arrays; :func:`as_simplex_point`
 is the single validation/renormalization gate.  Datasets are column arrays of
@@ -10,7 +10,7 @@ without sampling noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -114,100 +114,89 @@ def sample_simplex(n: int, count: int, seed: int) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    """(x_id, label) rows with 1-based labels and optional row weights."""
+def first_appearance(codes, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber codes in 0..size-1 by first appearance: (old code of each new
+    code, new code of each entry).  Codes that never appear get none."""
+    first = np.full(size, len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    order = np.argsort(first, kind="stable")[:np.count_nonzero(first < len(codes))]
+    remap = np.empty(size, dtype=np.int64)
+    remap[order] = np.arange(len(order))
+    return order, remap[codes]
 
-    x_ids: np.ndarray  # object array of opaque keys
-    y: np.ndarray      # int array, values in 1..n
+
+@dataclass(frozen=True, init=False)
+class LabeledDataset:
+    """(x_id, label) rows held as columns, with 1-based labels and optional
+    row weights.
+
+    Row i has x_id ``keys[codes[i]]``.  ``keys`` lists each distinct x_id
+    once, in order of first appearance, which fixes the order in which
+    audits sum over features.  ``LabeledDataset(x_ids, y, n, weights)``
+    factorizes the ids; producers that already hold codes use
+    :meth:`from_codes`.
+    """
+
+    codes: np.ndarray  # int64 per row, indexes keys
+    keys: tuple
+    y: np.ndarray      # int64 per row, values in 1..n
     n: int
     weights: np.ndarray | None = None
 
-    def __post_init__(self):
-        x_ids = np.asarray(self.x_ids, dtype=object)
-        y = np.asarray(self.y, dtype=np.int64)
-        object.__setattr__(self, "x_ids", x_ids)
-        object.__setattr__(self, "y", y)
+    def __init__(self, x_ids, y, n: int, weights=None):
+        index: dict = {}
+        codes = [index.setdefault(x, len(index)) for x in x_ids]
+        self._init(np.asarray(codes, dtype=np.int64), tuple(index), y, n, weights)
+
+    @classmethod
+    def from_codes(cls, codes, keys, y, n: int, weights=None) -> "LabeledDataset":
+        """Dataset from feature codes; ``keys`` must be in first-appearance
+        order of ``codes`` and every key must occur."""
+        data = cls.__new__(cls)
+        data._init(np.asarray(codes, dtype=np.int64), tuple(keys), y, n, weights)
+        return data
+
+    def _init(self, codes: np.ndarray, keys: tuple, y, n: int, weights) -> None:
+        y = np.asarray(y, dtype=np.int64)
         if len(y) == 0:
             raise SpecError("dataset must be nonempty")
-        if len(x_ids) != len(y):
+        if len(codes) != len(y):
             raise SpecError("x_ids and y lengths differ")
-        if y.min() < 1 or y.max() > self.n:
-            raise SpecError(f"labels must lie in 1..{self.n}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if len(w) != len(y) or np.any(w < 0) or w.sum() <= 0:
+        if codes.min() < 0 or codes.max() >= len(keys):
+            raise SpecError("feature codes must index the keys")
+        if y.min() < 1 or y.max() > n:
+            raise SpecError(f"labels must lie in 1..{n}")
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if len(weights) != len(y) or np.any(weights < 0) or weights.sum() <= 0:
                 raise SpecError("weights must be nonnegative with positive total")
-            object.__setattr__(self, "weights", w)
+        for name, value in (("codes", codes), ("keys", keys), ("y", y),
+                            ("n", n), ("weights", weights)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.y)
 
     @property
-    def row_weights(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(len(self.y))
-        return self.weights
+    def x_ids(self) -> np.ndarray:
+        """Object array of the x_id of every row."""
+        return np.fromiter(self.keys, dtype=object, count=len(self.keys))[self.codes]
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple], n: int) -> "LabeledDataset":
         xs, ys = zip(*rows)
-        return cls(np.array(xs, dtype=object), np.array(ys, dtype=np.int64), n)
+        return cls(xs, ys, n)
 
     @classmethod
     def from_exact_scenario(cls, feature_ids, feature_weights, conditionals) -> "LabeledDataset":
         """Weighted dataset reproducing a finite scenario with zero sampling noise.
 
-        One row per (feature, label) pair, weighted by
-        feature_weight * conditional probability.
+        One row per (feature, label) pair of positive mass, weighted by
+        feature_weight * conditional probability; feature ids are distinct.
         """
         cond = as_simplex_points(conditionals)
-        w = np.asarray(feature_weights, dtype=np.float64)
-        n = cond.shape[1]
-        xs, ys, ws = [], [], []
-        for f, fid in enumerate(feature_ids):
-            for label in range(1, n + 1):
-                mass = w[f] * cond[f, label - 1]
-                if mass > 0:
-                    xs.append(fid)
-                    ys.append(label)
-                    ws.append(mass)
-        return cls(np.array(xs, dtype=object), np.array(ys, dtype=np.int64), n,
-                   weights=np.array(ws))
-
-
-def empirical_conditional(
-    data: LabeledDataset,
-    bin_of: Mapping | Callable,
-) -> tuple[dict, list]:
-    """Per-bin empirical label frequency vectors.
-
-    ``bin_of`` maps each x_id to a hashable bin key (mapping or callable).
-    Returns (bin -> frequency vector, list of empty bins).  A bin is "empty"
-    when it appears in the binner's codomain (mapping input only) but receives
-    no rows.
-    """
-    lookup = bin_of.__getitem__ if isinstance(bin_of, Mapping) else bin_of
-    counts: dict = {}
-    weights = data.row_weights
-    for xid, label, w in zip(data.x_ids, data.y, weights):
-        key = lookup(xid)
-        vec = counts.get(key)
-        if vec is None:
-            vec = np.zeros(data.n)
-            counts[key] = vec
-        vec[label - 1] += w
-
-    conditionals = {}
-    empty = []
-    for key, vec in counts.items():
-        total = vec.sum()
-        if total > 0:
-            conditionals[key] = vec / total
-        else:
-            empty.append(key)
-    if isinstance(bin_of, Mapping):
-        for key in dict.fromkeys(bin_of.values()):
-            if key not in counts:
-                empty.append(key)
-    return conditionals, empty
+        mass = np.asarray(feature_weights, dtype=np.float64)[:, None] * cond
+        f, label = np.nonzero(mass > 0)
+        order, codes = first_appearance(f, len(mass))
+        return cls.from_codes(codes, [feature_ids[i] for i in order], label + 1,
+                              cond.shape[1], weights=mass[f, label])

@@ -232,7 +232,7 @@ def test_criterion_6_counterexample_generator(capfd):
             lambda P: roe_eval_many(nrm, P), 3, C=5.0, seed=600)
         f, data = instance_dataset(instance)
         linked = LinkedProperty("normals", nrm)
-        dist = dist_calibration_wrt(f, data, lambda p: float(linked.gamma(p)))
+        dist = dist_calibration_wrt(f, data, linked.gamma_many)
         g = PredictorTable("scalar", {
             instance["x_id"]: float(linked.gamma(
                 np.asarray(instance["prediction"])))})
@@ -295,7 +295,8 @@ def test_criterion_8_single_feature_audits(capfd):
         star = from_ternary_plot(np.array([0.42, 0.02]))
         data = LabeledDataset.from_exact_scenario(["x0"], [1.0], star[None, :])
         f = PredictorTable("distribution", {"x0": dot})
-        rep = dist_calibration_wrt(f, data, lambda p: 0, convention="plot")
+        rep = dist_calibration_wrt(f, data, lambda P: np.zeros(len(P)),
+                                   convention="plot")
         assert abs(rep.epsilon_hat - 0.04) <= 1e-6
 
         g = PredictorTable("scalar", {"x0": float(linked.gamma(dot))})

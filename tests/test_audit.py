@@ -21,7 +21,12 @@ from ordelic.audit import (
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
 from ordelic.normals import build_from_spec, roe_eval_many
 from ordelic.properties import AffineBoundary, sample_boundary, spec_from_boundaries
-from ordelic.scenario import ScenarioSpec, exact_dataset, materialize_predictor
+from ordelic.scenario import (
+    ScenarioSpec,
+    exact_dataset,
+    materialize_predictor,
+    sample_dataset,
+)
 from ordelic.simplex import LabeledDataset, from_ternary_plot, sample_simplex
 
 DOT = from_ternary_plot(np.array([0.38, 0.02]))
@@ -38,6 +43,10 @@ def linked_embedding(fixture_embedding, fixture_cost):
     return LinkedProperty("embedding", fixture_embedding, cost=fixture_cost)
 
 
+def _one_bin(P):
+    return np.zeros(len(P))
+
+
 def one_point_scenario(pred, cond):
     data = LabeledDataset.from_exact_scenario(["x0"], [1.0], np.asarray(cond)[None, :])
     f = PredictorTable("distribution", {"x0": np.asarray(pred, dtype=np.float64)})
@@ -49,16 +58,16 @@ class TestDistributionCalibration:
         cond = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
         sc = ScenarioSpec(("a", "b"), [0.4, 0.6], cond)
         f = materialize_predictor(sc, seed=0)
-        rep = dist_calibration_wrt(f, exact_dataset(sc), lambda p: tuple(p))
+        rep = dist_calibration_wrt(f, exact_dataset(sc), lambda P: P)
         assert rep.epsilon_hat == pytest.approx(0.0, abs=1e-12)
         assert rep.bin_count == 2
 
     def test_one_bin_plot_distance(self):
         # prediction and conditional 0.04 apart in the plot plane
         f, data = one_point_scenario(DOT, STAR)
-        rep = dist_calibration_wrt(f, data, lambda p: 0, convention="plot")
+        rep = dist_calibration_wrt(f, data, _one_bin, convention="plot")
         assert rep.epsilon_hat == pytest.approx(0.04, abs=1e-12)
-        rep2 = dist_calibration_wrt(f, data, lambda p: 0)
+        rep2 = dist_calibration_wrt(f, data, _one_bin)
         want = float(np.linalg.norm(DOT - STAR))
         assert rep2.epsilon_hat == pytest.approx(want, abs=1e-12)
 
@@ -66,7 +75,7 @@ class TestDistributionCalibration:
         _, data = one_point_scenario(DOT, STAR)
         with pytest.raises(SpecError):
             dist_calibration_wrt(PredictorTable("scalar", {"x0": 1.0}),
-                                 data, lambda p: 0)
+                                 data, _one_bin)
 
 
 class TestSurrogateCalibration:
@@ -99,7 +108,7 @@ class TestSurrogateCalibration:
         assert rep.epsilon_hat <= 1e-9
         # yet the distributional miscalibration is far from zero
         f = PredictorTable("distribution", {"x0": spade})
-        drep = dist_calibration_wrt(f, data, lambda p: 0)
+        drep = dist_calibration_wrt(f, data, _one_bin)
         assert drep.epsilon_hat > 0.1
 
     def test_bin_width_merges_values(self, linked_normals):
@@ -118,15 +127,94 @@ class TestDiscreteCalibration:
         data = LabeledDataset.from_exact_scenario(["a", "b"], [0.5, 0.5],
                                                   np.stack([qa, qb]))
         h = PredictorTable("report", {"a": 1, "b": 3})
-        rep = discrete_calibration(h, data, linked_normals.discrete_set)
+        rep = discrete_calibration(h, data, linked_normals.discrete_set_many)
         assert rep.epsilon_hat == pytest.approx(0.5)
 
     def test_perfect_reports_zero(self, linked_normals):
         qa = np.array([0.9, 0.05, 0.05])
         data = LabeledDataset.from_exact_scenario(["a"], [1.0], qa[None, :])
         h = PredictorTable("report", {"a": 1})
-        rep = discrete_calibration(h, data, linked_normals.discrete_set)
+        rep = discrete_calibration(h, data, linked_normals.discrete_set_many)
         assert rep.epsilon_hat == 0.0
+
+
+class TestZeroMassFeatures:
+    """A feature whose rows all have weight 0 is left out of every estimator
+    and its bin key is listed as empty."""
+
+    DATA = LabeledDataset(["a", "a", "b"], [1, 2, 3], 3, weights=[1.0, 1.0, 0.0])
+    Q = np.array([0.5, 0.5, 0.0])  # conditional of "a"
+
+    def test_distribution(self):
+        f = PredictorTable("distribution", {"a": np.array([0.6, 0.3, 0.1]),
+                                            "b": np.array([0.1, 0.2, 0.7])})
+        rep = dist_calibration_wrt(f, self.DATA, lambda P: np.take(P, 0, axis=-1))
+        assert rep.epsilon_hat == pytest.approx(np.linalg.norm(f["a"] - self.Q))
+        assert (rep.bin_count, rep.bin_min_size) == (1, 2.0)
+        assert rep.as_dict()["bins"]["empty"] == [0.1]
+
+    def test_scalar_and_report(self, linked_normals):
+        g = PredictorTable("scalar", {"a": 0.5, "b": 2.0})
+        rep = surrogate_calibration(g, self.DATA, linked_normals.gamma_many)
+        assert rep.epsilon_hat == pytest.approx(abs(linked_normals.gamma(self.Q) - 0.5))
+        assert (rep.bin_count, rep.empty_bins) == (1, (2.0,))
+        rep = check_discretization_bound(g, self.DATA, linked_normals, C_marginal=0.0)
+        assert np.isfinite(rep.bounds[0].lhs) and rep.empty_bins == (2.0,)
+        h = PredictorTable("report", {"a": 2, "b": 3})
+        rep = discrete_calibration(h, self.DATA, linked_normals.discrete_set_many)
+        assert (rep.epsilon_hat, rep.empty_bins) == (0.0, (3,))
+
+
+def _loop_reference(data, key_of):
+    """Per-row dict aggregation, the estimators' original loop path: x_id ->
+    label counts, and bin key -> conditional."""
+    agg = {}
+    weights = np.ones(len(data)) if data.weights is None else data.weights
+    for xid, y, w in zip(data.x_ids, data.y, weights):
+        agg.setdefault(xid, np.zeros(data.n))[y - 1] += w
+    totals = {}
+    for xid, rec in agg.items():
+        totals[key_of(xid)] = totals.get(key_of(xid), 0.0) + rec
+    return agg, {key: vec / vec.sum() for key, vec in totals.items()}
+
+
+def _loop_mean(agg, loss_of):
+    return sum(rec.sum() * loss_of(x) for x, rec in agg.items()) \
+        / sum(rec.sum() for rec in agg.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("exact", [False, True])
+def test_columnar_estimators_match_loop_reference(linked_normals, seed, exact):
+    m = 40
+    rng = np.random.default_rng(seed + 700)
+    sc = ScenarioSpec(tuple(f"x{i}" for i in range(m)), rng.dirichlet(np.ones(m)),
+                      sample_simplex(3, m, seed=seed + 710), recipe="perturbed", eta=0.2)
+    data = exact_dataset(sc) if exact else sample_dataset(sc, 5000, seed + 720)
+    f = materialize_predictor(sc, seed + 730)
+    g = PredictorTable("scalar", {x: float(rng.integers(0, 12)) / 8 for x in f.table})
+    h = PredictorTable("report", {x: int(rng.integers(1, 4)) for x in f.table})
+    gamma = linked_normals.gamma
+
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    agg, cond = _loop_reference(data, lambda x: gamma(f[x]))
+    close(dist_calibration_wrt(f, data, linked_normals.gamma_many).epsilon_hat,
+          _loop_mean(agg, lambda x: np.linalg.norm(f[x] - cond[gamma(f[x])])))
+    rep = check_postprocessing_bound(f, data, linked_normals)
+    close(rep.epsilon_hat, _loop_mean(agg, lambda x: abs(gamma(cond[gamma(f[x])])
+                                                         - gamma(f[x]))))
+    agg, cond = _loop_reference(data, lambda x: g[x])
+    close(surrogate_calibration(g, data, linked_normals.gamma_many).epsilon_hat,
+          _loop_mean(agg, lambda x: abs(gamma(cond[g[x]]) - g[x])))
+    rep = check_discretization_bound(g, data, linked_normals, C_marginal=0.0)
+    close(rep.epsilon_hat, _loop_mean(agg, lambda x: float(
+        linked_normals.link(g[x]) not in linked_normals.discrete_set(cond[g[x]]))))
+    assert rep.bin_count == len(cond)
+    agg, cond = _loop_reference(data, lambda x: h[x])
+    close(discrete_calibration(h, data, linked_normals.discrete_set_many).epsilon_hat,
+          _loop_mean(agg, lambda x: float(h[x] not in linked_normals.discrete_set(cond[h[x]]))))
 
 
 class TestPostprocessingBound:
@@ -190,7 +278,7 @@ class TestCounterexample:
         eps = instance["distribution_epsilon"]
         assert gap > 5.0 * eps
         f, data = instance_dataset(instance)
-        drep = dist_calibration_wrt(f, data, lambda pp: 0)
+        drep = dist_calibration_wrt(f, data, _one_bin)
         assert drep.epsilon_hat == pytest.approx(eps, abs=1e-12)
 
     def test_trivial_constant(self, fixture_normals):

@@ -237,6 +237,41 @@ class TestAudit:
         assert payload["reports"][0]["notion"] == "discrete"
         assert payload["reports"][0]["epsilon_hat"] == 0.0
 
+    @pytest.mark.parametrize("kind,value", [
+        ("distribution", [0.2, 0.3, 0.5]), ("scalar", 0.5), ("report", 2)])
+    def test_missing_prediction_is_spec_error(self, surrogate_file, tmp_path,
+                                              capsys, kind, value):
+        data = tmp_path / "data.csv"
+        data.write_text("x_id,y\na,1\nnope,2\n")
+        pred_path = tmp_path / "pred.json"
+        write_json(pred_path, {"kind": kind, "table": {"a": value}})
+        rc = main(["audit", "--surrogate", surrogate_file, "--data", str(data),
+                   "--predictor", str(pred_path), "--out", str(tmp_path / "x.json")])
+        assert rc == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert "'nope'" in err and str(pred_path) in err
+
+    @pytest.mark.parametrize("text,line", [
+        ("id,label\na,1\n", 1),
+        ("x_id,y\n", 2),
+        ("x_id,y\na,1\nb\n", 3),
+        ("x_id,y\na,1\nb,2,3\n", 3),
+        ("x_id,y\na,1\nb,two\n", 3),
+        ("x_id,y\na,1\nb,4\n", 3),
+        ("x_id,y\na,1\n\"b,c\",0\n", 3),
+        ("x_id,y\n\"a\nb\",1\n\"c\",1,2\n", 4),
+    ])
+    def test_malformed_data_names_line(self, surrogate_file, tmp_path, capsys,
+                                       text, line):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        pred_path = tmp_path / "h.json"
+        write_json(pred_path, {"kind": "report", "table": {"a": 2, "b": 2}})
+        rc = main(["audit", "--surrogate", surrogate_file, "--data", str(data),
+                   "--predictor", str(pred_path), "--out", str(tmp_path / "x.json")])
+        assert rc == EXIT_SPEC
+        assert f"line {line}:" in capsys.readouterr().err
+
     def test_data_and_scenario_exclusive(self, surrogate_file, scenario_file,
                                          tmp_path):
         pred_path = tmp_path / "h.json"

@@ -1,14 +1,21 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import O1, O2
+from ordelic.audit import LinkedProperty
 from ordelic.errors import (
     OrderabilityError,
     RankDeficiencyError,
     SimplexError,
     SpecError,
 )
+from ordelic.normals import build_from_spec, clip_ceiling_link_many, roe_eval_many
 from ordelic.properties import (
+    BOUNDARY_TOL,
     AffineBoundary,
     CostMatrix,
     boundaries_from_cost,
@@ -148,6 +155,43 @@ class TestRegions:
         assert region_index(nm, [1, 0, 0]) == 1
         assert region_index(nm, [0, 1, 0]) == 2
         assert region_index(nm, [0, 0, 1]) == 3
+
+
+@functools.cache
+def _tie_property(n: int) -> LinkedProperty:
+    """Normals surrogate for the fixture (n = 3) or a random 4-report target."""
+    if n == 3:
+        spec = spec_from_boundaries([AffineBoundary([-3, 1, 0], -2.0),
+                                     AffineBoundary([-5, -4, 0], -3.0)])
+    else:
+        spec = random_orderable_spec(n, 4, seed=n)[0]
+    return LinkedProperty("normals", build_from_spec(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([3, 5]), boundary=st.integers(0, 2),
+       seed=st.integers(0, 2**20), shift=st.floats(10.5, 1000.0))
+def test_boundary_ties_use_one_tolerance(n, boundary, seed, shift):
+    """On boundary i the region, the linked property value and the target
+    set resolve to the lower report; off it by more than 10 * BOUNDARY_TOL
+    they resolve to the side the point is on."""
+    linked = _tie_property(n)
+    O = linked.normals.o
+    i = boundary % len(O)
+    p = sample_boundary(O[i], 1, seed)[0]
+    d = O[i] - O[i].mean()
+    d /= d @ O[i]  # <o_i, p + t d> = <o_i, p> + t
+    t = shift * BOUNDARY_TOL
+    pts = np.stack([p, p - t * d, p + t * d])
+    assume(np.all(pts > 0))
+    pts /= pts.sum(axis=1, keepdims=True)
+    want = np.array([i + 1, i + 1, i + 2])
+    assert np.array_equal(region_index_many(linked.normals, pts), want)
+    links = clip_ceiling_link_many(linked.surrogate, roe_eval_many(linked.surrogate, pts))
+    assert np.array_equal(links, want)
+    sets = linked.discrete_set_many(pts)
+    assert [set(np.flatnonzero(row) + 1) for row in sets] \
+        == [{i + 1, i + 2}, {i + 1}, {i + 2}]
 
 
 class TestSpecConstruction:

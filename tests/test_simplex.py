@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordelic.audit import _bin
 from ordelic.errors import SimplexError, SpecError
 from ordelic.simplex import (
     LabeledDataset,
     as_simplex_point,
     as_simplex_points,
-    empirical_conditional,
     from_ternary_plot,
     norm_distance,
     norm_order,
@@ -124,31 +124,34 @@ def test_ternary_plot_round_trip():
 
 def test_empirical_conditional_counts():
     data = LabeledDataset.from_rows([("a", 1), ("a", 1), ("a", 2)], n=3)
-    cond, empty = empirical_conditional(data, lambda x: "bin")
-    assert np.allclose(cond["bin"], [2 / 3, 1 / 3, 0.0])
-    assert empty == []
+    bins = _bin(data, ["bin"])
+    assert bins.keys.tolist() == ["bin"]
+    assert np.allclose(bins.cond[0], [2 / 3, 1 / 3, 0.0])
+    assert bins.empty == ()
 
 
 def test_empirical_conditional_disjoint_bins():
     data = LabeledDataset.from_rows([("a", 1), ("b", 3)], n=3)
-    cond, _ = empirical_conditional(data, {"a": "bin1", "b": "bin2"})
-    assert np.allclose(cond["bin1"], [1, 0, 0])
-    assert np.allclose(cond["bin2"], [0, 0, 1])
+    bins = _bin(data, [{"a": "bin1", "b": "bin2"}[x] for x in data.keys])
+    assert bins.keys.tolist() == ["bin1", "bin2"]
+    assert np.allclose(bins.cond[0], [1, 0, 0])
+    assert np.allclose(bins.cond[1], [0, 0, 1])
 
 
 def test_empirical_conditional_reports_empty_bins():
-    data = LabeledDataset.from_rows([("a", 1)], n=3)
-    cond, empty = empirical_conditional(data, {"a": "used", "zzz": "unused"})
-    assert "used" in cond
-    assert empty == ["unused"]
+    # a bin whose only feature has zero mass is reported empty
+    data = LabeledDataset(["a", "zzz"], [1, 1], 3, weights=[1.0, 0.0])
+    bins = _bin(data, [{"a": "used", "zzz": "unused"}[x] for x in data.keys])
+    assert bins.keys.tolist() == ["used"]
+    assert bins.empty == ("unused",)
 
 
 def test_empirical_conditional_respects_weights():
     data = LabeledDataset(
         np.array(["a", "a"], dtype=object), np.array([1, 2]), 3,
         weights=np.array([3.0, 1.0]))
-    cond, _ = empirical_conditional(data, lambda x: 0)
-    assert np.allclose(cond[0], [0.75, 0.25, 0.0])
+    bins = _bin(data, [0])
+    assert np.allclose(bins.cond[0], [0.75, 0.25, 0.0])
 
 
 def test_dataset_validation():
@@ -166,8 +169,8 @@ def test_dataset_validation():
 def test_exact_scenario_dataset():
     cond = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]])
     data = LabeledDataset.from_exact_scenario(["x", "y"], [0.4, 0.6], cond)
-    got, _ = empirical_conditional(data, lambda x: x)
-    assert np.allclose(got["x"], cond[0])
-    assert np.allclose(got["y"], cond[1])
+    got = _bin(data, data.keys)
+    assert got.keys.tolist() == ["x", "y"]
+    assert np.allclose(got.cond, cond)
     # zero-probability (feature, label) pairs are not materialized
     assert len(data) == 4
