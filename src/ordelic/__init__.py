@@ -8,10 +8,16 @@ predictors for the associated calibration notions.
 
 from ordelic.simplex import LabeledDataset, as_simplex_point, norm_distance, sample_simplex
 from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine, PiecewiseQuadratic
-from ordelic.properties import AffineBoundary, CostMatrix, OrderableSpec, OrientedNormals
-from ordelic.embedding import EmbeddingInput, SmoothedSurrogate, build_surrogate
-from ordelic.normals import NormalsSurrogate, build_from_spec
-from ordelic.audit import AuditReport, LinkedProperty
+from ordelic.properties import (
+    AffineBoundary,
+    CostMatrix,
+    OrderableSpec,
+    OrientedNormals,
+    Surrogate,
+)
+from ordelic.embedding import EmbeddingInput, build_surrogate
+from ordelic.normals import build_from_spec
+from ordelic.audit import AuditReport
 
 __version__ = "0.1.0"
 
@@ -27,12 +33,10 @@ __all__ = [
     "CostMatrix",
     "OrderableSpec",
     "OrientedNormals",
+    "Surrogate",
     "EmbeddingInput",
-    "SmoothedSurrogate",
     "build_surrogate",
-    "NormalsSurrogate",
     "build_from_spec",
     "AuditReport",
-    "LinkedProperty",
     "__version__",
 ]

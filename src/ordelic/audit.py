@@ -1,6 +1,6 @@
 """Calibration estimators and quantitative bound checks.
 
-Three empirical notions are measured against a linked surrogate property:
+Three empirical notions are measured against a surrogate property:
 distribution calibration (norm distance between a distributional prediction
 and its bin's conditional), surrogate calibration (absolute gap between a
 scalar prediction and the property of its bin's conditional), and discrete
@@ -17,13 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ordelic.embedding import gamma_surrogate_eval_many, link_eval_many
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
-from ordelic.normals import clip_ceiling_link_many, roe_eval_many
-from ordelic.properties import BOUNDARY_TOL, CostMatrix, OrientedNormals
+from ordelic.properties import Surrogate
 from ordelic.simplex import (
     LabeledDataset,
-    as_simplex_points,
     first_appearance,
     norm_order,
     sample_simplex,
@@ -95,81 +92,6 @@ class AuditReport:
             "bounds": [b.as_dict() for b in self.bounds],
             **({"extras": self.extras} if self.extras else {}),
         }
-
-
-@dataclass(frozen=True)
-class LinkedProperty:
-    """Uniform handle over either surrogate construction plus its discrete
-    target, exposing the property, the link, thresholds, and the bound K."""
-
-    kind: str  # "embedding" | "normals"
-    surrogate: object
-    cost: CostMatrix | None = None
-    normals: OrientedNormals | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("embedding", "normals"):
-            raise SpecError(f"unknown surrogate kind {self.kind!r}")
-        if self.kind == "normals" and self.normals is None:
-            object.__setattr__(self, "normals", self.surrogate.normals)
-        if self.cost is None and self.normals is None:
-            raise SpecError("need a cost matrix or normals for the discrete target")
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        return self.surrogate.thresholds
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return self.surrogate.lipschitz_bound
-
-    @property
-    def value_range(self) -> tuple[float, float]:
-        return self.surrogate.value_range
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.surrogate.n_outcomes
-
-    def gamma_many(self, probs) -> np.ndarray:
-        if self.kind == "embedding":
-            return gamma_surrogate_eval_many(self.surrogate, probs)
-        return roe_eval_many(self.surrogate, probs)
-
-    def gamma(self, p) -> float:
-        return float(self.gamma_many(np.asarray(p, dtype=np.float64)[None, :])[0])
-
-    def link_many(self, us) -> np.ndarray:
-        if self.kind == "embedding":
-            return link_eval_many(self.surrogate, us)
-        return clip_ceiling_link_many(self.surrogate, us)
-
-    def link(self, u: float) -> int:
-        return int(self.link_many(np.array([u]))[0])
-
-    def discrete_set_many(self, probs, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        """(rows, reports) mask of the target reports at each row of probs;
-        a point within ``tol`` of a boundary gets both adjacent reports."""
-        P = as_simplex_points(probs)
-        if self.cost is not None:
-            ec = P @ self.cost.entries.T
-            return ec <= ec.min(axis=1, keepdims=True) + tol
-        S = P @ self.normals.o.T
-        ones = np.ones((len(S), 1), dtype=bool)
-        lo_ok = np.logical_and.accumulate(np.hstack([ones, S >= -tol]), axis=1)
-        hi_ok = np.logical_and.accumulate(np.hstack([S <= tol, ones])[:, ::-1], axis=1)
-        return lo_ok & hi_ok[:, ::-1]
-
-    def discrete_set(self, p, tol: float = BOUNDARY_TOL) -> set[int]:
-        """Target reports at p; boundary points return both adjacent reports."""
-        return {int(r) + 1 for r in np.flatnonzero(self.discrete_set_many([p], tol)[0])}
-
-
-def _rescaled(linked: LinkedProperty, alpha: float):
-    """Property evaluator scaled by alpha (Lipschitz bound scales with it)."""
-    def gamma_many(probs):
-        return alpha * linked.gamma_many(probs)
-    return gamma_many
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +239,25 @@ def discrete_calibration(
 def check_postprocessing_bound(
     f: PredictorTable,
     data: LabeledDataset,
-    linked: LinkedProperty,
+    surrogate: Surrogate,
     norm="l2",
 ) -> AuditReport:
     """Post-processing inequality: the surrogate miscalibration of the scalar
     predictor gamma∘f is at most K times the distribution miscalibration of f
     binned by that same scalar value.  For K < 1, also records the stronger
-    contraction inequality (rhs = epsilon itself)."""
+    contraction inequality (rhs = epsilon itself).  ``K_exact`` in the
+    params is False when K is an estimate."""
     if f.kind != "distribution":
         raise SpecError("post-processing bound needs a distributional predictor")
-    K = linked.lipschitz_bound
+    K = surrogate.lipschitz_bound
+    K_exact = surrogate.lipschitz_exact
     P = f.values(data.keys)
-    u = linked.gamma_many(P)
+    u = surrogate.gamma_many(P)
     bins = _bin(data, u)
     cond = bins.cond
     eps = bins.mean(np.linalg.norm(P[bins.live] - cond[bins.of],
                                    ord=norm_order(norm), axis=1))
-    gaps = np.abs(linked.gamma_many(cond)[bins.of] - u[bins.live])
+    gaps = np.abs(surrogate.gamma_many(cond)[bins.of] - u[bins.live])
     eps_prime = bins.mean(gaps)
     bounds = [
         BoundCheck(
@@ -341,7 +265,7 @@ def check_postprocessing_bound(
             lhs=eps_prime,
             rhs=K * eps,
             satisfied=bool(eps_prime <= K * eps + _BOUND_SLACK),
-            params={"K": K, "epsilon": eps},
+            params={"K": K, "K_exact": K_exact, "epsilon": eps},
         )
     ]
     if K < 1.0:
@@ -351,7 +275,7 @@ def check_postprocessing_bound(
                 lhs=eps_prime,
                 rhs=eps,
                 satisfied=bool(eps_prime <= eps + _BOUND_SLACK),
-                params={"K": K},
+                params={"K": K, "K_exact": K_exact},
             )
         )
     return bins.report("postprocessing", norm, gaps, bounds=tuple(bounds),
@@ -458,7 +382,7 @@ def link_diameter(thresholds, value_range) -> float:
 def check_discretization_bound(
     g: PredictorTable,
     data: LabeledDataset,
-    linked: LinkedProperty,
+    surrogate: Surrogate,
     C_marginal: float,
     t_grid=None,
     c_estimated: bool = False,
@@ -469,13 +393,14 @@ def check_discretization_bound(
 
     ``C_marginal`` is the assumed Lipschitz constant of the map from a
     prediction value to its bin's conditional distribution; it is an input
-    assumption, not something certified from data.
+    assumption, not something certified from data.  ``K_exact`` in the
+    params is False when K is an estimate.
     """
     if g.kind != "scalar":
         raise SpecError("discretization bound needs a scalar predictor")
-    K = linked.lipschitz_bound
-    thresholds = linked.thresholds
-    lo, hi = linked.value_range
+    K = surrogate.lipschitz_bound
+    thresholds = surrogate.thresholds
+    lo, hi = surrogate.value_range
     diam = link_diameter(thresholds, (lo, hi))
 
     image = g.values(g.table)
@@ -486,8 +411,9 @@ def check_discretization_bound(
     u = g.values(data.keys)
     bins = _bin(data, u)
     cond = bins.cond
-    eps_prime = bins.mean(np.abs(linked.gamma_many(cond)[bins.of] - u[bins.live]))
-    miss = ~_member(linked.discrete_set_many(cond), linked.link_many(bins.keys))[bins.of]
+    eps_prime = bins.mean(np.abs(surrogate.gamma_many(cond)[bins.of] - u[bins.live]))
+    miss = ~_member(surrogate.discrete_set_many(cond),
+                    surrogate.link_many(bins.keys))[bins.of]
     lhs = bins.mean(miss)
     deltas = delta_to_threshold(thresholds, u[bins.live])
 
@@ -511,6 +437,7 @@ def check_discretization_bound(
         satisfied=bool(lhs <= best_rhs + _BOUND_SLACK),
         params={
             "K": K,
+            "K_exact": surrogate.lipschitz_exact,
             "C_marginal": C_marginal,
             "C_estimated": c_estimated,
             "diam": diam,

@@ -18,12 +18,11 @@ import numpy as np
 
 from ordelic import audit as audit_mod
 from ordelic import serialize
-from ordelic.audit import LinkedProperty
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import OrdelicError, SearchFailure, SpecError
 from ordelic.normals import full_pipeline
 from ordelic.piecewise import lower_convex_envelope
-from ordelic.properties import gamma_from_cost
+from ordelic.properties import Surrogate
 from ordelic.scenario import exact_dataset, materialize_predictor, sample_dataset
 from ordelic.simplex import as_simplex_points
 
@@ -134,12 +133,12 @@ def _build_embedding(spec: dict, args):
         "algo": "embedding",
         "phi": phi.tolist(),
         "outer_slope": S,
-        "u_grid": surrogate.u_grid.tolist(),
+        "u_grid": surrogate.grid.tolist(),
         "thresholds": surrogate.thresholds.tolist(),
         "lipschitz_bound": surrogate.lipschitz_bound,
         "value_range": list(surrogate.value_range),
     }
-    return surrogate, cost, report
+    return surrogate, report
 
 
 def _build_normals(spec: dict, seed: int):
@@ -148,27 +147,20 @@ def _build_normals(spec: dict, seed: int):
     report = {"algo": "normals", **report,
               "thresholds": surrogate.thresholds.tolist(),
               "value_range": list(surrogate.value_range)}
-    return surrogate, spec["cost"], report
+    return surrogate, report
 
 
 def _cmd_construct(args) -> int:
     spec = serialize.load_property_spec(args.spec)
     if args.algo == "embedding":
-        surrogate, cost, report = _build_embedding(spec, args)
+        surrogate, report = _build_embedding(spec, args)
     else:
-        surrogate, cost, report = _build_normals(spec, _require_seed(args))
-    serialize.write_json(args.out, serialize.surrogate_to_json(surrogate, cost))
+        surrogate, report = _build_normals(spec, _require_seed(args))
+    serialize.write_json(args.out, serialize.surrogate_to_json(surrogate))
     report["config"] = {"spec": args.spec, "algo": args.algo,
                         "seed": _resolve_seed(args), "out": args.out}
     sys.stdout.write(serialize.dumps(report))
     return EXIT_OK
-
-
-def _discrete_eval(spec: dict, linked_cost, surrogate, pts) -> np.ndarray:
-    if linked_cost is not None:
-        return np.array([min(gamma_from_cost(linked_cost, p)) for p in pts])
-    from ordelic.properties import region_index_many
-    return region_index_many(surrogate.normals, pts)
 
 
 def _cmd_levelsets(args) -> int:
@@ -176,11 +168,9 @@ def _cmd_levelsets(args) -> int:
     if spec["n"] != 3:
         raise SpecError("level-set grids are only defined for 3 outcomes")
     if args.algo == "embedding":
-        surrogate, cost, _ = _build_embedding(spec, args)
-        from ordelic.embedding import gamma_surrogate_eval_many as ev
+        surrogate, _ = _build_embedding(spec, args)
     else:
-        surrogate, cost, _ = _build_normals(spec, _require_seed(args))
-        from ordelic.normals import roe_eval_many as ev
+        surrogate, _ = _build_normals(spec, _require_seed(args))
     res = args.resolution
     if res < 1:
         raise SpecError("resolution must be positive")
@@ -189,8 +179,8 @@ def _cmd_levelsets(args) -> int:
         for j in range(res + 1 - i):
             rows.append((i / res, j / res, (res - i - j) / res))
     pts = as_simplex_points(np.array(rows))
-    gamma_s = ev(surrogate, pts)
-    gamma_d = _discrete_eval(spec, cost, surrogate, pts)
+    gamma_s = surrogate.gamma_many(pts)
+    gamma_d = np.argmax(surrogate.discrete_set_many(pts), axis=1) + 1  # lowest target report
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p1", "p2", "p3", "gamma_discrete", "gamma_surrogate"])
@@ -218,18 +208,16 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_linked(path) -> LinkedProperty:
-    surrogate, cost = serialize.surrogate_from_json(serialize.read_json(path))
-    kind = "embedding" if surrogate.__class__.__name__ == "SmoothedSurrogate" \
-        else "normals"
-    if kind == "embedding" and cost is None:
+def _load_surrogate(path) -> Surrogate:
+    surrogate = serialize.surrogate_from_json(serialize.read_json(path))
+    if surrogate.cost is None and surrogate.normals is None:
         raise SpecError("embedding surrogate file lacks its cost matrix; "
                         "re-run construct")
-    return LinkedProperty(kind=kind, surrogate=surrogate, cost=cost)
+    return surrogate
 
 
 def _cmd_audit(args) -> int:
-    linked = _load_linked(args.surrogate)
+    surrogate = _load_surrogate(args.surrogate)
     predictor = serialize.predictor_from_json(serialize.read_json(args.predictor))
     if (args.data is None) == (args.scenario is None):
         raise SpecError("pass exactly one of --data or --scenario")
@@ -237,7 +225,7 @@ def _cmd_audit(args) -> int:
         scenario = serialize.scenario_from_json(serialize.read_json(args.scenario))
         data = exact_dataset(scenario)
     else:
-        data = serialize.read_dataset_csv(args.data, linked.n_outcomes)
+        data = serialize.read_dataset_csv(args.data, surrogate.n_outcomes)
     missing = next((x for x in data.keys if x not in predictor.table), None)
     if missing is not None:
         raise SpecError(f"x_id {missing!r} from {args.data or args.scenario} has "
@@ -246,13 +234,13 @@ def _cmd_audit(args) -> int:
     reports = []
     if predictor.kind == "distribution":
         reports.append(audit_mod.dist_calibration_wrt(
-            predictor, data, linked.gamma_many,
+            predictor, data, surrogate.gamma_many,
             norm=args.norm, convention=args.convention))
         reports.append(audit_mod.check_postprocessing_bound(
-            predictor, data, linked, norm=args.norm))
+            predictor, data, surrogate, norm=args.norm))
     elif predictor.kind == "scalar":
         reports.append(audit_mod.surrogate_calibration(
-            predictor, data, linked.gamma_many, norm=args.norm,
+            predictor, data, surrogate.gamma_many, norm=args.norm,
             bin_width=args.bin_width))
         if args.c_marginal is not None:
             c_marg, estimated = args.c_marginal, False
@@ -260,10 +248,10 @@ def _cmd_audit(args) -> int:
             c_marg, estimated = audit_mod.estimate_marginal_lipschitz(
                 predictor, data), True
         reports.append(audit_mod.check_discretization_bound(
-            predictor, data, linked, C_marginal=c_marg, c_estimated=estimated))
+            predictor, data, surrogate, C_marginal=c_marg, c_estimated=estimated))
     else:
         reports.append(audit_mod.discrete_calibration(
-            predictor, data, linked.discrete_set_many))
+            predictor, data, surrogate.discrete_set_many))
 
     payload = {
         "config": {"surrogate": args.surrogate, "data": args.data,
@@ -280,16 +268,16 @@ def _cmd_audit(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     seed = _require_seed(args)
-    linked = _load_linked(args.surrogate)
+    surrogate = _load_surrogate(args.surrogate)
     p, q, instance = audit_mod.counterexample_gap(
-        linked.gamma_many, linked.n_outcomes, args.c,
+        surrogate.gamma_many, surrogate.n_outcomes, args.c,
         budget=args.samples, seed=seed, norm=args.norm)
     f, data = audit_mod.instance_dataset(instance)
     dist_report = audit_mod.dist_calibration_wrt(
-        f, data, linked.gamma_many, norm=args.norm)
+        f, data, surrogate.gamma_many, norm=args.norm)
     g = audit_mod.PredictorTable(
-        "scalar", {instance["x_id"]: linked.gamma(p)})
-    sur_report = audit_mod.surrogate_calibration(g, data, linked.gamma_many,
+        "scalar", {instance["x_id"]: float(surrogate.gamma_many(p[None, :])[0])})
+    sur_report = audit_mod.surrogate_calibration(g, data, surrogate.gamma_many,
                                                  norm=args.norm)
     payload = {
         "config": {"surrogate": args.surrogate, "c": args.c, "seed": seed,

@@ -17,14 +17,8 @@ import numpy as np
 
 from ordelic._kernels import node_root_batch
 from ordelic.errors import DegenerateRangeError, SpecError
-from ordelic.piecewise import (
-    MaxAffinePieces,
-    PiecewiseAffine,
-    expected_identification_root,
-    lower_convex_envelope,
-)
-from ordelic.properties import CostMatrix
-from ordelic.simplex import as_simplex_point, as_simplex_points
+from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine, lower_convex_envelope
+from ordelic.properties import CostMatrix, Surrogate
 
 _EMBED_TOL = 1e-10
 
@@ -52,14 +46,35 @@ class EmbeddingInput:
                 got = loss(phi)
                 want = self.cost.entries[:, y]
                 if np.any(np.abs(got - want) > _EMBED_TOL * (1.0 + np.abs(want))):
-                    raise SpecError(
-                        f"loss for outcome {y + 1} does not match the cost "
-                        "matrix at the embedded points"
-                    )
+                    raise SpecError(_mismatch_message(want, phi, y + 1))
 
     @property
     def n_outcomes(self) -> int:
         return len(self.losses)
+
+
+def _mismatch_message(costs: np.ndarray, phi: np.ndarray, outcome: int) -> str:
+    """Why an embedded loss misses an outcome's costs: the consecutive report
+    triple whose costs bend down most against phi, and the spacing ratio of
+    phi that would make it convex; a generic message if none bends down."""
+    d, gaps = np.diff(costs), np.diff(phi)
+    ratio = gaps[1:] / gaps[:-1]
+    bend = d[:-1] * ratio - d[1:]  # > 0: the middle point is above the chord
+    if not np.any(bend > 0):
+        return (f"loss for outcome {outcome} does not match the cost matrix "
+                "at the embedded points")
+    r = int(np.argmax(bend))
+    d1, d2 = d[r], d[r + 1]
+    spacing = f"(phi{r + 3} - phi{r + 2})/(phi{r + 2} - phi{r + 1})"
+    if d1 < 0 or d2 > 0:
+        need = (f"the spacing ratio {spacing} is {ratio[r]:g} but this triple "
+                f"needs it {'>=' if d1 < 0 else '<='} {d2 / d1:g}")
+    else:
+        need = f"no spacing ratio {spacing} makes this triple convex"
+    return (f"costs of outcome {outcome} are not convex in phi: reports "
+            f"{r + 1}, {r + 2}, {r + 3} cost {costs[r]:g}, {costs[r + 1]:g}, "
+            f"{costs[r + 2]:g} at phi {phi[r]:g}, {phi[r + 1]:g}, {phi[r + 2]:g}; "
+            f"{need}")
 
 
 def build_envelope_loss(cost: CostMatrix, phi, outer_slope: float) -> EmbeddingInput:
@@ -137,51 +152,6 @@ def interpolate_identification(inp: EmbeddingInput) -> list[PiecewiseAffine]:
     return out
 
 
-@dataclass(frozen=True)
-class SmoothedSurrogate:
-    """Interpolated identification functions, their integrated losses, the
-    grid, the link thresholds, the property range, and a Lipschitz bound."""
-
-    v_bar: tuple  # PiecewiseAffine per outcome
-    l_bar: tuple  # PiecewiseQuadratic per outcome
-    u_grid: np.ndarray
-    thresholds: np.ndarray
-    lipschitz_bound: float
-    value_range: tuple[float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "v_bar", tuple(self.v_bar))
-        object.__setattr__(self, "l_bar", tuple(self.l_bar))
-        object.__setattr__(self, "u_grid", np.asarray(self.u_grid, dtype=np.float64))
-        object.__setattr__(self, "thresholds",
-                           np.asarray(self.thresholds, dtype=np.float64))
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.v_bar)
-
-    @property
-    def node_values(self) -> np.ndarray:
-        """(n_outcomes, grid size) matrix of identification values on the grid."""
-        return np.stack([v(self.u_grid) for v in self.v_bar])
-
-
-def _value_range(v_bar) -> tuple[float, float]:
-    """Property range: extreme roots over the simplex vertices.
-
-    Each vertex distribution e_y roots its own identification function; the
-    expected identification at any p is sandwiched between these, so the
-    range endpoints are vertex roots.
-    """
-    n = len(v_bar)
-    roots = []
-    for y in range(n):
-        p = np.zeros(n)
-        p[y] = 1.0
-        roots.append(expected_identification_root(list(v_bar), p))
-    return float(min(roots)), float(max(roots))
-
-
 def _max_abs_identification(v_bar, lo: float, hi: float) -> float:
     best = 0.0
     for v in v_bar:
@@ -191,46 +161,30 @@ def _max_abs_identification(v_bar, lo: float, hi: float) -> float:
     return best
 
 
-def build_surrogate(inp: EmbeddingInput) -> SmoothedSurrogate:
-    """Full construction: interpolate, integrate, set midpoint thresholds,
-    compute the property range and the Lipschitz bound K = max |v| on it."""
+def build_surrogate(inp: EmbeddingInput) -> Surrogate:
+    """Full construction: interpolate, set midpoint thresholds, and take the
+    property range from the simplex-vertex roots (the expected identification
+    at any p lies between the vertices' own).  K = max |v| on that range is
+    the constant of the post-processing analysis, not a Euclidean Lipschitz
+    constant, so it is not marked exact."""
     v_bar = interpolate_identification(inp)
-    l_bar = [v.integrate_from_zero() for v in v_bar]
-    thresholds = 0.5 * (inp.phi[:-1] + inp.phi[1:])
-    lo, hi = _value_range(v_bar)
-    K = _max_abs_identification(v_bar, lo, hi)
-    return SmoothedSurrogate(
-        v_bar=tuple(v_bar),
-        l_bar=tuple(l_bar),
-        u_grid=interpolation_grid(inp),
-        thresholds=thresholds,
-        lipschitz_bound=K,
+    grid = interpolation_grid(inp)
+    roots = node_root_batch(grid, np.stack([v(grid) for v in v_bar]),
+                            np.eye(inp.n_outcomes))
+    lo, hi = float(roots.min()), float(roots.max())
+    return Surrogate(
+        identification=tuple(v_bar),
+        thresholds=0.5 * (inp.phi[:-1] + inp.phi[1:]),
+        lipschitz_bound=_max_abs_identification(v_bar, lo, hi),
+        lipschitz_exact=False,
         value_range=(lo, hi),
+        cost=inp.cost,
     )
 
 
-def gamma_surrogate_eval(s: SmoothedSurrogate, p) -> float:
-    """Property value at p: root of the expected identification function."""
-    probs = as_simplex_point(p)[None, :]
-    return float(node_root_batch(s.u_grid, s.node_values, probs)[0])
-
-
-def gamma_surrogate_eval_many(s: SmoothedSurrogate, probs) -> np.ndarray:
-    return node_root_batch(s.u_grid, s.node_values, as_simplex_points(probs))
-
-
-def link_eval(s: SmoothedSurrogate, u: float) -> int:
-    """Report index: 1 + number of thresholds strictly below u."""
-    return int(np.sum(s.thresholds < float(u))) + 1
-
-
-def link_eval_many(s: SmoothedSurrogate, us) -> np.ndarray:
-    us = np.asarray(us, dtype=np.float64)
-    return np.sum(s.thresholds[None, :] < us[:, None], axis=1) + 1
-
-
-def normalize_surrogate(s: SmoothedSurrogate) -> SmoothedSurrogate:
-    """Affinely reparameterize so the property range becomes [0, 1].
+def normalize_surrogate(s: Surrogate) -> Surrogate:
+    """Affinely reparameterize an embedding surrogate so the property range
+    becomes [0, 1].
 
     Node values are divided by the range width as well, which keeps the
     outer slopes at one and rescales the property by the same affine map;
@@ -243,18 +197,14 @@ def normalize_surrogate(s: SmoothedSurrogate) -> SmoothedSurrogate:
         raise DegenerateRangeError("property range has zero width")
     if abs(lo) <= 1e-15 and abs(hi - 1.0) <= 1e-15:
         return s
-    grid = (s.u_grid - lo) / width
-    nodes = s.node_values / width
-    v_bar = [PiecewiseAffine.from_nodes(grid, nodes[y], 1.0, 1.0)
-             for y in range(s.n_outcomes)]
-    l_bar = [v.integrate_from_zero() for v in v_bar]
-    thresholds = (s.thresholds - lo) / width
-    K = _max_abs_identification(v_bar, 0.0, 1.0)
-    return SmoothedSurrogate(
-        v_bar=tuple(v_bar),
-        l_bar=tuple(l_bar),
-        u_grid=grid,
-        thresholds=thresholds,
-        lipschitz_bound=K,
+    grid = (s.grid - lo) / width
+    v_bar = [PiecewiseAffine.from_nodes(grid, nodes / width, 1.0, 1.0)
+             for nodes in s.nodes]
+    return Surrogate(
+        identification=tuple(v_bar),
+        thresholds=(s.thresholds - lo) / width,
+        lipschitz_bound=_max_abs_identification(v_bar, 0.0, 1.0),
+        lipschitz_exact=False,
         value_range=(0.0, 1.0),
+        cost=s.cost,
     )

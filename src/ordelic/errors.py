@@ -21,10 +21,6 @@ class OrderabilityError(OrdelicError):
     """Input violates (strong) orderability: misordered regions, zero gaps."""
 
 
-class NoRootError(OrdelicError):
-    """Expected identification function has no sign change on the search range."""
-
-
 class DegenerateRangeError(OrdelicError):
     """Property range has zero length; normalization or diameter undefined."""
 

@@ -4,73 +4,31 @@ The identification function pins integer report values at the region
 boundaries: v(u, y) interpolates the node values -o_{l+1, y} at the integer
 grid 0..k-1 and continues with unit slope outside it.  Its expected root is
 a piecewise ratio of expectations, evaluated in closed form per region, and
-the link is a clipped ceiling.
+the link thresholds are the boundary values 0..k-1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ordelic._kernels import node_root_batch, roe_batch
+from ordelic._kernels import region_index_batch
 from ordelic.errors import RankDeficiencyError
 from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import (
-    BOUNDARY_TOL,
     CostMatrix,
     OrderableSpec,
     OrientedNormals,
+    Surrogate,
     _centroid_witnesses,
     boundaries_from_cost,
     boundary_gap,
     check_strong_orderability,
-    gamma_from_cost,
     homogenize_boundary,
     normal_from_boundary_samples,
     orient_normals,
-    region_index_many,
     sample_boundary,
 )
-from ordelic.simplex import as_simplex_point, as_simplex_points, sample_simplex
-
-
-@dataclass(frozen=True)
-class NormalsSurrogate:
-    """Oriented normals with the induced identification functions and losses."""
-
-    normals: OrientedNormals
-    v: tuple  # PiecewiseAffine per outcome
-    loss: tuple  # PiecewiseQuadratic per outcome
-    lipschitz_bound: float
-    lipschitz_exact: bool
-    value_range: tuple[float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(self.v))
-        object.__setattr__(self, "loss", tuple(self.loss))
-
-    @property
-    def k(self) -> int:
-        return self.normals.k
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.normals.n
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        """Link thresholds: the integer boundary values 0..k-1."""
-        return np.arange(self.k, dtype=np.float64)
-
-    @property
-    def u_grid(self) -> np.ndarray:
-        return np.arange(self.k, dtype=np.float64)
-
-    @property
-    def node_values(self) -> np.ndarray:
-        """(n_outcomes, k) identification values on the grid: -o_{l+1, y}."""
-        return -self.normals.o.T.copy()
+from ordelic.simplex import sample_simplex
 
 
 def _clip_triangle(halfplanes: list[tuple[np.ndarray, float]]) -> np.ndarray:
@@ -94,30 +52,20 @@ def _clip_triangle(halfplanes: list[tuple[np.ndarray, float]]) -> np.ndarray:
     return np.array(poly) if poly else np.empty((0, 3))
 
 
-def _projected_norm(g: np.ndarray) -> float:
-    """Gradient norm along the simplex: component orthogonal to the ones vector."""
-    return float(np.linalg.norm(g - g.mean()))
-
-
 def _region_gradient_norms(O: np.ndarray, j: int, pts: np.ndarray) -> np.ndarray:
-    """Norms of the property gradient on region j (1-based) at points pts."""
+    """Norms along the simplex (component orthogonal to the ones vector) of
+    the property gradient on region j (1-based) at the rows of pts."""
     k = O.shape[0]
-    if j == 1:
-        g = O[0]
-        return np.full(len(pts), _projected_norm(g))
-    if j == k + 1:
-        g = O[k - 1]
-        return np.full(len(pts), _projected_norm(g))
-    i = j - 1  # middle piece uses o_i and o_{i+1} (1-based)
-    oi = O[i - 1]
-    oi1 = O[i]
-    num = pts @ oi
-    den = pts @ (oi - oi1)
-    f = num / den
-    out = np.empty(len(pts))
-    for r in range(len(pts)):
-        out[r] = _projected_norm((oi - f[r] * (oi - oi1)) / den[r])
-    return out
+    if j in (1, k + 1):
+        G = O[[0 if j == 1 else k - 1]]
+    else:
+        oi, oi1 = O[j - 2], O[j - 1]  # the middle piece <o_i, p>/<o_i - o_{i+1}, p>
+        den = pts @ (oi - oi1)
+        f = (pts @ oi) / den
+        G = (oi - f[:, None] * (oi - oi1)) / den[:, None]
+    D = G - G.mean(axis=1, keepdims=True)
+    # row-wise dot products: the same sums as np.linalg.norm of one row
+    return np.broadcast_to(np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0]), len(pts))
 
 
 def _lipschitz_bound(O: np.ndarray, seed: int = 7) -> tuple[float, bool]:
@@ -139,7 +87,7 @@ def _lipschitz_bound(O: np.ndarray, seed: int = 7) -> tuple[float, bool]:
             best = max(best, float(_region_gradient_norms(O, j, verts).max()))
         return best, True
     pts = sample_simplex(n, 100_000, seed)
-    regions = np.asarray((pts @ O.T > 0).sum(axis=1) + 1)
+    regions = region_index_batch(O, pts)
     for j in range(1, k + 2):
         sel = pts[regions == j]
         if len(sel) == 0:
@@ -148,64 +96,32 @@ def _lipschitz_bound(O: np.ndarray, seed: int = 7) -> tuple[float, bool]:
     return best, False
 
 
-def build_from_spec(spec: OrderableSpec) -> NormalsSurrogate:
-    """Identification nodes from the oriented normals, integrated losses, and
-    the Lipschitz bound; requires strictly separated consecutive boundaries."""
+def build_from_spec(spec: OrderableSpec) -> Surrogate:
+    """Identification nodes from the oriented normals and the Lipschitz
+    bound; requires strictly separated consecutive boundaries."""
     O = spec.normals.o
     k, n = O.shape
     if k >= 2:
         check_strong_orderability(spec)
     grid = np.arange(k, dtype=np.float64)
-    v = []
-    loss = []
-    for y in range(n):
-        nodes = -O[:, y]
-        pa = PiecewiseAffine.from_nodes(grid, nodes, 1.0, 1.0)
-        v.append(pa)
-        loss.append(pa.integrate_from_zero())
     K, exact = _lipschitz_bound(O)
-    lo = float(O[0].min())
-    hi = float(O[k - 1].max() + (k - 1))
-    return NormalsSurrogate(
-        normals=spec.normals,
-        v=tuple(v),
-        loss=tuple(loss),
+    return Surrogate(
+        identification=tuple(PiecewiseAffine.from_nodes(grid, -O[:, y], 1.0, 1.0)
+                             for y in range(n)),
+        thresholds=grid,
         lipschitz_bound=K,
         lipschitz_exact=exact,
-        value_range=(lo, hi),
+        value_range=(float(O[0].min()), float(O[k - 1].max() + (k - 1))),
+        normals=spec.normals,
+        cost=spec.cost,
     )
-
-
-def roe_eval(s: NormalsSurrogate, p) -> float:
-    """Closed-form property value by region membership."""
-    return float(roe_batch(s.normals.o, as_simplex_point(p)[None, :])[0])
-
-
-def roe_eval_many(s: NormalsSurrogate, probs) -> np.ndarray:
-    return roe_batch(s.normals.o, as_simplex_points(probs))
-
-
-def root_eval_many(s: NormalsSurrogate, probs) -> np.ndarray:
-    """Property via the expected-identification root (cross-check route)."""
-    return node_root_batch(s.u_grid, s.node_values, as_simplex_points(probs))
-
-
-def clip_ceiling_link(s: NormalsSurrogate, u: float) -> int:
-    """Report index clip(ceil(u), 0, k) + 1; a value within BOUNDARY_TOL
-    above an integer boundary value links to the lower report."""
-    return int(clip_ceiling_link_many(s, [u])[0])
-
-
-def clip_ceiling_link_many(s: NormalsSurrogate, us) -> np.ndarray:
-    us = np.asarray(us, dtype=np.float64)
-    return np.clip(np.ceil(us - BOUNDARY_TOL), 0, s.k).astype(np.int64) + 1
 
 
 def full_pipeline(
     source,
     seed: int,
     refinement_samples: int = 2000,
-) -> tuple[NormalsSurrogate, dict]:
+) -> tuple[Surrogate, dict]:
     """End-to-end construction from boundaries or a cost matrix.
 
     Samples n-1 points per boundary, recovers each normal from their null
@@ -254,13 +170,8 @@ def full_pipeline(
     pts = sample_simplex(n, refinement_samples, seed + 999)
     margin = np.abs(pts @ oriented.T).min(axis=1) > 1e-8
     pts = pts[margin]
-    links = clip_ceiling_link_many(surrogate, roe_eval_many(surrogate, pts))
-    if cost is not None:
-        ok = sum(
-            int(links[i]) in gamma_from_cost(cost, pts[i]) for i in range(len(pts))
-        )
-    else:
-        ok = int(np.sum(links == region_index_many(spec.normals, pts)))
+    links = surrogate.link_many(surrogate.gamma_many(pts))
+    ok = int(surrogate.discrete_set_many(pts)[np.arange(len(pts)), links - 1].sum())
     report = {
         "recovered_normals": [o.tolist() for o in oriented],
         "boundary_gaps": gaps,

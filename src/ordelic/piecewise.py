@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ordelic.errors import NoRootError, SpecError
+from ordelic.errors import SpecError
 
 CONTINUITY_TOL = 1e-9
 CONVEXITY_TOL = 1e-10
-ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -175,17 +174,6 @@ class MaxAffinePieces:
         return float(active.min()), float(active.max())
 
 
-def subgradient_interval(f, u: float, outcome: int | None = None) -> tuple[float, float]:
-    """(left derivative, right derivative) of a loss at u.
-
-    ``f`` is a MaxAffinePieces / PiecewiseQuadratic / PiecewiseAffine, or a
-    list of such indexed by 1-based ``outcome``.
-    """
-    if outcome is not None and isinstance(f, (list, tuple)):
-        f = f[outcome - 1]
-    return f.derivative_interval(u)
-
-
 def lower_convex_envelope(points) -> list[tuple[float, float]]:
     """Chords of the lower convex hull of (u, v) points, left to right.
 
@@ -217,58 +205,3 @@ def lower_convex_envelope(points) -> list[tuple[float, float]]:
         slope = (right[1] - left[1]) / (right[0] - left[0])
         chords.append((float(slope), float(left[1] - slope * left[0])))
     return chords
-
-
-def expected_identification_root(
-    v_per_outcome: list[PiecewiseAffine],
-    p,
-    pad: float = 10.0,
-    tol: float = ROOT_TOL,
-) -> float:
-    """Root of u -> E_{Y~p} v(u, Y) for piecewise-affine v.
-
-    Solves exactly on the knot grid; a flat root interval returns its
-    midpoint.  Raises :class:`NoRootError` when the expectation does not
-    change sign on [min breakpoint - pad, max breakpoint + pad].
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if len(v_per_outcome) != len(p):
-        raise SpecError("one identification function per outcome required")
-    knots = np.unique(np.concatenate([v.breakpoints for v in v_per_outcome]))
-    lo = knots[0] - pad
-    hi = knots[-1] + pad
-    grid = np.concatenate(([lo], knots, [hi]))
-
-    vals = np.zeros(len(grid))
-    for w, v in zip(p, v_per_outcome):
-        if w > 0:
-            vals += w * v(grid)
-
-    if vals[0] > tol or vals[-1] < -tol:
-        raise NoRootError(
-            f"expected identification function does not change sign on [{lo}, {hi}]"
-        )
-
-    neg = vals < 0
-    pos = vals > 0
-    i_lo = int(np.nonzero(neg)[0].max()) if neg.any() else -1
-    i_hi = int(np.nonzero(pos)[0].min()) if pos.any() else len(grid)
-    if neg.any() and pos.any() and (np.nonzero(pos)[0].min() < np.nonzero(neg)[0].max()):
-        raise NoRootError("multiple sign changes; identification function not single-crossing")
-
-    def interp(i):
-        return grid[i] - vals[i] * (grid[i + 1] - grid[i]) / (vals[i + 1] - vals[i])
-
-    if i_lo == -1:
-        r_left = grid[0]
-    else:
-        r_left = interp(i_lo)
-    if i_hi == len(grid):
-        r_right = grid[-1]
-    else:
-        r_right = grid[i_hi - 1] if vals[i_hi - 1] == 0 else interp(i_hi - 1)
-    if i_lo == -1:
-        # everything >= 0: leftmost zero is the first zero knot, or the left edge
-        zero_idx = np.nonzero(vals == 0)[0]
-        r_left = grid[zero_idx[0]] if len(zero_idx) else grid[0]
-    return 0.5 * (r_left + r_right)

@@ -1,18 +1,20 @@
-"""Discrete losses and strongly orderable properties over the simplex.
+"""Discrete losses, strongly orderable properties, and their surrogates.
 
 A discrete target is given either by a cost matrix (report-by-outcome losses)
 or directly by ordered affine region boundaries.  Both are reduced to oriented
 unit normals in homogeneous form: region j collects the p with
-``<o_i, p> >= 0`` for i < j and ``<o_i, p> <= 0`` for i >= j.
+``<o_i, p> >= 0`` for i < j and ``<o_i, p> <= 0`` for i >= j.  Either
+surrogate construction yields a :class:`Surrogate`: a Lipschitz property
+with a threshold link back to the discrete reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ordelic._kernels import BOUNDARY_TOL, region_index_batch
+from ordelic._kernels import BOUNDARY_TOL, node_root_batch, region_index_batch, roe_batch
 from ordelic.errors import (
     OrderabilityError,
     RankDeficiencyError,
@@ -21,7 +23,6 @@ from ordelic.errors import (
 )
 from ordelic.simplex import as_simplex_point, as_simplex_points
 
-TIE_TOL = 1e-10
 _SV_RTOL = 1e-9
 
 
@@ -50,14 +51,11 @@ class CostMatrix:
     def n_outcomes(self) -> int:
         return self.entries.shape[1]
 
-    def expected_costs(self, p) -> np.ndarray:
-        return self.entries @ as_simplex_point(p)
-
-
-def gamma_from_cost(cost: CostMatrix, p, tol: float = TIE_TOL) -> set[int]:
-    """All expected-cost minimizers (1-based report indices) within ``tol``."""
-    ec = cost.expected_costs(p)
-    return set(int(r) + 1 for r in np.nonzero(ec <= ec.min() + tol)[0])
+    def target_sets(self, probs, tol: float = BOUNDARY_TOL) -> np.ndarray:
+        """(rows, reports) mask of the expected-cost minimizers within ``tol``
+        at each row of ``probs``."""
+        ec = as_simplex_points(probs) @ self.entries.T
+        return ec <= ec.min(axis=1, keepdims=True) + tol
 
 
 @dataclass(frozen=True)
@@ -310,14 +308,93 @@ class OrientedNormals:
     def n(self) -> int:
         return self.o.shape[1]
 
-
-def region_index(normals: OrientedNormals, p) -> int:
-    """1-based region of p; boundary ties resolve to the lower region."""
-    return int(region_index_batch(normals.o, as_simplex_point(p)[None, :])[0])
+    def target_sets(self, probs, tol: float = BOUNDARY_TOL) -> np.ndarray:
+        """(rows, reports) mask of the regions holding each row of ``probs``;
+        a point within ``tol`` of a boundary is in both adjacent regions."""
+        S = as_simplex_points(probs) @ self.o.T
+        ones = np.ones((len(S), 1), dtype=bool)
+        lo_ok = np.logical_and.accumulate(np.hstack([ones, S >= -tol]), axis=1)
+        hi_ok = np.logical_and.accumulate(np.hstack([S <= tol, ones])[:, ::-1], axis=1)
+        return lo_ok & hi_ok[:, ::-1]
 
 
 def region_index_many(normals: OrientedNormals, probs) -> np.ndarray:
+    """1-based region of each row of ``probs``; boundary ties resolve to the
+    lower region."""
     return region_index_batch(normals.o, as_simplex_points(probs))
+
+
+@dataclass(frozen=True)
+class Surrogate:
+    """Lipschitz surrogate property with a threshold link, from either
+    construction.
+
+    The property at p is the root of u -> sum_y p_y v_y(u) for the
+    piecewise-affine ``identification`` functions v_y, which share one
+    breakpoint ``grid`` and continue with unit slope outside it; ``nodes``
+    holds their values on the grid.  With ``normals`` the same root is
+    evaluated by the closed-form ratio of expectations.  The link maps u to
+    report 1 + #(thresholds < u - BOUNDARY_TOL).  The discrete target comes
+    from ``cost`` when present, else from ``normals``.  ``lipschitz_exact``
+    is False when ``lipschitz_bound`` is an estimate, or not a Euclidean
+    Lipschitz constant of the property.
+    """
+
+    identification: tuple  # PiecewiseAffine per outcome
+    thresholds: np.ndarray
+    lipschitz_bound: float
+    lipschitz_exact: bool
+    value_range: tuple[float, float]
+    normals: OrientedNormals | None = None
+    cost: CostMatrix | None = None
+    grid: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        v = tuple(self.identification)
+        grid = v[0].breakpoints
+        if any(not np.array_equal(f.breakpoints, grid) for f in v):
+            raise SpecError("identification functions must share one grid")
+        if self.normals is not None and self.normals.n != len(v):
+            raise SpecError("one identification function per outcome required")
+        for name, value in (
+            ("identification", v),
+            ("thresholds", np.asarray(self.thresholds, dtype=np.float64)),
+            ("lipschitz_bound", float(self.lipschitz_bound)),
+            ("lipschitz_exact", bool(self.lipschitz_exact)),
+            ("value_range", (float(self.value_range[0]), float(self.value_range[1]))),
+            ("grid", grid),
+            ("nodes", np.stack([f(grid) for f in v])),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def kind(self) -> str:
+        return "embedding" if self.normals is None else "normals"
+
+    @property
+    def n_outcomes(self) -> int:
+        return len(self.identification)
+
+    def gamma_many(self, probs) -> np.ndarray:
+        """Property value at each row of ``probs``."""
+        P = as_simplex_points(probs)
+        if self.normals is not None:
+            return roe_batch(self.normals.o, P)
+        return node_root_batch(self.grid, self.nodes, P)
+
+    def link_many(self, us) -> np.ndarray:
+        """Report index of each value in ``us``."""
+        us = np.asarray(us, dtype=np.float64)
+        return (self.thresholds < (us - BOUNDARY_TOL)[..., None]).sum(axis=-1) + 1
+
+    def discrete_set_many(self, probs, tol: float = BOUNDARY_TOL) -> np.ndarray:
+        """(rows, reports) mask of the target reports at each row of probs;
+        a point within ``tol`` of a boundary gets both adjacent reports."""
+        target = self.cost if self.cost is not None else self.normals
+        if target is None:
+            raise SpecError("need a cost matrix or normals for the discrete target")
+        return target.target_sets(probs, tol)
 
 
 @dataclass(frozen=True)

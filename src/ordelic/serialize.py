@@ -15,11 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ordelic.audit import AuditReport, PredictorTable
-from ordelic.embedding import SmoothedSurrogate
 from ordelic.errors import SpecError
-from ordelic.normals import NormalsSurrogate
-from ordelic.piecewise import PiecewiseAffine, PiecewiseQuadratic
-from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals
+from ordelic.piecewise import PiecewiseAffine
+from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
 from ordelic.scenario import ScenarioSpec
 from ordelic.simplex import LabeledDataset
 
@@ -82,92 +80,54 @@ def load_property_spec(path) -> dict:
 
 # ---------------------------------------------------------------------------
 # surrogate exports
+#
+# Format 2 holds the identification functions (``v_bar``) with the link
+# thresholds, the bound K, whether K is exact, the value range, and the
+# optional normals and cost matrix.  Format 1 files (no ``format`` field)
+# also hold the integrated losses and, for the embedding, the grid; both
+# follow from ``v_bar`` and are not read.
+
+SURROGATE_FORMAT = 2
 
 
-def _piecewise_affine_json(v: PiecewiseAffine) -> dict:
-    return {
-        "breakpoints": v.breakpoints.tolist(),
-        "slopes": v.slopes.tolist(),
-        "intercepts": v.intercepts.tolist(),
-    }
-
-
-def _piecewise_affine_from_json(d: dict) -> PiecewiseAffine:
-    return PiecewiseAffine(
-        np.asarray(d["breakpoints"]), np.asarray(d["slopes"]),
-        np.asarray(d["intercepts"]),
-    )
-
-
-def _piecewise_quadratic_json(q: PiecewiseQuadratic) -> dict:
-    return {
-        "breakpoints": q.breakpoints.tolist(),
-        "coeffs": q.coeffs.tolist(),
-        "convex": q.check_convex,
-    }
-
-
-def _piecewise_quadratic_from_json(d: dict) -> PiecewiseQuadratic:
-    return PiecewiseQuadratic(
-        np.asarray(d["breakpoints"]), np.asarray(d["coeffs"]),
-        check_convex=bool(d.get("convex", True)),
-    )
-
-
-def surrogate_to_json(s, cost: CostMatrix | None = None) -> dict:
-    if isinstance(s, SmoothedSurrogate):
-        out = {
-            "kind": "embedding",
-            "u_grid": s.u_grid.tolist(),
-            "v_bar": [_piecewise_affine_json(v) for v in s.v_bar],
-            "l_bar": [_piecewise_quadratic_json(q) for q in s.l_bar],
-            "thresholds": s.thresholds.tolist(),
-            "lipschitz_bound": s.lipschitz_bound,
-            "value_range": [s.value_range[0], s.value_range[1]],
-        }
-    elif isinstance(s, NormalsSurrogate):
-        out = {
-            "kind": "normals",
-            "normals": s.normals.o.tolist(),
-            "v_bar": [_piecewise_affine_json(v) for v in s.v],
-            "l_bar": [_piecewise_quadratic_json(q) for q in s.loss],
-            "thresholds": s.thresholds.tolist(),
-            "lipschitz_bound": s.lipschitz_bound,
-            "lipschitz_exact": s.lipschitz_exact,
-            "value_range": [s.value_range[0], s.value_range[1]],
-        }
-    else:
+def surrogate_to_json(s: Surrogate) -> dict:
+    if not isinstance(s, Surrogate):
         raise SpecError(f"cannot serialize surrogate of type {type(s).__name__}")
-    if cost is not None:
-        out["cost_matrix"] = cost.entries.tolist()
+    out = {
+        "format": SURROGATE_FORMAT,
+        "kind": s.kind,
+        "v_bar": [{"breakpoints": v.breakpoints.tolist(), "slopes": v.slopes.tolist(),
+                   "intercepts": v.intercepts.tolist()} for v in s.identification],
+        "thresholds": s.thresholds.tolist(),
+        "lipschitz_bound": s.lipschitz_bound,
+        "lipschitz_exact": s.lipschitz_exact,
+        "value_range": list(s.value_range),
+    }
+    if s.normals is not None:
+        out["normals"] = s.normals.o.tolist()
+    if s.cost is not None:
+        out["cost_matrix"] = s.cost.entries.tolist()
     return out
 
 
-def surrogate_from_json(d: dict):
-    """Rebuild a surrogate (and the source cost matrix, when present)."""
-    kind = d.get("kind")
-    cost = CostMatrix(np.asarray(d["cost_matrix"])) if "cost_matrix" in d else None
-    if kind == "embedding":
-        s = SmoothedSurrogate(
-            v_bar=tuple(_piecewise_affine_from_json(v) for v in d["v_bar"]),
-            l_bar=tuple(_piecewise_quadratic_from_json(q) for q in d["l_bar"]),
-            u_grid=np.asarray(d["u_grid"]),
-            thresholds=np.asarray(d["thresholds"]),
-            lipschitz_bound=float(d["lipschitz_bound"]),
-            value_range=(float(d["value_range"][0]), float(d["value_range"][1])),
-        )
-        return s, cost
-    if kind == "normals":
-        s = NormalsSurrogate(
-            normals=OrientedNormals(np.asarray(d["normals"])),
-            v=tuple(_piecewise_affine_from_json(v) for v in d["v_bar"]),
-            loss=tuple(_piecewise_quadratic_from_json(q) for q in d["l_bar"]),
-            lipschitz_bound=float(d["lipschitz_bound"]),
-            lipschitz_exact=bool(d.get("lipschitz_exact", False)),
-            value_range=(float(d["value_range"][0]), float(d["value_range"][1])),
-        )
-        return s, cost
-    raise SpecError(f"unknown surrogate kind {kind!r}")
+def surrogate_from_json(d: dict) -> Surrogate:
+    """Rebuild a surrogate from format 1 or 2."""
+    if d.get("format", 1) not in (1, SURROGATE_FORMAT):
+        raise SpecError(f"unknown surrogate format {d['format']!r}")
+    if d.get("kind") not in ("embedding", "normals") \
+            or (d["kind"] == "normals") != ("normals" in d):
+        raise SpecError(f"unknown surrogate kind {d.get('kind')!r}")
+    return Surrogate(
+        identification=tuple(
+            PiecewiseAffine(np.asarray(v["breakpoints"]), np.asarray(v["slopes"]),
+                            np.asarray(v["intercepts"])) for v in d["v_bar"]),
+        thresholds=np.asarray(d["thresholds"]),
+        lipschitz_bound=float(d["lipschitz_bound"]),
+        lipschitz_exact=bool(d.get("lipschitz_exact", False)),
+        value_range=tuple(d["value_range"]),
+        normals=OrientedNormals(np.asarray(d["normals"])) if "normals" in d else None,
+        cost=CostMatrix(np.asarray(d["cost_matrix"])) if "cost_matrix" in d else None,
+    )
 
 
 # ---------------------------------------------------------------------------

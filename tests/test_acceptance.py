@@ -8,7 +8,6 @@ import numpy as np
 
 from conftest import EQ1_COSTS, EQ1_PHI, O1, O2, bisect_expected_root
 from ordelic.audit import (
-    LinkedProperty,
     PredictorTable,
     check_discretization_bound,
     check_postprocessing_bound,
@@ -18,18 +17,8 @@ from ordelic.audit import (
     surrogate_calibration,
 )
 from ordelic.cli import EXIT_OK, main
-from ordelic.embedding import (
-    build_envelope_loss,
-    build_surrogate,
-    gamma_surrogate_eval_many,
-    link_eval_many,
-)
-from ordelic.normals import (
-    build_from_spec,
-    clip_ceiling_link_many,
-    full_pipeline,
-    roe_eval_many,
-)
+from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.normals import build_from_spec, full_pipeline
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
@@ -52,6 +41,10 @@ from ordelic.simplex import (
 )
 
 SQ14 = np.sqrt(14.0)
+
+
+def _gamma(s, p) -> float:
+    return float(s.gamma_many(np.asarray(p, dtype=np.float64)[None, :])[0])
 
 
 class _Criterion:
@@ -108,15 +101,15 @@ def test_criterion_1_embedding_fixture(capfd):
         assert np.allclose(pieces(1), [(-3, 3), (0.5, -0.5), (3, -8)], atol=tol)
         assert np.allclose(pieces(2), [(-3, 5), (-2, 5), (-1.5, 4.5), (3, -9)],
                            atol=tol)
-        assert np.allclose(s.u_grid, [0, 0.5, 1, 2, 3], atol=tol)
+        assert np.allclose(s.grid, [0, 0.5, 1, 2, 3], atol=tol)
         assert np.allclose(s.thresholds, [0.5, 2.0], atol=tol)
         # identification for the first outcome, coefficient by coefficient
-        v1 = s.v_bar[0]
+        v1 = s.identification[0]
         assert np.allclose(v1.breakpoints, [0, 0.5, 1, 2, 3], atol=tol)
         assert np.allclose(v1.slopes, [1, 2, 0, 0, 1, 1], atol=tol)
         assert np.allclose(v1.intercepts, [0, 0, 1, 1, -1, -1], atol=tol)
         # its integral: u^2/2, u^2, u - 1/4 (two cells), u^2/2 - u + 7/4
-        L1 = s.l_bar[0]
+        L1 = v1.integrate_from_zero()
         want = [(0.5, 0, 0), (1, 0, 0), (0, 1, -0.25), (0, 1, -0.25),
                 (0.5, -1, 1.75), (0.5, -1, 1.75)]
         assert np.allclose(L1.coeffs, want, atol=tol)
@@ -152,9 +145,9 @@ def _refinement_ok(spec, cost, phi, n_samples, seed) -> bool:
     pts = pts[margin]
     S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
     emb = build_surrogate(build_envelope_loss(cost, phi, S))
-    links_e = link_eval_many(emb, gamma_surrogate_eval_many(emb, pts))
+    links_e = emb.link_many(emb.gamma_many(pts))
     nrm = build_from_spec(spec)
-    links_n = clip_ceiling_link_many(nrm, roe_eval_many(nrm, pts))
+    links_n = nrm.link_many(nrm.gamma_many(pts))
     ec = pts @ cost.entries.T
     slack = ec.min(axis=1) + 1e-10
     idx = np.arange(len(pts))
@@ -180,18 +173,18 @@ def test_criterion_4_oracle_equivalence(capfd):
     with _Criterion(4, 10.0, capfd):
         pts = sample_simplex(3, 10_000, seed=500)
         emb = _fixture_embedding()
-        got = gamma_surrogate_eval_many(emb, pts)
-        oracle = bisect_expected_root(list(emb.v_bar), pts)
+        got = emb.gamma_many(pts)
+        oracle = bisect_expected_root(list(emb.identification), pts)
         assert float(np.max(np.abs(got - oracle))) < 1e-9
         nrm = _fixture_normals()
-        got = roe_eval_many(nrm, pts)
-        oracle = bisect_expected_root(list(nrm.v), pts)
+        got = nrm.gamma_many(pts)
+        oracle = bisect_expected_root(list(nrm.identification), pts)
         assert float(np.max(np.abs(got - oracle))) < 1e-9
 
 
 def test_criterion_5_postprocessing_monte_carlo(capfd):
     with _Criterion(5, 300.0, capfd):
-        linked = LinkedProperty("normals", _fixture_normals())
+        linked = _fixture_normals()
         K = linked.lipschitz_bound
         alpha = 3.5
         for trial in range(1000):
@@ -212,7 +205,7 @@ def test_criterion_5_postprocessing_monte_carlo(capfd):
                 # keeps the bins and scales both sides of the bound linearly
                 ids = list(f.table.keys())
                 g1 = PredictorTable("scalar", {
-                    x: float(linked.gamma(f[x])) for x in ids})
+                    x: _gamma(linked, f[x]) for x in ids})
                 g2 = PredictorTable("scalar", {x: alpha * g1[x] for x in ids})
                 r1 = surrogate_calibration(g1, data, linked.gamma_many)
                 r2 = surrogate_calibration(
@@ -229,14 +222,12 @@ def test_criterion_6_counterexample_generator(capfd):
     with _Criterion(6, 10.0, capfd):
         nrm = _fixture_normals()
         _, _, instance = counterexample_gap(
-            lambda P: roe_eval_many(nrm, P), 3, C=5.0, seed=600)
+            nrm.gamma_many, 3, C=5.0, seed=600)
         f, data = instance_dataset(instance)
-        linked = LinkedProperty("normals", nrm)
-        dist = dist_calibration_wrt(f, data, linked.gamma_many)
+        dist = dist_calibration_wrt(f, data, nrm.gamma_many)
         g = PredictorTable("scalar", {
-            instance["x_id"]: float(linked.gamma(
-                np.asarray(instance["prediction"])))})
-        sur = surrogate_calibration(g, data, linked.gamma_many)
+            instance["x_id"]: _gamma(nrm, instance["prediction"])})
+        sur = surrogate_calibration(g, data, nrm.gamma_many)
         assert sur.epsilon_hat > 5.0 * dist.epsilon_hat
 
 
@@ -247,7 +238,7 @@ def _point_with_value(v: float, seed: int) -> np.ndarray:
 
 def test_criterion_7_discretization_monte_carlo(capfd):
     with _Criterion(7, 300.0, capfd):
-        linked = LinkedProperty("normals", _fixture_normals())
+        linked = _fixture_normals()
         vacuous_count = 0
         for trial in range(1000):
             rng = np.random.default_rng(trial + 50_000)
@@ -272,8 +263,7 @@ def test_criterion_7_discretization_monte_carlo(capfd):
         # a prediction hugging the mean threshold with mass just across it
         # must be flagged vacuous
         spec = spec_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)])
-        s = build_from_spec(spec)
-        vlinked = LinkedProperty("normals", s)
+        vlinked = build_from_spec(spec)
         o = spec.normals.o[0]
         p0 = sample_boundary(o, 1, seed=80_000)[0]
         d = o - o.mean()
@@ -290,7 +280,7 @@ def test_criterion_7_discretization_monte_carlo(capfd):
 
 def test_criterion_8_single_feature_audits(capfd):
     with _Criterion(8, 1.0, capfd):
-        linked = LinkedProperty("normals", _fixture_normals())
+        linked = _fixture_normals()
         dot = from_ternary_plot(np.array([0.38, 0.02]))
         star = from_ternary_plot(np.array([0.42, 0.02]))
         data = LabeledDataset.from_exact_scenario(["x0"], [1.0], star[None, :])
@@ -299,12 +289,12 @@ def test_criterion_8_single_feature_audits(capfd):
                                    convention="plot")
         assert abs(rep.epsilon_hat - 0.04) <= 1e-6
 
-        g = PredictorTable("scalar", {"x0": float(linked.gamma(dot))})
+        g = PredictorTable("scalar", {"x0": _gamma(linked, dot)})
         sur = surrogate_calibration(g, data, linked.gamma_many)
         assert abs(sur.epsilon_hat - 0.43) <= 0.02
 
         # a different distribution on the same level set: zero property gap
-        gd = linked.gamma(dot)
+        gd = _gamma(linked, dot)
         p2 = 1.0 / np.sqrt(3.0)
         a = O1 - gd * (O1 - O2)
 
@@ -314,7 +304,7 @@ def test_criterion_8_single_feature_audits(capfd):
         t = -lin(0.0) / (lin(1.0) - lin(0.0))
         spade = np.array([t, p2, 1.0 - p2 - t])
         data2 = LabeledDataset.from_exact_scenario(["x0"], [1.0], dot[None, :])
-        g2 = PredictorTable("scalar", {"x0": float(linked.gamma(spade))})
+        g2 = PredictorTable("scalar", {"x0": _gamma(linked, spade)})
         sur2 = surrogate_calibration(g2, data2, linked.gamma_many)
         assert sur2.epsilon_hat <= 1e-9
 

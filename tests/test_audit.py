@@ -1,11 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import O1, O2
 from ordelic.audit import (
-    LinkedProperty,
     PredictorTable,
-    _rescaled,
     check_discretization_bound,
     check_postprocessing_bound,
     counterexample_gap,
@@ -19,8 +19,13 @@ from ordelic.audit import (
     surrogate_calibration,
 )
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
-from ordelic.normals import build_from_spec, roe_eval_many
-from ordelic.properties import AffineBoundary, sample_boundary, spec_from_boundaries
+from ordelic.normals import build_from_spec
+from ordelic.properties import (
+    AffineBoundary,
+    random_orderable_spec,
+    sample_boundary,
+    spec_from_boundaries,
+)
 from ordelic.scenario import (
     ScenarioSpec,
     exact_dataset,
@@ -35,16 +40,16 @@ STAR = from_ternary_plot(np.array([0.42, 0.02]))
 
 @pytest.fixture(scope="module")
 def linked_normals(fixture_normals, fixture_cost):
-    return LinkedProperty("normals", fixture_normals, cost=fixture_cost)
-
-
-@pytest.fixture(scope="module")
-def linked_embedding(fixture_embedding, fixture_cost):
-    return LinkedProperty("embedding", fixture_embedding, cost=fixture_cost)
+    """The fixture normals surrogate with the cost matrix as its target."""
+    return dataclasses.replace(fixture_normals, cost=fixture_cost)
 
 
 def _one_bin(P):
     return np.zeros(len(P))
+
+
+def _gamma(s, p) -> float:
+    return float(s.gamma_many(np.asarray(p, dtype=np.float64)[None, :])[0])
 
 
 def one_point_scenario(pred, cond):
@@ -82,16 +87,16 @@ class TestSurrogateCalibration:
     def test_level_set_gap(self, linked_normals):
         # the surrogate gap between the two printed points
         f, data = one_point_scenario(DOT, STAR)
-        g = PredictorTable("scalar", {"x0": linked_normals.gamma(DOT)})
+        g = PredictorTable("scalar", {"x0": _gamma(linked_normals, DOT)})
         rep = surrogate_calibration(g, data, linked_normals.gamma_many)
-        assert linked_normals.gamma(DOT) == pytest.approx(0.5949136, abs=1e-6)
-        assert linked_normals.gamma(STAR) == pytest.approx(1.0174679, abs=1e-6)
+        assert _gamma(linked_normals, DOT) == pytest.approx(0.5949136, abs=1e-6)
+        assert _gamma(linked_normals, STAR) == pytest.approx(1.0174679, abs=1e-6)
         assert rep.epsilon_hat == pytest.approx(0.4225543, abs=1e-6)
 
     def test_same_level_set_is_exactly_zero(self, linked_normals):
         # solve for the point on the DOT level set at plot height 0.5:
         # region-2 value <o1,p>/<o1-o2,p> = gamma(DOT), linear in p1
-        gd = linked_normals.gamma(DOT)
+        gd = _gamma(linked_normals, DOT)
         p2 = 1.0 / np.sqrt(3.0)
         a = O1 - gd * (O1 - O2)
 
@@ -101,8 +106,8 @@ class TestSurrogateCalibration:
         t = -lin(0.0) / (lin(1.0) - lin(0.0))
         spade = np.array([t, p2, 1.0 - p2 - t])
         assert np.all(spade > 0)
-        assert linked_normals.gamma(spade) == pytest.approx(gd, abs=1e-9)
-        g = PredictorTable("scalar", {"x0": linked_normals.gamma(spade)})
+        assert _gamma(linked_normals, spade) == pytest.approx(gd, abs=1e-9)
+        g = PredictorTable("scalar", {"x0": _gamma(linked_normals, spade)})
         _, data = one_point_scenario(spade, DOT)
         rep = surrogate_calibration(g, data, linked_normals.gamma_many)
         assert rep.epsilon_hat <= 1e-9
@@ -156,7 +161,7 @@ class TestZeroMassFeatures:
     def test_scalar_and_report(self, linked_normals):
         g = PredictorTable("scalar", {"a": 0.5, "b": 2.0})
         rep = surrogate_calibration(g, self.DATA, linked_normals.gamma_many)
-        assert rep.epsilon_hat == pytest.approx(abs(linked_normals.gamma(self.Q) - 0.5))
+        assert rep.epsilon_hat == pytest.approx(abs(_gamma(linked_normals, self.Q) - 0.5))
         assert (rep.bin_count, rep.empty_bins) == (1, (2.0,))
         rep = check_discretization_bound(g, self.DATA, linked_normals, C_marginal=0.0)
         assert np.isfinite(rep.bounds[0].lhs) and rep.empty_bins == (2.0,)
@@ -194,7 +199,11 @@ def test_columnar_estimators_match_loop_reference(linked_normals, seed, exact):
     f = materialize_predictor(sc, seed + 730)
     g = PredictorTable("scalar", {x: float(rng.integers(0, 12)) / 8 for x in f.table})
     h = PredictorTable("report", {x: int(rng.integers(1, 4)) for x in f.table})
-    gamma = linked_normals.gamma
+    def gamma(p):
+        return _gamma(linked_normals, p)
+
+    def target(p) -> set:
+        return {int(r) + 1 for r in np.flatnonzero(linked_normals.discrete_set_many([p])[0])}
 
     def close(got, want):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -210,11 +219,11 @@ def test_columnar_estimators_match_loop_reference(linked_normals, seed, exact):
           _loop_mean(agg, lambda x: abs(gamma(cond[g[x]]) - g[x])))
     rep = check_discretization_bound(g, data, linked_normals, C_marginal=0.0)
     close(rep.epsilon_hat, _loop_mean(agg, lambda x: float(
-        linked_normals.link(g[x]) not in linked_normals.discrete_set(cond[g[x]]))))
+        int(linked_normals.link_many(g[x])) not in target(cond[g[x]]))))
     assert rep.bin_count == len(cond)
     agg, cond = _loop_reference(data, lambda x: h[x])
     close(discrete_calibration(h, data, linked_normals.discrete_set_many).epsilon_hat,
-          _loop_mean(agg, lambda x: float(h[x] not in linked_normals.discrete_set(cond[h[x]]))))
+          _loop_mean(agg, lambda x: float(h[x] not in target(cond[h[x]]))))
 
 
 class TestPostprocessingBound:
@@ -243,13 +252,12 @@ class TestPostprocessingBound:
         f = materialize_predictor(sc, seed=9)
         data = exact_dataset(sc)
         alpha = 2.75
-        scaled = _rescaled(linked_normals, alpha)
         ids = list(f.table.keys())
         g1 = PredictorTable("scalar", {
-            x: float(linked_normals.gamma(f[x])) for x in ids})
+            x: _gamma(linked_normals, f[x]) for x in ids})
         g2 = PredictorTable("scalar", {x: alpha * g1[x] for x in ids})
         r1 = surrogate_calibration(g1, data, linked_normals.gamma_many)
-        r2 = surrogate_calibration(g2, data, scaled)
+        r2 = surrogate_calibration(g2, data, lambda P: alpha * linked_normals.gamma_many(P))
         assert r2.bin_count == r1.bin_count
         assert abs(r2.epsilon_hat - alpha * r1.epsilon_hat) \
             <= 1e-12 * max(1.0, abs(alpha * r1.epsilon_hat))
@@ -258,12 +266,11 @@ class TestPostprocessingBound:
         spec = spec_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)])
         s = build_from_spec(spec)
         assert s.lipschitz_bound < 1.0
-        linked = LinkedProperty("normals", s)
         cond = sample_simplex(3, 3, seed=10)
         sc = ScenarioSpec(("a", "b", "c"), [0.3, 0.3, 0.4], cond,
                           recipe="perturbed", eta=0.1)
         f = materialize_predictor(sc, seed=11)
-        rep = check_postprocessing_bound(f, exact_dataset(sc), linked)
+        rep = check_postprocessing_bound(f, exact_dataset(sc), s)
         names = [b.name for b in rep.bounds]
         assert names == ["postprocessing", "contraction"]
         assert all(b.satisfied for b in rep.bounds)
@@ -272,7 +279,7 @@ class TestPostprocessingBound:
 class TestCounterexample:
     def test_finds_violation_of_small_constant(self, fixture_normals):
         p, q, instance = counterexample_gap(
-            lambda P: roe_eval_many(fixture_normals, P), 3, C=5.0, seed=12)
+            fixture_normals.gamma_many, 3, C=5.0, seed=12)
         assert instance["ratio"] > 5.0
         gap = instance["surrogate_gap"]
         eps = instance["distribution_epsilon"]
@@ -283,7 +290,7 @@ class TestCounterexample:
 
     def test_trivial_constant(self, fixture_normals):
         _, _, instance = counterexample_gap(
-            lambda P: roe_eval_many(fixture_normals, P), 3, C=0.0, seed=13,
+            fixture_normals.gamma_many, 3, C=0.0, seed=13,
             budget=4096)
         assert instance["ratio"] > 0.0
 
@@ -295,7 +302,7 @@ class TestCounterexample:
     def test_valid_constant_fails_search(self, fixture_normals):
         with pytest.raises(SearchFailure):
             counterexample_gap(
-                lambda P: roe_eval_many(fixture_normals, P), 3,
+                fixture_normals.gamma_many, 3,
                 C=fixture_normals.lipschitz_bound + 1.0, seed=15, budget=16384)
 
 
@@ -328,7 +335,7 @@ def _point_with_value(linked, target: float) -> np.ndarray:
 class TestDiscretizationBound:
     def test_exact_on_bins_lhs_zero(self, linked_normals):
         q = _point_with_value(linked_normals, 0.5)
-        assert linked_normals.gamma(q) == pytest.approx(0.5, abs=1e-9)
+        assert _gamma(linked_normals, q) == pytest.approx(0.5, abs=1e-9)
         rng = np.random.default_rng(22)
         ids = tuple(f"x{i}" for i in range(6))
         data = LabeledDataset.from_exact_scenario(
@@ -345,7 +352,6 @@ class TestDiscretizationBound:
     def test_threshold_straddle_is_vacuous(self):
         spec = spec_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)])
         s = build_from_spec(spec)
-        linked = LinkedProperty("normals", s)
         o = spec.normals.o[0]
         p0 = sample_boundary(o, 1, seed=23)[0]
         d = o - o.mean()
@@ -354,7 +360,7 @@ class TestDiscretizationBound:
         q /= q.sum()
         data = LabeledDataset.from_exact_scenario(["a"], [1.0], q[None, :])
         g = PredictorTable("scalar", {"a": -0.01})  # prediction just below
-        rep = check_discretization_bound(g, data, linked, C_marginal=0.0)
+        rep = check_discretization_bound(g, data, s, C_marginal=0.0)
         b = rep.bounds[0]
         assert b.params["vacuous"]
         assert rep.extras["vacuous"]
@@ -400,3 +406,19 @@ class TestLipschitzEstimates:
         data2 = LabeledDataset.from_exact_scenario(
             ("a", "b"), [0.5, 0.5], np.stack([qa, qa]))
         assert estimate_marginal_lipschitz(g, data2) == 0.0
+
+
+@pytest.mark.parametrize("n,exact", [(3, True), (5, False)])
+def test_bound_params_label_estimated_k(n, exact):
+    """K from vertex enumeration (n = 3) is exact; a sampled K is flagged."""
+    s = build_from_spec(random_orderable_spec(n, 3, seed=n)[0])
+    assert s.lipschitz_exact is exact
+    ids = ("a", "b", "c", "d")
+    sc = ScenarioSpec(ids, np.full(4, 0.25), sample_simplex(n, 4, seed=n + 1),
+                      recipe="perturbed", eta=0.1)
+    data = exact_dataset(sc)
+    rep = check_postprocessing_bound(materialize_predictor(sc, seed=n), data, s)
+    assert [b.params["K_exact"] for b in rep.bounds] == [exact] * len(rep.bounds)
+    g = PredictorTable("scalar", dict.fromkeys(ids, 0.5))
+    rep = check_discretization_bound(g, data, s, C_marginal=0.0)
+    assert rep.bounds[0].params["K_exact"] is exact

@@ -71,6 +71,17 @@ class TestConstruct:
         assert d["kind"] == "embedding"
         assert "cost_matrix" in d
 
+    def test_nonconvex_embedding_names_the_triple(self, spec_file, tmp_path, capsys):
+        # the default phi = 0,1,2 bends outcome 3's costs 5, 3, 0 downwards
+        rc = main(["construct", "--spec", spec_file, "--algo", "embedding",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert "outcome 3" in err and "reports 1, 2, 3 cost 5, 3, 0 at phi 0, 1, 2" in err
+        assert "(phi3 - phi2)/(phi2 - phi1) is 1 but this triple needs it >= 1.5" in err
+        assert main(["construct", "--spec", spec_file, "--algo", "embedding",
+                     "--phi", "0,1,2.5", "--out", str(tmp_path / "x.json")]) == EXIT_OK
+
     def test_byte_identical_reruns(self, boundary_spec_file, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

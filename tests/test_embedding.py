@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,22 +8,23 @@ from ordelic.embedding import (
     EmbeddingInput,
     build_envelope_loss,
     build_surrogate,
-    gamma_surrogate_eval,
-    gamma_surrogate_eval_many,
     interpolation_grid,
-    link_eval,
-    link_eval_many,
     normalize_surrogate,
     pseudo_identification,
 )
 from ordelic.errors import DegenerateRangeError, SpecError
 from ordelic.piecewise import MaxAffinePieces
-from ordelic.properties import gamma_from_cost, random_orderable_spec
+from ordelic.properties import random_orderable_spec
 from ordelic.simplex import sample_simplex
 
 
 def piece_set(loss: MaxAffinePieces):
     return {(round(a, 10), round(b, 10)) for a, b in loss.pieces}
+
+
+def in_target(cost, pts, reports) -> np.ndarray:
+    """Whether each report is an expected-cost minimizer at its point."""
+    return cost.target_sets(pts)[np.arange(len(pts)), np.asarray(reports) - 1]
 
 
 class TestEnvelopeLoss:
@@ -81,12 +84,13 @@ class TestPseudoIdentification:
 class TestBuildSurrogate:
     def test_fixture_summary(self, fixture_embedding):
         s = fixture_embedding
-        assert np.allclose(s.u_grid, [0.0, 0.5, 1.0, 2.0, 3.0])
+        assert np.allclose(s.grid, [0.0, 0.5, 1.0, 2.0, 3.0])
         assert np.allclose(s.thresholds, [0.5, 2.0])
         assert s.lipschitz_bound == pytest.approx(3.0)
         assert s.value_range == pytest.approx((0.0, 3.0))
+        assert not s.lipschitz_exact  # max |v| is not a Euclidean constant
         assert np.allclose(
-            s.node_values,
+            s.nodes,
             [[0.0, 1.0, 1.0, 1.0, 2.0],
              [-3.0, -3.0, 0.0, 0.5, 1.75],
              [-2.5, -2.0, -1.75, -1.5, 0.0]],
@@ -94,25 +98,25 @@ class TestBuildSurrogate:
 
     def test_identification_closed_form(self, fixture_embedding):
         # outcome 2 interpolates from 0 at u=1/2... check the [1/2, 1] piece 6u - 6
-        v2 = fixture_embedding.v_bar[1]
+        v2 = fixture_embedding.identification[1]
         us = np.linspace(0.5, 1.0, 7)
         assert np.allclose(v2(us), 6 * us - 6)
 
     def test_vertex_roots(self, fixture_embedding):
-        assert gamma_surrogate_eval(fixture_embedding, [1, 0, 0]) == pytest.approx(0.0, abs=1e-12)
-        assert gamma_surrogate_eval(fixture_embedding, [0, 1, 0]) == pytest.approx(1.0, abs=1e-12)
-        assert gamma_surrogate_eval(fixture_embedding, [0, 0, 1]) == pytest.approx(3.0, abs=1e-12)
+        assert fixture_embedding.gamma_many(np.eye(3)) == pytest.approx([0.0, 1.0, 3.0],
+                                                                       abs=1e-12)
 
     def test_agrees_with_bisection(self, fixture_embedding):
         s = fixture_embedding
         pts = sample_simplex(3, 2000, seed=11)
-        got = gamma_surrogate_eval_many(s, pts)
-        oracle = bisect_expected_root(list(s.v_bar), pts)
+        got = s.gamma_many(pts)
+        oracle = bisect_expected_root(list(s.identification), pts)
         assert np.max(np.abs(got - oracle)) < 1e-8
 
     def test_integrated_loss_consistent(self, fixture_embedding):
         s = fixture_embedding
-        for v, L in zip(s.v_bar, s.l_bar):
+        for v in s.identification:
+            L = v.integrate_from_zero()
             assert L(0.0) == pytest.approx(0.0)
             for u in np.linspace(-0.7, 3.7, 23):
                 if np.min(np.abs(v.breakpoints - u)) < 1e-9:
@@ -124,22 +128,18 @@ class TestBuildSurrogate:
 class TestLink:
     def test_threshold_counting(self, fixture_embedding):
         s = fixture_embedding
-        assert link_eval(s, 0.4) == 1
-        assert link_eval(s, 0.5) == 1  # strict comparison at the threshold
-        assert link_eval(s, 0.6) == 2
-        assert link_eval(s, 2.0) == 2
-        assert link_eval(s, 2.01) == 3
-        assert np.array_equal(link_eval_many(s, [0.4, 1.0, 2.5]), [1, 2, 3])
+        # a value at a threshold links to the lower report
+        assert s.link_many([0.4, 0.5, 0.6, 2.0, 2.01]).tolist() == [1, 1, 2, 2, 3]
+        assert np.array_equal(s.link_many([0.4, 1.0, 2.5]), [1, 2, 3])
 
     def test_refines_discrete_target(self, fixture_cost, fixture_embedding):
         pts = sample_simplex(3, 5000, seed=12)
-        vals = gamma_surrogate_eval_many(fixture_embedding, pts)
-        links = link_eval_many(fixture_embedding, vals)
-        misses = 0
-        for p, r in zip(pts, links):
-            if int(r) not in gamma_from_cost(fixture_cost, p):
-                misses += 1
-        assert misses == 0
+        links = fixture_embedding.link_many(fixture_embedding.gamma_many(pts))
+        assert np.all(in_target(fixture_cost, pts, links))
+
+
+def _gamma(s, p) -> float:
+    return float(s.gamma_many(np.asarray(p)[None, :])[0])
 
 
 class TestLevelSets:
@@ -150,18 +150,18 @@ class TestLevelSets:
         s = fixture_embedding
         rng = np.random.default_rng(13)
         for u_star, o in ((0.5, O1), (2.0, O2)):
-            nodes = np.array([float(v(u_star)) for v in s.v_bar])
+            nodes = np.array([float(v(u_star)) for v in s.identification])
             assert np.abs(np.abs(nodes @ o) / np.linalg.norm(nodes) - 1.0) < 1e-12
             for _ in range(40):
                 a, b = sample_simplex(3, 2, seed=int(rng.integers(2**31)))
-                fa = gamma_surrogate_eval(s, a) - u_star
-                fb = gamma_surrogate_eval(s, b) - u_star
+                fa = _gamma(s, a) - u_star
+                fb = _gamma(s, b) - u_star
                 if fa * fb >= 0:
                     continue
                 lo_p, hi_p = a, b
                 for _ in range(60):
                     mid = 0.5 * (lo_p + hi_p)
-                    fm = gamma_surrogate_eval(s, mid) - u_star
+                    fm = _gamma(s, mid) - u_star
                     if fm * fa > 0:
                         lo_p = mid
                     else:
@@ -175,10 +175,10 @@ class TestLipschitz:
         from ordelic.audit import lipschitz_estimate
         s = fixture_embedding
         K_hat, _ = lipschitz_estimate(
-            lambda P: gamma_surrogate_eval_many(s, P), 3, seed=14)
+            s.gamma_many, 3, seed=14)
         a = sample_simplex(3, 20000, seed=15)
         b = sample_simplex(3, 20000, seed=16)
-        num = np.abs(gamma_surrogate_eval_many(s, a) - gamma_surrogate_eval_many(s, b))
+        num = np.abs(s.gamma_many(a) - s.gamma_many(b))
         den = np.linalg.norm(a - b, axis=1)
         assert float(np.max(num / den)) <= K_hat + 1e-6
 
@@ -190,7 +190,7 @@ class TestLipschitz:
         assert s.lipschitz_bound == pytest.approx(3.0)
         a = sample_simplex(3, 100_000, seed=17)
         b = sample_simplex(3, 100_000, seed=18)
-        num = np.abs(gamma_surrogate_eval_many(s, a) - gamma_surrogate_eval_many(s, b))
+        num = np.abs(s.gamma_many(a) - s.gamma_many(b))
         den = np.linalg.norm(a - b, axis=1)
         assert float(np.max(num / den)) > s.lipschitz_bound
 
@@ -200,31 +200,27 @@ class TestNormalize:
         ns = normalize_surrogate(fixture_embedding)
         assert ns.value_range == (0.0, 1.0)
         assert np.allclose(ns.thresholds, [1 / 6, 2 / 3])
-        assert np.allclose(ns.u_grid, [0.0, 1 / 6, 1 / 3, 2 / 3, 1.0])
+        assert np.allclose(ns.grid, [0.0, 1 / 6, 1 / 3, 2 / 3, 1.0])
         # idempotent
         assert normalize_surrogate(ns) is ns
 
     def test_composed_report_preserved(self, fixture_embedding):
         ns = normalize_surrogate(fixture_embedding)
         pts = sample_simplex(3, 3000, seed=19)
-        r_old = link_eval_many(fixture_embedding,
-                               gamma_surrogate_eval_many(fixture_embedding, pts))
-        r_new = link_eval_many(ns, gamma_surrogate_eval_many(ns, pts))
+        r_old = fixture_embedding.link_many(fixture_embedding.gamma_many(pts))
+        r_new = ns.link_many(ns.gamma_many(pts))
         assert np.array_equal(r_old, r_new)
 
     def test_values_map_affinely(self, fixture_embedding):
         ns = normalize_surrogate(fixture_embedding)
         pts = sample_simplex(3, 500, seed=20)
-        old = gamma_surrogate_eval_many(fixture_embedding, pts)
-        new = gamma_surrogate_eval_many(ns, pts)
+        old = fixture_embedding.gamma_many(pts)
+        new = ns.gamma_many(pts)
         lo, hi = fixture_embedding.value_range
         assert np.allclose(new, (old - lo) / (hi - lo), atol=1e-10)
 
     def test_degenerate_range_rejected(self, fixture_embedding):
-        from ordelic.embedding import SmoothedSurrogate
-        s = fixture_embedding
-        bad = SmoothedSurrogate(s.v_bar, s.l_bar, s.u_grid, s.thresholds,
-                                s.lipschitz_bound, (1.0, 1.0))
+        bad = dataclasses.replace(fixture_embedding, value_range=(1.0, 1.0))
         with pytest.raises(DegenerateRangeError):
             normalize_surrogate(bad)
 
@@ -236,6 +232,4 @@ class TestRandomSpecs:
         S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
         s = build_surrogate(build_envelope_loss(cost, phi, S))
         pts = sample_simplex(3, 2000, seed=seed + 300)
-        links = link_eval_many(s, gamma_surrogate_eval_many(s, pts))
-        for p, r in zip(pts, links):
-            assert int(r) in gamma_from_cost(cost, p)
+        assert np.all(in_target(cost, pts, s.link_many(s.gamma_many(pts))))

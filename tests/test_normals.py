@@ -2,21 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import O1, O2, SQ14, bisect_expected_root
+from ordelic._kernels import node_root_batch
 from ordelic.errors import OrderabilityError
-from ordelic.normals import (
-    build_from_spec,
-    clip_ceiling_link,
-    clip_ceiling_link_many,
-    full_pipeline,
-    roe_eval,
-    roe_eval_many,
-    root_eval_many,
-)
+from ordelic.normals import build_from_spec, full_pipeline
 from ordelic.properties import (
     AffineBoundary,
     OrderableSpec,
     OrientedNormals,
-    gamma_from_cost,
     region_index_many,
     sample_boundary,
     spec_from_boundaries,
@@ -24,21 +16,25 @@ from ordelic.properties import (
 from ordelic.simplex import sample_simplex
 
 
+def _gamma(s, p) -> float:
+    return float(s.gamma_many(np.asarray(p, dtype=np.float64)[None, :])[0])
+
+
 class TestConstruction:
     def test_fixture_node_values(self, fixture_normals):
         s = fixture_normals
-        assert s.k == 2
-        assert np.allclose(s.u_grid, [0.0, 1.0])
+        assert s.normals.k == 2
+        assert np.allclose(s.grid, [0.0, 1.0])
         assert np.allclose(s.thresholds, [0.0, 1.0])
-        assert np.allclose(s.node_values, np.stack([-O1, -O2], axis=1))
-        assert np.allclose(s.node_values * SQ14,
+        assert np.allclose(s.nodes, np.stack([-O1, -O2], axis=1))
+        assert np.allclose(s.nodes * SQ14,
                            [[1.0, 2.0], [-3.0, 1.0], [-2.0, -3.0]])
         assert s.value_range[0] == pytest.approx(float(O1.min()))
         assert s.value_range[1] == pytest.approx(float(O2.max()) + 1.0)
 
     def test_identification_three_cases(self, fixture_normals):
         # v(u, y) interpolates -o_{l+1, y} at u = 0..k-1 with unit tails
-        v1 = fixture_normals.v[0]
+        v1 = fixture_normals.identification[0]
         assert v1(0.0) == pytest.approx(1.0 / SQ14)
         assert v1(1.0) == pytest.approx(2.0 / SQ14)
         assert v1(-1.0) == pytest.approx(1.0 / SQ14 - 1.0)
@@ -49,15 +45,15 @@ class TestConstruction:
     def test_single_boundary_case(self):
         spec = spec_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)])
         s = build_from_spec(spec)
-        assert s.k == 1
+        assert s.normals.k == 1
         o = spec.normals.o[0]
         # v(u, y) = u - o_y for every outcome
         for y in range(3):
-            assert s.v[y](0.0) == pytest.approx(-o[y])
-            assert s.v[y](2.0) == pytest.approx(2.0 - o[y])
+            assert s.identification[y](0.0) == pytest.approx(-o[y])
+            assert s.identification[y](2.0) == pytest.approx(2.0 - o[y])
         # the property is <o, p> and the link splits at 0
         pts = sample_simplex(3, 500, seed=1)
-        assert np.allclose(roe_eval_many(s, pts), pts @ o, atol=1e-12)
+        assert np.allclose(s.gamma_many(pts), pts @ o, atol=1e-12)
 
     def test_coincident_boundaries_rejected(self):
         spec = OrderableSpec((1, 2, 3), OrientedNormals(np.stack([O1, O1])))
@@ -69,19 +65,19 @@ class TestEvaluation:
     def test_region_closed_forms(self, fixture_normals):
         s = fixture_normals
         # region 1 point e1: value <o1, p>
-        assert roe_eval(s, [1, 0, 0]) == pytest.approx(-1.0 / SQ14)
+        assert _gamma(s, [1, 0, 0]) == pytest.approx(-1.0 / SQ14)
         # region 3 point e3: value <o2, p> + 1
-        assert roe_eval(s, [0, 0, 1]) == pytest.approx(3.0 / SQ14 + 1.0)
+        assert _gamma(s, [0, 0, 1]) == pytest.approx(3.0 / SQ14 + 1.0)
         # region 2 point e2: ratio <o1,p>/<o1-o2,p>
         p = np.array([0.0, 1.0, 0.0])
         want = (p @ O1) / (p @ (O1 - O2))
-        assert roe_eval(s, p) == pytest.approx(want)
+        assert _gamma(s, p) == pytest.approx(want)
 
     def test_boundary_values_are_integers(self, fixture_normals):
         s = fixture_normals
         for i, o in enumerate((O1, O2)):
             pts = sample_boundary(o, 200, seed=30 + i)
-            vals = roe_eval_many(s, pts)
+            vals = s.gamma_many(pts)
             assert np.max(np.abs(vals - i)) < 1e-9
 
     def test_continuity_across_boundaries(self, fixture_normals):
@@ -99,15 +95,15 @@ class TestEvaluation:
                     continue
                 lo /= lo.sum()
                 hi /= hi.sum()
-                assert abs(roe_eval(s, lo) - roe_eval(s, hi)) < 1e-5
+                assert abs(_gamma(s, lo) - _gamma(s, hi)) < 1e-5
 
     def test_oracle_equivalence(self, fixture_normals):
         # closed-form ratio, node-root kernel, and bisection must agree
         s = fixture_normals
         pts = sample_simplex(3, 3000, seed=32)
-        a = roe_eval_many(s, pts)
-        b = root_eval_many(s, pts)
-        c = bisect_expected_root(list(s.v), pts)
+        a = s.gamma_many(pts)
+        b = node_root_batch(s.grid, s.nodes, pts)
+        c = bisect_expected_root(list(s.identification), pts)
         assert np.max(np.abs(a - b)) < 1e-9
         assert np.max(np.abs(a - c)) < 1e-8
 
@@ -116,8 +112,7 @@ class TestEvaluation:
         s = fixture_normals
         assert s.lipschitz_exact
         assert s.lipschitz_bound == pytest.approx(18.7083, abs=1e-3)
-        K_hat, _ = lipschitz_estimate(
-            lambda P: roe_eval_many(s, P), 3, seed=33)
+        K_hat, _ = lipschitz_estimate(s.gamma_many, 3, seed=33)
         assert K_hat <= s.lipschitz_bound + 1e-6
         assert K_hat > 0.9 * s.lipschitz_bound
 
@@ -125,19 +120,13 @@ class TestEvaluation:
 class TestLink:
     def test_clip_ceiling_values(self, fixture_normals):
         s = fixture_normals
-        assert clip_ceiling_link(s, -0.2) == 1
-        assert clip_ceiling_link(s, 0.0) == 1
-        assert clip_ceiling_link(s, 0.6) == 2
-        assert clip_ceiling_link(s, 1.0) == 2
-        assert clip_ceiling_link(s, 1.8) == 3
-        assert clip_ceiling_link(s, 5.0) == 3
-        assert np.array_equal(clip_ceiling_link_many(s, [-0.2, 0.6, 1.8]),
-                              [1, 2, 3])
+        # clip(ceil(u), 0, k) + 1
+        assert s.link_many([-0.2, 0.0, 0.6, 1.0, 1.8, 5.0]).tolist() == [1, 1, 2, 2, 3, 3]
+        assert np.array_equal(s.link_many([-0.2, 0.6, 1.8]), [1, 2, 3])
 
     def test_refines_regions(self, fixture_normals, fixture_normals_spec):
         pts = sample_simplex(3, 5000, seed=34)
-        links = clip_ceiling_link_many(
-            fixture_normals, roe_eval_many(fixture_normals, pts))
+        links = fixture_normals.link_many(fixture_normals.gamma_many(pts))
         regions = region_index_many(fixture_normals_spec.normals, pts)
         assert np.array_equal(links, regions)
 
@@ -160,9 +149,8 @@ class TestFullPipeline:
         # refinement checked against the cost argmin route
         assert report["refinement_pass_rate"] == 1.0
         pts = sample_simplex(3, 1000, seed=37)
-        links = clip_ceiling_link_many(s, roe_eval_many(s, pts))
-        for p, r in zip(pts, links):
-            assert int(r) in gamma_from_cost(fixture_cost, p)
+        links = s.link_many(s.gamma_many(pts))
+        assert np.all(fixture_cost.target_sets(pts)[np.arange(len(pts)), links - 1])
 
     def test_crossing_boundaries_rejected(self):
         bds = [AffineBoundary([1.0, -1.0, 0.0], 0.0),
@@ -180,3 +168,25 @@ class TestFullPipeline:
                        np.linalg.norm(got[i] + spec.normals.o[i])) < 1e-7
         assert not report["lipschitz_exact"]
         assert report["refinement_pass_rate"] == 1.0
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_region_gradient_norms_match_point_loop(n):
+    """The batched gradient norms equal the per-point computation bit for bit."""
+    from ordelic.normals import _region_gradient_norms
+    from ordelic.properties import random_orderable_spec
+    O = random_orderable_spec(n, 4, seed=n)[0].normals.o
+    pts = sample_simplex(n, 300, seed=n)
+    for j in range(1, O.shape[0] + 2):
+        if j in (1, O.shape[0] + 1):
+            g = O[0] if j == 1 else O[-1]
+            want = [np.linalg.norm(g - g.mean())] * len(pts)
+        else:
+            oi, oi1 = O[j - 2], O[j - 1]
+            den = pts @ (oi - oi1)
+            f = (pts @ oi) / den
+            want = []
+            for r in range(len(pts)):
+                g = (oi - f[r] * (oi - oi1)) / den[r]
+                want.append(np.linalg.norm(g - g.mean()))
+        assert _region_gradient_norms(O, j, pts).tolist() == want

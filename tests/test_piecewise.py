@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bisect_expected_root
-from ordelic.errors import NoRootError, SpecError
+from ordelic._kernels import node_root_batch
+from ordelic.errors import SpecError
 from ordelic.piecewise import (
     MaxAffinePieces,
     PiecewiseAffine,
     PiecewiseQuadratic,
-    expected_identification_root,
     lower_convex_envelope,
-    subgradient_interval,
 )
 
 # identification function nodes of the three-outcome fixture on {0,1/2,1,2,3}
@@ -110,13 +109,9 @@ class TestIntegration:
 
 class TestSubgradient:
     def test_max_affine_kink_left_right(self):
-        assert subgradient_interval(loss1(), 0.0) == (-3.0, 1.0)
-        assert subgradient_interval(loss1(), 3.0) == (1.0, 3.0)
-        assert subgradient_interval(loss1(), 0.5) == (1.0, 1.0)
-
-    def test_outcome_dispatch(self):
-        losses = [loss1(), loss1()]
-        assert subgradient_interval(losses, 0.0, outcome=2) == (-3.0, 1.0)
+        assert loss1().derivative_interval(0.0) == (-3.0, 1.0)
+        assert loss1().derivative_interval(3.0) == (1.0, 3.0)
+        assert loss1().derivative_interval(0.5) == (1.0, 1.0)
 
 
 class TestLowerConvexEnvelope:
@@ -164,21 +159,15 @@ class TestLowerConvexEnvelope:
 
 
 class TestExpectedRoot:
-    def test_vertex_roots(self):
-        vs = [vbar(1), vbar(2), vbar(3)]
-        assert expected_identification_root(vs, [1, 0, 0]) == pytest.approx(0.0, abs=1e-12)
-        assert expected_identification_root(vs, [0, 1, 0]) == pytest.approx(1.0, abs=1e-12)
-        assert expected_identification_root(vs, [0, 0, 1]) == pytest.approx(3.0, abs=1e-12)
+    """Roots of the expected identification through the batch kernel."""
 
-    def test_no_sign_change_raises(self):
-        v = PiecewiseAffine(np.array([0.0]), np.zeros(2), np.ones(2) * 2.0)
-        with pytest.raises(NoRootError):
-            expected_identification_root([v], [1.0])
+    def test_vertex_roots(self):
+        nodes = np.stack([NODES[1], NODES[2], NODES[3]])
+        roots = node_root_batch(GRID, nodes, np.eye(3))
+        assert roots == pytest.approx([0.0, 1.0, 3.0], abs=1e-12)
 
     def test_flat_interval_midpoint(self):
-        v = PiecewiseAffine.from_nodes(np.array([0.0, 1.0]),
-                                       np.array([0.0, 0.0]), 1.0, 1.0)
-        assert expected_identification_root([v], [1.0]) == pytest.approx(0.5)
+        assert node_root_batch([0.0, 1.0], [[0.0, 0.0]], [[1.0]])[0] == pytest.approx(0.5)
 
     def test_agrees_with_bisection(self):
         vs = [vbar(1), vbar(2), vbar(3)]
@@ -186,5 +175,5 @@ class TestExpectedRoot:
         e = rng.standard_exponential((2000, 3))
         probs = e / e.sum(axis=1, keepdims=True)
         oracle = bisect_expected_root(vs, probs)
-        got = np.array([expected_identification_root(vs, p) for p in probs])
+        got = node_root_batch(GRID, np.stack([v(GRID) for v in vs]), probs)
         assert np.max(np.abs(got - oracle)) < 1e-8

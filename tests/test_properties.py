@@ -6,14 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import O1, O2
-from ordelic.audit import LinkedProperty
+from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import (
     OrderabilityError,
     RankDeficiencyError,
     SimplexError,
     SpecError,
 )
-from ordelic.normals import build_from_spec, clip_ceiling_link_many, roe_eval_many
+from ordelic.normals import build_from_spec
 from ordelic.properties import (
     BOUNDARY_TOL,
     AffineBoundary,
@@ -21,17 +21,23 @@ from ordelic.properties import (
     boundaries_from_cost,
     boundary_gap,
     check_strong_orderability,
-    gamma_from_cost,
     homogenize_boundary,
     normal_from_boundary_samples,
     orient_normals,
     random_orderable_spec,
-    region_index,
     region_index_many,
     sample_boundary,
     spec_from_boundaries,
 )
 from ordelic.simplex import sample_simplex
+
+
+def target_set(cost, p) -> set:
+    return {int(r) + 1 for r in np.flatnonzero(cost.target_sets([p])[0])}
+
+
+def in_target(cost, pts, reports) -> np.ndarray:
+    return cost.target_sets(pts)[np.arange(len(pts)), np.asarray(reports) - 1]
 
 
 class TestCostMatrix:
@@ -44,16 +50,16 @@ class TestCostMatrix:
             CostMatrix([[np.inf, 1.0, 1.0], [1.0, 0.0, 2.0]])
 
     def test_gamma_interior_points(self, fixture_cost):
-        assert gamma_from_cost(fixture_cost, [1, 0, 0]) == {1}
-        assert gamma_from_cost(fixture_cost, [0, 1, 0]) == {2}
-        assert gamma_from_cost(fixture_cost, [0, 0, 1]) == {3}
-        assert gamma_from_cost(fixture_cost, [0.2, 0.6, 0.2]) == {2}
+        assert target_set(fixture_cost, [1, 0, 0]) == {1}
+        assert target_set(fixture_cost, [0, 1, 0]) == {2}
+        assert target_set(fixture_cost, [0, 0, 1]) == {3}
+        assert target_set(fixture_cost, [0.2, 0.6, 0.2]) == {2}
 
     def test_gamma_tie_on_boundary(self, fixture_cost):
         # reports 1 and 2 tie where -p1 + 3 p2 + 2 p3 = 0
-        assert gamma_from_cost(fixture_cost, [2 / 3, 0, 1 / 3]) == {1, 2}
+        assert target_set(fixture_cost, [2 / 3, 0, 1 / 3]) == {1, 2}
         # the centroid sits exactly on the second boundary
-        assert gamma_from_cost(fixture_cost, [1 / 3, 1 / 3, 1 / 3]) == {2, 3}
+        assert target_set(fixture_cost, [1 / 3, 1 / 3, 1 / 3]) == {2, 3}
 
 
 class TestHomogenize:
@@ -143,29 +149,26 @@ class TestRegions:
     def test_region_matches_cost_argmin(self, fixture_cost, fixture_normals_spec):
         pts = sample_simplex(3, 3000, seed=6)
         regions = region_index_many(fixture_normals_spec.normals, pts)
-        for p, r in zip(pts, regions):
-            assert int(r) in gamma_from_cost(fixture_cost, p)
+        assert np.all(in_target(fixture_cost, pts, regions))
 
     def test_boundary_tie_resolves_low(self, fixture_normals_spec):
-        p = sample_boundary(O1, 1, seed=7)[0]
-        assert region_index(fixture_normals_spec.normals, p) == 1
+        p = sample_boundary(O1, 1, seed=7)
+        assert region_index_many(fixture_normals_spec.normals, p).tolist() == [1]
 
     def test_vertices(self, fixture_normals_spec):
         nm = fixture_normals_spec.normals
-        assert region_index(nm, [1, 0, 0]) == 1
-        assert region_index(nm, [0, 1, 0]) == 2
-        assert region_index(nm, [0, 0, 1]) == 3
+        assert region_index_many(nm, np.eye(3)).tolist() == [1, 2, 3]
 
 
 @functools.cache
-def _tie_property(n: int) -> LinkedProperty:
+def _tie_property(n: int):
     """Normals surrogate for the fixture (n = 3) or a random 4-report target."""
     if n == 3:
         spec = spec_from_boundaries([AffineBoundary([-3, 1, 0], -2.0),
                                      AffineBoundary([-5, -4, 0], -3.0)])
     else:
         spec = random_orderable_spec(n, 4, seed=n)[0]
-    return LinkedProperty("normals", build_from_spec(spec))
+    return build_from_spec(spec)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,8 +178,8 @@ def test_boundary_ties_use_one_tolerance(n, boundary, seed, shift):
     """On boundary i the region, the linked property value and the target
     set resolve to the lower report; off it by more than 10 * BOUNDARY_TOL
     they resolve to the side the point is on."""
-    linked = _tie_property(n)
-    O = linked.normals.o
+    s = _tie_property(n)
+    O = s.normals.o
     i = boundary % len(O)
     p = sample_boundary(O[i], 1, seed)[0]
     d = O[i] - O[i].mean()
@@ -186,12 +189,24 @@ def test_boundary_ties_use_one_tolerance(n, boundary, seed, shift):
     assume(np.all(pts > 0))
     pts /= pts.sum(axis=1, keepdims=True)
     want = np.array([i + 1, i + 1, i + 2])
-    assert np.array_equal(region_index_many(linked.normals, pts), want)
-    links = clip_ceiling_link_many(linked.surrogate, roe_eval_many(linked.surrogate, pts))
-    assert np.array_equal(links, want)
-    sets = linked.discrete_set_many(pts)
+    assert np.array_equal(region_index_many(s.normals, pts), want)
+    assert np.array_equal(s.link_many(s.gamma_many(pts)), want)
+    sets = s.discrete_set_many(pts)
     assert [set(np.flatnonzero(row) + 1) for row in sets] \
         == [{i + 1, i + 2}, {i + 1}, {i + 2}]
+
+
+@pytest.mark.parametrize("algo", ["embedding", "normals"])
+def test_link_ties_resolve_low(fixture_cost, algo):
+    """A value within BOUNDARY_TOL above a threshold links to the lower
+    report, for either construction."""
+    if algo == "embedding":
+        s = build_surrogate(build_envelope_loss(fixture_cost, [0.0, 1.0, 3.0], 3.0))
+    else:
+        s = build_from_spec(spec_from_boundaries(
+            [AffineBoundary([-3, 1, 0], -2.0), AffineBoundary([-5, -4, 0], -3.0)]))
+    for i, t in enumerate(s.thresholds):
+        assert s.link_many([t, t + 5e-11, t + 2e-10]).tolist() == [i + 1, i + 1, i + 2]
 
 
 class TestSpecConstruction:
@@ -261,17 +276,13 @@ class TestRoundTrip:
         gaps = check_strong_orderability(spec)
         assert min(gaps) > 1e-3
         pts = sample_simplex(3, 2000, seed=seed + 50)
-        regions = region_index_many(spec.normals, pts)
-        for p, r in zip(pts, regions):
-            assert int(r) in gamma_from_cost(cost, p)
+        assert np.all(in_target(cost, pts, region_index_many(spec.normals, pts)))
         assert np.array_equal(phi, np.arange(4, dtype=float))
 
     def test_random_spec_higher_dimension(self):
         spec, cost, phi = random_orderable_spec(5, 3, seed=7)
         pts = sample_simplex(5, 500, seed=8)
-        regions = region_index_many(spec.normals, pts)
-        for p, r in zip(pts, regions):
-            assert int(r) in gamma_from_cost(cost, p)
+        assert np.all(in_target(cost, pts, region_index_many(spec.normals, pts)))
 
     def test_random_spec_validates(self):
         with pytest.raises(SpecError):

@@ -1,12 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import O1, O2
 from ordelic import serialize
 from ordelic.audit import _bin
 from ordelic.errors import SpecError
-from ordelic.properties import CostMatrix
+from ordelic.properties import CostMatrix, sample_boundary
 from ordelic.scenario import (
     ScenarioSpec,
     exact_dataset,
@@ -221,30 +224,63 @@ class TestPropertySpecFiles:
 
 class TestSurrogateExport:
     def test_embedding_round_trip(self, fixture_embedding, fixture_cost):
-        from ordelic.embedding import gamma_surrogate_eval_many
-        d = surrogate_to_json(fixture_embedding, cost=fixture_cost)
-        back, cost = surrogate_from_json(d)
-        assert cost is not None
-        assert np.allclose(cost.entries, fixture_cost.entries)
+        d = surrogate_to_json(fixture_embedding)
+        assert d["format"] == 2 and "l_bar" not in d
+        back = surrogate_from_json(d)
+        assert back.cost is not None
+        assert np.allclose(back.cost.entries, fixture_cost.entries)
         pts = sample_simplex(3, 300, seed=7)
-        assert np.allclose(gamma_surrogate_eval_many(back, pts),
-                           gamma_surrogate_eval_many(fixture_embedding, pts),
+        assert np.allclose(back.gamma_many(pts), fixture_embedding.gamma_many(pts),
                            atol=1e-12)
         assert np.allclose(back.thresholds, fixture_embedding.thresholds)
         assert back.lipschitz_bound == fixture_embedding.lipschitz_bound
 
     def test_normals_round_trip(self, fixture_normals):
-        from ordelic.normals import roe_eval_many
         d = surrogate_to_json(fixture_normals)
-        back, cost = surrogate_from_json(d)
-        assert cost is None
+        back = surrogate_from_json(d)
+        assert back.cost is None
         assert back.lipschitz_exact == fixture_normals.lipschitz_exact
         pts = sample_simplex(3, 300, seed=8)
-        assert np.allclose(roe_eval_many(back, pts),
-                           roe_eval_many(fixture_normals, pts), atol=1e-12)
+        assert np.allclose(back.gamma_many(pts), fixture_normals.gamma_many(pts),
+                           atol=1e-12)
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, fixture_normals):
         with pytest.raises(SpecError):
             surrogate_from_json({"kind": "mystery"})
         with pytest.raises(SpecError):
+            surrogate_from_json(dict(surrogate_to_json(fixture_normals), kind="embedding"))
+        with pytest.raises(SpecError):
+            surrogate_from_json(dict(surrogate_to_json(fixture_normals), format=3))
+        with pytest.raises(SpecError):
             surrogate_to_json(object())
+
+
+README_SPEC = {"n": 3, "reports": [1, 2, 3],
+               "cost_matrix": [[0, 3, 5], [1, 0, 3], [3, 1, 0]]}
+BOUNDARY_SPEC = {"n": 3, "reports": [1, 2, 3],
+                 "boundaries": [{"c": [-3, 1, 0], "b": -2}, {"c": [-5, -4, 0], "b": -3}]}
+
+
+@pytest.mark.parametrize("name,spec,args", [
+    pytest.param(name, spec, args, id=name) for name, spec, args in (
+        ("readme_normals_seed1", README_SPEC, ["--algo", "normals", "--seed", "1"]),
+        ("boundaries_normals_seed1", BOUNDARY_SPEC, ["--algo", "normals", "--seed", "1"]),
+        ("readme_embedding_phi013", README_SPEC, ["--algo", "embedding", "--phi", "0,1,3"]),
+    )])
+def test_format1_file_matches_fresh_build(tmp_path, name, spec, args):
+    """Surrogate files written before format 2 (with l_bar, without a format
+    field) load into the same surrogate as a fresh construct."""
+    from ordelic.cli import EXIT_OK, main
+    old = read_json(Path(__file__).parent / "data" / f"{name}.format1.json")
+    assert "format" not in old and "l_bar" in old
+    spec_path, out = tmp_path / "spec.json", tmp_path / "sur.json"
+    write_json(spec_path, spec)
+    assert main(["construct", "--spec", str(spec_path), *args, "--out", str(out)]) == EXIT_OK
+    a, b = surrogate_from_json(old), surrogate_from_json(read_json(out))
+    assert surrogate_to_json(a) == surrogate_to_json(b)
+    pts = np.concatenate([np.eye(3), sample_simplex(3, 500, seed=9)]
+                         + [sample_boundary(o, 50, seed=10) for o in (O1, O2)])
+    u = a.gamma_many(pts)
+    assert np.array_equal(u, b.gamma_many(pts))
+    assert np.array_equal(a.link_many(u), b.link_many(u))
+    assert np.array_equal(a.discrete_set_many(pts), b.discrete_set_many(pts))
