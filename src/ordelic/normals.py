@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ordelic._kernels import region_index_batch
 from ordelic.errors import RankDeficiencyError
 from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import (
@@ -19,7 +18,6 @@ from ordelic.properties import (
     OrderableSpec,
     OrientedNormals,
     Surrogate,
-    _centroid_witnesses,
     boundaries_from_cost,
     boundary_gap,
     check_strong_orderability,
@@ -27,29 +25,9 @@ from ordelic.properties import (
     normal_from_boundary_samples,
     orient_normals,
     sample_boundary,
+    slice_vertices,
 )
 from ordelic.simplex import sample_simplex
-
-
-def _clip_triangle(halfplanes: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Vertices of the 3-outcome simplex clipped by {<a, p> >= c} half-planes."""
-    poly = [np.eye(3)[i] for i in range(3)]
-    for a, c in halfplanes:
-        if not poly:
-            break
-        out = []
-        m = len(poly)
-        vals = [float(a @ v) - c for v in poly]
-        for i in range(m):
-            cur, nxt = poly[i], poly[(i + 1) % m]
-            vc, vn = vals[i], vals[(i + 1) % m]
-            if vc >= -1e-12:
-                out.append(cur)
-            if (vc > 1e-12 and vn < -1e-12) or (vc < -1e-12 and vn > 1e-12):
-                t = vc / (vc - vn)
-                out.append(cur + t * (nxt - cur))
-        poly = out
-    return np.array(poly) if poly else np.empty((0, 3))
 
 
 def _region_gradient_norms(O: np.ndarray, j: int, pts: np.ndarray) -> np.ndarray:
@@ -68,32 +46,55 @@ def _region_gradient_norms(O: np.ndarray, j: int, pts: np.ndarray) -> np.ndarray
     return np.broadcast_to(np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0]), len(pts))
 
 
-def _lipschitz_bound(O: np.ndarray, seed: int = 7) -> tuple[float, bool]:
+def _edge_stationary_points(O: np.ndarray, j: int, V: np.ndarray) -> np.ndarray:
+    """Points on the segments between rows of V where the gradient norm of
+    the middle piece j is stationary along the segment.
+
+    With u = <o_i, p> and v = -<o_{i+1}, p> the piece's gradient is
+    (v o_i + u o_{i+1}) / (u + v)^2, so along p0 + t (p1 - p0) its squared
+    norm is |n0 + t n1|^2 / (s0 + t s1)^4 and the stationary t solve
+    -s1 |n1|^2 t^2 + (s0 |n1|^2 - 3 s1 <n0, n1>) t + s0 <n0, n1> - 2 s1 |n0|^2 = 0.
+    """
+    a, b = O[j - 2], O[j - 1]
+    u, v = V @ a, -(V @ b)
+    N = v[:, None] * (a - a.mean()) + u[:, None] * (b - b.mean())
+    I, J = np.triu_indices(len(V), 1)
+    n0, n1 = N[I], N[J] - N[I]
+    s0, s1 = (u + v)[I], (u + v)[J] - (u + v)[I]
+    n00, n01, n11 = (n0 * n0).sum(1), (n0 * n1).sum(1), (n1 * n1).sum(1)
+    c2, c1, c0 = -s1 * n11, s0 * n11 - 3.0 * s1 * n01, s0 * n01 - 2.0 * s1 * n00
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        t = np.concatenate([q / c2, c0 / q])
+    pair = np.concatenate([np.arange(len(I))] * 2)
+    ok = (t > 0.0) & (t < 1.0)
+    t, pair = t[ok], pair[ok]
+    return V[I[pair]] + t[:, None] * (V[J[pair]] - V[I[pair]])
+
+
+def _lipschitz_bound(normals: OrientedNormals) -> float:
     """Max gradient norm of the piecewise property over the simplex.
 
-    The middle pieces are linear-fractional, hence quasilinear; the gradient
-    norm is maximized at region-polytope vertices.  Exact vertex enumeration
-    for 3 outcomes, sampled estimate otherwise.
+    Under strong orderability no two boundaries meet in the simplex, so every
+    region polytope's vertices are simplex vertices or slice vertices.  The
+    end pieces are linear.  A middle piece's gradient norm depends on p only
+    through (u, v) = (<o_i, p>, -<o_{i+1}, p>) and is homogeneous of degree
+    -1 there, so over the region's image in the (u, v) plane it peaks on the
+    image's boundary, whose edges are images of segments between region
+    vertices: the max is at a vertex or where the norm is stationary along
+    such a segment.
     """
+    O = normals.o
     k, n = O.shape
+    C = np.vstack([np.eye(n), *slice_vertices(O)])
+    inside = normals.target_sets(C)
     best = 0.0
-    if n == 3:
-        for j in range(1, k + 2):
-            planes = [(O[i], 0.0) for i in range(j - 1)]
-            planes += [(-O[i], 0.0) for i in range(j - 1, k)]
-            verts = _clip_triangle(planes)
-            if len(verts) == 0:
-                continue
-            best = max(best, float(_region_gradient_norms(O, j, verts).max()))
-        return best, True
-    pts = sample_simplex(n, 100_000, seed)
-    regions = region_index_batch(O, pts)
     for j in range(1, k + 2):
-        sel = pts[regions == j]
-        if len(sel) == 0:
-            continue
-        best = max(best, float(_region_gradient_norms(O, j, sel).max()))
-    return best, False
+        V = C[inside[:, j - 1]]
+        if 1 < j < k + 1:
+            V = np.vstack([V, _edge_stationary_points(O, j, V)])
+        best = max(best, float(_region_gradient_norms(O, j, V).max()))
+    return best
 
 
 def build_from_spec(spec: OrderableSpec) -> Surrogate:
@@ -101,16 +102,14 @@ def build_from_spec(spec: OrderableSpec) -> Surrogate:
     bound; requires strictly separated consecutive boundaries."""
     O = spec.normals.o
     k, n = O.shape
-    if k >= 2:
-        check_strong_orderability(spec)
+    check_strong_orderability(spec)
     grid = np.arange(k, dtype=np.float64)
-    K, exact = _lipschitz_bound(O)
     return Surrogate(
         identification=tuple(PiecewiseAffine.from_nodes(grid, -O[:, y], 1.0, 1.0)
                              for y in range(n)),
         thresholds=grid,
-        lipschitz_bound=K,
-        lipschitz_exact=exact,
+        lipschitz_bound=_lipschitz_bound(spec.normals),
+        lipschitz_exact=True,
         value_range=(float(O[0].min()), float(O[k - 1].max() + (k - 1))),
         normals=spec.normals,
         cost=spec.cost,
@@ -125,9 +124,10 @@ def full_pipeline(
     """End-to-end construction from boundaries or a cost matrix.
 
     Samples n-1 points per boundary, recovers each normal from their null
-    space (resampling on rank deficiency), orients all normals against
-    region witnesses, builds the surrogate, and verifies refinement on
-    uniform samples away from the boundaries.
+    space (resampling on rank deficiency), orients them by the slice chain
+    of :func:`orient_normals`, builds the surrogate, and verifies refinement
+    on uniform samples away from the boundaries.  The boundary gaps are exact
+    for 3 outcomes and sampled estimates otherwise.
     """
     if isinstance(source, CostMatrix):
         cost = source
@@ -137,6 +137,7 @@ def full_pipeline(
         boundaries = list(source)
     raw = [homogenize_boundary(bd) for bd in boundaries]
     n = len(raw[0])
+    slice_vertices(np.stack(raw))  # name a boundary that cannot be sampled
 
     recovered = []
     for b_idx, o_true in enumerate(raw):
@@ -156,8 +157,7 @@ def full_pipeline(
             got = -got        # convention of the source boundary
         recovered.append(got)
 
-    witnesses = _centroid_witnesses(recovered, n)
-    oriented = orient_normals(recovered, witnesses)
+    oriented = orient_normals(recovered)
     spec = OrderableSpec(
         tuple(range(1, len(boundaries) + 2)),
         OrientedNormals(oriented),
@@ -175,6 +175,7 @@ def full_pipeline(
     report = {
         "recovered_normals": [o.tolist() for o in oriented],
         "boundary_gaps": gaps,
+        "boundary_gaps_exact": n == 3,
         "lipschitz_bound": surrogate.lipschitz_bound,
         "lipschitz_exact": surrogate.lipschitz_exact,
         "refinement_checked": int(len(pts)),

@@ -21,9 +21,10 @@ from ordelic.errors import (
     SimplexError,
     SpecError,
 )
-from ordelic.simplex import as_simplex_point, as_simplex_points
+from ordelic.simplex import as_simplex_points
 
 _SV_RTOL = 1e-9
+_MIN_GAP = 1e-9  # least separation, along a normal, of consecutive slices
 
 
 @dataclass(frozen=True)
@@ -108,63 +109,68 @@ def normal_from_boundary_samples(points) -> np.ndarray:
     return o / np.linalg.norm(o)
 
 
-def orient_normals(normals, region_witnesses, tol: float = 1e-9) -> np.ndarray:
-    """Fix normal signs from one interior witness per region (report order).
+def _simplex_boundary_endpoints(o: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Vertices of the slice {<o, p> = 0} of the simplex: the vertices e_m with
+    o_m = 0, then the edge crossings (1-t) e_i + t e_j, t = o_i / (o_i - o_j),
+    for i < j; points within 1e-9 of an earlier one are dropped."""
+    n = len(o)
+    I, J = np.triu_indices(n, 1)
+    den = o[I] - o[J]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = o[I] / den
+    cross = (np.abs(den) > tol) & (tol < t) & (t < 1.0 - tol)
+    zero = np.flatnonzero(np.abs(o) <= tol)
+    rows = np.arange(len(zero), len(zero) + int(cross.sum()))
+    P = np.zeros((len(zero) + len(rows), n))
+    P[np.arange(len(zero)), zero] = 1.0
+    P[rows, I[cross]] = 1.0 - t[cross]
+    P[rows, J[cross]] = t[cross]
+    uniq: list[int] = []
+    for r in range(len(P)):
+        if not any(np.linalg.norm(P[r] - P[q]) < 1e-9 for q in uniq):
+            uniq.append(r)
+    return P[uniq]
 
-    Region j must satisfy <o_i, p> >= 0 for i < j and <o_i, p> <= 0 for
-    i >= j.  Raises :class:`OrderabilityError` when no sign assignment works,
-    which indicates misordered regions or a non-orderable input.
-    """
-    O = np.stack([np.asarray(o, dtype=np.float64) for o in normals])
-    k = O.shape[0]
-    W = as_simplex_points(np.stack([as_simplex_point(w) for w in region_witnesses]))
-    if W.shape[0] != k + 1:
-        raise SpecError(f"need {k + 1} region witnesses, got {W.shape[0]}")
-    dots = W @ O.T  # (k+1 regions, k normals)
-    out = np.empty_like(O)
-    for i in range(k):
-        # regions 1..i+1 (rows 0..i) on the <= side, the rest on the >= side
-        lo = dots[: i + 1, i]
-        hi = dots[i + 1 :, i]
-        if np.all(lo <= tol) and np.all(hi >= -tol):
-            out[i] = O[i]
-        elif np.all(lo >= -tol) and np.all(hi <= tol):
-            out[i] = -O[i]
-        else:
-            raise OrderabilityError(
-                f"no sign of normal {i + 1} separates the witnesses; "
-                "regions misordered or property not orderable"
-            )
+
+def slice_vertices(O: np.ndarray) -> list[np.ndarray]:
+    """Vertices of each boundary slice {p in simplex : <o_i, p> = 0}; raises
+    :class:`OrderabilityError` when a boundary crosses no simplex edge."""
+    out = []
+    for i, o in enumerate(O, start=1):
+        V = _simplex_boundary_endpoints(o)
+        if np.count_nonzero(V, axis=1).max(initial=0) < 2:
+            raise OrderabilityError(f"boundary {i} does not meet the simplex interior")
+        out.append(V)
     return out
 
 
-def _simplex_boundary_endpoints(o: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """All intersection points of {<o, p> = 0} with the edges of the 3-simplex."""
-    pts = []
-    for i in range(3):
-        if abs(o[i]) <= tol:
-            e = np.zeros(3)
-            e[i] = 1.0
-            pts.append(e)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            den = o[i] - o[j]
-            if abs(den) <= tol:
-                continue
-            t = o[i] / den  # p = (1-t) e_i + t e_j
-            if tol < t < 1.0 - tol:
-                p = np.zeros(3)
-                p[i] = 1.0 - t
-                p[j] = t
-                pts.append(p)
-    if not pts:
-        return np.empty((0, 3))
-    P = np.stack(pts)
-    uniq = []
-    for row in P:
-        if not any(np.linalg.norm(row - q) < 1e-9 for q in uniq):
-            uniq.append(row)
-    return np.stack(uniq)
+def _check_pairs(O: np.ndarray, slices: list[np.ndarray]) -> None:
+    """Raises unless slice i lies at least ``_MIN_GAP`` on the negative side
+    of o_{i+1} and slice i+1 on the positive side of o_i, for every i."""
+    for i in range(1, len(O)):
+        s = slices[i - 1] @ O[i]
+        if s.max() > -_MIN_GAP and s.min() < _MIN_GAP:
+            raise OrderabilityError(
+                f"boundaries {i} and {i + 1} cross inside the simplex")
+        if s.max() > -_MIN_GAP or (slices[i] @ O[i - 1]).min() <= 0.0:
+            raise OrderabilityError(
+                f"boundaries {i} and {i + 1} are not met in report order; list "
+                "the boundaries from report 1 up, each with its lower report "
+                "on the <c, p> <= b side")
+
+
+def orient_normals(raw_normals) -> np.ndarray:
+    """Signs of report-ordered unit normals, fixed by a chain: o_1 keeps its
+    sign (region 1 is its negative side) and o_{i+1} takes the sign that puts
+    slice i on its negative side.  Raises :class:`OrderabilityError` unless
+    the oriented normals are strongly orderable."""
+    O = np.array(raw_normals, dtype=np.float64)
+    slices = slice_vertices(O)
+    for i in range(1, len(O)):
+        if (slices[i - 1] @ O[i]).max() > -_MIN_GAP:
+            O[i] = -O[i]
+    _check_pairs(O, slices)
+    return O
 
 
 def _boundary_segment(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -457,100 +463,28 @@ def boundary_gap(spec: OrderableSpec, i: int, samples: int = 256, seed: int = 0)
     return float(d.min())
 
 
-def check_strong_orderability(spec: OrderableSpec, min_gap: float = 1e-9) -> list[float]:
-    """Gaps for all consecutive boundary pairs; raises on a zero gap."""
-    gaps = [boundary_gap(spec, i) for i in range(1, spec.normals.k)]
-    for i, g in enumerate(gaps, start=1):
-        if g <= min_gap:
-            raise OrderabilityError(
-                f"boundaries {i} and {i + 1} are not separated (gap {g:.3g})"
-            )
-    return gaps
+def check_strong_orderability(spec: OrderableSpec) -> None:
+    """Raises :class:`OrderabilityError`, naming the cause and the boundaries,
+    unless every boundary meets the simplex interior and consecutive slices
+    are at least ``_MIN_GAP`` apart along the normals, in report order.
 
-
-def spec_from_boundaries(boundaries, reports=None, witnesses=None) -> OrderableSpec:
-    """Build an OrderableSpec from report-ordered affine boundaries.
-
-    Witnesses default to centroids inferred from the homogenized normals: the
-    lower-report side of boundary i is {<o_i, p> <= 0}; sign conventions are
-    then fixed by :func:`orient_normals` against those witnesses.
+    No two slices meet iff each lies on one side of the next hyperplane, and
+    a slice's extremes along a normal are at its vertices, so the test is
+    exact for any number of outcomes.
     """
+    O = spec.normals.o
+    _check_pairs(O, slice_vertices(O))
+
+
+def spec_from_boundaries(boundaries, reports=None) -> OrderableSpec:
+    """Build an OrderableSpec from report-ordered affine boundaries, each with
+    its lower report on the <c, p> <= b side; see :func:`orient_normals`."""
     bds = list(boundaries)
     raw = [homogenize_boundary(bd) for bd in bds]
-    n = len(raw[0])
-    k = len(raw)
     if reports is None:
-        reports = tuple(range(1, k + 2))
-    if witnesses is None:
-        witnesses = _centroid_witnesses(raw, n)
-    oriented = orient_normals(raw, witnesses)
-    return OrderableSpec(tuple(reports), OrientedNormals(oriented),
+        reports = tuple(range(1, len(raw) + 2))
+    return OrderableSpec(tuple(reports), OrientedNormals(orient_normals(raw)),
                          boundaries=tuple(bds))
-
-
-def _centroid_witnesses(raw_normals, n: int, grid: int = 60) -> list[np.ndarray]:
-    """Per-region witnesses: mean of grid points falling in each sign cell.
-
-    Uses the raw (sign-ambiguous) normals with the convention that sign
-    patterns must be consistent with *some* ordering; each cell mean is a
-    candidate witness and cells are matched to regions by counting boundaries
-    crossed from the first region's cell.
-    """
-    O = np.stack(raw_normals)
-    k = O.shape[0]
-    rng = np.random.default_rng(12345)
-    e = rng.standard_exponential(size=(20000, n))
-    pts = e / e.sum(axis=1, keepdims=True)
-    signs = np.sign(pts @ O.T)  # (m, k) in {-1, 0, 1}
-    cells: dict[tuple, list] = {}
-    for row, sg in zip(pts, signs):
-        key = tuple(int(s) for s in sg)
-        if 0 in key:
-            continue
-        cells.setdefault(key, []).append(row)
-    if len(cells) != k + 1:
-        raise OrderabilityError(
-            f"expected {k + 1} sign cells, found {len(cells)}; "
-            "boundaries cross inside the simplex"
-        )
-    # order cells so consecutive keys differ in exactly one sign; the flip
-    # sequence must follow boundary order for an orderable property
-    keys = list(cells.keys())
-    means = {key: np.mean(cells[key], axis=0) for key in keys}
-    # chain cells by single-sign flips
-    order = [keys[0]]
-    remaining = set(keys[1:])
-    while remaining:
-        extended = False
-        for key in list(remaining):
-            head_diff = [i for i in range(k) if key[i] != order[0][i]]
-            tail_diff = [i for i in range(k) if key[i] != order[-1][i]]
-            if len(tail_diff) == 1:
-                order.append(key)
-                remaining.discard(key)
-                extended = True
-            elif len(head_diff) == 1:
-                order.insert(0, key)
-                remaining.discard(key)
-                extended = True
-        if not extended:
-            raise OrderabilityError("region cells do not chain; input not orderable")
-    # boundary i must flip between cells i-1 and i, and region 1 must sit on
-    # the negative side of the first raw normal (the <c,p> <= b side)
-    flips = [
-        [j for j in range(k) if order[idx][j] != order[idx + 1][j]][0]
-        for idx in range(k)
-    ]
-    if k == 1:
-        if order[0][0] > 0:
-            order = order[::-1]
-    else:
-        if flips == list(range(k - 1, -1, -1)):
-            order = order[::-1]
-            flips = list(range(k))
-        if flips != list(range(k)) or order[0][0] > 0:
-            raise OrderabilityError("boundaries are not met in report order")
-    return [means[key] for key in order]
 
 
 def random_orderable_spec(n: int, n_reports: int, seed: int):

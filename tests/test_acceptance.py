@@ -124,10 +124,10 @@ def test_criterion_2_normals_fixture(capfd):
         p22 = np.array([0.25, 0.4375, 0.3125])
         raw1 = normal_from_boundary_samples(np.stack([p11, p12]))
         raw2 = normal_from_boundary_samples(np.stack([p21, p22]))
-        e1 = [1.0, 0.0, 0.0]
-        mid = [0.45, 0.3, 0.25]
-        e3 = [0.0, 0.0, 1.0]
-        oriented = orient_normals([raw1, raw2], [e1, mid, e3])
+        # region 1 holds e1; the slice chain orients boundary 2 from there
+        if raw1[0] > 0:
+            raw1 = -raw1
+        oriented = orient_normals([raw1, raw2])
         assert np.allclose(oriented[0], O1, atol=1e-8)
         assert np.allclose(oriented[1], O2, atol=1e-8)
         # sampled pipeline recovery

@@ -18,6 +18,7 @@ from ordelic.audit import (
     lipschitz_estimate,
     surrogate_calibration,
 )
+from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
 from ordelic.normals import build_from_spec
 from ordelic.properties import (
@@ -408,10 +409,16 @@ class TestLipschitzEstimates:
         assert estimate_marginal_lipschitz(g, data2) == 0.0
 
 
-@pytest.mark.parametrize("n,exact", [(3, True), (5, False)])
+@pytest.mark.parametrize("n,exact", [(3, True), (5, True), (5, False)])
 def test_bound_params_label_estimated_k(n, exact):
-    """K from vertex enumeration (n = 3) is exact; a sampled K is flagged."""
-    s = build_from_spec(random_orderable_spec(n, 3, seed=n)[0])
+    """The normals K is exact for any n; the embedding's max |v|, not a
+    Euclidean Lipschitz constant, is flagged."""
+    spec, cost, phi = random_orderable_spec(n, 3, seed=n)
+    if exact:
+        s = build_from_spec(spec)
+    else:
+        S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
+        s = build_surrogate(build_envelope_loss(cost, phi, S))
     assert s.lipschitz_exact is exact
     ids = ("a", "b", "c", "d")
     sc = ScenarioSpec(ids, np.full(4, 0.25), sample_simplex(n, 4, seed=n + 1),

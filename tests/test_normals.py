@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import O1, O2, SQ14, bisect_expected_root
 from ordelic._kernels import node_root_batch
@@ -107,10 +109,14 @@ class TestEvaluation:
         assert np.max(np.abs(a - b)) < 1e-9
         assert np.max(np.abs(a - c)) < 1e-8
 
-    def test_lipschitz_bound_exact_and_attained(self, fixture_normals):
+    def test_lipschitz_bound_exact_and_attained(self, fixture_normals, fixture_cost):
         from ordelic.audit import lipschitz_estimate
         s = fixture_normals
         assert s.lipschitz_exact
+        # attained at the slice vertex (0.6, 0, 0.4) of region 2
+        assert s.lipschitz_bound == pytest.approx(18.708286933869697, rel=1e-14)
+        _, report = full_pipeline(fixture_cost, seed=1)
+        assert report["lipschitz_bound"] == pytest.approx(18.708286933869697, rel=1e-14)
         assert s.lipschitz_bound == pytest.approx(18.7083, abs=1e-3)
         K_hat, _ = lipschitz_estimate(s.gamma_many, 3, seed=33)
         assert K_hat <= s.lipschitz_bound + 1e-6
@@ -158,6 +164,14 @@ class TestFullPipeline:
         with pytest.raises(OrderabilityError):
             full_pipeline(bds, seed=38)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_boundary_missing_interior_named(self, n):
+        inner = AffineBoundary(np.arange(n, dtype=float), (n - 1) / 2)
+        outside = AffineBoundary(np.r_[0.0, np.ones(n - 1)], 0.0)  # only e1
+        with pytest.raises(OrderabilityError,
+                           match="boundary 2 does not meet the simplex interior"):
+            full_pipeline([inner, outside], seed=41)
+
     def test_higher_dimension(self):
         from ordelic.properties import random_orderable_spec
         spec, cost, _ = random_orderable_spec(4, 3, seed=39)
@@ -166,8 +180,21 @@ class TestFullPipeline:
         for i in range(2):
             assert min(np.linalg.norm(got[i] - spec.normals.o[i]),
                        np.linalg.norm(got[i] + spec.normals.o[i])) < 1e-7
-        assert not report["lipschitz_exact"]
+        assert report["lipschitz_exact"]
+        assert not report["boundary_gaps_exact"]
         assert report["refinement_pass_rate"] == 1.0
+
+    @pytest.mark.parametrize("n,n_reports,seed", [(8, 6, 1), (10, 3, 0)])
+    def test_spec_with_small_regions(self, n, n_reports, seed):
+        """Specs whose thin regions a Monte Carlo witness search missed."""
+        from ordelic.properties import random_orderable_spec
+        spec, cost, _ = random_orderable_spec(n, n_reports, seed=seed)
+        s = build_from_spec(spec)
+        assert s.lipschitz_exact and s.lipschitz_bound > 0
+        s2, report = full_pipeline(list(spec.boundaries), seed=seed)
+        assert np.allclose(report["recovered_normals"], spec.normals.o, atol=1e-7)
+        assert report["refinement_pass_rate"] == 1.0
+        assert s2.lipschitz_bound == pytest.approx(s.lipschitz_bound, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -190,3 +217,70 @@ def test_region_gradient_norms_match_point_loop(n):
                 g = (oi - f[r] * (oi - oi1)) / den[r]
                 want.append(np.linalg.norm(g - g.mean()))
         assert _region_gradient_norms(O, j, pts).tolist() == want
+
+
+def _in_region_max_norm(O, pts) -> float:
+    """Max gradient norm over the rows of pts, each in its own region."""
+    from ordelic.normals import _region_gradient_norms
+    regions = region_index_many(OrientedNormals(O), pts)
+    return max(float(_region_gradient_norms(O, j, pts[regions == j]).max())
+               for j in np.unique(regions))
+
+
+def _tilted_spec(n: int, n_reports: int, seed: int, tilt: float):
+    """random_orderable_spec with each boundary normal turned by a random
+    vector of norm ``tilt``; None when the result is not strongly orderable."""
+    from ordelic.properties import random_orderable_spec
+    O = random_orderable_spec(n, n_reports, seed=seed)[0].normals.o
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(O.shape)
+    O = O + tilt * d / np.linalg.norm(d, axis=1, keepdims=True)
+    O /= np.linalg.norm(O, axis=1, keepdims=True)
+    try:
+        return _spec_from_normals(O)
+    except OrderabilityError:
+        return None
+
+
+def _spec_from_normals(O):
+    from ordelic.properties import orient_normals
+    return OrderableSpec(tuple(range(1, len(O) + 2)), OrientedNormals(orient_normals(O)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 8), n_reports=st.integers(2, 5), seed=st.integers(0, 2**20),
+       tilt=st.sampled_from([0.0, 0.3]))
+def test_lipschitz_bound_is_a_bound(n, n_reports, seed, tilt):
+    """K is exact for every n: no difference quotient and no in-region
+    gradient norm exceeds it."""
+    from ordelic.audit import lipschitz_estimate
+    spec = _tilted_spec(n, n_reports, seed, tilt)
+    assume(spec is not None)
+    s = build_from_spec(spec)
+    assert s.lipschitz_exact
+    K_hat, _ = lipschitz_estimate(s.gamma_many, n, seed=seed)
+    assert K_hat <= s.lipschitz_bound
+    pts = sample_simplex(n, 20_000, seed=seed)
+    assert _in_region_max_norm(spec.normals.o, pts) <= s.lipschitz_bound
+
+
+def test_lipschitz_bound_inside_a_region_edge():
+    """Where two boundaries cut off two corners of the triangle at steep
+    angles, the gradient norm peaks inside an edge of the middle region, above
+    every vertex; K is that peak."""
+    from ordelic.normals import _region_gradient_norms
+    from ordelic.properties import slice_vertices
+    e = np.eye(3)
+    o1 = -np.cross(0.65 * e[0] + 0.35 * e[1], 0.05 * e[0] + 0.95 * e[2])
+    o2 = np.cross(0.9 * e[1] + 0.1 * e[0], 0.75 * e[1] + 0.25 * e[2])
+    spec = _spec_from_normals(np.stack([o1 / np.linalg.norm(o1), o2 / np.linalg.norm(o2)]))
+    O = spec.normals.o
+    K = build_from_spec(spec).lipschitz_bound
+    C = np.vstack([e, *slice_vertices(O)])
+    V = C[spec.normals.target_sets(C)[:, 1]]
+    at_vertices = float(_region_gradient_norms(O, 2, V).max())
+    t = np.linspace(0.0, 1.0, 20_001)[:, None]
+    on_edges = max(float(_region_gradient_norms(O, 2, (1 - t) * V[a] + t * V[b]).max())
+                   for a in range(len(V)) for b in range(a + 1, len(V)))
+    assert at_vertices < on_edges <= K
+    assert K == pytest.approx(on_edges, rel=1e-8)

@@ -18,6 +18,8 @@ from ordelic.properties import (
     BOUNDARY_TOL,
     AffineBoundary,
     CostMatrix,
+    OrderableSpec,
+    OrientedNormals,
     boundaries_from_cost,
     boundary_gap,
     check_strong_orderability,
@@ -95,24 +97,101 @@ class TestNormalRecovery:
 
 
 class TestOrientation:
-    def test_fixture_witnesses(self):
-        e1 = [1.0, 0.0, 0.0]
-        c = [1 / 3, 1 / 3, 1 / 3]
-        e3 = [0.0, 0.0, 1.0]
-        out = orient_normals([-O1, O2], [e1, c, e3])
-        assert np.allclose(out[0], O1)
-        assert np.allclose(out[1], O2)
+    def test_fixture_chain(self):
+        # o_1 keeps its sign; o_2 flips so that slice 1 is on its negative side
+        out = orient_normals([O1, -O2])
+        assert np.array_equal(out, np.stack([O1, O2]))
+        assert np.array_equal(orient_normals([O1, O2]), out)
 
-    def test_misordered_witnesses_raise(self):
-        e1 = [1.0, 0.0, 0.0]
-        c = [1 / 3, 1 / 3, 1 / 3]
-        e3 = [0.0, 0.0, 1.0]
-        with pytest.raises(OrderabilityError):
-            orient_normals([O1, O2], [c, e1, e3])
+    def test_misordered_boundaries_raise(self):
+        with pytest.raises(OrderabilityError, match="not met in report order"):
+            orient_normals([O2, O1])
+        # region 1 on the far side of boundary 1
+        with pytest.raises(OrderabilityError, match="not met in report order"):
+            orient_normals([-O1, O2])
 
-    def test_witness_count_validated(self):
-        with pytest.raises(SpecError):
-            orient_normals([O1], [[1, 0, 0]])
+    @pytest.mark.parametrize("n,k,seed", [(3, 5, 0), (5, 4, 1), (8, 6, 1), (10, 3, 0)])
+    def test_chain_recovers_random_spec(self, n, k, seed):
+        spec = random_orderable_spec(n, k, seed)[0]
+        O = spec.normals.o
+        flips = np.where(np.arange(len(O)) % 2 == 1, -1.0, 1.0)[:, None]
+        assert np.array_equal(orient_normals(O * flips), O)
+
+
+def _slice_vertex_loop(o, tol=1e-12):
+    """Per-edge reference: zero-coordinate vertices, then edge crossings."""
+    n = len(o)
+    pts = [np.eye(n)[i] for i in range(n) if abs(o[i]) <= tol]
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = o[i] - o[j]
+            if abs(den) <= tol:
+                continue
+            t = o[i] / den
+            if tol < t < 1.0 - tol:
+                p = np.zeros(n)
+                p[i] = 1.0 - t
+                p[j] = t
+                pts.append(p)
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 8), seed=st.integers(0, 2**20), zeros=st.integers(0, 2))
+def test_slice_vertices_match_edge_loop(n, seed, zeros):
+    """The batched enumeration returns the per-edge points bit for bit, in
+    order, and each lies on the boundary within the simplex."""
+    from ordelic.properties import _simplex_boundary_endpoints
+    o = np.random.default_rng(seed).standard_normal(n)
+    o[: min(zeros, n - 2)] = 0.0
+    o /= np.linalg.norm(o)
+    got = _simplex_boundary_endpoints(o)
+    want = _slice_vertex_loop(o)
+    assert got.tolist() == [p.tolist() for p in want]
+    assert np.all(got >= 0) and np.allclose(got.sum(axis=1), 1.0)
+    assert np.max(np.abs(got @ o), initial=0.0) < 1e-12
+
+
+class TestOrderabilityErrors:
+    """Each failure names its cause and the boundaries at fault."""
+
+    @staticmethod
+    def _normals(n):
+        if n == 3:
+            return np.stack([O1, O2])
+        return random_orderable_spec(n, 3, seed=n)[0].normals.o
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_crossing(self, n):
+        O = self._normals(n)
+        p = sample_boundary(O[0], 1, seed=n)[0]  # a point of slice 1
+        o2 = O[1] - (O[1] @ p) * p / (p @ p)      # a boundary 2 through it
+        o2 /= np.linalg.norm(o2)
+        spec = OrderableSpec((1, 2, 3), OrientedNormals(np.stack([O[0], o2])))
+        with pytest.raises(OrderabilityError,
+                           match="boundaries 1 and 2 cross inside the simplex"):
+            check_strong_orderability(spec)
+        with pytest.raises(OrderabilityError, match="cross inside the simplex"):
+            orient_normals([O[0], o2])
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_report_order(self, n):
+        O = self._normals(n)
+        spec = OrderableSpec((1, 2, 3), OrientedNormals(O[::-1].copy()))
+        with pytest.raises(OrderabilityError,
+                           match="boundaries 1 and 2 are not met in report order"):
+            check_strong_orderability(spec)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_misses_interior(self, n):
+        O = self._normals(n)
+        o3 = np.ones(n)
+        o3[0] = 0.0  # {<o3, p> = 0} meets the simplex only at e1
+        o3 /= np.linalg.norm(o3)
+        spec = OrderableSpec((1, 2, 3, 4), OrientedNormals(np.vstack([O, o3])))
+        with pytest.raises(OrderabilityError,
+                           match="boundary 3 does not meet the simplex interior"):
+            check_strong_orderability(spec)
 
 
 class TestBoundarySampling:
@@ -233,7 +312,7 @@ class TestGaps:
     def test_fixture_gap_positive(self, fixture_normals_spec):
         g = boundary_gap(fixture_normals_spec, 1)
         assert g == pytest.approx(0.0943, abs=2e-3)
-        assert check_strong_orderability(fixture_normals_spec) == [g]
+        check_strong_orderability(fixture_normals_spec)
 
     def test_identical_boundaries_zero_gap(self):
         from ordelic.properties import OrderableSpec, OrientedNormals
@@ -273,8 +352,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_spec_is_consistent(self, seed):
         spec, cost, phi = random_orderable_spec(3, 4, seed=seed)
-        gaps = check_strong_orderability(spec)
-        assert min(gaps) > 1e-3
+        check_strong_orderability(spec)
+        assert min(boundary_gap(spec, i) for i in (1, 2)) > 1e-3
         pts = sample_simplex(3, 2000, seed=seed + 50)
         assert np.all(in_target(cost, pts, region_index_many(spec.normals, pts)))
         assert np.array_equal(phi, np.arange(4, dtype=float))

@@ -277,7 +277,11 @@ def test_format1_file_matches_fresh_build(tmp_path, name, spec, args):
     write_json(spec_path, spec)
     assert main(["construct", "--spec", str(spec_path), *args, "--out", str(out)]) == EXIT_OK
     a, b = surrogate_from_json(old), surrogate_from_json(read_json(out))
-    assert surrogate_to_json(a) == surrogate_to_json(b)
+    ja, jb = surrogate_to_json(a), surrogate_to_json(b)
+    # the format-1 normals files hold a K whose maximizer (0.6, 0, 0.4) was
+    # found by clipping the triangle, which rounds it in the last bits
+    assert jb.pop("lipschitz_bound") == pytest.approx(ja.pop("lipschitz_bound"), rel=1e-14)
+    assert ja == jb
     pts = np.concatenate([np.eye(3), sample_simplex(3, 500, seed=9)]
                          + [sample_boundary(o, 50, seed=10) for o in (O1, O2)])
     u = a.gamma_many(pts)
