@@ -218,7 +218,7 @@ def _load_surrogate(path) -> Surrogate:
 
 def _cmd_audit(args) -> int:
     surrogate = _load_surrogate(args.surrogate)
-    predictor = serialize.predictor_from_json(serialize.read_json(args.predictor))
+    predictor = serialize.read_predictor(args.predictor, surrogate.n_outcomes)
     if (args.data is None) == (args.scenario is None):
         raise SpecError("pass exactly one of --data or --scenario")
     if args.scenario is not None:

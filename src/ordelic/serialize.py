@@ -15,14 +15,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from ordelic.audit import AuditReport, PredictorTable
-from ordelic.errors import SpecError
+from ordelic.errors import SimplexError, SpecError
 from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
 from ordelic.scenario import ScenarioSpec
-from ordelic.simplex import LabeledDataset
+from ordelic.simplex import LabeledDataset, as_simplex_point, as_simplex_points
 
 # Dataset CSV files are read in chunks of about this many bytes.
-CSV_CHUNK_BYTES = 1 << 20
+CSV_CHUNK_BYTES = 1 << 18
 
 
 def dumps(obj) -> str:
@@ -149,7 +149,7 @@ def write_dataset_csv(path, data: LabeledDataset) -> None:
 def read_dataset_csv(path, n: int) -> LabeledDataset:
     """Read an ``x_id,y`` file in chunks of whole lines, coding ids in order
     of first appearance as they arrive; errors name the line at fault."""
-    index: dict = {}
+    coder = _IdCoder()
     codes, labels = [], []
     with open(path, "rb") as fh:
         header = next(csv.reader([fh.readline().decode("utf-8")]), None)
@@ -162,32 +162,35 @@ def read_dataset_csv(path, n: int) -> LabeledDataset:
                 chunk += more  # finish a quoted field that spans lines
             if not chunk.endswith(b"\n"):
                 chunk += b"\n"
-            ids, y = _parse_rows(chunk, line, path, n)
-            for key in dict.fromkeys(ids):
-                index.setdefault(key, len(index))
-            codes.append(np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)))
+            c, y = _parse_rows(chunk, line, path, n, coder)
+            codes.append(c)
             labels.append(y)
             line += chunk.count(b"\n")
     if not codes:
         raise SpecError(f"{path}, line 2: dataset file has no rows")
-    return LabeledDataset.from_codes(np.concatenate(codes), tuple(index),
+    return LabeledDataset.from_codes(np.concatenate(codes), tuple(coder.index),
                                      np.concatenate(labels), n)
 
 
-def _parse_rows(chunk: bytes, line: int, path, n: int) -> tuple[list, np.ndarray]:
-    """(ids, labels) of newline-terminated CSV lines numbered from ``line``.
+def _parse_rows(chunk: bytes, line: int, path, n: int,
+                coder: _IdCoder) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, labels) of newline-terminated CSV lines numbered from ``line``.
 
     A chunk without quotes or carriage returns whose lines each hold one
-    comma and a one-digit label in range is split with str.split; any other
-    chunk goes through csv.reader, which also pins down the line at fault.
+    comma and a label of ASCII digits in 1..n is coded from its bytes; any
+    other chunk goes through csv.reader, which also pins down the line at
+    fault.
     """
     if b'"' not in chunk and b"\r" not in chunk:
         buf = np.frombuffer(chunk, dtype=np.uint8)
         seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-        y = buf[seps[1::2] - 1].astype(np.int64) - ord("0")
-        if (np.array_equal(buf[seps], np.resize(np.frombuffer(b",\n", np.uint8), len(seps)))
-                and np.all(np.diff(seps)[0::2] == 2) and np.all((y >= 1) & (y <= min(n, 9)))):
-            return chunk.decode("utf-8").replace("\n", ",").split(",")[0:-1:2], y
+        commas, ends = seps[0::2], seps[1::2]
+        if (len(commas) == len(ends) and np.all(buf[commas] == ord(","))
+                and np.all(buf[ends] == ord("\n"))):
+            y = _digit_labels(buf, commas, ends, n)
+            if y is not None:
+                starts = np.concatenate(([0], ends[:-1] + 1))
+                return coder.code_bytes(chunk, starts, commas - starts), y
     ids, labels = [], []
     reader = csv.reader(io.StringIO(chunk.decode("utf-8")))
     try:
@@ -202,7 +205,141 @@ def _parse_rows(chunk: bytes, line: int, path, n: int) -> tuple[list, np.ndarray
             labels.append(int(label))
     except csv.Error as exc:
         raise SpecError(f"{path}, line {line + reader.line_num - 1}: {exc}") from None
-    return ids, np.array(labels, dtype=np.int64)
+    return coder.code_strings(ids), np.array(labels, dtype=np.int64)
+
+
+def _digit_labels(buf: np.ndarray, commas: np.ndarray, ends: np.ndarray,
+                  n: int) -> np.ndarray | None:
+    """Labels buf[commas[i] + 1:ends[i]] when each is 1 to len(str(n)) ASCII
+    digits with a value in 1..n, else None."""
+    width = ends - commas - 1
+    if width.min() < 1 or width.max() > len(str(n)):
+        return None
+    y = np.zeros(len(ends), dtype=np.int64)
+    for k in range(int(width.max())):  # the k-th digit from the right
+        digit = buf[np.maximum(ends - 1 - k, 0)].astype(np.int64) - ord("0")
+        inside = width > k
+        if np.any(inside & ((digit < 0) | (digit > 9))):
+            return None
+        y += np.where(inside, digit * 10**k, 0)
+    return y if y.min() >= 1 and y.max() <= n else None
+
+
+# An id of b bytes packs into b // 8 + 1 little-endian uint64 words: its bytes,
+# one 0xFF byte, then zero bytes.  Two byte strings of different lengths
+# differ at the longer one's 0xFF byte, so the packing is one to one.
+# Entry clip(r, -1, 8) + 1 of these tables builds a word that holds r more
+# bytes of the id: none and no 0xFF (r < 0), r bytes and the 0xFF (r < 8),
+# or 8 bytes with the 0xFF in a later word.
+_WORD_MASK = np.array([0] + [(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+_WORD_END = np.array([0] + [0xFF << 8 * r for r in range(8)] + [0], dtype=np.uint64)
+# Ids of 8 * _KEY_WORDS bytes or more do not fit a key and are decoded row
+# by row.
+_KEY_WORDS = 8
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+_MIN_SLOT_BITS = 10
+_SLOTS_PER_ID = 4
+
+
+def _pack_ids(data: bytes, starts: np.ndarray, lengths: np.ndarray,
+              words: int) -> np.ndarray:
+    """(rows, words) packed keys of data[starts[i]:starts[i] + lengths[i]],
+    for lengths below 8 * words."""
+    padded = data + bytes(8 * words)
+    at = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    keys = np.empty((len(starts), words), dtype=np.uint64)
+    for j in range(words):
+        part = np.clip(lengths - 8 * j, -1, 8) + 1
+        keys[:, j] = (at[starts + 8 * j] & _WORD_MASK[part]) | _WORD_END[part]
+    return keys
+
+
+def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct row of ``keys``, index into those of every row)."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inv = np.empty(len(order), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
+
+
+class _IdCoder:
+    """Codes x_ids in order of first appearance.
+
+    ``index`` (x_id -> code) is the vocabulary and decides every code.  Ids
+    that arrive as bytes are first looked up by packed key in a
+    direct-mapped hash table (multiplicative hash, exact key comparison)
+    that caches part of ``index``.  Only the misses are decoded and looked
+    up in ``index``, in order of first appearance and once per distinct key
+    in a chunk: new ids, ids whose slot holds another key, and ids too long
+    to pack.  The table keeps 2 to 4 slots per id; it is rebuilt from
+    ``index`` when it grows or its keys widen.
+    """
+
+    def __init__(self):
+        self.index: dict = {}
+        self._rebuild(_MIN_SLOT_BITS, 1)
+
+    def code_strings(self, ids) -> np.ndarray:
+        index = self.index
+        return np.fromiter((index.setdefault(x, len(index)) for x in ids),
+                           dtype=np.int64, count=len(ids))
+
+    def code_bytes(self, data: bytes, starts: np.ndarray,
+                   lengths: np.ndarray) -> np.ndarray:
+        """Codes of the ids data[starts[i]:starts[i] + lengths[i]]."""
+        long = lengths >= 8 * _KEY_WORDS
+        words = int(lengths[~long].max(initial=0)) // 8 + 1
+        if words > self.keys.shape[1]:
+            self._rebuild(self.bits, min(_KEY_WORDS, max(words, 2 * self.keys.shape[1])))
+        keys = _pack_ids(data, starts, np.where(long, 0, lengths), self.keys.shape[1])
+        slot = self._slot(keys)
+        codes = self.codes[slot]
+        miss = np.flatnonzero((codes < 0) | np.any(self.keys[slot] != keys, axis=1) | long)
+        short, longs = miss[~long[miss]], miss[long[miss]]
+        first, inv = _first_rows(keys[short])
+        rows = np.concatenate([short[first], longs])
+        order = np.argsort(rows)
+        begin, size = starts[rows[order]], lengths[rows[order]]
+        index = self.index
+        found = np.empty(len(rows), dtype=np.int64)
+        found[order] = [index.setdefault(data[a:b].decode("utf-8"), len(index))
+                        for a, b in zip(begin.tolist(), (begin + size).tolist())]
+        codes[short] = found[inv]
+        codes[longs] = found[len(first):]
+        if _SLOTS_PER_ID * len(index) > 2 * len(self.codes):
+            self._rebuild(max(self.bits, (_SLOTS_PER_ID * len(index) - 1).bit_length()),
+                          self.keys.shape[1])
+        else:
+            self._insert(keys[short[first]], found[:len(first)])
+        return codes
+
+    def _slot(self, keys: np.ndarray) -> np.ndarray:
+        h = np.zeros(len(keys), dtype=np.uint64)
+        for j in range(keys.shape[1]):
+            h = (h ^ keys[:, j]) * _HASH_MULT
+        return (h >> np.uint64(64 - self.bits)).astype(np.intp)
+
+    def _insert(self, keys: np.ndarray, codes: np.ndarray) -> None:
+        """Put keys into free slots; the first key wins a shared slot."""
+        slot = self._slot(keys)
+        free = np.flatnonzero(self.codes[slot] < 0)
+        taken, pick = np.unique(slot[free], return_index=True)
+        self.keys[taken] = keys[free[pick]]
+        self.codes[taken] = codes[free[pick]]
+
+    def _rebuild(self, bits: int, words: int) -> None:
+        self.bits = bits
+        self.keys = np.zeros((1 << bits, words), dtype=np.uint64)
+        self.codes = np.full(1 << bits, -1, dtype=np.int64)
+        blobs = [x.encode("utf-8") for x in self.index]
+        lengths = np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs))
+        fit = np.flatnonzero(lengths < 8 * words)
+        starts = np.cumsum(lengths) - lengths
+        self._insert(_pack_ids(b"".join(blobs), starts[fit], lengths[fit], words),
+                     fit.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +359,52 @@ def predictor_to_json(p: PredictorTable) -> dict:
 
 
 def predictor_from_json(d: dict) -> PredictorTable:
-    kind = d["kind"]
-    table = {}
-    for key, value in d["table"].items():
-        if kind == "distribution":
-            table[key] = np.asarray(value, dtype=np.float64)
-        elif kind == "scalar":
-            table[key] = float(value)
-        else:
-            table[key] = int(value)
-    return PredictorTable(kind, table)
+    kind, raw = d["kind"], d["table"]
+    if kind == "distribution":
+        try:  # one conversion for the whole table; its rows become the values
+            values = np.array(list(raw.values()), dtype=np.float64)
+        except ValueError:  # rows of different lengths
+            values = [np.asarray(v, dtype=np.float64) for v in raw.values()]
+    elif kind == "scalar":
+        values = [float(v) for v in raw.values()]
+    else:
+        values = [int(v) for v in raw.values()]
+    return PredictorTable(kind, dict(zip(raw, values)))
+
+
+def read_predictor(path, n: int) -> PredictorTable:
+    """Read a predictor file for a property with n outcomes.  Distributions
+    must be points of the n-outcome simplex and scalars finite; an error
+    names the file and the x_id at fault."""
+    p = predictor_from_json(read_json(path))
+    if p.kind == "report":
+        return p
+    try:
+        batch = np.array(list(p.table.values()), dtype=np.float64)
+        if p.kind == "scalar" and np.all(np.isfinite(batch)):
+            return p
+        if p.kind == "distribution" and batch.shape[1:] == (n,):
+            as_simplex_points(batch)
+            return p
+    except (ValueError, SimplexError):
+        pass
+    for x, value in p.table.items():
+        if fault := _prediction_fault(p.kind, value, n):
+            raise SpecError(f"x_id {x!r} in {path}: {fault}")
+    return p
+
+
+def _prediction_fault(kind: str, value, n: int) -> str | None:
+    """Why one scalar or distributional prediction is unusable, or None."""
+    if kind == "scalar":
+        return None if np.isfinite(value) else f"scalar prediction {value} is not finite"
+    if np.shape(value) != (n,):
+        return f"distribution of shape {np.shape(value)} for {n} outcomes"
+    try:
+        as_simplex_point(value)
+    except SimplexError as exc:
+        return f"distribution is not on the simplex: {exc}"
+    return None
 
 
 def scenario_to_json(s: ScenarioSpec) -> dict:

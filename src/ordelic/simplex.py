@@ -39,12 +39,15 @@ def as_simplex_point(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
     """Validate and renormalize a probability vector.
 
     Entries within ``tol`` of [0, 1] and a total within ``tol`` of 1 are
-    accepted and renormalized exactly; anything further out is rejected, since
-    the downstream ratio formulas are sensitive to constraint violation.
+    accepted and renormalized exactly; anything further out, and any NaN,
+    is rejected, since the downstream ratio formulas are sensitive to
+    constraint violation.
     """
     p = np.asarray(x, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:
         raise SimplexError(f"expected a 1-d vector with >= 2 entries, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise SimplexError(f"entries are not all finite: {p}")
     if np.any(p < -tol) or np.any(p > 1.0 + tol):
         raise SimplexError(f"entries outside [0, 1] beyond tolerance: {p}")
     total = p.sum()
@@ -59,6 +62,8 @@ def as_simplex_points(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
     P = np.asarray(x, dtype=np.float64)
     if P.ndim != 2:
         raise SimplexError(f"expected a 2-d array, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise SimplexError("entries are not all finite")
     if np.any(P < -tol) or np.any(P > 1.0 + tol):
         raise SimplexError("entries outside [0, 1] beyond tolerance")
     totals = P.sum(axis=1)

@@ -262,6 +262,26 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "'nope'" in err and str(pred_path) in err
 
+    @pytest.mark.parametrize("kind,bad,cause", [
+        ("scalar", float("nan"), "not finite"),
+        ("scalar", float("inf"), "not finite"),
+        ("distribution", [0.5, 0.5], "shape (2,) for 3 outcomes"),
+        ("distribution", [0.6, 0.6, -0.2], "not on the simplex"),
+        ("distribution", [float("nan"), 0.5, 0.5], "not all finite"),
+    ])
+    def test_bad_prediction_is_spec_error(self, surrogate_file, tmp_path, capsys,
+                                          kind, bad, cause):
+        data = tmp_path / "data.csv"
+        data.write_text("x_id,y\na,1\nb,2\n")
+        good = 0.5 if kind == "scalar" else [0.2, 0.3, 0.5]
+        pred_path = tmp_path / "pred.json"
+        write_json(pred_path, {"kind": kind, "table": {"a": good, "b": bad}})
+        rc = main(["audit", "--surrogate", surrogate_file, "--data", str(data),
+                   "--predictor", str(pred_path), "--out", str(tmp_path / "x.json")])
+        assert rc == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert f"x_id 'b' in {pred_path}: " in err and cause in err
+
     @pytest.mark.parametrize("text,line", [
         ("id,label\na,1\n", 1),
         ("x_id,y\n", 2),

@@ -189,6 +189,105 @@ class TestSerialization:
         assert a.endswith("\n")
 
 
+# Ids that csv.writer leaves unquoted, so every chunk takes the byte path.
+_PLAIN_ID = st.text(st.sampled_from("a\x00 7é日😀"), max_size=20).filter(
+    lambda x: len(x.encode("utf-8")) <= 20)
+_EDGE_IDS = ["", "\x00", "a", "a\x00", "\x00a", "\x00\x00", "1234567", "1234567\x00",
+             "12345678", "123456789", "a" * 16, "a" * 17, "é" * 8, "日" * 5 + "\x00"]
+
+
+def _read_chunked(path, n, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "CSV_CHUNK_BYTES", chunk)
+        return read_dataset_csv(path, n=n)
+
+
+def _assert_same(back, data):
+    assert back.keys == data.keys
+    assert np.array_equal(back.codes, data.codes)
+    assert np.array_equal(back.y, data.y)
+
+
+class TestDatasetReader:
+    """The byte-level id coder against the per-row dict of LabeledDataset."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ids=st.lists(_PLAIN_ID | st.sampled_from(_EDGE_IDS), min_size=1, max_size=16),
+           picks=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 12)),
+                          min_size=1, max_size=60),
+           chunk=st.integers(1, 64))
+    def test_byte_path_round_trip(self, tmp_path_factory, ids, picks, chunk):
+        rows = [(ids[i % len(ids)], y) for i, y in picks]
+        data = LabeledDataset.from_rows(rows, n=12)
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        write_dataset_csv(path, data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize._IdCoder, "code_strings", None)  # no csv.reader chunk
+            _assert_same(_read_chunked(path, 12, chunk), data)
+
+    def test_more_ids_than_the_first_table(self, tmp_path):
+        rng = np.random.default_rng(0)
+        ids = [f"id{i}" for i in rng.permutation(5 << serialize._MIN_SLOT_BITS)]
+        x = [ids[i] for i in rng.integers(0, len(ids), 40_000)]
+        data = LabeledDataset(x, rng.integers(1, 4, len(x)), 3)
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, data)
+        _assert_same(_read_chunked(path, 3, 4096), data)
+
+        coder = serialize._IdCoder()
+        raw = "".join(f"{i}\n" for i in x).encode()
+        ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        codes = coder.code_bytes(raw, starts, ends - starts)
+        assert coder.bits > serialize._MIN_SLOT_BITS
+        cached = np.count_nonzero(coder.codes >= 0)
+        assert 0 < cached < len(coder.index)  # some ids lost their slot
+        assert np.array_equal(coder.code_bytes(raw, starts, ends - starts), codes)
+        assert [coder.index[i] for i in x] == codes.tolist()
+
+    def test_quoted_id_in_a_middle_chunk(self, tmp_path):
+        x = [f"f{i % 7}" for i in range(300)]
+        x[150] = "a,b"
+        x[151] = "f3"
+        data = LabeledDataset(x, [1 + i % 11 for i in range(300)], 11)
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, data)
+        assert b'"a,b",' in path.read_bytes()
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            strings = serialize._IdCoder.code_strings
+            mp.setattr(serialize._IdCoder, "code_strings",
+                       lambda self, ids: calls.append(ids) or strings(self, ids))
+            back = _read_chunked(path, 11, 256)
+        assert len(calls) == 1 and "a,b" in calls[0] and "f3" in calls[0]
+        _assert_same(back, data)
+
+    def test_long_file(self, tmp_path):
+        rng = np.random.default_rng(1)
+        vocab = ["", "\x00", "é", "x" * 63, "y" * 64, "z" * 70 + "日"] + [
+            str(i) for i in range(3000)]
+        x_ids = [vocab[i] for i in rng.integers(0, len(vocab), 100_000)]
+        y = rng.integers(1, 4, len(x_ids))
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, LabeledDataset(x_ids, y, 3))
+        _assert_same(read_dataset_csv(path, n=3), LabeledDataset(x_ids, y, 3))
+
+    @pytest.mark.parametrize("labels,n,ok", [
+        ("1 2 3", 3, True), ("01 2", 3, True), ("10 12 9", 12, True),
+        ("100 7", 100, True), ("4", 3, False), ("13", 12, False), ("0", 3, False),
+        ("1a", 12, False), ("", 3, False), ("1 2 101", 100, False)])
+    def test_labels(self, tmp_path, labels, n, ok):
+        path = tmp_path / "data.csv"
+        values = labels.split(" ")
+        path.write_text("x_id,y\n" + "".join(f"a,{v}\n" for v in values))
+        if not ok:
+            with pytest.raises(SpecError, match=f"line {2 + len(values) - 1}:"):
+                read_dataset_csv(path, n=n)
+            return
+        back = read_dataset_csv(path, n=n)
+        assert back.y.tolist() == [int(v) for v in values]
+
+
 class TestPropertySpecFiles:
     def test_cost_matrix_spec(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -77,6 +77,15 @@ def test_as_simplex_point_rejects_outside_tolerance():
         as_simplex_point(np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0],
+                                 [0.5, 0.5, -np.inf]])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(SimplexError, match="finite"):
+        as_simplex_point(np.array(bad))
+    with pytest.raises(SimplexError, match="finite"):
+        as_simplex_points(np.array([[0.2, 0.3, 0.5], bad]))
+
+
 def test_batch_validation_matches_scalar():
     P = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
     out = as_simplex_points(P)
