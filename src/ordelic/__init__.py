@@ -6,8 +6,8 @@ property plus a link function back to the discrete reports, and audits
 predictors for the associated calibration notions.
 """
 
-from ordelic.simplex import LabeledDataset, as_simplex_point, norm_distance, sample_simplex
-from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine, PiecewiseQuadratic
+from ordelic.simplex import LabeledDataset, as_simplex_point, sample_simplex
+from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
@@ -24,11 +24,9 @@ __version__ = "0.1.0"
 __all__ = [
     "LabeledDataset",
     "as_simplex_point",
-    "norm_distance",
     "sample_simplex",
     "MaxAffinePieces",
     "PiecewiseAffine",
-    "PiecewiseQuadratic",
     "AffineBoundary",
     "CostMatrix",
     "OrderableSpec",

@@ -1,11 +1,10 @@
-"""Batch numeric kernels (numpy).
+"""The property kernel (numpy).
 
 The hot loops of the package are Monte Carlo sweeps that evaluate a surrogate
 property at 1e4..1e6 simplex points per call.  Both constructions reduce to
-the same primitive: the root of a piecewise-linear expected identification
+one primitive: the root of a piecewise-linear expected identification
 function given by node values on a shared breakpoint grid with unit-slope
-tails.  The ratio-of-expectations property of the normals construction also
-has a direct region-based formula, about twice as fast.
+tails, in closed form on the grid piece that holds it.
 """
 
 from __future__ import annotations
@@ -26,70 +25,51 @@ def _as_c(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def node_root_batch(bp, nodes, probs) -> np.ndarray:
-    """Roots of u -> sum_y p_y v(u, y) for each row of ``probs``.
+def roe_batch(grid, nodes, probs) -> np.ndarray:
+    """Root of u -> sum_y p_y v_y(u) for each row of ``probs``.
 
-    ``bp``: (m,) shared breakpoints; ``nodes``: (n, m) values of v(bp_l, y);
-    outside the grid every v continues with unit slope.  The expected value is
-    assumed to change sign exactly once; flat root intervals return their
-    midpoint.
+    ``grid``: (m,) breakpoints; ``nodes``: (n, m) values v_y(grid_l), with
+    unit-slope tails outside the grid.  With h_l = nodes[:, l] the root lies
+    on the piece l after the last node with <h_l, p> < -BOUNDARY_TOL, where
+    it is the ratio of expectations g_l + (g_{l+1} - g_l) a / (a + b),
+    a = -<h_l, p>, b = <h_{l+1}, p>.  A run of two or more nodes within
+    BOUNDARY_TOL of zero is a flat root interval; its midpoint is returned.
     """
-    bp = _as_c(bp)
+    g = _as_c(grid)
     M = _as_c(probs) @ _as_c(nodes)  # (batch, m)
-    batch, m = M.shape
-    rows = np.arange(batch) * m
-    flat = M.ravel()
+    m = M.shape[1]
+    lo, hi = _count_columns(M < -BOUNDARY_TOL), _count_columns(M <= BOUNDARY_TOL)
+    out = np.empty(M.shape[0])
 
-    def zero_right_of(i):
-        """Zero of the expectation on the piece right of node i: a chord, or
-        the unit-slope left tail for i = -1 and right tail for i = m - 1."""
-        j = np.clip(i, 0, max(m - 2, 0))
-        j1 = np.minimum(j + 1, m - 1)
-        m_j, m_j1 = flat[rows + j], flat[rows + j1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = bp[j] + (-m_j) * (bp[j1] - bp[j]) / (m_j1 - m_j)
-        left, right = i < 0, i >= m - 1
-        out[left] = bp[0] - M[left, 0]
-        out[right] = bp[-1] - M[right, -1]
-        return out
-
-    r_left = zero_right_of((M < 0.0).sum(axis=1) - 1)       # after the last negative node
-    r_right = zero_right_of(m - 1 - (M > 0.0).sum(axis=1))  # before the first positive one
-    return 0.5 * (r_left + r_right)
-
-
-def roe_batch(normals, probs) -> np.ndarray:
-    """Piecewise ratio-of-expectations property for each row of ``probs``.
-
-    ``normals``: (k, n) oriented unit normals in report order.
-    """
-    S = _as_c(probs) @ _as_c(normals).T  # (batch, k)
-    k = S.shape[1]
-    npos = (S > BOUNDARY_TOL).sum(axis=1)
-    out = np.empty(S.shape[0])
-
-    first = npos == 0
-    out[first] = S[first, 0]
-    last = npos == k
-    out[last] = S[last, k - 1] + (k - 1)
+    first = lo == 0
+    out[first] = g[0] - M[first, 0]
+    last = lo == m
+    out[last] = g[-1] - M[last, m - 1]
 
     mid = ~(first | last)
     if np.any(mid):
-        i = npos[mid]  # 1..k-1
         rows = np.nonzero(mid)[0]
-        s_i = S[rows, i - 1]
-        s_i1 = S[rows, i]
-        den = s_i - s_i1
+        l = lo[rows] - 1
+        at = rows * m + l
+        a = -M.ravel()[at]
+        den = a + M.ravel()[at + 1]
         if np.any(den <= _DEN_TOL):
             raise FloatingPointError(
                 "ratio-of-expectations denominator below tolerance; "
                 "strong orderability violated at a sample point"
             )
-        out[mid] = s_i / den + (i - 1)
+        out[rows] = g[l] + (g[l + 1] - g[l]) * a / den
+
+    flat = hi - lo >= 2
+    if np.any(flat):
+        out[flat] = 0.5 * (g[lo[flat]] + g[hi[flat] - 1])
     return out
 
 
-def region_index_batch(normals, probs) -> np.ndarray:
-    """1-based region index per row: ties resolve to the lower region."""
-    S = _as_c(probs) @ _as_c(normals).T
-    return (S > BOUNDARY_TOL).sum(axis=1) + 1
+def _count_columns(mask: np.ndarray) -> np.ndarray:
+    """True entries per row of a (batch, m) mask; for the few columns of a
+    grid a loop over columns is several times faster than ``sum(axis=1)``."""
+    count = mask[:, 0].astype(np.intp)
+    for column in mask.T[1:]:
+        count += column
+    return count

@@ -30,6 +30,17 @@ from ordelic.simplex import (
 _BOUND_SLACK = 1e-9
 
 
+def _times_k(K: float, *factors: float) -> float:
+    """K times the factors, for a bound's right-hand side; with K = inf (a
+    property that is not Lipschitz) the bound says nothing, so inf * 0 is
+    inf as well."""
+    if K == float("inf"):
+        return K
+    for x in factors:
+        K *= x
+    return K
+
+
 @dataclass(frozen=True)
 class PredictorTable:
     """x_id -> prediction; kind is 'distribution', 'scalar', or 'report'."""
@@ -245,8 +256,8 @@ def check_postprocessing_bound(
     """Post-processing inequality: the surrogate miscalibration of the scalar
     predictor gamma∘f is at most K times the distribution miscalibration of f
     binned by that same scalar value.  For K < 1, also records the stronger
-    contraction inequality (rhs = epsilon itself).  ``K_exact`` in the
-    params is False when K is an estimate."""
+    contraction inequality (rhs = epsilon itself).  With K = inf the bound
+    is vacuous and holds."""
     if f.kind != "distribution":
         raise SpecError("post-processing bound needs a distributional predictor")
     K = surrogate.lipschitz_bound
@@ -263,8 +274,8 @@ def check_postprocessing_bound(
         BoundCheck(
             name="postprocessing",
             lhs=eps_prime,
-            rhs=K * eps,
-            satisfied=bool(eps_prime <= K * eps + _BOUND_SLACK),
+            rhs=_times_k(K, eps),
+            satisfied=bool(eps_prime <= _times_k(K, eps) + _BOUND_SLACK),
             params={"K": K, "K_exact": K_exact, "epsilon": eps},
         )
     ]
@@ -393,8 +404,8 @@ def check_discretization_bound(
 
     ``C_marginal`` is the assumed Lipschitz constant of the map from a
     prediction value to its bin's conditional distribution; it is an input
-    assumption, not something certified from data.  ``K_exact`` in the
-    params is False when K is an estimate.
+    assumption, not something certified from data.  With K = inf the bound
+    is vacuous and holds.
     """
     if g.kind != "scalar":
         raise SpecError("discretization bound needs a scalar predictor")
@@ -424,7 +435,7 @@ def check_discretization_bound(
     ts = np.unique(np.concatenate([np.asarray(t_grid, dtype=np.float64),
                                    [delta_min] if delta_min > 0 else []]))
     ts = ts[ts > 0]
-    numer = eps_prime + K * C_marginal * diam
+    numer = eps_prime + _times_k(K, C_marginal, diam)
     tails = np.where(deltas < ts[:, None], bins.mass, 0.0).sum(axis=1) / bins.mass.sum()
     rhs = tails + numer / ts
     best = int(np.argmin(rhs))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ordelic._kernels import node_root_batch
-from ordelic.errors import DegenerateRangeError, SpecError
+from ordelic._kernels import roe_batch
+from ordelic.errors import SpecError
 from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine, lower_convex_envelope
 from ordelic.properties import CostMatrix, Surrogate
 
@@ -152,59 +152,16 @@ def interpolate_identification(inp: EmbeddingInput) -> list[PiecewiseAffine]:
     return out
 
 
-def _max_abs_identification(v_bar, lo: float, hi: float) -> float:
-    best = 0.0
-    for v in v_bar:
-        us = np.concatenate(([lo], v.breakpoints[(v.breakpoints > lo)
-                                                 & (v.breakpoints < hi)], [hi]))
-        best = max(best, float(np.abs(v(us)).max()))
-    return best
-
-
 def build_surrogate(inp: EmbeddingInput) -> Surrogate:
     """Full construction: interpolate, set midpoint thresholds, and take the
     property range from the simplex-vertex roots (the expected identification
-    at any p lies between the vertices' own).  K = max |v| on that range is
-    the constant of the post-processing analysis, not a Euclidean Lipschitz
-    constant, so it is not marked exact."""
+    at any p lies between the vertices' own)."""
     v_bar = interpolate_identification(inp)
     grid = interpolation_grid(inp)
-    roots = node_root_batch(grid, np.stack([v(grid) for v in v_bar]),
-                            np.eye(inp.n_outcomes))
-    lo, hi = float(roots.min()), float(roots.max())
+    roots = roe_batch(grid, np.stack([v(grid) for v in v_bar]), np.eye(inp.n_outcomes))
     return Surrogate(
         identification=tuple(v_bar),
         thresholds=0.5 * (inp.phi[:-1] + inp.phi[1:]),
-        lipschitz_bound=_max_abs_identification(v_bar, lo, hi),
-        lipschitz_exact=False,
-        value_range=(lo, hi),
+        value_range=(float(roots.min()), float(roots.max())),
         cost=inp.cost,
-    )
-
-
-def normalize_surrogate(s: Surrogate) -> Surrogate:
-    """Affinely reparameterize an embedding surrogate so the property range
-    becomes [0, 1].
-
-    Node values are divided by the range width as well, which keeps the
-    outer slopes at one and rescales the property by the same affine map;
-    the link thresholds move with it, so the composed discrete report is
-    unchanged.
-    """
-    lo, hi = s.value_range
-    width = hi - lo
-    if width <= 1e-12:
-        raise DegenerateRangeError("property range has zero width")
-    if abs(lo) <= 1e-15 and abs(hi - 1.0) <= 1e-15:
-        return s
-    grid = (s.grid - lo) / width
-    v_bar = [PiecewiseAffine.from_nodes(grid, nodes / width, 1.0, 1.0)
-             for nodes in s.nodes]
-    return Surrogate(
-        identification=tuple(v_bar),
-        thresholds=(s.thresholds - lo) / width,
-        lipschitz_bound=_max_abs_identification(v_bar, 0.0, 1.0),
-        lipschitz_exact=False,
-        value_range=(0.0, 1.0),
-        cost=s.cost,
     )

@@ -30,76 +30,9 @@ from ordelic.properties import (
 from ordelic.simplex import sample_simplex
 
 
-def _region_gradient_norms(O: np.ndarray, j: int, pts: np.ndarray) -> np.ndarray:
-    """Norms along the simplex (component orthogonal to the ones vector) of
-    the property gradient on region j (1-based) at the rows of pts."""
-    k = O.shape[0]
-    if j in (1, k + 1):
-        G = O[[0 if j == 1 else k - 1]]
-    else:
-        oi, oi1 = O[j - 2], O[j - 1]  # the middle piece <o_i, p>/<o_i - o_{i+1}, p>
-        den = pts @ (oi - oi1)
-        f = (pts @ oi) / den
-        G = (oi - f[:, None] * (oi - oi1)) / den[:, None]
-    D = G - G.mean(axis=1, keepdims=True)
-    # row-wise dot products: the same sums as np.linalg.norm of one row
-    return np.broadcast_to(np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0]), len(pts))
-
-
-def _edge_stationary_points(O: np.ndarray, j: int, V: np.ndarray) -> np.ndarray:
-    """Points on the segments between rows of V where the gradient norm of
-    the middle piece j is stationary along the segment.
-
-    With u = <o_i, p> and v = -<o_{i+1}, p> the piece's gradient is
-    (v o_i + u o_{i+1}) / (u + v)^2, so along p0 + t (p1 - p0) its squared
-    norm is |n0 + t n1|^2 / (s0 + t s1)^4 and the stationary t solve
-    -s1 |n1|^2 t^2 + (s0 |n1|^2 - 3 s1 <n0, n1>) t + s0 <n0, n1> - 2 s1 |n0|^2 = 0.
-    """
-    a, b = O[j - 2], O[j - 1]
-    u, v = V @ a, -(V @ b)
-    N = v[:, None] * (a - a.mean()) + u[:, None] * (b - b.mean())
-    I, J = np.triu_indices(len(V), 1)
-    n0, n1 = N[I], N[J] - N[I]
-    s0, s1 = (u + v)[I], (u + v)[J] - (u + v)[I]
-    n00, n01, n11 = (n0 * n0).sum(1), (n0 * n1).sum(1), (n1 * n1).sum(1)
-    c2, c1, c0 = -s1 * n11, s0 * n11 - 3.0 * s1 * n01, s0 * n01 - 2.0 * s1 * n00
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
-        t = np.concatenate([q / c2, c0 / q])
-    pair = np.concatenate([np.arange(len(I))] * 2)
-    ok = (t > 0.0) & (t < 1.0)
-    t, pair = t[ok], pair[ok]
-    return V[I[pair]] + t[:, None] * (V[J[pair]] - V[I[pair]])
-
-
-def _lipschitz_bound(normals: OrientedNormals) -> float:
-    """Max gradient norm of the piecewise property over the simplex.
-
-    Under strong orderability no two boundaries meet in the simplex, so every
-    region polytope's vertices are simplex vertices or slice vertices.  The
-    end pieces are linear.  A middle piece's gradient norm depends on p only
-    through (u, v) = (<o_i, p>, -<o_{i+1}, p>) and is homogeneous of degree
-    -1 there, so over the region's image in the (u, v) plane it peaks on the
-    image's boundary, whose edges are images of segments between region
-    vertices: the max is at a vertex or where the norm is stationary along
-    such a segment.
-    """
-    O = normals.o
-    k, n = O.shape
-    C = np.vstack([np.eye(n), *slice_vertices(O)])
-    inside = normals.target_sets(C)
-    best = 0.0
-    for j in range(1, k + 2):
-        V = C[inside[:, j - 1]]
-        if 1 < j < k + 1:
-            V = np.vstack([V, _edge_stationary_points(O, j, V)])
-        best = max(best, float(_region_gradient_norms(O, j, V).max()))
-    return best
-
-
 def build_from_spec(spec: OrderableSpec) -> Surrogate:
-    """Identification nodes from the oriented normals and the Lipschitz
-    bound; requires strictly separated consecutive boundaries."""
+    """Identification nodes from the oriented normals; requires strictly
+    separated consecutive boundaries."""
     O = spec.normals.o
     k, n = O.shape
     check_strong_orderability(spec)
@@ -108,8 +41,6 @@ def build_from_spec(spec: OrderableSpec) -> Surrogate:
         identification=tuple(PiecewiseAffine.from_nodes(grid, -O[:, y], 1.0, 1.0)
                              for y in range(n)),
         thresholds=grid,
-        lipschitz_bound=_lipschitz_bound(spec.normals),
-        lipschitz_exact=True,
         value_range=(float(O[0].min()), float(O[k - 1].max() + (k - 1))),
         normals=spec.normals,
         cost=spec.cost,

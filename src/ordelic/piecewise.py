@@ -1,8 +1,8 @@
-"""One-dimensional piecewise structures: affine, quadratic, max-affine.
+"""One-dimensional piecewise structures: affine and max-affine.
 
 These back the identification functions and losses of both surrogate
 constructions.  Coefficients are kept exactly as produced by interpolation
-and integration (no numeric refitting) so fixtures are bit-stable.
+(no numeric refitting) so fixtures are bit-stable.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from ordelic.errors import SpecError
 
 CONTINUITY_TOL = 1e-9
-CONVEXITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,76 +77,6 @@ class PiecewiseAffine:
         i_right = int(np.searchsorted(self.breakpoints, u, side="right"))
         i_left = int(np.searchsorted(self.breakpoints, u, side="left"))
         return float(self.slopes[i_left]), float(self.slopes[i_right])
-
-    def is_nondecreasing(self, tol: float = CONVEXITY_TOL) -> bool:
-        return bool(np.all(self.slopes >= -tol))
-
-    def integrate_from_zero(self) -> "PiecewiseQuadratic":
-        """Antiderivative F with F(0) = 0, continuous across breakpoints."""
-        bp = self.breakpoints
-        a, c = self.slopes, self.intercepts
-        npieces = len(a)
-        const = np.zeros(npieces)
-        # piece containing 0
-        j = int(np.searchsorted(bp, 0.0, side="left"))
-        const[j] = 0.0
-        for i in range(j + 1, npieces):
-            b = bp[i - 1]
-            left = 0.5 * a[i - 1] * b * b + c[i - 1] * b + const[i - 1]
-            const[i] = left - (0.5 * a[i] * b * b + c[i] * b)
-        for i in range(j - 1, -1, -1):
-            b = bp[i]
-            right = 0.5 * a[i + 1] * b * b + c[i + 1] * b + const[i + 1]
-            const[i] = right - (0.5 * a[i] * b * b + c[i] * b)
-        coeffs = np.column_stack([0.5 * a, c, const])
-        return PiecewiseQuadratic(bp.copy(), coeffs, check_convex=self.is_nondecreasing())
-
-
-@dataclass(frozen=True)
-class PiecewiseQuadratic:
-    """Continuous piecewise-quadratic function; convexity checked when built
-    as the integral of a nondecreasing integrand.
-
-    ``coeffs`` rows are (c2, c1, c0) per piece, one more piece than breakpoints.
-    """
-
-    breakpoints: np.ndarray
-    coeffs: np.ndarray
-    check_convex: bool = True
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=np.float64)
-        co = np.asarray(self.coeffs, dtype=np.float64)
-        if co.shape != (len(bp) + 1, 3):
-            raise SpecError("coeffs must be (len(breakpoints)+1, 3)")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "coeffs", co)
-        vals_left = self._eval_piece(np.arange(len(bp)), bp)
-        vals_right = self._eval_piece(np.arange(1, len(bp) + 1), bp)
-        scale = 1.0 + np.abs(vals_left)
-        if np.any(np.abs(vals_left - vals_right) > 1e-10 * scale):
-            raise SpecError("quadratic pieces disagree at a breakpoint")
-        if self.check_convex:
-            dleft = 2 * co[:-1, 0] * bp + co[:-1, 1]
-            dright = 2 * co[1:, 0] * bp + co[1:, 1]
-            if np.any(dright - dleft < -CONVEXITY_TOL) or np.any(co[:, 0] < -CONVEXITY_TOL):
-                raise SpecError("derivative decreases across a breakpoint; loss not convex")
-
-    def _eval_piece(self, idx, u):
-        c2, c1, c0 = self.coeffs[idx, 0], self.coeffs[idx, 1], self.coeffs[idx, 2]
-        return (c2 * u + c1) * u + c0
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        idx = np.searchsorted(self.breakpoints, u, side="left")
-        return self._eval_piece(idx, u)
-
-    def derivative_interval(self, u: float) -> tuple[float, float]:
-        i_left = int(np.searchsorted(self.breakpoints, u, side="left"))
-        i_right = int(np.searchsorted(self.breakpoints, u, side="right"))
-        dl = 2 * self.coeffs[i_left, 0] * u + self.coeffs[i_left, 1]
-        dr = 2 * self.coeffs[i_right, 0] * u + self.coeffs[i_right, 1]
-        return float(dl), float(dr)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ with a threshold link back to the discrete reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from ordelic._kernels import BOUNDARY_TOL, node_root_batch, region_index_batch, roe_batch
+from ordelic._kernels import BOUNDARY_TOL, roe_batch
 from ordelic.errors import (
     OrderabilityError,
     RankDeficiencyError,
@@ -109,12 +110,19 @@ def normal_from_boundary_samples(points) -> np.ndarray:
     return o / np.linalg.norm(o)
 
 
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j below k in row-major order, as ``np.triu_indices(k,
+    1)`` gives them at a quarter of its cost."""
+    r = np.arange(k)
+    return np.nonzero(r[:, None] < r)
+
+
 def _simplex_boundary_endpoints(o: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Vertices of the slice {<o, p> = 0} of the simplex: the vertices e_m with
     o_m = 0, then the edge crossings (1-t) e_i + t e_j, t = o_i / (o_i - o_j),
     for i < j; points within 1e-9 of an earlier one are dropped."""
     n = len(o)
-    I, J = np.triu_indices(n, 1)
+    I, J = _pairs(n)
     den = o[I] - o[J]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = o[I] / den
@@ -125,9 +133,12 @@ def _simplex_boundary_endpoints(o: np.ndarray, tol: float = 1e-12) -> np.ndarray
     P[np.arange(len(zero)), zero] = 1.0
     P[rows, I[cross]] = 1.0 - t[cross]
     P[rows, J[cross]] = t[cross]
+    if np.minimum(t[cross], 1.0 - t[cross]).min(initial=1.0) >= 1e-9:
+        return P  # every two points differ by 1e-9 in a coordinate
+    near = np.linalg.norm(P[:, None] - P, axis=2) < 1e-9
     uniq: list[int] = []
     for r in range(len(P)):
-        if not any(np.linalg.norm(P[r] - P[q]) < 1e-9 for q in uniq):
+        if not near[r, uniq].any():
             uniq.append(r)
     return P[uniq]
 
@@ -324,10 +335,99 @@ class OrientedNormals:
         return lo_ok & hi_ok[:, ::-1]
 
 
-def region_index_many(normals: OrientedNormals, probs) -> np.ndarray:
-    """1-based region of each row of ``probs``; boundary ties resolve to the
-    lower region."""
-    return region_index_batch(normals.o, as_simplex_points(probs))
+def _piece_gradients(O: np.ndarray, w: np.ndarray, l: int,
+                     pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Property gradients along the simplex (the component orthogonal to the
+    ones vector) on grid piece l at the rows of pts, one row for a tail
+    (l = -1 or l = m - 1), and their norms at every row; O holds the node
+    columns negated."""
+    m = O.shape[0]
+    if l in (-1, m - 1):
+        G = O[[max(l, 0)]]
+    else:
+        oi, oi1 = O[l], O[l + 1]  # the piece g_l + w_l <o_l, p>/<o_l - o_{l+1}, p>
+        den = pts @ (oi - oi1)
+        f = (pts @ oi) / den
+        G = w[l] * ((oi - f[:, None] * (oi - oi1)) / den[:, None])
+    D = G - G.mean(axis=1, keepdims=True)
+    # row-wise dot products: the same sums as np.linalg.norm of one row
+    norms = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+    return D, np.broadcast_to(norms, len(pts))
+
+
+def _edge_stationary_points(O: np.ndarray, l: int, V: np.ndarray) -> np.ndarray:
+    """Points on the segments between rows of V where the gradient norm of
+    the middle piece l is stationary along the segment.
+
+    With u = <o_l, p> and v = -<o_{l+1}, p> the piece's gradient is
+    w_l (v o_l + u o_{l+1}) / (u + v)^2, so along p0 + t (p1 - p0) its squared
+    norm is w_l^2 |n0 + t n1|^2 / (s0 + t s1)^4 and the stationary t solve
+    -s1 |n1|^2 t^2 + (s0 |n1|^2 - 3 s1 <n0, n1>) t + s0 <n0, n1> - 2 s1 |n0|^2 = 0.
+    """
+    a, b = O[l], O[l + 1]
+    u, v = V @ a, -(V @ b)
+    N = v[:, None] * (a - a.mean()) + u[:, None] * (b - b.mean())
+    I, J = _pairs(len(V))
+    n0, n1 = N[I], N[J] - N[I]
+    s0, s1 = (u + v)[I], (u + v)[J] - (u + v)[I]
+    n00, n01, n11 = (n0 * n0).sum(1), (n0 * n1).sum(1), (n1 * n1).sum(1)
+    c2, c1, c0 = -s1 * n11, s0 * n11 - 3.0 * s1 * n01, s0 * n01 - 2.0 * s1 * n00
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        t = np.concatenate([q / c2, c0 / q])
+    pair = np.concatenate([np.arange(len(I))] * 2)
+    ok = (t > 0.0) & (t < 1.0)
+    t, pair = t[ok], pair[ok]
+    return V[I[pair]] + t[:, None] * (V[J[pair]] - V[I[pair]])
+
+
+def lipschitz_constant(grid, nodes) -> tuple[float, np.ndarray, np.ndarray]:
+    """Euclidean Lipschitz constant K of the property on (grid, nodes) over
+    the simplex, a point where the gradient norm attains it, and that
+    gradient along the simplex (NaN where K = inf).
+
+    With h_l = nodes[:, l], piece l of the grid holds the p with
+    <h_l, p> <= 0 <= <h_{l+1}, p>.  When two consecutive slices
+    {<h_l, p> = 0} share a point of the simplex, the root there is a flat
+    interval and K = inf.  Otherwise the slices do not meet, so every piece's
+    region polytope has simplex vertices and slice vertices as its vertices.
+    The tails are linear.  A middle piece's gradient norm depends on p only
+    through (u, v) = (-<h_l, p>, <h_{l+1}, p>) and is homogeneous of degree -1
+    there, so over the region's image in the (u, v) plane it peaks on the
+    image's boundary, whose edges are images of segments between region
+    vertices: the max is at a vertex or where the norm is stationary along
+    such a segment.  Regions inside one slice have no interior and are
+    skipped.
+    """
+    O = -np.asarray(nodes, dtype=np.float64).T  # (m, n); row l is -h_l
+    w = np.diff(np.asarray(grid, dtype=np.float64))
+    m, n = O.shape
+    slices = [_simplex_boundary_endpoints(o) for o in O]
+    for l in range(m - 1):
+        if len(slices[l]):
+            s = slices[l] @ O[l + 1]
+            if s.max() >= -BOUNDARY_TOL:
+                return float("inf"), slices[l][int(np.argmax(s))], np.full(n, np.nan)
+    C = np.vstack([np.eye(n), *slices])
+    S = C @ O.T
+    best, arg, grad = 0.0, C[0], np.zeros(n)
+    for l in range(-1, m):
+        inside = np.ones(len(C), dtype=bool)
+        if l >= 0:
+            inside &= S[:, l] >= -BOUNDARY_TOL
+        if l < m - 1:
+            inside &= S[:, l + 1] <= BOUNDARY_TOL
+        if (l >= 0 and S[inside, l].max(initial=0.0) <= BOUNDARY_TOL) \
+                or (l < m - 1 and S[inside, l + 1].min(initial=0.0) >= -BOUNDARY_TOL):
+            continue
+        V = C[inside]
+        if 0 <= l < m - 1:
+            V = np.vstack([V, _edge_stationary_points(O, l, V)])
+        D, norms = _piece_gradients(O, w, l, V)
+        i = int(np.argmax(norms))
+        if norms[i] > best:
+            best, arg, grad = float(norms[i]), V[i], D[i]  # i = 0 on a tail
+    return best, arg, grad
 
 
 @dataclass(frozen=True)
@@ -338,23 +438,24 @@ class Surrogate:
     The property at p is the root of u -> sum_y p_y v_y(u) for the
     piecewise-affine ``identification`` functions v_y, which share one
     breakpoint ``grid`` and continue with unit slope outside it; ``nodes``
-    holds their values on the grid.  With ``normals`` the same root is
-    evaluated by the closed-form ratio of expectations.  The link maps u to
-    report 1 + #(thresholds < u - BOUNDARY_TOL).  The discrete target comes
-    from ``cost`` when present, else from ``normals``.  ``lipschitz_exact``
-    is False when ``lipschitz_bound`` is an estimate, or not a Euclidean
-    Lipschitz constant of the property.
+    holds their values on the grid (for the normals construction exactly
+    -o, which evaluating the interpolants may round).  One kernel evaluates
+    the root for both constructions, and ``lipschitz_bound`` is the exact
+    Euclidean Lipschitz constant of that property (inf where it is not
+    Lipschitz).  The link maps u to report 1 + #(thresholds < u -
+    BOUNDARY_TOL).  The discrete target comes from ``cost`` when present,
+    else from ``normals``.
     """
 
     identification: tuple  # PiecewiseAffine per outcome
     thresholds: np.ndarray
-    lipschitz_bound: float
-    lipschitz_exact: bool
     value_range: tuple[float, float]
     normals: OrientedNormals | None = None
     cost: CostMatrix | None = None
     grid: np.ndarray = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)
+    lipschitz_bound: float = field(init=False)
+    lipschitz_exact: ClassVar[bool] = True
 
     def __post_init__(self):
         v = tuple(self.identification)
@@ -363,14 +464,15 @@ class Surrogate:
             raise SpecError("identification functions must share one grid")
         if self.normals is not None and self.normals.n != len(v):
             raise SpecError("one identification function per outcome required")
+        nodes = np.stack([f(grid) for f in v]) if self.normals is None \
+            else -self.normals.o.T
         for name, value in (
             ("identification", v),
             ("thresholds", np.asarray(self.thresholds, dtype=np.float64)),
-            ("lipschitz_bound", float(self.lipschitz_bound)),
-            ("lipschitz_exact", bool(self.lipschitz_exact)),
             ("value_range", (float(self.value_range[0]), float(self.value_range[1]))),
             ("grid", grid),
-            ("nodes", np.stack([f(grid) for f in v])),
+            ("nodes", nodes),
+            ("lipschitz_bound", lipschitz_constant(grid, nodes)[0]),
         ):
             object.__setattr__(self, name, value)
 
@@ -384,10 +486,7 @@ class Surrogate:
 
     def gamma_many(self, probs) -> np.ndarray:
         """Property value at each row of ``probs``."""
-        P = as_simplex_points(probs)
-        if self.normals is not None:
-            return roe_batch(self.normals.o, P)
-        return node_root_batch(self.grid, self.nodes, P)
+        return roe_batch(self.grid, self.nodes, as_simplex_points(probs))
 
     def link_many(self, us) -> np.ndarray:
         """Report index of each value in ``us``."""

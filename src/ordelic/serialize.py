@@ -81,13 +81,15 @@ def load_property_spec(path) -> dict:
 # ---------------------------------------------------------------------------
 # surrogate exports
 #
-# Format 2 holds the identification functions (``v_bar``) with the link
-# thresholds, the bound K, whether K is exact, the value range, and the
-# optional normals and cost matrix.  Format 1 files (no ``format`` field)
+# Format 3 holds the identification functions (``v_bar``) with the link
+# thresholds, the Lipschitz constant K (always exact), the value range, and
+# the optional normals and cost matrix.  K follows from the node values and
+# is derived again on load, never read, so format 2 files, whose embedding K
+# was max |v|, load to the exact K too.  Format 1 files (no ``format`` field)
 # also hold the integrated losses and, for the embedding, the grid; both
 # follow from ``v_bar`` and are not read.
 
-SURROGATE_FORMAT = 2
+SURROGATE_FORMAT = 3
 
 
 def surrogate_to_json(s: Surrogate) -> dict:
@@ -111,8 +113,8 @@ def surrogate_to_json(s: Surrogate) -> dict:
 
 
 def surrogate_from_json(d: dict) -> Surrogate:
-    """Rebuild a surrogate from format 1 or 2."""
-    if d.get("format", 1) not in (1, SURROGATE_FORMAT):
+    """Rebuild a surrogate from format 1, 2 or 3."""
+    if d.get("format", 1) not in (1, 2, SURROGATE_FORMAT):
         raise SpecError(f"unknown surrogate format {d['format']!r}")
     if d.get("kind") not in ("embedding", "normals") \
             or (d["kind"] == "normals") != ("normals" in d):
@@ -122,8 +124,6 @@ def surrogate_from_json(d: dict) -> Surrogate:
             PiecewiseAffine(np.asarray(v["breakpoints"]), np.asarray(v["slopes"]),
                             np.asarray(v["intercepts"])) for v in d["v_bar"]),
         thresholds=np.asarray(d["thresholds"]),
-        lipschitz_bound=float(d["lipschitz_bound"]),
-        lipschitz_exact=bool(d.get("lipschitz_exact", False)),
         value_range=tuple(d["value_range"]),
         normals=OrientedNormals(np.asarray(d["normals"])) if "normals" in d else None,
         cost=CostMatrix(np.asarray(d["cost_matrix"])) if "cost_matrix" in d else None,
@@ -358,7 +358,10 @@ def predictor_to_json(p: PredictorTable) -> dict:
     return {"kind": p.kind, "table": table}
 
 
-def predictor_from_json(d: dict) -> PredictorTable:
+def predictor_from_json(d: dict, source: str = "the predictor") -> PredictorTable:
+    """Predictor table from JSON; a report prediction must be an integer (an
+    integral float such as 2.0 counts), and an error names the x_id and
+    ``source``."""
     kind, raw = d["kind"], d["table"]
     if kind == "distribution":
         try:  # one conversion for the whole table; its rows become the values
@@ -367,16 +370,21 @@ def predictor_from_json(d: dict) -> PredictorTable:
             values = [np.asarray(v, dtype=np.float64) for v in raw.values()]
     elif kind == "scalar":
         values = [float(v) for v in raw.values()]
-    else:
-        values = [int(v) for v in raw.values()]
+    else:  # bools, strings, NaN and fractions are not reports
+        values = [int(v) if isinstance(v, float) and v.is_integer() else v
+                  for v in raw.values()]
+        for x, v in zip(raw, values):
+            if type(v) is not int:
+                raise SpecError(f"x_id {x!r} in {source}: report prediction "
+                                f"{v!r} is not an integer")
     return PredictorTable(kind, dict(zip(raw, values)))
 
 
 def read_predictor(path, n: int) -> PredictorTable:
     """Read a predictor file for a property with n outcomes.  Distributions
-    must be points of the n-outcome simplex and scalars finite; an error
-    names the file and the x_id at fault."""
-    p = predictor_from_json(read_json(path))
+    must be points of the n-outcome simplex, scalars finite and reports
+    integers; an error names the file and the x_id at fault."""
+    p = predictor_from_json(read_json(path), str(path))
     if p.kind == "report":
         return p
     try:

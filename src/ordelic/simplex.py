@@ -10,7 +10,6 @@ without sampling noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -73,15 +72,6 @@ def as_simplex_points(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
     return P / P.sum(axis=1, keepdims=True)
 
 
-def norm_distance(a, b, kind: NormKind = 2) -> float:
-    """||a - b|| for two same-dimension simplex points under the chosen norm."""
-    pa = np.asarray(a, dtype=np.float64)
-    pb = np.asarray(b, dtype=np.float64)
-    if pa.shape != pb.shape:
-        raise SimplexError(f"dimension mismatch: {pa.shape} vs {pb.shape}")
-    return float(np.linalg.norm(pa - pb, ord=norm_order(kind)))
-
-
 def ternary_plot_coords(p) -> np.ndarray:
     """Embed an n=3 simplex point into the standard ternary plot plane.
 
@@ -94,15 +84,6 @@ def ternary_plot_coords(p) -> np.ndarray:
     x = p[..., 2] + 0.5 * p[..., 1]
     y = p[..., 1] * (np.sqrt(3.0) / 2.0)
     return np.stack([x, y], axis=-1)
-
-
-def from_ternary_plot(xy) -> np.ndarray:
-    """Inverse of :func:`ternary_plot_coords`."""
-    xy = np.asarray(xy, dtype=np.float64)
-    p2 = xy[..., 1] * 2.0 / np.sqrt(3.0)
-    p3 = xy[..., 0] - 0.5 * p2
-    p1 = 1.0 - p2 - p3
-    return as_simplex_points(np.stack([p1, p2, p3], axis=-1).reshape(-1, 3)).reshape(xy.shape[:-1] + (3,))
 
 
 def sample_simplex(n: int, count: int, seed: int) -> np.ndarray:
@@ -186,11 +167,6 @@ class LabeledDataset:
     def x_ids(self) -> np.ndarray:
         """Object array of the x_id of every row."""
         return np.fromiter(self.keys, dtype=object, count=len(self.keys))[self.codes]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple], n: int) -> "LabeledDataset":
-        xs, ys = zip(*rows)
-        return cls(xs, ys, n)
 
     @classmethod
     def from_exact_scenario(cls, feature_ids, feature_weights, conditionals) -> "LabeledDataset":

@@ -6,7 +6,15 @@ import time
 
 import numpy as np
 
-from conftest import EQ1_COSTS, EQ1_PHI, O1, O2, bisect_expected_root
+from conftest import (
+    EQ1_COSTS,
+    EQ1_PHI,
+    O1,
+    O2,
+    Antiderivative,
+    bisect_expected_root,
+    from_ternary_plot,
+)
 from ordelic.audit import (
     PredictorTable,
     check_discretization_bound,
@@ -34,11 +42,7 @@ from ordelic.scenario import (
     sample_dataset,
 )
 from ordelic.serialize import write_json
-from ordelic.simplex import (
-    LabeledDataset,
-    from_ternary_plot,
-    sample_simplex,
-)
+from ordelic.simplex import LabeledDataset, sample_simplex
 
 SQ14 = np.sqrt(14.0)
 
@@ -109,7 +113,7 @@ def test_criterion_1_embedding_fixture(capfd):
         assert np.allclose(v1.slopes, [1, 2, 0, 0, 1, 1], atol=tol)
         assert np.allclose(v1.intercepts, [0, 0, 1, 1, -1, -1], atol=tol)
         # its integral: u^2/2, u^2, u - 1/4 (two cells), u^2/2 - u + 7/4
-        L1 = v1.integrate_from_zero()
+        L1 = Antiderivative(v1)
         want = [(0.5, 0, 0), (1, 0, 0), (0, 1, -0.25), (0, 1, -0.25),
                 (0.5, -1, 1.75), (0.5, -1, 1.75)]
         assert np.allclose(L1.coeffs, want, atol=tol)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import O1, O2
+from conftest import O1, O2, from_ternary_plot
 from ordelic.audit import (
     PredictorTable,
     check_discretization_bound,
@@ -33,7 +33,7 @@ from ordelic.scenario import (
     materialize_predictor,
     sample_dataset,
 )
-from ordelic.simplex import LabeledDataset, from_ternary_plot, sample_simplex
+from ordelic.simplex import LabeledDataset, sample_simplex
 
 DOT = from_ternary_plot(np.array([0.38, 0.02]))
 STAR = from_ternary_plot(np.array([0.42, 0.02]))
@@ -409,23 +409,22 @@ class TestLipschitzEstimates:
         assert estimate_marginal_lipschitz(g, data2) == 0.0
 
 
-@pytest.mark.parametrize("n,exact", [(3, True), (5, True), (5, False)])
-def test_bound_params_label_estimated_k(n, exact):
-    """The normals K is exact for any n; the embedding's max |v|, not a
-    Euclidean Lipschitz constant, is flagged."""
+@pytest.mark.parametrize("n,normals", [(3, True), (5, True), (5, False)])
+def test_bound_params_label_estimated_k(n, normals):
+    """K is exact for both constructions, and every bound check says so."""
     spec, cost, phi = random_orderable_spec(n, 3, seed=n)
-    if exact:
+    if normals:
         s = build_from_spec(spec)
     else:
         S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
         s = build_surrogate(build_envelope_loss(cost, phi, S))
-    assert s.lipschitz_exact is exact
+    assert s.lipschitz_exact is True
     ids = ("a", "b", "c", "d")
     sc = ScenarioSpec(ids, np.full(4, 0.25), sample_simplex(n, 4, seed=n + 1),
                       recipe="perturbed", eta=0.1)
     data = exact_dataset(sc)
     rep = check_postprocessing_bound(materialize_predictor(sc, seed=n), data, s)
-    assert [b.params["K_exact"] for b in rep.bounds] == [exact] * len(rep.bounds)
+    assert [b.params["K_exact"] for b in rep.bounds] == [True] * len(rep.bounds)
     g = PredictorTable("scalar", dict.fromkeys(ids, 0.5))
     rep = check_discretization_bound(g, data, s, C_marginal=0.0)
-    assert rep.bounds[0].params["K_exact"] is exact
+    assert rep.bounds[0].params["K_exact"] is True

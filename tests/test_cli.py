@@ -65,7 +65,7 @@ class TestConstruct:
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["thresholds"] == [0.5, 2.0]
-        assert report["lipschitz_bound"] == 3.0
+        assert report["lipschitz_bound"] == pytest.approx(21.6535, abs=1e-4)
         assert report["value_range"] == [0.0, 3.0]
         d = read_json(out)
         assert d["kind"] == "embedding"
@@ -268,12 +268,16 @@ class TestAudit:
         ("distribution", [0.5, 0.5], "shape (2,) for 3 outcomes"),
         ("distribution", [0.6, 0.6, -0.2], "not on the simplex"),
         ("distribution", [float("nan"), 0.5, 0.5], "not all finite"),
+        ("report", 2.7, "report prediction 2.7 is not an integer"),
+        ("report", True, "report prediction True is not an integer"),
+        ("report", float("nan"), "report prediction nan is not an integer"),
+        ("report", "2", "report prediction '2' is not an integer"),
     ])
     def test_bad_prediction_is_spec_error(self, surrogate_file, tmp_path, capsys,
                                           kind, bad, cause):
         data = tmp_path / "data.csv"
         data.write_text("x_id,y\na,1\nb,2\n")
-        good = 0.5 if kind == "scalar" else [0.2, 0.3, 0.5]
+        good = {"scalar": 0.5, "report": 2}.get(kind, [0.2, 0.3, 0.5])
         pred_path = tmp_path / "pred.json"
         write_json(pred_path, {"kind": kind, "table": {"a": good, "b": bad}})
         rc = main(["audit", "--surrogate", surrogate_file, "--data", str(data),

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import O1
-from ordelic._kernels import backend_name, node_root_batch, roe_batch
+from conftest import EQ1_COSTS, EQ1_PHI, O1, node_root_batch
+from ordelic._kernels import backend_name, roe_batch
+from ordelic.cli import _default_outer_slope
+from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.normals import build_from_spec
 from ordelic.properties import (
     AffineBoundary,
+    CostMatrix,
+    _simplex_boundary_endpoints,
     random_orderable_spec,
-    sample_boundary,
     spec_from_boundaries,
 )
 from ordelic.simplex import sample_simplex
@@ -26,19 +29,21 @@ class TestBackendAgreement:
 
     def test_node_root_flat_interval(self):
         # expectation flat at zero over [0, 1]: midpoint root
-        bp = np.array([0.0, 1.0])
-        nodes = np.array([[0.0, 0.0]])
-        probs = np.array([[1.0]])
-        assert node_root_batch(bp, nodes, probs)[0] == pytest.approx(0.5)
+        assert roe_batch([0.0, 1.0], [[0.0, 0.0]], [[1.0]])[0] == 0.5
+        # a flat run in the middle of a longer grid, and one within the tie
+        # tolerance of zero
+        bp = [0.0, 1.0, 2.0, 4.0]
+        assert roe_batch(bp, [[-1.0, 0.0, 0.0, 1.0]], [[1.0]])[0] == 1.5
+        assert roe_batch(bp, [[-1.0, -1e-11, 1e-11, 1.0]], [[1.0]])[0] == 1.5
 
     def test_node_root_outside_grid(self):
         # all node expectations positive: root on the unit-slope left tail
         bp = np.array([0.0, 1.0])
         nodes = np.array([[2.0, 3.0]])
         probs = np.array([[1.0]])
-        assert node_root_batch(bp, nodes, probs)[0] == pytest.approx(-2.0)
+        assert roe_batch(bp, nodes, probs)[0] == pytest.approx(-2.0)
         nodes = np.array([[-3.0, -2.0]])
-        assert node_root_batch(bp, nodes, probs)[0] == pytest.approx(3.0)
+        assert roe_batch(bp, nodes, probs)[0] == pytest.approx(3.0)
 
     def test_roe_degenerate_denominator_raises(self):
         # opposed consecutive normals make the straddling denominator negative
@@ -46,7 +51,7 @@ class TestBackendAgreement:
         p = np.array([[0.05, 0.9, 0.05]])
         assert float(p[0] @ O1) > 0  # ensures the middle branch is taken
         with pytest.raises(FloatingPointError):
-            roe_batch(bad, p)
+            roe_batch([0.0, 1.0], -bad.T, p)
 
 
 def test_node_root_exact_at_a_zero_first_node():
@@ -54,31 +59,49 @@ def test_node_root_exact_at_a_zero_first_node():
     # whatever the other rows of the batch hold
     bp = np.array([0.5, 1.25, 3.0])
     nodes = np.array([[0.0, 0.1, 0.7], [-0.3, -0.2, 0.1], [-0.4, 0.3, 0.9]])
-    assert node_root_batch(bp, nodes, np.eye(3))[0] == 0.5
+    assert roe_batch(bp, nodes, np.eye(3))[0] == 0.5
     # a one-node grid is all tails
     for v, root in ((0.25, -0.25), (-0.75, 0.75), (0.0, 0.0)):
-        assert node_root_batch([0.0], [[v]], [[1.0]])[0] == root
+        assert roe_batch([0.0], [[v]], [[1.0]])[0] == root
 
 
 @functools.cache
-def _normals_surrogate(n: int):
+def _surrogate(kind: str, n: int):
+    """The README fixture (n = 3) or random_orderable_spec(n, 4, n), built by
+    either construction."""
     if n == 3:
+        cost, phi = CostMatrix(EQ1_COSTS), EQ1_PHI
         spec = spec_from_boundaries([AffineBoundary([-3, 1, 0], -2.0),
                                      AffineBoundary([-5, -4, 0], -3.0)])
     else:
-        spec = random_orderable_spec(n, 4, seed=n)[0]
-    return build_from_spec(spec)
+        spec, cost, phi = random_orderable_spec(n, 4, seed=n)
+    if kind == "normals":
+        return build_from_spec(spec)
+    return build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+
+
+def _slice_points(s, count: int, seed: int) -> np.ndarray:
+    """Vertices of the node-column slices {<nodes[:, l], p> = 0} and random
+    convex combinations of them, which lie on the slices as well."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for h in s.nodes.T:
+        V = _simplex_boundary_endpoints(h)
+        if len(V):
+            out += [V, rng.dirichlet(np.ones(len(V)), count) @ V]
+    return np.concatenate(out)
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([3, 5]), seed=st.integers(0, 2**20))
-def test_roe_matches_node_root(n, seed):
-    """The closed-form ratio of expectations and the identification root on
-    the surrogate's node matrix are one property, off and on the boundaries."""
-    s = _normals_surrogate(n)
-    pts = [sample_simplex(n, 200, seed)]
-    pts += [sample_boundary(o, 20, seed + i) for i, o in enumerate(s.normals.o)]
-    P = np.concatenate(pts)
-    a = roe_batch(s.normals.o, P)
+@given(kind=st.sampled_from(["normals", "embedding"]), n=st.integers(3, 8),
+       seed=st.integers(0, 2**20))
+def test_roe_matches_node_root(kind, n, seed):
+    """The kernel's ratio of expectations on the tie-tolerant piece and the
+    exact-sign node root oracle are one property, at the simplex vertices,
+    off the slices and on them."""
+    s = _surrogate(kind, n)
+    P = np.concatenate([np.eye(n), sample_simplex(n, 200, seed),
+                        _slice_points(s, 20, seed)])
+    a = s.gamma_many(P)
     b = node_root_batch(s.grid, s.nodes, P)
     assert np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.abs(a).max())

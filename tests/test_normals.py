@@ -3,19 +3,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O2, SQ14, bisect_expected_root
-from ordelic._kernels import node_root_batch
+from conftest import O1, O2, SQ14, bisect_expected_root, node_root_batch, region_index
 from ordelic.errors import OrderabilityError
 from ordelic.normals import build_from_spec, full_pipeline
 from ordelic.properties import (
     AffineBoundary,
     OrderableSpec,
     OrientedNormals,
-    region_index_many,
+    _piece_gradients,
     sample_boundary,
     spec_from_boundaries,
 )
 from ordelic.simplex import sample_simplex
+
+
+def _region_gradient_norms(O, j, pts):
+    """Gradient norms of the normals property on region j (1-based): grid
+    piece j - 2 of the nodes -O.T on the unit grid."""
+    return _piece_gradients(O, np.ones(len(O) - 1), j - 2, pts)[1]
 
 
 def _gamma(s, p) -> float:
@@ -133,7 +138,7 @@ class TestLink:
     def test_refines_regions(self, fixture_normals, fixture_normals_spec):
         pts = sample_simplex(3, 5000, seed=34)
         links = fixture_normals.link_many(fixture_normals.gamma_many(pts))
-        regions = region_index_many(fixture_normals_spec.normals, pts)
+        regions = region_index(fixture_normals_spec.normals, pts)
         assert np.array_equal(links, regions)
 
 
@@ -200,7 +205,6 @@ class TestFullPipeline:
 @pytest.mark.parametrize("n", [3, 5])
 def test_region_gradient_norms_match_point_loop(n):
     """The batched gradient norms equal the per-point computation bit for bit."""
-    from ordelic.normals import _region_gradient_norms
     from ordelic.properties import random_orderable_spec
     O = random_orderable_spec(n, 4, seed=n)[0].normals.o
     pts = sample_simplex(n, 300, seed=n)
@@ -221,8 +225,7 @@ def test_region_gradient_norms_match_point_loop(n):
 
 def _in_region_max_norm(O, pts) -> float:
     """Max gradient norm over the rows of pts, each in its own region."""
-    from ordelic.normals import _region_gradient_norms
-    regions = region_index_many(OrientedNormals(O), pts)
+    regions = region_index(OrientedNormals(O), pts)
     return max(float(_region_gradient_norms(O, j, pts[regions == j]).max())
                for j in np.unique(regions))
 
@@ -268,7 +271,6 @@ def test_lipschitz_bound_inside_a_region_edge():
     """Where two boundaries cut off two corners of the triangle at steep
     angles, the gradient norm peaks inside an edge of the middle region, above
     every vertex; K is that peak."""
-    from ordelic.normals import _region_gradient_norms
     from ordelic.properties import slice_vertices
     e = np.eye(3)
     o1 = -np.cross(0.65 * e[0] + 0.35 * e[1], 0.05 * e[0] + 0.95 * e[2])

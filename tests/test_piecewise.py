@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_expected_root
-from ordelic._kernels import node_root_batch
+from conftest import Antiderivative, bisect_expected_root
+from ordelic._kernels import roe_batch
 from ordelic.errors import SpecError
-from ordelic.piecewise import (
-    MaxAffinePieces,
-    PiecewiseAffine,
-    PiecewiseQuadratic,
-    lower_convex_envelope,
-)
+from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine, lower_convex_envelope
 
 # identification function nodes of the three-outcome fixture on {0,1/2,1,2,3}
 GRID = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
@@ -55,10 +50,12 @@ class TestPiecewiseAffine:
 
 
 class TestIntegration:
+    """The antiderivative oracle behind the integrated-loss checks."""
+
     def test_fixture_antiderivative(self):
         # integral of the first outcome's interpolated identification:
         # u^2/2, u^2, u - 1/4, u^2/2 - u + 7/4 on the successive pieces
-        L = vbar(1).integrate_from_zero()
+        L = Antiderivative(vbar(1))
         assert L(0.0) == 0.0
         assert L(-2.0) == pytest.approx(2.0)       # u^2/2
         assert L(0.25) == pytest.approx(0.0625)    # u^2
@@ -74,12 +71,12 @@ class TestIntegration:
 
     def test_zero_integrand(self):
         v = PiecewiseAffine(np.array([0.0]), np.zeros(2), np.zeros(2))
-        L = v.integrate_from_zero()
+        L = Antiderivative(v)
         assert np.all(L(np.linspace(-3, 3, 11)) == 0.0)
 
     def test_linear_integrand(self):
         v = PiecewiseAffine(np.array([0.0]), np.ones(2), np.zeros(2))
-        L = v.integrate_from_zero()
+        L = Antiderivative(v)
         us = np.linspace(-3, 3, 13)
         assert np.allclose(L(us), us**2 / 2)
 
@@ -90,21 +87,13 @@ class TestIntegration:
             bp += np.arange(4) * 1e-3  # enforce strict increase
             vals = np.sort(rng.uniform(-2, 2, size=4))
             v = PiecewiseAffine.from_nodes(bp, vals, 0.5, 2.0)
-            L = v.integrate_from_zero()
+            L = Antiderivative(v)
             for u in rng.uniform(-3, 3, size=30):
                 if np.min(np.abs(bp - u)) < 1e-9:
                     continue
                 dl, dr = L.derivative_interval(float(u))
                 assert dl == pytest.approx(dr, abs=1e-10)
                 assert dl == pytest.approx(float(v(u)), abs=1e-10)
-
-    def test_nonconvex_integral_rejected(self):
-        v = PiecewiseAffine.from_nodes(np.array([0.0, 1.0]),
-                                       np.array([1.0, -1.0]), 1.0, 1.0)
-        with pytest.raises(SpecError):
-            PiecewiseQuadratic(v.breakpoints,
-                               np.column_stack([0.5 * v.slopes, v.intercepts,
-                                                np.zeros(3)]))
 
 
 class TestSubgradient:
@@ -163,11 +152,11 @@ class TestExpectedRoot:
 
     def test_vertex_roots(self):
         nodes = np.stack([NODES[1], NODES[2], NODES[3]])
-        roots = node_root_batch(GRID, nodes, np.eye(3))
+        roots = roe_batch(GRID, nodes, np.eye(3))
         assert roots == pytest.approx([0.0, 1.0, 3.0], abs=1e-12)
 
     def test_flat_interval_midpoint(self):
-        assert node_root_batch([0.0, 1.0], [[0.0, 0.0]], [[1.0]])[0] == pytest.approx(0.5)
+        assert roe_batch([0.0, 1.0], [[0.0, 0.0]], [[1.0]])[0] == pytest.approx(0.5)
 
     def test_agrees_with_bisection(self):
         vs = [vbar(1), vbar(2), vbar(3)]
@@ -175,5 +164,5 @@ class TestExpectedRoot:
         e = rng.standard_exponential((2000, 3))
         probs = e / e.sum(axis=1, keepdims=True)
         oracle = bisect_expected_root(vs, probs)
-        got = node_root_batch(GRID, np.stack([v(GRID) for v in vs]), probs)
+        got = roe_batch(GRID, np.stack([v(GRID) for v in vs]), probs)
         assert np.max(np.abs(got - oracle)) < 1e-8

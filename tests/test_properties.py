@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O2
+from conftest import O1, O2, region_index
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import (
     OrderabilityError,
@@ -27,7 +27,6 @@ from ordelic.properties import (
     normal_from_boundary_samples,
     orient_normals,
     random_orderable_spec,
-    region_index_many,
     sample_boundary,
     spec_from_boundaries,
 )
@@ -227,16 +226,16 @@ class TestBoundarySampling:
 class TestRegions:
     def test_region_matches_cost_argmin(self, fixture_cost, fixture_normals_spec):
         pts = sample_simplex(3, 3000, seed=6)
-        regions = region_index_many(fixture_normals_spec.normals, pts)
+        regions = region_index(fixture_normals_spec.normals, pts)
         assert np.all(in_target(fixture_cost, pts, regions))
 
     def test_boundary_tie_resolves_low(self, fixture_normals_spec):
         p = sample_boundary(O1, 1, seed=7)
-        assert region_index_many(fixture_normals_spec.normals, p).tolist() == [1]
+        assert region_index(fixture_normals_spec.normals, p).tolist() == [1]
 
     def test_vertices(self, fixture_normals_spec):
         nm = fixture_normals_spec.normals
-        assert region_index_many(nm, np.eye(3)).tolist() == [1, 2, 3]
+        assert region_index(nm, np.eye(3)).tolist() == [1, 2, 3]
 
 
 @functools.cache
@@ -268,7 +267,7 @@ def test_boundary_ties_use_one_tolerance(n, boundary, seed, shift):
     assume(np.all(pts > 0))
     pts /= pts.sum(axis=1, keepdims=True)
     want = np.array([i + 1, i + 1, i + 2])
-    assert np.array_equal(region_index_many(s.normals, pts), want)
+    assert np.array_equal(region_index(s.normals, pts), want)
     assert np.array_equal(s.link_many(s.gamma_many(pts)), want)
     sets = s.discrete_set_many(pts)
     assert [set(np.flatnonzero(row) + 1) for row in sets] \
@@ -355,13 +354,13 @@ class TestRoundTrip:
         check_strong_orderability(spec)
         assert min(boundary_gap(spec, i) for i in (1, 2)) > 1e-3
         pts = sample_simplex(3, 2000, seed=seed + 50)
-        assert np.all(in_target(cost, pts, region_index_many(spec.normals, pts)))
+        assert np.all(in_target(cost, pts, region_index(spec.normals, pts)))
         assert np.array_equal(phi, np.arange(4, dtype=float))
 
     def test_random_spec_higher_dimension(self):
         spec, cost, phi = random_orderable_spec(5, 3, seed=7)
         pts = sample_simplex(5, 500, seed=8)
-        assert np.all(in_target(cost, pts, region_index_many(spec.normals, pts)))
+        assert np.all(in_target(cost, pts, region_index(spec.normals, pts)))
 
     def test_random_spec_validates(self):
         with pytest.raises(SpecError):

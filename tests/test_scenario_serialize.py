@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import O1, O2
 from ordelic import serialize
 from ordelic.audit import _bin
+from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SpecError
 from ordelic.properties import CostMatrix, sample_boundary
 from ordelic.scenario import (
@@ -134,6 +135,17 @@ class TestSerialization:
         d = {"kind": "distribution", "table": {"a": [0.5, 0.3, 0.2]}}
         assert predictor_to_json(predictor_from_json(d)) == d
 
+    def test_report_predictions_are_integers(self):
+        """An integral float is a report; a fraction, a bool, NaN or a string
+        is an error naming the x_id, not a report coerced by int()."""
+        got = predictor_from_json({"kind": "report", "table": {"a": 2.0, "b": 3}})
+        assert got.table == {"a": 2, "b": 3}
+        assert all(type(v) is int for v in got.table.values())
+        for bad in (2.7, True, float("nan"), "2", None, [2]):
+            with pytest.raises(SpecError, match="x_id 'b' in f.json: report prediction"):
+                predictor_from_json({"kind": "report", "table": {"a": 1, "b": bad}},
+                                    "f.json")
+
     def test_dataset_csv_round_trip(self, scenario, tmp_path):
         data = sample_dataset(scenario, 200, seed=6)
         path = tmp_path / "data.csv"
@@ -154,7 +166,7 @@ class TestSerialization:
            chunk=st.integers(1, 16))
     def test_dataset_csv_round_trip_any_ids(self, tmp_path_factory, ids, labels, chunk):
         rows = [(ids[i % len(ids)], y) for i, y in enumerate(labels)]
-        data = LabeledDataset.from_rows(rows, n=12)
+        data = LabeledDataset([x for x, _ in rows], [y for _, y in rows], 12)
         path = tmp_path_factory.mktemp("csv") / "data.csv"
         write_dataset_csv(path, data)
         whole = read_dataset_csv(path, n=12)
@@ -218,7 +230,7 @@ class TestDatasetReader:
            chunk=st.integers(1, 64))
     def test_byte_path_round_trip(self, tmp_path_factory, ids, picks, chunk):
         rows = [(ids[i % len(ids)], y) for i, y in picks]
-        data = LabeledDataset.from_rows(rows, n=12)
+        data = LabeledDataset([x for x, _ in rows], [y for _, y in rows], 12)
         path = tmp_path_factory.mktemp("csv") / "data.csv"
         write_dataset_csv(path, data)
         with pytest.MonkeyPatch.context() as mp:
@@ -324,7 +336,8 @@ class TestPropertySpecFiles:
 class TestSurrogateExport:
     def test_embedding_round_trip(self, fixture_embedding, fixture_cost):
         d = surrogate_to_json(fixture_embedding)
-        assert d["format"] == 2 and "l_bar" not in d
+        assert d["format"] == 3 and "l_bar" not in d
+        assert d["lipschitz_exact"] is True
         back = surrogate_from_json(d)
         assert back.cost is not None
         assert np.allclose(back.cost.entries, fixture_cost.entries)
@@ -349,7 +362,7 @@ class TestSurrogateExport:
         with pytest.raises(SpecError):
             surrogate_from_json(dict(surrogate_to_json(fixture_normals), kind="embedding"))
         with pytest.raises(SpecError):
-            surrogate_from_json(dict(surrogate_to_json(fixture_normals), format=3))
+            surrogate_from_json(dict(surrogate_to_json(fixture_normals), format=4))
         with pytest.raises(SpecError):
             surrogate_to_json(object())
 
@@ -387,3 +400,16 @@ def test_format1_file_matches_fresh_build(tmp_path, name, spec, args):
     assert np.array_equal(u, b.gamma_many(pts))
     assert np.array_equal(a.link_many(u), b.link_many(u))
     assert np.array_equal(a.discrete_set_many(pts), b.discrete_set_many(pts))
+
+
+@pytest.mark.parametrize("fmt", [1, 2])
+def test_old_embedding_files_load_to_the_exact_k(fmt):
+    """Format 1 and 2 embedding files store K = max |v| (3.5 here); the
+    loader derives K from the nodes instead, equal to a fresh build's."""
+    old = read_json(Path(__file__).parent / "data"
+                    / f"readme_embedding_phi013.format{fmt}.json")
+    assert old.get("format", 1) == fmt and old["lipschitz_bound"] == 3.5
+    fresh = build_surrogate(build_envelope_loss(CostMatrix(README_SPEC["cost_matrix"]),
+                                                [0.0, 1.0, 3.0], 4.0))
+    assert surrogate_from_json(old).lipschitz_bound == fresh.lipschitz_bound
+    assert fresh.lipschitz_bound == pytest.approx(21.6535, abs=1e-4)
