@@ -18,16 +18,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
-from ordelic.properties import Surrogate
+from ordelic.properties import LipschitzMax, Surrogate
 from ordelic.simplex import (
     LabeledDataset,
+    as_simplex_points,
     first_appearance,
+    norm_name,
     norm_order,
-    sample_simplex,
     ternary_plot_coords,
 )
 
 _BOUND_SLACK = 1e-9
+# Least distance of a counterexample point from a node slice, and of the
+# pair's points from each other; below it rounding and the kernel's tie band
+# (BOUNDARY_TOL) would decide the measured ratio.
+_WITNESS_MARGIN = 1e-9
+_HALVINGS = 60  # scale halvings of a counterexample pair before giving up
 
 
 def _times_k(K: float, *factors: float) -> float:
@@ -255,12 +261,12 @@ def check_postprocessing_bound(
 ) -> AuditReport:
     """Post-processing inequality: the surrogate miscalibration of the scalar
     predictor gamma∘f is at most K times the distribution miscalibration of f
-    binned by that same scalar value.  For K < 1, also records the stronger
-    contraction inequality (rhs = epsilon itself).  With K = inf the bound
-    is vacuous and holds."""
+    binned by that same scalar value, with K the exact Lipschitz constant in
+    ``norm``.  For K < 1, also records the stronger contraction inequality
+    (rhs = epsilon itself).  With K = inf the bound is vacuous and holds."""
     if f.kind != "distribution":
         raise SpecError("post-processing bound needs a distributional predictor")
-    K = surrogate.lipschitz_bound
+    K = surrogate.lipschitz(norm)
     K_exact = surrogate.lipschitz_exact
     P = f.values(data.keys)
     u = surrogate.gamma_many(P)
@@ -276,7 +282,8 @@ def check_postprocessing_bound(
             lhs=eps_prime,
             rhs=_times_k(K, eps),
             satisfied=bool(eps_prime <= _times_k(K, eps) + _BOUND_SLACK),
-            params={"K": K, "K_exact": K_exact, "epsilon": eps},
+            params={"K": K, "K_exact": K_exact, "norm": norm_name(norm),
+                    "epsilon": eps},
         )
     ]
     if K < 1.0:
@@ -286,77 +293,116 @@ def check_postprocessing_bound(
                 lhs=eps_prime,
                 rhs=eps,
                 satisfied=bool(eps_prime <= eps + _BOUND_SLACK),
-                params={"K": K, "K_exact": K_exact},
+                params={"K": K, "K_exact": K_exact, "norm": norm_name(norm)},
             )
         )
     return bins.report("postprocessing", norm, gaps, bounds=tuple(bounds),
                        extras={"epsilon_dist": eps, "epsilon_surrogate": eps_prime})
 
 
-def counterexample_gap(
-    gamma_eval,
-    n: int,
-    C: float,
-    budget: int = 50_000,
-    seed: int = 0,
-    norm="l2",
-):
-    """Search for p, q with |gamma(p) - gamma(q)| > C * ||p - q||.
+def _clearance(nodes: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Least distance of each row of P from a node slice {<h_l, p> = 0}, or
+    its score |<h_l, p>| where that is smaller, so that a point clear by
+    more than BOUNDARY_TOL is outside the kernel's tie band of every node."""
+    H = nodes - nodes.mean(axis=0)
+    return (np.abs(P @ nodes) / np.maximum(1.0, np.linalg.norm(H, axis=0))).min(axis=1)
+
+
+def _pairs_near_maximizer(nodes: np.ndarray, top: LipschitzMax):
+    """Pairs (p, p + rho delta d) for delta = 1/2, 1/4, ..., with
+    p = p* + delta (c - p*), p* the maximizer, c the vertex centroid of its
+    region and d the unit direction along which the derivative there is K,
+    while both points stay ``_WITNESS_MARGIN`` clear of every node slice.
+    Every region facet a.x >= 0 holds with a.p >= delta a.c, and rho halves
+    the least a.c / -a.d, so the second point stays in the region too; the
+    pair's ratio tends to K as delta falls."""
+    O = -nodes.T
+    m, n = O.shape
+    l = top.piece
+    A = np.vstack([np.eye(n), *([O[l]] if l >= 0 else []),
+                   *([-O[l + 1]] if l < m - 1 else [])])
+    c = top.region.mean(axis=0)
+    Ac, Ad = A @ c, A @ top.direction
+    rho = 0.5 * np.min(Ac[Ad < 0.0] / -Ad[Ad < 0.0], initial=1.0)
+    for k in range(1, _HALVINGS):
+        delta = 0.5 ** k
+        p = top.point + delta * (c - top.point)
+        P = as_simplex_points(np.stack([p, p + rho * delta * top.direction]))
+        if _clearance(nodes, P).min() < _WITNESS_MARGIN:
+            return
+        yield P
+
+
+def _pairs_at_shared_point(nodes: np.ndarray, top: LipschitzMax):
+    """Pairs (p*, p* + h (c - p*)) for h = 1/2, 1/4, ..., where p* is a
+    point shared by two consecutive node slices (K = inf) and c is the
+    centroid of the simplex, while the second point stays
+    ``_WITNESS_MARGIN`` clear of every node slice.  At p* the kernel returns
+    the midpoint of a flat root interval.  Along the ray the scores of the
+    nodes through p* scale with h, so the property tends to a value on the
+    piece the ray enters, which differs from that midpoint for all but
+    special rays: the gap stays while the distance shrinks with h."""
+    c = np.full(len(top.point), 1.0 / len(top.point))
+    for k in range(1, _HALVINGS):
+        P = as_simplex_points(np.stack([top.point,
+                                        top.point + 0.5 ** k * (c - top.point)]))
+        if _clearance(nodes, P[1:]).min() < _WITNESS_MARGIN:
+            return
+        yield P
+
+
+def counterexample_gap(surrogate: Surrogate, C: float, norm="l2"):
+    """A pair p, q with |gamma(p) - gamma(q)| > C * ||p - q|| in ``norm``.
 
     Returns (p, q, instance) where the instance is the one-feature scenario
     (prediction p, true conditional q) whose audits certify distribution
     calibration ||p - q|| but surrogate miscalibration above C times that.
-    Raises :class:`SearchFailure` with the best ratio when the budget runs
-    out, which is the expected outcome when C is a valid Lipschitz bound.
+    No such pair exists when C is at least the exact Lipschitz constant K
+    of the norm, so :class:`SearchFailure` is raised at once.  Below K the
+    pair is built next to the maximizer of K (see
+    :func:`_pairs_near_maximizer` and, for K = inf,
+    :func:`_pairs_at_shared_point`), halving its scale until the ratio,
+    measured by ``gamma_many``, exceeds C.  The points stay at least 1e-9
+    from each other and, except for the shared point where K = inf, from
+    every node slice, so the kernel's tie band cannot inflate the ratio;
+    when C is too close to K to reach at that margin,
+    :class:`SearchFailure` names the best certified ratio.
     """
-    ordv = norm_order(norm)
-    rng = np.random.default_rng(seed)
-    used = 0
-    best_ratio = -1.0
-    best_pair = None
-    step = 1e-3
-    batch = 2048
-    while used < budget:
-        if best_pair is None or used < budget // 3:
-            base = sample_simplex(n, batch, int(rng.integers(2**31)))
-        else:
-            # local refinement around the best base point
-            center = best_pair[0]
-            jitter = rng.standard_normal((batch, n)) * 0.02
-            base = np.clip(center[None, :] + jitter, 1e-12, None)
-            base /= base.sum(axis=1, keepdims=True)
-        d = rng.standard_normal((batch, n))
-        d -= d.mean(axis=1, keepdims=True)
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        other = np.clip(base + step * d, 0.0, None)
-        other /= other.sum(axis=1, keepdims=True)
-        dist = np.linalg.norm(base - other, ord=ordv, axis=1)
-        ok = dist > 1e-12
-        gv = gamma_eval(base)
-        gw = gamma_eval(other)
-        ratio = np.where(ok, np.abs(gv - gw) / np.where(ok, dist, 1.0), -1.0)
-        used += batch
-        idx = int(np.argmax(ratio))
-        if ratio[idx] > best_ratio:
-            best_ratio = float(ratio[idx])
-            best_pair = (base[idx], other[idx])
-        if best_ratio > C:
-            p, q = best_pair
-            instance = {
+    C = float(C)
+    if np.isnan(C):
+        raise SpecError("C must be a number")
+    name, ordv = norm_name(norm), norm_order(norm)
+    top = surrogate.lipschitz_max(norm)
+    if C >= top.K:
+        raise SearchFailure(
+            f"C = {C!r} is at least the exact {name} Lipschitz constant "
+            f"K = {top.K!r}, so no pair violates it")
+    pairs = _pairs_at_shared_point if top.K == np.inf else _pairs_near_maximizer
+    best = 0.0
+    for P in pairs(surrogate.nodes, top):
+        dist = float(np.linalg.norm(P[0] - P[1], ord=ordv))
+        if dist < _WITNESS_MARGIN:
+            break
+        g = surrogate.gamma_many(P)
+        ratio = float(abs(g[0] - g[1]) / dist)
+        if ratio > C:
+            p, q = P
+            return p, q, {
                 "x_id": "x0",
                 "prediction": p.tolist(),
                 "conditional": q.tolist(),
-                "distribution_epsilon": float(np.linalg.norm(p - q, ord=ordv)),
-                "surrogate_gap": float(abs(gamma_eval(p[None, :])[0]
-                                           - gamma_eval(q[None, :])[0])),
-                "C": float(C),
-                "ratio": best_ratio,
+                "distribution_epsilon": dist,
+                "surrogate_gap": float(abs(g[0] - g[1])),
+                "C": C,
+                "ratio": ratio,
+                "K": top.K,
+                "norm": name,
             }
-            return p, q, instance
+        best = max(best, ratio)
     raise SearchFailure(
-        f"no pair with ratio above {C} in {budget} evaluations; "
-        f"best ratio {best_ratio:.6g}"
-    )
+        f"no pair clear of the node slices by {_WITNESS_MARGIN} has a {name} "
+        f"ratio above C = {C!r}; best certified ratio {best!r} against the "
+        f"exact Lipschitz constant K = {top.K!r}")
 
 
 def instance_dataset(instance: dict) -> tuple[PredictorTable, LabeledDataset]:
@@ -397,19 +443,21 @@ def check_discretization_bound(
     C_marginal: float,
     t_grid=None,
     c_estimated: bool = False,
+    norm="l2",
 ) -> AuditReport:
     """Discretization bound: the discrete mismatch probability of the linked
     prediction is controlled by the threshold-margin tail plus
     (eps' + K*C*diam)/t, minimized over t.
 
-    ``C_marginal`` is the assumed Lipschitz constant of the map from a
-    prediction value to its bin's conditional distribution; it is an input
-    assumption, not something certified from data.  With K = inf the bound
-    is vacuous and holds.
+    ``C_marginal`` is the assumed Lipschitz constant, in ``norm``, of the
+    map from a prediction value to its bin's conditional distribution; it is
+    an input assumption, not something certified from data.  K is the exact
+    Lipschitz constant of the property in the same norm.  With K = inf the
+    bound is vacuous and holds.
     """
     if g.kind != "scalar":
         raise SpecError("discretization bound needs a scalar predictor")
-    K = surrogate.lipschitz_bound
+    K = surrogate.lipschitz(norm)
     thresholds = surrogate.thresholds
     lo, hi = surrogate.value_range
     diam = link_diameter(thresholds, (lo, hi))
@@ -449,6 +497,7 @@ def check_discretization_bound(
         params={
             "K": K,
             "K_exact": surrogate.lipschitz_exact,
+            "norm": norm_name(norm),
             "C_marginal": C_marginal,
             "C_estimated": c_estimated,
             "diam": diam,
@@ -462,65 +511,16 @@ def check_discretization_bound(
                        extras={"vacuous": vacuous})
 
 
-def estimate_marginal_lipschitz(g: PredictorTable, data: LabeledDataset) -> float:
-    """Max difference quotient of bin conditionals across adjacent prediction
-    values: a data-driven stand-in for C_marginal, flagged as an estimate."""
+def estimate_marginal_lipschitz(g: PredictorTable, data: LabeledDataset,
+                                norm="l2") -> float:
+    """Max difference quotient, in ``norm``, of bin conditionals across
+    adjacent prediction values: a data-driven stand-in for C_marginal,
+    flagged as an estimate."""
     bins = _bin(data, g.values(data.keys))
     order = np.argsort(bins.keys, kind="stable")
     du = np.diff(bins.keys[order])
-    dq = np.linalg.norm(np.diff(bins.cond[order], axis=0), axis=1)
+    dq = np.linalg.norm(np.diff(bins.cond[order], axis=0), ord=norm_order(norm),
+                        axis=1)
     apart = du > 1e-15
     return float(np.max(dq[apart] / du[apart], initial=0.0))
 
-
-def lipschitz_estimate(
-    gamma_eval,
-    n: int,
-    norm="l2",
-    samples: int = 20_000,
-    seed: int = 0,
-    refine_rounds: int = 8,
-):
-    """Max sampled difference quotient of the property plus local refinement.
-
-    Returns (K_hat, (p, q)) for the best pair found.
-    """
-    if samples < 2:
-        raise SpecError("need at least 2 samples")
-    ordv = norm_order(norm)
-    rng = np.random.default_rng(seed)
-    base = sample_simplex(n, samples, int(rng.integers(2**31)))
-    step = 1e-4
-    d = rng.standard_normal((samples, n))
-    d -= d.mean(axis=1, keepdims=True)
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    other = np.clip(base + step * d, 0.0, None)
-    other /= other.sum(axis=1, keepdims=True)
-    dist = np.linalg.norm(base - other, ord=ordv, axis=1)
-    ok = dist > 1e-12
-    quot = np.where(ok, np.abs(gamma_eval(base) - gamma_eval(other))
-                    / np.where(ok, dist, 1.0), 0.0)
-    idx = int(np.argmax(quot))
-    best = float(quot[idx])
-    best_pair = (base[idx], other[idx])
-    radius = 0.05
-    for _ in range(refine_rounds):
-        center = best_pair[0]
-        jitter = rng.standard_normal((2048, n)) * radius
-        cand = np.clip(center[None, :] + jitter, 1e-12, None)
-        cand /= cand.sum(axis=1, keepdims=True)
-        d = rng.standard_normal((2048, n))
-        d -= d.mean(axis=1, keepdims=True)
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-        other = np.clip(cand + step * d, 0.0, None)
-        other /= other.sum(axis=1, keepdims=True)
-        dist = np.linalg.norm(cand - other, ord=ordv, axis=1)
-        ok = dist > 1e-12
-        quot = np.where(ok, np.abs(gamma_eval(cand) - gamma_eval(other))
-                        / np.where(ok, dist, 1.0), 0.0)
-        idx = int(np.argmax(quot))
-        if quot[idx] > best:
-            best = float(quot[idx])
-            best_pair = (cand[idx], other[idx])
-        radius *= 0.5
-    return best, best_pair

@@ -1,9 +1,10 @@
 """Command-line harness: construct, levelsets, simulate, audit, counterexample.
 
-Exit codes: 0 success, 2 input or spec error, 3 bound violation, 4 search
-failure.  All randomness flows from --seed (fallback: the ORDELIC_SEED
-environment variable); outputs are byte-identical across repeated runs with
-the same configuration.
+Exit codes: 0 success, 2 input or spec error, 3 bound violation, 4 no
+counterexample (C is at least the exact Lipschitz constant of the norm).
+All randomness flows from --seed (fallback: the ORDELIC_SEED environment
+variable); outputs are byte-identical across repeated runs with the same
+configuration.
 """
 
 from __future__ import annotations
@@ -77,11 +78,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-marginal", type=float, default=None)
     p.add_argument("--convention", choices=["simplex", "plot"], default="simplex")
 
-    p = sub.add_parser("counterexample", parents=[common],
-                       help="search for a Lipschitz-violating pair")
+    p = sub.add_parser("counterexample",
+                       help="construct a pair violating a proposed Lipschitz constant")
     p.add_argument("--surrogate", required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--samples", type=int, default=50_000, help="search budget")
+    p.add_argument("--out", required=True, help="output prefix")
+    p.add_argument("--seed", type=int, default=None,
+                   help="unused: the pair is constructed, not searched for")
+    p.add_argument("--samples", type=int, default=None,
+                   help="unused: the pair is constructed, not searched for")
     p.add_argument("--norm", choices=["l1", "l2", "linf"], default="l2")
     return parser
 
@@ -246,9 +251,10 @@ def _cmd_audit(args) -> int:
             c_marg, estimated = args.c_marginal, False
         else:
             c_marg, estimated = audit_mod.estimate_marginal_lipschitz(
-                predictor, data), True
+                predictor, data, norm=args.norm), True
         reports.append(audit_mod.check_discretization_bound(
-            predictor, data, surrogate, C_marginal=c_marg, c_estimated=estimated))
+            predictor, data, surrogate, C_marginal=c_marg, c_estimated=estimated,
+            norm=args.norm))
     else:
         reports.append(audit_mod.discrete_calibration(
             predictor, data, surrogate.discrete_set_many))
@@ -267,11 +273,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    seed = _require_seed(args)
     surrogate = _load_surrogate(args.surrogate)
-    p, q, instance = audit_mod.counterexample_gap(
-        surrogate.gamma_many, surrogate.n_outcomes, args.c,
-        budget=args.samples, seed=seed, norm=args.norm)
+    p, q, instance = audit_mod.counterexample_gap(surrogate, args.c, norm=args.norm)
     f, data = audit_mod.instance_dataset(instance)
     dist_report = audit_mod.dist_calibration_wrt(
         f, data, surrogate.gamma_many, norm=args.norm)
@@ -280,8 +283,8 @@ def _cmd_counterexample(args) -> int:
     sur_report = audit_mod.surrogate_calibration(g, data, surrogate.gamma_many,
                                                  norm=args.norm)
     payload = {
-        "config": {"surrogate": args.surrogate, "c": args.c, "seed": seed,
-                   "budget": args.samples, "norm": args.norm, "out": args.out},
+        "config": {"surrogate": args.surrogate, "c": args.c,
+                   "seed": _resolve_seed(args), "norm": args.norm, "out": args.out},
         "instance": instance,
         "audits": {
             "distribution_epsilon": dist_report.epsilon_hat,

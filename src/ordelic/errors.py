@@ -26,4 +26,5 @@ class DegenerateRangeError(OrdelicError):
 
 
 class SearchFailure(OrdelicError):
-    """A randomized search exhausted its budget without a witness."""
+    """No counterexample: C is at least the exact Lipschitz constant, or too
+    close to it to certify a pair."""

@@ -11,7 +11,7 @@ with a threshold link back to the discrete reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ordelic.errors import (
     SimplexError,
     SpecError,
 )
-from ordelic.simplex import as_simplex_points
+from ordelic.simplex import as_simplex_points, norm_name
 
 _SV_RTOL = 1e-9
 _MIN_GAP = 1e-9  # least separation, along a normal, of consecutive slices
@@ -335,12 +335,47 @@ class OrientedNormals:
         return lo_ok & hi_ok[:, ::-1]
 
 
-def _piece_gradients(O: np.ndarray, w: np.ndarray, l: int,
-                     pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Property gradients along the simplex (the component orthogonal to the
-    ones vector) on grid piece l at the rows of pts, one row for a tail
-    (l = -1 or l = m - 1), and their norms at every row; O holds the node
-    columns negated."""
+class LipschitzMax(NamedTuple):
+    """Exact Lipschitz constant ``K`` of a property in one norm, a point of
+    the simplex where the dual norm of its gradient attains K, the grid
+    ``piece`` there (-1 and m - 1 are the tails), the vertices of that
+    piece's ``region``, and a sum-zero ``direction`` of unit norm along
+    which the derivative is K.  Where K = inf, the point is shared by the
+    slices of nodes ``piece`` and ``piece + 1``, and the region is None
+    and the direction NaN."""
+
+    K: float
+    point: np.ndarray
+    piece: int
+    region: np.ndarray | None
+    direction: np.ndarray
+
+
+def _dual(X: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dual norm of each row of X on sum-zero directions, and a sum-zero
+    direction attaining it (of unit norm for l1 and linf; x - mean x, not
+    yet scaled, for l2): ||x - mean x||_2 for l2, (max x - min x) / 2 for
+    l1, and for linf the top floor(n/2) entries of x less the bottom
+    floor(n/2)."""
+    if norm == "l2":
+        D = X - X.mean(axis=1, keepdims=True)
+        # row-wise dot products: the same sums as np.linalg.norm of one row
+        return np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0]), D
+    k = 1 if norm == "l1" else X.shape[1] // 2
+    order = np.argsort(X, axis=1, kind="stable")
+    rows = np.arange(len(X))[:, None]
+    U = np.zeros_like(X)
+    U[rows, order[:, X.shape[1] - k:]] = 0.5 if norm == "l1" else 1.0
+    U[rows, order[:, :k]] = -0.5 if norm == "l1" else -1.0
+    return (U * X).sum(axis=1), U
+
+
+def _piece_gradients(O: np.ndarray, w: np.ndarray, l: int, pts: np.ndarray,
+                     norm: str = "l2") -> tuple[np.ndarray, np.ndarray]:
+    """Directions attaining the dual norm (in ``norm``, see :func:`_dual`)
+    of the property gradient on grid piece l at the rows of pts, one row for
+    a tail (l = -1 or l = m - 1), and those dual norms at every row; O holds
+    the node columns negated."""
     m = O.shape[0]
     if l in (-1, m - 1):
         G = O[[max(l, 0)]]
@@ -349,20 +384,25 @@ def _piece_gradients(O: np.ndarray, w: np.ndarray, l: int,
         den = pts @ (oi - oi1)
         f = (pts @ oi) / den
         G = w[l] * ((oi - f[:, None] * (oi - oi1)) / den[:, None])
-    D = G - G.mean(axis=1, keepdims=True)
-    # row-wise dot products: the same sums as np.linalg.norm of one row
-    norms = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
-    return D, np.broadcast_to(norms, len(pts))
+    values, dirs = _dual(G, norm)
+    return dirs, np.broadcast_to(values, len(pts))
 
 
-def _edge_stationary_points(O: np.ndarray, l: int, V: np.ndarray) -> np.ndarray:
-    """Points on the segments between rows of V where the gradient norm of
-    the middle piece l is stationary along the segment.
+def _edge_points(O: np.ndarray, l: int, V: np.ndarray, norm: str) -> np.ndarray:
+    """Points inside the segments between rows of V where the dual norm of
+    the middle piece l's gradient can peak along the segment.
 
     With u = <o_l, p> and v = -<o_{l+1}, p> the piece's gradient is
-    w_l (v o_l + u o_{l+1}) / (u + v)^2, so along p0 + t (p1 - p0) its squared
-    norm is w_l^2 |n0 + t n1|^2 / (s0 + t s1)^4 and the stationary t solve
+    w_l N / (u + v)^2, N = v o_l + u o_{l+1}, and along p0 + t (p1 - p0)
+    N = n0 + t n1 and u + v = s0 + t s1.  For l2 the squared norm is
+    w_l^2 |n0 + t n1|^2 / (s0 + t s1)^4, stationary where
     -s1 |n1|^2 t^2 + (s0 |n1|^2 - 3 s1 <n0, n1>) t + s0 <n0, n1> - 2 s1 |n0|^2 = 0.
+    The l1 and linf duals are linear in N between the t where two of its
+    coordinates cross; on each such interval the norm is
+    w_l (alpha + beta t) / (s0 + s1 t)^2, stationary at
+    t = (beta s0 - 2 s1 alpha) / (beta s1).  The crossings are returned too.
+    Extra points of a segment do no harm: the max is taken over the values
+    at all of them.
     """
     a, b = O[l], O[l + 1]
     u, v = V @ a, -(V @ b)
@@ -370,35 +410,66 @@ def _edge_stationary_points(O: np.ndarray, l: int, V: np.ndarray) -> np.ndarray:
     I, J = _pairs(len(V))
     n0, n1 = N[I], N[J] - N[I]
     s0, s1 = (u + v)[I], (u + v)[J] - (u + v)[I]
-    n00, n01, n11 = (n0 * n0).sum(1), (n0 * n1).sum(1), (n1 * n1).sum(1)
-    c2, c1, c0 = -s1 * n11, s0 * n11 - 3.0 * s1 * n01, s0 * n01 - 2.0 * s1 * n00
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
-        t = np.concatenate([q / c2, c0 / q])
-    pair = np.concatenate([np.arange(len(I))] * 2)
+        if norm == "l2":
+            n00, n01, n11 = (n0 * n0).sum(1), (n0 * n1).sum(1), (n1 * n1).sum(1)
+            c2, c1, c0 = -s1 * n11, s0 * n11 - 3.0 * s1 * n01, s0 * n01 - 2.0 * s1 * n00
+            q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+            t = np.concatenate([q / c2, c0 / q])
+        else:
+            ci, cj = _pairs(N.shape[1])
+            cross = (n0[:, cj] - n0[:, ci]) / (n1[:, ci] - n1[:, cj])
+            cross[~((cross > 0.0) & (cross < 1.0))] = np.nan
+            ends = np.sort(np.column_stack([np.zeros(len(I)), cross, np.ones(len(I))]),
+                           axis=1)  # NaN sorts last
+            mid = np.nan_to_num(0.5 * (ends[:, :-1] + ends[:, 1:]))
+            X = n0[:, None, :] + mid[:, :, None] * n1[:, None, :]
+            _, U = _dual(X.reshape(-1, N.shape[1]), norm)
+            U = U.reshape(X.shape)
+            alpha, beta = (U * n0[:, None, :]).sum(2), (U * n1[:, None, :]).sum(2)
+            s0c, s1c = s0[:, None], s1[:, None]
+            stat = (beta * s0c - 2.0 * s1c * alpha) / (beta * s1c)
+            t = np.concatenate([cross.T.ravel(), stat.T.ravel()])
+    pair = np.arange(len(t)) % len(I)  # t holds blocks of one t per pair
     ok = (t > 0.0) & (t < 1.0)
     t, pair = t[ok], pair[ok]
     return V[I[pair]] + t[:, None] * (V[J[pair]] - V[I[pair]])
 
 
-def lipschitz_constant(grid, nodes) -> tuple[float, np.ndarray, np.ndarray]:
-    """Euclidean Lipschitz constant K of the property on (grid, nodes) over
-    the simplex, a point where the gradient norm attains it, and that
-    gradient along the simplex (NaN where K = inf).
+def _region(C: np.ndarray, S: np.ndarray, l: int) -> np.ndarray | None:
+    """Rows of C in the region of grid piece l (S = C @ O.T), or None when
+    that region lies inside one node slice."""
+    m = S.shape[1]
+    inside = np.ones(len(C), dtype=bool)
+    if l >= 0:
+        inside &= S[:, l] >= -BOUNDARY_TOL
+    if l < m - 1:
+        inside &= S[:, l + 1] <= BOUNDARY_TOL
+    if (l >= 0 and S[inside, l].max(initial=0.0) <= BOUNDARY_TOL) \
+            or (l < m - 1 and S[inside, l + 1].min(initial=0.0) >= -BOUNDARY_TOL):
+        return None
+    return C[inside]
 
-    With h_l = nodes[:, l], piece l of the grid holds the p with
-    <h_l, p> <= 0 <= <h_{l+1}, p>.  When two consecutive slices
-    {<h_l, p> = 0} share a point of the simplex, the root there is a flat
-    interval and K = inf.  Otherwise the slices do not meet, so every piece's
-    region polytope has simplex vertices and slice vertices as its vertices.
-    The tails are linear.  A middle piece's gradient norm depends on p only
-    through (u, v) = (-<h_l, p>, <h_{l+1}, p>) and is homogeneous of degree -1
-    there, so over the region's image in the (u, v) plane it peaks on the
-    image's boundary, whose edges are images of segments between region
-    vertices: the max is at a vertex or where the norm is stationary along
-    such a segment.  Regions inside one slice have no interior and are
-    skipped.
+
+def lipschitz_constant(grid, nodes, norm="l2") -> LipschitzMax:
+    """Exact Lipschitz constant K of the property on (grid, nodes) over the
+    simplex in ``norm`` (l1, l2 or linf), with its maximizer.
+
+    K is the max over the simplex of the dual norm of the gradient on
+    sum-zero directions (see :func:`_dual`).  With h_l = nodes[:, l], piece
+    l of the grid holds the p with <h_l, p> <= 0 <= <h_{l+1}, p>.  When two
+    consecutive slices {<h_l, p> = 0} share a point of the simplex, the root
+    there is a flat interval and K = inf; that point is returned.  Otherwise
+    the slices do not meet, so every piece's region polytope has simplex
+    vertices and slice vertices as its vertices.  The tails are linear.  A
+    middle piece's gradient depends on p only through (u, v) = (-<h_l, p>,
+    <h_{l+1}, p>) and is homogeneous of degree -1 there, so over the
+    region's image in the (u, v) plane any norm of it peaks on the image's
+    boundary, whose edges are images of segments between region vertices:
+    the max is at a vertex or at one of the points :func:`_edge_points`
+    gives.  Regions inside one slice have no interior and are skipped.
     """
+    norm = norm_name(norm)
     O = -np.asarray(nodes, dtype=np.float64).T  # (m, n); row l is -h_l
     w = np.diff(np.asarray(grid, dtype=np.float64))
     m, n = O.shape
@@ -407,27 +478,23 @@ def lipschitz_constant(grid, nodes) -> tuple[float, np.ndarray, np.ndarray]:
         if len(slices[l]):
             s = slices[l] @ O[l + 1]
             if s.max() >= -BOUNDARY_TOL:
-                return float("inf"), slices[l][int(np.argmax(s))], np.full(n, np.nan)
+                return LipschitzMax(float("inf"), slices[l][int(np.argmax(s))], l,
+                                    None, np.full(n, np.nan))
     C = np.vstack([np.eye(n), *slices])
     S = C @ O.T
-    best, arg, grad = 0.0, C[0], np.zeros(n)
+    best = LipschitzMax(0.0, C[0], -1, C, np.zeros(n))
     for l in range(-1, m):
-        inside = np.ones(len(C), dtype=bool)
-        if l >= 0:
-            inside &= S[:, l] >= -BOUNDARY_TOL
-        if l < m - 1:
-            inside &= S[:, l + 1] <= BOUNDARY_TOL
-        if (l >= 0 and S[inside, l].max(initial=0.0) <= BOUNDARY_TOL) \
-                or (l < m - 1 and S[inside, l + 1].min(initial=0.0) >= -BOUNDARY_TOL):
+        R = _region(C, S, l)
+        if R is None:
             continue
-        V = C[inside]
-        if 0 <= l < m - 1:
-            V = np.vstack([V, _edge_stationary_points(O, l, V)])
-        D, norms = _piece_gradients(O, w, l, V)
-        i = int(np.argmax(norms))
-        if norms[i] > best:
-            best, arg, grad = float(norms[i]), V[i], D[i]  # i = 0 on a tail
-    return best, arg, grad
+        V = R if l in (-1, m - 1) else np.vstack([R, _edge_points(O, l, R, norm)])
+        dirs, values = _piece_gradients(O, w, l, V, norm)
+        i = int(np.argmax(values))
+        if values[i] > best.K:  # i = 0 on a tail
+            best = LipschitzMax(float(values[i]), V[i], l, R, dirs[i])
+    if norm == "l2" and best.K > 0.0:
+        return best._replace(direction=best.direction / np.linalg.norm(best.direction))
+    return best
 
 
 @dataclass(frozen=True)
@@ -442,7 +509,8 @@ class Surrogate:
     -o, which evaluating the interpolants may round).  One kernel evaluates
     the root for both constructions, and ``lipschitz_bound`` is the exact
     Euclidean Lipschitz constant of that property (inf where it is not
-    Lipschitz).  The link maps u to report 1 + #(thresholds < u -
+    Lipschitz); :meth:`lipschitz` gives the constant for l1 and linf too,
+    computed on first use.  The link maps u to report 1 + #(thresholds < u -
     BOUNDARY_TOL).  The discrete target comes from ``cost`` when present,
     else from ``normals``.
     """
@@ -456,6 +524,7 @@ class Surrogate:
     nodes: np.ndarray = field(init=False, repr=False)
     lipschitz_bound: float = field(init=False)
     lipschitz_exact: ClassVar[bool] = True
+    _lipschitz: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = tuple(self.identification)
@@ -466,13 +535,15 @@ class Surrogate:
             raise SpecError("one identification function per outcome required")
         nodes = np.stack([f(grid) for f in v]) if self.normals is None \
             else -self.normals.o.T
+        top = lipschitz_constant(grid, nodes)
         for name, value in (
             ("identification", v),
             ("thresholds", np.asarray(self.thresholds, dtype=np.float64)),
             ("value_range", (float(self.value_range[0]), float(self.value_range[1]))),
             ("grid", grid),
             ("nodes", nodes),
-            ("lipschitz_bound", lipschitz_constant(grid, nodes)[0]),
+            ("lipschitz_bound", top.K),
+            ("_lipschitz", {"l2": top}),
         ):
             object.__setattr__(self, name, value)
 
@@ -483,6 +554,18 @@ class Surrogate:
     @property
     def n_outcomes(self) -> int:
         return len(self.identification)
+
+    def lipschitz_max(self, norm="l2") -> LipschitzMax:
+        """The exact Lipschitz constant in ``norm`` with its maximizer; see
+        :func:`lipschitz_constant`."""
+        key = norm_name(norm)
+        if key not in self._lipschitz:
+            self._lipschitz[key] = lipschitz_constant(self.grid, self.nodes, key)
+        return self._lipschitz[key]
+
+    def lipschitz(self, norm="l2") -> float:
+        """The exact Lipschitz constant of the property in ``norm``."""
+        return self.lipschitz_max(norm).K
 
     def gamma_many(self, probs) -> np.ndarray:
         """Property value at each row of ``probs``."""

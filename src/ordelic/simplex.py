@@ -34,6 +34,11 @@ def norm_order(kind: NormKind) -> float:
     return value
 
 
+def norm_name(kind: NormKind) -> str:
+    """"l1", "l2" or "linf" for any norm spec :func:`norm_order` accepts."""
+    return {1.0: "l1", 2.0: "l2", np.inf: "linf"}[norm_order(kind)]
+
+
 def as_simplex_point(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
     """Validate and renormalize a probability vector.
 

@@ -5,7 +5,7 @@ from ordelic._kernels import BOUNDARY_TOL
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.normals import build_from_spec
 from ordelic.properties import AffineBoundary, CostMatrix, spec_from_boundaries
-from ordelic.simplex import as_simplex_points
+from ordelic.simplex import as_simplex_points, norm_order, sample_simplex
 
 EQ1_COSTS = [[0.0, 3.0, 5.0], [1.0, 0.0, 3.0], [3.0, 1.0, 0.0]]
 EQ1_PHI = np.array([0.0, 1.0, 3.0])
@@ -94,6 +94,42 @@ def node_root_batch(bp, nodes, probs) -> np.ndarray:
     r_left = zero_right_of((M < 0.0).sum(axis=1) - 1)       # after the last negative node
     r_right = zero_right_of(m - 1 - (M > 0.0).sum(axis=1))  # before the first positive one
     return 0.5 * (r_left + r_right)
+
+
+def lipschitz_estimate(gamma_eval, n: int, norm="l2", samples: int = 20_000,
+                       seed: int = 0, refine_rounds: int = 8):
+    """Sampled oracle for a property's Lipschitz constant: the max
+    difference quotient over random pairs 1e-4 apart, refined around the
+    best pair.  A lower estimate, never a bound.
+
+    Returns (K_hat, (p, q)) for the best pair found.
+    """
+    ordv = norm_order(norm)
+    rng = np.random.default_rng(seed)
+
+    def best_quotient(base):
+        d = rng.standard_normal(base.shape)
+        d -= d.mean(axis=1, keepdims=True)
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        other = np.clip(base + 1e-4 * d, 0.0, None)
+        other /= other.sum(axis=1, keepdims=True)
+        dist = np.linalg.norm(base - other, ord=ordv, axis=1)
+        ok = dist > 1e-12
+        quot = np.where(ok, np.abs(gamma_eval(base) - gamma_eval(other))
+                        / np.where(ok, dist, 1.0), 0.0)
+        idx = int(np.argmax(quot))
+        return float(quot[idx]), (base[idx], other[idx])
+
+    best, best_pair = best_quotient(sample_simplex(n, samples, int(rng.integers(2**31))))
+    radius = 0.05
+    for _ in range(refine_rounds):
+        cand = np.clip(best_pair[0] + rng.standard_normal((2048, n)) * radius, 1e-12, None)
+        cand /= cand.sum(axis=1, keepdims=True)
+        quot, pair = best_quotient(cand)
+        if quot > best:
+            best, best_pair = quot, pair
+        radius *= 0.5
+    return best, best_pair
 
 
 def region_index(normals, probs) -> np.ndarray:

@@ -225,8 +225,7 @@ def test_criterion_5_postprocessing_monte_carlo(capfd):
 def test_criterion_6_counterexample_generator(capfd):
     with _Criterion(6, 10.0, capfd):
         nrm = _fixture_normals()
-        _, _, instance = counterexample_gap(
-            nrm.gamma_many, 3, C=5.0, seed=600)
+        _, _, instance = counterexample_gap(nrm, C=5.0)
         f, data = instance_dataset(instance)
         dist = dist_calibration_wrt(f, data, nrm.gamma_many)
         g = PredictorTable("scalar", {

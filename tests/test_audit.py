@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import O1, O2, from_ternary_plot
+from conftest import O1, O2, from_ternary_plot, lipschitz_estimate, node_root_batch
 from ordelic.audit import (
     PredictorTable,
     check_discretization_bound,
@@ -15,14 +15,15 @@ from ordelic.audit import (
     estimate_marginal_lipschitz,
     instance_dataset,
     link_diameter,
-    lipschitz_estimate,
     surrogate_calibration,
 )
+from ordelic.cli import _default_outer_slope
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
 from ordelic.normals import build_from_spec
 from ordelic.properties import (
     AffineBoundary,
+    CostMatrix,
     random_orderable_spec,
     sample_boundary,
     spec_from_boundaries,
@@ -33,7 +34,7 @@ from ordelic.scenario import (
     materialize_predictor,
     sample_dataset,
 )
-from ordelic.simplex import LabeledDataset, sample_simplex
+from ordelic.simplex import LabeledDataset, norm_order, sample_simplex
 
 DOT = from_ternary_plot(np.array([0.38, 0.02]))
 STAR = from_ternary_plot(np.array([0.42, 0.02]))
@@ -279,9 +280,10 @@ class TestPostprocessingBound:
 
 class TestCounterexample:
     def test_finds_violation_of_small_constant(self, fixture_normals):
-        p, q, instance = counterexample_gap(
-            fixture_normals.gamma_many, 3, C=5.0, seed=12)
+        p, q, instance = counterexample_gap(fixture_normals, C=5.0)
         assert instance["ratio"] > 5.0
+        assert instance["K"] == fixture_normals.lipschitz_bound
+        assert instance["norm"] == "l2"
         gap = instance["surrogate_gap"]
         eps = instance["distribution_epsilon"]
         assert gap > 5.0 * eps
@@ -290,21 +292,61 @@ class TestCounterexample:
         assert drep.epsilon_hat == pytest.approx(eps, abs=1e-12)
 
     def test_trivial_constant(self, fixture_normals):
-        _, _, instance = counterexample_gap(
-            fixture_normals.gamma_many, 3, C=0.0, seed=13,
-            budget=4096)
+        _, _, instance = counterexample_gap(fixture_normals, C=0.0)
         assert instance["ratio"] > 0.0
 
-    def test_constant_property_fails_search(self):
-        with pytest.raises(SearchFailure):
-            counterexample_gap(lambda P: np.zeros(len(P)), 3, C=0.5,
-                               seed=14, budget=8192)
+    def test_constant_at_k_fails_search(self, fixture_normals):
+        K = fixture_normals.lipschitz_bound
+        with pytest.raises(SearchFailure, match=f"K = {K!r}"):
+            counterexample_gap(fixture_normals, C=K)
 
     def test_valid_constant_fails_search(self, fixture_normals):
         with pytest.raises(SearchFailure):
-            counterexample_gap(
-                fixture_normals.gamma_many, 3,
-                C=fixture_normals.lipschitz_bound + 1.0, seed=15, budget=16384)
+            counterexample_gap(fixture_normals,
+                               C=fixture_normals.lipschitz_bound + 1.0)
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("case", ["normals", "embedding", "normals-6", "embedding-8"])
+    def test_witness_below_k(self, fixture_normals, fixture_embedding, norm, case):
+        """Below K in each norm the pair's ratio exceeds C under the kernel
+        and the exact-sign oracle, both points at least 1e-9 from every
+        node slice; at K no pair exists."""
+        if case == "normals":
+            s = fixture_normals
+        elif case == "embedding":
+            s = fixture_embedding
+        else:
+            algo, n = case.split("-")
+            spec, cost, phi = random_orderable_spec(int(n), 4, seed=int(n))
+            s = build_from_spec(spec) if algo == "normals" else build_surrogate(
+                build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+        K, ordv = s.lipschitz(norm), norm_order(norm)
+        H = s.nodes - s.nodes.mean(axis=0)
+        for C in (0.0, 0.5 * K, (1.0 - 1e-4) * K):
+            p, q, instance = counterexample_gap(s, C, norm)
+            P = np.stack([p, q])
+            dist = np.linalg.norm(p - q, ord=ordv)
+            for values in (s.gamma_many(P), node_root_batch(s.grid, s.nodes, P)):
+                assert abs(values[0] - values[1]) > C * dist
+            assert np.min(np.abs(P @ s.nodes) / np.linalg.norm(H, axis=0)) >= 1e-9
+            assert instance["ratio"] > C and instance["K"] == K
+            assert instance["norm"] == norm
+        with pytest.raises(SearchFailure, match=f"K = {K!r}"):
+            counterexample_gap(s, K, norm)
+
+    def test_witness_where_k_is_infinite(self):
+        """Three node slices of this embedding share e_1, where the root is
+        the midpoint 0.5 of a flat interval, while the property tends to 1
+        next to it: the pair is e_1 and a point on a ray into the simplex."""
+        cost = CostMatrix([[0, 3, 5], [0, 0, 3], [3, 1, 0]])
+        phi = np.array([0.0, 1.0, 3.0])
+        s = build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+        assert s.lipschitz_bound == np.inf
+        p, q, instance = counterexample_gap(s, 1e3)
+        P = np.stack([p, q])
+        for values in (s.gamma_many(P), node_root_batch(s.grid, s.nodes, P)):
+            assert abs(values[0] - values[1]) > 1e3 * np.linalg.norm(p - q)
+        assert p.tolist() == [1.0, 0.0, 0.0] and instance["K"] == np.inf
 
 
 class TestThresholdGeometry:

@@ -325,6 +325,15 @@ class TestCounterexample:
                      "--out", out]) == EXIT_OK
         return out
 
+    @pytest.fixture()
+    def readme_normals(self, spec_file, tmp_path):
+        """The README's normals surrogate: K is 18.708 in l2, 12.5 in l1 and
+        25.0 in linf."""
+        out = str(tmp_path / "readme.json")
+        assert main(["construct", "--spec", spec_file, "--algo", "normals",
+                     "--seed", "1", "--out", out]) == EXIT_OK
+        return out
+
     def test_violation_found(self, surrogate_file, tmp_path):
         prefix = str(tmp_path / "ce")
         rc = main(["counterexample", "--surrogate", surrogate_file,
@@ -332,18 +341,61 @@ class TestCounterexample:
         assert rc == EXIT_OK
         report = read_json(prefix + ".report.json")
         assert report["instance"]["ratio"] > 5.0
+        assert report["instance"]["norm"] == "l2"
+        assert report["instance"]["K"] == pytest.approx(18.708286933869697, rel=1e-9)
+        assert "budget" not in report["config"]
         assert report["audits"]["gap_exceeds_C_times_epsilon"]
         scen = read_json(prefix + ".scenario.json")
         assert scen["predictor"]["recipe"] == "fixed"
         pred = read_json(prefix + ".predictor.json")
         assert pred["kind"] == "distribution"
 
+    def test_no_seed_needed_and_byte_identical(self, surrogate_file, tmp_path,
+                                               monkeypatch):
+        monkeypatch.delenv("ORDELIC_SEED", raising=False)
+        outs = []
+        for name, extra in (("a", []), ("b", ["--seed", "9", "--samples", "7"])):
+            prefix = str(tmp_path / name)
+            assert main(["counterexample", "--surrogate", surrogate_file,
+                         "--c", "5", *extra, "--out", prefix]) == EXIT_OK
+            outs.append(read_json(prefix + ".report.json")["instance"])
+        assert outs[0] == outs[1]
+
     def test_valid_constant_exits_search_failure(self, surrogate_file,
-                                                 tmp_path):
+                                                 tmp_path, capsys):
         rc = main(["counterexample", "--surrogate", surrogate_file,
                    "--c", "25", "--seed", "2", "--samples", "8192",
                    "--out", str(tmp_path / "ce")])
         assert rc == EXIT_SEARCH
+        err = capsys.readouterr().err
+        assert err.startswith("search failed:") and "K = 18.7082869" in err
+
+    def test_linf_witness_above_the_l2_constant(self, readme_normals, tmp_path):
+        """At C = K_l2 no l2 pair exists, but an linf pair does, and the
+        post-processing check of that pair in linf holds with K_linf."""
+        prefix = str(tmp_path / "ce")
+        assert main(["counterexample", "--surrogate", readme_normals,
+                     "--norm", "linf", "--c", "18.708286933869697",
+                     "--out", prefix]) == EXIT_OK
+        instance = read_json(prefix + ".report.json")["instance"]
+        assert instance["ratio"] > 18.708
+        assert instance["K"] == pytest.approx(25.0, rel=1e-12)
+        out = str(tmp_path / "audit.json")
+        assert main(["audit", "--surrogate", readme_normals,
+                     "--scenario", prefix + ".scenario.json",
+                     "--predictor", prefix + ".predictor.json",
+                     "--norm", "linf", "--out", out]) == EXIT_OK
+        (check,) = read_json(out)["reports"][1]["bounds"]
+        assert check["params"]["norm"] == "linf"
+        assert check["params"]["K"] == pytest.approx(25.0, rel=1e-12)
+
+    @pytest.mark.parametrize("norm, c", [("linf", "25.25"), ("l1", "13")])
+    def test_constant_above_the_norms_k_exits_at_once(self, readme_normals,
+                                                      tmp_path, capsys, norm, c):
+        assert main(["counterexample", "--surrogate", readme_normals,
+                     "--norm", norm, "--c", c,
+                     "--out", str(tmp_path / "ce")]) == EXIT_SEARCH
+        assert f"exact {norm} Lipschitz constant" in capsys.readouterr().err
 
 
 def test_unknown_arguments_exit_spec(capsys):

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import EQ1_PHI, O1, O2, Antiderivative, bisect_expected_root, node_root_batch
+from conftest import (
+    EQ1_PHI,
+    O1,
+    O2,
+    Antiderivative,
+    bisect_expected_root,
+    lipschitz_estimate,
+)
 from ordelic.audit import PredictorTable, check_discretization_bound, check_postprocessing_bound
 from ordelic.cli import _default_outer_slope
 from ordelic.embedding import (
@@ -15,7 +20,7 @@ from ordelic.embedding import (
 )
 from ordelic.errors import SpecError
 from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine
-from ordelic.properties import CostMatrix, Surrogate, lipschitz_constant, random_orderable_spec
+from ordelic.properties import CostMatrix, Surrogate, random_orderable_spec
 from ordelic.simplex import LabeledDataset, sample_simplex
 
 
@@ -173,7 +178,6 @@ class TestLevelSets:
 
 class TestLipschitz:
     def test_quotients_bounded_by_refined_estimate(self, fixture_embedding):
-        from ordelic.audit import lipschitz_estimate
         s = fixture_embedding
         K_hat, _ = lipschitz_estimate(
             s.gamma_many, 3, seed=14)
@@ -251,46 +255,6 @@ class TestRandomSpecs:
 
 def _embedding(cost, phi) -> Surrogate:
     return build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
-
-
-def _near_argmax_quotient(s: Surrogate, K: float, p_star, grad) -> float:
-    """Best oracle-root quotient over pairs (A, A +- r d g) next to p_star,
-    with g the unit gradient there and A = p_star + d (S - p_star) for
-    sample points S of each grid piece: the segment from p_star, a vertex of
-    its piece's region, to a point of that region stays in it.  Pairs nearer
-    than 1e-8 / K, where rounding dominates the quotient, are left out."""
-    n = len(p_star)
-    g = grad / np.linalg.norm(grad)
-    S = sample_simplex(n, 4000, seed=0)
-    piece = (S @ s.nodes < 0).sum(axis=1)
-    best = 0.0
-    for j in np.unique(piece):
-        for d in 10.0 ** -np.arange(2, 11):
-            A = p_star + d * (S[piece == j][:50] - p_star)
-            for step in (0.1 * d, 0.01 * d, -0.1 * d, -0.01 * d):
-                B = A + step * g
-                ok = np.all(B >= 0.0, axis=1)
-                if abs(step) * K < 1e-8 or not ok.any():
-                    continue
-                q = np.abs(node_root_batch(s.grid, s.nodes, A[ok])
-                           - node_root_batch(s.grid, s.nodes, B[ok])) / abs(step)
-                best = max(best, float(q.max()))
-    return best
-
-
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(3, 8), n_reports=st.integers(3, 5), seed=st.integers(0, 2**20))
-def test_embedding_k_is_exact(n, n_reports, seed):
-    """No sampled quotient of an embedding surrogate exceeds K, and pairs
-    next to the returned maximizer reach K."""
-    _, cost, phi = random_orderable_spec(n, n_reports, seed)
-    s = _embedding(cost, phi)
-    K, p_star, grad = lipschitz_constant(s.grid, s.nodes)
-    assert K == s.lipschitz_bound and np.isfinite(K)
-    a, b = sample_simplex(n, 20_000, seed), sample_simplex(n, 20_000, seed + 1)
-    q = np.abs(s.gamma_many(a) - s.gamma_many(b)) / np.linalg.norm(a - b, axis=1)
-    assert q.max() <= K * (1.0 + 1e-9)
-    assert _near_argmax_quotient(s, K, p_star, grad) >= K * (1.0 - 1e-6)
 
 
 def test_shared_slice_point_is_not_lipschitz():

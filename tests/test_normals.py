@@ -3,7 +3,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O2, SQ14, bisect_expected_root, node_root_batch, region_index
+from conftest import (
+    O1,
+    O2,
+    SQ14,
+    bisect_expected_root,
+    lipschitz_estimate,
+    node_root_batch,
+    region_index,
+)
 from ordelic.errors import OrderabilityError
 from ordelic.normals import build_from_spec, full_pipeline
 from ordelic.properties import (
@@ -115,7 +123,6 @@ class TestEvaluation:
         assert np.max(np.abs(a - c)) < 1e-8
 
     def test_lipschitz_bound_exact_and_attained(self, fixture_normals, fixture_cost):
-        from ordelic.audit import lipschitz_estimate
         s = fixture_normals
         assert s.lipschitz_exact
         # attained at the slice vertex (0.6, 0, 0.4) of region 2
@@ -126,6 +133,14 @@ class TestEvaluation:
         K_hat, _ = lipschitz_estimate(s.gamma_many, 3, seed=33)
         assert K_hat <= s.lipschitz_bound + 1e-6
         assert K_hat > 0.9 * s.lipschitz_bound
+
+    def test_l1_and_linf_constants(self, fixture_normals):
+        """Attained, like the Euclidean constant sqrt(350), at (0.6, 0, 0.4),
+        where the gradient is (-10, -5, 15): (max - min) / 2 and max - min."""
+        for norm, K in (("l1", 12.5), ("linf", 25.0)):
+            top = fixture_normals.lipschitz_max(norm)
+            assert top.K == pytest.approx(K, rel=1e-14)
+            assert top.point == pytest.approx([0.6, 0.0, 0.4], abs=1e-15)
 
 
 class TestLink:
@@ -256,7 +271,6 @@ def _spec_from_normals(O):
 def test_lipschitz_bound_is_a_bound(n, n_reports, seed, tilt):
     """K is exact for every n: no difference quotient and no in-region
     gradient norm exceeds it."""
-    from ordelic.audit import lipschitz_estimate
     spec = _tilted_spec(n, n_reports, seed, tilt)
     assume(spec is not None)
     s = build_from_spec(spec)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O2, region_index
+from conftest import O1, O2, node_root_batch, region_index
+from ordelic.cli import _default_outer_slope
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import (
     OrderabilityError,
@@ -30,7 +31,7 @@ from ordelic.properties import (
     sample_boundary,
     spec_from_boundaries,
 )
-from ordelic.simplex import sample_simplex
+from ordelic.simplex import norm_order, sample_simplex
 
 
 def target_set(cost, p) -> set:
@@ -285,6 +286,45 @@ def test_link_ties_resolve_low(fixture_cost, algo):
             [AffineBoundary([-3, 1, 0], -2.0), AffineBoundary([-5, -4, 0], -3.0)]))
     for i, t in enumerate(s.thresholds):
         assert s.link_many([t, t + 5e-11, t + 2e-10]).tolist() == [i + 1, i + 1, i + 2]
+
+
+def _near_argmax_quotient(s, top, ordv) -> float:
+    """Best oracle-root quotient over pairs (A, A + r u) next to the returned
+    maximizer p*, with u the returned unit direction and A = p* + d (S - p*)
+    for sample points S: for S in the maximizer's region the segment from
+    p* stays in it.  The exact-sign oracle is used because within
+    BOUNDARY_TOL of a node slice the kernel takes the neighbouring piece's
+    formula; pairs nearer than 1e-8 / K, where rounding dominates the
+    quotient, are left out."""
+    S = sample_simplex(len(top.point), 2000, seed=0)
+    d = 10.0 ** -np.arange(2, 11)
+    r = (d[:, None] * np.array([0.1, 0.01, -0.1, -0.01])).ravel()  # step per d
+    A = np.repeat(top.point + d[:, None, None] * (S - top.point), 4, axis=0)
+    B = A + r[:, None, None] * top.direction
+    ok = (B.min(axis=2) >= 0.0) & (np.abs(r)[:, None] * top.K >= 1e-8)
+    A, B = A[ok], B[ok]
+    gap = np.abs(node_root_batch(s.grid, s.nodes, A) - node_root_batch(s.grid, s.nodes, B))
+    return float(np.max(gap / np.linalg.norm(A - B, ord=ordv, axis=1)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(3, 8), n_reports=st.integers(3, 5), seed=st.integers(0, 2**20),
+       algo=st.sampled_from(["embedding", "normals"]))
+def test_k_is_exact_in_every_norm(n, n_reports, seed, algo):
+    """For l1, l2 and linf, no sampled quotient exceeds K, and pairs next to
+    the returned maximizer, along the returned direction, reach K."""
+    spec, cost, phi = random_orderable_spec(n, n_reports, seed)
+    s = build_from_spec(spec) if algo == "normals" else \
+        build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+    assert s.lipschitz("l2") == s.lipschitz_bound
+    a, b = sample_simplex(n, 20_000, seed), sample_simplex(n, 20_000, seed + 1)
+    gap = np.abs(s.gamma_many(a) - s.gamma_many(b))
+    for norm in ("l1", "l2", "linf"):
+        top, ordv = s.lipschitz_max(norm), norm_order(norm)
+        assert np.isfinite(top.K) and top.direction.sum() == pytest.approx(0.0, abs=1e-12)
+        assert np.linalg.norm(top.direction, ord=ordv) == pytest.approx(1.0, rel=1e-12)
+        assert np.max(gap / np.linalg.norm(a - b, ord=ordv, axis=1)) <= top.K * (1.0 + 1e-9)
+        assert _near_argmax_quotient(s, top, ordv) >= top.K * (1.0 - 1e-6)
 
 
 class TestSpecConstruction:
