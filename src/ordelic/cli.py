@@ -10,8 +10,6 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 
@@ -179,21 +177,14 @@ def _cmd_levelsets(args) -> int:
     res = args.resolution
     if res < 1:
         raise SpecError("resolution must be positive")
-    rows = []
-    for i in range(res + 1):
-        for j in range(res + 1 - i):
-            rows.append((i / res, j / res, (res - i - j) / res))
-    pts = as_simplex_points(np.array(rows))
+    pts = as_simplex_points(np.array([(i / res, j / res, (res - i - j) / res)
+                                      for i in range(res + 1) for j in range(res + 1 - i)]))
     gamma_s = surrogate.gamma_many(pts)
     gamma_d = np.argmax(surrogate.discrete_set_many(pts), axis=1) + 1  # lowest target report
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p1", "p2", "p3", "gamma_discrete", "gamma_surrogate"])
-    for p, gd, gs in zip(pts, gamma_d, gamma_s):
-        writer.writerow([repr(float(p[0])), repr(float(p[1])),
-                         repr(float(p[2])), int(gd), repr(float(gs))])
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write("p1,p2,p3,gamma_discrete,gamma_surrogate\n")
+        fh.writelines(f"{p1!r},{p2!r},{p3!r},{gd},{gs!r}\n" for (p1, p2, p3), gd, gs
+                      in zip(pts.tolist(), gamma_d.tolist(), gamma_s.tolist()))
     return EXIT_OK
 
 

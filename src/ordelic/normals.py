@@ -57,8 +57,9 @@ def full_pipeline(
     Samples n-1 points per boundary, recovers each normal from their null
     space (resampling on rank deficiency), orients them by the slice chain
     of :func:`orient_normals`, builds the surrogate, and verifies refinement
-    on uniform samples away from the boundaries.  The boundary gaps are exact
-    for 3 outcomes and sampled estimates otherwise.
+    on uniform samples away from the boundaries.  The report lists the exact
+    distance between each two consecutive boundary slices
+    (:func:`~ordelic.properties.boundary_gap`).
     """
     if isinstance(source, CostMatrix):
         cost = source
@@ -106,7 +107,6 @@ def full_pipeline(
     report = {
         "recovered_normals": [o.tolist() for o in oriented],
         "boundary_gaps": gaps,
-        "boundary_gaps_exact": n == 3,
         "lipschitz_bound": surrogate.lipschitz_bound,
         "lipschitz_exact": surrogate.lipschitz_exact,
         "refinement_checked": int(len(pts)),

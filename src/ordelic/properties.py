@@ -17,6 +17,7 @@ import numpy as np
 
 from ordelic._kernels import BOUNDARY_TOL, roe_batch
 from ordelic.errors import (
+    OrdelicError,
     OrderabilityError,
     RankDeficiencyError,
     SimplexError,
@@ -26,6 +27,7 @@ from ordelic.simplex import as_simplex_points, norm_name
 
 _SV_RTOL = 1e-9
 _MIN_GAP = 1e-9  # least separation, along a normal, of consecutive slices
+_WOLFE_MAX_ITER = 1000  # major plus minor cycles of one min-norm point search
 
 
 @dataclass(frozen=True)
@@ -184,94 +186,24 @@ def orient_normals(raw_normals) -> np.ndarray:
     return O
 
 
-def _boundary_segment(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pts = _simplex_boundary_endpoints(o)
-    if len(pts) < 2:
-        raise SimplexError("boundary does not meet the simplex relative interior")
-    # the intersection is a segment; take the farthest pair
-    best = (0, 1)
-    best_d = -1.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = np.linalg.norm(pts[i] - pts[j])
-            if d > best_d:
-                best_d = d
-                best = (i, j)
-    if best_d <= 1e-12:
-        raise SimplexError("boundary touches the simplex only at a point")
-    return pts[best[0]], pts[best[1]]
-
-
-def _hit_and_run(o: np.ndarray, count: int, seed: int, burn_in: int = 100) -> np.ndarray:
-    """Hit-and-run over {p >= 0, sum p = 1, <o, p> = 0} (n > 3)."""
-    n = len(o)
-    rng = np.random.default_rng(seed)
-    pos = np.nonzero(o > 1e-12)[0]
-    neg = np.nonzero(o < -1e-12)[0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise SimplexError("boundary does not meet the simplex relative interior")
-    # start: average of all straddling-pair chord points and zero-coordinate vertices
-    starts = []
-    for i in pos:
-        for j in neg:
-            t = o[i] / (o[i] - o[j])  # weight on e_j
-            p = np.zeros(n)
-            p[i] = 1.0 - t
-            p[j] = t
-            starts.append(p)
-    for i in np.nonzero(np.abs(o) <= 1e-12)[0]:
-        e = np.zeros(n)
-        e[i] = 1.0
-        starts.append(e)
-    x = np.mean(starts, axis=0)
-
-    # orthonormal basis of {d : <1, d> = 0, <o, d> = 0}
-    A = np.stack([np.ones(n), o])
-    _, _, vh = np.linalg.svd(A)
-    basis = vh[2:]  # (n-2, n)
-
-    out = np.empty((count, n))
-    kept = 0
-    total = burn_in + count
-    for step in range(total):
-        coef = rng.standard_normal(len(basis))
-        d = coef @ basis
-        d /= np.linalg.norm(d)
-        # chord extents keeping all coordinates >= 0
-        with np.errstate(divide="ignore"):
-            ratios = -x / np.where(np.abs(d) > 1e-15, d, np.nan)
-        t_hi = np.nanmin(np.where(d < 0, ratios, np.nan)) if np.any(d < 0) else np.inf
-        t_lo = np.nanmax(np.where(d > 0, ratios, np.nan)) if np.any(d > 0) else -np.inf
-        if not np.isfinite(t_hi) or not np.isfinite(t_lo) or t_hi <= t_lo:
-            continue
-        t = rng.uniform(t_lo, t_hi)
-        x = np.clip(x + t * d, 0.0, None)
-        x /= x.sum()
-        x -= (x @ o) * o / (o @ o)  # re-project; drift is at roundoff level
-        x = np.clip(x, 0.0, None)
-        x /= x.sum()
-        if step >= burn_in:
-            out[kept] = x
-            kept += 1
-    if kept < count:  # rare skipped steps; pad by reusing the chain
-        out[kept:] = out[:count - kept]
-    return out
-
-
 def sample_boundary(normal, count: int, seed: int) -> np.ndarray:
-    """Points with <o, p> = 0 (within 1e-10) and strictly positive coordinates."""
+    """Seeded points of the slice {<o, p> = 0} of the simplex, within 1e-10
+    of the hyperplane and with strictly positive coordinates: convex
+    combinations of the slice vertices with Dirichlet(1, ..., 1) weights,
+    or uniform points of the segment when the slice has two vertices."""
     o = np.asarray(normal, dtype=np.float64)
     o = o / np.linalg.norm(o)
-    n = len(o)
     if count < 1:
         raise SpecError("need at least 1 sample")
-    if n == 3:
-        a, b = _boundary_segment(o)
-        rng = np.random.default_rng(seed)
+    V = _simplex_boundary_endpoints(o)
+    if len(V) < 2:
+        raise SimplexError("boundary does not meet the simplex relative interior")
+    rng = np.random.default_rng(seed)
+    if len(V) > 2:
+        pts = rng.dirichlet(np.ones(len(V)), size=count) @ V
+    else:  # every n = 3 slice; this draw keeps their recovered normals
         t = rng.uniform(1e-6, 1.0 - 1e-6, size=count)
-        pts = (1.0 - t)[:, None] * a + t[:, None] * b
-    else:
-        pts = _hit_and_run(o, count, seed)
+        pts = (1.0 - t)[:, None] * V[0] + t[:, None] * V[1]
     pts = pts - np.outer(pts @ o, o)  # exact projection onto the hyperplane
     pts = np.clip(pts, 0.0, None)
     pts /= pts.sum(axis=1, keepdims=True)
@@ -280,26 +212,49 @@ def sample_boundary(normal, count: int, seed: int) -> np.ndarray:
     return pts
 
 
-def _segment_distance(p1, p2, q1, q2) -> float:
-    """Minimum distance between segments [p1, p2] and [q1, q2] in R^n."""
-    d1 = p2 - p1
-    d2 = q2 - q1
-    r = p1 - q1
-    a = d1 @ d1
-    e = d2 @ d2
-    f = d2 @ r
-    b = d1 @ d2
-    c = d1 @ r
-    den = a * e - b * b
-    s = np.clip((b * f - c * e) / den, 0.0, 1.0) if den > 1e-15 else 0.0
-    t = (b * s + f) / e if e > 1e-15 else 0.0
-    if t < 0.0:
-        t = 0.0
-        s = np.clip(-c / a, 0.0, 1.0) if a > 1e-15 else 0.0
-    elif t > 1.0:
-        t = 1.0
-        s = np.clip((b - c) / a, 0.0, 1.0) if a > 1e-15 else 0.0
-    return float(np.linalg.norm((p1 + s * d1) - (q1 + t * d2)))
+def _min_norm_point(P: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Point of least Euclidean norm in the convex hull of the rows of P, by
+    Wolfe's algorithm (Math. Programming 11, 1976).
+
+    Returns (x, lam) with x = lam @ P, lam >= 0 summing to 1 and nonzero only
+    on an affinely independent corral of rows, once |x|^2 - min_j <P_j, x>
+    is at most 1e-12 max_j |P_j|^2.  Returns None when ``max_iter`` major
+    and minor cycles end first, or when rounding stalls the search (a
+    singular corral, or a row of the corral chosen again).
+    """
+    sq = np.einsum("ij,ij->i", P, P)
+    tol = 1e-12 * sq.max()
+    S, lam = [int(np.argmin(sq))], np.ones(1)
+    x, major = P[S[0]], True
+    for _ in range(max_iter):
+        if major:  # add the row most below x, unless x is optimal
+            g = P @ x
+            j = int(np.argmin(g))
+            if x @ x - g[j] <= tol:
+                weights = np.zeros(len(P))
+                weights[S] = lam
+                return x, weights
+            if j in S:
+                return None
+            S, lam = S + [j], np.append(lam, 0.0)
+        Q = P[S]
+        A = np.ones((len(S) + 1, len(S) + 1))
+        A[0, 0], A[1:, 1:] = 0.0, Q @ Q.T
+        try:  # mu: weights of the point of the corral's affine hull nearest 0
+            mu = np.linalg.solve(A, np.eye(len(S) + 1)[0])[1:]
+        except np.linalg.LinAlgError:
+            return None
+        major = bool(mu.min() > 0.0)
+        if not major:  # minor cycle: walk toward mu until a weight hits 0
+            ratio = np.where(mu <= 0.0, lam / np.where(mu <= 0.0, lam - mu, 1.0), np.inf)
+            drop = int(np.argmin(ratio))
+            mu = lam + ratio[drop] * (mu - lam)
+            mu[drop] = 0.0
+            S = [s for s, w in zip(S, mu) if w > 0.0]
+            mu = mu[mu > 0.0]
+        lam = mu
+        x = lam @ P[S]
+    return None
 
 
 @dataclass(frozen=True)
@@ -623,26 +578,28 @@ def boundaries_from_cost(cost: CostMatrix) -> list[AffineBoundary]:
     ]
 
 
-def boundary_gap(spec: OrderableSpec, i: int, samples: int = 256, seed: int = 0) -> float:
-    """Minimum simplex distance between boundaries i and i+1 (1-based).
+def boundary_gap(spec: OrderableSpec, i: int) -> float:
+    """Euclidean distance between the slices of boundaries i and i+1
+    (1-based), exact for any number of outcomes.
 
-    Exact segment-segment distance for 3 outcomes; sampled estimate otherwise.
+    Each slice is the convex hull of its vertices, so the distance is the
+    norm of the min-norm point of the hull of {v - w} over the vertices v of
+    slice i and w of slice i+1 (:func:`_min_norm_point`).  Returns 0.0 when
+    either boundary misses the simplex interior, which
+    :func:`check_strong_orderability` rejects; raises :class:`OrdelicError`
+    when the min-norm search does not converge.
     """
     if not (1 <= i <= spec.normals.k - 1):
         raise SpecError(f"boundary pair index must be in 1..{spec.normals.k - 1}")
-    o1 = spec.normals.o[i - 1]
-    o2 = spec.normals.o[i]
-    if spec.n_outcomes == 3:
-        try:
-            a1, b1 = _boundary_segment(o1)
-            a2, b2 = _boundary_segment(o2)
-        except SimplexError:
-            return 0.0
-        return _segment_distance(a1, b1, a2, b2)
-    p = sample_boundary(o1, samples, seed)
-    q = sample_boundary(o2, samples, seed + 1)
-    d = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
-    return float(d.min())
+    try:
+        V, W = slice_vertices(spec.normals.o[i - 1:i + 1])
+    except OrderabilityError:
+        return 0.0
+    found = _min_norm_point((V[:, None] - W).reshape(-1, spec.n_outcomes), _WOLFE_MAX_ITER)
+    if found is None:
+        raise OrdelicError(f"the gap between boundaries {i} and {i + 1} did not "
+                           f"converge in {_WOLFE_MAX_ITER} min-norm iterations")
+    return float(np.linalg.norm(found[0]))
 
 
 def check_strong_orderability(spec: OrderableSpec) -> None:

@@ -132,6 +132,53 @@ def lipschitz_estimate(gamma_eval, n: int, norm="l2", samples: int = 20_000,
     return best, best_pair
 
 
+def segment_distance(p1, p2, q1, q2) -> float:
+    """Minimum distance between segments [p1, p2] and [q1, q2] in R^n, in
+    closed form: the oracle for boundary gaps at n = 3, where every boundary
+    slice is a segment."""
+    d1 = p2 - p1
+    d2 = q2 - q1
+    r = p1 - q1
+    a = d1 @ d1
+    e = d2 @ d2
+    f = d2 @ r
+    b = d1 @ d2
+    c = d1 @ r
+    den = a * e - b * b
+    s = np.clip((b * f - c * e) / den, 0.0, 1.0) if den > 1e-15 else 0.0
+    t = (b * s + f) / e if e > 1e-15 else 0.0
+    if t < 0.0:
+        t = 0.0
+        s = np.clip(-c / a, 0.0, 1.0) if a > 1e-15 else 0.0
+    elif t > 1.0:
+        t = 1.0
+        s = np.clip((b - c) / a, 0.0, 1.0) if a > 1e-15 else 0.0
+    return float(np.linalg.norm((p1 + s * d1) - (q1 + t * d2)))
+
+
+def slice_distance_qp(o1, o2) -> float:
+    """QP oracle (scipy SLSQP) for the distance between the slices
+    {p in simplex : <o1, p> = 0} and {q in simplex : <o2, q> = 0}, posed on
+    the simplex constraints, not on slice vertices.  Accurate to rounding
+    when the slices are apart; near 0 its square root leaves about 1e-9."""
+    from scipy.optimize import minimize
+
+    n = len(o1)
+    A = np.zeros((4, 2 * n))
+    A[0, :n] = A[1, n:] = 1.0
+    A[2, :n], A[3, n:] = o1, o2
+    b = np.array([1.0, 1.0, 0.0, 0.0])
+    D = np.hstack([np.eye(n), -np.eye(n)])
+    res = minimize(lambda z: (D @ z) @ (D @ z), np.full(2 * n, 1.0 / n),
+                   jac=lambda z: 2.0 * D.T @ (D @ z), method="SLSQP",
+                   bounds=[(0.0, None)] * (2 * n),
+                   constraints=[{"type": "eq", "fun": lambda z: A @ z - b,
+                                 "jac": lambda z: A}],
+                   options={"ftol": 1e-16, "maxiter": 1000})
+    assert res.success, res.message
+    return float(np.linalg.norm(D @ res.x))
+
+
 def region_index(normals, probs) -> np.ndarray:
     """1-based region of each row of ``probs`` under oriented normals; a
     boundary tie resolves to the lower region."""

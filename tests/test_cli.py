@@ -58,6 +58,21 @@ class TestConstruct:
         assert np.allclose(got[0] * sq14, [-1, 3, 2], atol=1e-7)
         assert np.allclose(got[1] * sq14, [-2, -1, 3], atol=1e-7)
 
+    def test_n8_rerun_is_byte_identical(self, tmp_path, capsys):
+        from ordelic.properties import random_orderable_spec
+        spec = random_orderable_spec(8, 4, seed=1)[0]
+        path, out = tmp_path / "bspec8.json", tmp_path / "sur8.json"
+        write_json(path, {"n": 8, "reports": [1, 2, 3, 4],
+                          "boundaries": [{"c": b.coeffs.tolist(), "b": b.offset}
+                                         for b in spec.boundaries]})
+        runs = []
+        for _ in range(2):
+            assert main(["construct", "--spec", str(path), "--algo", "normals",
+                         "--seed", "1", "--out", str(out)]) == EXIT_OK
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert len(json.loads(runs[0][0])["boundary_gaps"]) == 2
+
     def test_embedding_from_cost(self, spec_file, tmp_path, capsys):
         out = str(tmp_path / "sur.json")
         rc = main(["construct", "--spec", spec_file, "--algo", "embedding",

@@ -11,6 +11,7 @@ from conftest import (
     lipschitz_estimate,
     node_root_batch,
     region_index,
+    slice_distance_qp,
 )
 from ordelic.errors import OrderabilityError
 from ordelic.normals import build_from_spec, full_pipeline
@@ -201,7 +202,9 @@ class TestFullPipeline:
             assert min(np.linalg.norm(got[i] - spec.normals.o[i]),
                        np.linalg.norm(got[i] + spec.normals.o[i])) < 1e-7
         assert report["lipschitz_exact"]
-        assert not report["boundary_gaps_exact"]
+        assert "boundary_gaps_exact" not in report  # every gap is exact
+        for i, g in enumerate(report["boundary_gaps"]):
+            assert abs(g - slice_distance_qp(got[i], got[i + 1])) <= 1e-12
         assert report["refinement_pass_rate"] == 1.0
 
     @pytest.mark.parametrize("n,n_reports,seed", [(8, 6, 1), (10, 3, 0)])

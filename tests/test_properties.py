@@ -5,10 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O2, node_root_batch, region_index
+from conftest import (
+    O1,
+    O2,
+    node_root_batch,
+    region_index,
+    segment_distance,
+    slice_distance_qp,
+)
 from ordelic.cli import _default_outer_slope
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import (
+    OrdelicError,
     OrderabilityError,
     RankDeficiencyError,
     SimplexError,
@@ -16,11 +24,14 @@ from ordelic.errors import (
 )
 from ordelic.normals import build_from_spec
 from ordelic.properties import (
+    _WOLFE_MAX_ITER,
     BOUNDARY_TOL,
     AffineBoundary,
     CostMatrix,
     OrderableSpec,
     OrientedNormals,
+    _min_norm_point,
+    _simplex_boundary_endpoints,
     boundaries_from_cost,
     boundary_gap,
     check_strong_orderability,
@@ -195,12 +206,13 @@ class TestOrderabilityErrors:
 
 
 class TestBoundarySampling:
-    @pytest.mark.parametrize("o", [O1, O2])
+    @pytest.mark.parametrize("o", [O1, O2, *random_orderable_spec(8, 4, 1)[0].normals.o])
     def test_on_boundary_and_positive(self, o):
         pts = sample_boundary(o, 500, seed=3)
         assert np.max(np.abs(pts @ o)) <= 1e-10
         assert np.all(pts > 0)
         assert np.allclose(pts.sum(axis=1), 1.0)
+        assert np.array_equal(pts, sample_boundary(o, 500, seed=3))
 
     def test_symmetric_boundary(self):
         # p1 = p2 plane
@@ -220,7 +232,7 @@ class TestBoundarySampling:
         assert np.max(np.abs(pts @ o)) <= 1e-10
         assert np.all(pts > 0)
         assert np.allclose(pts.sum(axis=1), 1.0)
-        # the chain should move around, not sit at its start
+        # the samples spread over the slice, not sit at one of its vertices
         assert np.min(np.std(pts, axis=0)) > 1e-3
 
 
@@ -374,6 +386,53 @@ class TestGaps:
     def test_index_validated(self, fixture_normals_spec):
         with pytest.raises(SpecError):
             boundary_gap(fixture_normals_spec, 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_segment_distance_at_n3(self, seed):
+        spec = random_orderable_spec(3, 4, seed=seed)[0]
+        for i in (1, 2):
+            V, W = (_simplex_boundary_endpoints(o) for o in spec.normals.o[i - 1:i + 1])
+            assert len(V) == len(W) == 2
+            want = segment_distance(V[0], V[1], W[0], W[1])
+            assert abs(boundary_gap(spec, i) - want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_slice_missing_interior_zero_gap(self, n):
+        o = np.arange(n, dtype=float) - (n - 1) / 2
+        o /= np.linalg.norm(o)
+        spec = OrderableSpec((1, 2, 3), OrientedNormals(np.stack([o, np.ones(n) / np.sqrt(n)])))
+        assert boundary_gap(spec, 1) == 0.0
+        with pytest.raises(OrderabilityError, match="boundary 2 does not meet"):
+            check_strong_orderability(spec)
+
+    def test_unconverged_gap_names_the_pair(self, monkeypatch):
+        spec = random_orderable_spec(6, 4, seed=2)[0]
+        monkeypatch.setattr("ordelic.properties._WOLFE_MAX_ITER", 1)
+        with pytest.raises(OrdelicError, match="boundaries 2 and 3 did not converge"):
+            boundary_gap(spec, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 8), n_reports=st.integers(3, 5), seed=st.integers(0, 2**20))
+def test_gap_is_the_exact_slice_distance(n, n_reports, seed):
+    """For n = 4..8 the gap equals the QP oracle, is at most every sampled
+    pair distance, and is attained by the pair of slice points that the
+    min-norm weights give."""
+    spec = random_orderable_spec(n, n_reports, seed)[0]
+    O = spec.normals.o
+    for i in range(1, len(O)):
+        g = boundary_gap(spec, i)
+        assert abs(g - slice_distance_qp(O[i - 1], O[i])) <= 1e-12
+        p, q = (sample_boundary(o, 64, seed + j) for j, o in enumerate(O[i - 1:i + 1]))
+        assert g <= np.linalg.norm(p[:, None] - q, axis=2).min()
+        V, W = (_simplex_boundary_endpoints(o) for o in O[i - 1:i + 1])
+        _, lam = _min_norm_point((V[:, None] - W).reshape(-1, n), _WOLFE_MAX_ITER)
+        lam = lam.reshape(len(V), len(W))
+        a, b = lam.sum(axis=1) @ V, lam.sum(axis=0) @ W
+        assert np.all(a >= 0) and np.all(b >= 0)
+        assert abs(a.sum() - 1.0) <= 1e-12 and abs(b.sum() - 1.0) <= 1e-12
+        assert abs(a @ O[i - 1]) <= 1e-12 and abs(b @ O[i]) <= 1e-12
+        assert abs(np.linalg.norm(a - b) - g) <= 1e-12
 
 
 class TestRoundTrip:
