@@ -23,7 +23,7 @@ from ordelic.normals import full_pipeline
 from ordelic.piecewise import lower_convex_envelope
 from ordelic.properties import Surrogate
 from ordelic.scenario import exact_dataset, materialize_predictor, sample_dataset
-from ordelic.simplex import as_simplex_points
+from ordelic.simplex import triangle_grid
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -169,22 +169,17 @@ def _cmd_construct(args) -> int:
 def _cmd_levelsets(args) -> int:
     spec = serialize.load_property_spec(args.spec)
     if spec["n"] != 3:
-        raise SpecError("level-set grids are only defined for 3 outcomes")
+        raise SpecError("level-set grids are only defined for 3 outcomes, "
+                        f"but {args.spec} has n = {spec['n']}")
+    if args.resolution < 1:
+        raise SpecError(f"--resolution must be at least 1, got {args.resolution}")
     if args.algo == "embedding":
         surrogate, _ = _build_embedding(spec, args)
     else:
         surrogate, _ = _build_normals(spec, _require_seed(args))
-    res = args.resolution
-    if res < 1:
-        raise SpecError("resolution must be positive")
-    pts = as_simplex_points(np.array([(i / res, j / res, (res - i - j) / res)
-                                      for i in range(res + 1) for j in range(res + 1 - i)]))
-    gamma_s = surrogate.gamma_many(pts)
+    pts = triangle_grid(args.resolution)
     gamma_d = np.argmax(surrogate.discrete_set_many(pts), axis=1) + 1  # lowest target report
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("p1,p2,p3,gamma_discrete,gamma_surrogate\n")
-        fh.writelines(f"{p1!r},{p2!r},{p3!r},{gd},{gs!r}\n" for (p1, p2, p3), gd, gs
-                      in zip(pts.tolist(), gamma_d.tolist(), gamma_s.tolist()))
+    serialize.write_levelsets_csv(args.out, pts, gamma_d, surrogate.gamma_many(pts))
     return EXIT_OK
 
 

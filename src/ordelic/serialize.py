@@ -23,6 +23,8 @@ from ordelic.simplex import LabeledDataset, as_simplex_point, as_simplex_points
 
 # Dataset CSV files are read in chunks of about this many bytes.
 CSV_CHUNK_BYTES = 1 << 18
+# Level-set grids are written this many rows at a time.
+LEVELSETS_BLOCK_ROWS = 8192
 
 
 def dumps(obj) -> str:
@@ -340,6 +342,40 @@ class _IdCoder:
         starts = np.cumsum(lengths) - lengths
         self._insert(_pack_ids(b"".join(blobs), starts[fit], lengths[fit], words),
                      fit.astype(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# level-set grids
+
+
+def write_levelsets_csv(path, points, gamma_discrete, gamma_surrogate) -> None:
+    """Write ``p1,p2,p3,gamma_discrete,gamma_surrogate`` rows, one per grid
+    point, in the order given: floats as their shortest round-trip ``repr``,
+    reports as integers, ``\\n`` line ends.
+
+    Each column is formatted once per distinct value (by bit pattern, so
+    -0.0 keeps its sign), and rows are joined and written
+    ``LEVELSETS_BLOCK_ROWS`` at a time.
+    """
+    columns = (*np.asarray(points, dtype=np.float64).T,
+               np.asarray(gamma_discrete, dtype=np.int64),
+               np.asarray(gamma_surrogate, dtype=np.float64))
+    cells = [_cell_table(col, end) for col, end in zip(columns, ",,,,\n")]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("p1,p2,p3,gamma_discrete,gamma_surrogate\n")
+        for start in range(0, len(columns[0]), LEVELSETS_BLOCK_ROWS):
+            rows = slice(start, start + LEVELSETS_BLOCK_ROWS)
+            block = np.column_stack([text[index[rows]] for text, index in cells])
+            fh.write("".join(block.ravel().tolist()))
+
+
+def _cell_table(column: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """(text, index) of a float64 or int64 column: ``text[index[r]]`` is the
+    ``repr`` of row r's value followed by ``end``."""
+    col = np.ascontiguousarray(column)
+    bits, index = np.unique(col.view(np.uint64), return_inverse=True)
+    text = np.array([repr(v) + end for v in bits.view(col.dtype).tolist()], dtype=object)
+    return text, index
 
 
 # ---------------------------------------------------------------------------

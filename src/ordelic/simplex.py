@@ -77,6 +77,20 @@ def as_simplex_points(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
     return P / P.sum(axis=1, keepdims=True)
 
 
+def triangle_grid(resolution: int) -> np.ndarray:
+    """The points (i, j, r - i - j) / r of the 3-outcome simplex, r =
+    ``resolution``, with i outer and j inner.  Each coordinate is one IEEE
+    division of integers; rows are then renormalized by
+    :func:`as_simplex_points`."""
+    r = int(resolution)
+    if r < 1:
+        raise SpecError(f"grid resolution must be at least 1, got {r}")
+    counts = np.arange(r + 1, 0, -1)  # r + 1 - i values of j for each i
+    i = np.repeat(np.arange(r + 1), counts)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return as_simplex_points(np.column_stack([i, j, r - i - j]) / r)
+
+
 def ternary_plot_coords(p) -> np.ndarray:
     """Embed an n=3 simplex point into the standard ternary plot plane.
 

@@ -179,6 +179,33 @@ def slice_distance_qp(o1, o2) -> float:
     return float(np.linalg.norm(D @ res.x))
 
 
+def dirichlet_predictor(scenario, seed: int) -> np.ndarray:
+    """(features, n) predictor of a bayes or perturbed scenario, drawn the
+    direct way: one ``rng.dirichlet(np.ones(n))`` per feature, in order."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for cond in scenario.conditionals:
+        if scenario.recipe == "perturbed" and scenario.eta > 0:
+            p = cond + scenario.eta * rng.dirichlet(np.ones(scenario.n_outcomes))
+            rows.append(p / p.sum())
+        else:
+            rows.append(cond.copy())
+    return np.array(rows)
+
+
+def write_levelsets_rows(path, surrogate, res: int) -> None:
+    """The levelsets CSV written row by row: the grid built point by point
+    with Python divisions, one f-string per row."""
+    pts = as_simplex_points(np.array([(i / res, j / res, (res - i - j) / res)
+                                      for i in range(res + 1) for j in range(res + 1 - i)]))
+    gamma_s = surrogate.gamma_many(pts)
+    gamma_d = np.argmax(surrogate.discrete_set_many(pts), axis=1) + 1
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("p1,p2,p3,gamma_discrete,gamma_surrogate\n")
+        fh.writelines(f"{p1!r},{p2!r},{p3!r},{gd},{gs!r}\n" for (p1, p2, p3), gd, gs
+                      in zip(pts.tolist(), gamma_d.tolist(), gamma_s.tolist()))
+
+
 def region_index(normals, probs) -> np.ndarray:
     """1-based region of each row of ``probs`` under oriented normals; a
     boundary tie resolves to the lower region."""

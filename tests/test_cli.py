@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import write_levelsets_rows
 from ordelic.cli import EXIT_BOUND, EXIT_OK, EXIT_SEARCH, EXIT_SPEC, main
-from ordelic.serialize import read_json, write_json
+from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, read_json, surrogate_from_json,
+                               write_json)
 
 COST_SPEC = {"n": 3, "reports": [1, 2, 3],
              "cost_matrix": [[0, 3, 5], [1, 0, 3], [3, 1, 0]]}
@@ -149,6 +151,41 @@ class TestLevelsets:
                          "--seed", "3", "--resolution", "15",
                          "--out", str(out)]) == EXIT_OK
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("res", [1, 2, 7, 200])
+    @pytest.mark.parametrize("spec, algo_args", [
+        (COST_SPEC, ["--algo", "embedding", "--phi", "0,1,3"]),
+        (BOUNDARY_SPEC, ["--algo", "normals", "--seed", "3"]),
+    ], ids=["embedding", "normals"])
+    def test_bytes_equal_row_writer(self, spec, algo_args, res, tmp_path):
+        if res == 200:  # the last block is partial and follows two full ones
+            assert 2 * LEVELSETS_BLOCK_ROWS < 201 * 202 // 2 < 3 * LEVELSETS_BLOCK_ROWS
+        spec_path, sur, out = (str(tmp_path / f) for f in ("s.json", "sur.json", "g.csv"))
+        write_json(spec_path, spec)
+        assert main(["construct", "--spec", spec_path, *algo_args,
+                     "--out", sur]) == EXIT_OK
+        assert main(["levelsets", "--spec", spec_path, *algo_args,
+                     "--resolution", str(res), "--out", out]) == EXIT_OK
+        write_levelsets_rows(tmp_path / "want.csv",
+                             surrogate_from_json(read_json(sur)), res)
+        assert (tmp_path / "want.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
+
+    @pytest.mark.parametrize("spec, message", [
+        (COST_SPEC, "--resolution must be at least 1, got 0"),
+        ({"n": 4, "reports": [1, 2], "cost_matrix": [[0, 0, 1, 1], [1, 1, 0, 0]]},
+         "only defined for 3 outcomes"),
+    ])
+    def test_inputs_checked_before_the_surrogate(self, spec, message, tmp_path,
+                                                 capsys, monkeypatch):
+        monkeypatch.delenv("ORDELIC_SEED", raising=False)
+        spec_path = str(tmp_path / "s.json")
+        write_json(spec_path, spec)
+        rc = main(["levelsets", "--spec", spec_path, "--resolution", "0",
+                   "--out", str(tmp_path / "g.csv")])
+        assert rc == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert message in err and "seed" not in err
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestSimulate:

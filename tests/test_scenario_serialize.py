@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O2
+from conftest import O1, O2, dirichlet_predictor
 from ordelic import serialize
 from ordelic.audit import _bin
 from ordelic.embedding import build_envelope_loss, build_surrogate
@@ -30,6 +30,7 @@ from ordelic.serialize import (
     surrogate_to_json,
     write_dataset_csv,
     write_json,
+    write_levelsets_csv,
 )
 from ordelic.simplex import LabeledDataset, sample_simplex
 
@@ -80,6 +81,18 @@ class TestScenario:
             p = f[x]
             assert np.all(p >= 0)
             assert p.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 2.0])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_batched_draw_equals_dirichlet_loop(self, n, eta):
+        for seed in (1, 2, 3, 17):
+            cond = sample_simplex(n, 300, seed + 100)
+            sc = ScenarioSpec(tuple(f"x{i}" for i in range(300)), np.full(300, 1 / 300),
+                              cond, recipe="perturbed", eta=eta)
+            got = materialize_predictor(sc, seed)
+            assert list(got.table) == list(sc.feature_ids)
+            assert np.array_equal(np.array(list(got.table.values())),
+                                  dirichlet_predictor(sc, seed))
 
     def test_sampled_frequencies_converge(self, scenario):
         data = sample_dataset(scenario, 200_000, seed=4)
@@ -178,6 +191,20 @@ class TestSerialization:
             assert back.keys == data.keys
             assert np.array_equal(back.codes, data.codes)
             assert np.array_equal(back.y, data.y)
+
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    def test_levelsets_csv_rows(self, rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(serialize, "LEVELSETS_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(rows)
+        values = np.array([0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324, -2.5e300, 0.30000000000000004])
+        pts = rng.choice(values, size=(rows, 3))
+        gd = rng.integers(1, 12, size=rows)
+        gs = rng.choice(values, size=rows)
+        write_levelsets_csv(tmp_path / "g.csv", pts, gd, gs)
+        want = "p1,p2,p3,gamma_discrete,gamma_surrogate\n" + "".join(
+            f"{a!r},{b!r},{c!r},{d},{e!r}\n"
+            for (a, b, c), d, e in zip(pts.tolist(), gd.tolist(), gs.tolist()))
+        assert (tmp_path / "g.csv").read_bytes() == want.encode()
 
     def test_dataset_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
