@@ -200,10 +200,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_surrogate(path) -> Surrogate:
-    surrogate = serialize.surrogate_from_json(serialize.read_json(path))
-    if surrogate.cost is None and surrogate.normals is None:
-        raise SpecError("embedding surrogate file lacks its cost matrix; "
-                        "re-run construct")
+    """The surrogate in ``path``; errors in its contents name the path."""
+    d = serialize.read_json(path)
+    try:
+        surrogate = serialize.surrogate_from_json(d)
+        if surrogate.cost is None and surrogate.normals is None:
+            raise SpecError("embedding surrogate file lacks its cost matrix; "
+                            "re-run construct")
+    except OrdelicError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return surrogate
 
 

@@ -21,6 +21,8 @@ from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine, lower_convex_env
 from ordelic.properties import CostMatrix, Surrogate
 
 _EMBED_TOL = 1e-10
+# Largest decrease between consecutive identification nodes still taken as flat.
+NODE_DECREASE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def interpolate_identification(inp: EmbeddingInput) -> list[PiecewiseAffine]:
     out = []
     for y in range(1, inp.n_outcomes + 1):
         nodes = np.array([pseudo_identification(inp, u, y) for u in grid])
-        if np.any(np.diff(nodes) < -1e-12):
+        if np.any(np.diff(nodes) < -NODE_DECREASE_TOL):
             raise SpecError(
                 f"interpolated identification for outcome {y} is decreasing; "
                 "input loss is not convex in the embedded sense"

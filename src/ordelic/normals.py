@@ -16,11 +16,9 @@ from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import (
     CostMatrix,
     OrderableSpec,
-    OrientedNormals,
     Surrogate,
     boundaries_from_cost,
     boundary_gap,
-    check_strong_orderability,
     homogenize_boundary,
     normal_from_boundary_samples,
     orient_normals,
@@ -29,13 +27,14 @@ from ordelic.properties import (
 )
 from ordelic.simplex import sample_simplex
 
+# Uniform simplex points on which full_pipeline checks refinement.
+REFINEMENT_SAMPLES = 2000
+
 
 def build_from_spec(spec: OrderableSpec) -> Surrogate:
-    """Identification nodes from the oriented normals; requires strictly
-    separated consecutive boundaries."""
+    """Identification nodes from the oriented (so strongly orderable) normals."""
     O = spec.normals.o
     k, n = O.shape
-    check_strong_orderability(spec)
     grid = np.arange(k, dtype=np.float64)
     return Surrogate(
         identification=tuple(PiecewiseAffine.from_nodes(grid, -O[:, y], 1.0, 1.0)
@@ -47,19 +46,15 @@ def build_from_spec(spec: OrderableSpec) -> Surrogate:
     )
 
 
-def full_pipeline(
-    source,
-    seed: int,
-    refinement_samples: int = 2000,
-) -> tuple[Surrogate, dict]:
+def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
     """End-to-end construction from boundaries or a cost matrix.
 
     Samples n-1 points per boundary, recovers each normal from their null
     space (resampling on rank deficiency), orients them by the slice chain
     of :func:`orient_normals`, builds the surrogate, and verifies refinement
-    on uniform samples away from the boundaries.  The report lists the exact
-    distance between each two consecutive boundary slices
-    (:func:`~ordelic.properties.boundary_gap`).
+    on ``REFINEMENT_SAMPLES`` uniform points away from the boundaries.  The
+    report lists the exact distance between each two consecutive boundary
+    slices (:func:`~ordelic.properties.boundary_gap`).
     """
     if isinstance(source, CostMatrix):
         cost = source
@@ -90,22 +85,18 @@ def full_pipeline(
         recovered.append(got)
 
     oriented = orient_normals(recovered)
-    spec = OrderableSpec(
-        tuple(range(1, len(boundaries) + 2)),
-        OrientedNormals(oriented),
-        cost=cost,
-        boundaries=tuple(boundaries),
-    )
+    spec = OrderableSpec(tuple(range(1, len(boundaries) + 2)), oriented, cost=cost,
+                         boundaries=tuple(boundaries))
     surrogate = build_from_spec(spec)
 
     gaps = [boundary_gap(spec, i) for i in range(1, spec.normals.k)]
-    pts = sample_simplex(n, refinement_samples, seed + 999)
-    margin = np.abs(pts @ oriented.T).min(axis=1) > 1e-8
+    pts = sample_simplex(n, REFINEMENT_SAMPLES, seed + 999)
+    margin = np.abs(pts @ oriented.o.T).min(axis=1) > 1e-8
     pts = pts[margin]
     links = surrogate.link_many(surrogate.gamma_many(pts))
     ok = int(surrogate.discrete_set_many(pts)[np.arange(len(pts)), links - 1].sum())
     report = {
-        "recovered_normals": [o.tolist() for o in oriented],
+        "recovered_normals": oriented.o.tolist(),
         "boundary_gaps": gaps,
         "lipschitz_bound": surrogate.lipschitz_bound,
         "lipschitz_exact": surrogate.lipschitz_exact,

@@ -55,11 +55,11 @@ class CostMatrix:
     def n_outcomes(self) -> int:
         return self.entries.shape[1]
 
-    def target_sets(self, probs, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        """(rows, reports) mask of the expected-cost minimizers within ``tol``
-        at each row of ``probs``."""
+    def target_sets(self, probs) -> np.ndarray:
+        """(rows, reports) mask of the expected-cost minimizers within
+        BOUNDARY_TOL at each row of ``probs``."""
         ec = as_simplex_points(probs) @ self.entries.T
-        return ec <= ec.min(axis=1, keepdims=True) + tol
+        return ec <= ec.min(axis=1, keepdims=True) + BOUNDARY_TOL
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,18 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(r[:, None] < r)
 
 
-def _simplex_boundary_endpoints(o: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _simplex_boundary_endpoints(o: np.ndarray) -> np.ndarray:
     """Vertices of the slice {<o, p> = 0} of the simplex: the vertices e_m with
-    o_m = 0, then the edge crossings (1-t) e_i + t e_j, t = o_i / (o_i - o_j),
-    for i < j; points within 1e-9 of an earlier one are dropped."""
+    |o_m| <= 1e-12, then the edge crossings (1-t) e_i + t e_j, i < j, at
+    t = o_i / (o_i - o_j) in (1e-12, 1 - 1e-12); points within 1e-9 of an
+    earlier one are dropped."""
     n = len(o)
     I, J = _pairs(n)
     den = o[I] - o[J]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = o[I] / den
-    cross = (np.abs(den) > tol) & (tol < t) & (t < 1.0 - tol)
-    zero = np.flatnonzero(np.abs(o) <= tol)
+    cross = (np.abs(den) > 1e-12) & (1e-12 < t) & (t < 1.0 - 1e-12)
+    zero = np.flatnonzero(np.abs(o) <= 1e-12)
     rows = np.arange(len(zero), len(zero) + int(cross.sum()))
     P = np.zeros((len(zero) + len(rows), n))
     P[np.arange(len(zero)), zero] = 1.0
@@ -157,33 +158,16 @@ def slice_vertices(O: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _check_pairs(O: np.ndarray, slices: list[np.ndarray]) -> None:
-    """Raises unless slice i lies at least ``_MIN_GAP`` on the negative side
-    of o_{i+1} and slice i+1 on the positive side of o_i, for every i."""
-    for i in range(1, len(O)):
-        s = slices[i - 1] @ O[i]
-        if s.max() > -_MIN_GAP and s.min() < _MIN_GAP:
-            raise OrderabilityError(
-                f"boundaries {i} and {i + 1} cross inside the simplex")
-        if s.max() > -_MIN_GAP or (slices[i] @ O[i - 1]).min() <= 0.0:
-            raise OrderabilityError(
-                f"boundaries {i} and {i + 1} are not met in report order; list "
-                "the boundaries from report 1 up, each with its lower report "
-                "on the <c, p> <= b side")
-
-
-def orient_normals(raw_normals) -> np.ndarray:
-    """Signs of report-ordered unit normals, fixed by a chain: o_1 keeps its
+def orient_normals(raw_normals) -> OrientedNormals:
+    """Report-ordered unit normals with signs fixed by a chain: o_1 keeps its
     sign (region 1 is its negative side) and o_{i+1} takes the sign that puts
-    slice i on its negative side.  Raises :class:`OrderabilityError` unless
-    the oriented normals are strongly orderable."""
+    slice i (whose vertices no sign flip changes) on its negative side."""
     O = np.array(raw_normals, dtype=np.float64)
-    slices = slice_vertices(O)
+    slices = slice_vertices(O[:-1])
     for i in range(1, len(O)):
         if (slices[i - 1] @ O[i]).max() > -_MIN_GAP:
             O[i] = -O[i]
-    _check_pairs(O, slices)
-    return O
+    return OrientedNormals(O)
 
 
 def sample_boundary(normal, count: int, seed: int) -> np.ndarray:
@@ -259,9 +243,18 @@ def _min_norm_point(P: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class OrientedNormals:
-    """Ordered oriented unit normals o_1..o_k defining k+1 regions."""
+    """Ordered oriented unit normals o_1..o_k defining k+1 regions, with the
+    vertices of each boundary's slice of the simplex in ``slices``.
+
+    Raises :class:`OrderabilityError`, naming the cause and the boundaries,
+    unless the normals are strongly orderable: every boundary meets the
+    simplex interior, and slice i lies ``_MIN_GAP`` or more on the negative
+    side of o_{i+1} and slice i+1 on the positive side of o_i.  A slice's
+    extremes along a normal are at its vertices, so this is exact for any n.
+    """
 
     o: np.ndarray  # (k, n)
+    slices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         O = np.asarray(self.o, dtype=np.float64)
@@ -270,7 +263,19 @@ class OrientedNormals:
         norms = np.linalg.norm(O, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise SpecError("normals must have unit Euclidean norm")
+        slices = tuple(slice_vertices(O))
+        for i in range(1, len(O)):
+            s = slices[i - 1] @ O[i]
+            if s.max() > -_MIN_GAP and s.min() < _MIN_GAP:
+                raise OrderabilityError(
+                    f"boundaries {i} and {i + 1} cross inside the simplex")
+            if s.max() > -_MIN_GAP or (slices[i] @ O[i - 1]).min() <= 0.0:
+                raise OrderabilityError(
+                    f"boundaries {i} and {i + 1} are not met in report order; list "
+                    "the boundaries from report 1 up, each with its lower report "
+                    "on the <c, p> <= b side")
         object.__setattr__(self, "o", O)
+        object.__setattr__(self, "slices", slices)
 
     @property
     def k(self) -> int:
@@ -280,13 +285,14 @@ class OrientedNormals:
     def n(self) -> int:
         return self.o.shape[1]
 
-    def target_sets(self, probs, tol: float = BOUNDARY_TOL) -> np.ndarray:
+    def target_sets(self, probs) -> np.ndarray:
         """(rows, reports) mask of the regions holding each row of ``probs``;
-        a point within ``tol`` of a boundary is in both adjacent regions."""
+        a point within BOUNDARY_TOL of a boundary is in both adjacent ones."""
         S = as_simplex_points(probs) @ self.o.T
         ones = np.ones((len(S), 1), dtype=bool)
-        lo_ok = np.logical_and.accumulate(np.hstack([ones, S >= -tol]), axis=1)
-        hi_ok = np.logical_and.accumulate(np.hstack([S <= tol, ones])[:, ::-1], axis=1)
+        lo_ok = np.logical_and.accumulate(np.hstack([ones, S >= -BOUNDARY_TOL]), axis=1)
+        hi_ok = np.logical_and.accumulate(np.hstack([S <= BOUNDARY_TOL, ones])[:, ::-1],
+                                          axis=1)
         return lo_ok & hi_ok[:, ::-1]
 
 
@@ -531,13 +537,13 @@ class Surrogate:
         us = np.asarray(us, dtype=np.float64)
         return (self.thresholds < (us - BOUNDARY_TOL)[..., None]).sum(axis=-1) + 1
 
-    def discrete_set_many(self, probs, tol: float = BOUNDARY_TOL) -> np.ndarray:
+    def discrete_set_many(self, probs) -> np.ndarray:
         """(rows, reports) mask of the target reports at each row of probs;
-        a point within ``tol`` of a boundary gets both adjacent reports."""
+        a point within BOUNDARY_TOL of a boundary gets both adjacent ones."""
         target = self.cost if self.cost is not None else self.normals
         if target is None:
             raise SpecError("need a cost matrix or normals for the discrete target")
-        return target.target_sets(probs, tol)
+        return target.target_sets(probs)
 
 
 @dataclass(frozen=True)
@@ -582,37 +588,20 @@ def boundary_gap(spec: OrderableSpec, i: int) -> float:
     """Euclidean distance between the slices of boundaries i and i+1
     (1-based), exact for any number of outcomes.
 
-    Each slice is the convex hull of its vertices, so the distance is the
-    norm of the min-norm point of the hull of {v - w} over the vertices v of
-    slice i and w of slice i+1 (:func:`_min_norm_point`).  Returns 0.0 when
-    either boundary misses the simplex interior, which
-    :func:`check_strong_orderability` rejects; raises :class:`OrdelicError`
-    when the min-norm search does not converge.
+    Each slice is the convex hull of its vertices (``spec.normals.slices``),
+    so the distance is the norm of the min-norm point of the hull of
+    {v - w} over the vertices v of slice i and w of slice i+1
+    (:func:`_min_norm_point`).  Raises :class:`OrdelicError` when the
+    min-norm search does not converge.
     """
     if not (1 <= i <= spec.normals.k - 1):
         raise SpecError(f"boundary pair index must be in 1..{spec.normals.k - 1}")
-    try:
-        V, W = slice_vertices(spec.normals.o[i - 1:i + 1])
-    except OrderabilityError:
-        return 0.0
+    V, W = spec.normals.slices[i - 1:i + 1]
     found = _min_norm_point((V[:, None] - W).reshape(-1, spec.n_outcomes), _WOLFE_MAX_ITER)
     if found is None:
         raise OrdelicError(f"the gap between boundaries {i} and {i + 1} did not "
                            f"converge in {_WOLFE_MAX_ITER} min-norm iterations")
     return float(np.linalg.norm(found[0]))
-
-
-def check_strong_orderability(spec: OrderableSpec) -> None:
-    """Raises :class:`OrderabilityError`, naming the cause and the boundaries,
-    unless every boundary meets the simplex interior and consecutive slices
-    are at least ``_MIN_GAP`` apart along the normals, in report order.
-
-    No two slices meet iff each lies on one side of the next hyperplane, and
-    a slice's extremes along a normal are at its vertices, so the test is
-    exact for any number of outcomes.
-    """
-    O = spec.normals.o
-    _check_pairs(O, slice_vertices(O))
 
 
 def spec_from_boundaries(boundaries, reports=None) -> OrderableSpec:
@@ -622,8 +611,7 @@ def spec_from_boundaries(boundaries, reports=None) -> OrderableSpec:
     raw = [homogenize_boundary(bd) for bd in bds]
     if reports is None:
         reports = tuple(range(1, len(raw) + 2))
-    return OrderableSpec(tuple(reports), OrientedNormals(orient_normals(raw)),
-                         boundaries=tuple(bds))
+    return OrderableSpec(tuple(reports), orient_normals(raw), boundaries=tuple(bds))
 
 
 def random_orderable_spec(n: int, n_reports: int, seed: int):

@@ -15,8 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ordelic.audit import AuditReport, PredictorTable
+from ordelic.embedding import NODE_DECREASE_TOL
 from ordelic.errors import SimplexError, SpecError
-from ordelic.piecewise import PiecewiseAffine
+from ordelic.piecewise import CONTINUITY_TOL, PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
 from ordelic.scenario import ScenarioSpec
 from ordelic.simplex import LabeledDataset, as_simplex_point, as_simplex_points
@@ -115,19 +116,37 @@ def surrogate_to_json(s: Surrogate) -> dict:
 
 
 def surrogate_from_json(d: dict) -> Surrogate:
-    """Rebuild a surrogate from format 1, 2 or 3."""
+    """Rebuild a surrogate from format 1, 2 or 3.  Normals must be strongly
+    orderable, and each ``v_bar`` what the property kernel evaluates: unit
+    tail slopes, and on its grid the negated normals within CONTINUITY_TOL
+    (normals) or nondecreasing values (embedding)."""
     if d.get("format", 1) not in (1, 2, SURROGATE_FORMAT):
         raise SpecError(f"unknown surrogate format {d['format']!r}")
     if d.get("kind") not in ("embedding", "normals") \
             or (d["kind"] == "normals") != ("normals" in d):
         raise SpecError(f"unknown surrogate kind {d.get('kind')!r}")
+    normals = OrientedNormals(np.asarray(d["normals"])) if "normals" in d else None
+    v_bar = tuple(PiecewiseAffine(np.asarray(v["breakpoints"]), np.asarray(v["slopes"]),
+                                  np.asarray(v["intercepts"])) for v in d["v_bar"])
+    nodes = [None] * len(v_bar) if normals is None else -normals.o.T
+    for y, (v, want) in enumerate(zip(v_bar, nodes), start=1):
+        got = v(v.breakpoints)
+        if v.slopes[0] != 1.0 or v.slopes[-1] != 1.0:
+            why = f"has tail slopes {float(v.slopes[0])!r} and {float(v.slopes[-1])!r}, not 1"
+        elif want is None and np.any(np.diff(got) < -NODE_DECREASE_TOL):
+            why = "decreases along its grid"
+        elif want is not None and (got.shape != want.shape
+                                   or np.abs(got - want).max() > CONTINUITY_TOL):
+            why = f"differs from the negated normals on its grid by more than {CONTINUITY_TOL}"
+        else:
+            continue
+        raise SpecError(f"v_bar of outcome {y} {why}, which the property kernel "
+                        "does not evaluate")
     return Surrogate(
-        identification=tuple(
-            PiecewiseAffine(np.asarray(v["breakpoints"]), np.asarray(v["slopes"]),
-                            np.asarray(v["intercepts"])) for v in d["v_bar"]),
+        identification=v_bar,
         thresholds=np.asarray(d["thresholds"]),
         value_range=tuple(d["value_range"]),
-        normals=OrientedNormals(np.asarray(d["normals"])) if "normals" in d else None,
+        normals=normals,
         cost=CostMatrix(np.asarray(d["cost_matrix"])) if "cost_matrix" in d else None,
     )
 

@@ -39,10 +39,10 @@ def norm_name(kind: NormKind) -> str:
     return {1.0: "l1", 2.0: "l2", np.inf: "linf"}[norm_order(kind)]
 
 
-def as_simplex_point(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def as_simplex_point(x) -> np.ndarray:
     """Validate and renormalize a probability vector.
 
-    Entries within ``tol`` of [0, 1] and a total within ``tol`` of 1 are
+    Entries within ``SIMPLEX_TOL`` of [0, 1] and a total within it of 1 are
     accepted and renormalized exactly; anything further out, and any NaN,
     is rejected, since the downstream ratio formulas are sensitive to
     constraint violation.
@@ -52,26 +52,26 @@ def as_simplex_point(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
         raise SimplexError(f"expected a 1-d vector with >= 2 entries, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise SimplexError(f"entries are not all finite: {p}")
-    if np.any(p < -tol) or np.any(p > 1.0 + tol):
+    if np.any(p < -SIMPLEX_TOL) or np.any(p > 1.0 + SIMPLEX_TOL):
         raise SimplexError(f"entries outside [0, 1] beyond tolerance: {p}")
     total = p.sum()
-    if abs(total - 1.0) > tol:
-        raise SimplexError(f"entries sum to {total}, not 1 within {tol}")
+    if abs(total - 1.0) > SIMPLEX_TOL:
+        raise SimplexError(f"entries sum to {total}, not 1 within {SIMPLEX_TOL}")
     p = np.clip(p, 0.0, None)
     return p / p.sum()
 
 
-def as_simplex_points(x, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def as_simplex_points(x) -> np.ndarray:
     """Batch variant of :func:`as_simplex_point` for an (m, n) array."""
     P = np.asarray(x, dtype=np.float64)
     if P.ndim != 2:
         raise SimplexError(f"expected a 2-d array, got shape {P.shape}")
     if not np.all(np.isfinite(P)):
         raise SimplexError("entries are not all finite")
-    if np.any(P < -tol) or np.any(P > 1.0 + tol):
+    if np.any(P < -SIMPLEX_TOL) or np.any(P > 1.0 + SIMPLEX_TOL):
         raise SimplexError("entries outside [0, 1] beyond tolerance")
     totals = P.sum(axis=1)
-    if np.any(np.abs(totals - 1.0) > tol):
+    if np.any(np.abs(totals - 1.0) > SIMPLEX_TOL):
         raise SimplexError("row sums differ from 1 beyond tolerance")
     P = np.clip(P, 0.0, None)
     return P / P.sum(axis=1, keepdims=True)

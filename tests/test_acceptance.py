@@ -132,8 +132,8 @@ def test_criterion_2_normals_fixture(capfd):
         if raw1[0] > 0:
             raw1 = -raw1
         oriented = orient_normals([raw1, raw2])
-        assert np.allclose(oriented[0], O1, atol=1e-8)
-        assert np.allclose(oriented[1], O2, atol=1e-8)
+        assert np.allclose(oriented.o[0], O1, atol=1e-8)
+        assert np.allclose(oriented.o[1], O2, atol=1e-8)
         # sampled pipeline recovery
         bds = [AffineBoundary([-3, 1, 0], -2.0),
                AffineBoundary([-5, -4, 0], -3.0)]

@@ -450,6 +450,77 @@ class TestCounterexample:
         assert f"exact {norm} Lipschitz constant" in capsys.readouterr().err
 
 
+class TestLoadSurrogate:
+    """A surrogate file the property kernel cannot evaluate is refused on
+    load: audit and counterexample exit 2 naming the file and the cause."""
+
+    @pytest.fixture()
+    def construct(self, spec_file, tmp_path):
+        """README surrogate file (as a dict) of the given construction."""
+        def run(*algo_args):
+            out = str(tmp_path / "built.json")
+            assert main(["construct", "--spec", spec_file, *algo_args,
+                         "--out", out]) == EXIT_OK
+            return read_json(out)
+        return run
+
+    @staticmethod
+    def _refused(command, d, tmp_path, capsys, cause):
+        path = str(tmp_path / "edited.json")
+        write_json(path, d)
+        if command == "audit":
+            pred = tmp_path / "pred.json"
+            write_json(pred, {"kind": "distribution", "table": {
+                f["id"]: f["conditional"] for f in SCENARIO["features"]}})
+            sc = tmp_path / "scenario.json"
+            write_json(sc, dict(SCENARIO, predictor={"recipe": "bayes"}))
+            argv = ["audit", "--surrogate", path, "--scenario", str(sc),
+                    "--predictor", str(pred), "--out", str(tmp_path / "audit.json")]
+        else:
+            argv = ["counterexample", "--surrogate", path, "--c", "5",
+                    "--out", str(tmp_path / "ce")]
+        capsys.readouterr()
+        assert main(argv) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and cause in err
+
+    @pytest.mark.parametrize("command", ["audit", "counterexample"])
+    def test_reversed_normals(self, construct, command, tmp_path, capsys):
+        d = construct("--algo", "normals", "--seed", "1")
+        d["normals"] = d["normals"][::-1]
+        self._refused(command, d, tmp_path, capsys,
+                      "boundaries 1 and 2 are not met in report order")
+
+    def test_tail_slopes_other_than_one(self, construct, tmp_path, capsys):
+        d = construct("--algo", "normals", "--seed", "1")
+        for v in d["v_bar"]:  # slope 3 outside the grid, still continuous
+            b, a, c = v["breakpoints"], v["slopes"], v["intercepts"]
+            c[0] += (a[0] - 3.0) * b[0]
+            c[-1] += (a[-1] - 3.0) * b[-1]
+            a[0] = a[-1] = 3.0
+        self._refused("audit", d, tmp_path, capsys,
+                      "v_bar of outcome 1 has tail slopes 3.0 and 3.0, not 1")
+
+    def test_nodes_other_than_the_negated_normals(self, construct, tmp_path, capsys):
+        d = construct("--algo", "normals", "--seed", "1")
+        for v in d["v_bar"]:
+            v["intercepts"] = [c + 5.0 for c in v["intercepts"]]
+        self._refused("audit", d, tmp_path, capsys,
+                      "v_bar of outcome 1 differs from the negated normals")
+
+    def test_decreasing_embedding_v_bar(self, construct, tmp_path, capsys):
+        d = construct("--algo", "embedding", "--phi", "0,1,3")
+        v = d["v_bar"][1]
+        v["slopes"][1:-1] = [-a for a in v["slopes"][1:-1]]
+        v["intercepts"][1:-1] = [-c for c in v["intercepts"][1:-1]]
+        for i in (0, -1):  # unit tails continued from the mirrored ends
+            end = v["slopes"][i + 1 if i == 0 else i - 1] * v["breakpoints"][i] \
+                + v["intercepts"][i + 1 if i == 0 else i - 1]
+            v["intercepts"][i] = end - v["breakpoints"][i]
+        self._refused("audit", d, tmp_path, capsys,
+                      "v_bar of outcome 2 decreases along its grid")
+
+
 def test_unknown_arguments_exit_spec(capsys):
     assert main(["frobnicate"]) == EXIT_SPEC
     capsys.readouterr()

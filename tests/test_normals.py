@@ -72,9 +72,8 @@ class TestConstruction:
         assert np.allclose(s.gamma_many(pts), pts @ o, atol=1e-12)
 
     def test_coincident_boundaries_rejected(self):
-        spec = OrderableSpec((1, 2, 3), OrientedNormals(np.stack([O1, O1])))
-        with pytest.raises(OrderabilityError):
-            build_from_spec(spec)
+        with pytest.raises(OrderabilityError, match="boundaries 1 and 2 cross"):
+            OrientedNormals(np.stack([O1, O1]))
 
 
 class TestEvaluation:
@@ -265,7 +264,7 @@ def _tilted_spec(n: int, n_reports: int, seed: int, tilt: float):
 
 def _spec_from_normals(O):
     from ordelic.properties import orient_normals
-    return OrderableSpec(tuple(range(1, len(O) + 2)), OrientedNormals(orient_normals(O)))
+    return OrderableSpec(tuple(range(1, len(O) + 2)), orient_normals(O))
 
 
 @settings(max_examples=30, deadline=None)

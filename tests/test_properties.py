@@ -1,4 +1,5 @@
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from ordelic.properties import (
     _simplex_boundary_endpoints,
     boundaries_from_cost,
     boundary_gap,
-    check_strong_orderability,
     homogenize_boundary,
     normal_from_boundary_samples,
     orient_normals,
@@ -42,6 +42,7 @@ from ordelic.properties import (
     sample_boundary,
     spec_from_boundaries,
 )
+from ordelic.serialize import dumps, surrogate_from_json, surrogate_to_json
 from ordelic.simplex import norm_order, sample_simplex
 
 
@@ -111,8 +112,8 @@ class TestOrientation:
     def test_fixture_chain(self):
         # o_1 keeps its sign; o_2 flips so that slice 1 is on its negative side
         out = orient_normals([O1, -O2])
-        assert np.array_equal(out, np.stack([O1, O2]))
-        assert np.array_equal(orient_normals([O1, O2]), out)
+        assert np.array_equal(out.o, np.stack([O1, O2]))
+        assert np.array_equal(orient_normals([O1, O2]).o, out.o)
 
     def test_misordered_boundaries_raise(self):
         with pytest.raises(OrderabilityError, match="not met in report order"):
@@ -126,7 +127,7 @@ class TestOrientation:
         spec = random_orderable_spec(n, k, seed)[0]
         O = spec.normals.o
         flips = np.where(np.arange(len(O)) % 2 == 1, -1.0, 1.0)[:, None]
-        assert np.array_equal(orient_normals(O * flips), O)
+        assert np.array_equal(orient_normals(O * flips).o, O)
 
 
 def _slice_vertex_loop(o, tol=1e-12):
@@ -164,7 +165,8 @@ def test_slice_vertices_match_edge_loop(n, seed, zeros):
 
 
 class TestOrderabilityErrors:
-    """Each failure names its cause and the boundaries at fault."""
+    """Each failure names its cause and the boundaries at fault, whether the
+    normals are built or loaded from a surrogate file."""
 
     @staticmethod
     def _normals(n):
@@ -172,37 +174,47 @@ class TestOrderabilityErrors:
             return np.stack([O1, O2])
         return random_orderable_spec(n, 3, seed=n)[0].normals.o
 
-    @pytest.mark.parametrize("n", [3, 5])
+    def _assert_rejected(self, bad, match):
+        with pytest.raises(OrderabilityError, match=match):
+            OrientedNormals(bad)
+        n = bad.shape[1]
+        spec = OrderableSpec((1, 2, 3), OrientedNormals(self._normals(n)))
+        d = surrogate_to_json(build_from_spec(spec))
+        d["normals"] = bad.tolist()
+        with pytest.raises(OrderabilityError, match=match):
+            surrogate_from_json(json.loads(dumps(d)))
+
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_crossing(self, n):
         O = self._normals(n)
         p = sample_boundary(O[0], 1, seed=n)[0]  # a point of slice 1
         o2 = O[1] - (O[1] @ p) * p / (p @ p)      # a boundary 2 through it
         o2 /= np.linalg.norm(o2)
-        spec = OrderableSpec((1, 2, 3), OrientedNormals(np.stack([O[0], o2])))
-        with pytest.raises(OrderabilityError,
-                           match="boundaries 1 and 2 cross inside the simplex"):
-            check_strong_orderability(spec)
+        self._assert_rejected(np.stack([O[0], o2]),
+                              "boundaries 1 and 2 cross inside the simplex")
         with pytest.raises(OrderabilityError, match="cross inside the simplex"):
             orient_normals([O[0], o2])
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_report_order(self, n):
-        O = self._normals(n)
-        spec = OrderableSpec((1, 2, 3), OrientedNormals(O[::-1].copy()))
-        with pytest.raises(OrderabilityError,
-                           match="boundaries 1 and 2 are not met in report order"):
-            check_strong_orderability(spec)
+        self._assert_rejected(self._normals(n)[::-1].copy(),
+                              "boundaries 1 and 2 are not met in report order")
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", range(3, 9))
     def test_misses_interior(self, n):
-        O = self._normals(n)
         o3 = np.ones(n)
         o3[0] = 0.0  # {<o3, p> = 0} meets the simplex only at e1
         o3 /= np.linalg.norm(o3)
-        spec = OrderableSpec((1, 2, 3, 4), OrientedNormals(np.vstack([O, o3])))
-        with pytest.raises(OrderabilityError,
-                           match="boundary 3 does not meet the simplex interior"):
-            check_strong_orderability(spec)
+        self._assert_rejected(np.vstack([self._normals(n), o3]),
+                              "boundary 3 does not meet the simplex interior")
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_slices_are_the_slice_vertices(self, n):
+        O = self._normals(n)
+        slices = OrientedNormals(O).slices
+        assert len(slices) == len(O)
+        for V, o in zip(slices, O):
+            assert np.array_equal(V, _simplex_boundary_endpoints(o))
 
 
 class TestBoundarySampling:
@@ -363,14 +375,22 @@ class TestGaps:
     def test_fixture_gap_positive(self, fixture_normals_spec):
         g = boundary_gap(fixture_normals_spec, 1)
         assert g == pytest.approx(0.0943, abs=2e-3)
-        check_strong_orderability(fixture_normals_spec)
 
-    def test_identical_boundaries_zero_gap(self):
-        from ordelic.properties import OrderableSpec, OrientedNormals
-        spec = OrderableSpec((1, 2, 3), OrientedNormals(np.stack([O1, O1])))
-        assert boundary_gap(spec, 1) == 0.0
-        with pytest.raises(OrderabilityError):
-            check_strong_orderability(spec)
+    def test_identical_boundaries_rejected(self):
+        # their gap would be 0; such normals cannot be built
+        with pytest.raises(OrderabilityError, match="boundaries 1 and 2 cross"):
+            OrientedNormals(np.stack([O1, O1]))
+
+    def test_reads_the_stored_slices(self, monkeypatch):
+        spec = random_orderable_spec(5, 4, seed=3)[0]
+        want = [boundary_gap(spec, i) for i in (1, 2)]
+
+        def enumerate_again(o):
+            raise AssertionError("slice vertices enumerated again")
+
+        monkeypatch.setattr("ordelic.properties._simplex_boundary_endpoints",
+                            enumerate_again)
+        assert [boundary_gap(spec, i) for i in (1, 2)] == want
 
     def test_parallel_boundaries_gap_close_to_offset(self):
         # p1 = 0.3 and p1 = 0.5: planes orthogonal in R^3 restricted to the
@@ -397,13 +417,11 @@ class TestGaps:
             assert abs(boundary_gap(spec, i) - want) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_slice_missing_interior_zero_gap(self, n):
+    def test_slice_missing_interior_rejected(self, n):
         o = np.arange(n, dtype=float) - (n - 1) / 2
         o /= np.linalg.norm(o)
-        spec = OrderableSpec((1, 2, 3), OrientedNormals(np.stack([o, np.ones(n) / np.sqrt(n)])))
-        assert boundary_gap(spec, 1) == 0.0
         with pytest.raises(OrderabilityError, match="boundary 2 does not meet"):
-            check_strong_orderability(spec)
+            OrientedNormals(np.stack([o, np.ones(n) / np.sqrt(n)]))
 
     def test_unconverged_gap_names_the_pair(self, monkeypatch):
         spec = random_orderable_spec(6, 4, seed=2)[0]
@@ -450,7 +468,6 @@ class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_spec_is_consistent(self, seed):
         spec, cost, phi = random_orderable_spec(3, 4, seed=seed)
-        check_strong_orderability(spec)
         assert min(boundary_gap(spec, i) for i in (1, 2)) > 1e-3
         pts = sample_simplex(3, 2000, seed=seed + 50)
         assert np.all(in_target(cost, pts, region_index(spec.normals, pts)))
