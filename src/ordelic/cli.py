@@ -205,8 +205,8 @@ def _load_surrogate(path) -> Surrogate:
     try:
         surrogate = serialize.surrogate_from_json(d)
         if surrogate.cost is None and surrogate.normals is None:
-            raise SpecError("embedding surrogate file lacks its cost matrix; "
-                            "re-run construct")
+            raise SpecError("field 'cost_matrix' is missing: an embedding surrogate "
+                            "needs its cost matrix; re-run construct")
     except OrdelicError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     return surrogate

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ordelic._kernels import roe_batch
 from ordelic.errors import SpecError
-from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine, lower_convex_envelope
+from ordelic.piecewise import MaxAffinePieces, lower_convex_envelope
 from ordelic.properties import CostMatrix, Surrogate
 
 _EMBED_TOL = 1e-10
-# Largest decrease between consecutive identification nodes still taken as flat.
-NODE_DECREASE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,32 +135,11 @@ def interpolation_grid(inp: EmbeddingInput) -> np.ndarray:
     return np.unique(np.concatenate([phi, mids]))
 
 
-def interpolate_identification(inp: EmbeddingInput) -> list[PiecewiseAffine]:
-    """Per-outcome piecewise-linear interpolation of the pseudo-derivative
-    over the interpolation grid, continued with unit slope outside it."""
-    grid = interpolation_grid(inp)
-    out = []
-    for y in range(1, inp.n_outcomes + 1):
-        nodes = np.array([pseudo_identification(inp, u, y) for u in grid])
-        if np.any(np.diff(nodes) < -NODE_DECREASE_TOL):
-            raise SpecError(
-                f"interpolated identification for outcome {y} is decreasing; "
-                "input loss is not convex in the embedded sense"
-            )
-        out.append(PiecewiseAffine.from_nodes(grid, nodes, 1.0, 1.0))
-    return out
-
-
 def build_surrogate(inp: EmbeddingInput) -> Surrogate:
-    """Full construction: interpolate, set midpoint thresholds, and take the
-    property range from the simplex-vertex roots (the expected identification
-    at any p lies between the vertices' own)."""
-    v_bar = interpolate_identification(inp)
+    """Full construction: the identification nodes are each outcome's
+    pseudo-derivative on the interpolation grid; thresholds are midpoints."""
     grid = interpolation_grid(inp)
-    roots = roe_batch(grid, np.stack([v(grid) for v in v_bar]), np.eye(inp.n_outcomes))
-    return Surrogate(
-        identification=tuple(v_bar),
-        thresholds=0.5 * (inp.phi[:-1] + inp.phi[1:]),
-        value_range=(float(roots.min()), float(roots.max())),
-        cost=inp.cost,
-    )
+    nodes = [[pseudo_identification(inp, u, y) for u in grid]
+             for y in range(1, inp.n_outcomes + 1)]
+    return Surrogate(grid, nodes, thresholds=0.5 * (inp.phi[:-1] + inp.phi[1:]),
+                     cost=inp.cost)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ordelic.errors import RankDeficiencyError
-from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import (
     CostMatrix,
     OrderableSpec,
@@ -33,17 +32,9 @@ REFINEMENT_SAMPLES = 2000
 
 def build_from_spec(spec: OrderableSpec) -> Surrogate:
     """Identification nodes from the oriented (so strongly orderable) normals."""
-    O = spec.normals.o
-    k, n = O.shape
-    grid = np.arange(k, dtype=np.float64)
-    return Surrogate(
-        identification=tuple(PiecewiseAffine.from_nodes(grid, -O[:, y], 1.0, 1.0)
-                             for y in range(n)),
-        thresholds=grid,
-        value_range=(float(O[0].min()), float(O[k - 1].max() + (k - 1))),
-        normals=spec.normals,
-        cost=spec.cost,
-    )
+    grid = np.arange(spec.normals.k, dtype=np.float64)
+    return Surrogate(grid, -spec.normals.o.T, thresholds=grid, normals=spec.normals,
+                     cost=spec.cost)
 
 
 def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:

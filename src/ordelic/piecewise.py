@@ -1,8 +1,8 @@
 """One-dimensional piecewise structures: affine and max-affine.
 
-These back the identification functions and losses of both surrogate
-constructions.  Coefficients are kept exactly as produced by interpolation
-(no numeric refitting) so fixtures are bit-stable.
+Max-affine pieces are the embedded losses; piecewise-affine functions the
+identification functions that surrogate files spell out (``v_bar``), with
+coefficients exactly as interpolation gives them, so files are bit-stable.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import numpy as np
 from ordelic.errors import SpecError
 
 CONTINUITY_TOL = 1e-9
+# A max-affine piece this close (relative) to the max is active there.
+ACTIVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,29 +56,16 @@ class PiecewiseAffine:
         v = np.asarray(values, dtype=np.float64)
         if len(bp) != len(v):
             raise SpecError("breakpoints and values must align")
-        if len(bp) == 1:
-            a = np.array([left_slope, right_slope])
-        else:
-            interior = np.diff(v) / np.diff(bp)
-            a = np.concatenate(([left_slope], interior, [right_slope]))
+        a = np.concatenate(([left_slope], np.diff(v) / np.diff(bp), [right_slope]))
         c = np.empty(len(bp) + 1)
         c[:-1] = v - a[:-1] * bp
         c[-1] = v[-1] - a[-1] * bp[-1]
         return cls(bp, a, c)
 
-    def _piece_index(self, u) -> np.ndarray:
-        return np.searchsorted(self.breakpoints, u, side="left")
-
     def __call__(self, u):
         u = np.asarray(u, dtype=np.float64)
-        idx = self._piece_index(u)
+        idx = np.searchsorted(self.breakpoints, u, side="left")
         return self.slopes[idx] * u + self.intercepts[idx]
-
-    def derivative_interval(self, u: float) -> tuple[float, float]:
-        """(left, right) derivative at u; equal away from breakpoints."""
-        i_right = int(np.searchsorted(self.breakpoints, u, side="right"))
-        i_left = int(np.searchsorted(self.breakpoints, u, side="left"))
-        return float(self.slopes[i_left]), float(self.slopes[i_right])
 
 
 @dataclass(frozen=True)
@@ -96,10 +85,10 @@ class MaxAffinePieces:
         vals = self.pieces[:, 0] * u[..., None] + self.pieces[:, 1]
         return vals.max(axis=-1)
 
-    def derivative_interval(self, u: float, tol: float = 1e-9) -> tuple[float, float]:
+    def derivative_interval(self, u: float) -> tuple[float, float]:
         vals = self.pieces[:, 0] * u + self.pieces[:, 1]
         top = vals.max()
-        active = self.pieces[vals >= top - tol * (1.0 + abs(top)), 0]
+        active = self.pieces[vals >= top - ACTIVE_TOL * (1.0 + abs(top)), 0]
         return float(active.min()), float(active.max())
 
 

@@ -28,6 +28,7 @@ from ordelic.simplex import as_simplex_points, norm_name
 _SV_RTOL = 1e-9
 _MIN_GAP = 1e-9  # least separation, along a normal, of consecutive slices
 _WOLFE_MAX_ITER = 1000  # major plus minor cycles of one min-norm point search
+NODE_DECREASE_TOL = 1e-12  # largest fall between embedding nodes taken as flat
 
 
 @dataclass(frozen=True)
@@ -463,46 +464,56 @@ class Surrogate:
     """Lipschitz surrogate property with a threshold link, from either
     construction.
 
-    The property at p is the root of u -> sum_y p_y v_y(u) for the
-    piecewise-affine ``identification`` functions v_y, which share one
-    breakpoint ``grid`` and continue with unit slope outside it; ``nodes``
-    holds their values on the grid (for the normals construction exactly
-    -o, which evaluating the interpolants may round).  One kernel evaluates
-    the root for both constructions, and ``lipschitz_bound`` is the exact
-    Euclidean Lipschitz constant of that property (inf where it is not
-    Lipschitz); :meth:`lipschitz` gives the constant for l1 and linf too,
-    computed on first use.  The link maps u to report 1 + #(thresholds < u -
-    BOUNDARY_TOL).  The discrete target comes from ``cost`` when present,
-    else from ``normals``.
+    The property at p is the root of u -> sum_y p_y v_y(u), where v_y
+    interpolates ``nodes[y]`` on the strictly increasing ``grid`` and has
+    unit slope outside it; the nodes are exactly -o for the normals
+    construction and nondecreasing (to NODE_DECREASE_TOL) for the embedding.
+    One kernel evaluates the root for both.  ``value_range`` spans the roots
+    at the simplex vertices, which bound every root.  ``lipschitz_bound`` is
+    the exact Euclidean Lipschitz constant of the property (inf where it is
+    not Lipschitz); :meth:`lipschitz` gives the constant for l1 and linf
+    too, computed on first use.  The link maps u to report 1 + #(thresholds
+    < u - BOUNDARY_TOL).  The discrete target comes from ``cost`` when
+    present, else from ``normals``.
     """
 
-    identification: tuple  # PiecewiseAffine per outcome
+    grid: np.ndarray
+    nodes: np.ndarray
     thresholds: np.ndarray
-    value_range: tuple[float, float]
     normals: OrientedNormals | None = None
     cost: CostMatrix | None = None
-    grid: np.ndarray = field(init=False, repr=False)
-    nodes: np.ndarray = field(init=False, repr=False)
+    value_range: tuple[float, float] = field(init=False)
     lipschitz_bound: float = field(init=False)
     lipschitz_exact: ClassVar[bool] = True
     _lipschitz: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = tuple(self.identification)
-        grid = v[0].breakpoints
-        if any(not np.array_equal(f.breakpoints, grid) for f in v):
-            raise SpecError("identification functions must share one grid")
-        if self.normals is not None and self.normals.n != len(v):
-            raise SpecError("one identification function per outcome required")
-        nodes = np.stack([f(grid) for f in v]) if self.normals is None \
-            else -self.normals.o.T
+        grid = np.asarray(self.grid, dtype=np.float64)
+        nodes = np.asarray(self.nodes, dtype=np.float64)
+        thresholds = np.asarray(self.thresholds, dtype=np.float64)
+        for name, a in (("grid", grid), ("thresholds", thresholds)):
+            if a.ndim != 1 or len(a) < 1 or not np.all(np.isfinite(a)) \
+                    or np.any(np.diff(a) <= 0):
+                raise SpecError(f"the {name} must be finite and strictly increasing")
+        want = None if self.normals is None else -self.normals.o.T
+        if nodes.shape[1:] != grid.shape or len(nodes) < 1 or not np.all(np.isfinite(nodes)) \
+                or (want is not None and want.shape != nodes.shape):
+            raise SpecError(f"nodes of shape {nodes.shape} must be finite, with one row per "
+                            "outcome and one column per grid point (and normal)")
+        if want is None:
+            why, bad = "decrease along the grid", np.diff(nodes) < -NODE_DECREASE_TOL
+        else:
+            why, bad = "are not the negated normals", nodes != want
+        if np.any(bad):
+            raise SpecError(f"the identification nodes of outcome {np.nonzero(bad)[0][0] + 1} "
+                            f"{why}, which the property kernel does not evaluate")
+        roots = roe_batch(grid, nodes, np.eye(len(nodes)))
         top = lipschitz_constant(grid, nodes)
         for name, value in (
-            ("identification", v),
-            ("thresholds", np.asarray(self.thresholds, dtype=np.float64)),
-            ("value_range", (float(self.value_range[0]), float(self.value_range[1]))),
             ("grid", grid),
             ("nodes", nodes),
+            ("thresholds", thresholds),
+            ("value_range", (float(roots.min()), float(roots.max()))),
             ("lipschitz_bound", top.K),
             ("_lipschitz", {"l2": top}),
         ):
@@ -514,7 +525,7 @@ class Surrogate:
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.identification)
+        return len(self.nodes)
 
     def lipschitz_max(self, norm="l2") -> LipschitzMax:
         """The exact Lipschitz constant in ``norm`` with its maximizer; see

@@ -15,7 +15,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from ordelic.audit import AuditReport, PredictorTable
-from ordelic.embedding import NODE_DECREASE_TOL
 from ordelic.errors import SimplexError, SpecError
 from ordelic.piecewise import CONTINUITY_TOL, PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
@@ -84,25 +83,27 @@ def load_property_spec(path) -> dict:
 # ---------------------------------------------------------------------------
 # surrogate exports
 #
-# Format 3 holds the identification functions (``v_bar``) with the link
-# thresholds, the Lipschitz constant K (always exact), the value range, and
-# the optional normals and cost matrix.  K follows from the node values and
-# is derived again on load, never read, so format 2 files, whose embedding K
-# was max |v|, load to the exact K too.  Format 1 files (no ``format`` field)
-# also hold the integrated losses and, for the embedding, the grid; both
-# follow from ``v_bar`` and are not read.
+# Format 4 holds the identification nodes (``grid``, ``nodes``), the link
+# thresholds and the optional normals and cost matrix; only these are read.
+# The identification functions (``v_bar``), the exact Lipschitz constant K
+# and the value range are written for readers and derived again on load.
+# Formats 1-3 have no nodes; they are read from ``v_bar``.  Format 1 files
+# also hold integrated losses and, for the embedding, the grid (not read).
 
-SURROGATE_FORMAT = 3
+SURROGATE_FORMAT = 4
 
 
 def surrogate_to_json(s: Surrogate) -> dict:
     if not isinstance(s, Surrogate):
         raise SpecError(f"cannot serialize surrogate of type {type(s).__name__}")
+    v_bar = [PiecewiseAffine.from_nodes(s.grid, row, 1.0, 1.0) for row in s.nodes]
     out = {
         "format": SURROGATE_FORMAT,
         "kind": s.kind,
+        "grid": s.grid.tolist(),
+        "nodes": s.nodes.tolist(),
         "v_bar": [{"breakpoints": v.breakpoints.tolist(), "slopes": v.slopes.tolist(),
-                   "intercepts": v.intercepts.tolist()} for v in s.identification],
+                   "intercepts": v.intercepts.tolist()} for v in v_bar],
         "thresholds": s.thresholds.tolist(),
         "lipschitz_bound": s.lipschitz_bound,
         "lipschitz_exact": s.lipschitz_exact,
@@ -115,40 +116,71 @@ def surrogate_to_json(s: Surrogate) -> dict:
     return out
 
 
-def surrogate_from_json(d: dict) -> Surrogate:
-    """Rebuild a surrogate from format 1, 2 or 3.  Normals must be strongly
-    orderable, and each ``v_bar`` what the property kernel evaluates: unit
-    tail slopes, and on its grid the negated normals within CONTINUITY_TOL
-    (normals) or nondecreasing values (embedding)."""
-    if d.get("format", 1) not in (1, 2, SURROGATE_FORMAT):
+def surrogate_from_json(d) -> Surrogate:
+    """Rebuild a surrogate from format 1, 2, 3 or 4; errors name the field
+    at fault."""
+    kind = _field(d, "kind", str)
+    if d.get("format", 1) not in (1, 2, 3, SURROGATE_FORMAT):
         raise SpecError(f"unknown surrogate format {d['format']!r}")
-    if d.get("kind") not in ("embedding", "normals") \
-            or (d["kind"] == "normals") != ("normals" in d):
-        raise SpecError(f"unknown surrogate kind {d.get('kind')!r}")
-    normals = OrientedNormals(np.asarray(d["normals"])) if "normals" in d else None
-    v_bar = tuple(PiecewiseAffine(np.asarray(v["breakpoints"]), np.asarray(v["slopes"]),
-                                  np.asarray(v["intercepts"])) for v in d["v_bar"])
-    nodes = [None] * len(v_bar) if normals is None else -normals.o.T
-    for y, (v, want) in enumerate(zip(v_bar, nodes), start=1):
-        got = v(v.breakpoints)
-        if v.slopes[0] != 1.0 or v.slopes[-1] != 1.0:
+    if kind not in ("embedding", "normals") or (kind == "embedding" and "normals" in d):
+        raise SpecError(f"unknown surrogate kind {kind!r}")
+    normals = OrientedNormals(_field(d, "normals", np.ndarray)) if kind == "normals" \
+        else None
+    if d.get("format") == SURROGATE_FORMAT:
+        grid, nodes = _field(d, "grid", np.ndarray), _field(d, "nodes", np.ndarray)
+    else:
+        grid, nodes = _nodes_from_v_bar(d, normals)
+    cost = CostMatrix(_field(d, "cost_matrix", np.ndarray)) if "cost_matrix" in d else None
+    return Surrogate(grid, nodes, _field(d, "thresholds", np.ndarray), normals, cost)
+
+
+def _nodes_from_v_bar(d: dict, normals) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, nodes) from the ``v_bar`` of a format 1-3 file, which must be
+    what the property kernel evaluates: one grid, unit tail slopes, and for
+    normals the negated normals within CONTINUITY_TOL, then the nodes."""
+    v_bar = []
+    for y, v in enumerate(_field(d, "v_bar", list), start=1):
+        try:
+            v_bar.append(PiecewiseAffine(*(_field(v, key, np.ndarray)
+                                           for key in ("breakpoints", "slopes", "intercepts"))))
+        except SpecError as exc:
+            raise SpecError(f"v_bar of outcome {y}: {exc}") from None
+    if not v_bar:
+        raise SpecError("field 'v_bar' holds no functions")
+    grid = v_bar[0].breakpoints
+    nodes = np.stack([v(grid) for v in v_bar])
+    want = nodes if normals is None else -normals.o.T
+    for y, v in enumerate(v_bar, start=1):
+        if not np.array_equal(v.breakpoints, grid):
+            why = "has another grid than outcome 1"
+        elif v.slopes[0] != 1.0 or v.slopes[-1] != 1.0:
             why = f"has tail slopes {float(v.slopes[0])!r} and {float(v.slopes[-1])!r}, not 1"
-        elif want is None and np.any(np.diff(got) < -NODE_DECREASE_TOL):
-            why = "decreases along its grid"
-        elif want is not None and (got.shape != want.shape
-                                   or np.abs(got - want).max() > CONTINUITY_TOL):
+        elif want.shape != nodes.shape \
+                or np.abs(nodes[y - 1] - want[y - 1]).max() > CONTINUITY_TOL:
             why = f"differs from the negated normals on its grid by more than {CONTINUITY_TOL}"
         else:
             continue
         raise SpecError(f"v_bar of outcome {y} {why}, which the property kernel "
                         "does not evaluate")
-    return Surrogate(
-        identification=v_bar,
-        thresholds=np.asarray(d["thresholds"]),
-        value_range=tuple(d["value_range"]),
-        normals=normals,
-        cost=CostMatrix(np.asarray(d["cost_matrix"])) if "cost_matrix" in d else None,
-    )
+    return grid, want
+
+
+def _field(d, key: str, kind: type):
+    """``d[key]`` when d is a JSON object holding a ``kind`` there (str,
+    list, or np.ndarray for an array of numbers, returned as float64);
+    otherwise a SpecError that names the key."""
+    if not isinstance(d, dict):
+        raise SpecError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
+    if key not in d:
+        raise SpecError(f"field {key!r} is missing")
+    value = d[key]
+    if isinstance(value, list if kind is np.ndarray else kind):
+        try:
+            return np.array(value, dtype=np.float64) if kind is np.ndarray else value
+        except (TypeError, ValueError):
+            pass
+    want = {str: "a string", list: "an array"}.get(kind, "an array of numbers")
+    raise SpecError(f"field {key!r} must be {want}, not {value!r:.40}")
 
 
 # ---------------------------------------------------------------------------

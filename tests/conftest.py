@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from ordelic._kernels import BOUNDARY_TOL
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.normals import build_from_spec
+from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, spec_from_boundaries
+from ordelic.serialize import dumps, surrogate_to_json
 from ordelic.simplex import as_simplex_points, norm_order, sample_simplex
 
 EQ1_COSTS = [[0.0, 3.0, 5.0], [1.0, 0.0, 3.0], [3.0, 1.0, 0.0]]
@@ -38,6 +42,14 @@ def fixture_normals_spec(fixture_boundaries):
 @pytest.fixture(scope="session")
 def fixture_normals(fixture_normals_spec):
     return build_from_spec(fixture_normals_spec)
+
+
+def written_v_bar(surrogate) -> list[PiecewiseAffine]:
+    """The identification functions a surrogate file spells out (``v_bar``),
+    read back from the JSON text it is written as."""
+    d = json.loads(dumps(surrogate_to_json(surrogate)))
+    return [PiecewiseAffine(np.array(v["breakpoints"]), np.array(v["slopes"]),
+                            np.array(v["intercepts"])) for v in d["v_bar"]]
 
 
 def bisect_expected_root(v_per_outcome, probs, lo=-20.0, hi=20.0, iters=80):

@@ -14,6 +14,7 @@ from conftest import (
     Antiderivative,
     bisect_expected_root,
     from_ternary_plot,
+    written_v_bar,
 )
 from ordelic.audit import (
     PredictorTable,
@@ -108,7 +109,7 @@ def test_criterion_1_embedding_fixture(capfd):
         assert np.allclose(s.grid, [0, 0.5, 1, 2, 3], atol=tol)
         assert np.allclose(s.thresholds, [0.5, 2.0], atol=tol)
         # identification for the first outcome, coefficient by coefficient
-        v1 = s.identification[0]
+        v1 = written_v_bar(s)[0]
         assert np.allclose(v1.breakpoints, [0, 0.5, 1, 2, 3], atol=tol)
         assert np.allclose(v1.slopes, [1, 2, 0, 0, 1, 1], atol=tol)
         assert np.allclose(v1.intercepts, [0, 0, 1, 1, -1, -1], atol=tol)
@@ -178,11 +179,11 @@ def test_criterion_4_oracle_equivalence(capfd):
         pts = sample_simplex(3, 10_000, seed=500)
         emb = _fixture_embedding()
         got = emb.gamma_many(pts)
-        oracle = bisect_expected_root(list(emb.identification), pts)
+        oracle = bisect_expected_root(written_v_bar(emb), pts)
         assert float(np.max(np.abs(got - oracle))) < 1e-9
         nrm = _fixture_normals()
         got = nrm.gamma_many(pts)
-        oracle = bisect_expected_root(list(nrm.identification), pts)
+        oracle = bisect_expected_root(written_v_bar(nrm), pts)
         assert float(np.max(np.abs(got - oracle))) < 1e-9
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ordelic.cli import EXIT_BOUND, EXIT_OK, EXIT_SEARCH, EXIT_SPEC, main
 from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, read_json, surrogate_from_json,
                                write_json)
 
+DATA = Path(__file__).parent / "data"
 COST_SPEC = {"n": 3, "reports": [1, 2, 3],
              "cost_matrix": [[0, 3, 5], [1, 0, 3], [3, 1, 0]]}
 BOUNDARY_SPEC = {"n": 3, "reports": [1, 2, 3],
@@ -451,8 +453,9 @@ class TestCounterexample:
 
 
 class TestLoadSurrogate:
-    """A surrogate file the property kernel cannot evaluate is refused on
-    load: audit and counterexample exit 2 naming the file and the cause."""
+    """A surrogate file the property kernel cannot evaluate, or with a
+    missing or mistyped field, is refused on load: audit and counterexample
+    exit 2 naming the file and the cause, without a traceback."""
 
     @pytest.fixture()
     def construct(self, spec_file, tmp_path):
@@ -480,9 +483,10 @@ class TestLoadSurrogate:
             argv = ["counterexample", "--surrogate", path, "--c", "5",
                     "--out", str(tmp_path / "ce")]
         capsys.readouterr()
-        assert main(argv) == EXIT_SPEC
+        assert main(argv) == EXIT_SPEC, cause
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and cause in err
+        assert err.startswith(f"error: {path}: ") and cause in err, (cause, err)
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["audit", "counterexample"])
     def test_reversed_normals(self, construct, command, tmp_path, capsys):
@@ -491,8 +495,8 @@ class TestLoadSurrogate:
         self._refused(command, d, tmp_path, capsys,
                       "boundaries 1 and 2 are not met in report order")
 
-    def test_tail_slopes_other_than_one(self, construct, tmp_path, capsys):
-        d = construct("--algo", "normals", "--seed", "1")
+    def test_tail_slopes_other_than_one(self, tmp_path, capsys):
+        d = read_json(DATA / "readme_normals_seed1.format3.json")
         for v in d["v_bar"]:  # slope 3 outside the grid, still continuous
             b, a, c = v["breakpoints"], v["slopes"], v["intercepts"]
             c[0] += (a[0] - 3.0) * b[0]
@@ -501,15 +505,15 @@ class TestLoadSurrogate:
         self._refused("audit", d, tmp_path, capsys,
                       "v_bar of outcome 1 has tail slopes 3.0 and 3.0, not 1")
 
-    def test_nodes_other_than_the_negated_normals(self, construct, tmp_path, capsys):
-        d = construct("--algo", "normals", "--seed", "1")
+    def test_nodes_other_than_the_negated_normals(self, tmp_path, capsys):
+        d = read_json(DATA / "readme_normals_seed1.format3.json")
         for v in d["v_bar"]:
             v["intercepts"] = [c + 5.0 for c in v["intercepts"]]
         self._refused("audit", d, tmp_path, capsys,
                       "v_bar of outcome 1 differs from the negated normals")
 
-    def test_decreasing_embedding_v_bar(self, construct, tmp_path, capsys):
-        d = construct("--algo", "embedding", "--phi", "0,1,3")
+    def test_decreasing_embedding_v_bar(self, tmp_path, capsys):
+        d = read_json(DATA / "readme_embedding_phi013.format3.json")
         v = d["v_bar"][1]
         v["slopes"][1:-1] = [-a for a in v["slopes"][1:-1]]
         v["intercepts"][1:-1] = [-c for c in v["intercepts"][1:-1]]
@@ -518,7 +522,61 @@ class TestLoadSurrogate:
                 + v["intercepts"][i + 1 if i == 0 else i - 1]
             v["intercepts"][i] = end - v["breakpoints"][i]
         self._refused("audit", d, tmp_path, capsys,
-                      "v_bar of outcome 2 decreases along its grid")
+                      "the identification nodes of outcome 2 decrease along the grid")
+
+    def test_decreasing_embedding_nodes(self, construct, tmp_path, capsys):
+        d = construct("--algo", "embedding", "--phi", "0,1,3")
+        d["nodes"][1] = d["nodes"][1][::-1]
+        self._refused("audit", d, tmp_path, capsys,
+                      "the identification nodes of outcome 2 decrease along the grid")
+
+    @pytest.mark.parametrize("thresholds", [[float("nan"), 1.0], [[0.0, 1.0]], [1.0, 0.0], []])
+    def test_thresholds_not_increasing(self, construct, thresholds, tmp_path, capsys):
+        d = construct("--algo", "normals", "--seed", "1")
+        self._refused("audit", {**d, "thresholds": thresholds}, tmp_path, capsys,
+                      "the thresholds must be finite and strictly increasing")
+
+    def test_nodes_off_the_negated_normals(self, construct, tmp_path, capsys):
+        d = construct("--algo", "normals", "--seed", "1")
+        d["nodes"][2][0] += 1e-12
+        self._refused("audit", d, tmp_path, capsys,
+                      "the identification nodes of outcome 3 are not the negated normals")
+
+    @pytest.mark.parametrize("command", ["audit", "counterexample"])
+    @pytest.mark.parametrize("algo, fmt", [("normals", 4), ("embedding", 4),
+                                           ("normals", 3), ("embedding", 3)])
+    def test_missing_or_mistyped_field(self, construct, command, algo, fmt,
+                                       tmp_path, capsys):
+        """Every field the loader reads, deleted or holding another JSON
+        type; v_bar as a list of numbers; the document wrapped in a list."""
+        if fmt == 4:
+            d = construct("--algo", algo,
+                          *(["--seed", "1"] if algo == "normals" else ["--phi", "0,1,3"]))
+            read = ["grid", "nodes"]
+        else:
+            d = read_json(DATA / f"readme_{algo}_{'seed1' if algo == 'normals' else 'phi013'}"
+                          ".format3.json")
+            read = ["v_bar"]
+        assert d["format"] == fmt
+        read += ["kind", "thresholds", "normals" if algo == "normals" else "cost_matrix"]
+        cases = [("expected a JSON object with field 'kind', got list", [d])]
+        for key in read:
+            cases.append((f"field {key!r} is missing",
+                          {k: v for k, v in d.items() if k != key}))
+            cases += [(f"field {key!r} must be", {**d, key: value})
+                      for value in (None, 7, "x", [1.0], {"a": 1})
+                      if type(value) is not type(d[key])]
+        if fmt == 3:
+            cases.append(("v_bar of outcome 1: expected a JSON object with field "
+                          "'breakpoints'", {**d, "v_bar": [0.0, 1.0, 2.0]}))
+            v = d["v_bar"][0]
+            for key in ("breakpoints", "slopes", "intercepts"):
+                for cause, bad in (("is missing", {k: x for k, x in v.items() if k != key}),
+                                   ("must be", {**v, key: "x"})):
+                    cases.append((f"v_bar of outcome 1: field {key!r} {cause}",
+                                  {**d, "v_bar": [bad, *d["v_bar"][1:]]}))
+        for cause, bad in cases:
+            self._refused(command, bad, tmp_path, capsys, cause)
 
 
 def test_unknown_arguments_exit_spec(capsys):

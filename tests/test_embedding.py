@@ -8,6 +8,7 @@ from conftest import (
     Antiderivative,
     bisect_expected_root,
     lipschitz_estimate,
+    written_v_bar,
 )
 from ordelic.audit import PredictorTable, check_discretization_bound, check_postprocessing_bound
 from ordelic.cli import _default_outer_slope
@@ -19,7 +20,7 @@ from ordelic.embedding import (
     pseudo_identification,
 )
 from ordelic.errors import SpecError
-from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine
+from ordelic.piecewise import MaxAffinePieces
 from ordelic.properties import CostMatrix, Surrogate, random_orderable_spec
 from ordelic.simplex import LabeledDataset, sample_simplex
 
@@ -104,7 +105,7 @@ class TestBuildSurrogate:
 
     def test_identification_closed_form(self, fixture_embedding):
         # outcome 2 interpolates from 0 at u=1/2... check the [1/2, 1] piece 6u - 6
-        v2 = fixture_embedding.identification[1]
+        v2 = written_v_bar(fixture_embedding)[1]
         us = np.linspace(0.5, 1.0, 7)
         assert np.allclose(v2(us), 6 * us - 6)
 
@@ -116,12 +117,12 @@ class TestBuildSurrogate:
         s = fixture_embedding
         pts = sample_simplex(3, 2000, seed=11)
         got = s.gamma_many(pts)
-        oracle = bisect_expected_root(list(s.identification), pts)
+        oracle = bisect_expected_root(written_v_bar(s), pts)
         assert np.max(np.abs(got - oracle)) < 1e-8
 
     def test_integrated_loss_consistent(self, fixture_embedding):
         s = fixture_embedding
-        for v in s.identification:
+        for v in written_v_bar(s):
             L = Antiderivative(v)
             assert L(0.0) == pytest.approx(0.0)
             for u in np.linspace(-0.7, 3.7, 23):
@@ -156,7 +157,7 @@ class TestLevelSets:
         s = fixture_embedding
         rng = np.random.default_rng(13)
         for u_star, o in ((0.5, O1), (2.0, O2)):
-            nodes = np.array([float(v(u_star)) for v in s.identification])
+            nodes = np.array([float(v(u_star)) for v in written_v_bar(s)])
             assert np.abs(np.abs(nodes @ o) / np.linalg.norm(nodes) - 1.0) < 1e-12
             for _ in range(40):
                 a, b = sample_simplex(3, 2, seed=int(rng.integers(2**31)))
@@ -206,14 +207,8 @@ def _normalized(s: Surrogate) -> Surrogate:
     the outer slopes at one and maps the property by the same affine map."""
     lo, hi = s.value_range
     width = hi - lo
-    grid = (s.grid - lo) / width
-    return Surrogate(
-        identification=tuple(PiecewiseAffine.from_nodes(grid, nodes / width, 1.0, 1.0)
-                             for nodes in s.nodes),
-        thresholds=(s.thresholds - lo) / width,
-        value_range=(0.0, 1.0),
-        cost=s.cost,
-    )
+    return Surrogate((s.grid - lo) / width, s.nodes / width,
+                     thresholds=(s.thresholds - lo) / width, cost=s.cost)
 
 
 class TestNormalize:

@@ -12,6 +12,7 @@ from conftest import (
     node_root_batch,
     region_index,
     slice_distance_qp,
+    written_v_bar,
 )
 from ordelic.errors import OrderabilityError
 from ordelic.normals import build_from_spec, full_pipeline
@@ -50,7 +51,7 @@ class TestConstruction:
 
     def test_identification_three_cases(self, fixture_normals):
         # v(u, y) interpolates -o_{l+1, y} at u = 0..k-1 with unit tails
-        v1 = fixture_normals.identification[0]
+        v1 = written_v_bar(fixture_normals)[0]
         assert v1(0.0) == pytest.approx(1.0 / SQ14)
         assert v1(1.0) == pytest.approx(2.0 / SQ14)
         assert v1(-1.0) == pytest.approx(1.0 / SQ14 - 1.0)
@@ -64,9 +65,9 @@ class TestConstruction:
         assert s.normals.k == 1
         o = spec.normals.o[0]
         # v(u, y) = u - o_y for every outcome
-        for y in range(3):
-            assert s.identification[y](0.0) == pytest.approx(-o[y])
-            assert s.identification[y](2.0) == pytest.approx(2.0 - o[y])
+        for y, v in enumerate(written_v_bar(s)):
+            assert v(0.0) == pytest.approx(-o[y])
+            assert v(2.0) == pytest.approx(2.0 - o[y])
         # the property is <o, p> and the link splits at 0
         pts = sample_simplex(3, 500, seed=1)
         assert np.allclose(s.gamma_many(pts), pts @ o, atol=1e-12)
@@ -118,7 +119,7 @@ class TestEvaluation:
         pts = sample_simplex(3, 3000, seed=32)
         a = s.gamma_many(pts)
         b = node_root_batch(s.grid, s.nodes, pts)
-        c = bisect_expected_root(list(s.identification), pts)
+        c = bisect_expected_root(written_v_bar(s), pts)
         assert np.max(np.abs(a - b)) < 1e-9
         assert np.max(np.abs(a - c)) < 1e-8
 

@@ -42,12 +42,6 @@ class TestPiecewiseAffine:
             PiecewiseAffine(np.array([0.0]), np.array([1.0, 1.0]),
                             np.array([0.0, 0.5]))
 
-    def test_derivative_interval(self):
-        v = vbar(1)
-        assert v.derivative_interval(0.25) == (2.0, 2.0)
-        assert v.derivative_interval(0.5) == (2.0, 0.0)
-        assert v.derivative_interval(3.0) == (1.0, 1.0)
-
 
 class TestIntegration:
     """The antiderivative oracle behind the integrated-loss checks."""

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O2, dirichlet_predictor
+from conftest import O1, O2, bisect_expected_root, dirichlet_predictor, written_v_bar
 from ordelic import serialize
 from ordelic.audit import _bin
+from ordelic.cli import _default_outer_slope
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SpecError
-from ordelic.properties import CostMatrix, sample_boundary
+from ordelic.normals import build_from_spec
+from ordelic.properties import CostMatrix, random_orderable_spec, sample_boundary
 from ordelic.scenario import (
     ScenarioSpec,
     exact_dataset,
@@ -363,7 +366,7 @@ class TestPropertySpecFiles:
 class TestSurrogateExport:
     def test_embedding_round_trip(self, fixture_embedding, fixture_cost):
         d = surrogate_to_json(fixture_embedding)
-        assert d["format"] == 3 and "l_bar" not in d
+        assert d["format"] == 4 and "l_bar" not in d
         assert d["lipschitz_exact"] is True
         back = surrogate_from_json(d)
         assert back.cost is not None
@@ -389,9 +392,32 @@ class TestSurrogateExport:
         with pytest.raises(SpecError):
             surrogate_from_json(dict(surrogate_to_json(fixture_normals), kind="embedding"))
         with pytest.raises(SpecError):
-            surrogate_from_json(dict(surrogate_to_json(fixture_normals), format=4))
+            surrogate_from_json(dict(surrogate_to_json(fixture_normals), format=5))
         with pytest.raises(SpecError):
             surrogate_to_json(object())
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 8), n_reports=st.integers(2, 5), seed=st.integers(0, 2**20))
+def test_format4_round_trip_is_exact(n, n_reports, seed):
+    """A written and reloaded surrogate equals the built one bit for bit, for
+    both constructions; the v_bar it spells out has the same roots, and a
+    normals surrogate's value range is the closed form from its normals."""
+    spec, cost, phi = random_orderable_spec(n, n_reports, seed)
+    nrm = build_from_spec(spec)
+    emb = build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+    for s in (nrm, emb):
+        back = surrogate_from_json(json.loads(dumps(surrogate_to_json(s))))
+        for name in ("grid", "nodes", "thresholds"):
+            assert getattr(back, name).tobytes() == getattr(s, name).tobytes(), name
+        assert back.value_range == s.value_range
+        assert back.lipschitz_bound == s.lipschitz_bound
+        lo, hi = s.value_range
+        pts = sample_simplex(n, 200, seed=seed)
+        oracle = bisect_expected_root(written_v_bar(s), pts, lo - 1.0, hi + 1.0)
+        assert np.abs(oracle - s.gamma_many(pts)).max() <= 1e-9
+    O, k = spec.normals.o, spec.normals.k
+    assert nrm.value_range == (float(O[0].min()), float(O[-1].max() + (k - 1)))
 
 
 README_SPEC = {"n": 3, "reports": [1, 2, 3],
@@ -400,18 +426,22 @@ BOUNDARY_SPEC = {"n": 3, "reports": [1, 2, 3],
                  "boundaries": [{"c": [-3, 1, 0], "b": -2}, {"c": [-5, -4, 0], "b": -3}]}
 
 
-@pytest.mark.parametrize("name,spec,args", [
-    pytest.param(name, spec, args, id=name) for name, spec, args in (
-        ("readme_normals_seed1", README_SPEC, ["--algo", "normals", "--seed", "1"]),
-        ("boundaries_normals_seed1", BOUNDARY_SPEC, ["--algo", "normals", "--seed", "1"]),
-        ("readme_embedding_phi013", README_SPEC, ["--algo", "embedding", "--phi", "0,1,3"]),
-    )])
-def test_format1_file_matches_fresh_build(tmp_path, name, spec, args):
-    """Surrogate files written before format 2 (with l_bar, without a format
-    field) load into the same surrogate as a fresh construct."""
+@pytest.mark.parametrize("name,fmt,spec,args", [
+    pytest.param(name, fmt, spec, args, id=name if fmt == 1 else f"{name}.format{fmt}")
+    for name, fmts, spec, args in (
+        ("readme_normals_seed1", (1, 3), README_SPEC, ["--algo", "normals", "--seed", "1"]),
+        ("boundaries_normals_seed1", (1,), BOUNDARY_SPEC,
+         ["--algo", "normals", "--seed", "1"]),
+        ("readme_embedding_phi013", (1, 3), README_SPEC,
+         ["--algo", "embedding", "--phi", "0,1,3"]),
+    ) for fmt in fmts])
+def test_format1_file_matches_fresh_build(tmp_path, name, fmt, spec, args):
+    """Surrogate files written in format 1 (with l_bar, without a format
+    field) or format 3 (v_bar, no nodes) load into the same surrogate as a
+    fresh construct; format 3 files to their own K and value range."""
     from ordelic.cli import EXIT_OK, main
-    old = read_json(Path(__file__).parent / "data" / f"{name}.format1.json")
-    assert "format" not in old and "l_bar" in old
+    old = read_json(Path(__file__).parent / "data" / f"{name}.format{fmt}.json")
+    assert old.get("format", 1) == fmt and ("l_bar" in old) == (fmt == 1)
     spec_path, out = tmp_path / "spec.json", tmp_path / "sur.json"
     write_json(spec_path, spec)
     assert main(["construct", "--spec", str(spec_path), *args, "--out", str(out)]) == EXIT_OK
@@ -421,6 +451,9 @@ def test_format1_file_matches_fresh_build(tmp_path, name, spec, args):
     # found by clipping the triangle, which rounds it in the last bits
     assert jb.pop("lipschitz_bound") == pytest.approx(ja.pop("lipschitz_bound"), rel=1e-14)
     assert ja == jb
+    assert list(a.value_range) == old["value_range"]
+    if fmt == 3:
+        assert a.lipschitz_bound == old["lipschitz_bound"]
     pts = np.concatenate([np.eye(3), sample_simplex(3, 500, seed=9)]
                          + [sample_boundary(o, 50, seed=10) for o in (O1, O2)])
     u = a.gamma_many(pts)
