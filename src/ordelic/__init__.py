@@ -6,7 +6,7 @@ property plus a link function back to the discrete reports, and audits
 predictors for the associated calibration notions.
 """
 
-from ordelic.simplex import LabeledDataset, as_simplex_point, sample_simplex
+from ordelic.simplex import LabelCounts, as_simplex_point, sample_simplex
 from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine
 from ordelic.properties import (
     AffineBoundary,
@@ -22,7 +22,7 @@ from ordelic.audit import AuditReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "LabeledDataset",
+    "LabelCounts",
     "as_simplex_point",
     "sample_simplex",
     "MaxAffinePieces",

@@ -20,7 +20,7 @@ import numpy as np
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
 from ordelic.properties import LipschitzMax, Surrogate
 from ordelic.simplex import (
-    LabeledDataset,
+    LabelCounts,
     as_simplex_points,
     first_appearance,
     norm_name,
@@ -114,9 +114,10 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 # shared binning plumbing
 #
-# Every prediction and bin key is a function of x_id alone, so an audit needs
-# only the (features x outcomes) weighted label counts, built by one bincount
-# over the rows.  Estimators then work on per-feature and per-bin arrays.
+# Every prediction and bin key is a function of x_id alone, so an audit reads
+# only the (features x outcomes) weighted label counts of a LabelCounts table,
+# whose size is O(features) whatever the number of rows.  Estimators then
+# work on per-feature and per-bin arrays.
 
 
 @dataclass(frozen=True)
@@ -153,12 +154,10 @@ class _Bins:
         )
 
 
-def _bin(data: LabeledDataset, feature_keys) -> _Bins:
+def _bin(data: LabelCounts, feature_keys) -> _Bins:
     """Group the features of ``data`` by key (one key, or one key row, per
     entry of ``data.keys``), from its (features, outcomes) label counts."""
-    n = data.n
-    counts = np.bincount(data.codes * n + (data.y - 1), weights=data.weights,
-                         minlength=len(data.keys) * n).reshape(-1, n).astype(np.float64)
+    n, counts = data.n, data.counts
     mass = counts.sum(axis=1)
     live = mass > 0
     keys = np.asarray(feature_keys)
@@ -185,7 +184,7 @@ def _member(sets: np.ndarray, reports) -> np.ndarray:
 
 def dist_calibration_wrt(
     f: PredictorTable,
-    data: LabeledDataset,
+    data: LabelCounts,
     binner,
     norm="l2",
     convention: str = "simplex",
@@ -212,7 +211,7 @@ def dist_calibration_wrt(
 
 def surrogate_calibration(
     g: PredictorTable,
-    data: LabeledDataset,
+    data: LabelCounts,
     gamma_eval,
     norm="l2",
     bin_width: float | None = None,
@@ -233,7 +232,7 @@ def surrogate_calibration(
 
 def discrete_calibration(
     h: PredictorTable,
-    data: LabeledDataset,
+    data: LabelCounts,
     gamma_set,
 ) -> AuditReport:
     """Probability that h(x) is outside the target set of its bin conditional.
@@ -255,7 +254,7 @@ def discrete_calibration(
 
 def check_postprocessing_bound(
     f: PredictorTable,
-    data: LabeledDataset,
+    data: LabelCounts,
     surrogate: Surrogate,
     norm="l2",
 ) -> AuditReport:
@@ -405,12 +404,10 @@ def counterexample_gap(surrogate: Surrogate, C: float, norm="l2"):
         f"exact Lipschitz constant K = {top.K!r}")
 
 
-def instance_dataset(instance: dict) -> tuple[PredictorTable, LabeledDataset]:
-    """Materialize the counterexample as (distributional predictor, dataset)."""
-    q = np.asarray(instance["conditional"], dtype=np.float64)
-    data = LabeledDataset.from_exact_scenario(
-        [instance["x_id"]], [1.0], q[None, :]
-    )
+def instance_dataset(instance: dict) -> tuple[PredictorTable, LabelCounts]:
+    """Materialize the counterexample as (distributional predictor, label
+    counts): its one feature has weight 1 and the instance's conditional."""
+    data = LabelCounts((instance["x_id"],), as_simplex_points([instance["conditional"]]))
     f = PredictorTable("distribution",
                        {instance["x_id"]: np.asarray(instance["prediction"])})
     return f, data
@@ -438,7 +435,7 @@ def link_diameter(thresholds, value_range) -> float:
 
 def check_discretization_bound(
     g: PredictorTable,
-    data: LabeledDataset,
+    data: LabelCounts,
     surrogate: Surrogate,
     C_marginal: float,
     t_grid=None,
@@ -511,7 +508,7 @@ def check_discretization_bound(
                        extras={"vacuous": vacuous})
 
 
-def estimate_marginal_lipschitz(g: PredictorTable, data: LabeledDataset,
+def estimate_marginal_lipschitz(g: PredictorTable, data: LabelCounts,
                                 norm="l2") -> float:
     """Max difference quotient, in ``norm``, of bin conditionals across
     adjacent prediction values: a data-driven stand-in for C_marginal,

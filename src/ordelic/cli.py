@@ -185,7 +185,7 @@ def _cmd_levelsets(args) -> int:
 
 def _cmd_simulate(args) -> int:
     seed = _require_seed(args)
-    scenario = serialize.scenario_from_json(serialize.read_json(args.spec))
+    scenario = serialize.read_scenario(args.spec)
     data = sample_dataset(scenario, args.samples, seed)
     predictor = materialize_predictor(scenario, seed + 1)
     serialize.write_dataset_csv(args.out + ".data.csv", data)
@@ -218,7 +218,7 @@ def _cmd_audit(args) -> int:
     if (args.data is None) == (args.scenario is None):
         raise SpecError("pass exactly one of --data or --scenario")
     if args.scenario is not None:
-        scenario = serialize.scenario_from_json(serialize.read_json(args.scenario))
+        scenario = serialize.read_scenario(args.scenario)
         data = exact_dataset(scenario)
     else:
         data = serialize.read_dataset_csv(args.data, surrogate.n_outcomes)

@@ -495,6 +495,15 @@ class Surrogate:
             if a.ndim != 1 or len(a) < 1 or not np.all(np.isfinite(a)) \
                     or np.any(np.diff(a) <= 0):
                 raise SpecError(f"the {name} must be finite and strictly increasing")
+        for source, reports in (
+                ("normals", None if self.normals is None else self.normals.k + 1),
+                ("cost matrix", None if self.cost is None else self.cost.n_reports)):
+            if reports is not None and len(thresholds) != reports - 1:
+                raise SpecError(f"the thresholds number {len(thresholds)}, but the "
+                                f"{reports} reports of the {source} need {reports - 1}")
+        if self.normals is not None and not np.array_equal(thresholds, grid):
+            raise SpecError("the thresholds of a normals surrogate must be its grid, "
+                            "the values at its boundaries")
         want = None if self.normals is None else -self.normals.o.T
         if nodes.shape[1:] != grid.shape or len(nodes) < 1 or not np.all(np.isfinite(nodes)) \
                 or (want is not None and want.shape != nodes.shape):

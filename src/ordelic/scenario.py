@@ -1,9 +1,9 @@
 """Synthetic data scenarios: finite feature sets with known conditionals.
 
 A scenario fixes the joint distribution over (feature, label) and a recipe
-for the predictor under audit.  Datasets can be sampled (seeded) or
-materialized exactly with row weights, which keeps closed-form audit values
-free of sampling noise.
+for the predictor under audit.  Rows can be sampled (seeded), or the label
+counts taken exactly as the scenario's mass, which keeps closed-form audit
+values free of sampling noise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,10 @@ import numpy as np
 
 from ordelic.audit import PredictorTable
 from ordelic.errors import SpecError
-from ordelic.simplex import LabeledDataset, as_simplex_points, first_appearance
+from ordelic.simplex import LabelCounts, as_simplex_points, first_appearance
+
+# Buckets of [0, 1) in the guide table of sample_dataset's feature draw.
+GUIDE_BUCKETS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class ScenarioSpec:
         cond = as_simplex_points(self.conditionals)
         if len(ids) != len(w) or len(ids) != cond.shape[0]:
             raise SpecError("feature ids, weights, and conditionals must align")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
             raise SpecError("feature weights must be nonnegative and sum to 1")
         if self.recipe not in ("bayes", "perturbed", "fixed"):
             raise SpecError(f"unknown predictor recipe {self.recipe!r}")
@@ -80,24 +83,63 @@ def materialize_predictor(scenario: ScenarioSpec, seed: int) -> PredictorTable:
     return PredictorTable("distribution", dict(zip(scenario.feature_ids, p)))
 
 
-def sample_dataset(scenario: ScenarioSpec, rows: int, seed: int) -> LabeledDataset:
-    """Seeded i.i.d. draws of (feature, label) pairs."""
+@dataclass(frozen=True)
+class LabeledRows:
+    """Sampled (x_id, label) rows: row i has x_id ``keys[codes[i]]`` and
+    label ``y[i]`` in 1..n, with ``keys`` in order of first appearance."""
+
+    codes: np.ndarray
+    keys: tuple
+    y: np.ndarray
+    n: int
+
+
+def sample_dataset(scenario: ScenarioSpec, rows: int, seed: int) -> LabeledRows:
+    """Seeded i.i.d. draws of (feature, label) pairs.
+
+    The features are those ``rng.choice(features, size=rows, p=weights)``
+    draws (see :func:`_draw`); then one uniform per row picks the label.
+    """
     if rows < 1:
         raise SpecError("need at least 1 row")
     rng = np.random.default_rng(seed)
-    f_idx = rng.choice(len(scenario.feature_ids), size=rows, p=scenario.weights)
+    f_idx = _draw(rng, scenario.weights, rows)
     u = rng.random(rows)
     cum = np.cumsum(scenario.conditionals, axis=1)
     y = np.ones(rows, dtype=np.int64)
     for j in range(scenario.n_outcomes - 1):
         y += u > cum[f_idx, j]
     order, codes = first_appearance(f_idx, len(scenario.feature_ids))
-    return LabeledDataset.from_codes(codes, [scenario.feature_ids[i] for i in order],
-                                     y, scenario.n_outcomes)
+    return LabeledRows(codes, tuple(scenario.feature_ids[i] for i in order), y,
+                       scenario.n_outcomes)
 
 
-def exact_dataset(scenario: ScenarioSpec) -> LabeledDataset:
-    """Weighted dataset reproducing the scenario with zero sampling noise."""
-    return LabeledDataset.from_exact_scenario(
-        scenario.feature_ids, scenario.weights, scenario.conditionals
-    )
+def _draw(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(len(p), size=size, p=p)`` bit for bit, for weights p that
+    are nonnegative and sum to 1.
+
+    The choice is ``cdf.searchsorted(rng.random(size), side="right")`` with
+    ``cdf`` the cumulative sum of p divided by its last entry.  A guide table
+    (Chen and Asau, 1974) holds that search at both ends of each of B
+    buckets of [0, 1), B a power of 2 up to one per draw and at most
+    ``GUIDE_BUCKETS``; a uniform in a bucket whose ends agree takes their
+    value, and only the others are searched.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    buckets = min(GUIDE_BUCKETS, 1 << (size - 1).bit_length())
+    ends = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+    bucket = (u * buckets).astype(np.intp)  # exact: a power of 2
+    idx = ends[bucket]
+    split = np.flatnonzero(idx != ends[bucket + 1])
+    idx[split] = cdf.searchsorted(u[split], side="right")
+    return idx
+
+
+def exact_dataset(scenario: ScenarioSpec) -> LabelCounts:
+    """Label counts reproducing the scenario with zero sampling noise: the
+    mass weight * conditional of each feature of positive weight."""
+    mass = scenario.weights[:, None] * as_simplex_points(scenario.conditionals)
+    live = np.flatnonzero(np.any(mass > 0, axis=1))
+    return LabelCounts(tuple(scenario.feature_ids[i] for i in live), mass[live])

@@ -10,16 +10,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
 
 from ordelic.audit import AuditReport, PredictorTable
-from ordelic.errors import SimplexError, SpecError
+from ordelic.errors import OrdelicError, SimplexError, SpecError
 from ordelic.piecewise import CONTINUITY_TOL, PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
-from ordelic.scenario import ScenarioSpec
-from ordelic.simplex import LabeledDataset, as_simplex_point, as_simplex_points
+from ordelic.scenario import LabeledRows, ScenarioSpec
+from ordelic.simplex import LabelCounts, as_simplex_point, as_simplex_points
 
 # Dataset CSV files are read in chunks of about this many bytes.
 CSV_CHUNK_BYTES = 1 << 18
@@ -165,21 +166,29 @@ def _nodes_from_v_bar(d: dict, normals) -> tuple[np.ndarray, np.ndarray]:
     return grid, want
 
 
+# _field kinds: the JSON types each accepts, and how an error names it.
+_KINDS = {str: (str, "a string"), list: (list, "an array"), dict: (dict, "an object"),
+          float: ((int, float), "a number"), np.ndarray: (list, "an array of numbers"),
+          object: (object, "a value")}
+
+
 def _field(d, key: str, kind: type):
-    """``d[key]`` when d is a JSON object holding a ``kind`` there (str,
-    list, or np.ndarray for an array of numbers, returned as float64);
-    otherwise a SpecError that names the key."""
+    """``d[key]`` when d is a JSON object holding a ``kind`` there: str,
+    list, dict, object (any value), float (a number, returned as float) or
+    np.ndarray (an array of numbers, returned as float64); otherwise a
+    SpecError that names the key."""
     if not isinstance(d, dict):
         raise SpecError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
     if key not in d:
         raise SpecError(f"field {key!r} is missing")
     value = d[key]
-    if isinstance(value, list if kind is np.ndarray else kind):
+    types, want = _KINDS[kind]
+    if isinstance(value, types) and not (kind is float and isinstance(value, bool)):
         try:
-            return np.array(value, dtype=np.float64) if kind is np.ndarray else value
+            return np.array(value, dtype=np.float64) if kind is np.ndarray \
+                else float(value) if kind is float else value
         except (TypeError, ValueError):
             pass
-    want = {str: "a string", list: "an array"}.get(kind, "an array of numbers")
     raise SpecError(f"field {key!r} must be {want}, not {value!r:.40}")
 
 
@@ -187,7 +196,7 @@ def _field(d, key: str, kind: type):
 # datasets
 
 
-def write_dataset_csv(path, data: LabeledDataset) -> None:
+def write_dataset_csv(path, data: LabeledRows) -> None:
     """Write ``x_id,y`` rows.  csv.writer formats each (id, label) pair once;
     rows are then written by feature code and label."""
     lines: list[str] = []
@@ -199,11 +208,15 @@ def write_dataset_csv(path, data: LabeledDataset) -> None:
         fh.write("".join(table[data.codes, data.y - 1]))
 
 
-def read_dataset_csv(path, n: int) -> LabeledDataset:
-    """Read an ``x_id,y`` file in chunks of whole lines, coding ids in order
-    of first appearance as they arrive; errors name the line at fault."""
-    coder = _IdCoder()
-    codes, labels = [], []
+def read_dataset_csv(path, n: int) -> LabelCounts:
+    """Label counts of an ``x_id,y`` file, read in chunks of whole lines,
+    with x_ids in order of first appearance; errors name the line at fault.
+
+    A chunk is counted line by line (:class:`_LineCounts`) unless a line
+    seen there for the first time is not a plain ``x_id,y`` line; such a
+    chunk goes through csv.reader, which also pins down the line at fault.
+    """
+    table = _LineCounts(n)
     with open(path, "rb") as fh:
         header = next(csv.reader([fh.readline().decode("utf-8")]), None)
         if header != ["x_id", "y"]:
@@ -211,39 +224,22 @@ def read_dataset_csv(path, n: int) -> LabeledDataset:
         line = 2
         while chunk := fh.read(CSV_CHUNK_BYTES):
             chunk += fh.readline()
-            while chunk.count(b'"') % 2 and (more := fh.readline()):
+            while b'"' in chunk and chunk.count(b'"') % 2 and (more := fh.readline()):
                 chunk += more  # finish a quoted field that spans lines
             if not chunk.endswith(b"\n"):
                 chunk += b"\n"
-            c, y = _parse_rows(chunk, line, path, n, coder)
-            codes.append(c)
-            labels.append(y)
-            line += chunk.count(b"\n")
-    if not codes:
+            ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+            if not table.add_lines(chunk, ends):
+                table.add_rows(*_parse_rows(chunk, line, path, n))
+            line += len(ends)
+    if line == 2:
         raise SpecError(f"{path}, line 2: dataset file has no rows")
-    return LabeledDataset.from_codes(np.concatenate(codes), tuple(coder.index),
-                                     np.concatenate(labels), n)
+    return table.counts()
 
 
-def _parse_rows(chunk: bytes, line: int, path, n: int,
-                coder: _IdCoder) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, labels) of newline-terminated CSV lines numbered from ``line``.
-
-    A chunk without quotes or carriage returns whose lines each hold one
-    comma and a label of ASCII digits in 1..n is coded from its bytes; any
-    other chunk goes through csv.reader, which also pins down the line at
-    fault.
-    """
-    if b'"' not in chunk and b"\r" not in chunk:
-        buf = np.frombuffer(chunk, dtype=np.uint8)
-        seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-        commas, ends = seps[0::2], seps[1::2]
-        if (len(commas) == len(ends) and np.all(buf[commas] == ord(","))
-                and np.all(buf[ends] == ord("\n"))):
-            y = _digit_labels(buf, commas, ends, n)
-            if y is not None:
-                starts = np.concatenate(([0], ends[:-1] + 1))
-                return coder.code_bytes(chunk, starts, commas - starts), y
+def _parse_rows(chunk: bytes, line: int, path, n: int) -> tuple[list, np.ndarray]:
+    """(x_ids, labels) of newline-terminated CSV lines numbered from ``line``,
+    parsed by csv.reader; an error names the line at fault."""
     ids, labels = [], []
     reader = csv.reader(io.StringIO(chunk.decode("utf-8")))
     try:
@@ -258,141 +254,247 @@ def _parse_rows(chunk: bytes, line: int, path, n: int,
             labels.append(int(label))
     except csv.Error as exc:
         raise SpecError(f"{path}, line {line + reader.line_num - 1}: {exc}") from None
-    return coder.code_strings(ids), np.array(labels, dtype=np.int64)
+    return ids, np.array(labels, dtype=np.int64)
 
 
-def _digit_labels(buf: np.ndarray, commas: np.ndarray, ends: np.ndarray,
-                  n: int) -> np.ndarray | None:
-    """Labels buf[commas[i] + 1:ends[i]] when each is 1 to len(str(n)) ASCII
-    digits with a value in 1..n, else None."""
-    width = ends - commas - 1
-    if width.min() < 1 or width.max() > len(str(n)):
-        return None
-    y = np.zeros(len(ends), dtype=np.int64)
-    for k in range(int(width.max())):  # the k-th digit from the right
-        digit = buf[np.maximum(ends - 1 - k, 0)].astype(np.int64) - ord("0")
-        inside = width > k
-        if np.any(inside & ((digit < 0) | (digit > 9))):
-            return None
-        y += np.where(inside, digit * 10**k, 0)
-    return y if y.min() >= 1 and y.max() <= n else None
+def _plain_lines(n: int) -> re.Pattern:
+    """Pattern of newline-terminated plain ``x_id,y`` lines: no quote or
+    carriage return, one comma, and a label of 1 to len(str(n)) ASCII
+    digits; the label's value is checked apart."""
+    return re.compile(rb'(?:[^,"\r\n]*,[0-9]{1,%d}\n)*' % len(str(n)))
 
 
-# An id of b bytes packs into b // 8 + 1 little-endian uint64 words: its bytes,
-# one 0xFF byte, then zero bytes.  Two byte strings of different lengths
-# differ at the longer one's 0xFF byte, so the packing is one to one.
-# Entry clip(r, -1, 8) + 1 of these tables builds a word that holds r more
-# bytes of the id: none and no 0xFF (r < 0), r bytes and the 0xFF (r < 8),
-# or 8 bytes with the 0xFF in a later word.
-_WORD_MASK = np.array([0] + [(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
-_WORD_END = np.array([0] + [0xFF << 8 * r for r in range(8)] + [0], dtype=np.uint64)
-# Ids of 8 * _KEY_WORDS bytes or more do not fit a key and are decoded row
-# by row.
+# A line of b bytes, with its newline, packs into ceil(b / 8) little-endian
+# uint64 words, zero-padded.  Two different lines differ in a byte before
+# the shorter one's newline or at it, so the packing is one to one, and no
+# key is zero.  _WORD_MASK[r] keeps the low r bytes of a word.
+_WORD_MASK = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+# Lines longer than 8 * _KEY_WORDS bytes do not fit a key and are looked up
+# by their bytes.
 _KEY_WORDS = 8
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 _MIN_SLOT_BITS = 10
-_SLOTS_PER_ID = 4
+_SLOTS_PER_LINE = 8
 
 
-def _pack_ids(data: bytes, starts: np.ndarray, lengths: np.ndarray,
-              words: int) -> np.ndarray:
-    """(rows, words) packed keys of data[starts[i]:starts[i] + lengths[i]],
-    for lengths below 8 * words."""
+def _pack(data: bytes, starts: np.ndarray, lengths: np.ndarray,
+          words: int) -> np.ndarray:
+    """(words, rows) packed keys of data[starts[i]:starts[i] + lengths[i]],
+    for lengths up to 8 * words."""
     padded = data + bytes(8 * words)
     at = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    keys = np.empty((len(starts), words), dtype=np.uint64)
+    keys = np.empty((words, len(starts)), dtype=np.uint64)
     for j in range(words):
-        part = np.clip(lengths - 8 * j, -1, 8) + 1
-        keys[:, j] = (at[starts + 8 * j] & _WORD_MASK[part]) | _WORD_END[part]
+        np.bitwise_and(at[starts + 8 * j], _WORD_MASK[np.clip(lengths - 8 * j, 0, 8)],
+                       out=keys[j])
     return keys
 
 
-def _first_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first row of each distinct row of ``keys``, index into those of every row)."""
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    inv = np.empty(len(order), dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
-    return order[new], inv
+def _hash(keys: np.ndarray) -> np.ndarray:
+    """Multiplicative hash of each column of (words, rows) packed keys; one
+    to one for keys of one word."""
+    h = keys[0] * _HASH_MULT
+    for word in keys[1:]:
+        h ^= word
+        h *= _HASH_MULT
+    return h
 
 
-class _IdCoder:
-    """Codes x_ids in order of first appearance.
+def _groups(keys: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first column of each distinct column, its group for every column) of
+    (words, rows) packed keys with hashes ``h``; groups are numbered in the
+    order of their keys' hashes."""
+    if not len(h):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    order = np.argsort(h)
+    ordered = keys[:, order]
+    differ = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    if np.any(differ & (h[order[1:]] == h[order[:-1]])):  # keys that share a hash
+        order = np.lexsort((*keys[::-1], h))
+        ordered = keys[:, order]
+        differ = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.concatenate(([0], np.cumsum(differ)))
+    return np.minimum.reduceat(order, np.flatnonzero(np.concatenate(([True], differ)))), group
 
-    ``index`` (x_id -> code) is the vocabulary and decides every code.  Ids
-    that arrive as bytes are first looked up by packed key in a
-    direct-mapped hash table (multiplicative hash, exact key comparison)
-    that caches part of ``index``.  Only the misses are decoded and looked
-    up in ``index``, in order of first appearance and once per distinct key
-    in a chunk: new ids, ids whose slot holds another key, and ids too long
-    to pack.  The table keeps 2 to 4 slots per id; it is rebuilt from
-    ``index`` when it grows or its keys widen.
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions starts[i] + 0..lengths[i] - 1, for each i in turn."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+class _LineCounts:
+    """Label counts of a dataset file, gathered chunk by chunk.
+
+    Lines are counted whole.  Each distinct line (newline included) gets a
+    code in order of first appearance, and is split into its x_id, coded in
+    ``features`` in order of first appearance, and its label once, when
+    first seen.  One bincount per chunk adds the chunk's line codes to a
+    count per line, and :meth:`counts` sums those into (feature, label)
+    counts.
+
+    A line is coded by its packed key (``packed`` holds the key of each
+    code; zero for a line too long to pack, which ``long`` maps from its
+    bytes instead).  A direct-mapped hash table (multiplicative hash, exact
+    key comparison) holds part of the lines, 4 to 8 slots per line, and is
+    rebuilt when it grows or its keys widen.  A line whose slot holds
+    another key is found by ``searchsorted`` in the sorted hashes of all
+    packed lines; a line found by neither is new.
     """
 
-    def __init__(self):
-        self.index: dict = {}
+    def __init__(self, n: int):
+        self.n = n
+        self.plain = _plain_lines(n)
+        self.features: dict = {}  # x_id -> feature code
+        self.long: dict = {}      # line too long to pack -> line code
+        self.feature = np.zeros(0, dtype=np.int64)  # per line code
+        self.label = np.zeros(0, dtype=np.int64)
+        self.total = np.zeros(0, dtype=np.int64)    # lines counted per code
+        self.packed = np.zeros((1, 0), dtype=np.uint64)
+        self.rows: list = []  # (feature codes, labels) of csv.reader chunks
         self._rebuild(_MIN_SLOT_BITS, 1)
 
-    def code_strings(self, ids) -> np.ndarray:
-        index = self.index
-        return np.fromiter((index.setdefault(x, len(index)) for x in ids),
-                           dtype=np.int64, count=len(ids))
+    def add_lines(self, chunk: bytes, ends: np.ndarray) -> bool:
+        """Count the lines of ``chunk`` ending at the newlines ``ends``;
+        False, counting nothing, when a line not seen before is not a plain
+        ``x_id,y`` line (:func:`_plain_lines`) with a label in 1..n."""
+        starts = np.empty_like(ends)
+        starts[0], starts[1:] = 0, ends[:-1] + 1
+        lengths = ends - starts
+        lengths += 1
+        long = lengths > 8 * _KEY_WORDS
+        words = (int(lengths[~long].max(initial=1)) + 7) // 8
+        if words > len(self.packed):
+            self._rebuild(self.bits, min(_KEY_WORDS, max(words, 2 * len(self.packed))))
+        keys = _pack(chunk, starts, np.where(long, 0, lengths), len(self.packed))
+        h = _hash(keys)
+        codes = self._lookup(keys, h)
+        longs = np.flatnonzero(long)
+        lines = list(map(chunk.__getitem__, map(slice, starts[longs].tolist(),
+                                                 (ends[longs] + 1).tolist())))
+        codes[longs] = [self.long.get(line, -1) for line in lines]
+        unknown = np.flatnonzero(codes < 0)
+        if len(unknown):
+            short = unknown[~long[unknown]]
+            first, group = _groups(keys[:, short], h[short])
+            seen: dict = {}  # new long lines, numbered in order of first appearance
+            new_long = [seen.setdefault(line, len(seen))
+                        for line, code in zip(lines, codes[longs].tolist()) if code < 0]
+            longs = longs[codes[longs] < 0]
+            rows = np.concatenate([short[first],
+                                   longs[np.unique(new_long, return_index=True)[1]]])
+            order = np.argsort(rows)  # first appearance
+            added = self._add(chunk, starts[rows[order]], lengths[rows[order]],
+                              keys[:, rows[order]])
+            if added is None:
+                return False
+            code = np.empty(len(rows), dtype=np.int64)
+            code[order] = added
+            codes[short] = code[group]
+            codes[longs] = code[len(first) + np.asarray(new_long, dtype=np.intp)]
+        self.total += np.bincount(codes, minlength=len(self.total))
+        return True
 
-    def code_bytes(self, data: bytes, starts: np.ndarray,
-                   lengths: np.ndarray) -> np.ndarray:
-        """Codes of the ids data[starts[i]:starts[i] + lengths[i]]."""
-        long = lengths >= 8 * _KEY_WORDS
-        words = int(lengths[~long].max(initial=0)) // 8 + 1
-        if words > self.keys.shape[1]:
-            self._rebuild(self.bits, min(_KEY_WORDS, max(words, 2 * self.keys.shape[1])))
-        keys = _pack_ids(data, starts, np.where(long, 0, lengths), self.keys.shape[1])
-        slot = self._slot(keys)
-        codes = self.codes[slot]
-        miss = np.flatnonzero((codes < 0) | np.any(self.keys[slot] != keys, axis=1) | long)
-        short, longs = miss[~long[miss]], miss[long[miss]]
-        first, inv = _first_rows(keys[short])
-        rows = np.concatenate([short[first], longs])
-        order = np.argsort(rows)
-        begin, size = starts[rows[order]], lengths[rows[order]]
-        index = self.index
-        found = np.empty(len(rows), dtype=np.int64)
-        found[order] = [index.setdefault(data[a:b].decode("utf-8"), len(index))
-                        for a, b in zip(begin.tolist(), (begin + size).tolist())]
-        codes[short] = found[inv]
-        codes[longs] = found[len(first):]
-        if _SLOTS_PER_ID * len(index) > 2 * len(self.codes):
-            self._rebuild(max(self.bits, (_SLOTS_PER_ID * len(index) - 1).bit_length()),
-                          self.keys.shape[1])
-        else:
-            self._insert(keys[short[first]], found[:len(first)])
+    def add_rows(self, x_ids: list, labels: np.ndarray) -> None:
+        """Count rows parsed by csv.reader."""
+        index = self.features
+        codes = np.fromiter((index.setdefault(x, len(index)) for x in x_ids),
+                            dtype=np.int64, count=len(x_ids))
+        self.rows.append((codes, labels))
+
+    def counts(self) -> LabelCounts:
+        n, size = self.n, len(self.features) * self.n
+        counts = np.bincount(self.feature * n + self.label - 1, weights=self.total,
+                             minlength=size)
+        for codes, labels in self.rows:
+            counts += np.bincount(codes * n + labels - 1, minlength=size)
+        return LabelCounts(tuple(self.features), counts.reshape(-1, n))
+
+    def _lookup(self, keys: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Line code of each packed key, with hashes ``h``; -1 for a key of
+        no line seen before."""
+        slot = (h >> np.uint64(64 - self.bits)).astype(np.intp)
+        codes = self.codes.take(slot)
+        other = self.keys[0].take(slot) != keys[0]
+        for held, word in zip(self.keys[1:], keys[1:]):
+            other |= held.take(slot) != word
+        miss = np.flatnonzero(other)
+        codes[miss] = -1
+        at = self.sorted_hash.searchsorted(h[miss])
+        while len(miss):  # the keys of one hash sort together
+            tied = at < len(self.sorted_hash)
+            tied[tied] = self.sorted_hash[at[tied]] == h[miss[tied]]
+            miss, at = miss[tied], at[tied]
+            cand = self.sorted_code[at]
+            found = np.all(self.packed[:, cand] == keys[:, miss], axis=0)
+            codes[miss[found]] = cand[found]
+            miss, at = miss[~found], at[~found] + 1
         return codes
 
-    def _slot(self, keys: np.ndarray) -> np.ndarray:
-        h = np.zeros(len(keys), dtype=np.uint64)
-        for j in range(keys.shape[1]):
-            h = (h ^ keys[:, j]) * _HASH_MULT
-        return (h >> np.uint64(64 - self.bits)).astype(np.intp)
+    def _add(self, chunk: bytes, starts: np.ndarray, lengths: np.ndarray,
+             keys: np.ndarray) -> np.ndarray | None:
+        """Add the distinct new lines chunk[starts[i]:starts[i] + lengths[i]],
+        in order of first appearance, with their packed keys, and return
+        their codes; None, adding nothing, when one is not plain."""
+        text = np.frombuffer(chunk, dtype=np.uint8)[_ragged(starts, lengths)].tobytes()
+        if not self.plain.fullmatch(text):
+            return None
+        try:
+            fields = text.decode("utf-8").replace("\n", ",").split(",")
+        except UnicodeDecodeError:
+            for line in text.split(b"\n"):  # raise the error of the first bad x_id
+                line.partition(b",")[0].decode("utf-8")
+            raise
+        labels = np.array(fields[1::2], dtype=np.int64)
+        if labels.min() < 1 or labels.max() > self.n:
+            return None
+        features = self.features
+        codes = np.arange(len(self.total), len(self.total) + len(labels))
+        self.feature = np.concatenate([self.feature, np.array(
+            [features.setdefault(x, len(features)) for x in fields[:-1:2]], dtype=np.int64)])
+        self.label = np.concatenate([self.label, labels])
+        self.total = np.concatenate([self.total, np.zeros(len(labels), dtype=np.int64)])
+        fits = lengths <= 8 * _KEY_WORDS
+        self.long.update((chunk[a:a + b], code) for a, b, code in
+                         zip(starts[~fits].tolist(), lengths[~fits].tolist(),
+                             codes[~fits].tolist()))
+        keys = np.where(fits, keys, 0)
+        self.packed = np.concatenate([self.packed, keys], axis=1)
+        if _SLOTS_PER_LINE * len(self.total) > 2 * len(self.codes):
+            self._rebuild(max(self.bits, (_SLOTS_PER_LINE * len(self.total) - 1).bit_length()),
+                          len(self.packed))
+        else:
+            self._insert(keys[:, fits], codes[fits])
+        return codes
 
     def _insert(self, keys: np.ndarray, codes: np.ndarray) -> None:
-        """Put keys into free slots; the first key wins a shared slot."""
-        slot = self._slot(keys)
+        """Put keys into free slots, the first key winning a shared slot, and
+        their hashes into the sorted hashes."""
+        h = _hash(keys)
+        slot = (h >> np.uint64(64 - self.bits)).astype(np.intp)
         free = np.flatnonzero(self.codes[slot] < 0)
         taken, pick = np.unique(slot[free], return_index=True)
-        self.keys[taken] = keys[free[pick]]
+        self.keys[:, taken] = keys[:, free[pick]]
         self.codes[taken] = codes[free[pick]]
+        order = np.argsort(h)
+        at = self.sorted_hash.searchsorted(h[order])
+        self.sorted_hash = np.insert(self.sorted_hash, at, h[order])
+        self.sorted_code = np.insert(self.sorted_code, at, codes[order])
 
     def _rebuild(self, bits: int, words: int) -> None:
+        """Empty table of 2**bits slots and sorted hashes for keys of
+        ``words`` words, then every packed line inserted."""
         self.bits = bits
-        self.keys = np.zeros((1 << bits, words), dtype=np.uint64)
+        self.packed = np.concatenate(
+            [self.packed, np.zeros((words - len(self.packed), self.packed.shape[1]),
+                                   dtype=np.uint64)])
+        self.keys = np.zeros((words, 1 << bits), dtype=np.uint64)
         self.codes = np.full(1 << bits, -1, dtype=np.int64)
-        blobs = [x.encode("utf-8") for x in self.index]
-        lengths = np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs))
-        fit = np.flatnonzero(lengths < 8 * words)
-        starts = np.cumsum(lengths) - lengths
-        self._insert(_pack_ids(b"".join(blobs), starts[fit], lengths[fit], words),
-                     fit.astype(np.int64))
+        self.sorted_hash = np.zeros(0, dtype=np.uint64)
+        self.sorted_code = np.zeros(0, dtype=np.int64)
+        fit = np.flatnonzero(self.packed.any(axis=0))
+        self._insert(self.packed[:, fit], fit)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +547,16 @@ def predictor_to_json(p: PredictorTable) -> dict:
     return {"kind": p.kind, "table": table}
 
 
-def predictor_from_json(d: dict, source: str = "the predictor") -> PredictorTable:
+def predictor_from_json(d, source: str = "the predictor") -> PredictorTable:
     """Predictor table from JSON; a report prediction must be an integer (an
-    integral float such as 2.0 counts), and an error names the x_id and
-    ``source``."""
-    kind, raw = d["kind"], d["table"]
+    integral float such as 2.0 counts), and an error names ``source`` and
+    the field or x_id at fault."""
+    try:
+        kind, raw = _field(d, "kind", str), _field(d, "table", dict)
+        if kind not in ("distribution", "scalar", "report"):
+            raise SpecError(f"unknown predictor kind {kind!r}")
+    except SpecError as exc:
+        raise SpecError(f"{source}: {exc}") from None
     if kind == "distribution":
         try:  # one conversion for the whole table; its rows become the values
             values = np.array(list(raw.values()), dtype=np.float64)
@@ -520,21 +627,64 @@ def scenario_to_json(s: ScenarioSpec) -> dict:
     return out
 
 
-def scenario_from_json(d: dict) -> ScenarioSpec:
-    feats = d["features"]
-    pred = d.get("predictor", {"recipe": "bayes"})
-    fixed = None
-    if pred["recipe"] == "fixed":
-        fixed = {k: np.asarray(v, dtype=np.float64)
-                 for k, v in pred["table"].items()}
+def scenario_from_json(d) -> ScenarioSpec:
+    """Scenario from JSON; errors name the field at fault, and the feature
+    or predictor that holds it."""
+    features = _field(d, "features", list)
+    try:  # every feature at once
+        ids = [f["id"] for f in features]
+        weights = [f["weight"] for f in features]
+        conditionals = np.array([f["conditional"] for f in features])
+        if not (set(map(type, weights)) <= {int, float}
+                and conditionals.ndim == 2 and conditionals.dtype.kind in "if"):
+            raise ValueError
+    except (KeyError, TypeError, ValueError):
+        ids, weights, conditionals = _features(features)
+    pred = _field(d, "predictor", dict) if "predictor" in d else {"recipe": "bayes"}
+    try:
+        recipe = _field(pred, "recipe", str)
+        eta = _field(pred, "eta", float) if "eta" in pred else 0.0
+        fixed = None
+        if recipe == "fixed":
+            table = _field(pred, "table", dict)
+            fixed = {k: _field(table, k, np.ndarray) for k in table}
+    except SpecError as exc:
+        raise SpecError(f"predictor: {exc}") from None
     return ScenarioSpec(
-        feature_ids=tuple(f["id"] for f in feats),
-        weights=np.asarray([f["weight"] for f in feats], dtype=np.float64),
-        conditionals=np.asarray([f["conditional"] for f in feats], dtype=np.float64),
-        recipe=pred["recipe"],
-        eta=float(pred.get("eta", 0.0)),
+        feature_ids=tuple(ids),
+        weights=np.asarray(weights, dtype=np.float64),
+        conditionals=np.asarray(conditionals, dtype=np.float64),
+        recipe=recipe,
+        eta=eta,
         fixed_table=fixed,
     )
+
+
+def _features(features: list) -> tuple[list, list, list]:
+    """(ids, weights, conditionals) of scenario features read one by one;
+    an error names the feature and its field."""
+    ids, weights, conditionals = [], [], []
+    for i, f in enumerate(features, start=1):
+        try:
+            ids.append(_field(f, "id", object))
+            weights.append(_field(f, "weight", float))
+            conditionals.append(_field(f, "conditional", np.ndarray))
+            if conditionals[-1].shape != conditionals[0].shape[:1]:
+                raise SpecError("field 'conditional' must be a flat array with one number "
+                                f"per outcome, as in feature 1, not "
+                                f"{f['conditional']!r:.40}")
+        except SpecError as exc:
+            raise SpecError(f"feature {i}: {exc}") from None
+    return ids, weights, conditionals
+
+
+def read_scenario(path) -> ScenarioSpec:
+    """The scenario in ``path``; errors in its contents name the path."""
+    d = read_json(path)
+    try:
+        return scenario_from_json(d)
+    except OrdelicError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def audit_report_to_json(r: AuditReport) -> dict:

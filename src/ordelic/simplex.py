@@ -1,10 +1,10 @@
-"""Probability-vector arithmetic, sampling, and labeled datasets.
+"""Probability-vector arithmetic, sampling, and label-count tables.
 
 Points on the simplex are plain float64 numpy arrays; :func:`as_simplex_point`
-is the single validation/renormalization gate.  Datasets are column arrays of
-(x_id, label) pairs with optional nonnegative row weights, so that exact
-synthetic scenarios (irrational conditionals included) can be represented
-without sampling noise.
+is the single validation/renormalization gate.  An audit's data is a table of
+weighted label counts per feature, so that sampled rows and exact synthetic
+scenarios (irrational conditionals included, without sampling noise) are
+represented alike.
 """
 
 from __future__ import annotations
@@ -130,73 +130,30 @@ def first_appearance(codes, size: int) -> tuple[np.ndarray, np.ndarray]:
     return order, remap[codes]
 
 
-@dataclass(frozen=True, init=False)
-class LabeledDataset:
-    """(x_id, label) rows held as columns, with 1-based labels and optional
-    row weights.
+@dataclass(frozen=True)
+class LabelCounts:
+    """Weighted label counts per feature: all an audit reads of its data.
 
-    Row i has x_id ``keys[codes[i]]``.  ``keys`` lists each distinct x_id
-    once, in order of first appearance, which fixes the order in which
-    audits sum over features.  ``LabeledDataset(x_ids, y, n, weights)``
-    factorizes the ids; producers that already hold codes use
-    :meth:`from_codes`.
+    ``counts[i, y - 1]`` is the total weight of the (x_id, label) rows with
+    x_id ``keys[i]`` and label y.  ``keys`` lists each x_id once, in order of
+    first appearance in the data, which fixes the order in which audits sum
+    over features.
     """
 
-    codes: np.ndarray  # int64 per row, indexes keys
     keys: tuple
-    y: np.ndarray      # int64 per row, values in 1..n
-    n: int
-    weights: np.ndarray | None = None
+    counts: np.ndarray  # (features, outcomes) float64
 
-    def __init__(self, x_ids, y, n: int, weights=None):
-        index: dict = {}
-        codes = [index.setdefault(x, len(index)) for x in x_ids]
-        self._init(np.asarray(codes, dtype=np.int64), tuple(index), y, n, weights)
-
-    @classmethod
-    def from_codes(cls, codes, keys, y, n: int, weights=None) -> "LabeledDataset":
-        """Dataset from feature codes; ``keys`` must be in first-appearance
-        order of ``codes`` and every key must occur."""
-        data = cls.__new__(cls)
-        data._init(np.asarray(codes, dtype=np.int64), tuple(keys), y, n, weights)
-        return data
-
-    def _init(self, codes: np.ndarray, keys: tuple, y, n: int, weights) -> None:
-        y = np.asarray(y, dtype=np.int64)
-        if len(y) == 0:
-            raise SpecError("dataset must be nonempty")
-        if len(codes) != len(y):
-            raise SpecError("x_ids and y lengths differ")
-        if codes.min() < 0 or codes.max() >= len(keys):
-            raise SpecError("feature codes must index the keys")
-        if y.min() < 1 or y.max() > n:
-            raise SpecError(f"labels must lie in 1..{n}")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if len(weights) != len(y) or np.any(weights < 0) or weights.sum() <= 0:
-                raise SpecError("weights must be nonnegative with positive total")
-        for name, value in (("codes", codes), ("keys", keys), ("y", y),
-                            ("n", n), ("weights", weights)):
-            object.__setattr__(self, name, value)
-
-    def __len__(self) -> int:
-        return len(self.y)
+    def __post_init__(self):
+        keys = tuple(self.keys)
+        counts = np.asarray(self.counts, dtype=np.float64)
+        if counts.ndim != 2 or len(counts) != len(keys):
+            raise SpecError(f"label counts of shape {counts.shape} need one row per "
+                            f"key ({len(keys)})")
+        if not (np.all(np.isfinite(counts)) and np.all(counts >= 0) and counts.sum() > 0):
+            raise SpecError("label counts must be finite and nonnegative with positive total")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "counts", counts)
 
     @property
-    def x_ids(self) -> np.ndarray:
-        """Object array of the x_id of every row."""
-        return np.fromiter(self.keys, dtype=object, count=len(self.keys))[self.codes]
-
-    @classmethod
-    def from_exact_scenario(cls, feature_ids, feature_weights, conditionals) -> "LabeledDataset":
-        """Weighted dataset reproducing a finite scenario with zero sampling noise.
-
-        One row per (feature, label) pair of positive mass, weighted by
-        feature_weight * conditional probability; feature ids are distinct.
-        """
-        cond = as_simplex_points(conditionals)
-        mass = np.asarray(feature_weights, dtype=np.float64)[:, None] * cond
-        f, label = np.nonzero(mass > 0)
-        order, codes = first_appearance(f, len(mass))
-        return cls.from_codes(codes, [feature_ids[i] for i in order], label + 1,
-                              cond.shape[1], weights=mass[f, label])
+    def n(self) -> int:
+        return self.counts.shape[1]

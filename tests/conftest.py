@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.normals import build_from_spec
 from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, spec_from_boundaries
+from ordelic.scenario import LabeledRows, sample_dataset
 from ordelic.serialize import dumps, surrogate_to_json
-from ordelic.simplex import as_simplex_points, norm_order, sample_simplex
+from ordelic.simplex import LabelCounts, as_simplex_points, norm_order, sample_simplex
 
 EQ1_COSTS = [[0.0, 3.0, 5.0], [1.0, 0.0, 3.0], [3.0, 1.0, 0.0]]
 EQ1_PHI = np.array([0.0, 1.0, 3.0])
@@ -42,6 +44,37 @@ def fixture_normals_spec(fixture_boundaries):
 @pytest.fixture(scope="session")
 def fixture_normals(fixture_normals_spec):
     return build_from_spec(fixture_normals_spec)
+
+
+def labeled_rows(x_ids, y, n: int) -> LabeledRows:
+    """Rows of the given x_ids and labels, ids coded by first appearance."""
+    index: dict = {}
+    codes = np.array([index.setdefault(x, len(index)) for x in x_ids], dtype=np.int64)
+    return LabeledRows(codes, tuple(index), np.asarray(y, dtype=np.int64), n)
+
+
+def reference_counts(x_ids, labels, n: int) -> LabelCounts:
+    """Label counts of (x_id, label) rows by a first-appearance dict of
+    Counters."""
+    table: dict = {}
+    for x, y in zip(x_ids, labels):
+        table.setdefault(x, Counter())[int(y)] += 1
+    return LabelCounts(tuple(table), np.array(
+        [[c[y] for y in range(1, n + 1)] for c in table.values()], dtype=np.float64
+    ).reshape(-1, n))
+
+
+def sampled_counts(scenario, rows: int, seed: int) -> LabelCounts:
+    """Label counts of ``sample_dataset(scenario, rows, seed)``."""
+    d = sample_dataset(scenario, rows, seed)
+    counts = np.bincount(d.codes * d.n + d.y - 1, minlength=len(d.keys) * d.n)
+    return LabelCounts(d.keys, counts.reshape(-1, d.n))
+
+
+def mass_counts(x_ids, weights, conditionals) -> LabelCounts:
+    """Label counts of features with the given weights and conditionals."""
+    return LabelCounts(x_ids, np.asarray(weights, dtype=np.float64)[:, None]
+                       * as_simplex_points(conditionals))
 
 
 def written_v_bar(surrogate) -> list[PiecewiseAffine]:

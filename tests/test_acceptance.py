@@ -14,6 +14,8 @@ from conftest import (
     Antiderivative,
     bisect_expected_root,
     from_ternary_plot,
+    mass_counts,
+    sampled_counts,
     written_v_bar,
 )
 from ordelic.audit import (
@@ -37,13 +39,9 @@ from ordelic.properties import (
     sample_boundary,
     spec_from_boundaries,
 )
-from ordelic.scenario import (
-    ScenarioSpec,
-    materialize_predictor,
-    sample_dataset,
-)
+from ordelic.scenario import ScenarioSpec, materialize_predictor
 from ordelic.serialize import write_json
-from ordelic.simplex import LabeledDataset, sample_simplex
+from ordelic.simplex import sample_simplex
 
 SQ14 = np.sqrt(14.0)
 
@@ -201,7 +199,7 @@ def test_criterion_5_postprocessing_monte_carlo(capfd):
                 rng.dirichlet(np.ones(m)), cond,
                 recipe="perturbed", eta=0.2)
             f = materialize_predictor(sc, trial + 20_000)
-            data = sample_dataset(sc, 10_000, trial + 30_000)
+            data = sampled_counts(sc, 10_000, trial + 30_000)
             rep = check_postprocessing_bound(f, data, linked)
             b = rep.bounds[0]
             assert b.lhs <= b.rhs + 1e-9, f"trial {trial}: {b}"
@@ -251,7 +249,7 @@ def test_criterion_7_discretization_monte_carlo(capfd):
             m = 5
             ids = tuple(f"x{i}" for i in range(m))
             sc = ScenarioSpec(ids, np.full(m, 1 / m), np.tile(q, (m, 1)))
-            data = sample_dataset(sc, 10_000, trial + 70_000)
+            data = sampled_counts(sc, 10_000, trial + 70_000)
             # scalar predictions jittered but kept >= 0.2 from thresholds
             g = PredictorTable("scalar", {
                 x: v + float(rng.uniform(-0.05, 0.05)) for x in ids})
@@ -259,7 +257,7 @@ def test_criterion_7_discretization_monte_carlo(capfd):
             rep = check_discretization_bound(g, data, linked, C_marginal=0.0)
             b = rep.bounds[0]
             lhs = rep.epsilon_hat
-            se = float(np.sqrt(max(lhs * (1 - lhs), 0.0) / len(data)))
+            se = float(np.sqrt(max(lhs * (1 - lhs), 0.0) / data.counts.sum()))
             assert lhs <= b.rhs + 3 * se + 1e-12, f"trial {trial}: {b}"
             vacuous_count += int(b.params["vacuous"])
         assert vacuous_count < 500  # the design keeps the bound informative
@@ -274,7 +272,7 @@ def test_criterion_7_discretization_monte_carlo(capfd):
         q = p0 + (0.01 / (d @ o)) * d
         q = np.clip(q, 0.0, None)
         q /= q.sum()
-        data = LabeledDataset.from_exact_scenario(["a"], [1.0], q[None, :])
+        data = mass_counts(["a"], [1.0], q[None, :])
         g = PredictorTable("scalar", {"a": -0.01})
         rep = check_discretization_bound(g, data, vlinked, C_marginal=0.0)
         assert rep.bounds[0].params["vacuous"]
@@ -287,7 +285,7 @@ def test_criterion_8_single_feature_audits(capfd):
         linked = _fixture_normals()
         dot = from_ternary_plot(np.array([0.38, 0.02]))
         star = from_ternary_plot(np.array([0.42, 0.02]))
-        data = LabeledDataset.from_exact_scenario(["x0"], [1.0], star[None, :])
+        data = mass_counts(["x0"], [1.0], star[None, :])
         f = PredictorTable("distribution", {"x0": dot})
         rep = dist_calibration_wrt(f, data, lambda P: np.zeros(len(P)),
                                    convention="plot")
@@ -307,7 +305,7 @@ def test_criterion_8_single_feature_audits(capfd):
 
         t = -lin(0.0) / (lin(1.0) - lin(0.0))
         spade = np.array([t, p2, 1.0 - p2 - t])
-        data2 = LabeledDataset.from_exact_scenario(["x0"], [1.0], dot[None, :])
+        data2 = mass_counts(["x0"], [1.0], dot[None, :])
         g2 = PredictorTable("scalar", {"x0": _gamma(linked, spade)})
         sur2 = surrogate_calibration(g2, data2, linked.gamma_many)
         assert sur2.epsilon_hat <= 1e-9

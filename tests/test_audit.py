@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import O1, O2, from_ternary_plot, lipschitz_estimate, node_root_batch
+from conftest import (
+    O1,
+    O2,
+    from_ternary_plot,
+    lipschitz_estimate,
+    mass_counts,
+    node_root_batch,
+)
 from ordelic.audit import (
     PredictorTable,
     check_discretization_bound,
@@ -34,7 +41,7 @@ from ordelic.scenario import (
     materialize_predictor,
     sample_dataset,
 )
-from ordelic.simplex import LabeledDataset, norm_order, sample_simplex
+from ordelic.simplex import LabelCounts, norm_order, sample_simplex
 
 DOT = from_ternary_plot(np.array([0.38, 0.02]))
 STAR = from_ternary_plot(np.array([0.42, 0.02]))
@@ -55,7 +62,7 @@ def _gamma(s, p) -> float:
 
 
 def one_point_scenario(pred, cond):
-    data = LabeledDataset.from_exact_scenario(["x0"], [1.0], np.asarray(cond)[None, :])
+    data = mass_counts(["x0"], [1.0], np.asarray(cond)[None, :])
     f = PredictorTable("distribution", {"x0": np.asarray(pred, dtype=np.float64)})
     return f, data
 
@@ -120,7 +127,7 @@ class TestSurrogateCalibration:
 
     def test_bin_width_merges_values(self, linked_normals):
         cond = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2]])
-        data = LabeledDataset.from_exact_scenario(["a", "b"], [0.5, 0.5], cond)
+        data = mass_counts(["a", "b"], [0.5, 0.5], cond)
         g = PredictorTable("scalar", {"a": 0.41, "b": 0.44})
         rep = surrogate_calibration(g, data, linked_normals.gamma_many,
                                     bin_width=0.1)
@@ -131,7 +138,7 @@ class TestDiscreteCalibration:
     def test_two_bins_half_miss(self, linked_normals):
         qa = np.array([0.9, 0.05, 0.05])  # target {1}
         qb = np.array([0.05, 0.9, 0.05])  # target {2}
-        data = LabeledDataset.from_exact_scenario(["a", "b"], [0.5, 0.5],
+        data = mass_counts(["a", "b"], [0.5, 0.5],
                                                   np.stack([qa, qb]))
         h = PredictorTable("report", {"a": 1, "b": 3})
         rep = discrete_calibration(h, data, linked_normals.discrete_set_many)
@@ -139,7 +146,7 @@ class TestDiscreteCalibration:
 
     def test_perfect_reports_zero(self, linked_normals):
         qa = np.array([0.9, 0.05, 0.05])
-        data = LabeledDataset.from_exact_scenario(["a"], [1.0], qa[None, :])
+        data = mass_counts(["a"], [1.0], qa[None, :])
         h = PredictorTable("report", {"a": 1})
         rep = discrete_calibration(h, data, linked_normals.discrete_set_many)
         assert rep.epsilon_hat == 0.0
@@ -149,7 +156,7 @@ class TestZeroMassFeatures:
     """A feature whose rows all have weight 0 is left out of every estimator
     and its bin key is listed as empty."""
 
-    DATA = LabeledDataset(["a", "a", "b"], [1, 2, 3], 3, weights=[1.0, 1.0, 0.0])
+    DATA = LabelCounts(("a", "b"), [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     Q = np.array([0.5, 0.5, 0.0])  # conditional of "a"
 
     def test_distribution(self):
@@ -172,13 +179,13 @@ class TestZeroMassFeatures:
         assert (rep.epsilon_hat, rep.empty_bins) == (0.0, (3,))
 
 
-def _loop_reference(data, key_of):
-    """Per-row dict aggregation, the estimators' original loop path: x_id ->
-    label counts, and bin key -> conditional."""
+def _loop_reference(rows, n, key_of):
+    """Per-row dict aggregation, the estimators' original loop path over
+    (x_id, label, weight) rows: x_id -> label counts, and bin key ->
+    conditional."""
     agg = {}
-    weights = np.ones(len(data)) if data.weights is None else data.weights
-    for xid, y, w in zip(data.x_ids, data.y, weights):
-        agg.setdefault(xid, np.zeros(data.n))[y - 1] += w
+    for xid, y, w in rows:
+        agg.setdefault(xid, np.zeros(n))[y - 1] += w
     totals = {}
     for xid, rec in agg.items():
         totals[key_of(xid)] = totals.get(key_of(xid), 0.0) + rec
@@ -197,7 +204,16 @@ def test_columnar_estimators_match_loop_reference(linked_normals, seed, exact):
     rng = np.random.default_rng(seed + 700)
     sc = ScenarioSpec(tuple(f"x{i}" for i in range(m)), rng.dirichlet(np.ones(m)),
                       sample_simplex(3, m, seed=seed + 710), recipe="perturbed", eta=0.2)
-    data = exact_dataset(sc) if exact else sample_dataset(sc, 5000, seed + 720)
+    if exact:
+        data = exact_dataset(sc)
+        rows = [(x, y + 1, w * q[y]) for x, w, q in zip(sc.feature_ids, sc.weights,
+                                                         sc.conditionals)
+                for y in range(3) if w * q[y] > 0]
+    else:
+        sampled = sample_dataset(sc, 5000, seed + 720)
+        counts = np.bincount(sampled.codes * 3 + sampled.y - 1, minlength=3 * len(sampled.keys))
+        data = LabelCounts(sampled.keys, counts.reshape(-1, 3))
+        rows = [(sampled.keys[c], y, 1.0) for c, y in zip(sampled.codes, sampled.y)]
     f = materialize_predictor(sc, seed + 730)
     g = PredictorTable("scalar", {x: float(rng.integers(0, 12)) / 8 for x in f.table})
     h = PredictorTable("report", {x: int(rng.integers(1, 4)) for x in f.table})
@@ -210,20 +226,20 @@ def test_columnar_estimators_match_loop_reference(linked_normals, seed, exact):
     def close(got, want):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-    agg, cond = _loop_reference(data, lambda x: gamma(f[x]))
+    agg, cond = _loop_reference(rows, 3, lambda x: gamma(f[x]))
     close(dist_calibration_wrt(f, data, linked_normals.gamma_many).epsilon_hat,
           _loop_mean(agg, lambda x: np.linalg.norm(f[x] - cond[gamma(f[x])])))
     rep = check_postprocessing_bound(f, data, linked_normals)
     close(rep.epsilon_hat, _loop_mean(agg, lambda x: abs(gamma(cond[gamma(f[x])])
                                                          - gamma(f[x]))))
-    agg, cond = _loop_reference(data, lambda x: g[x])
+    agg, cond = _loop_reference(rows, 3, lambda x: g[x])
     close(surrogate_calibration(g, data, linked_normals.gamma_many).epsilon_hat,
           _loop_mean(agg, lambda x: abs(gamma(cond[g[x]]) - g[x])))
     rep = check_discretization_bound(g, data, linked_normals, C_marginal=0.0)
     close(rep.epsilon_hat, _loop_mean(agg, lambda x: float(
         int(linked_normals.link_many(g[x])) not in target(cond[g[x]]))))
     assert rep.bin_count == len(cond)
-    agg, cond = _loop_reference(data, lambda x: h[x])
+    agg, cond = _loop_reference(rows, 3, lambda x: h[x])
     close(discrete_calibration(h, data, linked_normals.discrete_set_many).epsilon_hat,
           _loop_mean(agg, lambda x: float(h[x] not in target(cond[h[x]]))))
 
@@ -381,7 +397,7 @@ class TestDiscretizationBound:
         assert _gamma(linked_normals, q) == pytest.approx(0.5, abs=1e-9)
         rng = np.random.default_rng(22)
         ids = tuple(f"x{i}" for i in range(6))
-        data = LabeledDataset.from_exact_scenario(
+        data = mass_counts(
             ids, np.full(6, 1 / 6), np.tile(q, (6, 1)))
         g = PredictorTable("scalar", {
             x: 0.5 + float(rng.uniform(-0.05, 0.05)) for x in ids})
@@ -401,7 +417,7 @@ class TestDiscretizationBound:
         q = p0 + (0.01 / (d @ o)) * d  # conditional just above the threshold
         q = np.clip(q, 0.0, None)
         q /= q.sum()
-        data = LabeledDataset.from_exact_scenario(["a"], [1.0], q[None, :])
+        data = mass_counts(["a"], [1.0], q[None, :])
         g = PredictorTable("scalar", {"a": -0.01})  # prediction just below
         rep = check_discretization_bound(g, data, s, C_marginal=0.0)
         b = rep.bounds[0]
@@ -411,7 +427,7 @@ class TestDiscretizationBound:
 
     def test_holds_for_every_fixed_t(self, linked_normals):
         q = _point_with_value(linked_normals, 0.5)
-        data = LabeledDataset.from_exact_scenario(
+        data = mass_counts(
             ("a", "b"), [0.5, 0.5], np.tile(q, (2, 1)))
         g = PredictorTable("scalar", {"a": 0.46, "b": 0.55})
         for t in (0.05, 0.1, 0.2, 0.4):
@@ -421,7 +437,7 @@ class TestDiscretizationBound:
 
     def test_kind_checked(self, linked_normals):
         q = _point_with_value(linked_normals, 0.5)
-        data = LabeledDataset.from_exact_scenario(["a"], [1.0], q[None, :])
+        data = mass_counts(["a"], [1.0], q[None, :])
         with pytest.raises(SpecError):
             check_discretization_bound(
                 PredictorTable("report", {"a": 2}), data, linked_normals, 0.0)
@@ -440,13 +456,13 @@ class TestLipschitzEstimates:
     def test_marginal_estimate(self):
         qa = np.array([0.6, 0.2, 0.2])
         qb = np.array([0.2, 0.6, 0.2])
-        data = LabeledDataset.from_exact_scenario(
+        data = mass_counts(
             ("a", "b"), [0.5, 0.5], np.stack([qa, qb]))
         g = PredictorTable("scalar", {"a": 0.0, "b": 1.0})
         want = float(np.linalg.norm(qb - qa))
         assert estimate_marginal_lipschitz(g, data) == pytest.approx(want)
         # constant conditionals give zero
-        data2 = LabeledDataset.from_exact_scenario(
+        data2 = mass_counts(
             ("a", "b"), [0.5, 0.5], np.stack([qa, qa]))
         assert estimate_marginal_lipschitz(g, data2) == 0.0
 

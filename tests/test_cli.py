@@ -578,6 +578,107 @@ class TestLoadSurrogate:
         for cause, bad in cases:
             self._refused(command, bad, tmp_path, capsys, cause)
 
+    @pytest.mark.parametrize("command", ["audit", "counterexample"])
+    @pytest.mark.parametrize("algo, edit, cause", [
+        ("normals", {"thresholds": [0.5]},
+         "the thresholds number 1, but the 3 reports of the normals need 2"),
+        ("normals", {"thresholds": [0.0, 1.0, 1.5]},
+         "the thresholds number 3, but the 3 reports of the normals need 2"),
+        ("normals", {"thresholds": [0.0, 1.5]},
+         "the thresholds of a normals surrogate must be its grid"),
+        ("normals", {"grid": [0.0, 5.0]},
+         "the thresholds of a normals surrogate must be its grid"),
+        ("embedding", {"thresholds": [0.5]},
+         "the thresholds number 1, but the 3 reports of the cost matrix need 2"),
+        ("embedding", {"thresholds": [0.5, 2.0, 2.5]},
+         "the thresholds number 3, but the 3 reports of the cost matrix need 2"),
+    ])
+    def test_thresholds_not_tied_to_the_reports(self, construct, command, algo, edit,
+                                                cause, tmp_path, capsys):
+        d = construct("--algo", algo,
+                      *(["--seed", "1"] if algo == "normals" else ["--phi", "0,1,3"]))
+        self._refused(command, {**d, **edit}, tmp_path, capsys, cause)
+
+
+class TestInputFields:
+    """A predictor or scenario file with a field missing or of another JSON
+    type, or that is not a JSON object, makes every command that reads it
+    exit 2 naming the file and the field, without a traceback."""
+
+    @pytest.fixture()
+    def run(self, boundary_spec_file, tmp_path, capsys):
+        sur = str(tmp_path / "sur.json")
+        assert main(["construct", "--spec", boundary_spec_file, "--seed", "1",
+                     "--out", sur]) == EXIT_OK
+        pred = {"kind": "distribution",
+                "table": {f["id"]: f["conditional"] for f in SCENARIO["features"]}}
+        files = {"scenario": str(tmp_path / "sc.json"), "predictor": str(tmp_path / "p.json")}
+        argvs = {
+            "simulate": ["simulate", "--spec", files["scenario"], "--samples", "10",
+                         "--seed", "1", "--out", str(tmp_path / "sim")],
+            "audit": ["audit", "--surrogate", sur, "--scenario", files["scenario"],
+                      "--predictor", files["predictor"], "--out", str(tmp_path / "a.json")],
+        }
+
+        def refused(command, kind, doc, cause):
+            write_json(files["scenario"], doc if kind == "scenario" else SCENARIO)
+            write_json(files["predictor"], doc if kind == "predictor" else pred)
+            capsys.readouterr()
+            assert main(argvs[command]) == EXIT_SPEC, (command, cause)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {files[kind]}: ") and cause in err, (cause, err)
+            assert "Traceback" not in err
+        return refused, pred
+
+    @staticmethod
+    def _mutations(d: dict, kinds: dict, prefix: str = "") -> list:
+        """(cause, d with one field deleted or of another JSON type)."""
+        wrong = {"a string": 7, "an object": [1.0], "an array": {"a": 1},
+                 "a number": "x", "an array of numbers": ["a", "b", "c"]}
+        cases = []
+        for key, want in kinds.items():
+            cases.append((f"{prefix}field {key!r} is missing",
+                          {k: v for k, v in d.items() if k != key}))
+            if want != "a value":
+                for bad in (None, True, wrong[want]):
+                    cases.append((f"{prefix}field {key!r} must be {want}", {**d, key: bad}))
+        return cases
+
+    def test_predictor(self, run):
+        refused, pred = run
+        cases = [("expected a JSON object with field 'kind', got list", [pred]),
+                 ("unknown predictor kind 'odds'", {**pred, "kind": "odds"})]
+        cases += self._mutations(pred, {"kind": "a string", "table": "an object"})
+        for cause, doc in cases:
+            refused("audit", "predictor", doc, cause)
+
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_scenario(self, run, command):
+        refused, _ = run
+        sc = json.loads(json.dumps(SCENARIO))
+        feature, second = sc["features"]
+        cases = [("expected a JSON object with field 'features', got list", [sc]),
+                 ("feature 1: expected a JSON object with field 'id', got list",
+                  {**sc, "features": [[feature], second]}),
+                 ("feature 2: field 'conditional' must be a flat array with one number "
+                  "per outcome", {**sc, "features": [feature, {**second, "conditional":
+                                                              [0.5, 0.5]}]}),
+                 ("field 'predictor' must be an object", {**sc, "predictor": "bayes"})]
+        cases += self._mutations(sc, {"features": "an array"})
+        cases += [(cause, {**sc, "features": [bad, second]}) for cause, bad in self._mutations(
+            feature, {"id": "a value", "weight": "a number",
+                      "conditional": "an array of numbers"}, "feature 1: ")]
+        cases += [(cause, {**sc, "predictor": bad}) for cause, bad in self._mutations(
+            sc["predictor"], {"recipe": "a string", "eta": "a number"}, "predictor: ")
+            if "'eta' is missing" not in cause]  # eta is optional
+        fixed = {"recipe": "fixed", "table": {"a": [0.5, 0.5, 0.0]}}
+        cases += [(cause, {**sc, "predictor": bad}) for cause, bad in self._mutations(
+            fixed, {"table": "an object"}, "predictor: ")]
+        cases.append(("predictor: field 'a' must be an array of numbers",
+                      {**sc, "predictor": {**fixed, "table": {"a": "x"}}}))
+        for cause, doc in cases:
+            refused(command, "scenario", doc, cause)
+
 
 def test_unknown_arguments_exit_spec(capsys):
     assert main(["frobnicate"]) == EXIT_SPEC

@@ -22,7 +22,7 @@ from ordelic.embedding import (
 from ordelic.errors import SpecError
 from ordelic.piecewise import MaxAffinePieces
 from ordelic.properties import CostMatrix, Surrogate, random_orderable_spec
-from ordelic.simplex import LabeledDataset, sample_simplex
+from ordelic.simplex import LabelCounts, sample_simplex
 
 
 def piece_set(loss: MaxAffinePieces):
@@ -262,7 +262,7 @@ def test_shared_slice_point_is_not_lipschitz():
     assert s.lipschitz_bound == np.inf
     assert s.gamma_many(np.eye(3))[0] == 0.5
     ids = ("a", "b")
-    data = LabeledDataset(["a", "b", "b"], [1, 2, 3], 3)
+    data = LabelCounts(ids, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
     f = PredictorTable("distribution", {"a": np.array([1.0, 0.0, 0.0]),
                                         "b": np.array([0.2, 0.5, 0.3])})
     g = PredictorTable("scalar", dict.fromkeys(ids, 0.5))

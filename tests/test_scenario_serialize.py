@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -6,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import O1, O2, bisect_expected_root, dirichlet_predictor, written_v_bar
+from conftest import (
+    O1,
+    O2,
+    bisect_expected_root,
+    dirichlet_predictor,
+    labeled_rows,
+    reference_counts,
+    sampled_counts,
+    written_v_bar,
+)
 from ordelic import serialize
 from ordelic.audit import _bin
 from ordelic.cli import _default_outer_slope
@@ -15,7 +26,9 @@ from ordelic.errors import SpecError
 from ordelic.normals import build_from_spec
 from ordelic.properties import CostMatrix, random_orderable_spec, sample_boundary
 from ordelic.scenario import (
+    GUIDE_BUCKETS,
     ScenarioSpec,
+    _draw,
     exact_dataset,
     materialize_predictor,
     sample_dataset,
@@ -35,7 +48,7 @@ from ordelic.serialize import (
     write_json,
     write_levelsets_csv,
 )
-from ordelic.simplex import LabeledDataset, sample_simplex
+from ordelic.simplex import LabelCounts, sample_simplex
 
 
 def _conditionals(data) -> dict:
@@ -98,22 +111,56 @@ class TestScenario:
                                   dirichlet_predictor(sc, seed))
 
     def test_sampled_frequencies_converge(self, scenario):
-        data = sample_dataset(scenario, 200_000, seed=4)
+        data = sampled_counts(scenario, 200_000, seed=4)
         cond = _conditionals(data)
         for x, q in zip(scenario.feature_ids, scenario.conditionals):
             assert np.allclose(cond[x], q, atol=0.01)
         # feature marginal
-        w = {x: 0.0 for x in scenario.feature_ids}
-        for xid in data.x_ids:
-            w[xid] += 1
+        w = dict(zip(data.keys, data.counts.sum(axis=1) / 200_000))
         for x, wx in zip(scenario.feature_ids, scenario.weights):
-            assert w[x] / len(data) == pytest.approx(wx, abs=0.01)
+            assert w[x] == pytest.approx(wx, abs=0.01)
 
     def test_sampling_deterministic(self, scenario):
         a = sample_dataset(scenario, 100, seed=5)
         b = sample_dataset(scenario, 100, seed=5)
         assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.x_ids, b.x_ids)
+        assert np.array_equal(a.codes, b.codes) and a.keys == b.keys
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("size", [1, 2, 3, 1000, GUIDE_BUCKETS, GUIDE_BUCKETS + 1,
+                                      100_000])
+    @pytest.mark.parametrize("weights", ["dirichlet", "zeros", "point"])
+    def test_feature_draw_equals_choice(self, seed, size, weights):
+        """The guide-table draw is rng.choice bit for bit, for sizes around
+        the bucket counts and weights with zeros inside and at both ends."""
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.full(300, 0.5))
+        if weights == "zeros":
+            p[[0, 1, 7, 150, 298, 299]] = 0.0
+        elif weights == "point":
+            p = np.zeros(5)
+            p[2] = 1.0
+        p /= p.sum()
+        want = np.random.default_rng(seed + 1).choice(len(p), size=size, p=p)
+        got = _draw(np.random.default_rng(seed + 1), p, size)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_feature_draw_on_bucket_edges(self):
+        """Uniforms on and next to bucket edges, and weights whose cdf steps
+        sit on them, take the value searchsorted gives."""
+        B = GUIDE_BUCKETS
+        p = np.full(64, 1.0 / 64)  # cdf steps on every (B / 64)-th edge
+        edges = np.arange(B) / B
+        u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0)])
+
+        class Uniforms:
+            def random(self, size):
+                assert size == len(u)
+                return u.copy()
+
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        assert np.array_equal(_draw(Uniforms(), p, len(u)), cdf.searchsorted(u, side="right"))
 
     def test_exact_dataset_reproduces_conditionals(self, scenario):
         data = exact_dataset(scenario)
@@ -168,9 +215,8 @@ class TestSerialization:
         write_dataset_csv(path, data)
         text = path.read_text()
         assert text.splitlines()[0] == "x_id,y"
-        back = read_dataset_csv(path, n=3)
-        assert np.array_equal(back.y, data.y)
-        assert np.array_equal(back.x_ids, data.x_ids)
+        _assert_same(read_dataset_csv(path, n=3),
+                     reference_counts([data.keys[c] for c in data.codes], data.y, 3))
 
     # csv.writer leaves a bare carriage return unquoted, so ids exclude it
     @settings(max_examples=60, deadline=None)
@@ -181,19 +227,12 @@ class TestSerialization:
            labels=st.lists(st.integers(1, 12), min_size=1, max_size=40),
            chunk=st.integers(1, 16))
     def test_dataset_csv_round_trip_any_ids(self, tmp_path_factory, ids, labels, chunk):
-        rows = [(ids[i % len(ids)], y) for i, y in enumerate(labels)]
-        data = LabeledDataset([x for x, _ in rows], [y for _, y in rows], 12)
+        x_ids = [ids[i % len(ids)] for i in range(len(labels))]
+        want = reference_counts(x_ids, labels, 12)
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        write_dataset_csv(path, data)
-        whole = read_dataset_csv(path, n=12)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(serialize, "CSV_CHUNK_BYTES", chunk)
-            write_dataset_csv(path, data)
-            chunked = read_dataset_csv(path, n=12)
-        for back in (whole, chunked):
-            assert back.keys == data.keys
-            assert np.array_equal(back.codes, data.codes)
-            assert np.array_equal(back.y, data.y)
+        write_dataset_csv(path, labeled_rows(x_ids, labels, 12))
+        _assert_same(read_dataset_csv(path, n=12), want)
+        _assert_same(_read_chunked(path, 12, chunk), want)
 
     @pytest.mark.parametrize("rows", [1, 3, 10])
     def test_levelsets_csv_rows(self, rows, tmp_path, monkeypatch):
@@ -231,11 +270,14 @@ class TestSerialization:
         assert a.endswith("\n")
 
 
-# Ids that csv.writer leaves unquoted, so every chunk takes the byte path.
+# Ids that csv.writer leaves unquoted, so every chunk is counted line by line.
 _PLAIN_ID = st.text(st.sampled_from("a\x00 7é日😀"), max_size=20).filter(
     lambda x: len(x.encode("utf-8")) <= 20)
-_EDGE_IDS = ["", "\x00", "a", "a\x00", "\x00a", "\x00\x00", "1234567", "1234567\x00",
-             "12345678", "123456789", "a" * 16, "a" * 17, "é" * 8, "日" * 5 + "\x00"]
+# Lines ("<id>,<label>\n") of 7 to 10 bytes straddle the first key word; of 64
+# and 65 bytes, the longest that packs and the shortest that does not.
+_EDGE_IDS = ["", "\x00", "a", "a\x00", "\x00a", "\x00\x00", "1234", "12345", "123456",
+             "1234567", "1234567\x00", "12345678", "a" * 16, "a" * 17, "é" * 8,
+             "日" * 5 + "\x00", "b" * 61, "b" * 62, "c" * 63, "日" * 20 + "d"]
 
 
 def _read_chunked(path, n, chunk):
@@ -244,14 +286,22 @@ def _read_chunked(path, n, chunk):
         return read_dataset_csv(path, n=n)
 
 
-def _assert_same(back, data):
-    assert back.keys == data.keys
-    assert np.array_equal(back.codes, data.codes)
-    assert np.array_equal(back.y, data.y)
+def _assert_same(back, want):
+    assert back.keys == want.keys
+    assert back.counts.dtype == np.float64
+    assert np.array_equal(back.counts, want.counts)
+
+
+def _csv_oracle(text: str, n: int):
+    """Label counts of the rows of a dataset file's text after its header, by
+    csv.reader and a first-appearance dict of Counters."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    return reference_counts([x for x, _ in rows], [int(y.strip()) for _, y in rows], n)
 
 
 class TestDatasetReader:
-    """The byte-level id coder against the per-row dict of LabeledDataset."""
+    """The line counter against a first-appearance dict of Counters over
+    csv.reader rows."""
 
     @settings(max_examples=80, deadline=None)
     @given(ids=st.lists(_PLAIN_ID | st.sampled_from(_EDGE_IDS), min_size=1, max_size=16),
@@ -259,60 +309,128 @@ class TestDatasetReader:
                           min_size=1, max_size=60),
            chunk=st.integers(1, 64))
     def test_byte_path_round_trip(self, tmp_path_factory, ids, picks, chunk):
-        rows = [(ids[i % len(ids)], y) for i, y in picks]
-        data = LabeledDataset([x for x, _ in rows], [y for _, y in rows], 12)
+        x_ids = [ids[i % len(ids)] for i, _ in picks]
+        labels = [y for _, y in picks]
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        write_dataset_csv(path, data)
+        write_dataset_csv(path, labeled_rows(x_ids, labels, 12))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(serialize._IdCoder, "code_strings", None)  # no csv.reader chunk
-            _assert_same(_read_chunked(path, 12, chunk), data)
+            mp.setattr(serialize._LineCounts, "add_rows", None)  # no csv.reader chunk
+            _assert_same(_read_chunked(path, 12, chunk), reference_counts(x_ids, labels, 12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(
+               st.sampled_from(["a", "é", "日本", "x" * 64, "y" * 70, '"q,1"', '"n\nl"',
+                                '"say ""hi"""', "7", "\x00"]),
+               st.sampled_from(["1", "2", "3", "01", "003", " 2"]),
+               st.sampled_from(["\n", "\r\n"])), min_size=1, max_size=40),
+           chunk=st.integers(16, 64))
+    def test_matches_csv_oracle(self, tmp_path_factory, rows, chunk):
+        """Non-ASCII, quoted (commas, newlines, doubled quotes) and long ids,
+        CRLF line ends and labels such as 01 or ' 2', in small chunks."""
+        text = "".join(f"{x},{y}{end}" for x, y, end in rows)
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(("x_id,y\n" + text).encode("utf-8"))
+        want = _csv_oracle(text, 3)
+        _assert_same(read_dataset_csv(path, n=3), want)
+        _assert_same(_read_chunked(path, 3, chunk), want)
+
+    @pytest.mark.parametrize("bad,cause", [
+        ("", "expected 2 fields (x_id,y), got 0"),
+        ("f1,4", "label '4' is not an integer in 1..3"),
+        ("f1,2,3", "expected 2 fields (x_id,y), got 3"),
+        ("f1,0", "label '0' is not an integer in 1..3"),
+    ])
+    def test_bad_line_in_a_middle_chunk(self, tmp_path, bad, cause):
+        """A bad line after chunks already counted line by line is refused
+        with the csv.reader message and its line number in the file."""
+        lines = [f"f{i % 7},{1 + i % 3}" for i in range(400)]
+        lines[250] = bad
+        path = tmp_path / "data.csv"
+        path.write_text("x_id,y\n" + "".join(line + "\n" for line in lines))
+        for chunk in (64, 256, 1 << 18):
+            with pytest.raises(SpecError) as err:
+                _read_chunked(path, 3, chunk)
+            assert str(err.value) == f"{path}, line 252: {cause}"
+
+    @pytest.mark.parametrize("mult", [0, 1])
+    def test_keys_that_share_a_hash(self, tmp_path, mult):
+        """With every key hashed alike (multiplier 0) or by the xor of its
+        words (multiplier 1), lines are still told apart by their keys."""
+        rng = np.random.default_rng(mult)
+        vocab = ["", "a", "12345678", "87654321", "abcdefghijklmnop", "ponmlkjihgfedcba",
+                 "x" * 70, "y" * 70] + [f"id{i:012d}" for i in range(30)]
+        x = [vocab[i] for i in rng.integers(0, len(vocab), 300)]
+        y = rng.integers(1, 4, len(x))
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, labeled_rows(x, y, 3))
+        raw = path.read_bytes().split(b"\n", 1)[1]
+        ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_HASH_MULT", np.uint64(mult))
+            for chunk in (64, 1 << 18):
+                _assert_same(_read_chunked(path, 3, chunk), reference_counts(x, y, 3))
+            table = serialize._LineCounts(3)
+            half = ends[len(ends) // 2] + 1
+            assert table.add_lines(raw[:half], ends[ends < half])
+            assert table.add_lines(raw[half:], ends[ends >= half] - half)
+        assert len(table.total) == len(set(zip(x, y.tolist())))  # one code per line
+        _assert_same(table.counts(), reference_counts(x, y, 3))
 
     def test_more_ids_than_the_first_table(self, tmp_path):
         rng = np.random.default_rng(0)
         ids = [f"id{i}" for i in rng.permutation(5 << serialize._MIN_SLOT_BITS)]
         x = [ids[i] for i in rng.integers(0, len(ids), 40_000)]
-        data = LabeledDataset(x, rng.integers(1, 4, len(x)), 3)
+        y = rng.integers(1, 4, len(x))
         path = tmp_path / "data.csv"
-        write_dataset_csv(path, data)
-        _assert_same(_read_chunked(path, 3, 4096), data)
+        write_dataset_csv(path, labeled_rows(x, y, 3))
+        want = reference_counts(x, y, 3)
+        _assert_same(_read_chunked(path, 3, 4096), want)
 
-        coder = serialize._IdCoder()
-        raw = "".join(f"{i}\n" for i in x).encode()
+        table = serialize._LineCounts(3)
+        raw = "".join(f"{i},{j}\n" for i, j in zip(x, y)).encode()
         ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        codes = coder.code_bytes(raw, starts, ends - starts)
-        assert coder.bits > serialize._MIN_SLOT_BITS
-        cached = np.count_nonzero(coder.codes >= 0)
-        assert 0 < cached < len(coder.index)  # some ids lost their slot
-        assert np.array_equal(coder.code_bytes(raw, starts, ends - starts), codes)
-        assert [coder.index[i] for i in x] == codes.tolist()
+        assert table.add_lines(raw, ends)
+        assert table.bits > serialize._MIN_SLOT_BITS
+        cached = np.count_nonzero(table.codes >= 0)
+        assert 0 < cached < len(table.total)  # some lines lost their slot
+        first = table.total.copy()
+        assert table.add_lines(raw, ends)
+        assert np.array_equal(table.total, 2 * first)
+        _assert_same(table.counts(), LabelCounts(want.keys, 2 * want.counts))
 
     def test_quoted_id_in_a_middle_chunk(self, tmp_path):
         x = [f"f{i % 7}" for i in range(300)]
         x[150] = "a,b"
         x[151] = "f3"
-        data = LabeledDataset(x, [1 + i % 11 for i in range(300)], 11)
+        y = [1 + i % 11 for i in range(300)]
         path = tmp_path / "data.csv"
-        write_dataset_csv(path, data)
+        write_dataset_csv(path, labeled_rows(x, y, 11))
         assert b'"a,b",' in path.read_bytes()
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            strings = serialize._IdCoder.code_strings
-            mp.setattr(serialize._IdCoder, "code_strings",
-                       lambda self, ids: calls.append(ids) or strings(self, ids))
+            add_rows = serialize._LineCounts.add_rows
+            mp.setattr(serialize._LineCounts, "add_rows",
+                       lambda self, ids, labels: calls.append(ids) or add_rows(self, ids, labels))
             back = _read_chunked(path, 11, 256)
         assert len(calls) == 1 and "a,b" in calls[0] and "f3" in calls[0]
-        _assert_same(back, data)
+        _assert_same(back, reference_counts(x, y, 11))
 
     def test_long_file(self, tmp_path):
         rng = np.random.default_rng(1)
-        vocab = ["", "\x00", "é", "x" * 63, "y" * 64, "z" * 70 + "日"] + [
+        vocab = ["", "\x00", "é", "x" * 61, "y" * 62, "z" * 70 + "日"] + [
             str(i) for i in range(3000)]
         x_ids = [vocab[i] for i in rng.integers(0, len(vocab), 100_000)]
         y = rng.integers(1, 4, len(x_ids))
         path = tmp_path / "data.csv"
-        write_dataset_csv(path, LabeledDataset(x_ids, y, 3))
-        _assert_same(read_dataset_csv(path, n=3), LabeledDataset(x_ids, y, 3))
+        write_dataset_csv(path, labeled_rows(x_ids, y, 3))
+        _assert_same(read_dataset_csv(path, n=3), reference_counts(x_ids, y, 3))
+
+    def test_undecodable_id(self, tmp_path):
+        """An x_id that is not UTF-8 fails as its bytes' decode does."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x_id,y\na,1\nb\xff\xfe,2\n")
+        with pytest.raises(UnicodeDecodeError, match="position 1: invalid start byte"):
+            read_dataset_csv(path, n=3)
 
     @pytest.mark.parametrize("labels,n,ok", [
         ("1 2 3", 3, True), ("01 2", 3, True), ("10 12 9", 12, True),
@@ -326,8 +444,8 @@ class TestDatasetReader:
             with pytest.raises(SpecError, match=f"line {2 + len(values) - 1}:"):
                 read_dataset_csv(path, n=n)
             return
-        back = read_dataset_csv(path, n=n)
-        assert back.y.tolist() == [int(v) for v in values]
+        _assert_same(read_dataset_csv(path, n=n),
+                     reference_counts(["a"] * len(values), [int(v) for v in values], n))
 
 
 class TestPropertySpecFiles:

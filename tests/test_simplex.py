@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from conftest import from_ternary_plot
 from ordelic.audit import _bin
 from ordelic.errors import SimplexError, SpecError
+from ordelic.scenario import ScenarioSpec, exact_dataset
 from ordelic.simplex import (
-    LabeledDataset,
+    LabelCounts,
     as_simplex_point,
     as_simplex_points,
     norm_order,
@@ -131,7 +132,7 @@ def test_ternary_plot_round_trip():
 
 
 def test_empirical_conditional_counts():
-    data = LabeledDataset(["a", "a", "a"], [1, 1, 2], 3)
+    data = LabelCounts(["a"], [[2.0, 1.0, 0.0]])
     bins = _bin(data, ["bin"])
     assert bins.keys.tolist() == ["bin"]
     assert np.allclose(bins.cond[0], [2 / 3, 1 / 3, 0.0])
@@ -139,7 +140,7 @@ def test_empirical_conditional_counts():
 
 
 def test_empirical_conditional_disjoint_bins():
-    data = LabeledDataset(["a", "b"], [1, 3], 3)
+    data = LabelCounts(["a", "b"], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     bins = _bin(data, [{"a": "bin1", "b": "bin2"}[x] for x in data.keys])
     assert bins.keys.tolist() == ["bin1", "bin2"]
     assert np.allclose(bins.cond[0], [1, 0, 0])
@@ -148,37 +149,34 @@ def test_empirical_conditional_disjoint_bins():
 
 def test_empirical_conditional_reports_empty_bins():
     # a bin whose only feature has zero mass is reported empty
-    data = LabeledDataset(["a", "zzz"], [1, 1], 3, weights=[1.0, 0.0])
+    data = LabelCounts(["a", "zzz"], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     bins = _bin(data, [{"a": "used", "zzz": "unused"}[x] for x in data.keys])
     assert bins.keys.tolist() == ["used"]
     assert bins.empty == ("unused",)
 
 
 def test_empirical_conditional_respects_weights():
-    data = LabeledDataset(
-        np.array(["a", "a"], dtype=object), np.array([1, 2]), 3,
-        weights=np.array([3.0, 1.0]))
+    data = LabelCounts(["a"], np.array([[3.0, 1.0, 0.0]]))
     bins = _bin(data, [0])
     assert np.allclose(bins.cond[0], [0.75, 0.25, 0.0])
 
 
 def test_dataset_validation():
-    with pytest.raises(SpecError):
-        LabeledDataset(np.array([], dtype=object), np.array([], dtype=int), 3)
-    with pytest.raises(SpecError):
-        LabeledDataset(["a"], [4], 3)
-    with pytest.raises(SpecError):
-        LabeledDataset(["a"], [0], 3)
-    with pytest.raises(SpecError):
-        LabeledDataset(np.array(["a"], dtype=object), np.array([1]), 3,
-                       weights=np.array([-1.0]))
+    for keys, counts in [((), np.zeros((0, 3))),           # empty
+                         (("a",), [[0.0, 0.0, 0.0]]),      # no mass
+                         (("a",), [[1.0, -1.0, 1.0]]),     # negative
+                         (("a",), [[1.0, np.nan, 1.0]]),   # not finite
+                         (("a", "b"), [[1.0, 1.0, 1.0]]),  # a key without counts
+                         (("a",), [1.0, 1.0, 1.0])]:       # not a table
+        with pytest.raises(SpecError):
+            LabelCounts(keys, counts)
 
 
 def test_exact_scenario_dataset():
-    cond = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]])
-    data = LabeledDataset.from_exact_scenario(["x", "y"], [0.4, 0.6], cond)
+    cond = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])
+    data = exact_dataset(ScenarioSpec(("x", "y", "z"), [0.4, 0.6, 0.0], cond))
     got = _bin(data, data.keys)
+    # a feature of zero weight is left out, as it has no rows
     assert got.keys.tolist() == ["x", "y"]
-    assert np.allclose(got.cond, cond)
-    # zero-probability (feature, label) pairs are not materialized
-    assert len(data) == 4
+    assert np.allclose(got.cond, cond[:2])
+    assert np.array_equal(data.counts, [[0.2, 0.1, 0.1], [0.0, 0.6, 0.0]])
