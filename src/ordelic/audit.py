@@ -47,24 +47,47 @@ def _times_k(K: float, *factors: float) -> float:
     return K
 
 
+_PREDICTION_DTYPES = {"distribution": np.float64, "scalar": np.float64, "report": np.int64}
+
+
 @dataclass(frozen=True)
 class PredictorTable:
-    """x_id -> prediction; kind is 'distribution', 'scalar', or 'report'."""
+    """Predictions over a finite feature set: row i of ``values`` predicts
+    x_id ``keys[i]``.  ``values`` is (features, outcomes) float64 for kind
+    'distribution', (features,) float64 for 'scalar' and (features,) int64
+    for 'report'.  ``index`` maps each x_id to its row; an x_id listed twice
+    predicts its last row, as in a dict."""
 
     kind: str
-    table: dict
+    keys: tuple
+    values: np.ndarray
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("distribution", "scalar", "report"):
+        dtype = _PREDICTION_DTYPES.get(self.kind)
+        if dtype is None:
             raise SpecError(f"unknown predictor kind {self.kind!r}")
+        keys, values = tuple(self.keys), np.asarray(self.values, dtype=dtype)
+        if values.ndim != (2 if self.kind == "distribution" else 1) \
+                or len(values) != len(keys):
+            raise SpecError(f"{self.kind} predictions of shape {values.shape} "
+                            f"for {len(keys)} x_ids")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "index", dict(zip(keys, range(len(keys)))))
+
+    @classmethod
+    def from_mapping(cls, kind: str, table) -> PredictorTable:
+        """The table of an x_id -> prediction mapping, in its order."""
+        return cls(kind, tuple(table), list(table.values()))
 
     def __getitem__(self, x_id):
-        return self.table[x_id]
+        return self.values[self.index[x_id]]
 
-    def values(self, x_ids) -> np.ndarray:
-        """Predictions for ``x_ids`` stacked into one array (int for reports)."""
-        dtype = np.int64 if self.kind == "report" else np.float64
-        return np.asarray([self.table[x] for x in x_ids], dtype=dtype)
+    def take(self, x_ids) -> np.ndarray:
+        """Predictions for ``x_ids``, one row each."""
+        return self.values[np.fromiter(map(self.index.__getitem__, x_ids), np.intp,
+                                       len(x_ids))]
 
 
 @dataclass(frozen=True)
@@ -199,7 +222,7 @@ def dist_calibration_wrt(
     if f.kind != "distribution":
         raise SpecError("distribution calibration needs a distributional predictor")
     ordv = norm_order(norm)
-    P = f.values(data.keys)
+    P = f.take(data.keys)
     bins = _bin(data, binner(P))
     p, q = P[bins.live], bins.cond[bins.of]
     if convention == "plot":
@@ -223,7 +246,7 @@ def surrogate_calibration(
     """
     if g.kind != "scalar":
         raise SpecError("surrogate calibration needs a scalar predictor")
-    u = g.values(data.keys)
+    u = g.take(data.keys)
     keys = u if bin_width is None else np.floor(u / float(bin_width)).astype(np.int64)
     bins = _bin(data, keys)
     gaps = np.abs(gamma_eval(bins.cond)[bins.of] - u[bins.live])
@@ -243,7 +266,7 @@ def discrete_calibration(
     """
     if h.kind != "report":
         raise SpecError("discrete calibration needs a report-valued predictor")
-    bins = _bin(data, h.values(data.keys))
+    bins = _bin(data, h.take(data.keys))
     hit = _member(gamma_set(bins.cond), bins.keys)
     return bins.report("discrete", "0-1", ~hit[bins.of])
 
@@ -267,7 +290,7 @@ def check_postprocessing_bound(
         raise SpecError("post-processing bound needs a distributional predictor")
     K = surrogate.lipschitz(norm)
     K_exact = surrogate.lipschitz_exact
-    P = f.values(data.keys)
+    P = f.take(data.keys)
     u = surrogate.gamma_many(P)
     bins = _bin(data, u)
     cond = bins.cond
@@ -408,8 +431,8 @@ def instance_dataset(instance: dict) -> tuple[PredictorTable, LabelCounts]:
     """Materialize the counterexample as (distributional predictor, label
     counts): its one feature has weight 1 and the instance's conditional."""
     data = LabelCounts((instance["x_id"],), as_simplex_points([instance["conditional"]]))
-    f = PredictorTable("distribution",
-                       {instance["x_id"]: np.asarray(instance["prediction"])})
+    f = PredictorTable("distribution", (instance["x_id"],),
+                       np.array([instance["prediction"]], dtype=np.float64))
     return f, data
 
 
@@ -459,12 +482,12 @@ def check_discretization_bound(
     lo, hi = surrogate.value_range
     diam = link_diameter(thresholds, (lo, hi))
 
-    image = g.values(g.table)
+    image = g.values
     if not image.size:
         raise SpecError("predictor image is empty")
     delta_min = float(delta_to_threshold(thresholds, image).min())
 
-    u = g.values(data.keys)
+    u = g.take(data.keys)
     bins = _bin(data, u)
     cond = bins.cond
     eps_prime = bins.mean(np.abs(surrogate.gamma_many(cond)[bins.of] - u[bins.live]))
@@ -513,7 +536,7 @@ def estimate_marginal_lipschitz(g: PredictorTable, data: LabelCounts,
     """Max difference quotient, in ``norm``, of bin conditionals across
     adjacent prediction values: a data-driven stand-in for C_marginal,
     flagged as an estimate."""
-    bins = _bin(data, g.values(data.keys))
+    bins = _bin(data, g.take(data.keys))
     order = np.argsort(bins.keys, kind="stable")
     du = np.diff(bins.keys[order])
     dq = np.linalg.norm(np.diff(bins.cond[order], axis=0), ord=norm_order(norm),

@@ -189,8 +189,7 @@ def _cmd_simulate(args) -> int:
     data = sample_dataset(scenario, args.samples, seed)
     predictor = materialize_predictor(scenario, seed + 1)
     serialize.write_dataset_csv(args.out + ".data.csv", data)
-    serialize.write_json(args.out + ".predictor.json",
-                         serialize.predictor_to_json(predictor))
+    serialize.write_predictor(args.out + ".predictor.json", predictor)
     serialize.write_json(args.out + ".meta.json", {
         "config": {"spec": args.spec, "samples": args.samples,
                    "seed": seed, "out": args.out},
@@ -222,7 +221,7 @@ def _cmd_audit(args) -> int:
         data = exact_dataset(scenario)
     else:
         data = serialize.read_dataset_csv(args.data, surrogate.n_outcomes)
-    missing = next((x for x in data.keys if x not in predictor.table), None)
+    missing = next((x for x in data.keys if x not in predictor.index), None)
     if missing is not None:
         raise SpecError(f"x_id {missing!r} from {args.data or args.scenario} has "
                         f"no prediction in {args.predictor}")
@@ -269,8 +268,8 @@ def _cmd_counterexample(args) -> int:
     f, data = audit_mod.instance_dataset(instance)
     dist_report = audit_mod.dist_calibration_wrt(
         f, data, surrogate.gamma_many, norm=args.norm)
-    g = audit_mod.PredictorTable(
-        "scalar", {instance["x_id"]: float(surrogate.gamma_many(p[None, :])[0])})
+    g = audit_mod.PredictorTable("scalar", (instance["x_id"],),
+                                 surrogate.gamma_many(p[None, :]))
     sur_report = audit_mod.surrogate_calibration(g, data, surrogate.gamma_many,
                                                  norm=args.norm)
     payload = {
@@ -291,8 +290,7 @@ def _cmd_counterexample(args) -> int:
         "predictor": {"recipe": "fixed",
                       "table": {instance["x_id"]: instance["prediction"]}},
     })
-    serialize.write_json(args.out + ".predictor.json",
-                         serialize.predictor_to_json(f))
+    serialize.write_predictor(args.out + ".predictor.json", f)
     sys.stdout.write(serialize.dumps(payload))
     return EXIT_OK
 

@@ -68,9 +68,7 @@ def materialize_predictor(scenario: ScenarioSpec, seed: int) -> PredictorTable:
     bit for bit.
     """
     if scenario.recipe == "fixed":
-        table = {x: np.asarray(v, dtype=np.float64)
-                 for x, v in scenario.fixed_table.items()}
-        return PredictorTable("distribution", table)
+        return PredictorTable.from_mapping("distribution", scenario.fixed_table)
     p = scenario.conditionals.copy()
     if scenario.recipe == "perturbed" and scenario.eta > 0:
         jitter = np.random.default_rng(seed).standard_exponential(p.shape)
@@ -80,7 +78,7 @@ def materialize_predictor(scenario: ScenarioSpec, seed: int) -> PredictorTable:
         jitter *= (1.0 / total)[:, None]
         p += scenario.eta * jitter
         p /= p.sum(axis=1, keepdims=True)
-    return PredictorTable("distribution", dict(zip(scenario.feature_ids, p)))
+    return PredictorTable("distribution", scenario.feature_ids, p)
 
 
 @dataclass(frozen=True)

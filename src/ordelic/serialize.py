@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import re
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,15 +52,24 @@ def read_json(path):
 
 def load_property_spec(path) -> dict:
     """Parse a property-spec file into reports plus a cost matrix or
-    report-ordered boundaries."""
+    report-ordered boundaries; errors in its contents name the path and the
+    field at fault."""
     raw = read_json(path)
-    if not isinstance(raw, dict) or "n" not in raw or "reports" not in raw:
-        raise SpecError("property spec needs 'n' and 'reports'")
-    n = int(raw["n"])
-    reports = list(raw["reports"])
+    try:
+        return _property_spec(raw)
+    except OrdelicError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _property_spec(raw) -> dict:
+    n = _field(raw, "n", float)
+    if not n.is_integer():
+        raise SpecError(f"field 'n' must be an integer, not {n!r}")
+    n = int(n)
+    reports = _field(raw, "reports", list)
     out = {"n": n, "reports": reports, "cost": None, "boundaries": None}
     if "cost_matrix" in raw:
-        cm = np.asarray(raw["cost_matrix"], dtype=np.float64)
+        cm = _field(raw, "cost_matrix", np.ndarray)
         if cm.shape != (len(reports), n):
             raise SpecError(
                 f"cost matrix shape {cm.shape} does not match "
@@ -68,11 +78,14 @@ def load_property_spec(path) -> dict:
         out["cost"] = CostMatrix(cm)
     elif "boundaries" in raw:
         bds = []
-        for item in raw["boundaries"]:
-            c = np.asarray(item["c"], dtype=np.float64)
+        for i, item in enumerate(_field(raw, "boundaries", list), start=1):
+            try:
+                c, b = _field(item, "c", np.ndarray), _field(item, "b", float)
+            except SpecError as exc:
+                raise SpecError(f"boundary {i}: {exc}") from None
             if len(c) != n:
                 raise SpecError("boundary coefficient length does not match n")
-            bds.append(AffineBoundary(c, float(item["b"])))
+            bds.append(AffineBoundary(c, b))
         if len(bds) != len(reports) - 1:
             raise SpecError("need one boundary per consecutive report pair")
         out["boundaries"] = bds
@@ -535,22 +548,54 @@ def _cell_table(column: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
 # predictors, scenarios, audit reports
 
 
-def predictor_to_json(p: PredictorTable) -> dict:
-    table = {}
-    for key, value in p.table.items():
-        if p.kind == "distribution":
-            table[str(key)] = np.asarray(value, dtype=np.float64).tolist()
-        elif p.kind == "scalar":
-            table[str(key)] = float(value)
-        else:
-            table[str(key)] = int(value)
-    return {"kind": p.kind, "table": table}
+# JSON's spellings of the floats whose repr is nan, inf and -inf
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def predictor_from_json(d, source: str = "the predictor") -> PredictorTable:
-    """Predictor table from JSON; a report prediction must be an integer (an
-    integral float such as 2.0 counts), and an error names ``source`` and
-    the field or x_id at fault."""
+def write_predictor(path, p: PredictorTable) -> None:
+    """Write the predictor file whose text is :func:`predictor_to_json`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(predictor_to_json(p))
+
+
+def predictor_to_json(p: PredictorTable) -> str:
+    """The text of a predictor file: byte for byte ``dumps`` of
+    ``{"kind": p.kind, "table": {str(x_id): prediction}}``, written as a
+    table.
+
+    Keys come in sorted order, escaped as ``json`` escapes them for ASCII
+    output.  Each number is formatted once: floats by ``float.__repr__``,
+    with NaN and the infinities spelled as ``json`` spells them, and reports
+    by ``int.__repr__``.  Each row is filled from one template.  Of x_ids
+    with the same ``str``, the last one's row is written, as in a dict.
+    """
+    row_of = dict(zip(map(str, p.index), p.index.values()))
+    names = sorted(row_of)
+    head = f'{{\n  "kind": {encode_basestring_ascii(p.kind)},\n  "table": '
+    if not names:
+        return head + "{}\n}\n"
+    values = p.values[np.fromiter(map(row_of.__getitem__, names), np.intp, len(names))]
+    width = values.shape[1] if p.kind == "distribution" else 1
+    texts = list(map(int.__repr__ if p.kind == "report" else float.__repr__,
+                     values.ravel().tolist()))
+    if p.kind != "report" and not np.all(np.isfinite(values)):
+        texts = [_JSON_FLOATS.get(t, t) for t in texts]
+    if p.kind != "distribution":
+        template = "    %s: %s"
+    elif width:
+        template = "    %s: [" + ",".join(["\n      %s"] * width) + "\n    ]"
+    else:
+        template = "    %s: []"
+    cells = zip(map(encode_basestring_ascii, names),
+                *(texts[j::width] for j in range(width)))
+    return head + "{\n" + ",\n".join([template % c for c in cells]) + "\n  }\n}\n"
+
+
+def predictor_from_json(d, n: int, source: str = "the predictor") -> PredictorTable:
+    """Predictor table from JSON, for a property with n outcomes: a
+    distribution must be n numbers, and a report an integer (an integral
+    float such as 2.0 counts).  An error names ``source`` and the field or
+    x_id at fault."""
     try:
         kind, raw = _field(d, "kind", str), _field(d, "table", dict)
         if kind not in ("distribution", "scalar", "report"):
@@ -558,12 +603,9 @@ def predictor_from_json(d, source: str = "the predictor") -> PredictorTable:
     except SpecError as exc:
         raise SpecError(f"{source}: {exc}") from None
     if kind == "distribution":
-        try:  # one conversion for the whole table; its rows become the values
-            values = np.array(list(raw.values()), dtype=np.float64)
-        except ValueError:  # rows of different lengths
-            values = [np.asarray(v, dtype=np.float64) for v in raw.values()]
+        values = _distributions(raw, n, source)
     elif kind == "scalar":
-        values = [float(v) for v in raw.values()]
+        values = np.fromiter(map(float, raw.values()), np.float64, len(raw))
     else:  # bools, strings, NaN and fractions are not reports
         values = [int(v) if isinstance(v, float) and v.is_integer() else v
                   for v in raw.values()]
@@ -571,42 +613,47 @@ def predictor_from_json(d, source: str = "the predictor") -> PredictorTable:
             if type(v) is not int:
                 raise SpecError(f"x_id {x!r} in {source}: report prediction "
                                 f"{v!r} is not an integer")
-    return PredictorTable(kind, dict(zip(raw, values)))
+    return PredictorTable(kind, tuple(raw), values)
+
+
+def _distributions(raw: dict, n: int, source: str) -> np.ndarray:
+    """The rows of a distribution table as one (features, n) array; an error
+    names the first x_id whose row is not n numbers."""
+    rows = list(raw.values())
+    try:  # one conversion for the whole table
+        values = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # rows of different lengths, or not numbers
+        values, error = None, exc
+    if values is None or values.shape != (len(rows), n):
+        for x, row in zip(raw, rows):
+            if np.shape(row) != (n,):
+                raise SpecError(f"x_id {x!r} in {source}: distribution of shape "
+                                f"{np.shape(row)} for {n} outcomes")
+    if values is None:
+        raise error  # every row has n entries, so an entry is not a number
+    return values.reshape(len(rows), n)  # (0, n) for an empty table
 
 
 def read_predictor(path, n: int) -> PredictorTable:
     """Read a predictor file for a property with n outcomes.  Distributions
     must be points of the n-outcome simplex, scalars finite and reports
     integers; an error names the file and the x_id at fault."""
-    p = predictor_from_json(read_json(path), str(path))
-    if p.kind == "report":
-        return p
-    try:
-        batch = np.array(list(p.table.values()), dtype=np.float64)
-        if p.kind == "scalar" and np.all(np.isfinite(batch)):
-            return p
-        if p.kind == "distribution" and batch.shape[1:] == (n,):
-            as_simplex_points(batch)
-            return p
-    except (ValueError, SimplexError):
-        pass
-    for x, value in p.table.items():
-        if fault := _prediction_fault(p.kind, value, n):
-            raise SpecError(f"x_id {x!r} in {path}: {fault}")
+    p = predictor_from_json(read_json(path), n, str(path))
+    if p.kind == "scalar" and not np.all(np.isfinite(p.values)):
+        i = int(np.argmin(np.isfinite(p.values)))  # the first row at fault
+        raise SpecError(f"x_id {p.keys[i]!r} in {path}: scalar prediction "
+                        f"{p.values[i]} is not finite")
+    if p.kind == "distribution":
+        try:
+            as_simplex_points(p.values)
+        except SimplexError:  # name the first row at fault
+            for x, row in zip(p.keys, p.values):
+                try:
+                    as_simplex_point(row)
+                except SimplexError as exc:
+                    raise SpecError(f"x_id {x!r} in {path}: distribution is not on "
+                                    f"the simplex: {exc}") from None
     return p
-
-
-def _prediction_fault(kind: str, value, n: int) -> str | None:
-    """Why one scalar or distributional prediction is unusable, or None."""
-    if kind == "scalar":
-        return None if np.isfinite(value) else f"scalar prediction {value} is not finite"
-    if np.shape(value) != (n,):
-        return f"distribution of shape {np.shape(value)} for {n} outcomes"
-    try:
-        as_simplex_point(value)
-    except SimplexError as exc:
-        return f"distribution is not on the simplex: {exc}"
-    return None
 
 
 def scenario_to_json(s: ScenarioSpec) -> dict:
@@ -648,6 +695,10 @@ def scenario_from_json(d) -> ScenarioSpec:
         if recipe == "fixed":
             table = _field(pred, "table", dict)
             fixed = {k: _field(table, k, np.ndarray) for k in table}
+            for k, row in fixed.items():
+                if row.shape != np.shape(conditionals)[1:]:
+                    raise SpecError(f"field {k!r} must be a flat array with one number "
+                                    f"per outcome, not {table[k]!r:.40}")
     except SpecError as exc:
         raise SpecError(f"predictor: {exc}") from None
     return ScenarioSpec(

@@ -206,10 +206,10 @@ def test_criterion_5_postprocessing_monte_carlo(capfd):
             if trial < 10:
                 # exact-scaling property: multiplying the property by alpha
                 # keeps the bins and scales both sides of the bound linearly
-                ids = list(f.table.keys())
-                g1 = PredictorTable("scalar", {
+                ids = list(f.keys)
+                g1 = PredictorTable.from_mapping("scalar", {
                     x: _gamma(linked, f[x]) for x in ids})
-                g2 = PredictorTable("scalar", {x: alpha * g1[x] for x in ids})
+                g2 = PredictorTable.from_mapping("scalar", {x: alpha * g1[x] for x in ids})
                 r1 = surrogate_calibration(g1, data, linked.gamma_many)
                 r2 = surrogate_calibration(
                     g2, data, lambda P: alpha * linked.gamma_many(P))
@@ -227,7 +227,7 @@ def test_criterion_6_counterexample_generator(capfd):
         _, _, instance = counterexample_gap(nrm, C=5.0)
         f, data = instance_dataset(instance)
         dist = dist_calibration_wrt(f, data, nrm.gamma_many)
-        g = PredictorTable("scalar", {
+        g = PredictorTable.from_mapping("scalar", {
             instance["x_id"]: _gamma(nrm, instance["prediction"])})
         sur = surrogate_calibration(g, data, nrm.gamma_many)
         assert sur.epsilon_hat > 5.0 * dist.epsilon_hat
@@ -251,7 +251,7 @@ def test_criterion_7_discretization_monte_carlo(capfd):
             sc = ScenarioSpec(ids, np.full(m, 1 / m), np.tile(q, (m, 1)))
             data = sampled_counts(sc, 10_000, trial + 70_000)
             # scalar predictions jittered but kept >= 0.2 from thresholds
-            g = PredictorTable("scalar", {
+            g = PredictorTable.from_mapping("scalar", {
                 x: v + float(rng.uniform(-0.05, 0.05)) for x in ids})
             assert min(min(abs(g[x]), abs(g[x] - 1.0)) for x in ids) >= 0.2
             rep = check_discretization_bound(g, data, linked, C_marginal=0.0)
@@ -273,7 +273,7 @@ def test_criterion_7_discretization_monte_carlo(capfd):
         q = np.clip(q, 0.0, None)
         q /= q.sum()
         data = mass_counts(["a"], [1.0], q[None, :])
-        g = PredictorTable("scalar", {"a": -0.01})
+        g = PredictorTable.from_mapping("scalar", {"a": -0.01})
         rep = check_discretization_bound(g, data, vlinked, C_marginal=0.0)
         assert rep.bounds[0].params["vacuous"]
         assert rep.bounds[0].rhs >= 1.0
@@ -286,12 +286,12 @@ def test_criterion_8_single_feature_audits(capfd):
         dot = from_ternary_plot(np.array([0.38, 0.02]))
         star = from_ternary_plot(np.array([0.42, 0.02]))
         data = mass_counts(["x0"], [1.0], star[None, :])
-        f = PredictorTable("distribution", {"x0": dot})
+        f = PredictorTable.from_mapping("distribution", {"x0": dot})
         rep = dist_calibration_wrt(f, data, lambda P: np.zeros(len(P)),
                                    convention="plot")
         assert abs(rep.epsilon_hat - 0.04) <= 1e-6
 
-        g = PredictorTable("scalar", {"x0": _gamma(linked, dot)})
+        g = PredictorTable.from_mapping("scalar", {"x0": _gamma(linked, dot)})
         sur = surrogate_calibration(g, data, linked.gamma_many)
         assert abs(sur.epsilon_hat - 0.43) <= 0.02
 
@@ -306,7 +306,7 @@ def test_criterion_8_single_feature_audits(capfd):
         t = -lin(0.0) / (lin(1.0) - lin(0.0))
         spade = np.array([t, p2, 1.0 - p2 - t])
         data2 = mass_counts(["x0"], [1.0], dot[None, :])
-        g2 = PredictorTable("scalar", {"x0": _gamma(linked, spade)})
+        g2 = PredictorTable.from_mapping("scalar", {"x0": _gamma(linked, spade)})
         sur2 = surrogate_calibration(g2, data2, linked.gamma_many)
         assert sur2.epsilon_hat <= 1e-9
 

@@ -63,8 +63,29 @@ def _gamma(s, p) -> float:
 
 def one_point_scenario(pred, cond):
     data = mass_counts(["x0"], [1.0], np.asarray(cond)[None, :])
-    f = PredictorTable("distribution", {"x0": np.asarray(pred, dtype=np.float64)})
+    f = PredictorTable.from_mapping("distribution", {"x0": pred})
     return f, data
+
+
+@pytest.mark.parametrize("kind,keys,values", [
+    ("odds", ("a",), [1.0]),
+    ("scalar", ("a", "b"), [1.0]),
+    ("scalar", ("a",), [[1.0]]),
+    ("distribution", ("a",), [0.5, 0.5]),
+    ("report", ("a", "b"), [[1, 2]]),
+])
+def test_predictor_table_shape_is_checked(kind, keys, values):
+    """One row per x_id: 2-d for distributions, 1-d otherwise."""
+    with pytest.raises(SpecError):
+        PredictorTable(kind, keys, values)
+
+
+def test_predictor_table_gathers_rows():
+    f = PredictorTable("distribution", ("a", "b", "c"), np.eye(3))
+    assert f.values.dtype == np.float64 and f.index == {"a": 0, "b": 1, "c": 2}
+    assert np.array_equal(f.take(("c", "a", "c")), np.eye(3)[[2, 0, 2]])
+    h = PredictorTable.from_mapping("report", {"a": 2, "b": 3})
+    assert h.values.dtype == np.int64 and h.take(["b"]).tolist() == [3]
 
 
 class TestDistributionCalibration:
@@ -88,7 +109,7 @@ class TestDistributionCalibration:
     def test_kind_checked(self):
         _, data = one_point_scenario(DOT, STAR)
         with pytest.raises(SpecError):
-            dist_calibration_wrt(PredictorTable("scalar", {"x0": 1.0}),
+            dist_calibration_wrt(PredictorTable.from_mapping("scalar", {"x0": 1.0}),
                                  data, _one_bin)
 
 
@@ -96,7 +117,7 @@ class TestSurrogateCalibration:
     def test_level_set_gap(self, linked_normals):
         # the surrogate gap between the two printed points
         f, data = one_point_scenario(DOT, STAR)
-        g = PredictorTable("scalar", {"x0": _gamma(linked_normals, DOT)})
+        g = PredictorTable.from_mapping("scalar", {"x0": _gamma(linked_normals, DOT)})
         rep = surrogate_calibration(g, data, linked_normals.gamma_many)
         assert _gamma(linked_normals, DOT) == pytest.approx(0.5949136, abs=1e-6)
         assert _gamma(linked_normals, STAR) == pytest.approx(1.0174679, abs=1e-6)
@@ -116,19 +137,19 @@ class TestSurrogateCalibration:
         spade = np.array([t, p2, 1.0 - p2 - t])
         assert np.all(spade > 0)
         assert _gamma(linked_normals, spade) == pytest.approx(gd, abs=1e-9)
-        g = PredictorTable("scalar", {"x0": _gamma(linked_normals, spade)})
+        g = PredictorTable.from_mapping("scalar", {"x0": _gamma(linked_normals, spade)})
         _, data = one_point_scenario(spade, DOT)
         rep = surrogate_calibration(g, data, linked_normals.gamma_many)
         assert rep.epsilon_hat <= 1e-9
         # yet the distributional miscalibration is far from zero
-        f = PredictorTable("distribution", {"x0": spade})
+        f = PredictorTable.from_mapping("distribution", {"x0": spade})
         drep = dist_calibration_wrt(f, data, _one_bin)
         assert drep.epsilon_hat > 0.1
 
     def test_bin_width_merges_values(self, linked_normals):
         cond = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2]])
         data = mass_counts(["a", "b"], [0.5, 0.5], cond)
-        g = PredictorTable("scalar", {"a": 0.41, "b": 0.44})
+        g = PredictorTable.from_mapping("scalar", {"a": 0.41, "b": 0.44})
         rep = surrogate_calibration(g, data, linked_normals.gamma_many,
                                     bin_width=0.1)
         assert rep.bin_count == 1
@@ -140,14 +161,14 @@ class TestDiscreteCalibration:
         qb = np.array([0.05, 0.9, 0.05])  # target {2}
         data = mass_counts(["a", "b"], [0.5, 0.5],
                                                   np.stack([qa, qb]))
-        h = PredictorTable("report", {"a": 1, "b": 3})
+        h = PredictorTable.from_mapping("report", {"a": 1, "b": 3})
         rep = discrete_calibration(h, data, linked_normals.discrete_set_many)
         assert rep.epsilon_hat == pytest.approx(0.5)
 
     def test_perfect_reports_zero(self, linked_normals):
         qa = np.array([0.9, 0.05, 0.05])
         data = mass_counts(["a"], [1.0], qa[None, :])
-        h = PredictorTable("report", {"a": 1})
+        h = PredictorTable.from_mapping("report", {"a": 1})
         rep = discrete_calibration(h, data, linked_normals.discrete_set_many)
         assert rep.epsilon_hat == 0.0
 
@@ -160,21 +181,21 @@ class TestZeroMassFeatures:
     Q = np.array([0.5, 0.5, 0.0])  # conditional of "a"
 
     def test_distribution(self):
-        f = PredictorTable("distribution", {"a": np.array([0.6, 0.3, 0.1]),
-                                            "b": np.array([0.1, 0.2, 0.7])})
+        f = PredictorTable.from_mapping("distribution", {"a": np.array([0.6, 0.3, 0.1]),
+                                                         "b": np.array([0.1, 0.2, 0.7])})
         rep = dist_calibration_wrt(f, self.DATA, lambda P: np.take(P, 0, axis=-1))
         assert rep.epsilon_hat == pytest.approx(np.linalg.norm(f["a"] - self.Q))
         assert (rep.bin_count, rep.bin_min_size) == (1, 2.0)
         assert rep.as_dict()["bins"]["empty"] == [0.1]
 
     def test_scalar_and_report(self, linked_normals):
-        g = PredictorTable("scalar", {"a": 0.5, "b": 2.0})
+        g = PredictorTable.from_mapping("scalar", {"a": 0.5, "b": 2.0})
         rep = surrogate_calibration(g, self.DATA, linked_normals.gamma_many)
         assert rep.epsilon_hat == pytest.approx(abs(_gamma(linked_normals, self.Q) - 0.5))
         assert (rep.bin_count, rep.empty_bins) == (1, (2.0,))
         rep = check_discretization_bound(g, self.DATA, linked_normals, C_marginal=0.0)
         assert np.isfinite(rep.bounds[0].lhs) and rep.empty_bins == (2.0,)
-        h = PredictorTable("report", {"a": 2, "b": 3})
+        h = PredictorTable.from_mapping("report", {"a": 2, "b": 3})
         rep = discrete_calibration(h, self.DATA, linked_normals.discrete_set_many)
         assert (rep.epsilon_hat, rep.empty_bins) == (0.0, (3,))
 
@@ -215,8 +236,9 @@ def test_columnar_estimators_match_loop_reference(linked_normals, seed, exact):
         data = LabelCounts(sampled.keys, counts.reshape(-1, 3))
         rows = [(sampled.keys[c], y, 1.0) for c, y in zip(sampled.codes, sampled.y)]
     f = materialize_predictor(sc, seed + 730)
-    g = PredictorTable("scalar", {x: float(rng.integers(0, 12)) / 8 for x in f.table})
-    h = PredictorTable("report", {x: int(rng.integers(1, 4)) for x in f.table})
+    g = PredictorTable.from_mapping("scalar",
+                                    {x: float(rng.integers(0, 12)) / 8 for x in f.keys})
+    h = PredictorTable.from_mapping("report", {x: int(rng.integers(1, 4)) for x in f.keys})
     def gamma(p):
         return _gamma(linked_normals, p)
 
@@ -270,10 +292,10 @@ class TestPostprocessingBound:
         f = materialize_predictor(sc, seed=9)
         data = exact_dataset(sc)
         alpha = 2.75
-        ids = list(f.table.keys())
-        g1 = PredictorTable("scalar", {
+        ids = list(f.keys)
+        g1 = PredictorTable.from_mapping("scalar", {
             x: _gamma(linked_normals, f[x]) for x in ids})
-        g2 = PredictorTable("scalar", {x: alpha * g1[x] for x in ids})
+        g2 = PredictorTable.from_mapping("scalar", {x: alpha * g1[x] for x in ids})
         r1 = surrogate_calibration(g1, data, linked_normals.gamma_many)
         r2 = surrogate_calibration(g2, data, lambda P: alpha * linked_normals.gamma_many(P))
         assert r2.bin_count == r1.bin_count
@@ -399,7 +421,7 @@ class TestDiscretizationBound:
         ids = tuple(f"x{i}" for i in range(6))
         data = mass_counts(
             ids, np.full(6, 1 / 6), np.tile(q, (6, 1)))
-        g = PredictorTable("scalar", {
+        g = PredictorTable.from_mapping("scalar", {
             x: 0.5 + float(rng.uniform(-0.05, 0.05)) for x in ids})
         rep = check_discretization_bound(g, data, linked_normals, C_marginal=0.0)
         b = rep.bounds[0]
@@ -418,7 +440,7 @@ class TestDiscretizationBound:
         q = np.clip(q, 0.0, None)
         q /= q.sum()
         data = mass_counts(["a"], [1.0], q[None, :])
-        g = PredictorTable("scalar", {"a": -0.01})  # prediction just below
+        g = PredictorTable.from_mapping("scalar", {"a": -0.01})  # prediction just below
         rep = check_discretization_bound(g, data, s, C_marginal=0.0)
         b = rep.bounds[0]
         assert b.params["vacuous"]
@@ -429,7 +451,7 @@ class TestDiscretizationBound:
         q = _point_with_value(linked_normals, 0.5)
         data = mass_counts(
             ("a", "b"), [0.5, 0.5], np.tile(q, (2, 1)))
-        g = PredictorTable("scalar", {"a": 0.46, "b": 0.55})
+        g = PredictorTable.from_mapping("scalar", {"a": 0.46, "b": 0.55})
         for t in (0.05, 0.1, 0.2, 0.4):
             rep = check_discretization_bound(
                 g, data, linked_normals, C_marginal=0.0, t_grid=[t])
@@ -440,7 +462,7 @@ class TestDiscretizationBound:
         data = mass_counts(["a"], [1.0], q[None, :])
         with pytest.raises(SpecError):
             check_discretization_bound(
-                PredictorTable("report", {"a": 2}), data, linked_normals, 0.0)
+                PredictorTable.from_mapping("report", {"a": 2}), data, linked_normals, 0.0)
 
 
 class TestLipschitzEstimates:
@@ -458,7 +480,7 @@ class TestLipschitzEstimates:
         qb = np.array([0.2, 0.6, 0.2])
         data = mass_counts(
             ("a", "b"), [0.5, 0.5], np.stack([qa, qb]))
-        g = PredictorTable("scalar", {"a": 0.0, "b": 1.0})
+        g = PredictorTable.from_mapping("scalar", {"a": 0.0, "b": 1.0})
         want = float(np.linalg.norm(qb - qa))
         assert estimate_marginal_lipschitz(g, data) == pytest.approx(want)
         # constant conditionals give zero
@@ -483,6 +505,6 @@ def test_bound_params_label_estimated_k(n, normals):
     data = exact_dataset(sc)
     rep = check_postprocessing_bound(materialize_predictor(sc, seed=n), data, s)
     assert [b.params["K_exact"] for b in rep.bounds] == [True] * len(rep.bounds)
-    g = PredictorTable("scalar", dict.fromkeys(ids, 0.5))
+    g = PredictorTable.from_mapping("scalar", dict.fromkeys(ids, 0.5))
     rep = check_discretization_bound(g, data, s, C_marginal=0.0)
     assert rep.bounds[0].params["K_exact"] is True

@@ -1,5 +1,9 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +27,24 @@ SCENARIO = {
     ],
     "predictor": {"recipe": "perturbed", "eta": 0.1},
 }
+# Ids that sort in another order than they are listed, one non-ASCII and
+# one with a quote and a backslash.
+GOLDEN_FEATURES = [
+    {"id": "b", "weight": 0.25, "conditional": [0.7, 0.2, 0.1]},
+    {"id": "a", "weight": 0.25, "conditional": [0.1, 0.3, 0.6]},
+    {"id": "10", "weight": 0.2, "conditional": [1 / 3, 1 / 3, 1 / 3]},
+    {"id": "9", "weight": 0.2, "conditional": [0.0, 0.5, 0.5]},
+    {"id": "é\"\\", "weight": 0.1, "conditional": [0.2, 0.2, 0.6]},
+]
+# sha256 of each output file of simulate on GOLDEN_FEATURES, as written
+# when the predictor file was still made by json.dumps of a dict.
+GOLDEN_DIGESTS = {recipe: {
+    "data.csv": "17b7be6bd5417360fd030f362eb6850c8575065406c3863fa1344065d194e5d9",
+    "meta.json": "f9824216602f68e82f2c57a4d37e4269a72679b9c18c9d279388b2f83c969781",
+    "predictor.json": predictor} for recipe, predictor in (
+    ("bayes", "da307d6ba2ea6ea07c6664b42e7d0963d9f3efe3cb84b72c702649f7b925fc53"),
+    ("perturbed", "d68dffeed3b1fbc93539c51f15769ba24cebe9eecc624a25111121dca619bb15"),
+    ("fixed", "3608a795dca4fdd79e6f946610c9f41a0f693241c63d887cb7a2560255453aa8"))}
 
 
 @pytest.fixture()
@@ -215,6 +237,25 @@ class TestSimulate:
         assert (p1.parent / "s1.data.csv").read_bytes() \
             == (p2.parent / "s2.data.csv").read_bytes()
 
+    @pytest.mark.parametrize("recipe", sorted(GOLDEN_DIGESTS))
+    def test_golden_digests(self, recipe, tmp_path, monkeypatch):
+        """Every output file of a fixed simulate call keeps the bytes the
+        dict-based JSON writer gave it; relative paths keep meta.json
+        independent of where the test runs."""
+        predictor = {"recipe": recipe}
+        if recipe == "perturbed":
+            predictor["eta"] = 0.3
+        if recipe == "fixed":
+            predictor["table"] = {f["id"]: f["conditional"][::-1]
+                                  for f in GOLDEN_FEATURES}
+        monkeypatch.chdir(tmp_path)
+        write_json("sc.json", {"features": GOLDEN_FEATURES, "predictor": predictor})
+        assert main(["simulate", "--spec", "sc.json", "--samples", "300",
+                     "--seed", "7", "--out", "sim"]) == EXIT_OK
+        got = {suffix: hashlib.sha256((tmp_path / f"sim.{suffix}").read_bytes()).hexdigest()
+               for suffix in GOLDEN_DIGESTS[recipe]}
+        assert got == GOLDEN_DIGESTS[recipe]
+
 
 class TestAudit:
     @pytest.fixture()
@@ -322,6 +363,8 @@ class TestAudit:
         ("distribution", [0.5, 0.5], "shape (2,) for 3 outcomes"),
         ("distribution", [0.6, 0.6, -0.2], "not on the simplex"),
         ("distribution", [float("nan"), 0.5, 0.5], "not all finite"),
+        ("distribution", {"p": 1.0}, "distribution of shape () for 3 outcomes"),
+        ("distribution", "abc", "distribution of shape () for 3 outcomes"),
         ("report", 2.7, "report prediction 2.7 is not an integer"),
         ("report", True, "report prediction True is not an integer"),
         ("report", float("nan"), "report prediction nan is not an integer"),
@@ -339,6 +382,27 @@ class TestAudit:
         assert rc == EXIT_SPEC
         err = capsys.readouterr().err
         assert f"x_id 'b' in {pred_path}: " in err and cause in err
+
+    @pytest.mark.parametrize("table,line", [
+        ({"0": [0.5, 0.5], "1": [0.2, 0.3, 0.5]},
+         "x_id '0' in {}: distribution of shape (2,) for 3 outcomes"),
+        ({"0": [0.25] * 4, "1": [0.1, 0.2, 0.3, 0.4]},
+         "x_id '0' in {}: distribution of shape (4,) for 3 outcomes"),
+        ({"0": [0.2, 0.3, 0.5], "1": [float("nan"), 0.5, 0.5]},
+         "x_id '1' in {}: distribution is not on the simplex: "
+         "entries are not all finite: [nan 0.5 0.5]"),
+    ])
+    def test_distribution_error_lines(self, surrogate_file, tmp_path, capsys,
+                                      table, line):
+        data = tmp_path / "data.csv"
+        data.write_text("x_id,y\n0,1\n1,2\n")
+        pred_path = tmp_path / "pred.json"
+        write_json(pred_path, {"kind": "distribution", "table": table})
+        capsys.readouterr()
+        rc = main(["audit", "--surrogate", surrogate_file, "--data", str(data),
+                   "--predictor", str(pred_path), "--out", str(tmp_path / "x.json")])
+        assert rc == EXIT_SPEC
+        assert capsys.readouterr().err == "error: " + line.format(pred_path) + "\n"
 
     @pytest.mark.parametrize("text,line", [
         ("id,label\na,1\n", 1),
@@ -601,9 +665,10 @@ class TestLoadSurrogate:
 
 
 class TestInputFields:
-    """A predictor or scenario file with a field missing or of another JSON
-    type, or that is not a JSON object, makes every command that reads it
-    exit 2 naming the file and the field, without a traceback."""
+    """A predictor, scenario or property-spec file with a field missing or of
+    another JSON type, or that is not a JSON object, makes every command
+    that reads it exit 2 naming the file and the field, without a
+    traceback."""
 
     @pytest.fixture()
     def run(self, boundary_spec_file, tmp_path, capsys):
@@ -676,10 +741,69 @@ class TestInputFields:
             fixed, {"table": "an object"}, "predictor: ")]
         cases.append(("predictor: field 'a' must be an array of numbers",
                       {**sc, "predictor": {**fixed, "table": {"a": "x"}}}))
+        cases.append(("predictor: field 'b' must be a flat array with one number per "
+                      "outcome", {**sc, "predictor": {**fixed, "table": {
+                          "a": [0.5, 0.5, 0.0], "b": [0.5, 0.5]}}}))
         for cause, doc in cases:
             refused(command, "scenario", doc, cause)
+
+    @pytest.mark.parametrize("command", ["construct", "levelsets"])
+    @pytest.mark.parametrize("spec", [COST_SPEC, BOUNDARY_SPEC], ids=["cost", "boundaries"])
+    def test_property_spec(self, command, spec, tmp_path, capsys):
+        path = str(tmp_path / "spec.json")
+        table = "cost_matrix" if "cost_matrix" in spec else "boundaries"
+        cases = [("expected a JSON object with field 'n', got list", [spec]),
+                 ("field 'n' must be an integer, not 2.5", {**spec, "n": 2.5}),
+                 ("property spec needs 'cost_matrix' or 'boundaries'",
+                  {k: v for k, v in spec.items() if k != table})]
+        cases += [case for case in self._mutations(spec, {
+            "n": "a number", "reports": "an array",
+            table: "an array of numbers" if table == "cost_matrix" else "an array"})
+            if f"field {table!r} is missing" not in case[0]]  # the case above
+        if table == "boundaries":
+            first, second = spec["boundaries"]
+            cases.append(("boundary 1: expected a JSON object with field 'c', got list",
+                          {**spec, "boundaries": [[first], second]}))
+            cases += [(cause, {**spec, "boundaries": [bad, second]}) for cause, bad in
+                      self._mutations(first, {"c": "an array of numbers", "b": "a number"},
+                                      "boundary 1: ")]
+        for cause, doc in cases:
+            write_json(path, doc)
+            capsys.readouterr()
+            assert main([command, "--spec", path, "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == EXIT_SPEC, cause
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and cause in err, (cause, err)
+            assert "Traceback" not in err
 
 
 def test_unknown_arguments_exit_spec(capsys):
     assert main(["frobnicate"]) == EXIT_SPEC
     capsys.readouterr()
+
+
+# Runs CLI calls, given as a JSON list of argv lists, with scipy unimportable.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from ordelic.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_pipeline_runs_on_numpy_alone(boundary_spec_file, scenario_file, tmp_path):
+    """The package depends on numpy alone; scipy is a test oracle only."""
+    sur, sim = str(tmp_path / "sur.json"), str(tmp_path / "sim")
+    argvs = [["construct", "--spec", boundary_spec_file, "--seed", "1", "--out", sur],
+             ["simulate", "--spec", scenario_file, "--samples", "200", "--seed", "2",
+              "--out", sim],
+             ["audit", "--surrogate", sur, "--data", sim + ".data.csv",
+              "--predictor", sim + ".predictor.json", "--out", str(tmp_path / "a.json")]]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "a.json").exists()

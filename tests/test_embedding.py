@@ -263,9 +263,9 @@ def test_shared_slice_point_is_not_lipschitz():
     assert s.gamma_many(np.eye(3))[0] == 0.5
     ids = ("a", "b")
     data = LabelCounts(ids, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
-    f = PredictorTable("distribution", {"a": np.array([1.0, 0.0, 0.0]),
-                                        "b": np.array([0.2, 0.5, 0.3])})
-    g = PredictorTable("scalar", dict.fromkeys(ids, 0.5))
+    f = PredictorTable.from_mapping("distribution", {"a": np.array([1.0, 0.0, 0.0]),
+                                                     "b": np.array([0.2, 0.5, 0.3])})
+    g = PredictorTable.from_mapping("scalar", dict.fromkeys(ids, 0.5))
     for rep in (check_postprocessing_bound(f, data, s),
                 check_discretization_bound(g, data, s, C_marginal=0.0)):
         for bound in rep.bounds:

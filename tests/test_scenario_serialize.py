@@ -19,7 +19,7 @@ from conftest import (
     written_v_bar,
 )
 from ordelic import serialize
-from ordelic.audit import _bin
+from ordelic.audit import PredictorTable, _bin
 from ordelic.cli import _default_outer_slope
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SpecError
@@ -106,8 +106,8 @@ class TestScenario:
             sc = ScenarioSpec(tuple(f"x{i}" for i in range(300)), np.full(300, 1 / 300),
                               cond, recipe="perturbed", eta=eta)
             got = materialize_predictor(sc, seed)
-            assert list(got.table) == list(sc.feature_ids)
-            assert np.array_equal(np.array(list(got.table.values())),
+            assert got.keys == sc.feature_ids
+            assert np.array_equal(got.values,
                                   dirichlet_predictor(sc, seed))
 
     def test_sampled_frequencies_converge(self, scenario):
@@ -188,25 +188,20 @@ class TestSerialization:
         assert np.allclose(back.fixed_table["a"], [0.4, 0.4, 0.2])
 
     def test_predictor_round_trips(self):
-        for p in (
-            predictor_to_json(
-                predictor_from_json({"kind": "scalar", "table": {"a": 0.5}})),
-            predictor_to_json(
-                predictor_from_json({"kind": "report", "table": {"a": 2}})),
-        ):
-            assert predictor_to_json(predictor_from_json(p)) == p
-        d = {"kind": "distribution", "table": {"a": [0.5, 0.3, 0.2]}}
-        assert predictor_to_json(predictor_from_json(d)) == d
+        for d in ({"kind": "scalar", "table": {"a": 0.5}},
+                  {"kind": "report", "table": {"a": 2}},
+                  {"kind": "distribution", "table": {"a": [0.5, 0.3, 0.2]}}):
+            assert predictor_to_json(predictor_from_json(d, 3)) == dumps(d)
 
     def test_report_predictions_are_integers(self):
         """An integral float is a report; a fraction, a bool, NaN or a string
         is an error naming the x_id, not a report coerced by int()."""
-        got = predictor_from_json({"kind": "report", "table": {"a": 2.0, "b": 3}})
-        assert got.table == {"a": 2, "b": 3}
-        assert all(type(v) is int for v in got.table.values())
+        got = predictor_from_json({"kind": "report", "table": {"a": 2.0, "b": 3}}, 3)
+        assert got.keys == ("a", "b") and got.values.tolist() == [2, 3]
+        assert got.values.dtype == np.int64
         for bad in (2.7, True, float("nan"), "2", None, [2]):
             with pytest.raises(SpecError, match="x_id 'b' in f.json: report prediction"):
-                predictor_from_json({"kind": "report", "table": {"a": 1, "b": bad}},
+                predictor_from_json({"kind": "report", "table": {"a": 1, "b": bad}}, 3,
                                     "f.json")
 
     def test_dataset_csv_round_trip(self, scenario, tmp_path):
@@ -297,6 +292,67 @@ def _csv_oracle(text: str, n: int):
     csv.reader and a first-appearance dict of Counters."""
     rows = list(csv.reader(io.StringIO(text, newline="")))
     return reference_counts([x for x, _ in rows], [int(y.strip()) for _, y in rows], n)
+
+
+def _dict_writer(kind: str, table: dict) -> str:
+    """The predictor file as json writes the dict of the table."""
+    return json.dumps({"kind": kind, "table": table}, sort_keys=True, indent=2) + "\n"
+
+
+_FLOAT_EDGES = [-0.0, 5e-324, 1e16, 1e300, 1e-7, 0.1, 1 / 3, -2.5, 1.0]
+_REPORTS = st.integers(-2**63, 2**63 - 1)
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestPredictorWriter:
+    """predictor_to_json writes the bytes json.dumps(sort_keys=True,
+    indent=2) writes for the predictor's dict."""
+
+    # sorted order differs from insertion order; non-ASCII, a quote, a
+    # backslash, control characters and the empty id
+    IDS = ["10", "9", "B", "a", "é", "日本", 'q"uote', "back\\slash", "tab\tnl\n\x01\x7f", ""]
+
+    @pytest.mark.parametrize("kind", ["distribution", "scalar", "report"])
+    def test_ids_and_values(self, kind):
+        edges = _FLOAT_EDGES + ([] if kind == "distribution" else
+                                [float("nan"), float("inf"), float("-inf")])
+        if kind == "distribution":
+            table = {x: [edges[(i + j) % len(edges)] for j in range(3)]
+                     for i, x in enumerate(self.IDS)}
+        elif kind == "scalar":
+            table = {x: edges[i % len(edges)] for i, x in enumerate(self.IDS * 2)}
+        else:
+            table = dict(zip(self.IDS, [0, -1, 1, 2, 3, 2**62, -2**63, 7, 10, 11]))
+        got = predictor_to_json(PredictorTable.from_mapping(kind, table))
+        assert got == _dict_writer(kind, table)
+
+    @pytest.mark.parametrize("kind,values", [
+        ("distribution", np.empty((0, 3))), ("scalar", []), ("report", [])])
+    def test_empty_table(self, kind, values):
+        assert predictor_to_json(PredictorTable(kind, (), values)) \
+            == _dict_writer(kind, {})
+
+    def test_repeated_and_colliding_ids_keep_the_last_row(self):
+        """An x_id listed twice, or two x_ids with the same str, predict the
+        last row, as when the table was a dict."""
+        p = PredictorTable("scalar", ("a", 5, "b", "a", "5"), [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert p["a"] == 4.0 and p.take(["a", 5]).tolist() == [4.0, 2.0]
+        assert predictor_to_json(p) == _dict_writer("scalar", {"5": 5.0, "a": 4.0, "b": 3.0})
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["distribution", "scalar", "report"]),
+           ids=st.lists(st.text(max_size=5), unique=True, max_size=12),
+           width=st.integers(0, 4))
+    def test_random_tables_and_round_trip(self, data, kind, ids, width):
+        value = {"distribution": st.lists(_ANY_FLOAT, min_size=width, max_size=width),
+                 "scalar": _ANY_FLOAT, "report": _REPORTS}[kind]
+        table = {x: data.draw(value) for x in ids}
+        values = np.array(list(table.values()), dtype=np.float64).reshape(len(ids), width) \
+            if kind == "distribution" else list(table.values())
+        text = predictor_to_json(PredictorTable(kind, tuple(ids), values))
+        assert text == _dict_writer(kind, table)
+        back = predictor_from_json(json.loads(text), width)
+        assert predictor_to_json(back) == text
 
 
 class TestDatasetReader:
