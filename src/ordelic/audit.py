@@ -116,6 +116,8 @@ class AuditReport:
     bin_count: int
     bin_min_size: float
     empty_bins: tuple
+    data_weight: float  # total weight of the data: its row count for a CSV
+    data_features: int  # features of positive weight
     bounds: tuple = ()
     extras: dict = field(default_factory=dict)
 
@@ -129,6 +131,7 @@ class AuditReport:
                 "min_size": self.bin_min_size,
                 "empty": list(self.empty_bins),
             },
+            "data": {"weight": self.data_weight, "features": self.data_features},
             "bounds": [b.as_dict() for b in self.bounds],
             **({"extras": self.extras} if self.extras else {}),
         }
@@ -173,6 +176,8 @@ class _Bins:
             bin_count=len(self.counts),
             bin_min_size=float(self.counts.sum(axis=1).min()),
             empty_bins=self.empty,
+            data_weight=float(np.sum(self.mass)),
+            data_features=len(self.mass),
             **extra,
         )
 

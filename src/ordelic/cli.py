@@ -186,9 +186,10 @@ def _cmd_levelsets(args) -> int:
 def _cmd_simulate(args) -> int:
     seed = _require_seed(args)
     scenario = serialize.read_scenario(args.spec)
-    data = sample_dataset(scenario, args.samples, seed)
+    rows = sample_dataset(scenario, args.samples, seed)
     predictor = materialize_predictor(scenario, seed + 1)
-    serialize.write_dataset_csv(args.out + ".data.csv", data)
+    serialize.write_dataset_csv(args.out + ".data.csv", scenario.feature_ids,
+                                scenario.n_outcomes, rows)
     serialize.write_predictor(args.out + ".predictor.json", predictor)
     serialize.write_json(args.out + ".meta.json", {
         "config": {"spec": args.spec, "samples": args.samples,

@@ -8,16 +8,20 @@ values free of sampling noise.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ordelic.audit import PredictorTable
 from ordelic.errors import SpecError
-from ordelic.simplex import LabelCounts, as_simplex_points, first_appearance
+from ordelic.simplex import LabelCounts, as_simplex_points
 
 # Buckets of [0, 1) in the guide table of sample_dataset's feature draw.
 GUIDE_BUCKETS = 1 << 16
+# Rows per block of sample_dataset: the size of its arrays, whatever the
+# number of rows.
+ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,58 +85,63 @@ def materialize_predictor(scenario: ScenarioSpec, seed: int) -> PredictorTable:
     return PredictorTable("distribution", scenario.feature_ids, p)
 
 
-@dataclass(frozen=True)
-class LabeledRows:
-    """Sampled (x_id, label) rows: row i has x_id ``keys[codes[i]]`` and
-    label ``y[i]`` in 1..n, with ``keys`` in order of first appearance."""
+def sample_dataset(scenario: ScenarioSpec, rows: int,
+                   seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Seeded i.i.d. draws of (feature, label) pairs, in blocks of at most
+    ``ROW_BLOCK`` rows: each block is (f, y), with f indices into
+    ``scenario.feature_ids`` and y labels in 1..n.
 
-    codes: np.ndarray
-    keys: tuple
-    y: np.ndarray
-    n: int
-
-
-def sample_dataset(scenario: ScenarioSpec, rows: int, seed: int) -> LabeledRows:
-    """Seeded i.i.d. draws of (feature, label) pairs.
-
-    The features are those ``rng.choice(features, size=rows, p=weights)``
-    draws (see :func:`_draw`); then one uniform per row picks the label.
+    With ``rng = default_rng(seed)``, the features are those of
+    ``rng.choice(features, size=rows, p=weights)`` (see :func:`_draw`), and
+    then one ``rng.random(rows)`` uniform per row picks the label.  The label
+    uniforms come from a second generator moved past the feature draws,
+    since PCG64's ``random()`` takes one 64-bit output per float, so the
+    blocks hold the same rows as one whole-array draw.
     """
     if rows < 1:
         raise SpecError("need at least 1 row")
-    rng = np.random.default_rng(seed)
-    f_idx = _draw(rng, scenario.weights, rows)
-    u = rng.random(rows)
-    cum = np.cumsum(scenario.conditionals, axis=1)
-    y = np.ones(rows, dtype=np.int64)
-    for j in range(scenario.n_outcomes - 1):
-        y += u > cum[f_idx, j]
-    order, codes = first_appearance(f_idx, len(scenario.feature_ids))
-    return LabeledRows(codes, tuple(scenario.feature_ids[i] for i in order), y,
-                       scenario.n_outcomes)
+    labels = np.random.default_rng(seed)
+    labels.bit_generator.advance(rows)
+    cum = np.cumsum(scenario.conditionals, axis=1).T[:-1].copy()  # (n - 1, features)
+    return _labeled(_draw(np.random.default_rng(seed), scenario.weights, rows),
+                    labels, cum)
 
 
-def _draw(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+def _labeled(features, rng: np.random.Generator, cum: np.ndarray):
+    """(f, y) blocks: label y is 1 plus the count of cumulative conditionals
+    of feature f below a uniform from rng."""
+    for f in features:
+        u = rng.random(len(f))
+        y = np.ones(len(f), dtype=np.int64)
+        for c in cum:
+            y += u > c.take(f)
+        yield f, y
+
+
+def _draw(rng: np.random.Generator, p: np.ndarray, size: int) -> Iterator[np.ndarray]:
     """``rng.choice(len(p), size=size, p=p)`` bit for bit, for weights p that
-    are nonnegative and sum to 1.
+    are nonnegative and sum to 1, in blocks of at most ``ROW_BLOCK`` draws.
 
     The choice is ``cdf.searchsorted(rng.random(size), side="right")`` with
-    ``cdf`` the cumulative sum of p divided by its last entry.  A guide table
-    (Chen and Asau, 1974) holds that search at both ends of each of B
+    ``cdf`` the cumulative sum of p divided by its last entry; the uniforms
+    are taken one block at a time.  A guide table (Chen and Asau, 1974),
+    built once per call, holds that search at both ends of each of B
     buckets of [0, 1), B a power of 2 up to one per draw and at most
     ``GUIDE_BUCKETS``; a uniform in a bucket whose ends agree takes their
     value, and only the others are searched.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(size)
     buckets = min(GUIDE_BUCKETS, 1 << (size - 1).bit_length())
     ends = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
-    bucket = (u * buckets).astype(np.intp)  # exact: a power of 2
-    idx = ends[bucket]
-    split = np.flatnonzero(idx != ends[bucket + 1])
-    idx[split] = cdf.searchsorted(u[split], side="right")
-    return idx
+    lo, hi = ends[:-1], ends[1:]
+    for start in range(0, size, ROW_BLOCK):
+        u = rng.random(min(ROW_BLOCK, size - start))
+        bucket = (u * buckets).astype(np.intp)  # exact: a power of 2
+        idx = lo.take(bucket)
+        split = np.flatnonzero(idx != hi.take(bucket))
+        idx[split] = cdf.searchsorted(u[split], side="right")
+        yield idx
 
 
 def exact_dataset(scenario: ScenarioSpec) -> LabelCounts:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 from json.encoder import encode_basestring_ascii
@@ -20,7 +21,7 @@ from ordelic.audit import AuditReport, PredictorTable
 from ordelic.errors import OrdelicError, SimplexError, SpecError
 from ordelic.piecewise import CONTINUITY_TOL, PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
-from ordelic.scenario import LabeledRows, ScenarioSpec
+from ordelic.scenario import ScenarioSpec
 from ordelic.simplex import LabelCounts, as_simplex_point, as_simplex_points
 
 # Dataset CSV files are read in chunks of about this many bytes.
@@ -209,16 +210,27 @@ def _field(d, key: str, kind: type):
 # datasets
 
 
-def write_dataset_csv(path, data: LabeledRows) -> None:
-    """Write ``x_id,y`` rows.  csv.writer formats each (id, label) pair once;
-    rows are then written by feature code and label."""
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerows([key, y] for key in data.keys for y in range(1, data.n + 1))
-    table = np.array(lines, dtype=object).reshape(len(data.keys), data.n)
+def write_dataset_csv(path, keys, n: int, blocks) -> None:
+    """Write ``x_id,y`` rows from blocks (codes, y): row i of a block has
+    x_id ``keys[codes[i]]`` and label ``y[i]`` in 1..n.  csv.writer formats
+    each (x_id, label) line the first time a block holds it, so memory is
+    one block plus the lines drawn, however many rows there are."""
+    lines = np.empty(len(keys) * n, dtype=object)
+    seen = np.zeros(len(lines), dtype=bool)
+    fresh: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=fresh.append), lineterminator="\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x_id,y\n")
-        fh.write("".join(table[data.codes, data.y - 1]))
+        for codes, y in blocks:
+            line = codes * n
+            line += y - 1
+            new = np.unique(line[~seen[line]])
+            if len(new):
+                writer.writerows([keys[c // n], c % n + 1] for c in new.tolist())
+                lines[new] = np.array(fresh, dtype=object)
+                seen[new] = True
+                fresh.clear()
+            fh.write("".join(lines[line].tolist()))  # str.join is faster on a list
 
 
 def read_dataset_csv(path, n: int) -> LabelCounts:
@@ -593,45 +605,64 @@ def predictor_to_json(p: PredictorTable) -> str:
 
 def predictor_from_json(d, n: int, source: str = "the predictor") -> PredictorTable:
     """Predictor table from JSON, for a property with n outcomes: a
-    distribution must be n numbers, and a report an integer (an integral
-    float such as 2.0 counts).  An error names ``source`` and the field or
-    x_id at fault."""
+    distribution must be n numbers, a scalar a number and a report an
+    integer (an integral float such as 2.0 counts); bools and strings are
+    not numbers.  An error names ``source`` and the field or x_id at fault."""
     try:
         kind, raw = _field(d, "kind", str), _field(d, "table", dict)
         if kind not in ("distribution", "scalar", "report"):
             raise SpecError(f"unknown predictor kind {kind!r}")
     except SpecError as exc:
         raise SpecError(f"{source}: {exc}") from None
+    keys, rows = tuple(raw), list(raw.values())
     if kind == "distribution":
-        values = _distributions(raw, n, source)
+        values = _distributions(keys, rows, n, source)
     elif kind == "scalar":
-        values = np.fromiter(map(float, raw.values()), np.float64, len(raw))
-    else:  # bools, strings, NaN and fractions are not reports
-        values = [int(v) if isinstance(v, float) and v.is_integer() else v
-                  for v in raw.values()]
-        for x, v in zip(raw, values):
-            if type(v) is not int:
-                raise SpecError(f"x_id {x!r} in {source}: report prediction "
-                                f"{v!r} is not an integer")
-    return PredictorTable(kind, tuple(raw), values)
+        values = _numbers(rows, np.float64)
+        if values is None:  # name the first value at fault
+            x, v = next((x, v) for x, v in zip(keys, rows)
+                        if _numbers([v], np.float64) is None)
+            raise SpecError(f"x_id {x!r} in {source}: scalar prediction {v!r:.40} "
+                            "is not a number in the float64 range")
+    else:
+        if float in set(map(type, rows)):
+            rows = [int(v) if type(v) is float and v.is_integer() else v for v in rows]
+        values = _numbers(rows, np.int64)
+        if values is None:  # bools, strings, NaN and fractions are not reports
+            x, v = next((x, v) for x, v in zip(keys, rows)
+                        if _numbers([v], np.int64) is None)
+            raise SpecError(f"x_id {x!r} in {source}: report prediction {v!r:.40} "
+                            "is not an integer in the int64 range")
+    return PredictorTable(kind, keys, values)
 
 
-def _distributions(raw: dict, n: int, source: str) -> np.ndarray:
+def _numbers(values: list, dtype) -> np.ndarray | None:
+    """``values`` as one array of ``dtype`` when each is a JSON number (an
+    int for int64) that fits it; otherwise None."""
+    if not set(map(type, values)) <= ({int} if dtype is np.int64 else {int, float}):
+        return None
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:  # an integer beyond the range of dtype
+        return None
+
+
+def _distributions(keys: tuple, rows: list, n: int, source: str) -> np.ndarray:
     """The rows of a distribution table as one (features, n) array; an error
     names the first x_id whose row is not n numbers."""
-    rows = list(raw.values())
-    try:  # one conversion for the whole table
-        values = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # rows of different lengths, or not numbers
-        values, error = None, exc
-    if values is None or values.shape != (len(rows), n):
-        for x, row in zip(raw, rows):
-            if np.shape(row) != (n,):
-                raise SpecError(f"x_id {x!r} in {source}: distribution of shape "
-                                f"{np.shape(row)} for {n} outcomes")
-    if values is None:
-        raise error  # every row has n entries, so an entry is not a number
-    return values.reshape(len(rows), n)  # (0, n) for an empty table
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n}:
+        values = _numbers(list(itertools.chain.from_iterable(rows)), np.float64)
+        if values is not None:
+            return values.reshape(len(rows), n)
+    for x, row in zip(keys, rows):  # name the first row at fault
+        if type(row) is not list or len(row) != n:
+            shape = (len(row),) if type(row) is list else ()  # JSON: else not an array
+            raise SpecError(f"x_id {x!r} in {source}: distribution of shape {shape} "
+                            f"for {n} outcomes")
+        if _numbers(row, np.float64) is None:
+            raise SpecError(f"x_id {x!r} in {source}: distribution {row!r:.60} is not "
+                            f"{n} numbers in the float64 range")
+    raise AssertionError("every row holds n numbers, so the table converts")
 
 
 def read_predictor(path, n: int) -> PredictorTable:

@@ -9,7 +9,7 @@ from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.normals import build_from_spec
 from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, spec_from_boundaries
-from ordelic.scenario import LabeledRows, sample_dataset
+from ordelic.scenario import sample_dataset
 from ordelic.serialize import dumps, surrogate_to_json
 from ordelic.simplex import LabelCounts, as_simplex_points, norm_order, sample_simplex
 
@@ -46,11 +46,19 @@ def fixture_normals(fixture_normals_spec):
     return build_from_spec(fixture_normals_spec)
 
 
-def labeled_rows(x_ids, y, n: int) -> LabeledRows:
-    """Rows of the given x_ids and labels, ids coded by first appearance."""
+def labeled_rows(x_ids, y, n: int) -> tuple:
+    """``write_dataset_csv`` arguments (keys, n, blocks) for the rows of the
+    given x_ids and labels: one block, ids coded by first appearance."""
     index: dict = {}
     codes = np.array([index.setdefault(x, len(index)) for x in x_ids], dtype=np.int64)
-    return LabeledRows(codes, tuple(index), np.asarray(y, dtype=np.int64), n)
+    return tuple(index), n, [(codes, np.asarray(y, dtype=np.int64))]
+
+
+def sampled_rows(scenario, rows: int, seed: int) -> tuple[list, np.ndarray]:
+    """(x_ids, labels) of the blocks of ``sample_dataset(scenario, rows, seed)``."""
+    blocks = list(sample_dataset(scenario, rows, seed))
+    f = np.concatenate([b[0] for b in blocks])
+    return [scenario.feature_ids[i] for i in f], np.concatenate([b[1] for b in blocks])
 
 
 def reference_counts(x_ids, labels, n: int) -> LabelCounts:
@@ -65,10 +73,19 @@ def reference_counts(x_ids, labels, n: int) -> LabelCounts:
 
 
 def sampled_counts(scenario, rows: int, seed: int) -> LabelCounts:
-    """Label counts of ``sample_dataset(scenario, rows, seed)``."""
-    d = sample_dataset(scenario, rows, seed)
-    counts = np.bincount(d.codes * d.n + d.y - 1, minlength=len(d.keys) * d.n)
-    return LabelCounts(d.keys, counts.reshape(-1, d.n))
+    """Label counts of ``sample_dataset(scenario, rows, seed)``, summed block
+    by block, with x_ids in order of first appearance."""
+    features, n = len(scenario.feature_ids), scenario.n_outcomes
+    counts = np.zeros(features * n)
+    first = np.full(features, rows)
+    start = 0
+    for f, y in sample_dataset(scenario, rows, seed):
+        counts += np.bincount(f * n + y - 1, minlength=features * n)
+        np.minimum.at(first, f, np.arange(start, start + len(f)))
+        start += len(f)
+    order = np.argsort(first, kind="stable")[:np.count_nonzero(first < rows)]
+    return LabelCounts(tuple(scenario.feature_ids[i] for i in order),
+                       counts.reshape(features, n)[order])
 
 
 def mass_counts(x_ids, weights, conditionals) -> LabelCounts:

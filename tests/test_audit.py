@@ -10,6 +10,8 @@ from conftest import (
     lipschitz_estimate,
     mass_counts,
     node_root_batch,
+    sampled_counts,
+    sampled_rows,
 )
 from ordelic.audit import (
     PredictorTable,
@@ -39,7 +41,6 @@ from ordelic.scenario import (
     ScenarioSpec,
     exact_dataset,
     materialize_predictor,
-    sample_dataset,
 )
 from ordelic.simplex import LabelCounts, norm_order, sample_simplex
 
@@ -231,10 +232,8 @@ def test_columnar_estimators_match_loop_reference(linked_normals, seed, exact):
                                                          sc.conditionals)
                 for y in range(3) if w * q[y] > 0]
     else:
-        sampled = sample_dataset(sc, 5000, seed + 720)
-        counts = np.bincount(sampled.codes * 3 + sampled.y - 1, minlength=3 * len(sampled.keys))
-        data = LabelCounts(sampled.keys, counts.reshape(-1, 3))
-        rows = [(sampled.keys[c], y, 1.0) for c, y in zip(sampled.codes, sampled.y)]
+        data = sampled_counts(sc, 5000, seed + 720)
+        rows = [(x, y, 1.0) for x, y in zip(*sampled_rows(sc, 5000, seed + 720))]
     f = materialize_predictor(sc, seed + 730)
     g = PredictorTable.from_mapping("scalar",
                                     {x: float(rng.integers(0, 12)) / 8 for x in f.keys})

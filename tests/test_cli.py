@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import write_levelsets_rows
 from ordelic.cli import EXIT_BOUND, EXIT_OK, EXIT_SEARCH, EXIT_SPEC, main
+from ordelic.scenario import ROW_BLOCK
 from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, read_json, surrogate_from_json,
                                write_json)
 
@@ -36,6 +38,10 @@ GOLDEN_FEATURES = [
     {"id": "9", "weight": 0.2, "conditional": [0.0, 0.5, 0.5]},
     {"id": "é\"\\", "weight": 0.1, "conditional": [0.2, 0.2, 0.6]},
 ]
+# sha256 of the data file of simulate on GOLDEN_FEATURES (bayes recipe,
+# seed 7) at 200,929 rows, three blocks of 2^16 and a remainder, as written
+# when the rows were still drawn and written as whole arrays.
+GOLDEN_BLOCKS_DIGEST = "f8f1d3578facfeba78e022c4f53c5f87304610f7296fa2d47bff83fd386cc65a"
 # sha256 of each output file of simulate on GOLDEN_FEATURES, as written
 # when the predictor file was still made by json.dumps of a dict.
 GOLDEN_DIGESTS = {recipe: {
@@ -257,6 +263,38 @@ class TestSimulate:
         assert got == GOLDEN_DIGESTS[recipe]
 
 
+    def test_golden_digest_over_blocks(self, tmp_path, monkeypatch):
+        """A data file of several row blocks plus a remainder keeps the bytes
+        of one whole-array draw."""
+        rows = 3 * (1 << 16) + 4321
+        assert rows // ROW_BLOCK == 3 and rows % ROW_BLOCK
+        monkeypatch.chdir(tmp_path)
+        write_json("sc.json", {"features": GOLDEN_FEATURES, "predictor": {"recipe": "bayes"}})
+        assert main(["simulate", "--spec", "sc.json", "--samples", str(rows),
+                     "--seed", "7", "--out", "sim"]) == EXIT_OK
+        data = (tmp_path / "sim.data.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_BLOCKS_DIGEST
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        """The peak traced allocation of simulate is set by the row block and
+        the guide table, not by the row count: 8x the rows (both several
+        blocks, both above the guide's bucket count) adds at most 64 KiB."""
+        monkeypatch.setattr("ordelic.scenario.ROW_BLOCK", 1024)
+        monkeypatch.setattr("ordelic.scenario.GUIDE_BUCKETS", 1024)
+        monkeypatch.chdir(tmp_path)
+        write_json("sc.json", {"features": GOLDEN_FEATURES, "predictor": {"recipe": "bayes"}})
+        peaks = []
+        for rows in (100, 5 * 1024 + 7, 8 * (5 * 1024 + 7)):  # the first warms up
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--spec", "sc.json", "--samples", str(rows),
+                             "--seed", "3", "--out", "sim"]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + 64 * 1024, peaks
+
+
 class TestAudit:
     @pytest.fixture()
     def surrogate_file(self, boundary_spec_file, tmp_path):
@@ -279,13 +317,40 @@ class TestAudit:
         notions = [r["notion"] for r in payload["reports"]]
         assert notions == ["distribution", "postprocessing"]
         for r in payload["reports"]:
-            assert set(r) >= {"notion", "norm", "epsilon_hat", "bins", "bounds"}
+            assert set(r) >= {"notion", "norm", "epsilon_hat", "bins", "data", "bounds"}
             assert set(r["bins"]) == {"count", "min_size", "empty"}
         pp = payload["reports"][1]
         ok = all(b["satisfied"] for b in pp["bounds"])
         assert rc == (EXIT_OK if ok else EXIT_BOUND)
         printed = json.loads(capsys.readouterr().out)
         assert printed == payload
+
+    def test_reports_carry_data_size(self, surrogate_file, scenario_file, tmp_path):
+        """Each report gives the data's total weight (its row count for a
+        CSV) and its number of features of positive weight."""
+        data = tmp_path / "data.csv"
+        data.write_text("x_id,y\na,1\nb,2\na,3\nc,1\na,1\n")
+        pred = tmp_path / "pred.json"
+        write_json(pred, {"kind": "distribution", "table": {
+            x: [0.2, 0.3, 0.5] for x in ("a", "b", "c")}})
+        out = str(tmp_path / "audit.json")
+        main(["audit", "--surrogate", surrogate_file, "--data", str(data),
+              "--predictor", str(pred), "--out", out])
+        reports = read_json(out)["reports"]
+        assert [r["data"] for r in reports] == [{"weight": 5.0, "features": 3}] * 2
+
+        sc = {"features": [*SCENARIO["features"],
+                           {"id": "z", "weight": 0.0, "conditional": [0.2, 0.3, 0.5]}],
+              "predictor": {"recipe": "bayes"}}
+        write_json(tmp_path / "sc.json", sc)
+        write_json(pred, {"kind": "scalar", "table": {"a": 0.5, "b": 1.5, "z": 2.0}})
+        main(["audit", "--surrogate", surrogate_file, "--scenario", str(tmp_path / "sc.json"),
+              "--predictor", str(pred), "--c-marginal", "0", "--out", out])
+        reports = read_json(out)["reports"]
+        assert [r["notion"] for r in reports] == ["surrogate", "discretization"]
+        for r in reports:
+            assert r["data"]["weight"] == pytest.approx(1.0, rel=1e-15)
+            assert r["data"]["features"] == 2
 
     def test_exact_scenario_audit(self, surrogate_file, scenario_file,
                                   tmp_path):
@@ -369,6 +434,15 @@ class TestAudit:
         ("report", True, "report prediction True is not an integer"),
         ("report", float("nan"), "report prediction nan is not an integer"),
         ("report", "2", "report prediction '2' is not an integer"),
+        ("scalar", [0.5], "scalar prediction [0.5] is not a number"),
+        ("report", 10**29, "report prediction 100000000000000000000000000000 is not "
+                           "an integer in the int64 range"),
+        ("scalar", "0.5", "scalar prediction '0.5' is not a number"),
+        ("scalar", True, "scalar prediction True is not a number"),
+        ("distribution", ["0.5", 0.25, 0.25], "distribution ['0.5', 0.25, 0.25] is not 3 "
+                                              "numbers"),
+        ("distribution", [True, False, False], "distribution [True, False, False] is not "
+                                               "3 numbers"),
     ])
     def test_bad_prediction_is_spec_error(self, surrogate_file, tmp_path, capsys,
                                           kind, bad, cause):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     labeled_rows,
     reference_counts,
     sampled_counts,
+    sampled_rows,
     written_v_bar,
 )
 from ordelic import serialize
@@ -27,6 +29,7 @@ from ordelic.normals import build_from_spec
 from ordelic.properties import CostMatrix, random_orderable_spec, sample_boundary
 from ordelic.scenario import (
     GUIDE_BUCKETS,
+    ROW_BLOCK,
     ScenarioSpec,
     _draw,
     exact_dataset,
@@ -121,10 +124,9 @@ class TestScenario:
             assert w[x] == pytest.approx(wx, abs=0.01)
 
     def test_sampling_deterministic(self, scenario):
-        a = sample_dataset(scenario, 100, seed=5)
-        b = sample_dataset(scenario, 100, seed=5)
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.codes, b.codes) and a.keys == b.keys
+        a_ids, a_y = sampled_rows(scenario, 100, seed=5)
+        b_ids, b_y = sampled_rows(scenario, 100, seed=5)
+        assert a_ids == b_ids and np.array_equal(a_y, b_y)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("size", [1, 2, 3, 1000, GUIDE_BUCKETS, GUIDE_BUCKETS + 1,
@@ -142,7 +144,7 @@ class TestScenario:
             p[2] = 1.0
         p /= p.sum()
         want = np.random.default_rng(seed + 1).choice(len(p), size=size, p=p)
-        got = _draw(np.random.default_rng(seed + 1), p, size)
+        got = np.concatenate(list(_draw(np.random.default_rng(seed + 1), p, size)))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_feature_draw_on_bucket_edges(self):
@@ -153,14 +155,45 @@ class TestScenario:
         edges = np.arange(B) / B
         u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0)])
 
-        class Uniforms:
+        class Uniforms:  # u, one block at a time
+            taken = 0
+
             def random(self, size):
-                assert size == len(u)
-                return u.copy()
+                self.taken += size
+                return u[self.taken - size:self.taken].copy()
 
         cdf = p.cumsum()
         cdf /= cdf[-1]
-        assert np.array_equal(_draw(Uniforms(), p, len(u)), cdf.searchsorted(u, side="right"))
+        got = np.concatenate(list(_draw(Uniforms(), p, len(u))))
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("block,rows", [
+        (ROW_BLOCK, 1), (64, 64), (64, 5 * 64 + 17), (ROW_BLOCK, ROW_BLOCK),
+        (ROW_BLOCK, 2 * ROW_BLOCK + 5)])
+    def test_blocks_match_whole_array_oracle(self, block, rows, tmp_path, monkeypatch):
+        """The file written from sample_dataset's blocks is that of one
+        whole-array draw: rng.choice of the features, then rng.random labels
+        from the same generator, lines written by csv."""
+        monkeypatch.setattr("ordelic.scenario.ROW_BLOCK", block)
+        rng = np.random.default_rng(rows)
+        ids = ("a,b", 'q"t', "é日", "line\nbreak", "") + tuple(f"x{i}" for i in range(35))
+        w = rng.dirichlet(np.full(len(ids), 0.5))
+        w[[5, 6, 39]] = 0.0
+        sc = ScenarioSpec(ids, w / w.sum(), sample_simplex(4, len(ids), seed=rows))
+        blocks = list(sample_dataset(sc, rows, seed=11))
+        assert [len(f) for f, _ in blocks] == [block] * (rows // block) + (
+            [rows % block] if rows % block else [])
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, sc.feature_ids, 4, blocks)
+
+        oracle = np.random.default_rng(11)
+        f = oracle.choice(len(ids), rows, p=sc.weights)
+        u = oracle.random(rows)
+        y = 1 + np.sum(u[:, None] > np.cumsum(sc.conditionals, axis=1)[f, :-1], axis=1)
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(
+            [["x_id", "y"]] + [[ids[i], int(label)] for i, label in zip(f, y)])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
     def test_exact_dataset_reproduces_conditionals(self, scenario):
         data = exact_dataset(scenario)
@@ -204,14 +237,48 @@ class TestSerialization:
                 predictor_from_json({"kind": "report", "table": {"a": 1, "b": bad}}, 3,
                                     "f.json")
 
+    def test_predictions_are_json_numbers(self):
+        """Scalars and distribution entries are JSON numbers (ints count) in
+        the float64 range, and reports ints in the int64 range; a bool, a
+        string, an array or an out-of-range number is an error naming the
+        x_id."""
+        got = predictor_from_json({"kind": "scalar", "table": {"a": 1, "b": 0.5}}, 3)
+        assert got.values.dtype == np.float64 and got.values.tolist() == [1.0, 0.5]
+        got = predictor_from_json({"kind": "distribution",
+                                   "table": {"a": [1, 0, 0], "b": [0.5, 0.5, 0]}}, 3)
+        assert got.values.dtype == np.float64 and got.values.shape == (2, 3)
+        got = predictor_from_json({"kind": "report", "table": {"a": -2**63, "b": 2**63 - 1}}, 3)
+        assert got.values.tolist() == [-2**63, 2**63 - 1]
+        for kind, good, bad, cause in (
+                ("scalar", 0.5, [0.5], "scalar prediction [0.5] is not a number"),
+                ("scalar", 0.5, "0.5", "scalar prediction '0.5' is not a number"),
+                ("scalar", 0.5, True, "scalar prediction True is not a number"),
+                ("scalar", 0.5, None, "scalar prediction None is not a number"),
+                ("scalar", 0.5, 10**400, "is not a number in the float64 range"),
+                ("report", 1, 2**63, "report prediction 9223372036854775808 is not an"),
+                ("report", 1, 1e20, "report prediction 100000000000000000000 is not an"),
+                ("distribution", [0.2, 0.3, 0.5], ["0.5", 0.25, 0.25],
+                 "distribution ['0.5', 0.25, 0.25] is not 3 numbers"),
+                ("distribution", [0.2, 0.3, 0.5], [True, False, False],
+                 "distribution [True, False, False] is not 3 numbers"),
+                ("distribution", [0.2, 0.3, 0.5], [1.0, False, 0],
+                 "distribution [1.0, False, 0] is not 3 numbers"),
+                ("distribution", [0.2, 0.3, 0.5], [[1], [0], [0]],
+                 "distribution [[1], [0], [0]] is not 3 numbers"),
+                ("distribution", [0.2, 0.3, 0.5], [10**400, 0, 0], "in the float64 range"),
+                ("distribution", [0.2, 0.3, 0.5], [1, [0, 1], 0], "is not 3 numbers")):
+            for table in ({"a": good, "b": bad}, {"b": bad, "a": good}):
+                with pytest.raises(SpecError, match=re.escape(cause)) as exc:
+                    predictor_from_json({"kind": kind, "table": table}, 3, "f.json")
+                assert str(exc.value).startswith("x_id 'b' in f.json: ")
+
     def test_dataset_csv_round_trip(self, scenario, tmp_path):
-        data = sample_dataset(scenario, 200, seed=6)
         path = tmp_path / "data.csv"
-        write_dataset_csv(path, data)
+        write_dataset_csv(path, scenario.feature_ids, 3, sample_dataset(scenario, 200, seed=6))
         text = path.read_text()
         assert text.splitlines()[0] == "x_id,y"
         _assert_same(read_dataset_csv(path, n=3),
-                     reference_counts([data.keys[c] for c in data.codes], data.y, 3))
+                     reference_counts(*sampled_rows(scenario, 200, seed=6), 3))
 
     # csv.writer leaves a bare carriage return unquoted, so ids exclude it
     @settings(max_examples=60, deadline=None)
@@ -225,7 +292,7 @@ class TestSerialization:
         x_ids = [ids[i % len(ids)] for i in range(len(labels))]
         want = reference_counts(x_ids, labels, 12)
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        write_dataset_csv(path, labeled_rows(x_ids, labels, 12))
+        write_dataset_csv(path, *labeled_rows(x_ids, labels, 12))
         _assert_same(read_dataset_csv(path, n=12), want)
         _assert_same(_read_chunked(path, 12, chunk), want)
 
@@ -368,7 +435,7 @@ class TestDatasetReader:
         x_ids = [ids[i % len(ids)] for i, _ in picks]
         labels = [y for _, y in picks]
         path = tmp_path_factory.mktemp("csv") / "data.csv"
-        write_dataset_csv(path, labeled_rows(x_ids, labels, 12))
+        write_dataset_csv(path, *labeled_rows(x_ids, labels, 12))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(serialize._LineCounts, "add_rows", None)  # no csv.reader chunk
             _assert_same(_read_chunked(path, 12, chunk), reference_counts(x_ids, labels, 12))
@@ -418,7 +485,7 @@ class TestDatasetReader:
         x = [vocab[i] for i in rng.integers(0, len(vocab), 300)]
         y = rng.integers(1, 4, len(x))
         path = tmp_path / "data.csv"
-        write_dataset_csv(path, labeled_rows(x, y, 3))
+        write_dataset_csv(path, *labeled_rows(x, y, 3))
         raw = path.read_bytes().split(b"\n", 1)[1]
         ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
         with pytest.MonkeyPatch.context() as mp:
@@ -438,7 +505,7 @@ class TestDatasetReader:
         x = [ids[i] for i in rng.integers(0, len(ids), 40_000)]
         y = rng.integers(1, 4, len(x))
         path = tmp_path / "data.csv"
-        write_dataset_csv(path, labeled_rows(x, y, 3))
+        write_dataset_csv(path, *labeled_rows(x, y, 3))
         want = reference_counts(x, y, 3)
         _assert_same(_read_chunked(path, 3, 4096), want)
 
@@ -460,7 +527,7 @@ class TestDatasetReader:
         x[151] = "f3"
         y = [1 + i % 11 for i in range(300)]
         path = tmp_path / "data.csv"
-        write_dataset_csv(path, labeled_rows(x, y, 11))
+        write_dataset_csv(path, *labeled_rows(x, y, 11))
         assert b'"a,b",' in path.read_bytes()
         calls = []
         with pytest.MonkeyPatch.context() as mp:
@@ -478,7 +545,7 @@ class TestDatasetReader:
         x_ids = [vocab[i] for i in rng.integers(0, len(vocab), 100_000)]
         y = rng.integers(1, 4, len(x_ids))
         path = tmp_path / "data.csv"
-        write_dataset_csv(path, labeled_rows(x_ids, y, 3))
+        write_dataset_csv(path, *labeled_rows(x_ids, y, 3))
         _assert_same(read_dataset_csv(path, n=3), reference_counts(x_ids, y, 3))
 
     def test_undecodable_id(self, tmp_path):
