@@ -236,6 +236,7 @@ def write_dataset_csv(path, keys, n: int, blocks) -> None:
 def read_dataset_csv(path, n: int) -> LabelCounts:
     """Label counts of an ``x_id,y`` file, read in chunks of whole lines,
     with x_ids in order of first appearance; errors name the line at fault.
+    A byte-order mark before the header is skipped.
 
     A chunk is counted line by line (:class:`_LineCounts`) unless a line
     seen there for the first time is not a plain ``x_id,y`` line; such a
@@ -243,7 +244,7 @@ def read_dataset_csv(path, n: int) -> LabelCounts:
     """
     table = _LineCounts(n)
     with open(path, "rb") as fh:
-        header = next(csv.reader([fh.readline().decode("utf-8")]), None)
+        header = next(csv.reader([fh.readline().decode("utf-8-sig")]), None)
         if header != ["x_id", "y"]:
             raise SpecError(f"{path}, line 1: expected header 'x_id,y', got {header}")
         line = 2
@@ -300,18 +301,25 @@ _KEY_WORDS = 8
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 _MIN_SLOT_BITS = 10
 _SLOTS_PER_LINE = 8
+# A chunk's rows are counted per slot while the table has at most this many
+# slots per row; in a larger table they are resolved to line codes first.
+_SLOTS_PER_ROW = 4
 
 
-def _pack(data: bytes, starts: np.ndarray, lengths: np.ndarray,
-          words: int) -> np.ndarray:
-    """(words, rows) packed keys of data[starts[i]:starts[i] + lengths[i]],
-    for lengths up to 8 * words."""
+def _pack(data: bytes, starts: np.ndarray, lengths: np.ndarray, words: int,
+          width: int) -> np.ndarray:
+    """(width, rows) packed keys of data[starts[i]:starts[i] + lengths[i]],
+    for lengths up to 8 * words; words from ``words`` on are zero."""
     padded = data + bytes(8 * words)
     at = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    keys = np.empty((words, len(starts)), dtype=np.uint64)
-    for j in range(words):
-        np.bitwise_and(at[starts + 8 * j], _WORD_MASK[np.clip(lengths - 8 * j, 0, 8)],
-                       out=keys[j])
+    keys = np.empty((width, len(starts)), dtype=np.uint64)
+    if words == 1:  # every line fits one word
+        np.bitwise_and(at[starts], _WORD_MASK.take(lengths), out=keys[0])
+    else:
+        for j in range(words):
+            np.bitwise_and(at[starts + 8 * j], _WORD_MASK[np.clip(lengths - 8 * j, 0, 8)],
+                           out=keys[j])
+    keys[words:] = 0
     return keys
 
 
@@ -343,6 +351,14 @@ def _groups(keys: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum.reduceat(order, np.flatnonzero(np.concatenate(([True], differ)))), group
 
 
+def _coded(index: dict, keys: list) -> np.ndarray:
+    """Code of each key in ``index``, where keys not in it are first given
+    the next codes in order of first appearance."""
+    index.update(zip(itertools.filterfalse(index.__contains__, dict.fromkeys(keys)),
+                     itertools.count(len(index))))
+    return np.fromiter(map(index.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
 def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Positions starts[i] + 0..lengths[i] - 1, for each i in turn."""
     offsets = np.cumsum(lengths) - lengths
@@ -355,17 +371,22 @@ class _LineCounts:
     Lines are counted whole.  Each distinct line (newline included) gets a
     code in order of first appearance, and is split into its x_id, coded in
     ``features`` in order of first appearance, and its label once, when
-    first seen.  One bincount per chunk adds the chunk's line codes to a
-    count per line, and :meth:`counts` sums those into (feature, label)
-    counts.
+    first seen; ``total`` counts the lines of each code, and :meth:`counts`
+    sums those into (feature, label) counts.
 
     A line is coded by its packed key (``packed`` holds the key of each
     code; zero for a line too long to pack, which ``long`` maps from its
-    bytes instead).  A direct-mapped hash table (multiplicative hash, exact
-    key comparison) holds part of the lines, 4 to 8 slots per line, and is
-    rebuilt when it grows or its keys widen.  A line whose slot holds
-    another key is found by ``searchsorted`` in the sorted hashes of all
-    packed lines; a line found by neither is new.
+    bytes instead).  One open-addressing hash table holds every packed line
+    (multiplicative hash, linear probing, exact key comparison, 4 to 16
+    slots per line); ``reach`` is the largest distance of a key from its
+    home slot, so a lookup probes at most ``reach`` slots past the home
+    slot.  The table is rebuilt when it grows or its keys widen.
+
+    The rows of a chunk whose lines are in the table are counted by slot,
+    one bincount into ``slot_total``, which is folded into ``total`` before
+    each rebuild and in :meth:`counts`.  A table of more than
+    ``_SLOTS_PER_ROW`` slots per row of the chunk resolves the slots to
+    line codes instead, so a large table is not swept per chunk.
     """
 
     def __init__(self, n: int):
@@ -378,57 +399,68 @@ class _LineCounts:
         self.total = np.zeros(0, dtype=np.int64)    # lines counted per code
         self.packed = np.zeros((1, 0), dtype=np.uint64)
         self.rows: list = []  # (feature codes, labels) of csv.reader chunks
+        self.slot_total = None  # rows counted per slot, not yet in total
         self._rebuild(_MIN_SLOT_BITS, 1)
 
     def add_lines(self, chunk: bytes, ends: np.ndarray) -> bool:
         """Count the lines of ``chunk`` ending at the newlines ``ends``;
         False, counting nothing, when a line not seen before is not a plain
         ``x_id,y`` line (:func:`_plain_lines`) with a label in 1..n."""
-        starts = np.empty_like(ends)
-        starts[0], starts[1:] = 0, ends[:-1] + 1
-        lengths = ends - starts
-        lengths += 1
-        long = lengths > 8 * _KEY_WORDS
-        words = (int(lengths[~long].max(initial=1)) + 7) // 8
+        starts, lengths = np.empty_like(ends), np.empty_like(ends)
+        starts[0], lengths[0] = 0, ends[0] + 1
+        np.add(ends[:-1], 1, out=starts[1:])
+        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+        fit, longs = lengths, None
+        if lengths.max() > 8 * _KEY_WORDS:
+            longs = np.flatnonzero(lengths > 8 * _KEY_WORDS)
+            fit = lengths.copy()
+            fit[longs] = 0
+        words = (int(fit.max()) + 7) // 8 or 1
         if words > len(self.packed):
             self._rebuild(self.bits, min(_KEY_WORDS, max(words, 2 * len(self.packed))))
-        keys = _pack(chunk, starts, np.where(long, 0, lengths), len(self.packed))
-        h = _hash(keys)
-        codes = self._lookup(keys, h)
-        longs = np.flatnonzero(long)
-        lines = list(map(chunk.__getitem__, map(slice, starts[longs].tolist(),
-                                                 (ends[longs] + 1).tolist())))
-        codes[longs] = [self.long.get(line, -1) for line in lines]
-        unknown = np.flatnonzero(codes < 0)
-        if len(unknown):
-            short = unknown[~long[unknown]]
-            first, group = _groups(keys[:, short], h[short])
+        keys = _pack(chunk, starts, fit, words, len(self.packed))
+        slot, miss = self._lookup(keys)
+        if longs is not None:  # a long line's zero key matches an empty slot
+            miss = np.union1d(miss, longs)
+        if not len(miss):
+            self._count(slot, miss)
+            return True
+        codes = np.full(len(miss), -1, dtype=np.int64)  # of the rows not found
+        at_long = np.zeros(len(miss), dtype=bool)
+        lines: list = []
+        if longs is not None:
+            at_long = lengths[miss] > 8 * _KEY_WORDS
+            lines = list(map(chunk.__getitem__, map(slice, starts[longs].tolist(),
+                                                     (ends[longs] + 1).tolist())))
+            codes[at_long] = [self.long.get(line, -1) for line in lines]
+        if np.any(new := codes < 0):
+            short = miss[new & ~at_long]
+            first, group = _groups(keys[:, short], _hash(keys[:, short]))
             seen: dict = {}  # new long lines, numbered in order of first appearance
             new_long = [seen.setdefault(line, len(seen))
-                        for line, code in zip(lines, codes[longs].tolist()) if code < 0]
-            longs = longs[codes[longs] < 0]
-            rows = np.concatenate([short[first],
-                                   longs[np.unique(new_long, return_index=True)[1]]])
+                        for line, code in zip(lines, codes[at_long].tolist()) if code < 0]
+            rows = np.concatenate([short[first], miss[new & at_long][
+                np.unique(new_long, return_index=True)[1]]])
             order = np.argsort(rows)  # first appearance
-            added = self._add(chunk, starts[rows[order]], lengths[rows[order]],
-                              keys[:, rows[order]])
+            added = self._add(chunk, starts[rows[order]], lengths[rows[order]])
             if added is None:
                 return False
             code = np.empty(len(rows), dtype=np.int64)
             code[order] = added
-            codes[short] = code[group]
-            codes[longs] = code[len(first) + np.asarray(new_long, dtype=np.intp)]
-        self.total += np.bincount(codes, minlength=len(self.total))
+            codes[new & ~at_long] = code[group]
+            codes[new & at_long] = code[len(first) + np.asarray(new_long, dtype=np.intp)]
+        self._count(slot, miss)  # before the table may grow
+        self.total += np.bincount(codes, minlength=len(self.total))  # before a rebuild ranks lines
+        if np.any(new):
+            self._place(keys[:, rows[order]], added)
         return True
 
     def add_rows(self, x_ids: list, labels: np.ndarray) -> None:
         """Count rows parsed by csv.reader."""
-        index = self.features
-        codes = np.fromiter((index.setdefault(x, len(index)) for x in x_ids),
-                            dtype=np.int64, count=len(x_ids))
-        self.rows.append((codes, labels))
+        self.rows.append((_coded(self.features, x_ids), labels))
 
     def counts(self) -> LabelCounts:
+        self._fold()
         n, size = self.n, len(self.features) * self.n
         counts = np.bincount(self.feature * n + self.label - 1, weights=self.total,
                              minlength=size)
@@ -436,32 +468,62 @@ class _LineCounts:
             counts += np.bincount(codes * n + labels - 1, minlength=size)
         return LabelCounts(tuple(self.features), counts.reshape(-1, n))
 
-    def _lookup(self, keys: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Line code of each packed key, with hashes ``h``; -1 for a key of
-        no line seen before."""
-        slot = (h >> np.uint64(64 - self.bits)).astype(np.intp)
-        codes = self.codes.take(slot)
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """Home slot of each column of (words, rows) packed keys."""
+        h = _hash(keys)
+        h >>= np.uint64(64 - self.bits)
+        return h.view(np.int64)
+
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slot of each packed key, columns of the keys not in the table).
+
+        A key is compared with the key in its home slot and, where that
+        differs, in up to ``reach`` slots after it; a probe ends early at an
+        empty slot, since no key lies past one."""
+        slot = self._home(keys)
+        miss = np.flatnonzero(self._differ(keys, slot))
+        probe = miss
+        for _ in range(self.reach):
+            probe = probe[self.codes.take(slot[probe]) >= 0]
+            if not len(probe):
+                break
+            slot[probe] += 1
+            slot[probe] &= len(self.codes) - 1
+            probe = probe[self._differ(keys[:, probe], slot[probe])]
+        if self.reach:
+            miss = miss[self._differ(keys[:, miss], slot[miss])]
+        return slot, miss
+
+    def _differ(self, keys: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Whether each packed key differs from the key held in its slot."""
         other = self.keys[0].take(slot) != keys[0]
         for held, word in zip(self.keys[1:], keys[1:]):
             other |= held.take(slot) != word
-        miss = np.flatnonzero(other)
-        codes[miss] = -1
-        at = self.sorted_hash.searchsorted(h[miss])
-        while len(miss):  # the keys of one hash sort together
-            tied = at < len(self.sorted_hash)
-            tied[tied] = self.sorted_hash[at[tied]] == h[miss[tied]]
-            miss, at = miss[tied], at[tied]
-            cand = self.sorted_code[at]
-            found = np.all(self.packed[:, cand] == keys[:, miss], axis=0)
-            codes[miss[found]] = cand[found]
-            miss, at = miss[~found], at[~found] + 1
-        return codes
+        return other
 
-    def _add(self, chunk: bytes, starts: np.ndarray, lengths: np.ndarray,
-             keys: np.ndarray) -> np.ndarray | None:
+    def _count(self, slot: np.ndarray, skip: np.ndarray) -> None:
+        """Count the rows whose lines are held in the slots ``slot``, but
+        not the rows ``skip``."""
+        if len(self.codes) > _SLOTS_PER_ROW * len(slot):
+            codes = self.codes.take(np.delete(slot, skip))
+            self.total += np.bincount(codes, minlength=len(self.total))
+            return
+        if self.slot_total is None:
+            self.slot_total = np.zeros(len(self.codes), dtype=np.int64)
+        slot[skip] = len(self.codes)  # a bin past the table, dropped
+        self.slot_total += np.bincount(slot, minlength=len(self.codes) + 1)[:-1]
+
+    def _fold(self) -> None:
+        """Move the counts per slot into the counts per line code."""
+        if self.slot_total is not None:
+            held = np.flatnonzero(self.codes >= 0)
+            self.total[self.codes[held]] += self.slot_total[held]
+            self.slot_total = None
+
+    def _add(self, chunk: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
         """Add the distinct new lines chunk[starts[i]:starts[i] + lengths[i]],
-        in order of first appearance, with their packed keys, and return
-        their codes; None, adding nothing, when one is not plain."""
+        in order of first appearance, and return their codes; None, adding
+        nothing, when one is not plain."""
         text = np.frombuffer(chunk, dtype=np.uint8)[_ragged(starts, lengths)].tobytes()
         if not self.plain.fullmatch(text):
             return None
@@ -474,51 +536,60 @@ class _LineCounts:
         labels = np.array(fields[1::2], dtype=np.int64)
         if labels.min() < 1 or labels.max() > self.n:
             return None
-        features = self.features
         codes = np.arange(len(self.total), len(self.total) + len(labels))
-        self.feature = np.concatenate([self.feature, np.array(
-            [features.setdefault(x, len(features)) for x in fields[:-1:2]], dtype=np.int64)])
+        self.feature = np.concatenate([self.feature, _coded(self.features, fields[:-1:2])])
         self.label = np.concatenate([self.label, labels])
         self.total = np.concatenate([self.total, np.zeros(len(labels), dtype=np.int64)])
         fits = lengths <= 8 * _KEY_WORDS
         self.long.update((chunk[a:a + b], code) for a, b, code in
                          zip(starts[~fits].tolist(), lengths[~fits].tolist(),
                              codes[~fits].tolist()))
-        keys = np.where(fits, keys, 0)
+        return codes
+
+    def _place(self, keys: np.ndarray, codes: np.ndarray) -> None:
+        """Hold the new lines ``codes``, with packed keys ``keys`` (zero for a
+        long line), in the table, rebuilding it when it is too full."""
         self.packed = np.concatenate([self.packed, keys], axis=1)
         if _SLOTS_PER_LINE * len(self.total) > 2 * len(self.codes):
             self._rebuild(max(self.bits, (_SLOTS_PER_LINE * len(self.total) - 1).bit_length()),
                           len(self.packed))
         else:
-            self._insert(keys[:, fits], codes[fits])
-        return codes
+            fit = np.flatnonzero(keys.any(axis=0))
+            self._insert(keys[:, fit], codes[fit])
 
     def _insert(self, keys: np.ndarray, codes: np.ndarray) -> None:
-        """Put keys into free slots, the first key winning a shared slot, and
-        their hashes into the sorted hashes."""
-        h = _hash(keys)
-        slot = (h >> np.uint64(64 - self.bits)).astype(np.intp)
-        free = np.flatnonzero(self.codes[slot] < 0)
-        taken, pick = np.unique(slot[free], return_index=True)
-        self.keys[:, taken] = keys[:, free[pick]]
-        self.codes[taken] = codes[free[pick]]
-        order = np.argsort(h)
-        at = self.sorted_hash.searchsorted(h[order])
-        self.sorted_hash = np.insert(self.sorted_hash, at, h[order])
-        self.sorted_code = np.insert(self.sorted_code, at, codes[order])
+        """Put distinct keys not in the table into it: each takes the first
+        free slot from its home slot on; of keys that reach a free slot at
+        once, the one whose code is written there last (the first key, as
+        numpy writes in order) takes it."""
+        home = self._home(keys)
+        left = np.arange(len(codes))
+        step = 0
+        while len(left):
+            at = home[left] + step
+            at &= len(self.codes) - 1
+            free = np.flatnonzero(self.codes.take(at) < 0)
+            self.codes[at[free[::-1]]] = codes[left[free[::-1]]]
+            won = free[self.codes.take(at[free]) == codes[left[free]]]
+            self.keys[:, at[won]] = keys[:, left[won]]
+            if len(won):
+                self.reach = max(self.reach, step)
+            left = np.delete(left, won)
+            step += 1
 
     def _rebuild(self, bits: int, words: int) -> None:
-        """Empty table of 2**bits slots and sorted hashes for keys of
-        ``words`` words, then every packed line inserted."""
-        self.bits = bits
+        """Empty table of 2**bits slots for keys of ``words`` words, then
+        every packed line inserted, the most counted first so that they
+        keep their home slots; counts per slot are folded first."""
+        self._fold()
+        self.bits, self.reach = bits, 0
         self.packed = np.concatenate(
             [self.packed, np.zeros((words - len(self.packed), self.packed.shape[1]),
                                    dtype=np.uint64)])
         self.keys = np.zeros((words, 1 << bits), dtype=np.uint64)
         self.codes = np.full(1 << bits, -1, dtype=np.int64)
-        self.sorted_hash = np.zeros(0, dtype=np.uint64)
-        self.sorted_code = np.zeros(0, dtype=np.int64)
         fit = np.flatnonzero(self.packed.any(axis=0))
+        fit = fit[np.argsort(-self.total[fit], kind="stable")]
         self._insert(self.packed[:, fit], fit)
 
 

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -315,12 +315,14 @@ def test_link_ties_resolve_low(fixture_cost, algo):
 def _near_argmax_quotient(s, top, ordv) -> float:
     """Best oracle-root quotient over pairs (A, A + r u) next to the returned
     maximizer p*, with u the returned unit direction and A = p* + d (S - p*)
-    for sample points S: for S in the maximizer's region the segment from
-    p* stays in it.  The exact-sign oracle is used because within
-    BOUNDARY_TOL of a node slice the kernel takes the neighbouring piece's
-    formula; pairs nearer than 1e-8 / K, where rounding dominates the
-    quotient, are left out."""
-    S = sample_simplex(len(top.point), 2000, seed=0)
+    for points S sampled in the maximizer's region, so that the segment from
+    p* stays in it.  (Where the gradient's norm peaks at a vertex of the
+    region, the quotients approach K only as d -> 0, and points S drawn from
+    the whole simplex may all lie outside the region's narrow corner there.)
+    The exact-sign oracle is used because within BOUNDARY_TOL of a node
+    slice the kernel takes the neighbouring piece's formula; pairs nearer
+    than 1e-8 / K, where rounding dominates the quotient, are left out."""
+    S = sample_simplex(len(top.region), 2000, seed=0) @ top.region
     d = 10.0 ** -np.arange(2, 11)
     r = (d[:, None] * np.array([0.1, 0.01, -0.1, -0.01])).ravel()  # step per d
     A = np.repeat(top.point + d[:, None, None] * (S - top.point), 4, axis=0)
@@ -334,6 +336,7 @@ def _near_argmax_quotient(s, top, ordv) -> float:
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(3, 8), n_reports=st.integers(3, 5), seed=st.integers(0, 2**20),
        algo=st.sampled_from(["embedding", "normals"]))
+@example(n=8, n_reports=5, seed=22071, algo="embedding")  # K peaks at a vertex
 def test_k_is_exact_in_every_norm(n, n_reports, seed, algo):
     """For l1, l2 and linf, no sampled quotient exceeds K, and pairs next to
     the returned maximizer, along the returned direction, reach K."""

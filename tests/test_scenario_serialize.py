@@ -319,6 +319,19 @@ class TestSerialization:
         with pytest.raises(SpecError):
             read_dataset_csv(path, n=3)
 
+    def test_dataset_csv_byte_order_mark(self, tmp_path):
+        """A UTF-8 byte-order mark before the header (Excel's "CSV UTF-8")
+        is skipped; anywhere else it is a character of the file."""
+        path = tmp_path / "bom.csv"
+        bom = "\ufeff"
+        path.write_bytes(f"{bom}x_id,y\na,1\n{bom}b,2\na,3\n".encode("utf-8"))
+        _assert_same(read_dataset_csv(path, n=3),
+                     reference_counts(["a", bom + "b", "a"], [1, 2, 3], 3))
+        for header in (bom + bom + "x_id,y", "x_id," + bom + "y", "x_id,y" + bom):
+            path.write_bytes(f"{header}\na,1\n".encode("utf-8"))
+            with pytest.raises(SpecError, match="line 1: expected header 'x_id,y'"):
+                read_dataset_csv(path, n=3)
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -346,6 +359,25 @@ def _read_chunked(path, n, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(serialize, "CSV_CHUNK_BYTES", chunk)
         return read_dataset_csv(path, n=n)
+
+
+def _lines_chunk(lines: list) -> tuple[bytes, np.ndarray]:
+    """(chunk, newline positions) of the given newline-terminated lines."""
+    raw = "".join(lines).encode("utf-8")
+    return raw, np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+
+
+def _line_counts(lines: list, n: int = 3):
+    """Reference label counts of plain ``x_id,y`` lines."""
+    x, y = zip(*(line[:-1].rsplit(",", 1) for line in lines))
+    return reference_counts(list(x), [int(v) for v in y], n)
+
+
+def _homes(table, lines: list) -> np.ndarray:
+    """Home slot in ``table`` of each line of at most 8 bytes."""
+    raw, ends = _lines_chunk(lines)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    return table._home(serialize._pack(raw, starts, ends - starts + 1, 1, 1))
 
 
 def _assert_same(back, want):
@@ -514,12 +546,94 @@ class TestDatasetReader:
         ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
         assert table.add_lines(raw, ends)
         assert table.bits > serialize._MIN_SLOT_BITS
-        cached = np.count_nonzero(table.codes >= 0)
-        assert 0 < cached < len(table.total)  # some lines lost their slot
+        held = np.flatnonzero(table.codes >= 0)
+        assert np.array_equal(np.sort(table.codes[held]), np.arange(len(table.total)))
+        home = table._home(table.keys[:, held])
+        assert np.any(home != held) and table.reach > 0  # some lines lost their home slot
+        _assert_same(table.counts(), want)
         first = table.total.copy()
         assert table.add_lines(raw, ends)
-        assert np.array_equal(table.total, 2 * first)
         _assert_same(table.counts(), LabelCounts(want.keys, 2 * want.counts))
+        assert np.array_equal(table.total, 2 * first)
+
+    def test_lines_that_share_a_home_slot(self):
+        table = serialize._LineCounts(3)
+        pool = [f"h{i},{1 + i % 3}\n" for i in range(1000)]
+        home = _homes(table, pool)
+        slots, size = np.unique(home, return_counts=True)
+        lines = [pool[i] for i in np.flatnonzero(np.isin(home, slots[size >= 3][:3]))]
+        rows = [lines[i] for i in np.random.default_rng(0).integers(0, len(lines), 500)]
+        for chunk in (rows[:250], rows[250:]):
+            assert table.add_lines(*_lines_chunk(chunk))
+        assert table.bits == serialize._MIN_SLOT_BITS and table.reach >= 2
+        _assert_same(table.counts(), _line_counts(rows))
+
+    def test_probe_wraps_past_the_last_slot(self):
+        table = serialize._LineCounts(3)
+        pool = [f"{i:x},{1 + i % 3}\n" for i in range(1 << 17)]
+        last = len(table.codes) - 1
+        lines = [pool[i] for i in np.flatnonzero(_homes(table, pool) == last)[:3]]
+        rows = lines * 3 + lines[::-1] * 100
+        assert table.add_lines(*_lines_chunk(rows))
+        assert np.all(table.codes[[last, 0, 1]] >= 0)  # two lines wrapped to slot 0 and 1
+        assert np.all(_homes(table, lines) == last) and table.reach == 2
+        assert table.add_lines(*_lines_chunk(rows[::-1]))
+        assert len(table.total) == len(lines)  # the second pass found every line
+        want = _line_counts(rows)
+        _assert_same(table.counts(), LabelCounts(want.keys, 2 * want.counts))
+
+    def test_growth_after_rows_counted_by_slot(self):
+        """A chunk whose known rows are counted per slot and whose new lines
+        then outgrow the table: those rows are folded through the old table."""
+        table = serialize._LineCounts(3)
+        old = [f"a{i},{1 + i % 3}\n" for i in range(100)]
+        assert table.add_lines(*_lines_chunk(old * 3))
+        rng = np.random.default_rng(2)
+        rows = [old[i] for i in rng.integers(0, len(old), 2000)] + [
+            f"b{i},{1 + i % 3}\n" for i in range(400)]
+        pending = []
+        rebuild = table._rebuild
+        table._rebuild = lambda *args: pending.append(table.slot_total.sum()) or rebuild(*args)
+        assert table.add_lines(*_lines_chunk(rows))
+        assert pending == [2000] and table.bits > serialize._MIN_SLOT_BITS
+        _assert_same(table.counts(), _line_counts(old * 3 + rows))
+
+    @pytest.mark.parametrize("known", [10, 600])  # rows resolved to codes / counted per slot
+    @pytest.mark.parametrize("bad", ['"q,1",2\n', "z,4\n"])
+    def test_refused_chunk_counts_nothing(self, known, bad):
+        """add_lines refuses a chunk with a new line that is not plain, after
+        its known rows were matched, and counts none of them; csv.reader's
+        rows of the chunk are then counted once."""
+        table = serialize._LineCounts(3)
+        old = [f"a{i},{1 + i % 3}\n" for i in range(50)]
+        assert table.add_lines(*_lines_chunk(old))
+        rows = [old[i % len(old)] for i in range(known)] + [bad, "new,2\n"]
+        assert not table.add_lines(*_lines_chunk(rows))
+        _assert_same(table.counts(), _line_counts(old))
+        chunk = "".join(rows).encode()
+        if bad.startswith('"'):
+            table.add_rows(*serialize._parse_rows(chunk, 2, "f.csv", 3))
+            _assert_same(table.counts(), _csv_oracle("".join(old + rows), 3))
+        else:
+            with pytest.raises(SpecError, match="label '4' is not an integer in 1..3"):
+                serialize._parse_rows(chunk, 2, "f.csv", 3)
+
+    def test_two_passes_double_every_count(self):
+        """Short, multi-word and too-long lines, counted twice by one table,
+        with and without folding the counts between the passes."""
+        rng = np.random.default_rng(3)
+        x = [_EDGE_IDS[i] for i in rng.integers(0, len(_EDGE_IDS), 3000)]
+        y = rng.integers(1, 4, len(x))
+        raw = "".join(f"{a},{b}\n" for a, b in zip(x, y)).encode("utf-8")
+        ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        want = reference_counts(x, y, 3)
+        for fold in (True, False):
+            table = serialize._LineCounts(3)
+            assert table.add_lines(raw, ends)
+            if fold:
+                _assert_same(table.counts(), want)
+            assert table.add_lines(raw, ends)
+            _assert_same(table.counts(), LabelCounts(want.keys, 2 * want.counts))
 
     def test_quoted_id_in_a_middle_chunk(self, tmp_path):
         x = [f"f{i % 7}" for i in range(300)]
