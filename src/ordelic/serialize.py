@@ -301,9 +301,6 @@ _KEY_WORDS = 8
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 _MIN_SLOT_BITS = 10
 _SLOTS_PER_LINE = 8
-# A chunk's rows are counted per slot while the table has at most this many
-# slots per row; in a larger table they are resolved to line codes first.
-_SLOTS_PER_ROW = 4
 
 
 def _pack(data: bytes, starts: np.ndarray, lengths: np.ndarray, words: int,
@@ -335,20 +332,30 @@ def _hash(keys: np.ndarray) -> np.ndarray:
 
 def _groups(keys: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first column of each distinct column, its group for every column) of
-    (words, rows) packed keys with hashes ``h``; groups are numbered in the
-    order of their keys' hashes."""
+    (words, rows) packed keys with hashes ``h``.
+
+    Columns are sorted by the top bits of their hash with the column number
+    in the low bits, so each group's first column leads it; where two keys
+    that differ share those bits, by hash and key words instead."""
     if not len(h):
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    order = np.argsort(h)
+    low = len(h).bit_length()
+    order = h >> np.uint64(low)
+    order <<= np.uint64(low)
+    order |= np.arange(len(h), dtype=np.uint64)
+    order.sort()
+    differ = order[1:] >> np.uint64(low) != order[:-1] >> np.uint64(low)
+    order &= np.uint64((1 << low) - 1)
+    order = order.view(np.int64)
     ordered = keys[:, order]
-    differ = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
-    if np.any(differ & (h[order[1:]] == h[order[:-1]])):  # keys that share a hash
-        order = np.lexsort((*keys[::-1], h))
+    if np.any(np.any(ordered[:, 1:] != ordered[:, :-1], axis=0) & ~differ):
+        order = np.lexsort((*keys[::-1], h))  # stable: a group's first column leads
         ordered = keys[:, order]
         differ = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    lead = np.concatenate(([True], differ))
     group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.concatenate(([0], np.cumsum(differ)))
-    return np.minimum.reduceat(order, np.flatnonzero(np.concatenate(([True], differ)))), group
+    group[order] = np.cumsum(lead) - 1
+    return order[lead], group
 
 
 def _coded(index: dict, keys: list) -> np.ndarray:
@@ -371,22 +378,21 @@ class _LineCounts:
     Lines are counted whole.  Each distinct line (newline included) gets a
     code in order of first appearance, and is split into its x_id, coded in
     ``features`` in order of first appearance, and its label once, when
-    first seen; ``total`` counts the lines of each code, and :meth:`counts`
-    sums those into (feature, label) counts.
+    first seen; ``total`` counts the lines of each code, one bincount of a
+    chunk's line codes at a time, and :meth:`counts` sums those into
+    (feature, label) counts.
 
     A line is coded by its packed key (``packed`` holds the key of each
     code; zero for a line too long to pack, which ``long`` maps from its
     bytes instead).  One open-addressing hash table holds every packed line
     (multiplicative hash, linear probing, exact key comparison, 4 to 16
     slots per line); ``reach`` is the largest distance of a key from its
-    home slot, so a lookup probes at most ``reach`` slots past the home
-    slot.  The table is rebuilt when it grows or its keys widen.
-
-    The rows of a chunk whose lines are in the table are counted by slot,
-    one bincount into ``slot_total``, which is folded into ``total`` before
-    each rebuild and in :meth:`counts`.  A table of more than
-    ``_SLOTS_PER_ROW`` slots per row of the chunk resolves the slots to
-    line codes instead, so a large table is not swept per chunk.
+    home slot.  A lookup compares every row with its home slot, then probes
+    up to ``reach`` slots further, one round at a time over the rows not
+    yet resolved, so its cost grows with ``reach``: keys that crowd one run
+    of slots (such as many keys sharing the top bits of their hash) slow a
+    read but do not change its counts.  The table is rebuilt when it grows
+    or its keys widen.
     """
 
     def __init__(self, n: int):
@@ -399,7 +405,6 @@ class _LineCounts:
         self.total = np.zeros(0, dtype=np.int64)    # lines counted per code
         self.packed = np.zeros((1, 0), dtype=np.uint64)
         self.rows: list = []  # (feature codes, labels) of csv.reader chunks
-        self.slot_total = None  # rows counted per slot, not yet in total
         self._rebuild(_MIN_SLOT_BITS, 1)
 
     def add_lines(self, chunk: bytes, ends: np.ndarray) -> bool:
@@ -419,39 +424,34 @@ class _LineCounts:
         if words > len(self.packed):
             self._rebuild(self.bits, min(_KEY_WORDS, max(words, 2 * len(self.packed))))
         keys = _pack(chunk, starts, fit, words, len(self.packed))
-        slot, miss = self._lookup(keys)
-        if longs is not None:  # a long line's zero key matches an empty slot
-            miss = np.union1d(miss, longs)
-        if not len(miss):
-            self._count(slot, miss)
-            return True
-        codes = np.full(len(miss), -1, dtype=np.int64)  # of the rows not found
-        at_long = np.zeros(len(miss), dtype=bool)
-        lines: list = []
-        if longs is not None:
-            at_long = lengths[miss] > 8 * _KEY_WORDS
+        code, new = self._lookup(keys)
+        if longs is not None:  # a long line's zero key is held nowhere
             lines = list(map(chunk.__getitem__, map(slice, starts[longs].tolist(),
                                                      (ends[longs] + 1).tolist())))
-            codes[at_long] = [self.long.get(line, -1) for line in lines]
-        if np.any(new := codes < 0):
-            short = miss[new & ~at_long]
+            code[longs] = [self.long.get(line, -1) for line in lines]
+            new = np.union1d(new, longs)
+            new = new[code[new] < 0]
+        if len(new):
+            short = new if longs is None else new[lengths[new] <= 8 * _KEY_WORDS]
             first, group = _groups(keys[:, short], _hash(keys[:, short]))
-            seen: dict = {}  # new long lines, numbered in order of first appearance
-            new_long = [seen.setdefault(line, len(seen))
-                        for line, code in zip(lines, codes[at_long].tolist()) if code < 0]
-            rows = np.concatenate([short[first], miss[new & at_long][
-                np.unique(new_long, return_index=True)[1]]])
+            rows = short[first]
+            if len(short) < len(new):  # new long lines, grouped by their bytes
+                seen: dict = {}
+                long_group = [seen.setdefault(line, len(seen)) for line, c
+                              in zip(lines, code[longs].tolist()) if c < 0]
+                new_long = longs[code[longs] < 0]
+                rows = np.concatenate([rows, new_long[np.unique(long_group, return_index=True)[1]]])
+                group = np.concatenate([group, len(first) + np.asarray(long_group, dtype=np.intp)])
+                new = np.concatenate([short, new_long])  # in the order of group
             order = np.argsort(rows)  # first appearance
             added = self._add(chunk, starts[rows[order]], lengths[rows[order]])
             if added is None:
                 return False
-            code = np.empty(len(rows), dtype=np.int64)
-            code[order] = added
-            codes[new & ~at_long] = code[group]
-            codes[new & at_long] = code[len(first) + np.asarray(new_long, dtype=np.intp)]
-        self._count(slot, miss)  # before the table may grow
-        self.total += np.bincount(codes, minlength=len(self.total))  # before a rebuild ranks lines
-        if np.any(new):
+            code_of = np.empty(len(rows), dtype=np.int64)
+            code_of[order] = added
+            code[new] = code_of[group]
+        self.total += np.bincount(code, minlength=len(self.total))  # before a rebuild ranks lines
+        if len(new):
             self._place(keys[:, rows[order]], added)
         return True
 
@@ -460,7 +460,6 @@ class _LineCounts:
         self.rows.append((_coded(self.features, x_ids), labels))
 
     def counts(self) -> LabelCounts:
-        self._fold()
         n, size = self.n, len(self.features) * self.n
         counts = np.bincount(self.feature * n + self.label - 1, weights=self.total,
                              minlength=size)
@@ -475,7 +474,8 @@ class _LineCounts:
         return h.view(np.int64)
 
     def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(slot of each packed key, columns of the keys not in the table).
+        """(line code of each packed key, -1 where the table does not hold
+        it; columns of the keys not held).
 
         A key is compared with the key in its home slot and, where that
         differs, in up to ``reach`` slots after it; a probe ends early at an
@@ -492,7 +492,9 @@ class _LineCounts:
             probe = probe[self._differ(keys[:, probe], slot[probe])]
         if self.reach:
             miss = miss[self._differ(keys[:, miss], slot[miss])]
-        return slot, miss
+        code = self.codes.take(slot)
+        code[miss] = -1
+        return code, miss
 
     def _differ(self, keys: np.ndarray, slot: np.ndarray) -> np.ndarray:
         """Whether each packed key differs from the key held in its slot."""
@@ -500,25 +502,6 @@ class _LineCounts:
         for held, word in zip(self.keys[1:], keys[1:]):
             other |= held.take(slot) != word
         return other
-
-    def _count(self, slot: np.ndarray, skip: np.ndarray) -> None:
-        """Count the rows whose lines are held in the slots ``slot``, but
-        not the rows ``skip``."""
-        if len(self.codes) > _SLOTS_PER_ROW * len(slot):
-            codes = self.codes.take(np.delete(slot, skip))
-            self.total += np.bincount(codes, minlength=len(self.total))
-            return
-        if self.slot_total is None:
-            self.slot_total = np.zeros(len(self.codes), dtype=np.int64)
-        slot[skip] = len(self.codes)  # a bin past the table, dropped
-        self.slot_total += np.bincount(slot, minlength=len(self.codes) + 1)[:-1]
-
-    def _fold(self) -> None:
-        """Move the counts per slot into the counts per line code."""
-        if self.slot_total is not None:
-            held = np.flatnonzero(self.codes >= 0)
-            self.total[self.codes[held]] += self.slot_total[held]
-            self.slot_total = None
 
     def _add(self, chunk: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
         """Add the distinct new lines chunk[starts[i]:starts[i] + lengths[i]],
@@ -533,17 +516,18 @@ class _LineCounts:
             for line in text.split(b"\n"):  # raise the error of the first bad x_id
                 line.partition(b",")[0].decode("utf-8")
             raise
-        labels = np.array(fields[1::2], dtype=np.int64)
+        labels = np.fromstring(" ".join(fields[1::2]), dtype=np.int64, sep=" ")
         if labels.min() < 1 or labels.max() > self.n:
             return None
         codes = np.arange(len(self.total), len(self.total) + len(labels))
         self.feature = np.concatenate([self.feature, _coded(self.features, fields[:-1:2])])
         self.label = np.concatenate([self.label, labels])
         self.total = np.concatenate([self.total, np.zeros(len(labels), dtype=np.int64)])
-        fits = lengths <= 8 * _KEY_WORDS
-        self.long.update((chunk[a:a + b], code) for a, b, code in
-                         zip(starts[~fits].tolist(), lengths[~fits].tolist(),
-                             codes[~fits].tolist()))
+        if lengths.max() > 8 * _KEY_WORDS:
+            longs = lengths > 8 * _KEY_WORDS
+            self.long.update((chunk[a:a + b], code) for a, b, code in
+                             zip(starts[longs].tolist(), lengths[longs].tolist(),
+                                 codes[longs].tolist()))
         return codes
 
     def _place(self, keys: np.ndarray, codes: np.ndarray) -> None:
@@ -570,18 +554,17 @@ class _LineCounts:
             at &= len(self.codes) - 1
             free = np.flatnonzero(self.codes.take(at) < 0)
             self.codes[at[free[::-1]]] = codes[left[free[::-1]]]
-            won = free[self.codes.take(at[free]) == codes[left[free]]]
+            won = self.codes.take(at) == codes[left]
             self.keys[:, at[won]] = keys[:, left[won]]
-            if len(won):
+            if won.any():
                 self.reach = max(self.reach, step)
-            left = np.delete(left, won)
+            left = left[~won]
             step += 1
 
     def _rebuild(self, bits: int, words: int) -> None:
         """Empty table of 2**bits slots for keys of ``words`` words, then
         every packed line inserted, the most counted first so that they
-        keep their home slots; counts per slot are folded first."""
-        self._fold()
+        keep their home slots."""
         self.bits, self.reach = bits, 0
         self.packed = np.concatenate(
             [self.packed, np.zeros((words - len(self.packed), self.packed.shape[1]),

@@ -582,32 +582,31 @@ class TestDatasetReader:
         want = _line_counts(rows)
         _assert_same(table.counts(), LabelCounts(want.keys, 2 * want.counts))
 
-    def test_growth_after_rows_counted_by_slot(self):
-        """A chunk whose known rows are counted per slot and whose new lines
-        then outgrow the table: those rows are folded through the old table."""
+    def test_growth_after_rows_matched(self):
+        """A chunk whose known rows are matched in the table and whose new
+        lines then outgrow it: every row is counted before the rebuild, once."""
         table = serialize._LineCounts(3)
         old = [f"a{i},{1 + i % 3}\n" for i in range(100)]
         assert table.add_lines(*_lines_chunk(old * 3))
         rng = np.random.default_rng(2)
         rows = [old[i] for i in rng.integers(0, len(old), 2000)] + [
             f"b{i},{1 + i % 3}\n" for i in range(400)]
-        pending = []
+        counted = []
         rebuild = table._rebuild
-        table._rebuild = lambda *args: pending.append(table.slot_total.sum()) or rebuild(*args)
+        table._rebuild = lambda *args: counted.append(table.total.sum()) or rebuild(*args)
         assert table.add_lines(*_lines_chunk(rows))
-        assert pending == [2000] and table.bits > serialize._MIN_SLOT_BITS
+        assert counted == [300 + 2400] and table.bits > serialize._MIN_SLOT_BITS
         _assert_same(table.counts(), _line_counts(old * 3 + rows))
 
-    @pytest.mark.parametrize("known", [10, 600])  # rows resolved to codes / counted per slot
     @pytest.mark.parametrize("bad", ['"q,1",2\n', "z,4\n"])
-    def test_refused_chunk_counts_nothing(self, known, bad):
+    def test_refused_chunk_counts_nothing(self, bad):
         """add_lines refuses a chunk with a new line that is not plain, after
         its known rows were matched, and counts none of them; csv.reader's
         rows of the chunk are then counted once."""
         table = serialize._LineCounts(3)
         old = [f"a{i},{1 + i % 3}\n" for i in range(50)]
         assert table.add_lines(*_lines_chunk(old))
-        rows = [old[i % len(old)] for i in range(known)] + [bad, "new,2\n"]
+        rows = [old[i % len(old)] for i in range(300)] + [bad, "new,2\n"]
         assert not table.add_lines(*_lines_chunk(rows))
         _assert_same(table.counts(), _line_counts(old))
         chunk = "".join(rows).encode()
@@ -620,20 +619,38 @@ class TestDatasetReader:
 
     def test_two_passes_double_every_count(self):
         """Short, multi-word and too-long lines, counted twice by one table,
-        with and without folding the counts between the passes."""
+        with and without reading the counts between the passes."""
         rng = np.random.default_rng(3)
         x = [_EDGE_IDS[i] for i in rng.integers(0, len(_EDGE_IDS), 3000)]
         y = rng.integers(1, 4, len(x))
         raw = "".join(f"{a},{b}\n" for a, b in zip(x, y)).encode("utf-8")
         ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
         want = reference_counts(x, y, 3)
-        for fold in (True, False):
+        for between in (True, False):
             table = serialize._LineCounts(3)
             assert table.add_lines(raw, ends)
-            if fold:
+            if between:
                 _assert_same(table.counts(), want)
             assert table.add_lines(raw, ends)
             _assert_same(table.counts(), LabelCounts(want.keys, 2 * want.counts))
+
+    def test_one_home_slot_for_every_line(self):
+        """With every key hashed to slot 0, the lines fill one run of slots:
+        ``reach`` is the run's length less one, and a lookup takes at most
+        ``reach`` probe rounds after the home slot, not one per row."""
+        lines = [f"s{i},{1 + i % 3}\n" for i in range(3000)]
+        rows = [lines[i] for i in np.random.default_rng(4).integers(0, len(lines), 6000)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_HASH_MULT", np.uint64(0))
+            table = serialize._LineCounts(3)
+            assert table.add_lines(*_lines_chunk(lines))
+            assert table.reach == len(lines) - 1
+            rounds = []
+            differ = table._differ
+            mp.setattr(table, "_differ", lambda *args: rounds.append(1) or differ(*args))
+            assert table.add_lines(*_lines_chunk(rows))
+        assert len(rounds) <= table.reach + 2  # home slot, probes, the final check
+        _assert_same(table.counts(), _line_counts(lines + rows))
 
     def test_quoted_id_in_a_middle_chunk(self, tmp_path):
         x = [f"f{i % 7}" for i in range(300)]
