@@ -142,16 +142,19 @@ class AuditReport:
 #
 # Every prediction and bin key is a function of x_id alone, so an audit reads
 # only the (features x outcomes) weighted label counts of a LabelCounts table,
-# whose size is O(features) whatever the number of rows.  Estimators then
-# work on per-feature and per-bin arrays.
+# whose size is O(features) whatever the number of rows.  An audit bins it
+# once per binning with bin_predictions; each estimator and bound check is a
+# function of those bins, working on per-feature and per-bin arrays.
 
 
 @dataclass(frozen=True)
 class _Bins:
-    """Features of positive mass grouped by a per-feature key; bins are
-    numbered by first appearance in ``data.keys`` order."""
+    """The features of positive mass of a predictor's data grouped by a key
+    of their predictions; bins are numbered by first appearance in
+    ``data.keys`` order."""
 
-    live: np.ndarray    # (features,) bool: the feature has positive mass
+    table: PredictorTable  # the whole predictor, audited x_ids or not
+    pred: np.ndarray    # (live features, ...) predictions
     mass: np.ndarray    # (live features,) mass
     of: np.ndarray      # (live features,) bin index
     keys: np.ndarray    # (bins, ...) bin keys
@@ -182,13 +185,18 @@ class _Bins:
         )
 
 
-def _bin(data: LabelCounts, feature_keys) -> _Bins:
-    """Group the features of ``data`` by key (one key, or one key row, per
-    entry of ``data.keys``), from its (features, outcomes) label counts."""
+def bin_predictions(f: PredictorTable, data: LabelCounts, key=None) -> _Bins:
+    """Bin the features of ``data`` by their predictions under ``f``.
+
+    ``key`` maps the (features, ...) array of predictions to one bin key, or
+    key row, per feature; by default a bin holds one prediction value.  Every
+    estimator and bound check reads the result, so an audit bins its data
+    once per binning."""
     n, counts = data.n, data.counts
     mass = counts.sum(axis=1)
     live = mass > 0
-    keys = np.asarray(feature_keys)
+    pred = f.take(data.keys)
+    keys = pred if key is None else np.asarray(key(pred))
     uniq, inv = np.unique(keys, return_inverse=True,
                           axis=0 if keys.ndim > 1 else None)
     order, of = first_appearance(inv.reshape(-1), len(uniq))
@@ -196,8 +204,21 @@ def _bin(data: LabelCounts, feature_keys) -> _Bins:
     np.add.at(bin_counts, of, counts)
     full = bin_counts.sum(axis=1) > 0
     renumber = np.cumsum(full) - 1
-    return _Bins(live, mass[live], renumber[of[live]], uniq[order[full]],
+    return _Bins(f, pred[live], mass[live], renumber[of[live]], uniq[order[full]],
                  bin_counts[full], tuple(uniq[order[~full]].tolist()))
+
+
+def _distance(bins: _Bins, norm, convention: str = "simplex") -> np.ndarray:
+    """||f(x) - q|| of each live feature x, q its bin's conditional."""
+    p, q = bins.pred, bins.cond[bins.of]
+    if convention == "plot":
+        p, q = ternary_plot_coords(p), ternary_plot_coords(q)
+    return np.linalg.norm(p - q, ord=norm_order(norm), axis=1)
+
+
+def _gap(bins: _Bins, gamma_eval, u: np.ndarray) -> np.ndarray:
+    """|gamma(q) - u| of each live feature, q its bin's conditional."""
+    return np.abs(gamma_eval(bins.cond)[bins.of] - u)
 
 
 def _member(sets: np.ndarray, reports) -> np.ndarray:
@@ -210,98 +231,64 @@ def _member(sets: np.ndarray, reports) -> np.ndarray:
 # the three calibration estimators
 
 
-def dist_calibration_wrt(
-    f: PredictorTable,
-    data: LabelCounts,
-    binner,
-    norm="l2",
-    convention: str = "simplex",
-) -> AuditReport:
-    """Mean norm distance between f(x) and its bin's empirical conditional.
-
-    ``binner`` maps a (features, outcomes) array of distributional
-    predictions to one bin key (or key row) per feature.  With convention
-    "plot" (3 outcomes only) distances are taken in the ternary plot plane
-    instead of raw simplex coordinates.
-    """
-    if f.kind != "distribution":
+def dist_calibration_wrt(bins: _Bins, norm="l2", convention: str = "simplex") -> AuditReport:
+    """Mean norm distance between f(x) and its bin's empirical conditional,
+    for the bins of a distributional predictor f.  With convention "plot"
+    (3 outcomes only) distances are taken in the ternary plot plane instead
+    of raw simplex coordinates."""
+    if bins.table.kind != "distribution":
         raise SpecError("distribution calibration needs a distributional predictor")
-    ordv = norm_order(norm)
-    P = f.take(data.keys)
-    bins = _bin(data, binner(P))
-    p, q = P[bins.live], bins.cond[bins.of]
-    if convention == "plot":
-        p, q = ternary_plot_coords(p), ternary_plot_coords(q)
-    return bins.report("distribution", norm,
-                       np.linalg.norm(p - q, ord=ordv, axis=1),
+    return bins.report("distribution", norm, _distance(bins, norm, convention),
                        extras={"convention": convention})
 
 
-def surrogate_calibration(
-    g: PredictorTable,
-    data: LabelCounts,
-    gamma_eval,
-    norm="l2",
-    bin_width: float | None = None,
-) -> AuditReport:
-    """Mean |gamma(bin conditional) - g(x)| with exact-value bins by default,
-    or uniform bins of width ``bin_width``.
-
-    ``gamma_eval`` maps a batch of distributions to property values.
-    """
-    if g.kind != "scalar":
+def surrogate_calibration(bins: _Bins, gamma_eval, norm="l2",
+                          bin_width: float | None = None) -> AuditReport:
+    """Mean |gamma(bin conditional) - g(x)| for the bins of a scalar
+    predictor g.  ``gamma_eval`` maps a batch of distributions to property
+    values; ``bin_width`` is the width of uniform bins floor(g(x) / width),
+    recorded in the report, or None for bins of one value."""
+    if bins.table.kind != "scalar":
         raise SpecError("surrogate calibration needs a scalar predictor")
-    u = g.take(data.keys)
-    keys = u if bin_width is None else np.floor(u / float(bin_width)).astype(np.int64)
-    bins = _bin(data, keys)
-    gaps = np.abs(gamma_eval(bins.cond)[bins.of] - u[bins.live])
-    return bins.report("surrogate", norm, gaps, extras={"bin_width": bin_width})
+    return bins.report("surrogate", norm, _gap(bins, gamma_eval, bins.pred),
+                       extras={"bin_width": bin_width})
 
 
-def discrete_calibration(
-    h: PredictorTable,
-    data: LabelCounts,
-    gamma_set,
-) -> AuditReport:
-    """Probability that h(x) is outside the target set of its bin conditional.
+def discrete_calibration(bins: _Bins, gamma_set) -> AuditReport:
+    """Probability that h(x) is outside the target set of its bin
+    conditional, for the bins of a report-valued predictor h.
 
     ``gamma_set`` maps a batch of distributions to a (rows, reports) mask of
     optimal reports, so boundary conditionals count as matches for either
     adjacent report.
     """
-    if h.kind != "report":
+    if bins.table.kind != "report":
         raise SpecError("discrete calibration needs a report-valued predictor")
-    bins = _bin(data, h.take(data.keys))
-    hit = _member(gamma_set(bins.cond), bins.keys)
-    return bins.report("discrete", "0-1", ~hit[bins.of])
+    hit = _member(gamma_set(bins.cond)[bins.of], bins.pred)
+    return bins.report("discrete", "0-1", ~hit)
 
 
 # ---------------------------------------------------------------------------
 # bound checks
 
 
-def check_postprocessing_bound(
-    f: PredictorTable,
-    data: LabelCounts,
-    surrogate: Surrogate,
-    norm="l2",
-) -> AuditReport:
+def check_postprocessing_bound(bins: _Bins, surrogate: Surrogate,
+                               norm="l2") -> AuditReport:
     """Post-processing inequality: the surrogate miscalibration of the scalar
     predictor gamma∘f is at most K times the distribution miscalibration of f
     binned by that same scalar value, with K the exact Lipschitz constant in
-    ``norm``.  For K < 1, also records the stronger contraction inequality
-    (rhs = epsilon itself).  With K = inf the bound is vacuous and holds."""
-    if f.kind != "distribution":
-        raise SpecError("post-processing bound needs a distributional predictor")
+    ``norm``.  ``bins`` are those of a distributional predictor f by its
+    property value, ``bin_predictions(f, data, surrogate.gamma_many)``, so
+    each bin key is the value gamma(f(x)) of its features.  For K < 1, also
+    records the stronger contraction inequality (rhs = epsilon itself).
+    With K = inf the bound is vacuous and holds."""
+    if bins.table.kind != "distribution" or bins.keys.ndim != 1:
+        raise SpecError("post-processing bound needs a distributional predictor "
+                        "binned by its property value")
     K = surrogate.lipschitz(norm)
     K_exact = surrogate.lipschitz_exact
-    P = f.take(data.keys)
-    u = surrogate.gamma_many(P)
-    bins = _bin(data, u)
-    cond = bins.cond
-    eps = bins.mean(np.linalg.norm(P[bins.live] - cond[bins.of],
-                                   ord=norm_order(norm), axis=1))
-    gaps = np.abs(surrogate.gamma_many(cond)[bins.of] - u[bins.live])
+    eps = bins.mean(_distance(bins, norm))
+    gaps = _gap(bins, surrogate.gamma_many, bins.keys[bins.of])
     eps_prime = bins.mean(gaps)
     bounds = [
         BoundCheck(
@@ -462,8 +449,7 @@ def link_diameter(thresholds, value_range) -> float:
 
 
 def check_discretization_bound(
-    g: PredictorTable,
-    data: LabelCounts,
+    bins: _Bins,
     surrogate: Surrogate,
     C_marginal: float,
     t_grid=None,
@@ -474,32 +460,32 @@ def check_discretization_bound(
     prediction is controlled by the threshold-margin tail plus
     (eps' + K*C*diam)/t, minimized over t.
 
-    ``C_marginal`` is the assumed Lipschitz constant, in ``norm``, of the
-    map from a prediction value to its bin's conditional distribution; it is
-    an input assumption, not something certified from data.  K is the exact
-    Lipschitz constant of the property in the same norm.  With K = inf the
-    bound is vacuous and holds.
+    ``bins`` are those of a scalar predictor g by its values,
+    ``bin_predictions(g, data)``; the least threshold margin delta_min is
+    taken over the whole image of g.  ``C_marginal`` is the assumed
+    Lipschitz constant, in ``norm``, of the map from a prediction value to
+    its bin's conditional distribution; it is an input assumption, not
+    something certified from data.  K is the exact Lipschitz constant of the
+    property in the same norm.  With K = inf the bound is vacuous and holds.
     """
-    if g.kind != "scalar":
+    if bins.table.kind != "scalar":
         raise SpecError("discretization bound needs a scalar predictor")
     K = surrogate.lipschitz(norm)
     thresholds = surrogate.thresholds
     lo, hi = surrogate.value_range
     diam = link_diameter(thresholds, (lo, hi))
 
-    image = g.values
+    image = bins.table.values
     if not image.size:
         raise SpecError("predictor image is empty")
     delta_min = float(delta_to_threshold(thresholds, image).min())
 
-    u = g.take(data.keys)
-    bins = _bin(data, u)
-    cond = bins.cond
-    eps_prime = bins.mean(np.abs(surrogate.gamma_many(cond)[bins.of] - u[bins.live]))
-    miss = ~_member(surrogate.discrete_set_many(cond),
-                    surrogate.link_many(bins.keys))[bins.of]
+    u = bins.pred
+    eps_prime = bins.mean(_gap(bins, surrogate.gamma_many, u))
+    miss = ~_member(surrogate.discrete_set_many(bins.cond)[bins.of],
+                    surrogate.link_many(u))
     lhs = bins.mean(miss)
-    deltas = delta_to_threshold(thresholds, u[bins.live])
+    deltas = delta_to_threshold(thresholds, u)
 
     width = hi - lo
     if t_grid is None:
@@ -536,16 +522,13 @@ def check_discretization_bound(
                        extras={"vacuous": vacuous})
 
 
-def estimate_marginal_lipschitz(g: PredictorTable, data: LabelCounts,
-                                norm="l2") -> float:
+def estimate_marginal_lipschitz(bins: _Bins, norm="l2") -> float:
     """Max difference quotient, in ``norm``, of bin conditionals across
-    adjacent prediction values: a data-driven stand-in for C_marginal,
-    flagged as an estimate."""
-    bins = _bin(data, g.take(data.keys))
+    adjacent prediction values, for the bins of a scalar predictor by its
+    values: a data-driven stand-in for C_marginal, flagged as an estimate."""
     order = np.argsort(bins.keys, kind="stable")
     du = np.diff(bins.keys[order])
     dq = np.linalg.norm(np.diff(bins.cond[order], axis=0), ord=norm_order(norm),
                         axis=1)
     apart = du > 1e-15
     return float(np.max(dq[apart] / du[apart], initial=0.0))
-

@@ -1,7 +1,8 @@
 """Command-line harness: construct, levelsets, simulate, audit, counterexample.
 
 Exit codes: 0 success, 2 input or spec error, 3 bound violation, 4 no
-counterexample (C is at least the exact Lipschitz constant of the norm).
+counterexample: C is at least the exact Lipschitz constant K of the norm, or
+C < K but too close to K for a pair clear of the node slices to certify.
 All randomness flows from --seed (fallback: the ORDELIC_SEED environment
 variable); outputs are byte-identical across repeated runs with the same
 configuration.
@@ -43,20 +44,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="root seed (fallback: ORDELIC_SEED)")
     common.add_argument("--out", required=True, help="output path or prefix")
 
-    p = sub.add_parser("construct", parents=[common],
-                       help="build a surrogate from a property spec")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--algo", choices=["embedding", "normals"], default="normals")
-    p.add_argument("--phi", default=None,
-                   help="comma-separated embedding points (embedding only)")
-    p.add_argument("--outer-slope", type=float, default=None)
+    build = argparse.ArgumentParser(add_help=False)
+    build.add_argument("--spec", required=True)
+    build.add_argument("--algo", choices=["embedding", "normals"], default="normals")
+    build.add_argument("--phi", default=None,
+                       help="comma-separated embedding points (embedding only)")
+    build.add_argument("--outer-slope", type=float, default=None)
 
-    p = sub.add_parser("levelsets", parents=[common],
+    sub.add_parser("construct", parents=[common, build],
+                   help="build a surrogate from a property spec")
+    p = sub.add_parser("levelsets", parents=[common, build],
                        help="emit a barycentric grid of property values")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--algo", choices=["embedding", "normals"], default="normals")
-    p.add_argument("--phi", default=None)
-    p.add_argument("--outer-slope", type=float, default=None)
     p.add_argument("--resolution", type=int, default=200)
 
     p = sub.add_parser("simulate", parents=[common],
@@ -227,35 +225,35 @@ def _cmd_audit(args) -> int:
         raise SpecError(f"x_id {missing!r} from {args.data or args.scenario} has "
                         f"no prediction in {args.predictor}")
 
-    reports = []
     if predictor.kind == "distribution":
-        reports.append(audit_mod.dist_calibration_wrt(
-            predictor, data, surrogate.gamma_many,
-            norm=args.norm, convention=args.convention))
-        reports.append(audit_mod.check_postprocessing_bound(
-            predictor, data, surrogate, norm=args.norm))
+        bins = audit_mod.bin_predictions(predictor, data, surrogate.gamma_many)
+        reports = [audit_mod.dist_calibration_wrt(bins, norm=args.norm,
+                                                  convention=args.convention),
+                   audit_mod.check_postprocessing_bound(bins, surrogate, norm=args.norm)]
     elif predictor.kind == "scalar":
-        reports.append(audit_mod.surrogate_calibration(
-            predictor, data, surrogate.gamma_many, norm=args.norm,
-            bin_width=args.bin_width))
+        bins = audit_mod.bin_predictions(predictor, data)
+        w = args.bin_width
+        width_bins = bins if w is None else audit_mod.bin_predictions(
+            predictor, data, lambda u: np.floor(u / w).astype(np.int64))
+        reports = [audit_mod.surrogate_calibration(width_bins, surrogate.gamma_many,
+                                                   norm=args.norm, bin_width=w)]
         if args.c_marginal is not None:
             c_marg, estimated = args.c_marginal, False
         else:
             c_marg, estimated = audit_mod.estimate_marginal_lipschitz(
-                predictor, data, norm=args.norm), True
+                bins, norm=args.norm), True
         reports.append(audit_mod.check_discretization_bound(
-            predictor, data, surrogate, C_marginal=c_marg, c_estimated=estimated,
-            norm=args.norm))
+            bins, surrogate, C_marginal=c_marg, c_estimated=estimated, norm=args.norm))
     else:
-        reports.append(audit_mod.discrete_calibration(
-            predictor, data, surrogate.discrete_set_many))
+        reports = [audit_mod.discrete_calibration(
+            audit_mod.bin_predictions(predictor, data), surrogate.discrete_set_many)]
 
     payload = {
         "config": {"surrogate": args.surrogate, "data": args.data,
                    "scenario": args.scenario, "predictor": args.predictor,
                    "norm": args.norm, "bin_width": args.bin_width,
                    "convention": args.convention, "out": args.out},
-        "reports": [serialize.audit_report_to_json(r) for r in reports],
+        "reports": [r.as_dict() for r in reports],
     }
     serialize.write_json(args.out, payload)
     sys.stdout.write(serialize.dumps(payload))
@@ -265,23 +263,19 @@ def _cmd_audit(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     surrogate = _load_surrogate(args.surrogate)
-    p, q, instance = audit_mod.counterexample_gap(surrogate, args.c, norm=args.norm)
+    _, _, instance = audit_mod.counterexample_gap(surrogate, args.c, norm=args.norm)
     f, data = audit_mod.instance_dataset(instance)
-    dist_report = audit_mod.dist_calibration_wrt(
-        f, data, surrogate.gamma_many, norm=args.norm)
-    g = audit_mod.PredictorTable("scalar", (instance["x_id"],),
-                                 surrogate.gamma_many(p[None, :]))
-    sur_report = audit_mod.surrogate_calibration(g, data, surrogate.gamma_many,
-                                                 norm=args.norm)
+    check = audit_mod.check_postprocessing_bound(
+        audit_mod.bin_predictions(f, data, surrogate.gamma_many), surrogate, norm=args.norm)
+    dist_eps, sur_eps = check.extras["epsilon_dist"], check.extras["epsilon_surrogate"]
     payload = {
         "config": {"surrogate": args.surrogate, "c": args.c,
                    "seed": _resolve_seed(args), "norm": args.norm, "out": args.out},
         "instance": instance,
         "audits": {
-            "distribution_epsilon": dist_report.epsilon_hat,
-            "surrogate_epsilon": sur_report.epsilon_hat,
-            "gap_exceeds_C_times_epsilon": bool(
-                sur_report.epsilon_hat > args.c * dist_report.epsilon_hat),
+            "distribution_epsilon": dist_eps,
+            "surrogate_epsilon": sur_eps,
+            "gap_exceeds_C_times_epsilon": bool(sur_eps > args.c * dist_eps),
         },
     }
     serialize.write_json(args.out + ".report.json", payload)

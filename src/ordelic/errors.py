@@ -10,7 +10,13 @@ class SpecError(OrdelicError):
 
 
 class SimplexError(OrdelicError):
-    """Vector is not a probability distribution within tolerance."""
+    """Vector is not a probability distribution within tolerance.  For a
+    batch, ``row`` is the index of the first row at fault and ``reason``
+    what is wrong with it."""
+
+    def __init__(self, reason: str, row: int | None = None):
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.reason, self.row = reason, row
 
 
 class RankDeficiencyError(OrdelicError):

@@ -17,12 +17,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ordelic.audit import AuditReport, PredictorTable
+from ordelic.audit import PredictorTable
 from ordelic.errors import OrdelicError, SimplexError, SpecError
 from ordelic.piecewise import CONTINUITY_TOL, PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
 from ordelic.scenario import ScenarioSpec
-from ordelic.simplex import LabelCounts, as_simplex_point, as_simplex_points
+from ordelic.simplex import LabelCounts, as_simplex_points
 
 # Dataset CSV files are read in chunks of about this many bytes.
 CSV_CHUNK_BYTES = 1 << 18
@@ -731,13 +731,9 @@ def read_predictor(path, n: int) -> PredictorTable:
     if p.kind == "distribution":
         try:
             as_simplex_points(p.values)
-        except SimplexError:  # name the first row at fault
-            for x, row in zip(p.keys, p.values):
-                try:
-                    as_simplex_point(row)
-                except SimplexError as exc:
-                    raise SpecError(f"x_id {x!r} in {path}: distribution is not on "
-                                    f"the simplex: {exc}") from None
+        except SimplexError as exc:
+            raise SpecError(f"x_id {p.keys[exc.row]!r} in {path}: distribution is not "
+                            f"on the simplex: {exc.reason}") from None
     return p
 
 
@@ -822,6 +818,3 @@ def read_scenario(path) -> ScenarioSpec:
     except OrdelicError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
-
-def audit_report_to_json(r: AuditReport) -> dict:
-    return r.as_dict()

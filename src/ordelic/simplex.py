@@ -1,6 +1,6 @@
 """Probability-vector arithmetic, sampling, and label-count tables.
 
-Points on the simplex are plain float64 numpy arrays; :func:`as_simplex_point`
+Points on the simplex are plain float64 numpy arrays; :func:`as_simplex_points`
 is the single validation/renormalization gate.  An audit's data is a table of
 weighted label counts per feature, so that sampled rows and exact synthetic
 scenarios (irrational conditionals included, without sampling noise) are
@@ -40,39 +40,37 @@ def norm_name(kind: NormKind) -> str:
 
 
 def as_simplex_point(x) -> np.ndarray:
-    """Validate and renormalize a probability vector.
-
-    Entries within ``SIMPLEX_TOL`` of [0, 1] and a total within it of 1 are
-    accepted and renormalized exactly; anything further out, and any NaN,
-    is rejected, since the downstream ratio formulas are sensitive to
-    constraint violation.
-    """
-    p = np.asarray(x, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
-        raise SimplexError(f"expected a 1-d vector with >= 2 entries, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise SimplexError(f"entries are not all finite: {p}")
-    if np.any(p < -SIMPLEX_TOL) or np.any(p > 1.0 + SIMPLEX_TOL):
-        raise SimplexError(f"entries outside [0, 1] beyond tolerance: {p}")
-    total = p.sum()
-    if abs(total - 1.0) > SIMPLEX_TOL:
-        raise SimplexError(f"entries sum to {total}, not 1 within {SIMPLEX_TOL}")
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    """Validate and renormalize one probability vector (see
+    :func:`as_simplex_points`)."""
+    return as_simplex_points([x])[0]
 
 
 def as_simplex_points(x) -> np.ndarray:
-    """Batch variant of :func:`as_simplex_point` for an (m, n) array."""
+    """Validate and renormalize the rows of an (m, n) array, n >= 2, as
+    probability vectors.
+
+    Entries within ``SIMPLEX_TOL`` of [0, 1] and a row total within it of 1
+    are accepted and renormalized exactly; anything further out, and any
+    NaN, is rejected, since the downstream ratio formulas are sensitive to
+    constraint violation.  The error names the first row at fault and its
+    values.
+    """
     P = np.asarray(x, dtype=np.float64)
-    if P.ndim != 2:
-        raise SimplexError(f"expected a 2-d array, got shape {P.shape}")
-    if not np.all(np.isfinite(P)):
-        raise SimplexError("entries are not all finite")
-    if np.any(P < -SIMPLEX_TOL) or np.any(P > 1.0 + SIMPLEX_TOL):
-        raise SimplexError("entries outside [0, 1] beyond tolerance")
+    if P.ndim != 2 or P.shape[1] < 2:
+        raise SimplexError(f"expected rows of >= 2 entries, got shape {P.shape}")
     totals = P.sum(axis=1)
-    if np.any(np.abs(totals - 1.0) > SIMPLEX_TOL):
-        raise SimplexError("row sums differ from 1 beyond tolerance")
+    # NaN fails every comparison, and an infinity the range check
+    if not (np.all(P >= -SIMPLEX_TOL) and np.all(P <= 1.0 + SIMPLEX_TOL)
+            and np.all(np.abs(totals - 1.0) <= SIMPLEX_TOL)):
+        inside = ((P >= -SIMPLEX_TOL) & (P <= 1.0 + SIMPLEX_TOL)).all(axis=1)
+        i = int(np.argmin(inside & (np.abs(totals - 1.0) <= SIMPLEX_TOL)))
+        p = P[i]  # the first row at fault
+        if not np.isfinite(p).all():
+            raise SimplexError(f"entries are not all finite: {p}", row=i)
+        if not inside[i]:
+            raise SimplexError(f"entries outside [0, 1] beyond tolerance: {p}", row=i)
+        raise SimplexError(f"entries {p} sum to {totals[i]}, not 1 within {SIMPLEX_TOL}",
+                           row=i)
     P = np.clip(P, 0.0, None)
     return P / P.sum(axis=1, keepdims=True)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ordelic._kernels import BOUNDARY_TOL
+from ordelic.audit import PredictorTable, bin_predictions
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.normals import build_from_spec
 from ordelic.piecewise import PiecewiseAffine
@@ -92,6 +93,13 @@ def mass_counts(x_ids, weights, conditionals) -> LabelCounts:
     """Label counts of features with the given weights and conditionals."""
     return LabelCounts(x_ids, np.asarray(weights, dtype=np.float64)[:, None]
                        * as_simplex_points(conditionals))
+
+
+def bins_by_key(data: LabelCounts, keys):
+    """The bins of ``data`` under one given key per x_id, in ``data.keys``
+    order."""
+    f = PredictorTable("report", data.keys, np.zeros(len(data.keys)))
+    return bin_predictions(f, data, lambda _: np.asarray(keys))
 
 
 def written_v_bar(surrogate) -> list[PiecewiseAffine]:

@@ -20,6 +20,7 @@ from conftest import (
 )
 from ordelic.audit import (
     PredictorTable,
+    bin_predictions,
     check_discretization_bound,
     check_postprocessing_bound,
     counterexample_gap,
@@ -200,7 +201,8 @@ def test_criterion_5_postprocessing_monte_carlo(capfd):
                 recipe="perturbed", eta=0.2)
             f = materialize_predictor(sc, trial + 20_000)
             data = sampled_counts(sc, 10_000, trial + 30_000)
-            rep = check_postprocessing_bound(f, data, linked)
+            rep = check_postprocessing_bound(
+                bin_predictions(f, data, linked.gamma_many), linked)
             b = rep.bounds[0]
             assert b.lhs <= b.rhs + 1e-9, f"trial {trial}: {b}"
             if trial < 10:
@@ -210,9 +212,9 @@ def test_criterion_5_postprocessing_monte_carlo(capfd):
                 g1 = PredictorTable.from_mapping("scalar", {
                     x: _gamma(linked, f[x]) for x in ids})
                 g2 = PredictorTable.from_mapping("scalar", {x: alpha * g1[x] for x in ids})
-                r1 = surrogate_calibration(g1, data, linked.gamma_many)
+                r1 = surrogate_calibration(bin_predictions(g1, data), linked.gamma_many)
                 r2 = surrogate_calibration(
-                    g2, data, lambda P: alpha * linked.gamma_many(P))
+                    bin_predictions(g2, data), lambda P: alpha * linked.gamma_many(P))
                 assert r2.bin_count == r1.bin_count
                 scale = max(1.0, abs(alpha * r1.epsilon_hat))
                 assert abs(r2.epsilon_hat - alpha * r1.epsilon_hat) \
@@ -226,10 +228,10 @@ def test_criterion_6_counterexample_generator(capfd):
         nrm = _fixture_normals()
         _, _, instance = counterexample_gap(nrm, C=5.0)
         f, data = instance_dataset(instance)
-        dist = dist_calibration_wrt(f, data, nrm.gamma_many)
+        dist = dist_calibration_wrt(bin_predictions(f, data, nrm.gamma_many))
         g = PredictorTable.from_mapping("scalar", {
             instance["x_id"]: _gamma(nrm, instance["prediction"])})
-        sur = surrogate_calibration(g, data, nrm.gamma_many)
+        sur = surrogate_calibration(bin_predictions(g, data), nrm.gamma_many)
         assert sur.epsilon_hat > 5.0 * dist.epsilon_hat
 
 
@@ -254,7 +256,7 @@ def test_criterion_7_discretization_monte_carlo(capfd):
             g = PredictorTable.from_mapping("scalar", {
                 x: v + float(rng.uniform(-0.05, 0.05)) for x in ids})
             assert min(min(abs(g[x]), abs(g[x] - 1.0)) for x in ids) >= 0.2
-            rep = check_discretization_bound(g, data, linked, C_marginal=0.0)
+            rep = check_discretization_bound(bin_predictions(g, data), linked, C_marginal=0.0)
             b = rep.bounds[0]
             lhs = rep.epsilon_hat
             se = float(np.sqrt(max(lhs * (1 - lhs), 0.0) / data.counts.sum()))
@@ -274,7 +276,7 @@ def test_criterion_7_discretization_monte_carlo(capfd):
         q /= q.sum()
         data = mass_counts(["a"], [1.0], q[None, :])
         g = PredictorTable.from_mapping("scalar", {"a": -0.01})
-        rep = check_discretization_bound(g, data, vlinked, C_marginal=0.0)
+        rep = check_discretization_bound(bin_predictions(g, data), vlinked, C_marginal=0.0)
         assert rep.bounds[0].params["vacuous"]
         assert rep.bounds[0].rhs >= 1.0
         assert rep.bounds[0].satisfied
@@ -287,12 +289,12 @@ def test_criterion_8_single_feature_audits(capfd):
         star = from_ternary_plot(np.array([0.42, 0.02]))
         data = mass_counts(["x0"], [1.0], star[None, :])
         f = PredictorTable.from_mapping("distribution", {"x0": dot})
-        rep = dist_calibration_wrt(f, data, lambda P: np.zeros(len(P)),
+        rep = dist_calibration_wrt(bin_predictions(f, data, lambda P: np.zeros(len(P))),
                                    convention="plot")
         assert abs(rep.epsilon_hat - 0.04) <= 1e-6
 
         g = PredictorTable.from_mapping("scalar", {"x0": _gamma(linked, dot)})
-        sur = surrogate_calibration(g, data, linked.gamma_many)
+        sur = surrogate_calibration(bin_predictions(g, data), linked.gamma_many)
         assert abs(sur.epsilon_hat - 0.43) <= 0.02
 
         # a different distribution on the same level set: zero property gap
@@ -307,7 +309,7 @@ def test_criterion_8_single_feature_audits(capfd):
         spade = np.array([t, p2, 1.0 - p2 - t])
         data2 = mass_counts(["x0"], [1.0], dot[None, :])
         g2 = PredictorTable.from_mapping("scalar", {"x0": _gamma(linked, spade)})
-        sur2 = surrogate_calibration(g2, data2, linked.gamma_many)
+        sur2 = surrogate_calibration(bin_predictions(g2, data2), linked.gamma_many)
         assert sur2.epsilon_hat <= 1e-9
 
 

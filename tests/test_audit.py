@@ -15,6 +15,7 @@ from conftest import (
 )
 from ordelic.audit import (
     PredictorTable,
+    bin_predictions,
     check_discretization_bound,
     check_postprocessing_bound,
     counterexample_gap,
@@ -94,24 +95,24 @@ class TestDistributionCalibration:
         cond = np.array([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
         sc = ScenarioSpec(("a", "b"), [0.4, 0.6], cond)
         f = materialize_predictor(sc, seed=0)
-        rep = dist_calibration_wrt(f, exact_dataset(sc), lambda P: P)
+        rep = dist_calibration_wrt(bin_predictions(f, exact_dataset(sc)))
         assert rep.epsilon_hat == pytest.approx(0.0, abs=1e-12)
         assert rep.bin_count == 2
 
     def test_one_bin_plot_distance(self):
         # prediction and conditional 0.04 apart in the plot plane
         f, data = one_point_scenario(DOT, STAR)
-        rep = dist_calibration_wrt(f, data, _one_bin, convention="plot")
+        rep = dist_calibration_wrt(bin_predictions(f, data, _one_bin), convention="plot")
         assert rep.epsilon_hat == pytest.approx(0.04, abs=1e-12)
-        rep2 = dist_calibration_wrt(f, data, _one_bin)
+        rep2 = dist_calibration_wrt(bin_predictions(f, data, _one_bin))
         want = float(np.linalg.norm(DOT - STAR))
         assert rep2.epsilon_hat == pytest.approx(want, abs=1e-12)
 
     def test_kind_checked(self):
         _, data = one_point_scenario(DOT, STAR)
         with pytest.raises(SpecError):
-            dist_calibration_wrt(PredictorTable.from_mapping("scalar", {"x0": 1.0}),
-                                 data, _one_bin)
+            dist_calibration_wrt(bin_predictions(
+                PredictorTable.from_mapping("scalar", {"x0": 1.0}), data, _one_bin))
 
 
 class TestSurrogateCalibration:
@@ -119,7 +120,7 @@ class TestSurrogateCalibration:
         # the surrogate gap between the two printed points
         f, data = one_point_scenario(DOT, STAR)
         g = PredictorTable.from_mapping("scalar", {"x0": _gamma(linked_normals, DOT)})
-        rep = surrogate_calibration(g, data, linked_normals.gamma_many)
+        rep = surrogate_calibration(bin_predictions(g, data), linked_normals.gamma_many)
         assert _gamma(linked_normals, DOT) == pytest.approx(0.5949136, abs=1e-6)
         assert _gamma(linked_normals, STAR) == pytest.approx(1.0174679, abs=1e-6)
         assert rep.epsilon_hat == pytest.approx(0.4225543, abs=1e-6)
@@ -140,19 +141,19 @@ class TestSurrogateCalibration:
         assert _gamma(linked_normals, spade) == pytest.approx(gd, abs=1e-9)
         g = PredictorTable.from_mapping("scalar", {"x0": _gamma(linked_normals, spade)})
         _, data = one_point_scenario(spade, DOT)
-        rep = surrogate_calibration(g, data, linked_normals.gamma_many)
+        rep = surrogate_calibration(bin_predictions(g, data), linked_normals.gamma_many)
         assert rep.epsilon_hat <= 1e-9
         # yet the distributional miscalibration is far from zero
         f = PredictorTable.from_mapping("distribution", {"x0": spade})
-        drep = dist_calibration_wrt(f, data, _one_bin)
+        drep = dist_calibration_wrt(bin_predictions(f, data, _one_bin))
         assert drep.epsilon_hat > 0.1
 
     def test_bin_width_merges_values(self, linked_normals):
         cond = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2]])
         data = mass_counts(["a", "b"], [0.5, 0.5], cond)
         g = PredictorTable.from_mapping("scalar", {"a": 0.41, "b": 0.44})
-        rep = surrogate_calibration(g, data, linked_normals.gamma_many,
-                                    bin_width=0.1)
+        bins = bin_predictions(g, data, lambda u: np.floor(u / 0.1).astype(np.int64))
+        rep = surrogate_calibration(bins, linked_normals.gamma_many, bin_width=0.1)
         assert rep.bin_count == 1
 
 
@@ -163,14 +164,14 @@ class TestDiscreteCalibration:
         data = mass_counts(["a", "b"], [0.5, 0.5],
                                                   np.stack([qa, qb]))
         h = PredictorTable.from_mapping("report", {"a": 1, "b": 3})
-        rep = discrete_calibration(h, data, linked_normals.discrete_set_many)
+        rep = discrete_calibration(bin_predictions(h, data), linked_normals.discrete_set_many)
         assert rep.epsilon_hat == pytest.approx(0.5)
 
     def test_perfect_reports_zero(self, linked_normals):
         qa = np.array([0.9, 0.05, 0.05])
         data = mass_counts(["a"], [1.0], qa[None, :])
         h = PredictorTable.from_mapping("report", {"a": 1})
-        rep = discrete_calibration(h, data, linked_normals.discrete_set_many)
+        rep = discrete_calibration(bin_predictions(h, data), linked_normals.discrete_set_many)
         assert rep.epsilon_hat == 0.0
 
 
@@ -184,20 +185,23 @@ class TestZeroMassFeatures:
     def test_distribution(self):
         f = PredictorTable.from_mapping("distribution", {"a": np.array([0.6, 0.3, 0.1]),
                                                          "b": np.array([0.1, 0.2, 0.7])})
-        rep = dist_calibration_wrt(f, self.DATA, lambda P: np.take(P, 0, axis=-1))
+        rep = dist_calibration_wrt(bin_predictions(f, self.DATA,
+                                                   lambda P: np.take(P, 0, axis=-1)))
         assert rep.epsilon_hat == pytest.approx(np.linalg.norm(f["a"] - self.Q))
         assert (rep.bin_count, rep.bin_min_size) == (1, 2.0)
         assert rep.as_dict()["bins"]["empty"] == [0.1]
 
     def test_scalar_and_report(self, linked_normals):
         g = PredictorTable.from_mapping("scalar", {"a": 0.5, "b": 2.0})
-        rep = surrogate_calibration(g, self.DATA, linked_normals.gamma_many)
+        rep = surrogate_calibration(bin_predictions(g, self.DATA), linked_normals.gamma_many)
         assert rep.epsilon_hat == pytest.approx(abs(_gamma(linked_normals, self.Q) - 0.5))
         assert (rep.bin_count, rep.empty_bins) == (1, (2.0,))
-        rep = check_discretization_bound(g, self.DATA, linked_normals, C_marginal=0.0)
+        rep = check_discretization_bound(bin_predictions(g, self.DATA), linked_normals,
+                                         C_marginal=0.0)
         assert np.isfinite(rep.bounds[0].lhs) and rep.empty_bins == (2.0,)
         h = PredictorTable.from_mapping("report", {"a": 2, "b": 3})
-        rep = discrete_calibration(h, self.DATA, linked_normals.discrete_set_many)
+        rep = discrete_calibration(bin_predictions(h, self.DATA),
+                                   linked_normals.discrete_set_many)
         assert (rep.epsilon_hat, rep.empty_bins) == (0.0, (3,))
 
 
@@ -248,20 +252,23 @@ def test_columnar_estimators_match_loop_reference(linked_normals, seed, exact):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     agg, cond = _loop_reference(rows, 3, lambda x: gamma(f[x]))
-    close(dist_calibration_wrt(f, data, linked_normals.gamma_many).epsilon_hat,
+    bins = bin_predictions(f, data, linked_normals.gamma_many)
+    close(dist_calibration_wrt(bins).epsilon_hat,
           _loop_mean(agg, lambda x: np.linalg.norm(f[x] - cond[gamma(f[x])])))
-    rep = check_postprocessing_bound(f, data, linked_normals)
+    rep = check_postprocessing_bound(bins, linked_normals)
     close(rep.epsilon_hat, _loop_mean(agg, lambda x: abs(gamma(cond[gamma(f[x])])
                                                          - gamma(f[x]))))
     agg, cond = _loop_reference(rows, 3, lambda x: g[x])
-    close(surrogate_calibration(g, data, linked_normals.gamma_many).epsilon_hat,
+    bins = bin_predictions(g, data)
+    close(surrogate_calibration(bins, linked_normals.gamma_many).epsilon_hat,
           _loop_mean(agg, lambda x: abs(gamma(cond[g[x]]) - g[x])))
-    rep = check_discretization_bound(g, data, linked_normals, C_marginal=0.0)
+    rep = check_discretization_bound(bins, linked_normals, C_marginal=0.0)
     close(rep.epsilon_hat, _loop_mean(agg, lambda x: float(
         int(linked_normals.link_many(g[x])) not in target(cond[g[x]]))))
     assert rep.bin_count == len(cond)
     agg, cond = _loop_reference(rows, 3, lambda x: h[x])
-    close(discrete_calibration(h, data, linked_normals.discrete_set_many).epsilon_hat,
+    close(discrete_calibration(bin_predictions(h, data),
+                               linked_normals.discrete_set_many).epsilon_hat,
           _loop_mean(agg, lambda x: float(h[x] not in target(cond[h[x]]))))
 
 
@@ -275,7 +282,8 @@ class TestPostprocessingBound:
         sc = ScenarioSpec(tuple(f"x{i}" for i in range(m)), w, cond,
                           recipe="perturbed", eta=0.15)
         f = materialize_predictor(sc, seed=seed + 600)
-        rep = check_postprocessing_bound(f, exact_dataset(sc), linked_normals)
+        rep = check_postprocessing_bound(
+            bin_predictions(f, exact_dataset(sc), linked_normals.gamma_many), linked_normals)
         b = rep.bounds[0]
         assert b.name == "postprocessing"
         assert b.satisfied
@@ -295,8 +303,9 @@ class TestPostprocessingBound:
         g1 = PredictorTable.from_mapping("scalar", {
             x: _gamma(linked_normals, f[x]) for x in ids})
         g2 = PredictorTable.from_mapping("scalar", {x: alpha * g1[x] for x in ids})
-        r1 = surrogate_calibration(g1, data, linked_normals.gamma_many)
-        r2 = surrogate_calibration(g2, data, lambda P: alpha * linked_normals.gamma_many(P))
+        r1 = surrogate_calibration(bin_predictions(g1, data), linked_normals.gamma_many)
+        r2 = surrogate_calibration(bin_predictions(g2, data),
+                                   lambda P: alpha * linked_normals.gamma_many(P))
         assert r2.bin_count == r1.bin_count
         assert abs(r2.epsilon_hat - alpha * r1.epsilon_hat) \
             <= 1e-12 * max(1.0, abs(alpha * r1.epsilon_hat))
@@ -309,10 +318,17 @@ class TestPostprocessingBound:
         sc = ScenarioSpec(("a", "b", "c"), [0.3, 0.3, 0.4], cond,
                           recipe="perturbed", eta=0.1)
         f = materialize_predictor(sc, seed=11)
-        rep = check_postprocessing_bound(f, exact_dataset(sc), s)
+        rep = check_postprocessing_bound(
+            bin_predictions(f, exact_dataset(sc), s.gamma_many), s)
         names = [b.name for b in rep.bounds]
         assert names == ["postprocessing", "contraction"]
         assert all(b.satisfied for b in rep.bounds)
+
+    def test_needs_bins_by_property_value(self, linked_normals):
+        """Bins by the whole distribution hold no value gamma(f(x))."""
+        f, data = one_point_scenario(DOT, STAR)
+        with pytest.raises(SpecError, match="binned by its property value"):
+            check_postprocessing_bound(bin_predictions(f, data), linked_normals)
 
 
 class TestCounterexample:
@@ -325,7 +341,7 @@ class TestCounterexample:
         eps = instance["distribution_epsilon"]
         assert gap > 5.0 * eps
         f, data = instance_dataset(instance)
-        drep = dist_calibration_wrt(f, data, _one_bin)
+        drep = dist_calibration_wrt(bin_predictions(f, data, _one_bin))
         assert drep.epsilon_hat == pytest.approx(eps, abs=1e-12)
 
     def test_trivial_constant(self, fixture_normals):
@@ -422,7 +438,8 @@ class TestDiscretizationBound:
             ids, np.full(6, 1 / 6), np.tile(q, (6, 1)))
         g = PredictorTable.from_mapping("scalar", {
             x: 0.5 + float(rng.uniform(-0.05, 0.05)) for x in ids})
-        rep = check_discretization_bound(g, data, linked_normals, C_marginal=0.0)
+        rep = check_discretization_bound(bin_predictions(g, data), linked_normals,
+                                         C_marginal=0.0)
         b = rep.bounds[0]
         assert rep.epsilon_hat == 0.0
         assert b.satisfied
@@ -440,7 +457,7 @@ class TestDiscretizationBound:
         q /= q.sum()
         data = mass_counts(["a"], [1.0], q[None, :])
         g = PredictorTable.from_mapping("scalar", {"a": -0.01})  # prediction just below
-        rep = check_discretization_bound(g, data, s, C_marginal=0.0)
+        rep = check_discretization_bound(bin_predictions(g, data), s, C_marginal=0.0)
         b = rep.bounds[0]
         assert b.params["vacuous"]
         assert rep.extras["vacuous"]
@@ -453,15 +470,24 @@ class TestDiscretizationBound:
         g = PredictorTable.from_mapping("scalar", {"a": 0.46, "b": 0.55})
         for t in (0.05, 0.1, 0.2, 0.4):
             rep = check_discretization_bound(
-                g, data, linked_normals, C_marginal=0.0, t_grid=[t])
+                bin_predictions(g, data), linked_normals, C_marginal=0.0, t_grid=[t])
             assert rep.bounds[0].satisfied
 
     def test_kind_checked(self, linked_normals):
         q = _point_with_value(linked_normals, 0.5)
         data = mass_counts(["a"], [1.0], q[None, :])
         with pytest.raises(SpecError):
-            check_discretization_bound(
-                PredictorTable.from_mapping("report", {"a": 2}), data, linked_normals, 0.0)
+            check_discretization_bound(bin_predictions(
+                PredictorTable.from_mapping("report", {"a": 2}), data), linked_normals, 0.0)
+
+    def test_delta_min_reads_the_whole_image(self, linked_normals):
+        """A prediction for an x_id outside the data still sets delta_min."""
+        q = _point_with_value(linked_normals, 0.5)
+        data = mass_counts(["a"], [1.0], q[None, :])
+        g = PredictorTable.from_mapping("scalar", {"a": 0.5, "unseen": 0.99})
+        rep = check_discretization_bound(bin_predictions(g, data), linked_normals, 0.0)
+        assert rep.bounds[0].params["delta_min"] == pytest.approx(0.01)
+        assert rep.data_features == 1
 
 
 class TestLipschitzEstimates:
@@ -481,11 +507,11 @@ class TestLipschitzEstimates:
             ("a", "b"), [0.5, 0.5], np.stack([qa, qb]))
         g = PredictorTable.from_mapping("scalar", {"a": 0.0, "b": 1.0})
         want = float(np.linalg.norm(qb - qa))
-        assert estimate_marginal_lipschitz(g, data) == pytest.approx(want)
+        assert estimate_marginal_lipschitz(bin_predictions(g, data)) == pytest.approx(want)
         # constant conditionals give zero
         data2 = mass_counts(
             ("a", "b"), [0.5, 0.5], np.stack([qa, qa]))
-        assert estimate_marginal_lipschitz(g, data2) == 0.0
+        assert estimate_marginal_lipschitz(bin_predictions(g, data2)) == 0.0
 
 
 @pytest.mark.parametrize("n,normals", [(3, True), (5, True), (5, False)])
@@ -502,8 +528,9 @@ def test_bound_params_label_estimated_k(n, normals):
     sc = ScenarioSpec(ids, np.full(4, 0.25), sample_simplex(n, 4, seed=n + 1),
                       recipe="perturbed", eta=0.1)
     data = exact_dataset(sc)
-    rep = check_postprocessing_bound(materialize_predictor(sc, seed=n), data, s)
+    rep = check_postprocessing_bound(
+        bin_predictions(materialize_predictor(sc, seed=n), data, s.gamma_many), s)
     assert [b.params["K_exact"] for b in rep.bounds] == [True] * len(rep.bounds)
     g = PredictorTable.from_mapping("scalar", dict.fromkeys(ids, 0.5))
-    rep = check_discretization_bound(g, data, s, C_marginal=0.0)
+    rep = check_discretization_bound(bin_predictions(g, data), s, C_marginal=0.0)
     assert rep.bounds[0].params["K_exact"] is True

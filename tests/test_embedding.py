@@ -10,7 +10,8 @@ from conftest import (
     lipschitz_estimate,
     written_v_bar,
 )
-from ordelic.audit import PredictorTable, check_discretization_bound, check_postprocessing_bound
+from ordelic.audit import (PredictorTable, bin_predictions, check_discretization_bound,
+                           check_postprocessing_bound)
 from ordelic.cli import _default_outer_slope
 from ordelic.embedding import (
     EmbeddingInput,
@@ -266,8 +267,8 @@ def test_shared_slice_point_is_not_lipschitz():
     f = PredictorTable.from_mapping("distribution", {"a": np.array([1.0, 0.0, 0.0]),
                                                      "b": np.array([0.2, 0.5, 0.3])})
     g = PredictorTable.from_mapping("scalar", dict.fromkeys(ids, 0.5))
-    for rep in (check_postprocessing_bound(f, data, s),
-                check_discretization_bound(g, data, s, C_marginal=0.0)):
+    for rep in (check_postprocessing_bound(bin_predictions(f, data, s.gamma_many), s),
+                check_discretization_bound(bin_predictions(g, data), s, C_marginal=0.0)):
         for bound in rep.bounds:
             assert bound.satisfied and bound.rhs == np.inf
             assert not any(isinstance(v, float) and np.isnan(v)

@@ -12,7 +12,9 @@ import json
 
 import pytest
 
+from ordelic import audit as audit_mod
 from ordelic.cli import main
+from ordelic.properties import Surrogate
 from ordelic.serialize import read_json, surrogate_from_json, write_json
 
 BOUNDARY_SPEC = {"n": 3, "reports": [1, 2, 3],
@@ -166,3 +168,40 @@ def test_audits_cover_every_report(workdir, capsys, monkeypatch):
                          ("scalar-width", [3, 4]), ("report-data", [3])):
         assert [r["bins"]["count"] for r in reports[case]] == counts
         assert all(r["data"]["features"] == 5 for r in reports[case])
+
+
+def _counted(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` by a wrapper that appends each call to the
+    returned list."""
+    calls, original = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("case,binnings", [
+    ("dist-data", 1), ("dist-plot", 1), ("scalar-data", 1), ("scalar-c-marginal", 1),
+    ("scalar-width", 2), ("report-scenario", 1)])
+def test_one_binning_per_audit(case, binnings, workdir, capsys, monkeypatch):
+    """An audit bins its data once per distinct binning: the distribution
+    and post-processing reports share the bins by property value, and the
+    surrogate report, the marginal estimate and the discretization check
+    the bins by value, unless --bin-width asks for uniform bins."""
+    monkeypatch.chdir(workdir)
+    bins = _counted(monkeypatch, audit_mod, "bin_predictions")
+    gammas = _counted(monkeypatch, Surrogate, "gamma_many")
+    run_audit(case, capsys)
+    assert len(bins) == binnings
+    if case.startswith("dist"):  # gamma of the predictions, then of the bins
+        assert len(gammas) == 2
+
+
+def test_one_binning_per_counterexample(workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    bins = _counted(monkeypatch, audit_mod, "bin_predictions")
+    run_counterexample("nrm", "l2", capsys)
+    assert len(bins) == 1

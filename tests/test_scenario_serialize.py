@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     O1,
     O2,
+    bins_by_key,
     bisect_expected_root,
     dirichlet_predictor,
     labeled_rows,
@@ -21,7 +22,7 @@ from conftest import (
     written_v_bar,
 )
 from ordelic import serialize
-from ordelic.audit import PredictorTable, _bin
+from ordelic.audit import PredictorTable
 from ordelic.cli import _default_outer_slope
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SpecError
@@ -56,7 +57,7 @@ from ordelic.simplex import LabelCounts, sample_simplex
 
 def _conditionals(data) -> dict:
     """x_id -> empirical label frequencies."""
-    bins = _bin(data, data.keys)
+    bins = bins_by_key(data, data.keys)
     return dict(zip(bins.keys.tolist(), bins.cond))
 
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_ternary_plot
-from ordelic.audit import _bin
+from conftest import bins_by_key, from_ternary_plot
 from ordelic.errors import SimplexError, SpecError
 from ordelic.scenario import ScenarioSpec, exact_dataset
 from ordelic.simplex import (
@@ -92,6 +91,23 @@ def test_batch_validation_matches_scalar():
     assert out.shape == (2, 3)
     with pytest.raises(SimplexError):
         as_simplex_points(np.array([[0.2, 0.2, 0.2]]))
+    with pytest.raises(SimplexError, match=r">= 2 entries, got shape \(2, 1\)"):
+        as_simplex_points(np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("rows,row,reason", [
+    ([[0.2, 0.3, 0.5], [0.6, 0.6, -0.2], [np.nan, 0.5, 0.5]], 1,
+     "entries outside [0, 1] beyond tolerance: [ 0.6  0.6 -0.2]"),
+    ([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5], [np.nan, 0.5, 0.5]], 2,
+     "entries are not all finite: [nan 0.5 0.5]"),
+    ([[0.5, 0.4, 0.2], [0.6, 0.6, -0.2]], 0,
+     "entries [0.5 0.4 0.2] sum to 1.1, not 1 within 1e-12"),
+])
+def test_batch_error_names_the_first_row_at_fault(rows, row, reason):
+    with pytest.raises(SimplexError) as info:
+        as_simplex_points(np.array(rows))
+    assert (info.value.row, info.value.reason) == (row, reason)
+    assert str(info.value) == f"row {row}: {reason}"
 
 
 def test_sampling_is_deterministic_and_uniform():
@@ -133,7 +149,7 @@ def test_ternary_plot_round_trip():
 
 def test_empirical_conditional_counts():
     data = LabelCounts(["a"], [[2.0, 1.0, 0.0]])
-    bins = _bin(data, ["bin"])
+    bins = bins_by_key(data, ["bin"])
     assert bins.keys.tolist() == ["bin"]
     assert np.allclose(bins.cond[0], [2 / 3, 1 / 3, 0.0])
     assert bins.empty == ()
@@ -141,7 +157,7 @@ def test_empirical_conditional_counts():
 
 def test_empirical_conditional_disjoint_bins():
     data = LabelCounts(["a", "b"], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    bins = _bin(data, [{"a": "bin1", "b": "bin2"}[x] for x in data.keys])
+    bins = bins_by_key(data, [{"a": "bin1", "b": "bin2"}[x] for x in data.keys])
     assert bins.keys.tolist() == ["bin1", "bin2"]
     assert np.allclose(bins.cond[0], [1, 0, 0])
     assert np.allclose(bins.cond[1], [0, 0, 1])
@@ -150,14 +166,14 @@ def test_empirical_conditional_disjoint_bins():
 def test_empirical_conditional_reports_empty_bins():
     # a bin whose only feature has zero mass is reported empty
     data = LabelCounts(["a", "zzz"], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    bins = _bin(data, [{"a": "used", "zzz": "unused"}[x] for x in data.keys])
+    bins = bins_by_key(data, [{"a": "used", "zzz": "unused"}[x] for x in data.keys])
     assert bins.keys.tolist() == ["used"]
     assert bins.empty == ("unused",)
 
 
 def test_empirical_conditional_respects_weights():
     data = LabelCounts(["a"], np.array([[3.0, 1.0, 0.0]]))
-    bins = _bin(data, [0])
+    bins = bins_by_key(data, [0])
     assert np.allclose(bins.cond[0], [0.75, 0.25, 0.0])
 
 
@@ -175,7 +191,7 @@ def test_dataset_validation():
 def test_exact_scenario_dataset():
     cond = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]])
     data = exact_dataset(ScenarioSpec(("x", "y", "z"), [0.4, 0.6, 0.0], cond))
-    got = _bin(data, data.keys)
+    got = bins_by_key(data, data.keys)
     # a feature of zero weight is left out, as it has no rows
     assert got.keys.tolist() == ["x", "y"]
     assert np.allclose(got.cond, cond[:2])
