@@ -190,7 +190,7 @@ def test_one_binning_per_audit(case, binnings, workdir, capsys, monkeypatch):
     """An audit bins its data once per distinct binning: the distribution
     and post-processing reports share the bins by property value, and the
     surrogate report, the marginal estimate and the discretization check
-    the bins by value, unless --bin-width asks for uniform bins."""
+    share the bins by value, unless --bin-width asks for uniform bins."""
     monkeypatch.chdir(workdir)
     bins = _counted(monkeypatch, audit_mod, "bin_predictions")
     gammas = _counted(monkeypatch, Surrogate, "gamma_many")
