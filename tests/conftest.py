@@ -7,12 +7,19 @@ import pytest
 from ordelic._kernels import BOUNDARY_TOL
 from ordelic.audit import PredictorTable, bin_predictions
 from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.errors import SimplexError
 from ordelic.normals import build_from_spec
 from ordelic.piecewise import PiecewiseAffine
 from ordelic.properties import AffineBoundary, CostMatrix, spec_from_boundaries
 from ordelic.scenario import sample_dataset
 from ordelic.serialize import dumps, surrogate_to_json
-from ordelic.simplex import LabelCounts, as_simplex_points, norm_order, sample_simplex
+from ordelic.simplex import (
+    SIMPLEX_TOL,
+    LabelCounts,
+    as_simplex_points,
+    norm_order,
+    sample_simplex,
+)
 
 EQ1_COSTS = [[0.0, 3.0, 5.0], [1.0, 0.0, 3.0], [3.0, 1.0, 0.0]]
 EQ1_PHI = np.array([0.0, 1.0, 3.0])
@@ -261,6 +268,29 @@ def dirichlet_predictor(scenario, seed: int) -> np.ndarray:
         else:
             rows.append(cond.copy())
     return np.array(rows)
+
+
+def simplex_points_reference(x) -> np.ndarray:
+    """:func:`ordelic.simplex.as_simplex_points` as it was written with
+    whole-array boolean tests: the oracle of its accept/reject decision,
+    error text, faulty row and output bits."""
+    P = np.asarray(x, dtype=np.float64)
+    if P.ndim != 2 or P.shape[1] < 2:
+        raise SimplexError(f"expected rows of >= 2 entries, got shape {P.shape}")
+    totals = P.sum(axis=1)
+    if not (np.all(P >= -SIMPLEX_TOL) and np.all(P <= 1.0 + SIMPLEX_TOL)
+            and np.all(np.abs(totals - 1.0) <= SIMPLEX_TOL)):
+        inside = ((P >= -SIMPLEX_TOL) & (P <= 1.0 + SIMPLEX_TOL)).all(axis=1)
+        i = int(np.argmin(inside & (np.abs(totals - 1.0) <= SIMPLEX_TOL)))
+        p = P[i]
+        if not np.isfinite(p).all():
+            raise SimplexError(f"entries are not all finite: {p}", row=i)
+        if not inside[i]:
+            raise SimplexError(f"entries outside [0, 1] beyond tolerance: {p}", row=i)
+        raise SimplexError(f"entries {p} sum to {totals[i]}, not 1 within {SIMPLEX_TOL}",
+                           row=i)
+    P = np.clip(P, 0.0, None)
+    return P / P.sum(axis=1, keepdims=True)
 
 
 def write_levelsets_rows(path, surrogate, res: int) -> None:

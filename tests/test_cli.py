@@ -200,6 +200,24 @@ class TestLevelsets:
                              surrogate_from_json(read_json(sur)), res)
         assert (tmp_path / "want.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
 
+    # sha256 of the resolution-300 levelsets CSV, recorded while each call
+    # still validated its grid three times: once in the grid, once for the
+    # surrogate values and once for the target sets.
+    @pytest.mark.parametrize("spec, algo_args, digest", [
+        (COST_SPEC, ["--algo", "embedding", "--phi", "0,1,3"],
+         "342656821d4cfbd8913df1d2dbb6f3dabe866b3867315244d44d8d45704f77b2"),
+        (BOUNDARY_SPEC, ["--algo", "normals", "--seed", "3"],
+         "3c31c11ab12f401c765627dec2b70d2f2a11e34ea24e97eab5a2f5cc0d1dd4e3"),
+        (COST_SPEC, ["--algo", "normals", "--seed", "1"],
+         "a82e769f7eaa5164094920ec2da474660994250ee6529d5854cd53d84e232cf7"),
+    ], ids=["embedding", "normals", "normals-cost"])
+    def test_resolution_300_digest(self, spec, algo_args, digest, tmp_path):
+        spec_path, out = str(tmp_path / "s.json"), tmp_path / "g.csv"
+        write_json(spec_path, spec)
+        assert main(["levelsets", "--spec", spec_path, *algo_args,
+                     "--resolution", "300", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("spec, message", [
         (COST_SPEC, "--resolution must be at least 1, got 0"),
         ({"n": 4, "reports": [1, 2], "cost_matrix": [[0, 0, 1, 1], [1, 1, 0, 0]]},

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bins_by_key, from_ternary_plot
+from conftest import bins_by_key, from_ternary_plot, simplex_points_reference
 from ordelic.errors import SimplexError, SpecError
 from ordelic.scenario import ScenarioSpec, exact_dataset
 from ordelic.simplex import (
+    SIMPLEX_TOL,
     LabelCounts,
     as_simplex_point,
     as_simplex_points,
@@ -108,6 +109,60 @@ def test_batch_error_names_the_first_row_at_fault(rows, row, reason):
         as_simplex_points(np.array(rows))
     assert (info.value.row, info.value.reason) == (row, reason)
     assert str(info.value) == f"row {row}: {reason}"
+
+
+# Entries on and just past each edge of the tolerance band, signed zeros and
+# the non-finite values.
+EDGE_ENTRIES = [0.0, -0.0, 1.0, SIMPLEX_TOL, -SIMPLEX_TOL, 1.0 - SIMPLEX_TOL,
+                1.0 + SIMPLEX_TOL, np.nextafter(-SIMPLEX_TOL, -1.0),
+                np.nextafter(1.0 + SIMPLEX_TOL, 2.0), -2.0 * SIMPLEX_TOL,
+                np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def simplex_batches(draw):
+    """(m, n) batches, n = 2..9, whose rows are probability vectors, rows
+    whose total sits near the edge of the tolerance, or rows with one entry
+    from ``EDGE_ENTRIES`` or out of range."""
+    n, m = draw(st.integers(2, 9)), draw(st.integers(1, 5))
+    rows = []
+    for _ in range(m):
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        p = w / w.sum() if w.sum() > 0 else np.eye(n)[0]
+        kind = draw(st.sampled_from(["point", "total", "entry"]))
+        j = draw(st.integers(0, n - 1))
+        if kind == "total":
+            p[j] += draw(st.sampled_from([-1.0, 1.0])) * SIMPLEX_TOL * draw(
+                st.sampled_from([0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0]))
+        elif kind == "entry":
+            p[j] = draw(st.sampled_from(EDGE_ENTRIES) | st.floats(-0.5, 1.5))
+        rows.append(p)
+    return np.array(rows)
+
+
+def _simplex_outcome(f, x):
+    try:
+        out = f(x)
+    except SimplexError as exc:
+        return str(exc), exc.row, exc.reason
+    return out.dtype, out.shape, out.tobytes()
+
+
+@given(simplex_batches())
+@settings(max_examples=400, deadline=None)
+def test_as_simplex_points_matches_the_reference(P):
+    assert _simplex_outcome(as_simplex_points, P) == \
+        _simplex_outcome(simplex_points_reference, P)
+
+
+@pytest.mark.parametrize("x", [
+    [0.5, 0.5], [[1.0]], np.ones((0, 3)), [[1, 0, 0], [0, 1, 0]],
+    [[0.0, -0.0, 1.0]], [[-0.0, 1.0 + SIMPLEX_TOL]], [[0.5, 0.5 + SIMPLEX_TOL]],
+    np.full((3, 4), 0.25), [[0.2, 0.8], [0.5, np.nan], [-1.0, 2.0]],
+])
+def test_as_simplex_points_matches_the_reference_on_edges(x):
+    assert _simplex_outcome(as_simplex_points, x) == \
+        _simplex_outcome(simplex_points_reference, x)
 
 
 def test_sampling_is_deterministic_and_uniform():
