@@ -160,11 +160,19 @@ class _Bins:
     keys: np.ndarray    # (bins, ...) bin keys
     counts: np.ndarray  # (bins, outcomes) weighted label counts
     empty: tuple        # keys held only by zero-mass features
+    _gammas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def cond(self) -> np.ndarray:
         """(bins, outcomes) empirical conditional of each bin."""
         return self.counts / self.counts.sum(axis=1, keepdims=True)
+
+    def gamma(self, gamma_eval) -> np.ndarray:
+        """``gamma_eval(self.cond)``, evaluated once per bins and evaluator, so
+        that the estimators and checks reading one binning share it."""
+        if gamma_eval not in self._gammas:
+            self._gammas[gamma_eval] = gamma_eval(self.cond)
+        return self._gammas[gamma_eval]
 
     def mean(self, loss) -> float:
         """Mass-weighted mean of a per-live-feature loss."""
@@ -218,7 +226,7 @@ def _distance(bins: _Bins, norm, convention: str = "simplex") -> np.ndarray:
 
 def _gap(bins: _Bins, gamma_eval, u: np.ndarray) -> np.ndarray:
     """|gamma(q) - u| of each live feature, q its bin's conditional."""
-    return np.abs(gamma_eval(bins.cond)[bins.of] - u)
+    return np.abs(bins.gamma(gamma_eval)[bins.of] - u)
 
 
 def _member(sets: np.ndarray, reports) -> np.ndarray:

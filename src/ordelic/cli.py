@@ -176,8 +176,7 @@ def _cmd_levelsets(args) -> int:
     else:
         surrogate, _ = _build_normals(spec, _require_seed(args))
     pts = triangle_grid(args.resolution)
-    gamma_d = np.argmax(surrogate.discrete_set_many(pts), axis=1) + 1  # lowest target report
-    serialize.write_levelsets_csv(args.out, pts, gamma_d, surrogate.gamma_many(pts))
+    serialize.write_levelsets_csv(args.out, pts, *surrogate.levels_many(pts))
     return EXIT_OK
 
 

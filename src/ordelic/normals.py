@@ -16,12 +16,12 @@ from ordelic.properties import (
     CostMatrix,
     OrderableSpec,
     Surrogate,
+    _sample_slice,
     boundaries_from_cost,
     boundary_gap,
     homogenize_boundary,
     normal_from_boundary_samples,
     orient_normals,
-    sample_boundary,
     slice_vertices,
 )
 from ordelic.simplex import sample_simplex
@@ -55,13 +55,15 @@ def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
         boundaries = list(source)
     raw = [homogenize_boundary(bd) for bd in boundaries]
     n = len(raw[0])
-    slice_vertices(np.stack(raw))  # name a boundary that cannot be sampled
+    units = np.stack([o / np.linalg.norm(o) for o in raw])  # as sample_boundary takes them
+    slices = slice_vertices(units)  # name a boundary that cannot be sampled
 
     recovered = []
     for b_idx, o_true in enumerate(raw):
         got = None
         for attempt in range(20):
-            pts = sample_boundary(o_true, n - 1, seed + 1000 * b_idx + attempt)
+            pts = _sample_slice(units[b_idx], slices[b_idx], n - 1,
+                                seed + 1000 * b_idx + attempt)
             try:
                 got = normal_from_boundary_samples(pts)
                 break

@@ -587,27 +587,32 @@ def write_levelsets_csv(path, points, gamma_discrete, gamma_surrogate) -> None:
 
     Each column is formatted once per distinct value (by bit pattern, so
     -0.0 keeps its sign), and rows are joined and written
-    ``LEVELSETS_BLOCK_ROWS`` at a time.
+    ``LEVELSETS_BLOCK_ROWS`` at a time.  The line end before each row goes
+    with its first cell, so that the surrogate column, whose values are
+    nearly all distinct, is formatted with no suffix.
     """
     columns = (*np.asarray(points, dtype=np.float64).T,
                np.asarray(gamma_discrete, dtype=np.int64),
                np.asarray(gamma_surrogate, dtype=np.float64))
-    cells = [_cell_table(col, end) for col, end in zip(columns, ",,,,\n")]
+    cells = [_cell_table(col, start, end) for col, start, end
+             in zip(columns, ("\n", "", "", "", ""), (",", ",", ",", ",", ""))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("p1,p2,p3,gamma_discrete,gamma_surrogate\n")
-        for start in range(0, len(columns[0]), LEVELSETS_BLOCK_ROWS):
-            rows = slice(start, start + LEVELSETS_BLOCK_ROWS)
+        fh.write("p1,p2,p3,gamma_discrete,gamma_surrogate")
+        for first in range(0, len(columns[0]), LEVELSETS_BLOCK_ROWS):
+            rows = slice(first, first + LEVELSETS_BLOCK_ROWS)
             block = np.column_stack([text[index[rows]] for text, index in cells])
             fh.write("".join(block.ravel().tolist()))
+        fh.write("\n")
 
 
-def _cell_table(column: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
+def _cell_table(column: np.ndarray, start: str, end: str) -> tuple[np.ndarray, np.ndarray]:
     """(text, index) of a float64 or int64 column: ``text[index[r]]`` is the
-    ``repr`` of row r's value followed by ``end``."""
+    ``repr`` of row r's value between ``start`` and ``end``."""
     col = np.ascontiguousarray(column)
     bits, index = np.unique(col.view(np.uint64), return_inverse=True)
-    text = np.array([repr(v) + end for v in bits.view(col.dtype).tolist()], dtype=object)
-    return text, index
+    values = bits.view(col.dtype).tolist()
+    text = [start + repr(v) + end for v in values] if start or end else list(map(repr, values))
+    return np.array(text, dtype=object), index
 
 
 # ---------------------------------------------------------------------------

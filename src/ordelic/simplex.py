@@ -58,10 +58,10 @@ def as_simplex_points(x) -> np.ndarray:
     P = np.asarray(x, dtype=np.float64)
     if P.ndim != 2 or P.shape[1] < 2:
         raise SimplexError(f"expected rows of >= 2 entries, got shape {P.shape}")
-    totals = P.sum(axis=1)
+    totals = _row_sums(P)
     # NaN fails every comparison, and an infinity the range check
-    if not (np.all(P >= -SIMPLEX_TOL) and np.all(P <= 1.0 + SIMPLEX_TOL)
-            and np.all(np.abs(totals - 1.0) <= SIMPLEX_TOL)):
+    if not (P.min(initial=0.0) >= -SIMPLEX_TOL and P.max(initial=1.0) <= 1.0 + SIMPLEX_TOL
+            and np.abs(totals - 1.0).max(initial=0.0) <= SIMPLEX_TOL):
         inside = ((P >= -SIMPLEX_TOL) & (P <= 1.0 + SIMPLEX_TOL)).all(axis=1)
         i = int(np.argmin(inside & (np.abs(totals - 1.0) <= SIMPLEX_TOL)))
         p = P[i]  # the first row at fault
@@ -72,7 +72,20 @@ def as_simplex_points(x) -> np.ndarray:
         raise SimplexError(f"entries {p} sum to {totals[i]}, not 1 within {SIMPLEX_TOL}",
                            row=i)
     P = np.clip(P, 0.0, None)
-    return P / P.sum(axis=1, keepdims=True)
+    return P / _row_sums(P)[:, None]
+
+
+def _row_sums(P: np.ndarray) -> np.ndarray:
+    """``P.sum(axis=1)`` of an (m, n) float64 array, bit for bit.  numpy adds
+    fewer than 8 entries one by one from 0.0, so for n < 8 a loop over the
+    columns gives the same sums several times faster; from 8 on it sums in
+    pairs."""
+    if P.shape[1] >= 8:
+        return P.sum(axis=1)
+    total = np.zeros(len(P))
+    for column in P.T:
+        total += column
+    return total
 
 
 def triangle_grid(resolution: int) -> np.ndarray:

@@ -190,14 +190,15 @@ def test_one_binning_per_audit(case, binnings, workdir, capsys, monkeypatch):
     """An audit bins its data once per distinct binning: the distribution
     and post-processing reports share the bins by property value, and the
     surrogate report, the marginal estimate and the discretization check
-    share the bins by value, unless --bin-width asks for uniform bins."""
+    share the bins by value, unless --bin-width asks for uniform bins.  The
+    property is evaluated once per binning at the bin conditionals, and a
+    distribution audit evaluates it at the predictions too."""
     monkeypatch.chdir(workdir)
     bins = _counted(monkeypatch, audit_mod, "bin_predictions")
-    gammas = _counted(monkeypatch, Surrogate, "gamma_many")
+    calls = _counted(monkeypatch, Surrogate, "gamma_many")
     run_audit(case, capsys)
-    assert len(bins) == binnings
-    if case.startswith("dist"):  # gamma of the predictions, then of the bins
-        assert len(gammas) == 2
+    gammas = {"dist": 2, "scalar": binnings, "report": 0}[case.split("-")[0]]
+    assert (len(bins), len(calls)) == (binnings, gammas)
 
 
 def test_one_binning_per_counterexample(workdir, capsys, monkeypatch):

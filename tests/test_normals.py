@@ -14,6 +14,7 @@ from conftest import (
     slice_distance_qp,
     written_v_bar,
 )
+from ordelic import properties
 from ordelic.errors import OrderabilityError
 from ordelic.normals import build_from_spec, full_pipeline
 from ordelic.properties import (
@@ -206,6 +207,23 @@ class TestFullPipeline:
         for i, g in enumerate(report["boundary_gaps"]):
             assert abs(g - slice_distance_qp(got[i], got[i + 1])) <= 1e-12
         assert report["refinement_pass_rate"] == 1.0
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_slices_enumerated_once_per_normal(self, n, monkeypatch):
+        """A 3-boundary pipeline enumerates the slice vertices 8 times: once
+        per raw normal, for the check and the boundary samples alike; twice
+        in orient_normals, for the first two recovered normals; once per
+        oriented normal, which K reads too.  The l1 and linf constants read
+        the same slices."""
+        from ordelic.properties import random_orderable_spec
+        spec = random_orderable_spec(n, 4, seed=n)[0]
+        calls, original = [], properties._simplex_boundary_endpoints
+        monkeypatch.setattr(properties, "_simplex_boundary_endpoints",
+                            lambda o: calls.append(o) or original(o))
+        s, _ = full_pipeline(list(spec.boundaries), seed=5)
+        assert len(calls) == 8
+        s.lipschitz("l1"), s.lipschitz("linf")
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("n,n_reports,seed", [(8, 6, 1), (10, 3, 0)])
     def test_spec_with_small_regions(self, n, n_reports, seed):

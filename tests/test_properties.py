@@ -31,6 +31,7 @@ from ordelic.properties import (
     CostMatrix,
     OrderableSpec,
     OrientedNormals,
+    _first_columns,
     _min_norm_point,
     _simplex_boundary_endpoints,
     boundaries_from_cost,
@@ -43,7 +44,7 @@ from ordelic.properties import (
     spec_from_boundaries,
 )
 from ordelic.serialize import dumps, surrogate_from_json, surrogate_to_json
-from ordelic.simplex import norm_order, sample_simplex
+from ordelic.simplex import as_simplex_points, norm_order, sample_simplex
 
 
 def target_set(cost, p) -> set:
@@ -297,6 +298,47 @@ def test_boundary_ties_use_one_tolerance(n, boundary, seed, shift):
     sets = s.discrete_set_many(pts)
     assert [set(np.flatnonzero(row) + 1) for row in sets] \
         == [{i + 1, i + 2}, {i + 1}, {i + 2}]
+
+
+def _target_sets_reference(target, P) -> np.ndarray:
+    """The target sets of validated rows P by whole-array reductions."""
+    if isinstance(target, CostMatrix):
+        ec = P @ target.entries.T
+        return ec <= ec.min(axis=1, keepdims=True) + BOUNDARY_TOL
+    S = P @ target.o.T
+    ones = np.ones((len(S), 1), dtype=bool)
+    lo_ok = np.logical_and.accumulate(np.hstack([ones, S >= -BOUNDARY_TOL]), axis=1)
+    hi_ok = np.logical_and.accumulate(np.hstack([S <= BOUNDARY_TOL, ones])[:, ::-1], axis=1)
+    return lo_ok & hi_ok[:, ::-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 8), n_reports=st.integers(2, 5), seed=st.integers(0, 2**20),
+       algo=st.sampled_from(["embedding", "normals"]))
+def test_levels_many_is_the_lowest_target_and_gamma(n, n_reports, seed, algo):
+    """levels_many gives, bit for bit, the lowest report of
+    discrete_set_many and gamma_many, and the target sets equal their
+    whole-array form, on interior points, vertices and boundary ties."""
+    spec, cost, phi = random_orderable_spec(n, n_reports, seed)
+    if algo == "embedding":
+        s = build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+    else:
+        s = build_from_spec(spec)
+    pts = np.vstack([sample_simplex(n, 300, seed), np.eye(n),
+                     *(sample_boundary(o, 20, seed) for o in spec.normals.o)])
+    reports, values = s.levels_many(pts)
+    assert reports.tobytes() == (np.argmax(s.discrete_set_many(pts), axis=1) + 1).tobytes()
+    assert values.tobytes() == s.gamma_many(pts).tobytes()
+    P = as_simplex_points(pts)
+    for target in (cost, spec.normals):
+        assert np.array_equal(target.target_sets(pts), _target_sets_reference(target, P))
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 6])
+def test_first_columns_is_argmax(columns):
+    mask = np.random.default_rng(columns).random((400, columns)) < 0.3  # some rows empty
+    assert not mask.any(axis=1).all()
+    assert _first_columns(mask).tobytes() == np.argmax(mask, axis=1).tobytes()
 
 
 @pytest.mark.parametrize("algo", ["embedding", "normals"])

@@ -9,6 +9,7 @@ from ordelic.scenario import ScenarioSpec, exact_dataset
 from ordelic.simplex import (
     SIMPLEX_TOL,
     LabelCounts,
+    _row_sums,
     as_simplex_point,
     as_simplex_points,
     norm_order,
@@ -163,6 +164,21 @@ def test_as_simplex_points_matches_the_reference(P):
 def test_as_simplex_points_matches_the_reference_on_edges(x):
     assert _simplex_outcome(as_simplex_points, x) == \
         _simplex_outcome(simplex_points_reference, x)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_row_sums_are_numpys_bit_for_bit(n, layout):
+    rng = np.random.default_rng(n)
+    P = rng.random((500, n)) * rng.choice([1e-300, 1e-17, 1.0, 1e8, 0.0, -0.0, -1.0],
+                                          size=(500, n))
+    P[0], P[1, 0], P[2, :2] = -0.0, np.nan, (np.inf, -np.inf)
+    if layout == "F":
+        P = np.asfortranarray(P)
+    elif layout == "strided":
+        P = np.repeat(P, 2, axis=1)[:, ::2]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert _row_sums(P).tobytes() == P.sum(axis=1).tobytes()
 
 
 def test_sampling_is_deterministic_and_uniform():
