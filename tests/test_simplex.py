@@ -166,6 +166,24 @@ def test_as_simplex_points_matches_the_reference_on_edges(x):
         _simplex_outcome(simplex_points_reference, x)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("edge, fill", [
+    (-SIMPLEX_TOL, None), (np.nextafter(-SIMPLEX_TOL, -1.0), None),
+    (1.0 + SIMPLEX_TOL, -SIMPLEX_TOL), (np.nextafter(1.0 + SIMPLEX_TOL, 2.0), -SIMPLEX_TOL)])
+def test_as_simplex_points_matches_the_reference_at_the_range_edges(n, edge, fill):
+    """Rows whose first entry sits on or just past an edge of the range
+    tolerance, the other entries making the total 1 up to rounding."""
+    row = np.zeros(n)
+    row[0] = edge
+    if fill is None:
+        row[1:] = (1.0 - edge) / (n - 1)
+    else:
+        row[1] = fill
+    P = np.array([np.full(n, 1.0 / n), row])
+    assert _simplex_outcome(as_simplex_points, P) == \
+        _simplex_outcome(simplex_points_reference, P)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_row_sums_are_numpys_bit_for_bit(n, layout):
