@@ -21,7 +21,6 @@ from ordelic import serialize
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import OrdelicError, SearchFailure, SpecError
 from ordelic.normals import full_pipeline
-from ordelic.piecewise import lower_convex_envelope
 from ordelic.properties import Surrogate
 from ordelic.scenario import exact_dataset, materialize_predictor, sample_dataset
 from ordelic.simplex import triangle_grid
@@ -114,26 +113,17 @@ def _parse_phi(arg, n_reports: int) -> np.ndarray:
     return phi
 
 
-def _default_outer_slope(cost, phi) -> float:
-    worst = 0.0
-    for y in range(cost.n_outcomes):
-        chords = lower_convex_envelope(np.column_stack([phi, cost.entries[:, y]]))
-        worst = max(worst, max(abs(a) for a, _ in chords))
-    return 1.0 + worst
-
-
 def _build_embedding(spec: dict, args):
     cost = spec["cost"]
     if cost is None:
         raise SpecError("the embedding construction needs a cost matrix spec")
     phi = _parse_phi(args.phi, cost.n_reports)
-    S = args.outer_slope if args.outer_slope is not None \
-        else _default_outer_slope(cost, phi)
-    surrogate = build_surrogate(build_envelope_loss(cost, phi, S))
+    inp = build_envelope_loss(cost, phi, args.outer_slope)
+    surrogate = build_surrogate(inp)
     report = {
         "algo": "embedding",
         "phi": phi.tolist(),
-        "outer_slope": S,
+        "outer_slope": inp.outer_slope,
         "u_grid": surrogate.grid.tolist(),
         "thresholds": surrogate.thresholds.tolist(),
         "lipschitz_bound": surrogate.lipschitz_bound,
@@ -254,8 +244,7 @@ def _cmd_audit(args) -> int:
                    "convention": args.convention, "out": args.out},
         "reports": [r.as_dict() for r in reports],
     }
-    serialize.write_json(args.out, payload)
-    sys.stdout.write(serialize.dumps(payload))
+    sys.stdout.write(serialize.write_json(args.out, payload))
     all_ok = all(b.satisfied for r in reports for b in r.bounds)
     return EXIT_OK if all_ok else EXIT_BOUND
 
@@ -277,7 +266,7 @@ def _cmd_counterexample(args) -> int:
             "gap_exceeds_C_times_epsilon": bool(sur_eps > args.c * dist_eps),
         },
     }
-    serialize.write_json(args.out + ".report.json", payload)
+    text = serialize.write_json(args.out + ".report.json", payload)
     serialize.write_json(args.out + ".scenario.json", {
         "features": [{"id": instance["x_id"], "weight": 1.0,
                       "conditional": instance["conditional"]}],
@@ -285,7 +274,7 @@ def _cmd_counterexample(args) -> int:
                       "table": {instance["x_id"]: instance["prediction"]}},
     })
     serialize.write_predictor(args.out + ".predictor.json", f)
-    sys.stdout.write(serialize.dumps(payload))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

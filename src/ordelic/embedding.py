@@ -29,6 +29,7 @@ class EmbeddingInput:
     losses: tuple  # MaxAffinePieces per outcome
     phi: np.ndarray  # strictly increasing, one per report
     cost: CostMatrix | None = None
+    outer_slope: float | None = None  # of the outer extensions, when built here
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)
@@ -76,26 +77,28 @@ def _mismatch_message(costs: np.ndarray, phi: np.ndarray, outcome: int) -> str:
             f"{need}")
 
 
-def build_envelope_loss(cost: CostMatrix, phi, outer_slope: float) -> EmbeddingInput:
+def build_envelope_loss(cost: CostMatrix, phi, outer_slope: float | None = None
+                        ) -> EmbeddingInput:
     """Embedded loss: envelope chords of (phi_r, cost[r, y]) plus outer
     extensions of slope -S and +S through the extreme points.
 
-    ``outer_slope`` must be at least the largest chord-slope magnitude so the
-    extensions never cut below the chords.
+    ``outer_slope`` S must be at least the largest chord-slope magnitude so
+    the extensions never cut below the chords; by default it is 1 plus the
+    largest over all outcomes.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if len(phi) != cost.n_reports:
         raise SpecError("one embedding point per report required")
     if np.any(np.diff(phi) <= 0):
         raise SpecError("embedding points must be strictly increasing")
-    S = float(outer_slope)
-    if S <= 0:
+    if outer_slope is not None and float(outer_slope) <= 0:
         raise SpecError("outer slope must be positive")
+    points = [np.column_stack([phi, cost.entries[:, y]]) for y in range(cost.n_outcomes)]
+    chords = [lower_convex_envelope(pts) for pts in points]
+    steepest = [max(abs(a) for a, _ in c) for c in chords]
+    S = 1.0 + max(steepest) if outer_slope is None else float(outer_slope)
     losses = []
-    for y in range(cost.n_outcomes):
-        pts = np.column_stack([phi, cost.entries[:, y]])
-        chords = lower_convex_envelope(pts)
-        max_slope = max(abs(a) for a, _ in chords)
+    for y, (pts, c, max_slope) in enumerate(zip(points, chords, steepest)):
         if S < max_slope - 1e-12:
             raise SpecError(
                 f"outer slope {S} does not dominate chord slopes "
@@ -104,28 +107,32 @@ def build_envelope_loss(cost: CostMatrix, phi, outer_slope: float) -> EmbeddingI
         left = (-S, pts[0, 1] + S * pts[0, 0])
         right = (S, pts[-1, 1] - S * pts[-1, 0])
         pieces = []
-        for piece in [left] + chords + [right]:
+        for piece in [left] + c + [right]:
             if not any(
                 abs(piece[0] - q[0]) <= 1e-12 and abs(piece[1] - q[1]) <= 1e-12
                 for q in pieces
             ):
                 pieces.append(piece)
         losses.append(MaxAffinePieces(np.array(pieces)))
-    return EmbeddingInput(tuple(losses), phi, cost=cost)
+    return EmbeddingInput(tuple(losses), phi, cost=cost, outer_slope=S)
 
 
 def pseudo_identification(inp: EmbeddingInput, u: float, outcome: int) -> float:
-    """Three-case pseudo-derivative of the embedded loss at u (1-based outcome).
+    """Three-case pseudo-derivative of the embedded loss at u (1-based
+    outcome); see :func:`pseudo_identification_many`."""
+    return float(pseudo_identification_many(inp, [u], outcome)[0])
+
+
+def pseudo_identification_many(inp: EmbeddingInput, us, outcome: int) -> np.ndarray:
+    """Three-case pseudo-derivative of the embedded loss (1-based outcome)
+    at each of ``us``.
 
     Differentiable: the derivative.  Left/right derivative signs differ: 0.
     Same sign: their average.
     """
-    dl, dr = inp.losses[outcome - 1].derivative_interval(float(u))
-    if abs(dl - dr) <= 1e-12:
-        return dl
-    if np.sign(dl) != np.sign(dr):
-        return 0.0
-    return 0.5 * (dl + dr)
+    dl, dr = inp.losses[outcome - 1].derivative_interval_many(us)
+    return np.where(np.abs(dl - dr) <= 1e-12, dl,
+                    np.where(np.sign(dl) != np.sign(dr), 0.0, 0.5 * (dl + dr)))
 
 
 def interpolation_grid(inp: EmbeddingInput) -> np.ndarray:
@@ -139,7 +146,6 @@ def build_surrogate(inp: EmbeddingInput) -> Surrogate:
     """Full construction: the identification nodes are each outcome's
     pseudo-derivative on the interpolation grid; thresholds are midpoints."""
     grid = interpolation_grid(inp)
-    nodes = [[pseudo_identification(inp, u, y) for u in grid]
-             for y in range(1, inp.n_outcomes + 1)]
+    nodes = [pseudo_identification_many(inp, grid, y) for y in range(1, inp.n_outcomes + 1)]
     return Surrogate(grid, nodes, thresholds=0.5 * (inp.phi[:-1] + inp.phi[1:]),
                      cost=inp.cost)

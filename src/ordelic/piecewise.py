@@ -40,11 +40,7 @@ class PiecewiseAffine:
             raise SpecError("breakpoints must be strictly increasing")
         if len(a) != len(bp) + 1 or len(c) != len(bp) + 1:
             raise SpecError("need exactly one more piece than breakpoints")
-        left = a[:-1] * bp + c[:-1]
-        right = a[1:] * bp + c[1:]
-        scale = 1.0 + np.abs(left)
-        if np.any(np.abs(left - right) > CONTINUITY_TOL * scale):
-            raise SpecError("pieces disagree at a breakpoint; function not well-defined")
+        _check_continuity(bp, a, c)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", a)
         object.__setattr__(self, "intercepts", c)
@@ -56,11 +52,8 @@ class PiecewiseAffine:
         v = np.asarray(values, dtype=np.float64)
         if len(bp) != len(v):
             raise SpecError("breakpoints and values must align")
-        a = np.concatenate(([left_slope], np.diff(v) / np.diff(bp), [right_slope]))
-        c = np.empty(len(bp) + 1)
-        c[:-1] = v - a[:-1] * bp
-        c[-1] = v[-1] - a[-1] * bp[-1]
-        return cls(bp, a, c)
+        a, c = interpolate(bp, v[None], left_slope, right_slope)
+        return cls(bp, a[0], c[0])
 
     def __call__(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -86,10 +79,46 @@ class MaxAffinePieces:
         return vals.max(axis=-1)
 
     def derivative_interval(self, u: float) -> tuple[float, float]:
-        vals = self.pieces[:, 0] * u + self.pieces[:, 1]
-        top = vals.max()
-        active = self.pieces[vals >= top - ACTIVE_TOL * (1.0 + abs(top)), 0]
-        return float(active.min()), float(active.max())
+        """(left, right) derivative at u; see :meth:`derivative_interval_many`."""
+        return tuple(float(d[0]) for d in self.derivative_interval_many([u]))
+
+    def derivative_interval_many(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right) derivatives at each of ``us``: the least and the
+        largest slope of the pieces within ACTIVE_TOL (relative) of the max
+        there."""
+        a, b = self.pieces[:, 0], self.pieces[:, 1]
+        vals = a * np.asarray(us, dtype=np.float64)[:, None] + b
+        top = vals.max(axis=1, keepdims=True)
+        active = vals >= top - ACTIVE_TOL * (1.0 + np.abs(top))
+        return (np.where(active, a, np.inf).min(axis=1),
+                np.where(active, a, -np.inf).max(axis=1))
+
+
+def interpolate(breakpoints, values, left_slope: float,
+                right_slope: float) -> tuple[np.ndarray, np.ndarray]:
+    """(slopes, intercepts), one row per row of ``values``, of the linear
+    interpolations through (breakpoint, value) nodes with affine tails, as
+    :meth:`PiecewiseAffine.from_nodes` builds each; checked for continuity
+    as it checks them."""
+    bp, V = np.asarray(breakpoints, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    a = np.empty((len(V), len(bp) + 1))
+    a[:, 0], a[:, -1] = left_slope, right_slope
+    a[:, 1:-1] = np.diff(V, axis=1) / np.diff(bp)
+    c = np.empty_like(a)
+    c[:, :-1] = V - a[:, :-1] * bp
+    c[:, -1] = V[:, -1] - a[:, -1] * bp[-1]
+    _check_continuity(bp, a, c)
+    return a, c
+
+
+def _check_continuity(bp: np.ndarray, a: np.ndarray, c: np.ndarray) -> None:
+    """Raise unless the pieces (slopes a, intercepts c along the last axis)
+    meet at every breakpoint within CONTINUITY_TOL (relative)."""
+    left = a[..., :-1] * bp + c[..., :-1]
+    right = a[..., 1:] * bp + c[..., 1:]
+    scale = 1.0 + np.abs(left)
+    if np.any(np.abs(left - right) > CONTINUITY_TOL * scale):
+        raise SpecError("pieces disagree at a breakpoint; function not well-defined")
 
 
 def lower_convex_envelope(points) -> list[tuple[float, float]]:

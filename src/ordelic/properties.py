@@ -130,41 +130,52 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _simplex_boundary_endpoints(o: np.ndarray) -> np.ndarray:
-    """Vertices of the slice {<o, p> = 0} of the simplex: the vertices e_m with
-    |o_m| <= 1e-12, then the edge crossings (1-t) e_i + t e_j, i < j, at
-    t = o_i / (o_i - o_j) in (1e-12, 1 - 1e-12); points within 1e-9 of an
-    earlier one are dropped."""
-    n = len(o)
+    """Vertices of the slice {<o, p> = 0} of the simplex; see
+    :func:`_slice_vertex_sets`."""
+    return _slice_vertex_sets(np.asarray(o)[None])[0]
+
+
+def _slice_vertex_sets(O: np.ndarray) -> list[np.ndarray]:
+    """Vertices of the slice {<o, p> = 0} of the simplex for each row o of
+    the (k, n) array O: the vertices e_m with |o_m| <= 1e-12, then the edge
+    crossings (1-t) e_i + t e_j, i < j, at t = o_i / (o_i - o_j) in
+    (1e-12, 1 - 1e-12); points within 1e-9 of an earlier one of the same
+    slice are dropped.  Every row's candidates are laid out at once: n
+    vertices, then one crossing per edge."""
+    k, n = O.shape
+    if not k:
+        return []
     I, J = _pairs(n)
-    den = o[I] - o[J]
+    den = O[:, I] - O[:, J]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = o[I] / den
+        t = O[:, I] / den
     cross = (np.abs(den) > 1e-12) & (1e-12 < t) & (t < 1.0 - 1e-12)
-    zero = np.flatnonzero(np.abs(o) <= 1e-12)
-    rows = np.arange(len(zero), len(zero) + int(cross.sum()))
-    P = np.zeros((len(zero) + len(rows), n))
-    P[np.arange(len(zero)), zero] = 1.0
-    P[rows, I[cross]] = 1.0 - t[cross]
-    P[rows, J[cross]] = t[cross]
-    if np.minimum(t[cross], 1.0 - t[cross]).min(initial=1.0) >= 1e-9:
-        return P  # every two points differ by 1e-9 in a coordinate
-    near = np.linalg.norm(P[:, None] - P, axis=2) < 1e-9
-    uniq: list[int] = []
-    for r in range(len(P)):
-        if not near[r, uniq].any():
-            uniq.append(r)
-    return P[uniq]
+    keep = np.concatenate([np.abs(O) <= 1e-12, cross], axis=1)
+    edges = np.arange(n, n + len(I))
+    P = np.zeros((k, n + len(I), n))
+    P[:, np.arange(n), np.arange(n)] = 1.0
+    P[:, edges, I] = 1.0 - t
+    P[:, edges, J] = t
+    out = np.split(P[keep], np.cumsum(np.count_nonzero(keep, axis=1))[:-1])
+    close = np.where(cross, np.minimum(t, 1.0 - t), 1.0).min(axis=1, initial=1.0) < 1e-9
+    for r in np.flatnonzero(close):  # points may repeat; else every two differ by 1e-9
+        V = out[r]
+        near = np.linalg.norm(V[:, None] - V, axis=2) < 1e-9
+        uniq: list[int] = []
+        for i in range(len(V)):
+            if not near[i, uniq].any():
+                uniq.append(i)
+        out[r] = V[uniq]
+    return out
 
 
 def slice_vertices(O: np.ndarray) -> list[np.ndarray]:
     """Vertices of each boundary slice {p in simplex : <o_i, p> = 0}; raises
     :class:`OrderabilityError` when a boundary crosses no simplex edge."""
-    out = []
-    for i, o in enumerate(O, start=1):
-        V = _simplex_boundary_endpoints(o)
+    out = _slice_vertex_sets(np.asarray(O, dtype=np.float64))
+    for i, V in enumerate(out, start=1):
         if np.count_nonzero(V, axis=1).max(initial=0) < 2:
             raise OrderabilityError(f"boundary {i} does not meet the simplex interior")
-        out.append(V)
     return out
 
 
@@ -355,27 +366,33 @@ def _dual(X: np.ndarray, norm: str) -> tuple[np.ndarray, np.ndarray]:
     return (U * X).sum(axis=1), U
 
 
-def _piece_gradients(O: np.ndarray, w: np.ndarray, l: int, pts: np.ndarray,
-                     norm: str = "l2") -> tuple[np.ndarray, np.ndarray]:
-    """Directions attaining the dual norm (in ``norm``, see :func:`_dual`)
-    of the property gradient on grid piece l at the rows of pts, one row for
-    a tail (l = -1 or l = m - 1), and those dual norms at every row; O holds
-    the node columns negated."""
+def _gradients(O: np.ndarray, w: np.ndarray, pieces: list, points: list) -> np.ndarray:
+    """Property gradient on grid piece ``pieces[i]`` (-1 and m - 1 are the
+    tails) at each row of ``points[i]``, stacked over i; O holds the node
+    columns negated.  A tail's gradient is its node row; on a middle piece
+    l, the piece g_l + w_l <o_l, p>/<o_l - o_{l+1}, p>, the two products with
+    each piece's points are taken one piece at a time, the rest over all
+    rows at once."""
     m = O.shape[0]
-    if l in (-1, m - 1):
-        G = O[[max(l, 0)]]
-    else:
-        oi, oi1 = O[l], O[l + 1]  # the piece g_l + w_l <o_l, p>/<o_l - o_{l+1}, p>
-        den = pts @ (oi - oi1)
-        f = (pts @ oi) / den
-        G = w[l] * ((oi - f[:, None] * (oi - oi1)) / den[:, None])
-    values, dirs = _dual(G, norm)
-    return dirs, np.broadcast_to(values, len(pts))
+    D = O[:-1] - O[1:]  # o_l - o_{l+1}
+    piece = np.repeat(pieces, [len(V) for V in points])
+    tail = (piece == -1) | (piece == m - 1)
+    G = np.empty((len(piece), O.shape[1]))
+    G[tail] = O[np.maximum(piece[tail], 0)]
+    middle = [(l, V) for l, V in zip(pieces, points) if 0 <= l < m - 1]
+    if middle:
+        den = np.concatenate([V @ D[l] for l, V in middle])
+        f = np.concatenate([V @ O[l] for l, V in middle]) / den
+        at = piece[~tail]
+        G[~tail] = w[at][:, None] * ((O[at] - f[:, None] * D[at]) / den[:, None])
+    return G
 
 
-def _edge_points(O: np.ndarray, l: int, V: np.ndarray, norm: str) -> np.ndarray:
-    """Points inside the segments between rows of V where the dual norm of
-    the middle piece l's gradient can peak along the segment.
+def _edge_points(O: np.ndarray, middle: list, norm: str) -> list[np.ndarray]:
+    """For each middle piece (l, V) of ``middle``, the points inside the
+    segments between rows of V where the dual norm of the piece's gradient
+    can peak along the segment; the roots of every piece are solved as one
+    array.
 
     With u = <o_l, p> and v = -<o_{l+1}, p> the piece's gradient is
     w_l N / (u + v)^2, N = v o_l + u o_{l+1}, and along p0 + t (p1 - p0)
@@ -389,10 +406,23 @@ def _edge_points(O: np.ndarray, l: int, V: np.ndarray, norm: str) -> np.ndarray:
     Extra points of a segment do no harm: the max is taken over the values
     at all of them.
     """
-    a, b = O[l], O[l + 1]
-    u, v = V @ a, -(V @ b)
-    N = v[:, None] * (a - a.mean()) + u[:, None] * (b - b.mean())
-    I, J = _pairs(len(V))
+    if not middle:
+        return []
+    rows = np.ascontiguousarray(O)  # so each row's mean sums as one node's does
+    centred = rows - rows.mean(axis=1, keepdims=True)
+    u, v, I, J, start = [], [], [], [], 0
+    for l, V in middle:
+        u.append(V @ O[l])
+        v.append(-(V @ O[l + 1]))
+        i, j = _pairs(len(V))
+        I.append(i + start)
+        J.append(j + start)
+        start += len(V)
+    u, v, I, J = map(np.concatenate, (u, v, I, J))
+    sizes = [len(V) for _, V in middle]
+    k = np.repeat(np.arange(len(middle)), sizes)  # the index in middle of each row
+    at = np.repeat([l for l, _ in middle], sizes)  # the piece of each row
+    N = v[:, None] * centred[at] + u[:, None] * centred[at + 1]
     n0, n1 = N[I], N[J] - N[I]
     s0, s1 = (u + v)[I], (u + v)[J] - (u + v)[I]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -418,22 +448,27 @@ def _edge_points(O: np.ndarray, l: int, V: np.ndarray, norm: str) -> np.ndarray:
     pair = np.arange(len(t)) % len(I)  # t holds blocks of one t per pair
     ok = (t > 0.0) & (t < 1.0)
     t, pair = t[ok], pair[ok]
-    return V[I[pair]] + t[:, None] * (V[J[pair]] - V[I[pair]])
+    order = np.argsort(k[I[pair]], kind="stable")  # piece by piece, blocks in order
+    t, pair = t[order], pair[order]
+    V = np.concatenate([V for _, V in middle])
+    E = V[I[pair]] + t[:, None] * (V[J[pair]] - V[I[pair]])
+    return np.split(E, np.cumsum(np.bincount(k[I[pair]], minlength=len(middle)))[:-1])
 
 
-def _region(C: np.ndarray, S: np.ndarray, l: int) -> np.ndarray | None:
-    """Rows of C in the region of grid piece l (S = C @ O.T), or None when
-    that region lies inside one node slice."""
-    m = S.shape[1]
-    inside = np.ones(len(C), dtype=bool)
-    if l >= 0:
-        inside &= S[:, l] >= -BOUNDARY_TOL
-    if l < m - 1:
-        inside &= S[:, l + 1] <= BOUNDARY_TOL
-    if (l >= 0 and S[inside, l].max(initial=0.0) <= BOUNDARY_TOL) \
-            or (l < m - 1 and S[inside, l + 1].min(initial=0.0) >= -BOUNDARY_TOL):
-        return None
-    return C[inside]
+def _regions(C: np.ndarray, S: np.ndarray) -> tuple[list, list]:
+    """The grid pieces l = -1..m-1 (S = C @ O.T has m columns) whose regions
+    do not lie inside one node slice, and the rows of C in each, from one
+    comparison of S with the tie band.  Piece l holds the rows on or above
+    node l and on or below node l + 1, within BOUNDARY_TOL; its region lies
+    inside slice l when none of them is above it beyond the band, or inside
+    slice l + 1 when none is below it."""
+    ge, le = S >= -BOUNDARY_TOL, S <= BOUNDARY_TOL
+    true = np.ones((len(S), 1), dtype=bool)
+    inside = np.hstack([true, ge]) & np.hstack([le, true])  # column l + 1: piece l
+    keep = (np.any(inside & np.hstack([true, ~le]), axis=0)
+            & np.any(inside & np.hstack([~ge, true]), axis=0))
+    columns = np.flatnonzero(keep)
+    return (columns - 1).tolist(), [C[inside[:, c]] for c in columns]
 
 
 def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
@@ -452,7 +487,9 @@ def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
     region's image in the (u, v) plane any norm of it peaks on the image's
     boundary, whose edges are images of segments between region vertices:
     the max is at a vertex or at one of the points :func:`_edge_points`
-    gives.  Regions inside one slice have no interior and are skipped.
+    gives.  Regions inside one slice have no interior and are skipped.  The
+    gradients of every piece go through one :func:`_dual`, and the first
+    piece with the largest value gives the maximizer.
     ``slices``, when given, holds the vertices of each node slice as
     :func:`slice_vertices` of -h_l gives them (a normals surrogate's
     ``normals.slices``).
@@ -462,7 +499,7 @@ def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
     w = np.diff(np.asarray(grid, dtype=np.float64))
     m, n = O.shape
     if slices is None:
-        slices = [_simplex_boundary_endpoints(o) for o in O]
+        slices = _slice_vertex_sets(O)
     for l in range(m - 1):
         if len(slices[l]):
             s = slices[l] @ O[l + 1]
@@ -470,17 +507,22 @@ def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
                 return LipschitzMax(float("inf"), slices[l][int(np.argmax(s))], l,
                                     None, np.full(n, np.nan))
     C = np.vstack([np.eye(n), *slices])
-    S = C @ O.T
     best = LipschitzMax(0.0, C[0], -1, C, np.zeros(n))
-    for l in range(-1, m):
-        R = _region(C, S, l)
-        if R is None:
-            continue
-        V = R if l in (-1, m - 1) else np.vstack([R, _edge_points(O, l, R, norm)])
-        dirs, values = _piece_gradients(O, w, l, V, norm)
-        i = int(np.argmax(values))
-        if values[i] > best.K:  # i = 0 on a tail
-            best = LipschitzMax(float(values[i]), V[i], l, R, dirs[i])
+    pieces, regions = _regions(C, C @ O.T)
+    if not pieces:
+        return best
+    edges = iter(_edge_points(O, [(l, R) for l, R in zip(pieces, regions)
+                                  if 0 <= l < m - 1], norm))
+    points = [R[:1] if l in (-1, m - 1) else np.vstack([R, next(edges)])  # tails are linear
+              for l, R in zip(pieces, regions)]
+    values, dirs = _dual(_gradients(O, w, pieces, points), norm)
+    starts = np.cumsum([0] + [len(V) for V in points[:-1]])
+    top = np.maximum.reduceat(values, starts)  # NaN where a piece has one: skipped
+    j = int(np.argmax(np.where(top > 0.0, top, -np.inf)))
+    if top[j] > 0.0:
+        i = int(np.argmax(values[starts[j]:starts[j] + len(points[j])]))
+        best = LipschitzMax(float(values[starts[j] + i]), points[j][i], pieces[j],
+                            regions[j], dirs[starts[j] + i])
     if norm == "l2" and best.K > 0.0:
         return best._replace(direction=best.direction / np.linalg.norm(best.direction))
     return best

@@ -19,7 +19,7 @@ import numpy as np
 
 from ordelic.audit import PredictorTable
 from ordelic.errors import OrdelicError, SimplexError, SpecError
-from ordelic.piecewise import CONTINUITY_TOL, PiecewiseAffine
+from ordelic.piecewise import CONTINUITY_TOL, PiecewiseAffine, interpolate
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
 from ordelic.scenario import ScenarioSpec
 from ordelic.simplex import LabelCounts, as_simplex_points
@@ -34,9 +34,12 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj) -> str:
+    """Write ``dumps(obj)`` to ``path`` and return that text."""
+    text = dumps(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
+    return text
 
 
 def read_json(path):
@@ -111,14 +114,15 @@ SURROGATE_FORMAT = 4
 def surrogate_to_json(s: Surrogate) -> dict:
     if not isinstance(s, Surrogate):
         raise SpecError(f"cannot serialize surrogate of type {type(s).__name__}")
-    v_bar = [PiecewiseAffine.from_nodes(s.grid, row, 1.0, 1.0) for row in s.nodes]
+    grid = s.grid.tolist()
+    slopes, intercepts = interpolate(s.grid, s.nodes, 1.0, 1.0)
     out = {
         "format": SURROGATE_FORMAT,
         "kind": s.kind,
-        "grid": s.grid.tolist(),
+        "grid": grid,
         "nodes": s.nodes.tolist(),
-        "v_bar": [{"breakpoints": v.breakpoints.tolist(), "slopes": v.slopes.tolist(),
-                   "intercepts": v.intercepts.tolist()} for v in v_bar],
+        "v_bar": [{"breakpoints": list(grid), "slopes": a, "intercepts": c}
+                  for a, c in zip(slopes.tolist(), intercepts.tolist())],
         "thresholds": s.thresholds.tolist(),
         "lipschitz_bound": s.lipschitz_bound,
         "lipschitz_exact": s.lipschitz_exact,
@@ -189,21 +193,30 @@ _KINDS = {str: (str, "a string"), list: (list, "an array"), dict: (dict, "an obj
 def _field(d, key: str, kind: type):
     """``d[key]`` when d is a JSON object holding a ``kind`` there: str,
     list, dict, object (any value), float (a number, returned as float) or
-    np.ndarray (an array of numbers, returned as float64); otherwise a
-    SpecError that names the key."""
+    np.ndarray (an array of numbers, or of such arrays, returned as
+    float64); otherwise a SpecError that names the key.  Bools and strings
+    are not numbers."""
     if not isinstance(d, dict):
         raise SpecError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
     if key not in d:
         raise SpecError(f"field {key!r} is missing")
     value = d[key]
     types, want = _KINDS[kind]
-    if isinstance(value, types) and not (kind is float and isinstance(value, bool)):
+    if isinstance(value, types) and not (kind is float and isinstance(value, bool)) \
+            and (kind is not np.ndarray or _numbers_only(value)):
         try:
             return np.array(value, dtype=np.float64) if kind is np.ndarray \
                 else float(value) if kind is float else value
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise SpecError(f"field {key!r} must be {want}, not {value!r:.40}")
+
+
+def _numbers_only(value: list) -> bool:
+    """Whether a JSON array holds numbers only (ints and floats, not bools),
+    or arrays that do."""
+    kinds = set(map(type, value))
+    return all(map(_numbers_only, value)) if kinds == {list} else kinds <= {int, float}
 
 
 # ---------------------------------------------------------------------------
@@ -767,11 +780,14 @@ def scenario_from_json(d) -> ScenarioSpec:
     try:  # every feature at once
         ids = [f["id"] for f in features]
         weights = [f["weight"] for f in features]
-        conditionals = np.array([f["conditional"] for f in features])
+        rows = [f["conditional"] for f in features]
+        conditionals = np.array(rows)
         if not (set(map(type, weights)) <= {int, float}
-                and conditionals.ndim == 2 and conditionals.dtype.kind in "if"):
+                and conditionals.ndim == 2 and conditionals.dtype.kind in "if"
+                and _no_bools(rows, conditionals)):
             raise ValueError
-    except (KeyError, TypeError, ValueError):
+        weights = np.array(weights, dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError):
         ids, weights, conditionals = _features(features)
     pred = _field(d, "predictor", dict) if "predictor" in d else {"recipe": "bayes"}
     try:
@@ -795,6 +811,15 @@ def scenario_from_json(d) -> ScenarioSpec:
         eta=eta,
         fixed_table=fixed,
     )
+
+
+def _no_bools(rows: list, values: np.ndarray) -> bool:
+    """Whether the lists of numbers ``rows``, which numpy converted to the
+    int or float array ``values``, hold no bool.  A bool converts to 0 or 1,
+    so only the rows that hold a 0 or a 1 are looked at value by value."""
+    suspect = np.unique(np.flatnonzero((values == 0) | (values == 1)) // values.shape[1])
+    return set(map(type, itertools.chain.from_iterable(
+        [rows[i] for i in suspect.tolist()]))) <= {int, float}
 
 
 def _features(features: list) -> tuple[list, list, list]:

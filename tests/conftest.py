@@ -9,8 +9,15 @@ from ordelic.audit import PredictorTable, bin_predictions
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SimplexError
 from ordelic.normals import build_from_spec
-from ordelic.piecewise import PiecewiseAffine
-from ordelic.properties import AffineBoundary, CostMatrix, spec_from_boundaries
+from ordelic.piecewise import ACTIVE_TOL, PiecewiseAffine
+from ordelic.properties import (
+    AffineBoundary,
+    CostMatrix,
+    LipschitzMax,
+    _dual,
+    _pairs,
+    spec_from_boundaries,
+)
 from ordelic.scenario import sample_dataset
 from ordelic.serialize import dumps, surrogate_to_json
 from ordelic.simplex import (
@@ -343,3 +350,152 @@ class Antiderivative:
         c2, c1, _ = self.coeffs[[np.searchsorted(self.breakpoints, u, side=side)
                                  for side in ("left", "right")]].T
         return tuple((2.0 * c2 * u + c1).tolist())
+
+
+# Reference copies of the construction steps as they were written one normal,
+# one piece, one grid point and one outcome at a time: the oracles of the
+# batched steps' bits.  Only _dual and _pairs, which work on any rows, are
+# shared with the package.
+
+
+def slice_vertices_reference(o) -> np.ndarray:
+    """Vertices of the slice {<o, p> = 0} of the simplex, one normal at a
+    time: vertices e_m with |o_m| <= 1e-12, then the edge crossings at
+    t = o_i / (o_i - o_j) in (1e-12, 1 - 1e-12), less points within 1e-9 of
+    an earlier one."""
+    n = len(o)
+    I, J = _pairs(n)
+    den = o[I] - o[J]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = o[I] / den
+    cross = (np.abs(den) > 1e-12) & (1e-12 < t) & (t < 1.0 - 1e-12)
+    zero = np.flatnonzero(np.abs(o) <= 1e-12)
+    rows = np.arange(len(zero), len(zero) + int(cross.sum()))
+    P = np.zeros((len(zero) + len(rows), n))
+    P[np.arange(len(zero)), zero] = 1.0
+    P[rows, I[cross]] = 1.0 - t[cross]
+    P[rows, J[cross]] = t[cross]
+    if np.minimum(t[cross], 1.0 - t[cross]).min(initial=1.0) >= 1e-9:
+        return P
+    near = np.linalg.norm(P[:, None] - P, axis=2) < 1e-9
+    uniq: list[int] = []
+    for r in range(len(P)):
+        if not near[r, uniq].any():
+            uniq.append(r)
+    return P[uniq]
+
+
+def _piece_gradients_reference(O, w, l, pts, norm):
+    m = O.shape[0]
+    if l in (-1, m - 1):
+        G = O[[max(l, 0)]]
+    else:
+        oi, oi1 = O[l], O[l + 1]
+        den = pts @ (oi - oi1)
+        f = (pts @ oi) / den
+        G = w[l] * ((oi - f[:, None] * (oi - oi1)) / den[:, None])
+    values, dirs = _dual(G, norm)
+    return dirs, np.broadcast_to(values, len(pts))
+
+
+def _edge_points_reference(O, l, V, norm):
+    a, b = O[l], O[l + 1]
+    u, v = V @ a, -(V @ b)
+    N = v[:, None] * (a - a.mean()) + u[:, None] * (b - b.mean())
+    I, J = _pairs(len(V))
+    n0, n1 = N[I], N[J] - N[I]
+    s0, s1 = (u + v)[I], (u + v)[J] - (u + v)[I]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if norm == "l2":
+            n00, n01, n11 = (n0 * n0).sum(1), (n0 * n1).sum(1), (n1 * n1).sum(1)
+            c2, c1, c0 = -s1 * n11, s0 * n11 - 3.0 * s1 * n01, s0 * n01 - 2.0 * s1 * n00
+            q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+            t = np.concatenate([q / c2, c0 / q])
+        else:
+            ci, cj = _pairs(N.shape[1])
+            cross = (n0[:, cj] - n0[:, ci]) / (n1[:, ci] - n1[:, cj])
+            cross[~((cross > 0.0) & (cross < 1.0))] = np.nan
+            ends = np.sort(np.column_stack([np.zeros(len(I)), cross, np.ones(len(I))]),
+                           axis=1)
+            mid = np.nan_to_num(0.5 * (ends[:, :-1] + ends[:, 1:]))
+            X = n0[:, None, :] + mid[:, :, None] * n1[:, None, :]
+            _, U = _dual(X.reshape(-1, N.shape[1]), norm)
+            U = U.reshape(X.shape)
+            alpha, beta = (U * n0[:, None, :]).sum(2), (U * n1[:, None, :]).sum(2)
+            s0c, s1c = s0[:, None], s1[:, None]
+            stat = (beta * s0c - 2.0 * s1c * alpha) / (beta * s1c)
+            t = np.concatenate([cross.T.ravel(), stat.T.ravel()])
+    pair = np.arange(len(t)) % len(I)
+    ok = (t > 0.0) & (t < 1.0)
+    t, pair = t[ok], pair[ok]
+    return V[I[pair]] + t[:, None] * (V[J[pair]] - V[I[pair]])
+
+
+def _region_reference(C, S, l):
+    m = S.shape[1]
+    inside = np.ones(len(C), dtype=bool)
+    if l >= 0:
+        inside &= S[:, l] >= -BOUNDARY_TOL
+    if l < m - 1:
+        inside &= S[:, l + 1] <= BOUNDARY_TOL
+    if (l >= 0 and S[inside, l].max(initial=0.0) <= BOUNDARY_TOL) \
+            or (l < m - 1 and S[inside, l + 1].min(initial=0.0) >= -BOUNDARY_TOL):
+        return None
+    return C[inside]
+
+
+def lipschitz_reference(grid, nodes, norm) -> LipschitzMax:
+    """:func:`ordelic.properties.lipschitz_constant` one piece at a time:
+    each piece's region, edge points and gradients apart, and the best piece
+    kept as the pieces go by."""
+    O = -np.asarray(nodes, dtype=np.float64).T
+    w = np.diff(np.asarray(grid, dtype=np.float64))
+    m, n = O.shape
+    slices = [slice_vertices_reference(o) for o in O]
+    for l in range(m - 1):
+        if len(slices[l]):
+            s = slices[l] @ O[l + 1]
+            if s.max() >= -BOUNDARY_TOL:
+                return LipschitzMax(float("inf"), slices[l][int(np.argmax(s))], l,
+                                    None, np.full(n, np.nan))
+    C = np.vstack([np.eye(n), *slices])
+    S = C @ O.T
+    best = LipschitzMax(0.0, C[0], -1, C, np.zeros(n))
+    for l in range(-1, m):
+        R = _region_reference(C, S, l)
+        if R is None:
+            continue
+        V = R if l in (-1, m - 1) else np.vstack([R, _edge_points_reference(O, l, R, norm)])
+        dirs, values = _piece_gradients_reference(O, w, l, V, norm)
+        i = int(np.argmax(values))
+        if values[i] > best.K:
+            best = LipschitzMax(float(values[i]), V[i], l, R, dirs[i])
+    if norm == "l2" and best.K > 0.0:
+        return best._replace(direction=best.direction / np.linalg.norm(best.direction))
+    return best
+
+
+def embedding_nodes_reference(inp, grid) -> np.ndarray:
+    """Each outcome's three-case pseudo-derivative at each grid point, one
+    point at a time, from the active pieces of its max-affine loss."""
+    nodes = np.empty((inp.n_outcomes, len(grid)))
+    for y, loss in enumerate(inp.losses):
+        for i, u in enumerate(grid.tolist()):
+            vals = loss.pieces[:, 0] * u + loss.pieces[:, 1]
+            top = vals.max()
+            active = loss.pieces[vals >= top - ACTIVE_TOL * (1.0 + abs(top)), 0]
+            dl, dr = float(active.min()), float(active.max())
+            nodes[y, i] = dl if abs(dl - dr) <= 1e-12 else \
+                0.0 if np.sign(dl) != np.sign(dr) else 0.5 * (dl + dr)
+    return nodes
+
+
+def v_bar_reference(grid, row) -> tuple[np.ndarray, np.ndarray]:
+    """(slopes, intercepts) of one outcome's identification function: the
+    interpolation of its nodes with unit-slope tails, one outcome at a
+    time."""
+    a = np.concatenate(([1.0], np.diff(row) / np.diff(grid), [1.0]))
+    c = np.empty(len(grid) + 1)
+    c[:-1] = row - a[:-1] * grid
+    c[-1] = row[-1] - a[-1] * grid[-1]
+    return a, c

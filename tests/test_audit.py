@@ -27,7 +27,6 @@ from ordelic.audit import (
     link_diameter,
     surrogate_calibration,
 )
-from ordelic.cli import _default_outer_slope
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
 from ordelic.normals import build_from_spec
@@ -372,7 +371,7 @@ class TestCounterexample:
             algo, n = case.split("-")
             spec, cost, phi = random_orderable_spec(int(n), 4, seed=int(n))
             s = build_from_spec(spec) if algo == "normals" else build_surrogate(
-                build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+                build_envelope_loss(cost, phi))
         K, ordv = s.lipschitz(norm), norm_order(norm)
         H = s.nodes - s.nodes.mean(axis=0)
         for C in (0.0, 0.5 * K, (1.0 - 1e-4) * K):
@@ -393,7 +392,7 @@ class TestCounterexample:
         next to it: the pair is e_1 and a point on a ray into the simplex."""
         cost = CostMatrix([[0, 3, 5], [0, 0, 3], [3, 1, 0]])
         phi = np.array([0.0, 1.0, 3.0])
-        s = build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+        s = build_surrogate(build_envelope_loss(cost, phi))
         assert s.lipschitz_bound == np.inf
         p, q, instance = counterexample_gap(s, 1e3)
         P = np.stack([p, q])

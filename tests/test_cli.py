@@ -340,8 +340,8 @@ class TestAudit:
         pp = payload["reports"][1]
         ok = all(b["satisfied"] for b in pp["bounds"])
         assert rc == (EXIT_OK if ok else EXIT_BOUND)
-        printed = json.loads(capsys.readouterr().out)
-        assert printed == payload
+        with open(out, encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()  # the report, byte for byte
 
     def test_reports_carry_data_size(self, surrogate_file, scenario_file, tmp_path):
         """Each report gives the data's total weight (its row count for a
@@ -544,11 +544,13 @@ class TestCounterexample:
                      "--seed", "1", "--out", out]) == EXIT_OK
         return out
 
-    def test_violation_found(self, surrogate_file, tmp_path):
+    def test_violation_found(self, surrogate_file, tmp_path, capsys):
         prefix = str(tmp_path / "ce")
         rc = main(["counterexample", "--surrogate", surrogate_file,
                    "--c", "5", "--seed", "2", "--out", prefix])
         assert rc == EXIT_OK
+        with open(prefix + ".report.json", encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()  # the report, byte for byte
         report = read_json(prefix + ".report.json")
         assert report["instance"]["ratio"] > 5.0
         assert report["instance"]["norm"] == "l2"
@@ -734,6 +736,21 @@ class TestLoadSurrogate:
         for cause, bad in cases:
             self._refused(command, bad, tmp_path, capsys, cause)
 
+    @pytest.mark.parametrize("algo", ["normals", "embedding"])
+    @pytest.mark.parametrize("spoil", [str, bool], ids=["string", "bool"])
+    def test_numbers_are_json_numbers(self, construct, algo, spoil, tmp_path, capsys):
+        """A numeric string or a bool among the numbers of a field the
+        loader reads is refused, naming the field."""
+        d = construct("--algo", algo,
+                      *(["--seed", "1"] if algo == "normals" else ["--phi", "0,1,3"]))
+        for key in ("grid", "nodes", "thresholds",
+                    "normals" if algo == "normals" else "cost_matrix"):
+            value = json.loads(json.dumps(d[key]))
+            row = value[0] if isinstance(value[0], list) else value
+            row[0] = spoil(row[0])
+            self._refused("audit", {**d, key: value}, tmp_path, capsys,
+                          f"field {key!r} must be an array of numbers")
+
     @pytest.mark.parametrize("command", ["audit", "counterexample"])
     @pytest.mark.parametrize("algo, edit, cause", [
         ("normals", {"thresholds": [0.5]},
@@ -838,6 +855,67 @@ class TestInputFields:
                           "a": [0.5, 0.5, 0.0], "b": [0.5, 0.5]}}}))
         for cause, doc in cases:
             refused(command, "scenario", doc, cause)
+
+    # Arrays that numpy would read as numbers but that are not JSON numbers.
+    NOT_NUMBERS = (["0.2", "0.3", "0.5"], [True, False, False], [True, 0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", NOT_NUMBERS)
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_scenario_numbers(self, run, command, bad):
+        """A conditional, whether the features are read together or one by
+        one, and a fixed-recipe row hold JSON numbers only."""
+        refused, _ = run
+        sc = json.loads(json.dumps(SCENARIO))
+        feature, second = sc["features"]
+        for features in ([{**feature, "conditional": bad}, second],
+                         [{**feature, "conditional": bad}, {**second, "weight": "x"}]):
+            refused(command, "scenario", {**sc, "features": features},
+                    "feature 1: field 'conditional' must be an array of numbers")
+        refused(command, "scenario", {**sc, "predictor": {"recipe": "fixed",
+                                                          "table": {"a": bad}}},
+                "predictor: field 'a' must be an array of numbers")
+
+    @pytest.mark.parametrize("bad", NOT_NUMBERS)
+    @pytest.mark.parametrize("command", ["construct", "levelsets"])
+    def test_property_spec_numbers(self, command, bad, tmp_path, capsys):
+        """A cost-matrix row and a boundary's coefficients hold JSON numbers
+        only."""
+        path = str(tmp_path / "spec.json")
+        first, second = BOUNDARY_SPEC["boundaries"]
+        for doc, cause in (
+                ({**COST_SPEC, "cost_matrix": [bad, *COST_SPEC["cost_matrix"][1:]]},
+                 "field 'cost_matrix' must be an array of numbers"),
+                ({**BOUNDARY_SPEC, "boundaries": [{**first, "c": bad}, second]},
+                 "boundary 1: field 'c' must be an array of numbers")):
+            write_json(path, doc)
+            capsys.readouterr()
+            assert main([command, "--spec", path, "--seed", "1",
+                         "--out", str(tmp_path / "out")]) == EXIT_SPEC, cause
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and cause in err, (cause, err)
+
+    def test_integer_beyond_float64(self, run, tmp_path, capsys):
+        """A JSON integer too large for a float64 is refused, naming its
+        field, in a number field and in an array of numbers alike."""
+        refused, _ = run
+        sc = json.loads(json.dumps(SCENARIO))
+        feature, second = sc["features"]
+        for key, cause in (("weight", "a number"), ("conditional", "an array of numbers")):
+            bad = {**feature, key: 10 ** 400 if key == "weight" else [10 ** 400, 0, 0]}
+            refused("simulate", "scenario", {**sc, "features": [bad, second]},
+                    f"feature 1: field {key!r} must be {cause}")
+        path = str(tmp_path / "spec.json")
+        huge = 10 ** 400
+        for doc, cause in (({**COST_SPEC, "n": huge}, "field 'n' must be a number"),
+                           ({**COST_SPEC, "cost_matrix": [[huge, 0, 0],
+                                                          *COST_SPEC["cost_matrix"][1:]]},
+                            "field 'cost_matrix' must be an array of numbers")):
+            write_json(path, doc)
+            capsys.readouterr()
+            assert main(["construct", "--spec", path, "--out",
+                         str(tmp_path / "out")]) == EXIT_SPEC, cause
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and cause in err, (cause, err)
 
     @pytest.mark.parametrize("command", ["construct", "levelsets"])
     @pytest.mark.parametrize("spec", [COST_SPEC, BOUNDARY_SPEC], ids=["cost", "boundaries"])

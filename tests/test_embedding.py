@@ -12,7 +12,6 @@ from conftest import (
 )
 from ordelic.audit import (PredictorTable, bin_predictions, check_discretization_bound,
                            check_postprocessing_bound)
-from ordelic.cli import _default_outer_slope
 from ordelic.embedding import (
     EmbeddingInput,
     build_envelope_loss,
@@ -250,7 +249,7 @@ class TestRandomSpecs:
 
 
 def _embedding(cost, phi) -> Surrogate:
-    return build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+    return build_surrogate(build_envelope_loss(cost, phi))
 
 
 def test_shared_slice_point_is_not_lipschitz():

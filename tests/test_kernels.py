@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import EQ1_COSTS, EQ1_PHI, O1, node_root_batch
 from ordelic._kernels import backend_name, roe_batch
-from ordelic.cli import _default_outer_slope
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.normals import build_from_spec
 from ordelic.properties import (
@@ -77,7 +76,7 @@ def _surrogate(kind: str, n: int):
         spec, cost, phi = random_orderable_spec(n, 4, seed=n)
     if kind == "normals":
         return build_from_spec(spec)
-    return build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+    return build_surrogate(build_envelope_loss(cost, phi))
 
 
 def _slice_points(s, count: int, seed: int) -> np.ndarray:

@@ -21,7 +21,8 @@ from ordelic.properties import (
     AffineBoundary,
     OrderableSpec,
     OrientedNormals,
-    _piece_gradients,
+    _dual,
+    _gradients,
     sample_boundary,
     spec_from_boundaries,
 )
@@ -31,7 +32,7 @@ from ordelic.simplex import sample_simplex
 def _region_gradient_norms(O, j, pts):
     """Gradient norms of the normals property on region j (1-based): grid
     piece j - 2 of the nodes -O.T on the unit grid."""
-    return _piece_gradients(O, np.ones(len(O) - 1), j - 2, pts)[1]
+    return _dual(_gradients(O, np.ones(len(O) - 1), [j - 2], [pts]), "l2")[0]
 
 
 def _gamma(s, p) -> float:
@@ -210,21 +211,21 @@ class TestFullPipeline:
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_slices_enumerated_once_per_normal(self, n, monkeypatch):
-        """A 3-boundary pipeline enumerates the slice vertices 8 times: once
-        per raw normal, for the check and the boundary samples alike; twice
-        in orient_normals, for the first two recovered normals; once per
-        oriented normal, which K reads too.  The l1 and linf constants read
-        the same slices."""
+        """A 3-boundary pipeline enumerates the slice vertices of 8 normals,
+        in three batched calls: once per raw normal, for the check and the
+        boundary samples alike; the first two recovered normals in
+        orient_normals; once per oriented normal, which K reads too.  The l1
+        and linf constants read the same slices."""
         from ordelic.properties import random_orderable_spec
         spec = random_orderable_spec(n, 4, seed=n)[0]
-        calls, original = [], properties._simplex_boundary_endpoints
-        monkeypatch.setattr(properties, "_simplex_boundary_endpoints",
-                            lambda o: calls.append(o) or original(o))
+        sizes, original = [], properties._slice_vertex_sets
+        monkeypatch.setattr(properties, "_slice_vertex_sets",
+                            lambda O: sizes.append(len(O)) or original(O))
         s, _ = full_pipeline(list(spec.boundaries), seed=5)
-        assert len(calls) == 8
+        assert sum(sizes) == 8 and len(sizes) == 3
         for norm in ("l1", "linf"):
             s.lipschitz(norm)
-        assert len(calls) == 8
+        assert sum(sizes) == 8 and len(sizes) == 3
 
     @pytest.mark.parametrize("n,n_reports,seed", [(8, 6, 1), (10, 3, 0)])
     def test_spec_with_small_regions(self, n, n_reports, seed):

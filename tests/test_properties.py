@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 from conftest import (
     O1,
     O2,
+    Antiderivative,
+    embedding_nodes_reference,
+    lipschitz_reference,
     node_root_batch,
     region_index,
     segment_distance,
     slice_distance_qp,
+    slice_vertices_reference,
+    v_bar_reference,
+    written_v_bar,
 )
-from ordelic.cli import _default_outer_slope
-from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.embedding import build_envelope_loss, build_surrogate, interpolation_grid
 from ordelic.errors import (
     OrdelicError,
     OrderabilityError,
@@ -34,6 +39,7 @@ from ordelic.properties import (
     _first_columns,
     _min_norm_point,
     _simplex_boundary_endpoints,
+    _slice_vertex_sets,
     boundaries_from_cost,
     boundary_gap,
     homogenize_boundary,
@@ -163,6 +169,66 @@ def test_slice_vertices_match_edge_loop(n, seed, zeros):
     assert got.tolist() == [p.tolist() for p in want]
     assert np.all(got >= 0) and np.allclose(got.sum(axis=1), 1.0)
     assert np.max(np.abs(got @ o), initial=0.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), n=st.integers(3, 8), seed=st.integers(0, 2**20),
+       zeros=st.integers(0, 2), tiny=st.booleans())
+def test_slice_vertex_sets_match_reference(k, n, seed, zeros, tiny):
+    """One enumeration over the rows of a normals matrix returns, for each
+    row, the vertices the one-normal-at-a-time reference gives, bit for bit
+    and in order; a 1e-10 entry puts a crossing within 1e-9 of a vertex, so
+    that row drops repeated points."""
+    rng = np.random.default_rng(seed)
+    O = rng.standard_normal((k, n))
+    O[:, : min(zeros, n - 2)] = 0.0
+    if tiny:
+        O[0, -1] = 1e-10
+    got = _slice_vertex_sets(O)
+    assert len(got) == k
+    for V, o in zip(got, O):
+        assert V.tolist() == slice_vertices_reference(o).tolist()
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["normals", "embedding"]), n=st.integers(3, 8),
+       n_reports=st.integers(2, 5), seed=st.integers(0, 2**20))
+@example(kind="embedding", n=8, n_reports=3, seed=5)  # linf
+@example(kind="embedding", n=8, n_reports=3, seed=23)  # l1
+def test_batched_construction_matches_references(kind, n, n_reports, seed):
+    """Each batched construction step gives the bits of its one-at-a-time
+    reference (conftest): slice vertices, K with its point, piece, region
+    and direction in all three norms, the embedding nodes, and the written
+    identification functions, which take the nodes' values at the grid by
+    the antiderivative oracle."""
+    spec, cost, phi = random_orderable_spec(n, n_reports, seed)
+    if kind == "normals":
+        s = build_from_spec(spec)
+    else:
+        inp = build_envelope_loss(cost, phi)
+        s = build_surrogate(inp)
+        assert s.nodes.tobytes() == embedding_nodes_reference(
+            inp, interpolation_grid(inp)).tobytes()
+    for V, h in zip(_slice_vertex_sets(-s.nodes.T), s.nodes.T):
+        assert V.tolist() == slice_vertices_reference(-h).tolist()
+    for norm in ("l1", "l2", "linf"):
+        got, want = s.lipschitz_max(norm), lipschitz_reference(s.grid, s.nodes, norm)
+        assert _bits(got.K) == _bits(want.K) and got.piece == want.piece
+        assert _bits(got.point) == _bits(want.point)
+        assert _bits(got.direction) == _bits(want.direction)
+        assert (got.region is None) == (want.region is None)
+        if got.region is not None:
+            assert _bits(got.region) == _bits(want.region)
+    for row, v in zip(s.nodes, written_v_bar(s)):
+        a, c = v_bar_reference(s.grid, row)
+        assert _bits(v.slopes) == _bits(a) and _bits(v.intercepts) == _bits(c)
+        F = Antiderivative(v)
+        for u, node in zip(s.grid.tolist(), row.tolist()):
+            assert F.derivative_interval(u) == pytest.approx((node, node), abs=1e-9)
 
 
 class TestOrderabilityErrors:
@@ -321,7 +387,7 @@ def test_levels_many_is_the_lowest_target_and_gamma(n, n_reports, seed, algo):
     whole-array form, on interior points, vertices and boundary ties."""
     spec, cost, phi = random_orderable_spec(n, n_reports, seed)
     if algo == "embedding":
-        s = build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+        s = build_surrogate(build_envelope_loss(cost, phi))
     else:
         s = build_from_spec(spec)
     pts = np.vstack([sample_simplex(n, 300, seed), np.eye(n),
@@ -384,7 +450,7 @@ def test_k_is_exact_in_every_norm(n, n_reports, seed, algo):
     the returned maximizer, along the returned direction, reach K."""
     spec, cost, phi = random_orderable_spec(n, n_reports, seed)
     s = build_from_spec(spec) if algo == "normals" else \
-        build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+        build_surrogate(build_envelope_loss(cost, phi))
     assert s.lipschitz("l2") == s.lipschitz_bound
     a, b = sample_simplex(n, 20_000, seed), sample_simplex(n, 20_000, seed + 1)
     gap = np.abs(s.gamma_many(a) - s.gamma_many(b))
@@ -430,11 +496,10 @@ class TestGaps:
         spec = random_orderable_spec(5, 4, seed=3)[0]
         want = [boundary_gap(spec, i) for i in (1, 2)]
 
-        def enumerate_again(o):
+        def enumerate_again(O):
             raise AssertionError("slice vertices enumerated again")
 
-        monkeypatch.setattr("ordelic.properties._simplex_boundary_endpoints",
-                            enumerate_again)
+        monkeypatch.setattr("ordelic.properties._slice_vertex_sets", enumerate_again)
         assert [boundary_gap(spec, i) for i in (1, 2)] == want
 
     def test_parallel_boundaries_gap_close_to_offset(self):

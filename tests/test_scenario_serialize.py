@@ -23,7 +23,6 @@ from conftest import (
 )
 from ordelic import serialize
 from ordelic.audit import PredictorTable
-from ordelic.cli import _default_outer_slope
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SpecError
 from ordelic.normals import build_from_spec
@@ -778,7 +777,7 @@ def test_format4_round_trip_is_exact(n, n_reports, seed):
     normals surrogate's value range is the closed form from its normals."""
     spec, cost, phi = random_orderable_spec(n, n_reports, seed)
     nrm = build_from_spec(spec)
-    emb = build_surrogate(build_envelope_loss(cost, phi, _default_outer_slope(cost, phi)))
+    emb = build_surrogate(build_envelope_loss(cost, phi))
     for s in (nrm, emb):
         back = surrogate_from_json(json.loads(dumps(surrogate_to_json(s))))
         for name in ("grid", "nodes", "thresholds"):
