@@ -107,7 +107,11 @@ def _default_phi(n_reports: int) -> np.ndarray:
 def _parse_phi(arg, n_reports: int) -> np.ndarray:
     if arg is None:
         return _default_phi(n_reports)
-    phi = np.array([float(v) for v in arg.split(",")])
+    try:
+        phi = np.array([float(v) for v in arg.split(",")])
+    except ValueError:
+        raise SpecError(f"--phi must be {n_reports} comma-separated numbers, "
+                        f"got {arg!r}") from None
     if len(phi) != n_reports:
         raise SpecError(f"--phi needs {n_reports} values")
     return phi
@@ -200,6 +204,11 @@ def _load_surrogate(path) -> Surrogate:
 
 
 def _cmd_audit(args) -> int:
+    if args.bin_width is not None and not 0 < args.bin_width < np.inf:
+        raise SpecError(f"--bin-width must be finite and positive, got {args.bin_width}")
+    # C_marginal = inf is allowed: it makes the discretization bound vacuous
+    if args.c_marginal is not None and not args.c_marginal >= 0:
+        raise SpecError(f"--c-marginal must be at least 0, got {args.c_marginal}")
     surrogate = _load_surrogate(args.surrogate)
     predictor = serialize.read_predictor(args.predictor, surrogate.n_outcomes)
     if (args.data is None) == (args.scenario is None):

@@ -89,10 +89,12 @@ def build_envelope_loss(cost: CostMatrix, phi, outer_slope: float | None = None
     phi = np.asarray(phi, dtype=np.float64)
     if len(phi) != cost.n_reports:
         raise SpecError("one embedding point per report required")
+    if not np.all(np.isfinite(phi)):
+        raise SpecError(f"embedding points phi must be finite, got {phi.tolist()}")
     if np.any(np.diff(phi) <= 0):
         raise SpecError("embedding points must be strictly increasing")
-    if outer_slope is not None and float(outer_slope) <= 0:
-        raise SpecError("outer slope must be positive")
+    if outer_slope is not None and not 0 < float(outer_slope) < np.inf:
+        raise SpecError(f"outer slope must be finite and positive, got {float(outer_slope)}")
     points = [np.column_stack([phi, cost.entries[:, y]]) for y in range(cost.n_outcomes)]
     chords = [lower_convex_envelope(pts) for pts in points]
     steepest = [max(abs(a) for a, _ in c) for c in chords]

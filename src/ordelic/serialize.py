@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ordelic._floatrepr import float_reprs
 from ordelic.audit import PredictorTable
 from ordelic.errors import OrdelicError, SimplexError, SpecError
 from ordelic.piecewise import CONTINUITY_TOL, PiecewiseAffine, interpolate
@@ -623,8 +624,10 @@ def _cell_table(column: np.ndarray, start: str, end: str) -> tuple[np.ndarray, n
     ``repr`` of row r's value between ``start`` and ``end``."""
     col = np.ascontiguousarray(column)
     bits, index = np.unique(col.view(np.uint64), return_inverse=True)
-    values = bits.view(col.dtype).tolist()
-    text = [start + repr(v) + end for v in values] if start or end else list(map(repr, values))
+    values = bits.view(col.dtype)
+    text = float_reprs(values) if col.dtype == np.float64 else list(map(repr, values.tolist()))
+    if start or end:
+        text = [start + t + end for t in text]
     return np.array(text, dtype=object), index
 
 

@@ -129,6 +129,26 @@ class TestConstruct:
         assert main(["construct", "--spec", spec_file, "--algo", "embedding",
                      "--phi", "0,1,2.5", "--out", str(tmp_path / "x.json")]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["construct", "levelsets"])
+    @pytest.mark.parametrize("args,message", [
+        (["--outer-slope", "nan"], "outer slope must be finite and positive, got nan"),
+        (["--outer-slope", "inf"], "outer slope must be finite and positive, got inf"),
+        (["--phi", "0,nan,3"], "embedding points phi must be finite, got [0.0, nan, 3.0]"),
+        (["--phi", "0,1,inf"], "embedding points phi must be finite, got [0.0, 1.0, inf]"),
+        (["--phi", "0,a,3"], "--phi must be 3 comma-separated numbers, got '0,a,3'"),
+    ])
+    def test_embedding_inputs_must_be_finite(self, spec_file, tmp_path, capsys, command,
+                                             args, message):
+        """A NaN or infinite embedding point or outer slope, or a --phi entry
+        that is not a number, exits 2 naming the field, with no warning and
+        no output file."""
+        out = tmp_path / "x.out"
+        rc = main([command, "--spec", spec_file, "--algo", "embedding", *args,
+                   "--out", str(out)])
+        assert rc == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, boundary_spec_file, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -406,6 +426,31 @@ class TestAudit:
         notions = [r["notion"] for r in payload["reports"]]
         assert notions == ["surrogate", "discretization"]
         assert rc in (EXIT_OK, EXIT_BOUND)
+
+    @pytest.mark.parametrize("args,message", [
+        (["--bin-width", "0"], "--bin-width must be finite and positive, got 0.0"),
+        (["--bin-width", "-0.1"], "--bin-width must be finite and positive, got -0.1"),
+        (["--bin-width", "nan"], "--bin-width must be finite and positive, got nan"),
+        (["--bin-width", "inf"], "--bin-width must be finite and positive, got inf"),
+        (["--c-marginal", "nan"], "--c-marginal must be at least 0, got nan"),
+        (["--c-marginal", "-1"], "--c-marginal must be at least 0, got -1.0"),
+    ])
+    def test_audit_numbers_checked(self, surrogate_file, tmp_path, capsys, args, message):
+        """A bin width that is not finite and positive, or a C_marginal that
+        is NaN or negative, exits 2 naming the flag; C_marginal = inf only
+        makes the discretization bound vacuous."""
+        sc_path, pred_path = tmp_path / "sc.json", tmp_path / "g.json"
+        write_json(sc_path, SCENARIO)
+        write_json(pred_path, {"kind": "scalar", "table": {"a": 0.5, "b": 1.5}})
+        out = tmp_path / "audit.json"
+        argv = ["audit", "--surrogate", surrogate_file, "--scenario", str(sc_path),
+                "--predictor", str(pred_path), "--out", str(out)]
+        assert main([*argv, *args]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert main([*argv, "--c-marginal", "inf"]) == EXIT_OK
+        bound = read_json(out)["reports"][1]["bounds"][0]
+        assert bound["params"]["vacuous"] and bound["satisfied"]
 
     def test_report_predictor(self, surrogate_file, tmp_path):
         sc = {

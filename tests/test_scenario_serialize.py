@@ -21,7 +21,8 @@ from conftest import (
     sampled_rows,
     written_v_bar,
 )
-from ordelic import serialize
+from ordelic import _floatrepr, serialize
+from ordelic._floatrepr import KERNEL_MIN_VALUES
 from ordelic.audit import PredictorTable
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SpecError
@@ -309,6 +310,29 @@ class TestSerialization:
             f"{a!r},{b!r},{c!r},{d},{e!r}\n"
             for (a, b, c), d, e in zip(pts.tolist(), gd.tolist(), gs.tolist()))
         assert (tmp_path / "g.csv").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("distinct", [KERNEL_MIN_VALUES - 1, KERNEL_MIN_VALUES + 1])
+    def test_levelsets_csv_around_the_kernel_threshold(self, distinct, tmp_path,
+                                                       monkeypatch):
+        """A float column of one value fewer or more distinct values than
+        the threshold of float_reprs' kernel is written as repr writes it;
+        only the latter takes the kernel."""
+        calls = []
+        kernel = _floatrepr._reprs
+        monkeypatch.setattr(_floatrepr, "_reprs", lambda v: calls.append(len(v)) or kernel(v))
+        rng = np.random.default_rng(distinct)
+        edges = [0.0, -0.0, 5e-324, 1e16, 1e-5, 1e-4, 0.1, 1.0, -2.5e300]
+        gs = np.concatenate([edges, rng.standard_normal(distinct - len(edges))])
+        rows = len(gs) + 5
+        gs = np.concatenate([gs, gs[:5]])
+        pts = rng.choice(gs[:50], size=(rows, 3))
+        gd = rng.integers(1, 12, size=rows)
+        write_levelsets_csv(tmp_path / "g.csv", pts, gd, gs)
+        want = "p1,p2,p3,gamma_discrete,gamma_surrogate\n" + "".join(
+            f"{a!r},{b!r},{c!r},{d},{e!r}\n"
+            for (a, b, c), d, e in zip(pts.tolist(), gd.tolist(), gs.tolist()))
+        assert (tmp_path / "g.csv").read_bytes() == want.encode()
+        assert sum(calls) == (distinct if distinct >= KERNEL_MIN_VALUES else 0)
 
     def test_dataset_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
