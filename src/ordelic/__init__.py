@@ -7,16 +7,15 @@ predictors for the associated calibration notions.
 """
 
 from ordelic.simplex import LabelCounts, as_simplex_point, sample_simplex
-from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine
+from ordelic.piecewise import MaxAffinePieces
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
-    OrderableSpec,
     OrientedNormals,
     Surrogate,
 )
 from ordelic.embedding import EmbeddingInput, build_surrogate
-from ordelic.normals import build_from_spec
+from ordelic.normals import build_from_normals
 from ordelic.audit import AuditReport
 
 __version__ = "0.1.0"
@@ -26,15 +25,13 @@ __all__ = [
     "as_simplex_point",
     "sample_simplex",
     "MaxAffinePieces",
-    "PiecewiseAffine",
     "AffineBoundary",
     "CostMatrix",
-    "OrderableSpec",
     "OrientedNormals",
     "Surrogate",
     "EmbeddingInput",
     "build_surrogate",
-    "build_from_spec",
+    "build_from_normals",
     "AuditReport",
     "__version__",
 ]

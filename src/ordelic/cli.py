@@ -21,7 +21,6 @@ from ordelic import serialize
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import OrdelicError, SearchFailure, SpecError
 from ordelic.normals import full_pipeline
-from ordelic.properties import Surrogate
 from ordelic.scenario import exact_dataset, materialize_predictor, sample_dataset
 from ordelic.simplex import triangle_grid
 
@@ -50,19 +49,24 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated embedding points (embedding only)")
     build.add_argument("--outer-slope", type=float, default=None)
 
-    sub.add_parser("construct", parents=[common, build],
-                   help="build a surrogate from a property spec")
+    p = sub.add_parser("construct", parents=[common, build],
+                       help="build a surrogate from a property spec")
+    p.set_defaults(run=_cmd_construct)
+
     p = sub.add_parser("levelsets", parents=[common, build],
                        help="emit a barycentric grid of property values")
+    p.set_defaults(run=_cmd_levelsets)
     p.add_argument("--resolution", type=int, default=200)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="sample a dataset and predictor from a scenario")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--spec", required=True, help="scenario JSON")
     p.add_argument("--samples", type=int, default=10_000)
 
     p = sub.add_parser("audit", parents=[common],
                        help="run calibration estimators and bound checks")
+    p.set_defaults(run=_cmd_audit)
     p.add_argument("--surrogate", required=True, help="construct output JSON")
     p.add_argument("--data", default=None, help="dataset CSV")
     p.add_argument("--scenario", default=None,
@@ -73,13 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-marginal", type=float, default=None)
     p.add_argument("--convention", choices=["simplex", "plot"], default="simplex")
 
-    p = sub.add_parser("counterexample",
+    p = sub.add_parser("counterexample", parents=[common],
                        help="construct a pair violating a proposed Lipschitz constant")
+    p.set_defaults(run=_cmd_counterexample)
     p.add_argument("--surrogate", required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--out", required=True, help="output prefix")
-    p.add_argument("--seed", type=int, default=None,
-                   help="unused: the pair is constructed, not searched for")
     p.add_argument("--samples", type=int, default=None,
                    help="unused: the pair is constructed, not searched for")
     p.add_argument("--norm", choices=["l1", "l2", "linf"], default="l2")
@@ -190,26 +192,13 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_surrogate(path) -> Surrogate:
-    """The surrogate in ``path``; errors in its contents name the path."""
-    d = serialize.read_json(path)
-    try:
-        surrogate = serialize.surrogate_from_json(d)
-        if surrogate.cost is None and surrogate.normals is None:
-            raise SpecError("field 'cost_matrix' is missing: an embedding surrogate "
-                            "needs its cost matrix; re-run construct")
-    except OrdelicError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    return surrogate
-
-
 def _cmd_audit(args) -> int:
     if args.bin_width is not None and not 0 < args.bin_width < np.inf:
         raise SpecError(f"--bin-width must be finite and positive, got {args.bin_width}")
     # C_marginal = inf is allowed: it makes the discretization bound vacuous
     if args.c_marginal is not None and not args.c_marginal >= 0:
         raise SpecError(f"--c-marginal must be at least 0, got {args.c_marginal}")
-    surrogate = _load_surrogate(args.surrogate)
+    surrogate = serialize.read_surrogate(args.surrogate)
     predictor = serialize.read_predictor(args.predictor, surrogate.n_outcomes)
     if (args.data is None) == (args.scenario is None):
         raise SpecError("pass exactly one of --data or --scenario")
@@ -259,7 +248,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    surrogate = _load_surrogate(args.surrogate)
+    surrogate = serialize.read_surrogate(args.surrogate)
     _, _, instance = audit_mod.counterexample_gap(surrogate, args.c, norm=args.norm)
     f, data = audit_mod.instance_dataset(instance)
     check = audit_mod.check_postprocessing_bound(
@@ -294,17 +283,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_SPEC if exc.code not in (0, None) else 0
     try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "levelsets":
-            return _cmd_levelsets(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "counterexample":
-            return _cmd_counterexample(args)
-        raise SpecError(f"unknown command {args.command!r}")
+        return args.run(args)
     except SearchFailure as exc:
         sys.stderr.write(f"search failed: {exc}\n")
         return EXIT_SEARCH

@@ -14,7 +14,7 @@ import numpy as np
 from ordelic.errors import RankDeficiencyError
 from ordelic.properties import (
     CostMatrix,
-    OrderableSpec,
+    OrientedNormals,
     Surrogate,
     _sample_slice,
     boundaries_from_cost,
@@ -30,11 +30,11 @@ from ordelic.simplex import sample_simplex
 REFINEMENT_SAMPLES = 2000
 
 
-def build_from_spec(spec: OrderableSpec) -> Surrogate:
-    """Identification nodes from the oriented (so strongly orderable) normals."""
-    grid = np.arange(spec.normals.k, dtype=np.float64)
-    return Surrogate(grid, -spec.normals.o.T, thresholds=grid, normals=spec.normals,
-                     cost=spec.cost)
+def build_from_normals(normals: OrientedNormals, cost: CostMatrix | None = None) -> Surrogate:
+    """Identification nodes from the oriented (so strongly orderable) normals;
+    ``cost``, when given, is the discrete target the surrogate links to."""
+    grid = np.arange(normals.k, dtype=np.float64)
+    return Surrogate(grid, -normals.o.T, thresholds=grid, normals=normals, cost=cost)
 
 
 def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
@@ -78,11 +78,9 @@ def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
         recovered.append(got)
 
     oriented = orient_normals(recovered)
-    spec = OrderableSpec(tuple(range(1, len(boundaries) + 2)), oriented, cost=cost,
-                         boundaries=tuple(boundaries))
-    surrogate = build_from_spec(spec)
+    surrogate = build_from_normals(oriented, cost)
 
-    gaps = [boundary_gap(spec, i) for i in range(1, spec.normals.k)]
+    gaps = [boundary_gap(oriented, i) for i in range(1, oriented.k)]
     pts = sample_simplex(n, REFINEMENT_SAMPLES, seed + 999)
     margin = np.abs(pts @ oriented.o.T).min(axis=1) > 1e-8
     pts = pts[margin]

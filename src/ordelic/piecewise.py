@@ -1,8 +1,9 @@
 """One-dimensional piecewise structures: affine and max-affine.
 
-Max-affine pieces are the embedded losses; piecewise-affine functions the
-identification functions that surrogate files spell out (``v_bar``), with
-coefficients exactly as interpolation gives them, so files are bit-stable.
+Max-affine pieces are the embedded losses.  Piecewise-affine functions are
+the identification functions that surrogate files spell out (``v_bar``):
+:func:`interpolate` gives their coefficients, so files are bit-stable, and
+:func:`_check_continuity` checks the pieces a file holds.
 """
 
 from __future__ import annotations
@@ -16,49 +17,6 @@ from ordelic.errors import SpecError
 CONTINUITY_TOL = 1e-9
 # A max-affine piece this close (relative) to the max is active there.
 ACTIVE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PiecewiseAffine:
-    """Continuous piecewise-affine function on the whole real line.
-
-    ``breakpoints``: strictly increasing (m,); ``slopes``/``intercepts``:
-    (m+1,) with piece i live on [b_{i-1}, b_i] (unbounded at the ends).
-    """
-
-    breakpoints: np.ndarray
-    slopes: np.ndarray
-    intercepts: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=np.float64)
-        a = np.asarray(self.slopes, dtype=np.float64)
-        c = np.asarray(self.intercepts, dtype=np.float64)
-        if bp.ndim != 1 or len(bp) < 1:
-            raise SpecError("need at least one breakpoint")
-        if np.any(np.diff(bp) <= 0):
-            raise SpecError("breakpoints must be strictly increasing")
-        if len(a) != len(bp) + 1 or len(c) != len(bp) + 1:
-            raise SpecError("need exactly one more piece than breakpoints")
-        _check_continuity(bp, a, c)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "slopes", a)
-        object.__setattr__(self, "intercepts", c)
-
-    @classmethod
-    def from_nodes(cls, breakpoints, values, left_slope: float, right_slope: float) -> "PiecewiseAffine":
-        """Linear interpolation through (breakpoint, value) nodes with affine tails."""
-        bp = np.asarray(breakpoints, dtype=np.float64)
-        v = np.asarray(values, dtype=np.float64)
-        if len(bp) != len(v):
-            raise SpecError("breakpoints and values must align")
-        a, c = interpolate(bp, v[None], left_slope, right_slope)
-        return cls(bp, a[0], c[0])
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        idx = np.searchsorted(self.breakpoints, u, side="left")
-        return self.slopes[idx] * u + self.intercepts[idx]
 
 
 @dataclass(frozen=True)
@@ -97,9 +55,9 @@ class MaxAffinePieces:
 def interpolate(breakpoints, values, left_slope: float,
                 right_slope: float) -> tuple[np.ndarray, np.ndarray]:
     """(slopes, intercepts), one row per row of ``values``, of the linear
-    interpolations through (breakpoint, value) nodes with affine tails, as
-    :meth:`PiecewiseAffine.from_nodes` builds each; checked for continuity
-    as it checks them."""
+    interpolations through (breakpoint, value) nodes with affine tails,
+    checked for continuity: piece i lives on [b_{i-1}, b_i], unbounded at
+    the ends."""
     bp, V = np.asarray(breakpoints, dtype=np.float64), np.asarray(values, dtype=np.float64)
     a = np.empty((len(V), len(bp) + 1))
     a[:, 0], a[:, -1] = left_slope, right_slope

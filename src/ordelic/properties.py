@@ -663,36 +663,6 @@ def _first_columns(mask: np.ndarray) -> np.ndarray:
     return first
 
 
-@dataclass(frozen=True)
-class OrderableSpec:
-    """Ordered reports plus oriented boundary normals; optionally the source
-    cost matrix and the raw boundaries they came from."""
-
-    reports: tuple
-    normals: OrientedNormals
-    cost: CostMatrix | None = None
-    boundaries: tuple | None = None
-
-    def __post_init__(self):
-        reports = tuple(self.reports)
-        if len(reports) != self.normals.k + 1:
-            raise SpecError(
-                f"{len(reports)} reports need {len(reports) - 1} normals, "
-                f"got {self.normals.k}"
-            )
-        object.__setattr__(self, "reports", reports)
-        if self.boundaries is not None:
-            object.__setattr__(self, "boundaries", tuple(self.boundaries))
-
-    @property
-    def n_reports(self) -> int:
-        return len(self.reports)
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.normals.n
-
-
 def boundaries_from_cost(cost: CostMatrix) -> list[AffineBoundary]:
     """Tie locus of consecutive reports: <l_r - l_{r+1}, p> = 0."""
     return [
@@ -701,34 +671,30 @@ def boundaries_from_cost(cost: CostMatrix) -> list[AffineBoundary]:
     ]
 
 
-def boundary_gap(spec: OrderableSpec, i: int) -> float:
+def boundary_gap(normals: OrientedNormals, i: int) -> float:
     """Euclidean distance between the slices of boundaries i and i+1
     (1-based), exact for any number of outcomes.
 
-    Each slice is the convex hull of its vertices (``spec.normals.slices``),
+    Each slice is the convex hull of its vertices (``normals.slices``),
     so the distance is the norm of the min-norm point of the hull of
     {v - w} over the vertices v of slice i and w of slice i+1
     (:func:`_min_norm_point`).  Raises :class:`OrdelicError` when the
     min-norm search does not converge.
     """
-    if not (1 <= i <= spec.normals.k - 1):
-        raise SpecError(f"boundary pair index must be in 1..{spec.normals.k - 1}")
-    V, W = spec.normals.slices[i - 1:i + 1]
-    found = _min_norm_point((V[:, None] - W).reshape(-1, spec.n_outcomes), _WOLFE_MAX_ITER)
+    if not (1 <= i <= normals.k - 1):
+        raise SpecError(f"boundary pair index must be in 1..{normals.k - 1}")
+    V, W = normals.slices[i - 1:i + 1]
+    found = _min_norm_point((V[:, None] - W).reshape(-1, normals.n), _WOLFE_MAX_ITER)
     if found is None:
         raise OrdelicError(f"the gap between boundaries {i} and {i + 1} did not "
                            f"converge in {_WOLFE_MAX_ITER} min-norm iterations")
     return float(np.linalg.norm(found[0]))
 
 
-def spec_from_boundaries(boundaries, reports=None) -> OrderableSpec:
-    """Build an OrderableSpec from report-ordered affine boundaries, each with
+def normals_from_boundaries(boundaries) -> OrientedNormals:
+    """The oriented normals of report-ordered affine boundaries, each with
     its lower report on the <c, p> <= b side; see :func:`orient_normals`."""
-    bds = list(boundaries)
-    raw = [homogenize_boundary(bd) for bd in bds]
-    if reports is None:
-        reports = tuple(range(1, len(raw) + 2))
-    return OrderableSpec(tuple(reports), orient_normals(raw), boundaries=tuple(bds))
+    return orient_normals([homogenize_boundary(bd) for bd in boundaries])
 
 
 def random_orderable_spec(n: int, n_reports: int, seed: int):
@@ -740,7 +706,7 @@ def random_orderable_spec(n: int, n_reports: int, seed: int):
     argmin exactly on its slice and keeps the embedded points of every outcome
     in strictly convex position for unit-spaced embeddings.
 
-    Returns (spec, cost, phi).
+    Returns (boundaries, cost, phi).
     """
     if n_reports < 2:
         raise SpecError("need at least 2 reports")
@@ -767,6 +733,4 @@ def random_orderable_spec(n: int, n_reports: int, seed: int):
     L -= L.min(axis=0, keepdims=True)  # per-outcome shift: argmin/chords unchanged
     cost = CostMatrix(L)
     boundaries = [AffineBoundary(w, float(t[i])) for i in range(k)]
-    spec = spec_from_boundaries(boundaries, reports=tuple(range(1, k + 2)))
-    phi = np.arange(n_reports, dtype=np.float64)
-    return spec, cost, phi
+    return boundaries, cost, np.arange(n_reports, dtype=np.float64)

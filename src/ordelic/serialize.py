@@ -20,7 +20,7 @@ import numpy as np
 from ordelic._floatrepr import float_reprs
 from ordelic.audit import PredictorTable
 from ordelic.errors import OrdelicError, SimplexError, SpecError
-from ordelic.piecewise import CONTINUITY_TOL, PiecewiseAffine, interpolate
+from ordelic.piecewise import CONTINUITY_TOL, _check_continuity, interpolate
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
 from ordelic.scenario import ScenarioSpec
 from ordelic.simplex import LabelCounts, as_simplex_points
@@ -51,6 +51,15 @@ def read_json(path):
         raise SpecError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _read(path, parse):
+    """``parse`` of the JSON in ``path``; errors in its contents name the path."""
+    d = read_json(path)
+    try:
+        return parse(d)
+    except OrdelicError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # property specs
 
@@ -59,11 +68,7 @@ def load_property_spec(path) -> dict:
     """Parse a property-spec file into reports plus a cost matrix or
     report-ordered boundaries; errors in its contents name the path and the
     field at fault."""
-    raw = read_json(path)
-    try:
-        return _property_spec(raw)
-    except OrdelicError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return _read(path, _property_spec)
 
 
 def _property_spec(raw) -> dict:
@@ -154,6 +159,17 @@ def surrogate_from_json(d) -> Surrogate:
     return Surrogate(grid, nodes, _field(d, "thresholds", np.ndarray), normals, cost)
 
 
+def read_surrogate(path) -> Surrogate:
+    """The surrogate in ``path``, which must hold the discrete target it
+    links to (an embedding its cost matrix); errors in its contents name the
+    path."""
+    surrogate = _read(path, surrogate_from_json)
+    if surrogate.cost is None and surrogate.normals is None:
+        raise SpecError(f"{path}: field 'cost_matrix' is missing: an embedding surrogate "
+                        "needs its cost matrix; re-run construct")
+    return surrogate
+
+
 def _nodes_from_v_bar(d: dict, normals) -> tuple[np.ndarray, np.ndarray]:
     """(grid, nodes) from the ``v_bar`` of a format 1-3 file, which must be
     what the property kernel evaluates: one grid, unit tail slopes, and for
@@ -161,28 +177,38 @@ def _nodes_from_v_bar(d: dict, normals) -> tuple[np.ndarray, np.ndarray]:
     v_bar = []
     for y, v in enumerate(_field(d, "v_bar", list), start=1):
         try:
-            v_bar.append(PiecewiseAffine(*(_field(v, key, np.ndarray)
-                                           for key in ("breakpoints", "slopes", "intercepts"))))
+            bp, a, c = (_field(v, key, np.ndarray)
+                        for key in ("breakpoints", "slopes", "intercepts"))
+            if bp.ndim != 1 or len(bp) < 1:
+                raise SpecError("need at least one breakpoint")
+            if np.any(np.diff(bp) <= 0):
+                raise SpecError("breakpoints must be strictly increasing")
+            if len(a) != len(bp) + 1 or len(c) != len(bp) + 1:
+                raise SpecError("need exactly one more piece than breakpoints")
+            _check_continuity(bp, a, c)
         except SpecError as exc:
             raise SpecError(f"v_bar of outcome {y}: {exc}") from None
+        v_bar.append((bp, a, c))
     if not v_bar:
         raise SpecError("field 'v_bar' holds no functions")
-    grid = v_bar[0].breakpoints
-    nodes = np.stack([v(grid) for v in v_bar])
-    want = nodes if normals is None else -normals.o.T
-    for y, v in enumerate(v_bar, start=1):
-        if not np.array_equal(v.breakpoints, grid):
+    grid = v_bar[0][0]
+    shape = (len(v_bar), len(grid))
+    want = None if normals is None else -normals.o.T
+    nodes = []
+    for y, (bp, a, c) in enumerate(v_bar, start=1):
+        if not np.array_equal(bp, grid):
             why = "has another grid than outcome 1"
-        elif v.slopes[0] != 1.0 or v.slopes[-1] != 1.0:
-            why = f"has tail slopes {float(v.slopes[0])!r} and {float(v.slopes[-1])!r}, not 1"
-        elif want.shape != nodes.shape \
-                or np.abs(nodes[y - 1] - want[y - 1]).max() > CONTINUITY_TOL:
-            why = f"differs from the negated normals on its grid by more than {CONTINUITY_TOL}"
+        elif a[0] != 1.0 or a[-1] != 1.0:
+            why = f"has tail slopes {float(a[0])!r} and {float(a[-1])!r}, not 1"
         else:
-            continue
+            nodes.append(a[:-1] * grid + c[:-1])  # each piece at its right end
+            if want is None or (want.shape == shape and not
+                                np.abs(nodes[-1] - want[y - 1]).max() > CONTINUITY_TOL):
+                continue
+            why = f"differs from the negated normals on its grid by more than {CONTINUITY_TOL}"
         raise SpecError(f"v_bar of outcome {y} {why}, which the property kernel "
                         "does not evaluate")
-    return grid, want
+    return grid, np.stack(nodes) if want is None else want
 
 
 # _field kinds: the JSON types each accepts, and how an error names it.
@@ -258,7 +284,10 @@ def read_dataset_csv(path, n: int) -> LabelCounts:
     """
     table = _LineCounts(n)
     with open(path, "rb") as fh:
-        header = next(csv.reader([fh.readline().decode("utf-8-sig")]), None)
+        try:
+            header = next(csv.reader([fh.readline().decode("utf-8-sig")]), None)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, 1, exc) from None
         if header != ["x_id", "y"]:
             raise SpecError(f"{path}, line 1: expected header 'x_id,y', got {header}")
         line = 2
@@ -281,7 +310,10 @@ def _parse_rows(chunk: bytes, line: int, path, n: int) -> tuple[list, np.ndarray
     """(x_ids, labels) of newline-terminated CSV lines numbered from ``line``,
     parsed by csv.reader; an error names the line at fault."""
     ids, labels = [], []
-    reader = csv.reader(io.StringIO(chunk.decode("utf-8")))
+    try:
+        reader = csv.reader(io.StringIO(chunk.decode("utf-8")))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, line, exc) from None
     try:
         for fields in reader:
             where = f"{path}, line {line + reader.line_num - 1}"
@@ -295,6 +327,17 @@ def _parse_rows(chunk: bytes, line: int, path, n: int) -> tuple[list, np.ndarray
     except csv.Error as exc:
         raise SpecError(f"{path}, line {line + reader.line_num - 1}: {exc}") from None
     return ids, np.array(labels, dtype=np.int64)
+
+
+def _not_utf8(path, line: int, exc: UnicodeDecodeError) -> SpecError:
+    """The error of text that ``exc`` could not decode, naming the file and
+    the line of the first bad byte; the text's lines are numbered from
+    ``line``."""
+    data, at = exc.object, exc.start
+    line += data.count(b"\n", 0, at)
+    column = at - data.rfind(b"\n", 0, at) - 1
+    return SpecError(f"{path}, line {line}: byte 0x{data[at]:02x} in position {column} "
+                     f"is not UTF-8 ({exc.reason})")
 
 
 def _plain_lines(n: int) -> re.Pattern:
@@ -520,16 +563,14 @@ class _LineCounts:
     def _add(self, chunk: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
         """Add the distinct new lines chunk[starts[i]:starts[i] + lengths[i]],
         in order of first appearance, and return their codes; None, adding
-        nothing, when one is not plain."""
+        nothing, when one is not plain or not UTF-8."""
         text = np.frombuffer(chunk, dtype=np.uint8)[_ragged(starts, lengths)].tobytes()
         if not self.plain.fullmatch(text):
             return None
         try:
             fields = text.decode("utf-8").replace("\n", ",").split(",")
-        except UnicodeDecodeError:
-            for line in text.split(b"\n"):  # raise the error of the first bad x_id
-                line.partition(b",")[0].decode("utf-8")
-            raise
+        except UnicodeDecodeError:  # csv.reader's pass names the line
+            return None
         labels = np.fromstring(" ".join(fields[1::2]), dtype=np.int64, sep=" ")
         if labels.min() < 1 or labels.max() > self.n:
             return None
@@ -845,9 +886,5 @@ def _features(features: list) -> tuple[list, list, list]:
 
 def read_scenario(path) -> ScenarioSpec:
     """The scenario in ``path``; errors in its contents name the path."""
-    d = read_json(path)
-    try:
-        return scenario_from_json(d)
-    except OrdelicError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return _read(path, scenario_from_json)
 

@@ -8,15 +8,17 @@ from ordelic._kernels import BOUNDARY_TOL
 from ordelic.audit import PredictorTable, bin_predictions
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SimplexError
-from ordelic.normals import build_from_spec
-from ordelic.piecewise import ACTIVE_TOL, PiecewiseAffine
+from ordelic.normals import build_from_normals
+from ordelic.piecewise import ACTIVE_TOL
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
     LipschitzMax,
+    OrientedNormals,
     _dual,
     _pairs,
-    spec_from_boundaries,
+    normals_from_boundaries,
+    random_orderable_spec,
 )
 from ordelic.scenario import sample_dataset
 from ordelic.serialize import dumps, surrogate_to_json
@@ -52,13 +54,18 @@ def fixture_embedding(fixture_cost):
 
 
 @pytest.fixture(scope="session")
-def fixture_normals_spec(fixture_boundaries):
-    return spec_from_boundaries(fixture_boundaries)
+def fixture_oriented_normals(fixture_boundaries):
+    return normals_from_boundaries(fixture_boundaries)
 
 
 @pytest.fixture(scope="session")
-def fixture_normals(fixture_normals_spec):
-    return build_from_spec(fixture_normals_spec)
+def fixture_normals(fixture_oriented_normals):
+    return build_from_normals(fixture_oriented_normals)
+
+
+def random_normals(n: int, n_reports: int, seed: int) -> OrientedNormals:
+    """The oriented normals of ``random_orderable_spec(n, n_reports, seed)``."""
+    return normals_from_boundaries(random_orderable_spec(n, n_reports, seed)[0])
 
 
 def labeled_rows(x_ids, y, n: int) -> tuple:
@@ -116,12 +123,36 @@ def bins_by_key(data: LabelCounts, keys):
     return bin_predictions(f, data, lambda _: np.asarray(keys))
 
 
-def written_v_bar(surrogate) -> list[PiecewiseAffine]:
+class AffinePieces:
+    """A continuous piecewise-affine function on the whole real line:
+    strictly increasing breakpoints (m,), and slopes and intercepts (m+1,)
+    with piece i live on [b_{i-1}, b_i], unbounded at the ends."""
+
+    def __init__(self, breakpoints, slopes, intercepts):
+        self.breakpoints, self.slopes, self.intercepts = (
+            np.asarray(x, dtype=np.float64) for x in (breakpoints, slopes, intercepts))
+
+    @classmethod
+    def through(cls, breakpoints, values, left_slope: float,
+                right_slope: float) -> "AffinePieces":
+        """Linear interpolation through (breakpoint, value) nodes with affine
+        tails, one outcome at a time: the reference of the written v_bar's
+        bits."""
+        bp, v = np.asarray(breakpoints, dtype=np.float64), np.asarray(values, dtype=np.float64)
+        a = np.concatenate(([left_slope], np.diff(v) / np.diff(bp), [right_slope]))
+        return cls(bp, a, np.append(v - a[:-1] * bp, v[-1] - a[-1] * bp[-1]))
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        i = np.searchsorted(self.breakpoints, u)
+        return self.slopes[i] * u + self.intercepts[i]
+
+
+def written_v_bar(surrogate) -> list[AffinePieces]:
     """The identification functions a surrogate file spells out (``v_bar``),
     read back from the JSON text it is written as."""
     d = json.loads(dumps(surrogate_to_json(surrogate)))
-    return [PiecewiseAffine(np.array(v["breakpoints"]), np.array(v["slopes"]),
-                            np.array(v["intercepts"])) for v in d["v_bar"]]
+    return [AffinePieces(v["breakpoints"], v["slopes"], v["intercepts"]) for v in d["v_bar"]]
 
 
 def bisect_expected_root(v_per_outcome, probs, lo=-20.0, hi=20.0, iters=80):
@@ -330,7 +361,7 @@ def from_ternary_plot(xy) -> np.ndarray:
 
 
 class Antiderivative:
-    """The antiderivative F of a PiecewiseAffine v with F(0) = 0, continuous
+    """The antiderivative F of an AffinePieces v with F(0) = 0, continuous
     across the breakpoints; ``coeffs`` rows are (c2, c1, c0) per piece."""
 
     def __init__(self, v):
@@ -488,14 +519,3 @@ def embedding_nodes_reference(inp, grid) -> np.ndarray:
             nodes[y, i] = dl if abs(dl - dr) <= 1e-12 else \
                 0.0 if np.sign(dl) != np.sign(dr) else 0.5 * (dl + dr)
     return nodes
-
-
-def v_bar_reference(grid, row) -> tuple[np.ndarray, np.ndarray]:
-    """(slopes, intercepts) of one outcome's identification function: the
-    interpolation of its nodes with unit-slope tails, one outcome at a
-    time."""
-    a = np.concatenate(([1.0], np.diff(row) / np.diff(grid), [1.0]))
-    c = np.empty(len(grid) + 1)
-    c[:-1] = row - a[:-1] * grid
-    c[-1] = row[-1] - a[-1] * grid[-1]
-    return a, c

@@ -30,15 +30,15 @@ from ordelic.audit import (
 )
 from ordelic.cli import EXIT_OK, main
 from ordelic.embedding import build_envelope_loss, build_surrogate
-from ordelic.normals import build_from_spec, full_pipeline
+from ordelic.normals import build_from_normals, full_pipeline
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
     normal_from_boundary_samples,
+    normals_from_boundaries,
     orient_normals,
     random_orderable_spec,
     sample_boundary,
-    spec_from_boundaries,
 )
 from ordelic.scenario import ScenarioSpec, materialize_predictor
 from ordelic.serialize import write_json
@@ -89,7 +89,7 @@ def _fixture_embedding():
 
 def _fixture_normals():
     bds = [AffineBoundary([-3, 1, 0], -2.0), AffineBoundary([-5, -4, 0], -3.0)]
-    return build_from_spec(spec_from_boundaries(bds))
+    return build_from_normals(normals_from_boundaries(bds))
 
 
 def test_criterion_1_embedding_fixture(capfd):
@@ -143,14 +143,15 @@ def test_criterion_2_normals_fixture(capfd):
         assert np.allclose(got[1], O2, atol=1e-8)
 
 
-def _refinement_ok(spec, cost, phi, n_samples, seed) -> bool:
-    pts = sample_simplex(spec.n_outcomes, n_samples, seed)
-    margin = np.abs(pts @ spec.normals.o.T).min(axis=1) > 1e-8
+def _refinement_ok(bds, cost, phi, n_samples, seed) -> bool:
+    normals = normals_from_boundaries(bds)
+    pts = sample_simplex(normals.n, n_samples, seed)
+    margin = np.abs(pts @ normals.o.T).min(axis=1) > 1e-8
     pts = pts[margin]
     S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
     emb = build_surrogate(build_envelope_loss(cost, phi, S))
     links_e = emb.link_many(emb.gamma_many(pts))
-    nrm = build_from_spec(spec)
+    nrm = build_from_normals(normals)
     links_n = nrm.link_many(nrm.gamma_many(pts))
     ec = pts @ cost.entries.T
     slack = ec.min(axis=1) + 1e-10
@@ -162,15 +163,14 @@ def _refinement_ok(spec, cost, phi, n_samples, seed) -> bool:
 
 def test_criterion_3_refinement(capfd):
     with _Criterion(3, 30.0, capfd):
-        fixture_spec = spec_from_boundaries(
-            [AffineBoundary([-3, 1, 0], -2.0),
-             AffineBoundary([-5, -4, 0], -3.0)])
-        assert _refinement_ok(fixture_spec, CostMatrix(EQ1_COSTS), EQ1_PHI,
+        fixture_bds = [AffineBoundary([-3, 1, 0], -2.0),
+                       AffineBoundary([-5, -4, 0], -3.0)]
+        assert _refinement_ok(fixture_bds, CostMatrix(EQ1_COSTS), EQ1_PHI,
                               100_000, seed=300)
         for i in range(20):
             n = (3, 4, 5)[i % 3]
-            spec, cost, phi = random_orderable_spec(n, 3 + i % 2, seed=301 + i)
-            assert _refinement_ok(spec, cost, phi, 100_000, seed=400 + i)
+            bds, cost, phi = random_orderable_spec(n, 3 + i % 2, seed=301 + i)
+            assert _refinement_ok(bds, cost, phi, 100_000, seed=400 + i)
 
 
 def test_criterion_4_oracle_equivalence(capfd):
@@ -266,9 +266,9 @@ def test_criterion_7_discretization_monte_carlo(capfd):
 
         # a prediction hugging the mean threshold with mass just across it
         # must be flagged vacuous
-        spec = spec_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)])
-        vlinked = build_from_spec(spec)
-        o = spec.normals.o[0]
+        vlinked = build_from_normals(normals_from_boundaries(
+            [AffineBoundary([1.0, 2.0, 3.0], 1.5)]))
+        o = vlinked.normals.o[0]
         p0 = sample_boundary(o, 1, seed=80_000)[0]
         d = o - o.mean()
         q = p0 + (0.01 / (d @ o)) * d
@@ -357,3 +357,26 @@ def test_criterion_9_level_set_grids(tmp_path, capfd):
             sel = np.abs(vals - u_star) <= 1e-6
             assert np.any(sel)  # boundary grid points take exact label values
             assert float(plane_dist(pts[sel], coeffs, offset).max()) <= 1e-5
+
+
+PUBLIC_NAMES = [
+    "LabelCounts", "as_simplex_point", "sample_simplex", "MaxAffinePieces",
+    "AffineBoundary", "CostMatrix", "OrientedNormals", "Surrogate",
+    "EmbeddingInput", "build_surrogate", "build_from_normals", "AuditReport",
+    "__version__",
+]
+
+
+def test_public_names():
+    import ordelic
+
+    assert ordelic.__all__ == PUBLIC_NAMES
+
+
+def test_every_public_name_imports():
+    import ordelic
+
+    for name in ordelic.__all__:
+        scope: dict = {}
+        exec(f"from ordelic import {name}", scope)
+        assert scope[name] is getattr(ordelic, name)

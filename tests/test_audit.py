@@ -29,13 +29,13 @@ from ordelic.audit import (
 )
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
-from ordelic.normals import build_from_spec
+from ordelic.normals import build_from_normals
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
+    normals_from_boundaries,
     random_orderable_spec,
     sample_boundary,
-    spec_from_boundaries,
 )
 from ordelic.scenario import (
     ScenarioSpec,
@@ -310,8 +310,7 @@ class TestPostprocessingBound:
             <= 1e-12 * max(1.0, abs(alpha * r1.epsilon_hat))
 
     def test_contraction_branch_for_small_k(self):
-        spec = spec_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)])
-        s = build_from_spec(spec)
+        s = build_from_normals(normals_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)]))
         assert s.lipschitz_bound < 1.0
         cond = sample_simplex(3, 3, seed=10)
         sc = ScenarioSpec(("a", "b", "c"), [0.3, 0.3, 0.4], cond,
@@ -369,9 +368,9 @@ class TestCounterexample:
             s = fixture_embedding
         else:
             algo, n = case.split("-")
-            spec, cost, phi = random_orderable_spec(int(n), 4, seed=int(n))
-            s = build_from_spec(spec) if algo == "normals" else build_surrogate(
-                build_envelope_loss(cost, phi))
+            bds, cost, phi = random_orderable_spec(int(n), 4, seed=int(n))
+            s = build_from_normals(normals_from_boundaries(bds)) if algo == "normals" \
+                else build_surrogate(build_envelope_loss(cost, phi))
         K, ordv = s.lipschitz(norm), norm_order(norm)
         H = s.nodes - s.nodes.mean(axis=0)
         for C in (0.0, 0.5 * K, (1.0 - 1e-4) * K):
@@ -446,9 +445,8 @@ class TestDiscretizationBound:
         assert not b.params["vacuous"]
 
     def test_threshold_straddle_is_vacuous(self):
-        spec = spec_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)])
-        s = build_from_spec(spec)
-        o = spec.normals.o[0]
+        s = build_from_normals(normals_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)]))
+        o = s.normals.o[0]
         p0 = sample_boundary(o, 1, seed=23)[0]
         d = o - o.mean()
         q = p0 + (0.01 / (d @ o)) * d  # conditional just above the threshold
@@ -516,9 +514,9 @@ class TestLipschitzEstimates:
 @pytest.mark.parametrize("n,normals", [(3, True), (5, True), (5, False)])
 def test_bound_params_label_estimated_k(n, normals):
     """K is exact for both constructions, and every bound check says so."""
-    spec, cost, phi = random_orderable_spec(n, 3, seed=n)
+    bds, cost, phi = random_orderable_spec(n, 3, seed=n)
     if normals:
-        s = build_from_spec(spec)
+        s = build_from_normals(normals_from_boundaries(bds))
     else:
         S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
         s = build_surrogate(build_envelope_loss(cost, phi, S))

@@ -92,11 +92,11 @@ class TestConstruct:
 
     def test_n8_rerun_is_byte_identical(self, tmp_path, capsys):
         from ordelic.properties import random_orderable_spec
-        spec = random_orderable_spec(8, 4, seed=1)[0]
+        bds = random_orderable_spec(8, 4, seed=1)[0]
         path, out = tmp_path / "bspec8.json", tmp_path / "sur8.json"
         write_json(path, {"n": 8, "reports": [1, 2, 3, 4],
                           "boundaries": [{"c": b.coeffs.tolist(), "b": b.offset}
-                                         for b in spec.boundaries]})
+                                         for b in bds]})
         runs = []
         for _ in range(2):
             assert main(["construct", "--spec", str(path), "--algo", "normals",
@@ -485,6 +485,17 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "'nope'" in err and str(pred_path) in err
 
+    def test_undecodable_data_names_the_line(self, surrogate_file, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"x_id,y\nab\xff,1\n")
+        pred_path = tmp_path / "pred.json"
+        write_json(pred_path, {"kind": "report", "table": {"a": 1}})
+        rc = main(["audit", "--surrogate", surrogate_file, "--data", str(data),
+                   "--predictor", str(pred_path), "--out", str(tmp_path / "x.json")])
+        assert rc == EXIT_SPEC
+        assert capsys.readouterr().err == (f"error: {data}, line 2: byte 0xff in position 2 "
+                                           "is not UTF-8 (invalid start byte)\n")
+
     @pytest.mark.parametrize("kind,bad,cause", [
         ("scalar", float("nan"), "not finite"),
         ("scalar", float("inf"), "not finite"),
@@ -610,13 +621,16 @@ class TestCounterexample:
     def test_no_seed_needed_and_byte_identical(self, surrogate_file, tmp_path,
                                                monkeypatch):
         monkeypatch.delenv("ORDELIC_SEED", raising=False)
-        outs = []
+        outs, seeds = [], []
         for name, extra in (("a", []), ("b", ["--seed", "9", "--samples", "7"])):
             prefix = str(tmp_path / name)
             assert main(["counterexample", "--surrogate", surrogate_file,
                          "--c", "5", *extra, "--out", prefix]) == EXIT_OK
-            outs.append(read_json(prefix + ".report.json")["instance"])
+            report = read_json(prefix + ".report.json")
+            outs.append(report["instance"])
+            seeds.append(report["config"]["seed"])
         assert outs[0] == outs[1]
+        assert seeds == [None, 9]  # echoed, not used
 
     def test_valid_constant_exits_search_failure(self, surrogate_file,
                                                  tmp_path, capsys):
@@ -714,6 +728,28 @@ class TestLoadSurrogate:
             v["intercepts"] = [c + 5.0 for c in v["intercepts"]]
         self._refused("audit", d, tmp_path, capsys,
                       "v_bar of outcome 1 differs from the negated normals")
+
+    @pytest.mark.parametrize("fixture", ["readme_normals_seed1", "readme_embedding_phi013"])
+    @pytest.mark.parametrize("edit, cause", [
+        ("unordered", "breakpoints must be strictly increasing"),
+        ("piece_short", "need exactly one more piece than breakpoints"),
+        ("broken", "pieces disagree at a breakpoint; function not well-defined"),
+        ("empty", "need at least one breakpoint"),
+    ])
+    def test_malformed_v_bar(self, fixture, edit, cause, tmp_path, capsys):
+        """A format-3 v_bar function that is not a continuous piecewise-affine
+        function with increasing breakpoints is refused, naming its outcome."""
+        d = read_json(DATA / f"{fixture}.format3.json")
+        v = d["v_bar"][1]
+        if edit == "unordered":
+            v["breakpoints"][:2] = v["breakpoints"][1::-1]
+        elif edit == "piece_short":
+            del v["slopes"][-1], v["intercepts"][-1]
+        elif edit == "broken":
+            v["intercepts"][0] += 1.0
+        else:
+            v["breakpoints"] = []
+        self._refused("audit", d, tmp_path, capsys, f"v_bar of outcome 2: {cause}")
 
     def test_decreasing_embedding_v_bar(self, tmp_path, capsys):
         d = read_json(DATA / "readme_embedding_phi013.format3.json")

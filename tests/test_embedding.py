@@ -241,7 +241,7 @@ class TestNormalize:
 class TestRandomSpecs:
     @pytest.mark.parametrize("seed", range(5))
     def test_refinement_on_random_targets(self, seed):
-        spec, cost, phi = random_orderable_spec(3, 3, seed=seed + 200)
+        _, cost, phi = random_orderable_spec(3, 3, seed=seed + 200)
         S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
         s = build_surrogate(build_envelope_loss(cost, phi, S))
         pts = sample_simplex(3, 2000, seed=seed + 300)

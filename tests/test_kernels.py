@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from conftest import EQ1_COSTS, EQ1_PHI, O1, node_root_batch
 from ordelic._kernels import backend_name, roe_batch
 from ordelic.embedding import build_envelope_loss, build_surrogate
-from ordelic.normals import build_from_spec
+from ordelic.normals import build_from_normals
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
     _simplex_boundary_endpoints,
+    normals_from_boundaries,
     random_orderable_spec,
-    spec_from_boundaries,
 )
 from ordelic.simplex import sample_simplex
 
@@ -70,12 +70,11 @@ def _surrogate(kind: str, n: int):
     either construction."""
     if n == 3:
         cost, phi = CostMatrix(EQ1_COSTS), EQ1_PHI
-        spec = spec_from_boundaries([AffineBoundary([-3, 1, 0], -2.0),
-                                     AffineBoundary([-5, -4, 0], -3.0)])
+        bds = [AffineBoundary([-3, 1, 0], -2.0), AffineBoundary([-5, -4, 0], -3.0)]
     else:
-        spec, cost, phi = random_orderable_spec(n, 4, seed=n)
+        bds, cost, phi = random_orderable_spec(n, 4, seed=n)
     if kind == "normals":
-        return build_from_spec(spec)
+        return build_from_normals(normals_from_boundaries(bds))
     return build_surrogate(build_envelope_loss(cost, phi))
 
 

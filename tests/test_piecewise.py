@@ -3,10 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Antiderivative, bisect_expected_root
+from conftest import AffinePieces, Antiderivative, bisect_expected_root
 from ordelic._kernels import roe_batch
 from ordelic.errors import SpecError
-from ordelic.piecewise import MaxAffinePieces, PiecewiseAffine, lower_convex_envelope
+from ordelic.piecewise import (
+    MaxAffinePieces,
+    _check_continuity,
+    interpolate,
+    lower_convex_envelope,
+)
 
 # identification function nodes of the three-outcome fixture on {0,1/2,1,2,3}
 GRID = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
@@ -18,29 +23,27 @@ NODES = {
 
 
 def vbar(y):
-    return PiecewiseAffine.from_nodes(GRID, NODES[y], 1.0, 1.0)
+    return AffinePieces.through(GRID, NODES[y], 1.0, 1.0)
 
 
 def loss1():
     return MaxAffinePieces(np.array([[-3.0, 0.0], [1.0, 0.0], [3.0, -6.0]]))
 
 
-class TestPiecewiseAffine:
-    def test_from_nodes_interpolates(self):
-        v = vbar(1)
+class TestInterpolate:
+    def test_interpolates_with_affine_tails(self):
+        a, c = interpolate(GRID, np.stack([NODES[1], NODES[2]]), 1.0, 1.0)
+        v = AffinePieces(GRID, a[0], c[0])
         assert v(0.25) == pytest.approx(0.5)
         assert v(1.5) == pytest.approx(1.0)
         assert v(-2.0) == pytest.approx(-2.0)  # unit left tail
         assert v(4.0) == pytest.approx(3.0)    # unit right tail
-
-    def test_breakpoints_must_increase(self):
-        with pytest.raises(SpecError):
-            PiecewiseAffine(np.array([1.0, 1.0]), np.zeros(3), np.zeros(3))
+        assert v(GRID).tolist() == NODES[1].tolist()
+        assert AffinePieces(GRID, a[1], c[1])(GRID).tolist() == NODES[2].tolist()
 
     def test_discontinuous_pieces_rejected(self):
-        with pytest.raises(SpecError):
-            PiecewiseAffine(np.array([0.0]), np.array([1.0, 1.0]),
-                            np.array([0.0, 0.5]))
+        with pytest.raises(SpecError, match="pieces disagree at a breakpoint"):
+            _check_continuity(np.array([0.0]), np.array([1.0, 1.0]), np.array([0.0, 0.5]))
 
 
 class TestIntegration:
@@ -64,12 +67,12 @@ class TestIntegration:
         assert np.allclose(c[4], [0.5, -1.0, 1.75])
 
     def test_zero_integrand(self):
-        v = PiecewiseAffine(np.array([0.0]), np.zeros(2), np.zeros(2))
+        v = AffinePieces([0.0], np.zeros(2), np.zeros(2))
         L = Antiderivative(v)
         assert np.all(L(np.linspace(-3, 3, 11)) == 0.0)
 
     def test_linear_integrand(self):
-        v = PiecewiseAffine(np.array([0.0]), np.ones(2), np.zeros(2))
+        v = AffinePieces([0.0], np.ones(2), np.zeros(2))
         L = Antiderivative(v)
         us = np.linspace(-3, 3, 13)
         assert np.allclose(L(us), us**2 / 2)
@@ -80,7 +83,7 @@ class TestIntegration:
             bp = np.sort(rng.uniform(-2, 2, size=4))
             bp += np.arange(4) * 1e-3  # enforce strict increase
             vals = np.sort(rng.uniform(-2, 2, size=4))
-            v = PiecewiseAffine.from_nodes(bp, vals, 0.5, 2.0)
+            v = AffinePieces.through(bp, vals, 0.5, 2.0)
             L = Antiderivative(v)
             for u in rng.uniform(-3, 3, size=30):
                 if np.min(np.abs(bp - u)) < 1e-9:

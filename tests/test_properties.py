@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from conftest import (
     O1,
     O2,
+    AffinePieces,
     Antiderivative,
     embedding_nodes_reference,
     lipschitz_reference,
     node_root_batch,
+    random_normals,
     region_index,
     segment_distance,
     slice_distance_qp,
     slice_vertices_reference,
-    v_bar_reference,
     written_v_bar,
 )
 from ordelic.embedding import build_envelope_loss, build_surrogate, interpolation_grid
@@ -28,13 +29,12 @@ from ordelic.errors import (
     SimplexError,
     SpecError,
 )
-from ordelic.normals import build_from_spec
+from ordelic.normals import build_from_normals
 from ordelic.properties import (
     _WOLFE_MAX_ITER,
     BOUNDARY_TOL,
     AffineBoundary,
     CostMatrix,
-    OrderableSpec,
     OrientedNormals,
     _first_columns,
     _min_norm_point,
@@ -44,10 +44,10 @@ from ordelic.properties import (
     boundary_gap,
     homogenize_boundary,
     normal_from_boundary_samples,
+    normals_from_boundaries,
     orient_normals,
     random_orderable_spec,
     sample_boundary,
-    spec_from_boundaries,
 )
 from ordelic.serialize import dumps, surrogate_from_json, surrogate_to_json
 from ordelic.simplex import as_simplex_points, norm_order, sample_simplex
@@ -131,8 +131,7 @@ class TestOrientation:
 
     @pytest.mark.parametrize("n,k,seed", [(3, 5, 0), (5, 4, 1), (8, 6, 1), (10, 3, 0)])
     def test_chain_recovers_random_spec(self, n, k, seed):
-        spec = random_orderable_spec(n, k, seed)[0]
-        O = spec.normals.o
+        O = random_normals(n, k, seed).o
         flips = np.where(np.arange(len(O)) % 2 == 1, -1.0, 1.0)[:, None]
         assert np.array_equal(orient_normals(O * flips).o, O)
 
@@ -205,9 +204,9 @@ def test_batched_construction_matches_references(kind, n, n_reports, seed):
     and direction in all three norms, the embedding nodes, and the written
     identification functions, which take the nodes' values at the grid by
     the antiderivative oracle."""
-    spec, cost, phi = random_orderable_spec(n, n_reports, seed)
+    bds, cost, phi = random_orderable_spec(n, n_reports, seed)
     if kind == "normals":
-        s = build_from_spec(spec)
+        s = build_from_normals(normals_from_boundaries(bds))
     else:
         inp = build_envelope_loss(cost, phi)
         s = build_surrogate(inp)
@@ -224,8 +223,9 @@ def test_batched_construction_matches_references(kind, n, n_reports, seed):
         if got.region is not None:
             assert _bits(got.region) == _bits(want.region)
     for row, v in zip(s.nodes, written_v_bar(s)):
-        a, c = v_bar_reference(s.grid, row)
-        assert _bits(v.slopes) == _bits(a) and _bits(v.intercepts) == _bits(c)
+        want = AffinePieces.through(s.grid, row, 1.0, 1.0)
+        assert _bits(v.slopes) == _bits(want.slopes)
+        assert _bits(v.intercepts) == _bits(want.intercepts)
         F = Antiderivative(v)
         for u, node in zip(s.grid.tolist(), row.tolist()):
             assert F.derivative_interval(u) == pytest.approx((node, node), abs=1e-9)
@@ -239,14 +239,13 @@ class TestOrderabilityErrors:
     def _normals(n):
         if n == 3:
             return np.stack([O1, O2])
-        return random_orderable_spec(n, 3, seed=n)[0].normals.o
+        return random_normals(n, 3, seed=n).o
 
     def _assert_rejected(self, bad, match):
         with pytest.raises(OrderabilityError, match=match):
             OrientedNormals(bad)
         n = bad.shape[1]
-        spec = OrderableSpec((1, 2, 3), OrientedNormals(self._normals(n)))
-        d = surrogate_to_json(build_from_spec(spec))
+        d = surrogate_to_json(build_from_normals(OrientedNormals(self._normals(n))))
         d["normals"] = bad.tolist()
         with pytest.raises(OrderabilityError, match=match):
             surrogate_from_json(json.loads(dumps(d)))
@@ -285,7 +284,7 @@ class TestOrderabilityErrors:
 
 
 class TestBoundarySampling:
-    @pytest.mark.parametrize("o", [O1, O2, *random_orderable_spec(8, 4, 1)[0].normals.o])
+    @pytest.mark.parametrize("o", [O1, O2, *random_normals(8, 4, 1).o])
     def test_on_boundary_and_positive(self, o):
         pts = sample_boundary(o, 500, seed=3)
         assert np.max(np.abs(pts @ o)) <= 1e-10
@@ -316,17 +315,17 @@ class TestBoundarySampling:
 
 
 class TestRegions:
-    def test_region_matches_cost_argmin(self, fixture_cost, fixture_normals_spec):
+    def test_region_matches_cost_argmin(self, fixture_cost, fixture_oriented_normals):
         pts = sample_simplex(3, 3000, seed=6)
-        regions = region_index(fixture_normals_spec.normals, pts)
+        regions = region_index(fixture_oriented_normals, pts)
         assert np.all(in_target(fixture_cost, pts, regions))
 
-    def test_boundary_tie_resolves_low(self, fixture_normals_spec):
+    def test_boundary_tie_resolves_low(self, fixture_oriented_normals):
         p = sample_boundary(O1, 1, seed=7)
-        assert region_index(fixture_normals_spec.normals, p).tolist() == [1]
+        assert region_index(fixture_oriented_normals, p).tolist() == [1]
 
-    def test_vertices(self, fixture_normals_spec):
-        nm = fixture_normals_spec.normals
+    def test_vertices(self, fixture_oriented_normals):
+        nm = fixture_oriented_normals
         assert region_index(nm, np.eye(3)).tolist() == [1, 2, 3]
 
 
@@ -334,11 +333,11 @@ class TestRegions:
 def _tie_property(n: int):
     """Normals surrogate for the fixture (n = 3) or a random 4-report target."""
     if n == 3:
-        spec = spec_from_boundaries([AffineBoundary([-3, 1, 0], -2.0),
-                                     AffineBoundary([-5, -4, 0], -3.0)])
+        normals = normals_from_boundaries([AffineBoundary([-3, 1, 0], -2.0),
+                                           AffineBoundary([-5, -4, 0], -3.0)])
     else:
-        spec = random_orderable_spec(n, 4, seed=n)[0]
-    return build_from_spec(spec)
+        normals = random_normals(n, 4, seed=n)
+    return build_from_normals(normals)
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,18 +384,19 @@ def test_levels_many_is_the_lowest_target_and_gamma(n, n_reports, seed, algo):
     """levels_many gives, bit for bit, the lowest report of
     discrete_set_many and gamma_many, and the target sets equal their
     whole-array form, on interior points, vertices and boundary ties."""
-    spec, cost, phi = random_orderable_spec(n, n_reports, seed)
+    bds, cost, phi = random_orderable_spec(n, n_reports, seed)
+    normals = normals_from_boundaries(bds)
     if algo == "embedding":
         s = build_surrogate(build_envelope_loss(cost, phi))
     else:
-        s = build_from_spec(spec)
+        s = build_from_normals(normals)
     pts = np.vstack([sample_simplex(n, 300, seed), np.eye(n),
-                     *(sample_boundary(o, 20, seed) for o in spec.normals.o)])
+                     *(sample_boundary(o, 20, seed) for o in normals.o)])
     reports, values = s.levels_many(pts)
     assert reports.tobytes() == (np.argmax(s.discrete_set_many(pts), axis=1) + 1).tobytes()
     assert values.tobytes() == s.gamma_many(pts).tobytes()
     P = as_simplex_points(pts)
-    for target in (cost, spec.normals):
+    for target in (cost, normals):
         assert np.array_equal(target.target_sets(pts), _target_sets_reference(target, P))
 
 
@@ -414,7 +414,7 @@ def test_link_ties_resolve_low(fixture_cost, algo):
     if algo == "embedding":
         s = build_surrogate(build_envelope_loss(fixture_cost, [0.0, 1.0, 3.0], 3.0))
     else:
-        s = build_from_spec(spec_from_boundaries(
+        s = build_from_normals(normals_from_boundaries(
             [AffineBoundary([-3, 1, 0], -2.0), AffineBoundary([-5, -4, 0], -3.0)]))
     for i, t in enumerate(s.thresholds):
         assert s.link_many([t, t + 5e-11, t + 2e-10]).tolist() == [i + 1, i + 1, i + 2]
@@ -454,8 +454,8 @@ def _near_argmax_quotient(s, top, ordv) -> float:
 def test_k_is_exact_in_every_norm(n, n_reports, seed, algo):
     """For l1, l2 and linf, no sampled quotient exceeds K, and pairs next to
     the returned maximizer, along the returned direction, reach K."""
-    spec, cost, phi = random_orderable_spec(n, n_reports, seed)
-    s = build_from_spec(spec) if algo == "normals" else \
+    bds, cost, phi = random_orderable_spec(n, n_reports, seed)
+    s = build_from_normals(normals_from_boundaries(bds)) if algo == "normals" else \
         build_surrogate(build_envelope_loss(cost, phi))
     assert s.lipschitz("l2") == s.lipschitz_bound
     a, b = sample_simplex(n, 20_000, seed), sample_simplex(n, 20_000, seed + 1)
@@ -476,21 +476,21 @@ class TestSpecConstruction:
         assert np.abs(homogenize_boundary(bds[0]) @ O1) == pytest.approx(1.0)
         assert np.abs(homogenize_boundary(bds[1]) @ O2) == pytest.approx(1.0)
 
-    def test_spec_from_boundaries_orients(self, fixture_normals_spec):
-        assert np.allclose(fixture_normals_spec.normals.o[0], O1)
-        assert np.allclose(fixture_normals_spec.normals.o[1], O2)
-        assert fixture_normals_spec.reports == (1, 2, 3)
+    def test_normals_from_boundaries_orients(self, fixture_oriented_normals):
+        assert np.allclose(fixture_oriented_normals.o[0], O1)
+        assert np.allclose(fixture_oriented_normals.o[1], O2)
+        assert fixture_oriented_normals.k == 2
 
     def test_crossing_boundaries_rejected(self):
         bds = [AffineBoundary([1.0, -1.0, 0.0], 0.0),
                AffineBoundary([1.0, 0.0, 0.0], 1 / 3)]
         with pytest.raises(OrderabilityError):
-            spec_from_boundaries(bds)
+            normals_from_boundaries(bds)
 
 
 class TestGaps:
-    def test_fixture_gap_positive(self, fixture_normals_spec):
-        g = boundary_gap(fixture_normals_spec, 1)
+    def test_fixture_gap_positive(self, fixture_oriented_normals):
+        g = boundary_gap(fixture_oriented_normals, 1)
         assert g == pytest.approx(0.0943, abs=2e-3)
 
     def test_identical_boundaries_rejected(self):
@@ -499,38 +499,37 @@ class TestGaps:
             OrientedNormals(np.stack([O1, O1]))
 
     def test_reads_the_stored_slices(self, monkeypatch):
-        spec = random_orderable_spec(5, 4, seed=3)[0]
-        want = [boundary_gap(spec, i) for i in (1, 2)]
+        normals = random_normals(5, 4, seed=3)
+        want = [boundary_gap(normals, i) for i in (1, 2)]
 
         def enumerate_again(O):
             raise AssertionError("slice vertices enumerated again")
 
         monkeypatch.setattr("ordelic.properties._slice_vertex_sets", enumerate_again)
-        assert [boundary_gap(spec, i) for i in (1, 2)] == want
+        assert [boundary_gap(normals, i) for i in (1, 2)] == want
 
     def test_parallel_boundaries_gap_close_to_offset(self):
         # p1 = 0.3 and p1 = 0.5: planes orthogonal in R^3 restricted to the
         # simplex; closest points differ only in the (1,-1,0)/(1,0,-1) span
         bds = [AffineBoundary([1.0, 0.0, 0.0], 0.3),
                AffineBoundary([1.0, 0.0, 0.0], 0.5)]
-        spec = spec_from_boundaries(bds)
-        g = boundary_gap(spec, 1)
+        g = boundary_gap(normals_from_boundaries(bds), 1)
         # closest pair (0.3, t, 0.7-t) vs (0.5, t, 0.5-t): distance 0.2*sqrt(6)/2... measured
         want = np.sqrt(0.2**2 + 2 * 0.1**2)
         assert g == pytest.approx(want, abs=1e-9)
 
-    def test_index_validated(self, fixture_normals_spec):
+    def test_index_validated(self, fixture_oriented_normals):
         with pytest.raises(SpecError):
-            boundary_gap(fixture_normals_spec, 2)
+            boundary_gap(fixture_oriented_normals, 2)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_segment_distance_at_n3(self, seed):
-        spec = random_orderable_spec(3, 4, seed=seed)[0]
+        normals = random_normals(3, 4, seed=seed)
         for i in (1, 2):
-            V, W = (_simplex_boundary_endpoints(o) for o in spec.normals.o[i - 1:i + 1])
+            V, W = (_simplex_boundary_endpoints(o) for o in normals.o[i - 1:i + 1])
             assert len(V) == len(W) == 2
             want = segment_distance(V[0], V[1], W[0], W[1])
-            assert abs(boundary_gap(spec, i) - want) <= 1e-12
+            assert abs(boundary_gap(normals, i) - want) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_slice_missing_interior_rejected(self, n):
@@ -540,10 +539,10 @@ class TestGaps:
             OrientedNormals(np.stack([o, np.ones(n) / np.sqrt(n)]))
 
     def test_unconverged_gap_names_the_pair(self, monkeypatch):
-        spec = random_orderable_spec(6, 4, seed=2)[0]
+        normals = random_normals(6, 4, seed=2)
         monkeypatch.setattr("ordelic.properties._WOLFE_MAX_ITER", 1)
         with pytest.raises(OrdelicError, match="boundaries 2 and 3 did not converge"):
-            boundary_gap(spec, 2)
+            boundary_gap(normals, 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -552,10 +551,10 @@ def test_gap_is_the_exact_slice_distance(n, n_reports, seed):
     """For n = 4..8 the gap equals the QP oracle, is at most every sampled
     pair distance, and is attained by the pair of slice points that the
     min-norm weights give."""
-    spec = random_orderable_spec(n, n_reports, seed)[0]
-    O = spec.normals.o
+    normals = random_normals(n, n_reports, seed)
+    O = normals.o
     for i in range(1, len(O)):
-        g = boundary_gap(spec, i)
+        g = boundary_gap(normals, i)
         assert abs(g - slice_distance_qp(O[i - 1], O[i])) <= 1e-12
         p, q = (sample_boundary(o, 64, seed + j) for j, o in enumerate(O[i - 1:i + 1]))
         assert g <= np.linalg.norm(p[:, None] - q, axis=2).min()
@@ -572,9 +571,9 @@ def test_gap_is_the_exact_slice_distance(n, n_reports, seed):
 class TestRoundTrip:
     @pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 2)])
     def test_recover_normals_from_samples(self, n, k):
-        spec, cost, phi = random_orderable_spec(n, k + 1, seed=10 * n + k)
+        O = random_normals(n, k + 1, seed=10 * n + k).o
         for i in range(k):
-            o = spec.normals.o[i]
+            o = O[i]
             pts = sample_boundary(o, n - 1, seed=100 + i)
             got = normal_from_boundary_samples(pts)
             if got @ o < 0:
@@ -583,16 +582,17 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_spec_is_consistent(self, seed):
-        spec, cost, phi = random_orderable_spec(3, 4, seed=seed)
-        assert min(boundary_gap(spec, i) for i in (1, 2)) > 1e-3
+        bds, cost, phi = random_orderable_spec(3, 4, seed=seed)
+        normals = normals_from_boundaries(bds)
+        assert min(boundary_gap(normals, i) for i in (1, 2)) > 1e-3
         pts = sample_simplex(3, 2000, seed=seed + 50)
-        assert np.all(in_target(cost, pts, region_index(spec.normals, pts)))
+        assert np.all(in_target(cost, pts, region_index(normals, pts)))
         assert np.array_equal(phi, np.arange(4, dtype=float))
 
     def test_random_spec_higher_dimension(self):
-        spec, cost, phi = random_orderable_spec(5, 3, seed=7)
+        bds, cost, phi = random_orderable_spec(5, 3, seed=7)
         pts = sample_simplex(5, 500, seed=8)
-        assert np.all(in_target(cost, pts, region_index(spec.normals, pts)))
+        assert np.all(in_target(cost, pts, region_index(normals_from_boundaries(bds), pts)))
 
     def test_random_spec_validates(self):
         with pytest.raises(SpecError):

@@ -26,8 +26,13 @@ from ordelic._floatrepr import KERNEL_MIN_VALUES
 from ordelic.audit import PredictorTable
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SpecError
-from ordelic.normals import build_from_spec
-from ordelic.properties import CostMatrix, random_orderable_spec, sample_boundary
+from ordelic.normals import build_from_normals
+from ordelic.properties import (
+    CostMatrix,
+    normals_from_boundaries,
+    random_orderable_spec,
+    sample_boundary,
+)
 from ordelic.scenario import (
     GUIDE_BUCKETS,
     ROW_BLOCK,
@@ -703,12 +708,20 @@ class TestDatasetReader:
         write_dataset_csv(path, *labeled_rows(x_ids, y, 3))
         _assert_same(read_dataset_csv(path, n=3), reference_counts(x_ids, y, 3))
 
-    def test_undecodable_id(self, tmp_path):
-        """An x_id that is not UTF-8 fails as its bytes' decode does."""
+    @pytest.mark.parametrize("text, where", [
+        (b"x_id,y\na,1\nb\xff\xfe,2\n", "line 3: byte 0xff in position 1"),
+        (b"x_id,y\na,1\na,1\n\"b,\xc3\",2\n", "line 4: byte 0xc3 in position 3"),
+        (b"x_\xffid,y\na,1\n", "line 1: byte 0xff in position 2"),
+    ], ids=["plain", "quoted", "header"])
+    def test_undecodable_id(self, tmp_path, text, where):
+        """Text that is not UTF-8, in an x_id of a plain line, in one that
+        csv.reader parses, or in the header, is refused, naming the file,
+        the line and the byte."""
         path = tmp_path / "data.csv"
-        path.write_bytes(b"x_id,y\na,1\nb\xff\xfe,2\n")
-        with pytest.raises(UnicodeDecodeError, match="position 1: invalid start byte"):
+        path.write_bytes(text)
+        with pytest.raises(SpecError) as info:
             read_dataset_csv(path, n=3)
+        assert str(info.value).startswith(f"{path}, {where} is not UTF-8 (")
 
     @pytest.mark.parametrize("labels,n,ok", [
         ("1 2 3", 3, True), ("01 2", 3, True), ("10 12 9", 12, True),
@@ -799,8 +812,8 @@ def test_format4_round_trip_is_exact(n, n_reports, seed):
     """A written and reloaded surrogate equals the built one bit for bit, for
     both constructions; the v_bar it spells out has the same roots, and a
     normals surrogate's value range is the closed form from its normals."""
-    spec, cost, phi = random_orderable_spec(n, n_reports, seed)
-    nrm = build_from_spec(spec)
+    bds, cost, phi = random_orderable_spec(n, n_reports, seed)
+    nrm = build_from_normals(normals_from_boundaries(bds))
     emb = build_surrogate(build_envelope_loss(cost, phi))
     for s in (nrm, emb):
         back = surrogate_from_json(json.loads(dumps(surrogate_to_json(s))))
@@ -812,7 +825,7 @@ def test_format4_round_trip_is_exact(n, n_reports, seed):
         pts = sample_simplex(n, 200, seed=seed)
         oracle = bisect_expected_root(written_v_bar(s), pts, lo - 1.0, hi + 1.0)
         assert np.abs(oracle - s.gamma_many(pts)).max() <= 1e-9
-    O, k = spec.normals.o, spec.normals.k
+    O, k = nrm.normals.o, nrm.normals.k
     assert nrm.value_range == (float(O[0].min()), float(O[-1].max() + (k - 1)))
 
 
