@@ -19,7 +19,7 @@ import numpy as np
 from ordelic import audit as audit_mod
 from ordelic import serialize
 from ordelic.embedding import build_envelope_loss, build_surrogate
-from ordelic.errors import OrdelicError, SearchFailure, SpecError
+from ordelic.errors import OrdelicError, OrderabilityError, SearchFailure, SpecError
 from ordelic.normals import full_pipeline
 from ordelic.scenario import exact_dataset, materialize_predictor, sample_dataset
 from ordelic.simplex import triangle_grid
@@ -138,9 +138,15 @@ def _build_embedding(spec: dict, args):
     return surrogate, report
 
 
-def _build_normals(spec: dict, seed: int):
+def _build_normals(spec: dict, args):
     source = spec["cost"] if spec["cost"] is not None else spec["boundaries"]
-    surrogate, report = full_pipeline(source, seed)
+    seed = _require_seed(args)
+    try:
+        surrogate, report = full_pipeline(source, seed)
+    except OrderabilityError as exc:
+        rows = "" if spec["cost"] is None else \
+            "; boundary i is where cost rows i and i + 1 tie"
+        raise OrderabilityError(f"{args.spec}: {exc}{rows}") from None
     report = {"algo": "normals", **report,
               "thresholds": surrogate.thresholds.tolist(),
               "value_range": list(surrogate.value_range)}
@@ -152,7 +158,7 @@ def _cmd_construct(args) -> int:
     if args.algo == "embedding":
         surrogate, report = _build_embedding(spec, args)
     else:
-        surrogate, report = _build_normals(spec, _require_seed(args))
+        surrogate, report = _build_normals(spec, args)
     serialize.write_json(args.out, serialize.surrogate_to_json(surrogate))
     report["config"] = {"spec": args.spec, "algo": args.algo,
                         "seed": _resolve_seed(args), "out": args.out}
@@ -170,7 +176,7 @@ def _cmd_levelsets(args) -> int:
     if args.algo == "embedding":
         surrogate, _ = _build_embedding(spec, args)
     else:
-        surrogate, _ = _build_normals(spec, _require_seed(args))
+        surrogate, _ = _build_normals(spec, args)
     pts = triangle_grid(args.resolution)
     serialize.write_levelsets_csv(args.out, pts, *surrogate.levels_many(pts))
     return EXIT_OK

@@ -119,12 +119,6 @@ def build_envelope_loss(cost: CostMatrix, phi, outer_slope: float | None = None
     return EmbeddingInput(tuple(losses), phi, cost=cost, outer_slope=S)
 
 
-def pseudo_identification(inp: EmbeddingInput, u: float, outcome: int) -> float:
-    """Three-case pseudo-derivative of the embedded loss at u (1-based
-    outcome); see :func:`pseudo_identification_many`."""
-    return float(pseudo_identification_many(inp, [u], outcome)[0])
-
-
 def pseudo_identification_many(inp: EmbeddingInput, us, outcome: int) -> np.ndarray:
     """Three-case pseudo-derivative of the embedded loss (1-based outcome)
     at each of ``us``.

@@ -43,7 +43,8 @@ def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
     Samples n-1 points per boundary, recovers each normal from their null
     space (resampling on rank deficiency), orients them by the slice chain
     of :func:`orient_normals`, builds the surrogate, and verifies refinement
-    on ``REFINEMENT_SAMPLES`` uniform points away from the boundaries.  The
+    (the link of the property value is a target report) on
+    ``REFINEMENT_SAMPLES`` uniform points.  The
     report lists the exact distance between each two consecutive boundary
     slices (:func:`~ordelic.properties.boundary_gap`).
     """
@@ -82,8 +83,6 @@ def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
 
     gaps = [boundary_gap(oriented, i) for i in range(1, oriented.k)]
     pts = sample_simplex(n, REFINEMENT_SAMPLES, seed + 999)
-    margin = np.abs(pts @ oriented.o.T).min(axis=1) > 1e-8
-    pts = pts[margin]
     links = surrogate.link_many(surrogate.gamma_many(pts))
     ok = int(surrogate.discrete_set_many(pts)[np.arange(len(pts)), links - 1].sum())
     report = {
@@ -91,7 +90,7 @@ def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
         "boundary_gaps": gaps,
         "lipschitz_bound": surrogate.lipschitz_bound,
         "lipschitz_exact": surrogate.lipschitz_exact,
-        "refinement_checked": int(len(pts)),
-        "refinement_pass_rate": float(ok / max(len(pts), 1)),
+        "refinement_checked": REFINEMENT_SAMPLES,
+        "refinement_pass_rate": ok / REFINEMENT_SAMPLES,
     }
     return surrogate, report

@@ -36,10 +36,6 @@ class MaxAffinePieces:
         vals = self.pieces[:, 0] * u[..., None] + self.pieces[:, 1]
         return vals.max(axis=-1)
 
-    def derivative_interval(self, u: float) -> tuple[float, float]:
-        """(left, right) derivative at u; see :meth:`derivative_interval_many`."""
-        return tuple(float(d[0]) for d in self.derivative_interval_many([u]))
-
     def derivative_interval_many(self, us) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) derivatives at each of ``us``: the least and the
         largest slope of the pieces within ACTIVE_TOL (relative) of the max

@@ -542,8 +542,11 @@ class Surrogate:
     the exact Euclidean Lipschitz constant of the property (inf where it is
     not Lipschitz); :meth:`lipschitz` gives the constant for l1 and linf
     too, computed on first use.  The link maps u to report 1 + #(thresholds
-    < u - BOUNDARY_TOL).  The discrete target comes from ``cost`` when
-    present, else from ``normals``.
+    < u), exactly, so a u on a threshold goes to the lower report.  The
+    discrete target comes from ``cost`` when present, else from ``normals``;
+    its sets hold every report within BOUNDARY_TOL of the best, and with
+    them the link of the property value is a target report at every point:
+    psi(gamma(p)) in Gamma(p).
     """
 
     grid: np.ndarray
@@ -636,9 +639,8 @@ class Surrogate:
         return reports, roe_batch(self.grid, self.nodes, P)
 
     def link_many(self, us) -> np.ndarray:
-        """Report index of each value in ``us``."""
-        us = np.asarray(us, dtype=np.float64)
-        return (self.thresholds < (us - BOUNDARY_TOL)[..., None]).sum(axis=-1) + 1
+        """Report index of each value in ``us``: 1 + #(thresholds < u)."""
+        return np.searchsorted(self.thresholds, us) + 1
 
     def discrete_set_many(self, probs) -> np.ndarray:
         """(rows, reports) mask of the target reports at each row of probs;
@@ -690,47 +692,3 @@ def boundary_gap(normals: OrientedNormals, i: int) -> float:
                            f"converge in {_WOLFE_MAX_ITER} min-norm iterations")
     return float(np.linalg.norm(found[0]))
 
-
-def normals_from_boundaries(boundaries) -> OrientedNormals:
-    """The oriented normals of report-ordered affine boundaries, each with
-    its lower report on the <c, p> <= b side; see :func:`orient_normals`."""
-    return orient_normals([homogenize_boundary(bd) for bd in boundaries])
-
-
-def random_orderable_spec(n: int, n_reports: int, seed: int):
-    """Random strongly orderable target with a matching cost matrix.
-
-    Boundaries are parallel slices <w, p> = t_r with strictly increasing
-    thresholds, and the cost rows telescope as
-    l_r = l_{r+1} + alpha*(w - t_r*1), which makes report r the expected-cost
-    argmin exactly on its slice and keeps the embedded points of every outcome
-    in strictly convex position for unit-spaced embeddings.
-
-    Returns (boundaries, cost, phi).
-    """
-    if n_reports < 2:
-        raise SpecError("need at least 2 reports")
-    rng = np.random.default_rng(seed)
-    k = n_reports - 1
-    while True:
-        w = rng.standard_normal(n)
-        w -= w.mean()
-        if np.linalg.norm(w) > 0.3:
-            break
-    w /= np.linalg.norm(w)
-    lo, hi = w.min(), w.max()
-    # thresholds strictly inside (lo, hi) with comfortable gaps
-    cuts = np.sort(rng.uniform(0.15, 0.85, size=k))
-    while k > 1 and np.min(np.diff(cuts)) < 0.08:
-        cuts = np.sort(rng.uniform(0.15, 0.85, size=k))
-    t = lo + cuts * (hi - lo)
-
-    alpha = float(rng.uniform(0.5, 2.0))
-    rows = [np.zeros(n)]
-    for i in range(k - 1, -1, -1):
-        rows.insert(0, rows[0] + alpha * (w - t[i]))
-    L = np.stack(rows)
-    L -= L.min(axis=0, keepdims=True)  # per-outcome shift: argmin/chords unchanged
-    cost = CostMatrix(L)
-    boundaries = [AffineBoundary(w, float(t[i])) for i in range(k)]
-    return boundaries, cost, np.arange(n_reports, dtype=np.float64)

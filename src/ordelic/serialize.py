@@ -29,6 +29,9 @@ from ordelic.simplex import LabelCounts, as_simplex_points
 CSV_CHUNK_BYTES = 1 << 18
 # Level-set grids are written this many rows at a time.
 LEVELSETS_BLOCK_ROWS = 8192
+# Largest magnitude of a property-spec number: the construction squares
+# differences of them, which overflows from about 1e154.
+SPEC_MAX_MAGNITUDE = 1e150
 
 
 def dumps(obj) -> str:
@@ -79,7 +82,7 @@ def _property_spec(raw) -> dict:
     reports = _field(raw, "reports", list)
     out = {"n": n, "reports": reports, "cost": None, "boundaries": None}
     if "cost_matrix" in raw:
-        cm = _field(raw, "cost_matrix", np.ndarray)
+        cm = _spec_numbers(raw, "cost_matrix", np.ndarray)
         if cm.shape != (len(reports), n):
             raise SpecError(
                 f"cost matrix shape {cm.shape} does not match "
@@ -90,7 +93,7 @@ def _property_spec(raw) -> dict:
         bds = []
         for i, item in enumerate(_field(raw, "boundaries", list), start=1):
             try:
-                c, b = _field(item, "c", np.ndarray), _field(item, "b", float)
+                c, b = _spec_numbers(item, "c", np.ndarray), _spec_numbers(item, "b", float)
             except SpecError as exc:
                 raise SpecError(f"boundary {i}: {exc}") from None
             if len(c) != n:
@@ -102,6 +105,18 @@ def _property_spec(raw) -> dict:
     else:
         raise SpecError("property spec needs 'cost_matrix' or 'boundaries'")
     return out
+
+
+def _spec_numbers(d, key: str, kind: type):
+    """``_field(d, key, kind)`` for the numbers of a property spec; a finite
+    one beyond ``SPEC_MAX_MAGNITUDE`` in magnitude is a SpecError that names
+    the key (NaN and infinities are left to the checks that name them)."""
+    value = _field(d, key, kind)
+    big = np.abs(value)[np.isfinite(value)].max(initial=0.0)
+    if big > SPEC_MAX_MAGNITUDE:
+        raise SpecError(f"field {key!r} holds a number of magnitude {big:g}; the "
+                        f"construction takes at most {SPEC_MAX_MAGNITUDE:g}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +192,8 @@ def _nodes_from_v_bar(d: dict, normals) -> tuple[np.ndarray, np.ndarray]:
     v_bar = []
     for y, v in enumerate(_field(d, "v_bar", list), start=1):
         try:
-            bp, a, c = (_field(v, key, np.ndarray)
-                        for key in ("breakpoints", "slopes", "intercepts"))
-            if bp.ndim != 1 or len(bp) < 1:
+            bp, a, c = (_flat_finite(v, key) for key in ("breakpoints", "slopes", "intercepts"))
+            if len(bp) < 1:
                 raise SpecError("need at least one breakpoint")
             if np.any(np.diff(bp) <= 0):
                 raise SpecError("breakpoints must be strictly increasing")
@@ -211,25 +225,35 @@ def _nodes_from_v_bar(d: dict, normals) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.stack(nodes) if want is None else want
 
 
+def _flat_finite(d, key: str) -> np.ndarray:
+    """``_field(d, key, np.ndarray)`` when it is a flat array of finite
+    numbers; otherwise a SpecError that names the key."""
+    value = _field(d, key, np.ndarray)
+    if value.ndim != 1 or not np.all(np.isfinite(value)):
+        raise SpecError(f"field {key!r} must be a flat array of finite numbers, "
+                        f"not {d[key]!r:.40}")
+    return value
+
+
 # _field kinds: the JSON types each accepts, and how an error names it.
 _KINDS = {str: (str, "a string"), list: (list, "an array"), dict: (dict, "an object"),
           float: ((int, float), "a number"), np.ndarray: (list, "an array of numbers"),
-          object: (object, "a value")}
+          "id": ((str, int, float), "a string or a number")}
 
 
 def _field(d, key: str, kind: type):
     """``d[key]`` when d is a JSON object holding a ``kind`` there: str,
-    list, dict, object (any value), float (a number, returned as float) or
-    np.ndarray (an array of numbers, or of such arrays, returned as
-    float64); otherwise a SpecError that names the key.  Bools and strings
-    are not numbers."""
+    list, dict, "id" (a string or a number, returned as it is), float (a
+    number, returned as float) or np.ndarray (an array of numbers, or of
+    such arrays, returned as float64); otherwise a SpecError that names the
+    key.  Bools and strings are not numbers."""
     if not isinstance(d, dict):
         raise SpecError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
     if key not in d:
         raise SpecError(f"field {key!r} is missing")
     value = d[key]
     types, want = _KINDS[kind]
-    if isinstance(value, types) and not (kind is float and isinstance(value, bool)) \
+    if isinstance(value, types) and not (kind in (float, "id") and isinstance(value, bool)) \
             and (kind is not np.ndarray or _numbers_only(value)):
         try:
             return np.array(value, dtype=np.float64) if kind is np.ndarray \
@@ -826,7 +850,8 @@ def scenario_from_json(d) -> ScenarioSpec:
         weights = [f["weight"] for f in features]
         rows = [f["conditional"] for f in features]
         conditionals = np.array(rows)
-        if not (set(map(type, weights)) <= {int, float}
+        if not (set(map(type, ids)) <= {str, int, float}
+                and set(map(type, weights)) <= {int, float}
                 and conditionals.ndim == 2 and conditionals.dtype.kind in "if"
                 and _no_bools(rows, conditionals)):
             raise ValueError
@@ -872,7 +897,7 @@ def _features(features: list) -> tuple[list, list, list]:
     ids, weights, conditionals = [], [], []
     for i, f in enumerate(features, start=1):
         try:
-            ids.append(_field(f, "id", object))
+            ids.append(_field(f, "id", "id"))
             weights.append(_field(f, "weight", float))
             conditionals.append(_field(f, "conditional", np.ndarray))
             if conditionals[-1].shape != conditionals[0].shape[:1]:

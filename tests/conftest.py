@@ -7,7 +7,7 @@ import pytest
 from ordelic._kernels import BOUNDARY_TOL
 from ordelic.audit import PredictorTable, bin_predictions
 from ordelic.embedding import build_envelope_loss, build_surrogate
-from ordelic.errors import SimplexError
+from ordelic.errors import SimplexError, SpecError
 from ordelic.normals import build_from_normals
 from ordelic.piecewise import ACTIVE_TOL
 from ordelic.properties import (
@@ -17,8 +17,8 @@ from ordelic.properties import (
     OrientedNormals,
     _dual,
     _pairs,
-    normals_from_boundaries,
-    random_orderable_spec,
+    homogenize_boundary,
+    orient_normals,
 )
 from ordelic.scenario import sample_dataset
 from ordelic.serialize import dumps, surrogate_to_json
@@ -35,6 +35,12 @@ EQ1_PHI = np.array([0.0, 1.0, 3.0])
 SQ14 = np.sqrt(14.0)
 O1 = np.array([-1.0, 3.0, 2.0]) / SQ14
 O2 = np.array([-2.0, -1.0, 3.0]) / SQ14
+# Points next to a boundary of random_orderable_spec(3, 4, 0) where the link
+# of the property value once left the target set: the embedding's value at
+# the first is 9.4e-11 above the threshold 2.5 with target {4}, and the
+# normals of full_pipeline(cost, 0) give 4.6e-11 at the second, target {2}.
+EMBEDDING_TIE = (0.07734192757397518, 0.14392064719448353, 0.7787374252315413)
+NORMALS_TIE = (0.3507801653986402, 0.614377593029099, 0.03484224157226082)
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +67,52 @@ def fixture_oriented_normals(fixture_boundaries):
 @pytest.fixture(scope="session")
 def fixture_normals(fixture_oriented_normals):
     return build_from_normals(fixture_oriented_normals)
+
+
+def normals_from_boundaries(boundaries) -> OrientedNormals:
+    """The oriented normals of report-ordered affine boundaries, each with
+    its lower report on the <c, p> <= b side; see
+    :func:`ordelic.properties.orient_normals`."""
+    return orient_normals([homogenize_boundary(bd) for bd in boundaries])
+
+
+def random_orderable_spec(n: int, n_reports: int, seed: int):
+    """Random strongly orderable target with a matching cost matrix.
+
+    Boundaries are parallel slices <w, p> = t_r with strictly increasing
+    thresholds, and the cost rows telescope as
+    l_r = l_{r+1} + alpha*(w - t_r*1), which makes report r the expected-cost
+    argmin exactly on its slice and keeps the embedded points of every outcome
+    in strictly convex position for unit-spaced embeddings.
+
+    Returns (boundaries, cost, phi).
+    """
+    if n_reports < 2:
+        raise SpecError("need at least 2 reports")
+    rng = np.random.default_rng(seed)
+    k = n_reports - 1
+    while True:
+        w = rng.standard_normal(n)
+        w -= w.mean()
+        if np.linalg.norm(w) > 0.3:
+            break
+    w /= np.linalg.norm(w)
+    lo, hi = w.min(), w.max()
+    # thresholds strictly inside (lo, hi) with comfortable gaps
+    cuts = np.sort(rng.uniform(0.15, 0.85, size=k))
+    while k > 1 and np.min(np.diff(cuts)) < 0.08:
+        cuts = np.sort(rng.uniform(0.15, 0.85, size=k))
+    t = lo + cuts * (hi - lo)
+
+    alpha = float(rng.uniform(0.5, 2.0))
+    rows = [np.zeros(n)]
+    for i in range(k - 1, -1, -1):
+        rows.insert(0, rows[0] + alpha * (w - t[i]))
+    L = np.stack(rows)
+    L -= L.min(axis=0, keepdims=True)  # per-outcome shift: argmin/chords unchanged
+    cost = CostMatrix(L)
+    boundaries = [AffineBoundary(w, float(t[i])) for i in range(k)]
+    return boundaries, cost, np.arange(n_reports, dtype=np.float64)
 
 
 def random_normals(n: int, n_reports: int, seed: int) -> OrientedNormals:

@@ -15,6 +15,8 @@ from conftest import (
     bisect_expected_root,
     from_ternary_plot,
     mass_counts,
+    normals_from_boundaries,
+    random_orderable_spec,
     sampled_counts,
     written_v_bar,
 )
@@ -35,9 +37,7 @@ from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
     normal_from_boundary_samples,
-    normals_from_boundaries,
     orient_normals,
-    random_orderable_spec,
     sample_boundary,
 )
 from ordelic.scenario import ScenarioSpec, materialize_predictor
@@ -146,8 +146,6 @@ def test_criterion_2_normals_fixture(capfd):
 def _refinement_ok(bds, cost, phi, n_samples, seed) -> bool:
     normals = normals_from_boundaries(bds)
     pts = sample_simplex(normals.n, n_samples, seed)
-    margin = np.abs(pts @ normals.o.T).min(axis=1) > 1e-8
-    pts = pts[margin]
     S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
     emb = build_surrogate(build_envelope_loss(cost, phi, S))
     links_e = emb.link_many(emb.gamma_many(pts))

@@ -10,6 +10,8 @@ from conftest import (
     lipschitz_estimate,
     mass_counts,
     node_root_batch,
+    normals_from_boundaries,
+    random_orderable_spec,
     sampled_counts,
     sampled_rows,
 )
@@ -33,8 +35,6 @@ from ordelic.normals import build_from_normals
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
-    normals_from_boundaries,
-    random_orderable_spec,
     sample_boundary,
 )
 from ordelic.scenario import (

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_levelsets_rows
+from conftest import EMBEDDING_TIE, random_orderable_spec, write_levelsets_rows
 from ordelic.cli import EXIT_BOUND, EXIT_OK, EXIT_SEARCH, EXIT_SPEC, main
 from ordelic.scenario import ROW_BLOCK
-from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, read_json, surrogate_from_json,
-                               write_json)
+from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, read_json, read_surrogate,
+                               surrogate_from_json, write_json)
 
 DATA = Path(__file__).parent / "data"
 COST_SPEC = {"n": 3, "reports": [1, 2, 3],
@@ -91,7 +91,6 @@ class TestConstruct:
         assert np.allclose(got[1] * sq14, [-2, -1, 3], atol=1e-7)
 
     def test_n8_rerun_is_byte_identical(self, tmp_path, capsys):
-        from ordelic.properties import random_orderable_spec
         bds = random_orderable_spec(8, 4, seed=1)[0]
         path, out = tmp_path / "bspec8.json", tmp_path / "sur8.json"
         write_json(path, {"n": 8, "reports": [1, 2, 3, 4],
@@ -452,6 +451,29 @@ class TestAudit:
         bound = read_json(out)["reports"][1]["bounds"][0]
         assert bound["params"]["vacuous"] and bound["satisfied"]
 
+    def test_calibrated_scalar_next_to_a_threshold(self, tmp_path):
+        """A scalar predictor that is the property value of its feature's
+        conditional, 9.4e-11 above a threshold of the embedding, passes the
+        discretization check with no mismatch: the link of that value is in
+        the target set there."""
+        _, cost, _ = random_orderable_spec(3, 4, seed=0)
+        spec, sur = tmp_path / "spec.json", str(tmp_path / "sur.json")
+        write_json(spec, {"n": 3, "reports": [1, 2, 3, 4],
+                          "cost_matrix": cost.entries.tolist()})
+        assert main(["construct", "--spec", str(spec), "--algo", "embedding",
+                     "--out", sur]) == EXIT_OK
+        u = float(read_surrogate(sur).gamma_many([EMBEDDING_TIE])[0])
+        assert 0.0 < u - 2.5 < 1e-10
+        sc, pred, out = tmp_path / "sc.json", tmp_path / "g.json", tmp_path / "audit.json"
+        write_json(sc, {"features": [{"id": "x", "weight": 1.0,
+                                      "conditional": list(EMBEDDING_TIE)}],
+                        "predictor": {"recipe": "bayes"}})
+        write_json(pred, {"kind": "scalar", "table": {"x": u}})
+        rc = main(["audit", "--surrogate", sur, "--scenario", str(sc), "--predictor",
+                   str(pred), "--c-marginal", "0", "--out", str(out)])
+        assert read_json(out)["reports"][1]["bounds"][0]["lhs"] == 0.0
+        assert rc == EXIT_OK
+
     def test_report_predictor(self, surrogate_file, tmp_path):
         sc = {
             "features": [{"id": "a", "weight": 1.0,
@@ -751,6 +773,17 @@ class TestLoadSurrogate:
             v["breakpoints"] = []
         self._refused("audit", d, tmp_path, capsys, f"v_bar of outcome 2: {cause}")
 
+    @pytest.mark.parametrize("key", ["breakpoints", "slopes", "intercepts"])
+    @pytest.mark.parametrize("spoil", ["nested", "nan", "inf"])
+    def test_v_bar_fields_are_flat_and_finite(self, key, spoil, tmp_path, capsys):
+        """A format-3 v_bar field that is a nested array or holds a NaN or an
+        infinity is refused, naming the outcome and the field."""
+        d = read_json(DATA / "readme_embedding_phi013.format3.json")
+        v = d["v_bar"][1]
+        v[key] = [[x] for x in v[key]] if spoil == "nested" else [float(spoil), *v[key][1:]]
+        self._refused("audit", d, tmp_path, capsys, f"v_bar of outcome 2: field {key!r} "
+                      "must be a flat array of finite numbers")
+
     def test_decreasing_embedding_v_bar(self, tmp_path, capsys):
         d = read_json(DATA / "readme_embedding_phi013.format3.json")
         v = d["v_bar"][1]
@@ -937,6 +970,31 @@ class TestInputFields:
         for cause, doc in cases:
             refused(command, "scenario", doc, cause)
 
+    @pytest.mark.parametrize("bad", [[1], {"a": 1}, None, True],
+                             ids=["array", "object", "null", "bool"])
+    @pytest.mark.parametrize("command", ["simulate", "audit"])
+    def test_scenario_ids(self, run, command, bad):
+        """A feature id is a string or a number; any other JSON value exits 2
+        naming the file, the feature and the field, whichever feature holds
+        it."""
+        refused, _ = run
+        sc = json.loads(json.dumps(SCENARIO))
+        first, second = sc["features"]
+        for i, features in ((1, [{**first, "id": bad}, second]),
+                            (2, [first, {**second, "id": bad}])):
+            refused(command, "scenario", {**sc, "features": features},
+                    f"feature {i}: field 'id' must be a string or a number, not {bad!r}")
+
+    def test_scenario_number_ids(self, tmp_path):
+        path = tmp_path / "sc.json"
+        first, second = SCENARIO["features"]
+        write_json(path, {**SCENARIO, "features": [{**first, "id": 1},
+                                                   {**second, "id": 2.5}]})
+        assert main(["simulate", "--spec", str(path), "--samples", "10", "--seed", "1",
+                     "--out", str(tmp_path / "sim")]) == EXIT_OK
+        assert (tmp_path / "sim.data.csv").read_text().splitlines()[1].split(",")[0] \
+            in ("1", "2.5")
+
     # Arrays that numpy would read as numbers but that are not JSON numbers.
     NOT_NUMBERS = (["0.2", "0.3", "0.5"], [True, False, False], [True, 0.0, 0.0])
 
@@ -997,6 +1055,49 @@ class TestInputFields:
                          str(tmp_path / "out")]) == EXIT_SPEC, cause
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: ") and cause in err, (cause, err)
+
+    @staticmethod
+    def _spec_refused(argv, doc, cause, tmp_path, capsys):
+        """``argv`` plus ``--spec`` of ``doc`` exits 2, naming the file and
+        ``cause``, with no warning."""
+        path = str(tmp_path / "spec.json")
+        write_json(path, doc)
+        capsys.readouterr()
+        assert main([*argv, "--spec", path, "--out", str(tmp_path / "out")]) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and cause in err, (cause, err)
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize("command", ["construct", "levelsets"])
+    @pytest.mark.parametrize("algo", ["normals", "embedding"])
+    def test_property_spec_magnitudes(self, command, algo, tmp_path, capsys):
+        """A cost entry, boundary coefficient or offset beyond 1e150 in
+        magnitude, which would overflow the construction, is refused."""
+        cost = json.loads(json.dumps(COST_SPEC["cost_matrix"]))
+        cost[1][2] = 1e308
+        first, second = BOUNDARY_SPEC["boundaries"]
+        cases = [({**COST_SPEC, "cost_matrix": cost},
+                  "field 'cost_matrix' holds a number of magnitude 1e+308; "
+                  "the construction takes at most 1e+150")]
+        if algo == "normals":
+            cases += [({**BOUNDARY_SPEC, "boundaries": [{**first, key: bad}, second]},
+                       f"boundary 1: field {key!r} holds a number of magnitude")
+                      for key, bad in (("c", [-3, 1e308, 0]), ("b", -2e200))]
+        for doc, cause in cases:
+            self._spec_refused([command, "--algo", algo, "--seed", "1"], doc, cause,
+                               tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["construct", "levelsets"])
+    @pytest.mark.parametrize("spec, cause", [
+        ({**COST_SPEC, "cost_matrix": [[0, 1, 2], [2, 1, 0], [1, 0, 1]]},
+         "boundaries 1 and 2 cross inside the simplex; boundary i is where cost rows "
+         "i and i + 1 tie"),
+        ({**BOUNDARY_SPEC, "boundaries": BOUNDARY_SPEC["boundaries"][::-1]},
+         "boundaries 1 and 2 are not met in report order"),
+    ], ids=["cost", "boundaries"])
+    def test_property_spec_not_strongly_orderable(self, command, spec, cause, tmp_path,
+                                                  capsys):
+        self._spec_refused([command, "--seed", "1"], spec, cause, tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["construct", "levelsets"])
     @pytest.mark.parametrize("spec", [COST_SPEC, BOUNDARY_SPEC], ids=["cost", "boundaries"])

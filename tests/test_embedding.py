@@ -8,6 +8,7 @@ from conftest import (
     Antiderivative,
     bisect_expected_root,
     lipschitz_estimate,
+    random_orderable_spec,
     written_v_bar,
 )
 from ordelic.audit import (PredictorTable, bin_predictions, check_discretization_bound,
@@ -17,11 +18,11 @@ from ordelic.embedding import (
     build_envelope_loss,
     build_surrogate,
     interpolation_grid,
-    pseudo_identification,
+    pseudo_identification_many,
 )
 from ordelic.errors import SpecError
 from ordelic.piecewise import MaxAffinePieces
-from ordelic.properties import CostMatrix, Surrogate, random_orderable_spec
+from ordelic.properties import CostMatrix, Surrogate
 from ordelic.simplex import LabelCounts, sample_simplex
 
 
@@ -65,14 +66,11 @@ class TestEnvelopeLoss:
 class TestPseudoIdentification:
     def test_three_cases(self, fixture_cost):
         inp = build_envelope_loss(fixture_cost, EQ1_PHI, 3.0)
-        # sign change at the kink of outcome 1 at u=0: slopes -3 and 1
-        assert pseudo_identification(inp, 0.0, 1) == 0.0
-        # same-sign kink of outcome 1 at u=3: slopes 1 and 3 average to 2
-        assert pseudo_identification(inp, 3.0, 1) == 2.0
-        # differentiable point
-        assert pseudo_identification(inp, 0.5, 1) == 1.0
+        # outcome 1: sign change at the kink u=0 (slopes -3 and 1), same-sign
+        # kink at u=3 (slopes 1 and 3 average to 2), differentiable at u=0.5
+        assert pseudo_identification_many(inp, [0.0, 3.0, 0.5], 1).tolist() == [0.0, 2.0, 1.0]
         # outcome 3 roots at u=3: slopes -1.5 and 3 change sign
-        assert pseudo_identification(inp, 3.0, 3) == 0.0
+        assert pseudo_identification_many(inp, [3.0], 3).tolist() == [0.0]
 
     def test_grid_values(self, fixture_cost):
         inp = build_envelope_loss(fixture_cost, EQ1_PHI, 3.0)
@@ -84,7 +82,7 @@ class TestPseudoIdentification:
             3: [-2.5, -2.0, -1.75, -1.5, 0.0],
         }
         for y in (1, 2, 3):
-            got = [pseudo_identification(inp, u, y) for u in grid]
+            got = pseudo_identification_many(inp, grid, y)
             assert np.allclose(got, want[y])
 
 

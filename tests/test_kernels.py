@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EQ1_COSTS, EQ1_PHI, O1, node_root_batch
-from ordelic._kernels import backend_name, roe_batch
-from ordelic.embedding import build_envelope_loss, build_surrogate
-from ordelic.normals import build_from_normals
-from ordelic.properties import (
-    AffineBoundary,
-    CostMatrix,
-    _simplex_boundary_endpoints,
+from conftest import (
+    EQ1_COSTS,
+    EQ1_PHI,
+    O1,
+    node_root_batch,
     normals_from_boundaries,
     random_orderable_spec,
 )
+from ordelic._kernels import backend_name, roe_batch
+from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.normals import build_from_normals
+from ordelic.properties import AffineBoundary, CostMatrix, _simplex_boundary_endpoints
 from ordelic.simplex import sample_simplex
 
 

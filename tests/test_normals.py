@@ -10,7 +10,9 @@ from conftest import (
     bisect_expected_root,
     lipschitz_estimate,
     node_root_batch,
+    normals_from_boundaries,
     random_normals,
+    random_orderable_spec,
     region_index,
     slice_distance_qp,
     written_v_bar,
@@ -23,9 +25,7 @@ from ordelic.properties import (
     OrientedNormals,
     _dual,
     _gradients,
-    normals_from_boundaries,
     orient_normals,
-    random_orderable_spec,
     sample_boundary,
 )
 from ordelic.simplex import sample_simplex

@@ -95,9 +95,8 @@ class TestIntegration:
 
 class TestSubgradient:
     def test_max_affine_kink_left_right(self):
-        assert loss1().derivative_interval(0.0) == (-3.0, 1.0)
-        assert loss1().derivative_interval(3.0) == (1.0, 3.0)
-        assert loss1().derivative_interval(0.5) == (1.0, 1.0)
+        dl, dr = loss1().derivative_interval_many([0.0, 3.0, 0.5])
+        assert list(zip(dl.tolist(), dr.tolist())) == [(-3.0, 1.0), (1.0, 3.0), (1.0, 1.0)]
 
 
 class TestLowerConvexEnvelope:

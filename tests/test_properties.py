@@ -7,6 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EMBEDDING_TIE,
+    NORMALS_TIE,
     O1,
     O2,
     AffinePieces,
@@ -14,7 +16,9 @@ from conftest import (
     embedding_nodes_reference,
     lipschitz_reference,
     node_root_batch,
+    normals_from_boundaries,
     random_normals,
+    random_orderable_spec,
     region_index,
     segment_distance,
     slice_distance_qp,
@@ -29,7 +33,7 @@ from ordelic.errors import (
     SimplexError,
     SpecError,
 )
-from ordelic.normals import build_from_normals
+from ordelic.normals import build_from_normals, full_pipeline
 from ordelic.properties import (
     _WOLFE_MAX_ITER,
     BOUNDARY_TOL,
@@ -44,9 +48,7 @@ from ordelic.properties import (
     boundary_gap,
     homogenize_boundary,
     normal_from_boundary_samples,
-    normals_from_boundaries,
     orient_normals,
-    random_orderable_spec,
     sample_boundary,
 )
 from ordelic.serialize import dumps, surrogate_from_json, surrogate_to_json
@@ -344,9 +346,10 @@ def _tie_property(n: int):
 @given(n=st.sampled_from([3, 5]), boundary=st.integers(0, 2),
        seed=st.integers(0, 2**20), shift=st.floats(10.5, 1000.0))
 def test_boundary_ties_use_one_tolerance(n, boundary, seed, shift):
-    """On boundary i the region, the linked property value and the target
-    set resolve to the lower report; off it by more than 10 * BOUNDARY_TOL
-    they resolve to the side the point is on."""
+    """On boundary i the region resolves to the lower report, the target set
+    holds both adjacent ones and the linked property value is one of them;
+    off it by more than 10 * BOUNDARY_TOL all three resolve to the side the
+    point is on."""
     s = _tie_property(n)
     O = s.normals.o
     i = boundary % len(O)
@@ -359,10 +362,62 @@ def test_boundary_ties_use_one_tolerance(n, boundary, seed, shift):
     pts /= pts.sum(axis=1, keepdims=True)
     want = np.array([i + 1, i + 1, i + 2])
     assert np.array_equal(region_index(s.normals, pts), want)
-    assert np.array_equal(s.link_many(s.gamma_many(pts)), want)
+    links = s.link_many(s.gamma_many(pts))
+    assert links[0] in (i + 1, i + 2) and np.array_equal(links[1:], want[1:])
     sets = s.discrete_set_many(pts)
     assert [set(np.flatnonzero(row) + 1) for row in sets] \
         == [{i + 1, i + 2}, {i + 1}, {i + 2}]
+
+
+@functools.cache
+def _construction(kind: str, n: int, n_reports: int, seed: int):
+    """The surrogate of ``random_orderable_spec(n, n_reports, seed)``: the
+    embedding with its default phi and outer slope, or the normals recovered
+    by ``full_pipeline`` from the cost or from the boundaries (no cost)."""
+    bds, cost, phi = random_orderable_spec(n, n_reports, seed)
+    if kind == "embedding":
+        return build_surrogate(build_envelope_loss(cost, phi))
+    return full_pipeline(cost if kind == "normals_cost" else bds, seed)[0]
+
+
+# Offsets along a bisected segment, in units of the segment.
+_TIE_OFFSETS = np.concatenate([[0.0], *[[-d, d] for d in 10.0 ** -np.arange(12.0, 7.0, -1)]])
+
+
+def _near_boundaries(s, n: int, seed: int, pairs: int = 96) -> np.ndarray:
+    """Points on and next to the boundaries of the target of ``s``: for each
+    segment between two random points whose lowest target reports differ,
+    both ends of 60 bisection halvings, each moved along the segment by every
+    one of ``_TIE_OFFSETS``."""
+    A, B = np.split(sample_simplex(n, 2 * pairs, seed), 2)
+    ra = s.levels_many(A)[0]
+    keep = ra != s.levels_many(B)[0]
+    A, D, ra = A[keep], B[keep] - A[keep], ra[keep]
+    lo, hi = np.zeros(len(A)), np.ones(len(A))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = s.levels_many(A + mid[:, None] * D)[0] == ra
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    t = np.clip(np.concatenate([lo, hi])[:, None] + _TIE_OFFSETS, 0.0, 1.0)
+    A, D = np.concatenate([A, A]), np.concatenate([D, D])
+    P = np.clip(A[:, None] + t[:, :, None] * D[:, None], 0.0, None).reshape(-1, n)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["embedding", "normals_cost", "normals_boundaries"]),
+       n=st.integers(3, 8), n_reports=st.integers(2, 5), seed=st.integers(0, 2**16),
+       extra=st.just(()))
+@example(kind="embedding", n=3, n_reports=4, seed=0, extra=(EMBEDDING_TIE,))
+@example(kind="normals_cost", n=3, n_reports=4, seed=0, extra=(NORMALS_TIE,))
+def test_link_lands_in_the_target_set(kind, n, n_reports, seed, extra):
+    """psi(gamma(p)) is in Gamma(p) on the boundaries and 1e-12 to 1e-8 off
+    them, for both constructions, and at the points of ``extra``."""
+    s = _construction(kind, n, n_reports, seed)
+    P = np.vstack([_near_boundaries(s, n, seed), np.reshape(extra, (-1, n))])
+    links = s.link_many(s.gamma_many(P))
+    member = s.discrete_set_many(P)[np.arange(len(P)), links - 1]
+    assert member.all(), P[~member][:3].tolist()
 
 
 def _target_sets_reference(target, P) -> np.ndarray:
@@ -409,15 +464,16 @@ def test_first_columns_is_argmax(columns):
 
 @pytest.mark.parametrize("algo", ["embedding", "normals"])
 def test_link_ties_resolve_low(fixture_cost, algo):
-    """A value within BOUNDARY_TOL above a threshold links to the lower
-    report, for either construction."""
+    """A value on a threshold links to the lower report and the next float
+    above it to the upper one, for either construction."""
     if algo == "embedding":
         s = build_surrogate(build_envelope_loss(fixture_cost, [0.0, 1.0, 3.0], 3.0))
     else:
         s = build_from_normals(normals_from_boundaries(
             [AffineBoundary([-3, 1, 0], -2.0), AffineBoundary([-5, -4, 0], -3.0)]))
     for i, t in enumerate(s.thresholds):
-        assert s.link_many([t, t + 5e-11, t + 2e-10]).tolist() == [i + 1, i + 1, i + 2]
+        assert s.link_many([t, np.nextafter(t, np.inf), t + 2e-10]).tolist() \
+            == [i + 1, i + 2, i + 2]
 
 
 def _near_argmax_quotient(s, top, ordv) -> float:

@@ -16,6 +16,8 @@ from conftest import (
     bisect_expected_root,
     dirichlet_predictor,
     labeled_rows,
+    normals_from_boundaries,
+    random_orderable_spec,
     reference_counts,
     sampled_counts,
     sampled_rows,
@@ -29,8 +31,6 @@ from ordelic.errors import SpecError
 from ordelic.normals import build_from_normals
 from ordelic.properties import (
     CostMatrix,
-    normals_from_boundaries,
-    random_orderable_spec,
     sample_boundary,
 )
 from ordelic.scenario import (
