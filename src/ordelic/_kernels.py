@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 _DEN_TOL = 1e-12
-# The one tie tolerance of every region decision (kernels, link, target sets):
-# a score against a boundary normal at most this is on the lower side.
+# The one tie tolerance of region decisions (the kernel's grid piece, target
+# sets): a score against a boundary normal at most this is on the lower side.
 BOUNDARY_TOL = 1e-10
 
 

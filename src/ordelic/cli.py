@@ -11,6 +11,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -30,6 +31,7 @@ EXIT_BOUND = 3
 EXIT_SEARCH = 4
 
 
+@functools.cache  # one parser serves every in-process call of main
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordelic",
@@ -102,13 +104,9 @@ def _require_seed(args) -> int:
     return seed
 
 
-def _default_phi(n_reports: int) -> np.ndarray:
-    return np.arange(n_reports, dtype=np.float64)
-
-
 def _parse_phi(arg, n_reports: int) -> np.ndarray:
     if arg is None:
-        return _default_phi(n_reports)
+        return np.arange(n_reports, dtype=np.float64)
     try:
         phi = np.array([float(v) for v in arg.split(",")])
     except ValueError:
@@ -125,7 +123,10 @@ def _build_embedding(spec: dict, args):
         raise SpecError("the embedding construction needs a cost matrix spec")
     phi = _parse_phi(args.phi, cost.n_reports)
     inp = build_envelope_loss(cost, phi, args.outer_slope)
-    surrogate = build_surrogate(inp)
+    try:
+        surrogate = build_surrogate(inp)
+    except SpecError as exc:
+        raise SpecError(f"{args.spec}: {exc}") from None
     report = {
         "algo": "embedding",
         "phi": phi.tolist(),
@@ -155,10 +156,8 @@ def _build_normals(spec: dict, args):
 
 def _cmd_construct(args) -> int:
     spec = serialize.load_property_spec(args.spec)
-    if args.algo == "embedding":
-        surrogate, report = _build_embedding(spec, args)
-    else:
-        surrogate, report = _build_normals(spec, args)
+    build = _build_embedding if args.algo == "embedding" else _build_normals
+    surrogate, report = build(spec, args)
     serialize.write_json(args.out, serialize.surrogate_to_json(surrogate))
     report["config"] = {"spec": args.spec, "algo": args.algo,
                         "seed": _resolve_seed(args), "out": args.out}
@@ -173,10 +172,8 @@ def _cmd_levelsets(args) -> int:
                         f"but {args.spec} has n = {spec['n']}")
     if args.resolution < 1:
         raise SpecError(f"--resolution must be at least 1, got {args.resolution}")
-    if args.algo == "embedding":
-        surrogate, _ = _build_embedding(spec, args)
-    else:
-        surrogate, _ = _build_normals(spec, args)
+    build = _build_embedding if args.algo == "embedding" else _build_normals
+    surrogate, _ = build(spec, args)
     pts = triangle_grid(args.resolution)
     serialize.write_levelsets_csv(args.out, pts, *surrogate.levels_many(pts))
     return EXIT_OK

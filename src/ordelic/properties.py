@@ -29,6 +29,9 @@ _SV_RTOL = 1e-9
 _MIN_GAP = 1e-9  # least separation, along a normal, of consecutive slices
 _WOLFE_MAX_ITER = 1000  # major plus minor cycles of one min-norm point search
 NODE_DECREASE_TOL = 1e-12  # largest fall between embedding nodes taken as flat
+# Largest magnitude of an identification node: K's l2 edge points solve a
+# quadratic whose discriminant, of degree 10 in the nodes, overflows from 1e31.
+NODE_MAX_MAGNITUDE = 1e30
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,8 @@ class OrientedNormals:
         O = np.asarray(self.o, dtype=np.float64)
         if O.ndim != 2 or O.shape[0] < 1:
             raise SpecError("normals must form a (k, n) array")
-        norms = np.linalg.norm(O, axis=1)
+        with np.errstate(over="ignore"):  # an entry near 1e308: an inf norm, refused
+            norms = np.linalg.norm(O, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise SpecError("normals must have unit Euclidean norm")
         slices = tuple(slice_vertices(O))
@@ -581,6 +585,10 @@ class Surrogate:
                 or (want is not None and want.shape != nodes.shape):
             raise SpecError(f"nodes of shape {nodes.shape} must be finite, with one row per "
                             "outcome and one column per grid point (and normal)")
+        big = np.abs(nodes).max()
+        if big > NODE_MAX_MAGNITUDE:
+            raise SpecError(f"the identification nodes reach magnitude {big:g}; the exact "
+                            f"Lipschitz constant takes at most {NODE_MAX_MAGNITUDE:g}")
         if want is None:
             why, bad = "decrease along the grid", np.diff(nodes) < -NODE_DECREASE_TOL
         else:

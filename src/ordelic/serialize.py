@@ -29,9 +29,10 @@ from ordelic.simplex import LabelCounts, as_simplex_points
 CSV_CHUNK_BYTES = 1 << 18
 # Level-set grids are written this many rows at a time.
 LEVELSETS_BLOCK_ROWS = 8192
-# Largest magnitude of a property-spec number: the construction squares
-# differences of them, which overflows from about 1e154.
-SPEC_MAX_MAGNITUDE = 1e150
+# Largest magnitude of a property-spec number or a scalar prediction: the
+# construction squares differences of spec numbers, and the audits take
+# differences of predictions and divide them by small widths.
+MAX_MAGNITUDE = 1e150
 
 
 def dumps(obj) -> str:
@@ -50,7 +51,7 @@ def read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, too long or too deep
         raise SpecError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -84,10 +85,8 @@ def _property_spec(raw) -> dict:
     if "cost_matrix" in raw:
         cm = _spec_numbers(raw, "cost_matrix", np.ndarray)
         if cm.shape != (len(reports), n):
-            raise SpecError(
-                f"cost matrix shape {cm.shape} does not match "
-                f"{len(reports)} reports x {n} outcomes"
-            )
+            raise SpecError(f"cost matrix shape {cm.shape} does not match "
+                            f"{len(reports)} reports x {n} outcomes")
         out["cost"] = CostMatrix(cm)
     elif "boundaries" in raw:
         bds = []
@@ -109,13 +108,13 @@ def _property_spec(raw) -> dict:
 
 def _spec_numbers(d, key: str, kind: type):
     """``_field(d, key, kind)`` for the numbers of a property spec; a finite
-    one beyond ``SPEC_MAX_MAGNITUDE`` in magnitude is a SpecError that names
+    one beyond ``MAX_MAGNITUDE`` in magnitude is a SpecError that names
     the key (NaN and infinities are left to the checks that name them)."""
     value = _field(d, key, kind)
     big = np.abs(value)[np.isfinite(value)].max(initial=0.0)
-    if big > SPEC_MAX_MAGNITUDE:
+    if big > MAX_MAGNITUDE:
         raise SpecError(f"field {key!r} holds a number of magnitude {big:g}; the "
-                        f"construction takes at most {SPEC_MAX_MAGNITUDE:g}")
+                        f"construction takes at most {MAX_MAGNITUDE:g}")
     return value
 
 
@@ -164,8 +163,7 @@ def surrogate_from_json(d) -> Surrogate:
         raise SpecError(f"unknown surrogate format {d['format']!r}")
     if kind not in ("embedding", "normals") or (kind == "embedding" and "normals" in d):
         raise SpecError(f"unknown surrogate kind {kind!r}")
-    normals = OrientedNormals(_field(d, "normals", np.ndarray)) if kind == "normals" \
-        else None
+    normals = OrientedNormals(_field(d, "normals", np.ndarray)) if kind == "normals" else None
     if d.get("format") == SURROGATE_FORMAT:
         grid, nodes = _field(d, "grid", np.ndarray), _field(d, "nodes", np.ndarray)
     else:
@@ -192,7 +190,7 @@ def _nodes_from_v_bar(d: dict, normals) -> tuple[np.ndarray, np.ndarray]:
     v_bar = []
     for y, v in enumerate(_field(d, "v_bar", list), start=1):
         try:
-            bp, a, c = (_flat_finite(v, key) for key in ("breakpoints", "slopes", "intercepts"))
+            bp, a, c = (_field(v, key, "finite") for key in ("breakpoints", "slopes", "intercepts"))
             if len(bp) < 1:
                 raise SpecError("need at least one breakpoint")
             if np.any(np.diff(bp) <= 0):
@@ -225,27 +223,19 @@ def _nodes_from_v_bar(d: dict, normals) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.stack(nodes) if want is None else want
 
 
-def _flat_finite(d, key: str) -> np.ndarray:
-    """``_field(d, key, np.ndarray)`` when it is a flat array of finite
-    numbers; otherwise a SpecError that names the key."""
-    value = _field(d, key, np.ndarray)
-    if value.ndim != 1 or not np.all(np.isfinite(value)):
-        raise SpecError(f"field {key!r} must be a flat array of finite numbers, "
-                        f"not {d[key]!r:.40}")
-    return value
-
-
 # _field kinds: the JSON types each accepts, and how an error names it.
 _KINDS = {str: (str, "a string"), list: (list, "an array"), dict: (dict, "an object"),
           float: ((int, float), "a number"), np.ndarray: (list, "an array of numbers"),
+          "finite": (list, "a flat array of finite numbers"),
           "id": ((str, int, float), "a string or a number")}
 
 
 def _field(d, key: str, kind: type):
     """``d[key]`` when d is a JSON object holding a ``kind`` there: str,
-    list, dict, "id" (a string or a number, returned as it is), float (a
-    number, returned as float) or np.ndarray (an array of numbers, or of
-    such arrays, returned as float64); otherwise a SpecError that names the
+    list, dict, "id" (a string or a number, returned as its ``str``), float
+    (a number, returned as float), np.ndarray (an array of numbers, or of
+    such arrays, returned as float64 by :func:`_array`) or "finite" (a flat
+    np.ndarray of finite numbers); otherwise a SpecError that names the
     key.  Bools and strings are not numbers."""
     if not isinstance(d, dict):
         raise SpecError(f"expected a JSON object with field {key!r}, got {type(d).__name__}")
@@ -253,21 +243,57 @@ def _field(d, key: str, kind: type):
         raise SpecError(f"field {key!r} is missing")
     value = d[key]
     types, want = _KINDS[kind]
-    if isinstance(value, types) and not (kind in (float, "id") and isinstance(value, bool)) \
-            and (kind is not np.ndarray or _numbers_only(value)):
+    if kind in (np.ndarray, "finite"):
+        array = _array(value)
+        if array is not None and (kind is np.ndarray or array.ndim == 1
+                                  and np.all(np.isfinite(array))):
+            return array
+    elif isinstance(value, types) and not (kind in (float, "id") and isinstance(value, bool)):
         try:
-            return np.array(value, dtype=np.float64) if kind is np.ndarray \
-                else float(value) if kind is float else value
-        except (TypeError, ValueError, OverflowError):
+            return float(value) if kind is float else str(value) if kind == "id" else value
+        except OverflowError:  # an integer beyond float64
             pass
     raise SpecError(f"field {key!r} must be {want}, not {value!r:.40}")
 
 
-def _numbers_only(value: list) -> bool:
-    """Whether a JSON array holds numbers only (ints and floats, not bools),
-    or arrays that do."""
-    kinds = set(map(type, value))
-    return all(map(_numbers_only, value)) if kinds == {list} else kinds <= {int, float}
+def _array(value, dtype=np.float64) -> np.ndarray | None:
+    """``value`` as a float64 or int64 array when it is a JSON array of
+    numbers, or of such arrays of one shape, that all fit ``dtype`` (for
+    int64, integers only); otherwise None.  Bools and strings are not
+    numbers.  numpy reads the array once, and the kind of what it makes
+    shows a string, null or an object; integers beyond int64 make an object
+    or uint64 array, converted entry by entry.  A bool among numbers reads
+    as 0 or 1, so only the innermost arrays that hold a 0 or a 1 are
+    checked value by value."""
+    if type(value) is not list:
+        return None
+    try:
+        array = np.array(value)
+    except ValueError:  # ragged
+        return None
+    kind = array.dtype.kind
+    if kind == "O":
+        numbers = {int} if dtype is np.int64 else {int, float}
+        if not set(map(type, array.ravel().tolist())) <= numbers:
+            return None
+        try:
+            return array.astype(dtype)
+        except OverflowError:
+            return None
+    if array.size and kind not in ("i" if dtype is np.int64 else "iuf"):
+        return None
+    suspect = (array == 0) | (array == 1)
+    if suspect.any():
+        rows = value  # the innermost arrays, or the values of a flat one
+        for _ in range(array.ndim - 2):
+            rows = list(itertools.chain.from_iterable(rows))
+        hit = np.flatnonzero(suspect.reshape(len(rows), -1).any(axis=1))
+        picked = map(rows.__getitem__, hit.tolist())
+        if array.ndim > 1:
+            picked = itertools.chain.from_iterable(picked)
+        if not set(map(type, picked)) <= {int, float}:
+            return None
+    return array.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -755,65 +781,42 @@ def predictor_from_json(d, n: int, source: str = "the predictor") -> PredictorTa
     except SpecError as exc:
         raise SpecError(f"{source}: {exc}") from None
     keys, rows = tuple(raw), list(raw.values())
-    if kind == "distribution":
-        values = _distributions(keys, rows, n, source)
-    elif kind == "scalar":
-        values = _numbers(rows, np.float64)
-        if values is None:  # name the first value at fault
-            x, v = next((x, v) for x, v in zip(keys, rows)
-                        if _numbers([v], np.float64) is None)
-            raise SpecError(f"x_id {x!r} in {source}: scalar prediction {v!r:.40} "
-                            "is not a number in the float64 range")
-    else:
-        if float in set(map(type, rows)):
-            rows = [int(v) if type(v) is float and v.is_integer() else v for v in rows]
-        values = _numbers(rows, np.int64)
-        if values is None:  # bools, strings, NaN and fractions are not reports
-            x, v = next((x, v) for x, v in zip(keys, rows)
-                        if _numbers([v], np.int64) is None)
-            raise SpecError(f"x_id {x!r} in {source}: report prediction {v!r:.40} "
-                            "is not an integer in the int64 range")
-    return PredictorTable(kind, keys, values)
+    if kind == "report" and float in set(map(type, rows)):
+        rows = [int(v) if type(v) is float and v.is_integer() else v for v in rows]
+    dtype = np.int64 if kind == "report" else np.float64
+    shape = (len(rows), n) if kind == "distribution" else (len(rows),)
+    values = _array(rows, dtype)
+    if np.shape(values) == shape or not rows:
+        return PredictorTable(kind, keys, values.reshape(shape))
+    for x, v in zip(keys, rows):  # name the first value at fault
+        if kind == "distribution" and (type(v) is not list or len(v) != n):
+            raise SpecError(f"x_id {x!r} in {source}: distribution of shape "
+                            f"{(len(v),) if type(v) is list else ()} for {n} outcomes")
+        if np.shape(_array([v], dtype)) != (1, *shape[1:]):
+            raise SpecError(f"x_id {x!r} in {source}: " + _NOT_A_PREDICTION[kind].format(v, n))
+    raise AssertionError("every value is a prediction, so the table converts")
 
 
-def _numbers(values: list, dtype) -> np.ndarray | None:
-    """``values`` as one array of ``dtype`` when each is a JSON number (an
-    int for int64) that fits it; otherwise None."""
-    if not set(map(type, values)) <= ({int} if dtype is np.int64 else {int, float}):
-        return None
-    try:
-        return np.array(values, dtype=dtype)
-    except OverflowError:  # an integer beyond the range of dtype
-        return None
-
-
-def _distributions(keys: tuple, rows: list, n: int, source: str) -> np.ndarray:
-    """The rows of a distribution table as one (features, n) array; an error
-    names the first x_id whose row is not n numbers."""
-    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n}:
-        values = _numbers(list(itertools.chain.from_iterable(rows)), np.float64)
-        if values is not None:
-            return values.reshape(len(rows), n)
-    for x, row in zip(keys, rows):  # name the first row at fault
-        if type(row) is not list or len(row) != n:
-            shape = (len(row),) if type(row) is list else ()  # JSON: else not an array
-            raise SpecError(f"x_id {x!r} in {source}: distribution of shape {shape} "
-                            f"for {n} outcomes")
-        if _numbers(row, np.float64) is None:
-            raise SpecError(f"x_id {x!r} in {source}: distribution {row!r:.60} is not "
-                            f"{n} numbers in the float64 range")
-    raise AssertionError("every row holds n numbers, so the table converts")
+# Why a value of a predictor table of each kind is refused, given the value
+# and the number of outcomes.
+_NOT_A_PREDICTION = {
+    "distribution": "distribution {!r:.60} is not {} numbers in the float64 range",
+    "scalar": "scalar prediction {!r:.40} is not a number in the float64 range",
+    "report": "report prediction {!r:.40} is not an integer in the int64 range"}
 
 
 def read_predictor(path, n: int) -> PredictorTable:
     """Read a predictor file for a property with n outcomes.  Distributions
-    must be points of the n-outcome simplex, scalars finite and reports
-    integers; an error names the file and the x_id at fault."""
+    must be points of the n-outcome simplex, scalars finite and at most
+    ``MAX_MAGNITUDE`` in magnitude, and reports integers; an error names the
+    file and the x_id at fault."""
     p = predictor_from_json(read_json(path), n, str(path))
-    if p.kind == "scalar" and not np.all(np.isfinite(p.values)):
-        i = int(np.argmin(np.isfinite(p.values)))  # the first row at fault
+    if p.kind == "scalar" and not np.all(np.abs(p.values) <= MAX_MAGNITUDE):
+        i = int(np.argmin(np.abs(p.values) <= MAX_MAGNITUDE))  # the first row at fault
+        why = "is not finite" if not np.isfinite(p.values[i]) else \
+            f"is beyond {MAX_MAGNITUDE:g} in magnitude"
         raise SpecError(f"x_id {p.keys[i]!r} in {path}: scalar prediction "
-                        f"{p.values[i]} is not finite")
+                        f"{p.values[i]} {why}")
     if p.kind == "distribution":
         try:
             as_simplex_points(p.values)
@@ -847,16 +850,15 @@ def scenario_from_json(d) -> ScenarioSpec:
     features = _field(d, "features", list)
     try:  # every feature at once
         ids = [f["id"] for f in features]
-        weights = [f["weight"] for f in features]
-        rows = [f["conditional"] for f in features]
-        conditionals = np.array(rows)
-        if not (set(map(type, ids)) <= {str, int, float}
-                and set(map(type, weights)) <= {int, float}
-                and conditionals.ndim == 2 and conditionals.dtype.kind in "if"
-                and _no_bools(rows, conditionals)):
+        weights = _array([f["weight"] for f in features])
+        conditionals = _array([f["conditional"] for f in features])
+        kinds = set(map(type, ids))
+        if not (kinds <= {str, int, float} and np.ndim(weights) == 1
+                and np.ndim(conditionals) == 2):
             raise ValueError
-        weights = np.array(weights, dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError):
+        if not kinds <= {str}:
+            ids = list(map(str, ids))  # as simulate writes them
+    except (KeyError, TypeError, ValueError):
         ids, weights, conditionals = _features(features)
     pred = _field(d, "predictor", dict) if "predictor" in d else {"recipe": "bayes"}
     try:
@@ -872,23 +874,7 @@ def scenario_from_json(d) -> ScenarioSpec:
                                     f"per outcome, not {table[k]!r:.40}")
     except SpecError as exc:
         raise SpecError(f"predictor: {exc}") from None
-    return ScenarioSpec(
-        feature_ids=tuple(ids),
-        weights=np.asarray(weights, dtype=np.float64),
-        conditionals=np.asarray(conditionals, dtype=np.float64),
-        recipe=recipe,
-        eta=eta,
-        fixed_table=fixed,
-    )
-
-
-def _no_bools(rows: list, values: np.ndarray) -> bool:
-    """Whether the lists of numbers ``rows``, which numpy converted to the
-    int or float array ``values``, hold no bool.  A bool converts to 0 or 1,
-    so only the rows that hold a 0 or a 1 are looked at value by value."""
-    suspect = np.unique(np.flatnonzero((values == 0) | (values == 1)) // values.shape[1])
-    return set(map(type, itertools.chain.from_iterable(
-        [rows[i] for i in suspect.tolist()]))) <= {int, float}
+    return ScenarioSpec(tuple(ids), weights, conditionals, recipe, eta, fixed)
 
 
 def _features(features: list) -> tuple[list, list, list]:

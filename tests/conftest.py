@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -571,3 +572,98 @@ def embedding_nodes_reference(inp, grid) -> np.ndarray:
             nodes[y, i] = dl if abs(dl - dr) <= 1e-12 else \
                 0.0 if np.sign(dl) != np.sign(dr) else 0.5 * (dl + dr)
     return nodes
+
+
+# How the JSON readers turned numbers into arrays before one converter
+# (serialize._array) took over, kept as the oracle of its tests.
+
+
+def numbers_only_reference(value: list) -> bool:
+    """Whether a JSON array holds numbers only (ints and floats, not bools),
+    or arrays that do."""
+    kinds = set(map(type, value))
+    return all(map(numbers_only_reference, value)) if kinds == {list} else kinds <= {int, float}
+
+
+def array_field_reference(value) -> np.ndarray | None:
+    """An array-of-numbers field (an array of numbers, or of such arrays) as
+    float64, or None."""
+    if not isinstance(value, list) or not numbers_only_reference(value):
+        return None
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def numbers_reference(values: list, dtype) -> np.ndarray | None:
+    """``values`` as one array of ``dtype`` when each is a JSON number (an
+    int for int64) that fits it; otherwise None."""
+    if not set(map(type, values)) <= ({int} if dtype is np.int64 else {int, float}):
+        return None
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:  # an integer beyond the range of dtype
+        return None
+
+
+def no_bools_reference(rows: list, values: np.ndarray) -> bool:
+    """Whether the lists of numbers ``rows``, which numpy converted to the
+    int or float array ``values``, hold no bool, looking only at the rows
+    that hold a 0 or a 1."""
+    suspect = np.unique(np.flatnonzero((values == 0) | (values == 1)) // values.shape[1])
+    return set(map(type, itertools.chain.from_iterable(
+        [rows[i] for i in suspect.tolist()]))) <= {int, float}
+
+
+def predictor_values_reference(kind: str, keys: tuple, rows: list, n: int,
+                               source: str) -> np.ndarray:
+    """The values of a predictor table of ``kind``, or the SpecError naming
+    the first x_id at fault."""
+    if kind == "distribution":
+        if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n}:
+            values = numbers_reference(list(itertools.chain.from_iterable(rows)), np.float64)
+            if values is not None:
+                return values.reshape(len(rows), n)
+        for x, row in zip(keys, rows):
+            if type(row) is not list or len(row) != n:
+                shape = (len(row),) if type(row) is list else ()
+                raise SpecError(f"x_id {x!r} in {source}: distribution of shape {shape} "
+                                f"for {n} outcomes")
+            if numbers_reference(row, np.float64) is None:
+                raise SpecError(f"x_id {x!r} in {source}: distribution {row!r:.60} is not "
+                                f"{n} numbers in the float64 range")
+        raise AssertionError("every row holds n numbers, so the table converts")
+    if kind == "scalar":
+        values = numbers_reference(rows, np.float64)
+        if values is None:
+            x, v = next((x, v) for x, v in zip(keys, rows)
+                        if numbers_reference([v], np.float64) is None)
+            raise SpecError(f"x_id {x!r} in {source}: scalar prediction {v!r:.40} "
+                            "is not a number in the float64 range")
+        return values
+    if float in set(map(type, rows)):
+        rows = [int(v) if type(v) is float and v.is_integer() else v for v in rows]
+    values = numbers_reference(rows, np.int64)
+    if values is None:
+        x, v = next((x, v) for x, v in zip(keys, rows)
+                    if numbers_reference([v], np.int64) is None)
+        raise SpecError(f"x_id {x!r} in {source}: report prediction {v!r:.40} "
+                        "is not an integer in the int64 range")
+    return values
+
+
+def conditionals_reference(rows: list) -> np.ndarray | None:
+    """Scenario conditionals as float64: all rows in one ``np.array`` when
+    it is an int or float table with no bools, else row by row as
+    array-of-numbers fields of one flat shape; None when a row is refused."""
+    try:
+        values = np.array(rows)
+        if values.ndim == 2 and values.dtype.kind in "if" and no_bools_reference(rows, values):
+            return values.astype(np.float64)
+    except (ValueError, OverflowError):
+        pass
+    arrays = [array_field_reference(row) for row in rows]
+    if not arrays or any(a is None or a.shape != arrays[0].shape[:1] for a in arrays):
+        return None
+    return np.array(arrays)

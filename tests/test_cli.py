@@ -995,6 +995,23 @@ class TestInputFields:
         assert (tmp_path / "sim.data.csv").read_text().splitlines()[1].split(",")[0] \
             in ("1", "2.5")
 
+    def test_scenario_number_ids_audit(self, boundary_spec_file, tmp_path):
+        """A numeric feature id reads as the str that simulate writes for it
+        in the dataset and the predictor, so the exact audit of the scenario
+        finds every prediction, as the audit of the dataset does."""
+        sc, sur, sim, out = (str(tmp_path / name) for name in ("sc.json", "sur.json", "sim",
+                                                                "a.json"))
+        first, second = SCENARIO["features"]
+        write_json(sc, {**SCENARIO, "features": [{**first, "id": 1}, {**second, "id": 2.5}]})
+        assert main(["construct", "--spec", boundary_spec_file, "--seed", "1",
+                     "--out", sur]) == EXIT_OK
+        assert main(["simulate", "--spec", sc, "--samples", "200", "--seed", "1",
+                     "--out", sim]) == EXIT_OK
+        for source in (["--scenario", sc], ["--data", sim + ".data.csv"]):
+            assert main(["audit", "--surrogate", sur, *source, "--predictor",
+                         sim + ".predictor.json", "--out", out]) == EXIT_OK, source
+            assert read_json(out)["reports"][0]["data"]["features"] == 2
+
     # Arrays that numpy would read as numbers but that are not JSON numbers.
     NOT_NUMBERS = (["0.2", "0.3", "0.5"], [True, False, False], [True, 0.0, 0.0])
 
@@ -1100,6 +1117,31 @@ class TestInputFields:
         self._spec_refused([command, "--seed", "1"], spec, cause, tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["construct", "levelsets"])
+    def test_cost_out_of_report_order(self, command, tmp_path, capsys):
+        """The README cost with rows 2 and 3 swapped has strongly orderable
+        boundaries, but its regions are not in report order: the link misses
+        the target set at a refinement point, which is refused."""
+        rows = COST_SPEC["cost_matrix"]
+        self._spec_refused([command, "--seed", "1"],
+                           {**COST_SPEC, "cost_matrix": [rows[0], rows[2], rows[1]]},
+                           "outside the target set there (1842 of 2000 refinement points "
+                           "miss it)", tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["construct", "levelsets"])
+    @pytest.mark.parametrize("scale, phi, top", [(1e40, "0,1,3", "3e+40"),
+                                                 (1e25, "0,1e-6,3e-6", "3e+31")])
+    def test_embedding_nodes_beyond_the_bound(self, command, scale, phi, top, tmp_path,
+                                              capsys):
+        """Costs and embedding points whose identification nodes pass
+        NODE_MAX_MAGNITUDE, where the exact K would overflow, exit 2 naming
+        the spec, with no warning."""
+        cost = [[scale * c for c in row] for row in COST_SPEC["cost_matrix"]]
+        self._spec_refused([command, "--algo", "embedding", "--phi", phi],
+                           {**COST_SPEC, "cost_matrix": cost},
+                           f"the identification nodes reach magnitude {top}; the exact "
+                           "Lipschitz constant takes at most 1e+30", tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["construct", "levelsets"])
     @pytest.mark.parametrize("spec", [COST_SPEC, BOUNDARY_SPEC], ids=["cost", "boundaries"])
     def test_property_spec(self, command, spec, tmp_path, capsys):
         path = str(tmp_path / "spec.json")
@@ -1127,6 +1169,24 @@ class TestInputFields:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: ") and cause in err, (cause, err)
             assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    b'{"kind": "scalar", "table": {"\xff": 0.5}}',
+    b'{"kind": "scalar", "table": {"a": ' + b"1" * 5000 + b"}}",
+    b'{"kind": "scalar", "table": {"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}}"],
+    ids=["not-utf-8", "integer-of-5000-digits", "arrays-100000-deep"])
+def test_json_that_does_not_decode(boundary_spec_file, scenario_file, tmp_path, capsys, text):
+    """A JSON file that is not UTF-8, or holds an integer too long or arrays
+    too deep for Python to read, exits 2 naming the file."""
+    sur, pred = str(tmp_path / "sur.json"), tmp_path / "p.json"
+    assert main(["construct", "--spec", boundary_spec_file, "--seed", "1",
+                 "--out", sur]) == EXIT_OK
+    pred.write_bytes(text)
+    capsys.readouterr()
+    assert main(["audit", "--surrogate", sur, "--scenario", scenario_file, "--predictor",
+                 str(pred), "--out", str(tmp_path / "a.json")]) == EXIT_SPEC
+    assert capsys.readouterr().err.startswith(f"error: malformed JSON in {pred}: ")
 
 
 def test_unknown_arguments_exit_spec(capsys):

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    EQ1_COSTS,
     O1,
     O2,
     SQ14,
@@ -22,6 +23,7 @@ from ordelic.errors import OrderabilityError
 from ordelic.normals import build_from_normals, full_pipeline
 from ordelic.properties import (
     AffineBoundary,
+    CostMatrix,
     OrientedNormals,
     _dual,
     _gradients,
@@ -187,6 +189,15 @@ class TestFullPipeline:
                AffineBoundary([1.0, 0.0, 0.0], 1 / 3)]
         with pytest.raises(OrderabilityError):
             full_pipeline(bds, seed=38)
+
+    def test_cost_out_of_report_order_rejected(self):
+        """The README cost with rows 2 and 3 swapped: its boundaries are
+        strongly orderable, but report 3's region lies between those of 1
+        and 2, so the link misses the target set at a refinement point."""
+        cost = CostMatrix([EQ1_COSTS[0], EQ1_COSTS[2], EQ1_COSTS[1]])
+        with pytest.raises(OrderabilityError, match=r"outside the target set there \(1842 "
+                           r"of 2000 refinement points miss it\)"):
+            full_pipeline(cost, seed=1)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_boundary_missing_interior_named(self, n):

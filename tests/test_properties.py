@@ -37,9 +37,11 @@ from ordelic.normals import build_from_normals, full_pipeline
 from ordelic.properties import (
     _WOLFE_MAX_ITER,
     BOUNDARY_TOL,
+    NODE_MAX_MAGNITUDE,
     AffineBoundary,
     CostMatrix,
     OrientedNormals,
+    Surrogate,
     _first_columns,
     _min_norm_point,
     _simplex_boundary_endpoints,
@@ -231,6 +233,20 @@ def test_batched_construction_matches_references(kind, n, n_reports, seed):
         F = Antiderivative(v)
         for u, node in zip(s.grid.tolist(), row.tolist()):
             assert F.derivative_interval(u) == pytest.approx((node, node), abs=1e-9)
+
+
+def test_nodes_up_to_the_bound_give_the_exact_k(fixture_embedding):
+    """The README embedding with its nodes times the largest power of 2 that
+    keeps them within NODE_MAX_MAGNITUDE has the same K, bit for bit, in
+    every norm (K depends on the nodes only through ratios, and the root
+    stays on the grid), with no overflow; twice that is refused."""
+    s = fixture_embedding
+    k = int(np.log2(NODE_MAX_MAGNITUDE / np.abs(s.nodes).max()))
+    big = Surrogate(s.grid, np.ldexp(s.nodes, k), s.thresholds, cost=s.cost)
+    for norm in ("l1", "l2", "linf"):
+        assert _bits(big.lipschitz(norm)) == _bits(s.lipschitz(norm)), norm
+    with pytest.raises(SpecError, match=r"nodes reach magnitude 1.90148e\+30"):
+        Surrogate(s.grid, np.ldexp(s.nodes, k + 1), s.thresholds, cost=s.cost)
 
 
 class TestOrderabilityErrors:

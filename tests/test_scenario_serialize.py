@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 from conftest import (
     O1,
     O2,
+    array_field_reference,
     bins_by_key,
     bisect_expected_root,
+    conditionals_reference,
     dirichlet_predictor,
     labeled_rows,
     normals_from_boundaries,
+    numbers_reference,
+    predictor_values_reference,
     random_orderable_spec,
     reference_counts,
     sampled_counts,
@@ -737,6 +741,105 @@ class TestDatasetReader:
             return
         _assert_same(read_dataset_csv(path, n=n),
                      reference_counts(["a"] * len(values), [int(v) for v in values], n))
+
+
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-2**64 - 2, 2**64 + 2),
+                  st.sampled_from([2**63 - 1, 2**63, 2**64, -2**63, -2**63 - 1, 10**400]))
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_ZERO_ONE = st.sampled_from([0, 1, 0.0, 1.0, -0.0])
+_NUMBERS = st.one_of(_INTS, _FLOATS, _ZERO_ONE)
+# JSON values that are not numbers, and arrays where a number belongs.
+_ODD = st.sampled_from([True, False, None, "1", "0.5", "x", {}, {"a": 1}, [], [1.0],
+                        [[1.0]], [[]], [None], [1, [2]], [True, 0.5]])
+_RAGGED = st.recursive(st.one_of(_NUMBERS, _ODD), lambda inner: st.lists(inner, max_size=4),
+                       max_leaves=12)
+
+
+@st.composite
+def _json_arrays(draw):
+    """Nested JSON arrays of depth 1-3: mostly tables of one shape (some
+    empty) of ints, floats (NaN and infinities too) or 0s and 1s, half of
+    them with one value swapped for one that is not a number there; and
+    some ragged through and through."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(_RAGGED, max_size=4))
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    leaves = draw(st.sampled_from([_INTS, _FLOATS, _ZERO_ONE, _NUMBERS]))
+
+    def build(dims):
+        return [build(dims[1:]) for _ in range(dims[0])] if dims else draw(leaves)
+    value = build(shape)
+    if draw(st.booleans()):
+        parent, node, at = None, value, 0
+        while isinstance(node, list) and node:
+            at = draw(st.integers(0, len(node) - 1))
+            parent, node = node, node[at]
+        if parent is not None:
+            parent[at] = draw(_ODD)
+    return value
+
+
+def _same(got, want) -> bool:
+    """Both None, or arrays of one dtype and shape with identical bits."""
+    if got is None or want is None:
+        return got is None and want is None
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+class TestNumberArrays:
+    """One converter (``serialize._array``) turns the JSON numbers of every
+    reader into arrays, and accepts and refuses each value as the four
+    separate routes before it did (the references in conftest)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.one_of(_json_arrays(), _NUMBERS, _ODD))
+    def test_array_fields(self, value):
+        assert _same(serialize._array(value), array_field_reference(value)), value
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(_NUMBERS, _NUMBERS, _ODD), max_size=8))
+    def test_flat_numbers(self, values):
+        for dtype in (np.float64, np.int64):
+            got = serialize._array(values, dtype)
+            assert _same(got if np.ndim(got) == 1 else None,
+                         numbers_reference(values, dtype)), (values, dtype)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["distribution", "scalar", "report"]),
+           rows=st.one_of(_json_arrays(), st.lists(st.one_of(_NUMBERS, _ODD), max_size=6)))
+    def test_predictor_tables(self, kind, rows):
+        """A predictor table reads to the same values, or fails with the same
+        message."""
+        n = len(rows[0]) if rows and type(rows[0]) is list and rows[0] else 3
+        table = {f"x{i}": row for i, row in enumerate(rows)}
+        try:
+            want = predictor_values_reference(kind, tuple(table), rows, n, "p.json")
+        except SpecError as exc:
+            with pytest.raises(SpecError) as got:
+                predictor_from_json({"kind": kind, "table": table}, n, "p.json")
+            assert str(got.value) == str(exc)
+        else:
+            got = predictor_from_json({"kind": kind, "table": table}, n, "p.json").values
+            assert _same(got, want), rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_json_arrays())
+    def test_scenario_conditionals(self, rows):
+        """The conditionals of a scenario, read all at once or feature by
+        feature, are the same array, and refused alike."""
+        values = serialize._array(rows)
+        if np.ndim(values) != 2:
+            try:
+                values = np.array(serialize._features(
+                    [{"id": "a", "weight": 1.0, "conditional": row} for row in rows])[2])
+            except SpecError:
+                values = None
+        want = conditionals_reference(rows)
+        if not rows:  # no features: neither route refuses, ScenarioSpec does
+            assert want is None and values.shape == (0,)
+        else:
+            assert _same(values, want), rows
 
 
 class TestPropertySpecFiles:
