@@ -7,8 +7,11 @@ float-to-string conversion", PLDI 2018), which finds the same shortest,
 correctly rounded digits as ``repr`` with fixed-width integer arithmetic:
 
 - **Digits.** Ryu over uint64 arrays.  Its power-of-5 tables are built
-  exactly from Python ints, its 64 x 128-bit products from 32-bit limbs,
-  and its digit-removal loop runs over the rows still active.
+  exactly from Python ints, and its 64 x 128-bit products from 32-bit
+  limbs.  In place of its digit-removal loop, each row's count of digits
+  to remove is found first, by whole-array divisions by 10, and the last
+  digit removed and the exactness of the tail are then read off by one
+  division and one remainder by that power of 10.
 - **Layout.** ``repr``'s: positional when -4 < decimal point <= 16, with
   ``.0`` on integral values, otherwise ``d.ddde+XX``.  Each row's text is
   gathered from its digits and a few literal characters by one template
@@ -105,7 +108,7 @@ def _tables() -> tuple[np.ndarray, ...]:
 def _templates() -> np.ndarray:
     """Source column of each output character, one row per (sign, digit
     count, layout) key; ``_NUL`` pads each row to ``_WIDTH``."""
-    table = np.full((2, 17, _LAYOUTS, _WIDTH), _NUL, dtype=np.uint32)
+    table = np.full((2, 17, _LAYOUTS, _WIDTH), _NUL, dtype=np.intp)
     for neg in range(2):
         for nd in range(1, 18):
             digits = list(range(nd))
@@ -151,8 +154,10 @@ def _reprs(values: np.ndarray) -> list[str]:
     _put_digits(source[_EXP_COL:_DOT], exponent)
     source[:_DOT] += _CHAR0
     source[_DOT:] = _LITERAL_CODES[:, None]
-    index = templates[key] * np.uint32(n)
-    index += np.arange(n, dtype=np.uint32)[:, None]
+    # intp indices: take converts any other dtype first, at more than the
+    # cost of the gather
+    index = (templates * n).take(key, axis=0)
+    index += np.arange(n)[:, None]
     texts = source.ravel().take(index).view(f"U{_WIDTH}").ravel().tolist()
     for i in np.flatnonzero(special).tolist():
         texts[i] = repr(float(values[i]))
@@ -172,14 +177,26 @@ def _put_digits(rows: np.ndarray, part: np.ndarray) -> None:
 def _digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ryu's shortest digits of finite nonzero doubles, given as bit
     patterns: (digits as an integer, decimal exponent of the last digit)."""
+    pow10 = _tables()[3]
     vr, vp, vm, vr_tz, vm_tz, e10 = _bounds(bits)
-    last = np.zeros(len(bits), dtype=np.uint64)
-    removed = np.zeros(len(bits), dtype=np.int64)
-    state = (vr, vp, vm, vr_tz, vm_tz, last, removed)
-    # remove digits while vp and vm differ above the last one
-    _drop_digits(state, np.arange(len(bits)), lambda p, m: p // _TEN > m // _TEN)
-    # then, where vm is exact, its trailing zeros
-    _drop_digits(state, np.flatnonzero(vm_tz), lambda p, m: m % _TEN == _ZERO)
+    # the digits to remove: while vp and vm differ above the last one
+    removed = _removable(vp, vm)
+    # then, where vm is exact and the digits removed from it were zeros, the
+    # rest of its trailing zeros: 10**k divides vm where (vm - 1, vm] holds
+    # a multiple of it.  vm_tz stays set where they were zeros.
+    rows = np.flatnonzero(vm_tz)
+    zeros = _removable(vm[rows], vm[rows] - _ONE)
+    vm_tz[rows] = zeros >= removed[rows]
+    removed[rows] = np.maximum(removed[rows], zeros)
+    # last, the last digit removed from vr; vr_tz stays set where those
+    # removed before it were zeros
+    scale = pow10[np.maximum(removed - 1, 0)]
+    head = vr // scale
+    vr_tz &= head * scale == vr
+    some = removed > 0
+    vr = np.where(some, head // _TEN, vr)
+    last = np.where(some, head - vr * _TEN, _ZERO)
+    vm = vm // pow10[removed]
     # an exact ...50...0 tail rounds to even
     last[vr_tz & (last == _FIVE) & ((vr & _ONE) == _ZERO)] = 4
     # vr is below the interval where it is vm and vm is not in it; vm_tz is
@@ -188,23 +205,20 @@ def _digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vr + up, e10 + removed
 
 
-def _drop_digits(state, rows, more) -> None:
-    """Drop the last digit of vr, vp and vm on ``rows`` while ``more(vp, vm)``
-    holds there, in place.  ``last`` is the digit last dropped from vr,
-    ``vr_tz`` whether those dropped before it were zeros, ``vm_tz`` whether
-    all dropped from vm were.  Each pass works on the rows still active."""
-    vr, vp, vm, vr_tz, vm_tz, last, removed = state
-    rows = rows[more(vp[rows], vm[rows])]
-    while rows.size:
-        r, m = vr[rows], vm[rows]
-        r10, m10 = r // _TEN, m // _TEN
-        vm_tz[rows] &= m10 * _TEN == m
-        vr_tz[rows] &= last[rows] == _ZERO
-        last[rows] = r - r10 * _TEN
-        p10 = vp[rows] // _TEN
-        vr[rows], vp[rows], vm[rows] = r10, p10, m10
-        removed[rows] += 1
-        rows = rows[more(p10, m10)]
+def _removable(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The most digits k, per row, whose removal from both ``hi`` and ``lo``
+    leaves ``hi // 10**k > lo // 10**k``.  That holds while (lo, hi] holds
+    a multiple of 10**k, so once it fails it fails for every greater k: k
+    is the count of the k >= 1 where it holds."""
+    removed = np.zeros(len(hi), dtype=np.intp)
+    hi, lo = hi // _TEN, lo // _TEN
+    more = hi > lo
+    while more.any():
+        removed += more
+        hi //= _TEN
+        lo //= _TEN
+        np.greater(hi, lo, out=more)
+    return removed
 
 
 def _bounds(bits: np.ndarray) -> tuple[np.ndarray, ...]:

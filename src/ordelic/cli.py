@@ -203,6 +203,13 @@ def _cmd_audit(args) -> int:
         raise SpecError(f"--c-marginal must be at least 0, got {args.c_marginal}")
     surrogate = serialize.read_surrogate(args.surrogate)
     predictor = serialize.read_predictor(args.predictor, surrogate.n_outcomes)
+    if args.bin_width is not None and predictor.kind == "scalar":
+        # a bin is floor(u / w), as an int64
+        ratio = float(np.max(np.abs(predictor.values), initial=0.0)) / args.bin_width
+        if not ratio < 2.0**63:
+            raise SpecError(f"--bin-width {args.bin_width} puts the predictions of "
+                            f"{args.predictor} in bins beyond the int64 range: the "
+                            f"largest |u| / w is {ratio:.6g}")
     if (args.data is None) == (args.scenario is None):
         raise SpecError("pass exactly one of --data or --scenario")
     if args.scenario is not None:

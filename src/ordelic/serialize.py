@@ -715,11 +715,18 @@ def _cell_table(column: np.ndarray, start: str, end: str) -> tuple[np.ndarray, n
     ``repr`` of row r's value between ``start`` and ``end``."""
     col = np.ascontiguousarray(column)
     bits, index = np.unique(col.view(np.uint64), return_inverse=True)
-    values = bits.view(col.dtype)
-    text = float_reprs(values) if col.dtype == np.float64 else list(map(repr, values.tolist()))
+    text = _number_texts(bits.view(col.dtype))
     if start or end:
         text = [start + t + end for t in text]
     return np.array(text, dtype=object), index
+
+
+def _number_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each entry of a float64 or int64 array, in C order; the
+    floats through :func:`float_reprs`."""
+    if values.dtype == np.float64:
+        return float_reprs(values)
+    return list(map(repr, values.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +749,11 @@ def predictor_to_json(p: PredictorTable) -> str:
     table.
 
     Keys come in sorted order, escaped as ``json`` escapes them for ASCII
-    output.  Each number is formatted once: floats by ``float.__repr__``,
-    with NaN and the infinities spelled as ``json`` spells them, and reports
-    by ``int.__repr__``.  Each row is filled from one template.  Of x_ids
-    with the same ``str``, the last one's row is written, as in a dict.
+    output.  Each number is formatted once: floats by :func:`float_reprs`,
+    whose text is ``float.__repr__``'s, with NaN and the infinities spelled
+    as ``json`` spells them, and reports by ``int.__repr__``.  The rows are
+    filled in by one ``%`` of a row template repeated.  Of x_ids with the
+    same ``str``, the last one's row is written, as in a dict.
     """
     row_of = dict(zip(map(str, p.index), p.index.values()))
     names = sorted(row_of)
@@ -754,8 +762,7 @@ def predictor_to_json(p: PredictorTable) -> str:
         return head + "{}\n}\n"
     values = p.values[np.fromiter(map(row_of.__getitem__, names), np.intp, len(names))]
     width = values.shape[1] if p.kind == "distribution" else 1
-    texts = list(map(int.__repr__ if p.kind == "report" else float.__repr__,
-                     values.ravel().tolist()))
+    texts = _number_texts(values)
     if p.kind != "report" and not np.all(np.isfinite(values)):
         texts = [_JSON_FLOATS.get(t, t) for t in texts]
     if p.kind != "distribution":
@@ -764,9 +771,12 @@ def predictor_to_json(p: PredictorTable) -> str:
         template = "    %s: [" + ",".join(["\n      %s"] * width) + "\n    ]"
     else:
         template = "    %s: []"
-    cells = zip(map(encode_basestring_ascii, names),
-                *(texts[j::width] for j in range(width)))
-    return head + "{\n" + ",\n".join([template % c for c in cells]) + "\n  }\n}\n"
+    cells = [None] * (len(names) * (width + 1))  # each row's name, then its numbers
+    cells[::width + 1] = map(encode_basestring_ascii, names)
+    for j in range(width):
+        cells[j + 1::width + 1] = texts[j::width]
+    body = ",\n".join([template] * len(names)) % tuple(cells)
+    return head + "{\n" + body + "\n  }\n}\n"
 
 
 def predictor_from_json(d, n: int, source: str = "the predictor") -> PredictorTable:
@@ -860,6 +870,12 @@ def scenario_from_json(d) -> ScenarioSpec:
             ids = list(map(str, ids))  # as simulate writes them
     except (KeyError, TypeError, ValueError):
         ids, weights, conditionals = _features(features)
+    if len(set(ids)) < len(ids):
+        first: dict[str, int] = {}
+        for i, x in enumerate(ids, start=1):
+            if first.setdefault(x, i) != i:
+                raise SpecError(f"features {first[x]} and {i} both have id {x!r} "
+                                "(ids compare as strings)")
     pred = _field(d, "predictor", dict) if "predictor" in d else {"recipe": "bayes"}
     try:
         recipe = _field(pred, "recipe", str)

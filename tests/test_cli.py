@@ -451,6 +451,27 @@ class TestAudit:
         bound = read_json(out)["reports"][1]["bounds"][0]
         assert bound["params"]["vacuous"] and bound["satisfied"]
 
+    def test_bin_width_beyond_int64_bins(self, surrogate_file, tmp_path, capsys):
+        """A bin width that puts a scalar prediction u in a bin floor(u / w)
+        beyond int64 exits 2 naming the flag and the largest |u| / w; the
+        next wider width than the narrowest refused one bins them."""
+        sc_path, pred_path = tmp_path / "sc.json", tmp_path / "g.json"
+        write_json(sc_path, SCENARIO)
+        write_json(pred_path, {"kind": "scalar", "table": {"a": 0.5, "b": -1.5}})
+        out = tmp_path / "audit.json"
+        argv = ["audit", "--surrogate", surrogate_file, "--scenario", str(sc_path),
+                "--predictor", str(pred_path), "--out", str(out), "--c-marginal", "0"]
+        edge = 1.5 / 2.0**63
+        for width, ratio in [(1e-300, "1.5e+300"), (5e-324, "inf"), (edge, "9.22337e+18")]:
+            assert main([*argv, "--bin-width", repr(width)]) == EXIT_SPEC
+            assert capsys.readouterr().err == (
+                f"error: --bin-width {width!r} puts the predictions of {pred_path} in bins "
+                f"beyond the int64 range: the largest |u| / w is {ratio}\n")
+            assert not out.exists()
+        wider = repr(float(np.nextafter(edge, 1.0)))
+        assert main([*argv, "--bin-width", wider]) in (EXIT_OK, EXIT_BOUND)
+        assert out.exists()
+
     def test_calibrated_scalar_next_to_a_threshold(self, tmp_path):
         """A scalar predictor that is the property value of its feature's
         conditional, 9.4e-11 above a threshold of the embedding, passes the

@@ -66,3 +66,32 @@ def test_any_shape_and_dtype():
     values = np.linspace(-1, 1, 2 * KERNEL_MIN_VALUES, dtype=np.float32).reshape(2, -1)
     assert float_reprs(values) == _reference(values.astype(np.float64).ravel())
     assert float_reprs(values.T) == _reference(values.T.astype(np.float64).ravel())
+
+
+def _decimals() -> np.ndarray:
+    """m * 10**e for m = 1 and a random m of each length 1..17 (last digit
+    nonzero), at every e that keeps it a nonzero finite double, with its
+    neighbours one ulp away."""
+    rng = np.random.default_rng(17)
+    mantissas = [1, int(rng.integers(2, 10))]
+    for length in range(2, 18):
+        mantissas.append(int(rng.integers(10 ** (length - 2), 10 ** (length - 1))) * 10
+                         + int(rng.integers(1, 10)))
+    values = np.array([float(f"{m}e{e}") for m in mantissas
+                       for e in range(-324 - len(str(m)), 309 - len(str(m)) + 1)])
+    bits = values[(values != 0) & np.isfinite(values)].view(np.uint64)
+    return np.concatenate([bits, bits - np.uint64(1), bits + np.uint64(1)]).view(np.float64)
+
+
+def test_every_dropped_digit_count(monkeypatch):
+    """The kernel removes every count of digits that Ryu can remove from
+    the up to 19 of vp, 0 to 18, and gives repr's text for each."""
+    counts = []
+    removable = _floatrepr._removable
+    monkeypatch.setattr(_floatrepr, "_removable",
+                        lambda hi, lo: counts.append(removable(hi, lo)) or counts[-1])
+    values = _decimals()
+    assert len(values) >= KERNEL_MIN_VALUES
+    assert float_reprs(values) == _reference(values)
+    assert float_reprs(-values) == _reference(-values)
+    assert set(np.concatenate(counts).tolist()) == set(range(19))

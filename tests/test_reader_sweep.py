@@ -153,3 +153,18 @@ def test_dataset_csv(files):
                 faults += [f"csv line {i + 1} field {j + 1} = {cells[i][j]}: {fault}"
                            for fault in _faults(*_run(files, "data", mutant))]
     assert not faults, "\n".join(faults[:20])
+
+
+@pytest.mark.parametrize("ids,first,second,name", [
+    (["a", "a"], 1, 2, "a"), (["b", 1, "1"], 2, 3, "1"), (["x", 2.5, "y", "2.5"], 2, 4, "2.5")])
+def test_repeated_scenario_ids(files, capsys, ids, first, second, name):
+    """Scenario feature ids compare as the strings simulate writes, so an
+    id listed twice, or a number and its string, exit 2 naming both
+    features and the id."""
+    features = [{"id": x, "weight": 1 / len(ids), "conditional": [0.7, 0.2, 0.1]}
+                for x in ids]
+    write_json(files["mutant"], {"features": features})
+    assert main(_run(files, "scenario", files["mutant"])[0]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {files['mutant']}: features {first} and {second} both have id "
+        f"{name!r} (ids compare as strings)\n")

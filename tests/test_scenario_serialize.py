@@ -464,6 +464,36 @@ class TestPredictorWriter:
         assert predictor_to_json(PredictorTable(kind, (), values)) \
             == _dict_writer(kind, {})
 
+    @pytest.mark.parametrize("kind", ["distribution", "scalar"])
+    def test_tables_through_the_kernel(self, kind, monkeypatch):
+        """A table of at least KERNEL_MIN_VALUES floats is formatted by
+        float_reprs' kernel, with the text json writes: full-length and
+        three-decimal values, integral floats, -0.0, subnormals, both sides
+        of the layout switches at 1e-5 and 1e16 and, for scalars, NaN and
+        the infinities."""
+        calls = []
+        kernel = _floatrepr._reprs
+        monkeypatch.setattr(_floatrepr, "_reprs", lambda v: calls.append(len(v)) or kernel(v))
+        rng = np.random.default_rng(23)
+        edges = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 9.999999999999999e-06,
+                 1e-4, 1e16, 9999999999999998.0, -1.2345678901234567e16, 1.0, 2.0**53, -3.0]
+        if kind == "scalar":
+            edges += [float("nan"), float("inf"), float("-inf")]
+        scaled = rng.standard_normal(3000) * 10.0 ** rng.integers(-8, 20, 3000)
+        values = np.concatenate([edges, scaled, rng.dirichlet(np.ones(3), 1000).ravel(),
+                                 np.round(rng.dirichlet(np.ones(3), 1000), 3).ravel(),
+                                 rng.integers(-10**6, 10**6, 2000).astype(np.float64)])
+        values = rng.permutation(values)
+        width = 3 if kind == "distribution" else 1
+        values = values[:len(values) // width * width].reshape(-1, width)
+        assert values.size >= KERNEL_MIN_VALUES
+        ids = [f"x{i}" for i in range(len(values))]
+        rows = values.tolist() if kind == "distribution" else values[:, 0].tolist()
+        table = dict(zip(ids, rows))
+        got = predictor_to_json(PredictorTable(kind, tuple(ids), np.array(rows)))
+        assert got == _dict_writer(kind, table)
+        assert sum(calls) == values.size
+
     def test_repeated_and_colliding_ids_keep_the_last_row(self):
         """An x_id listed twice, or two x_ids with the same str, predict the
         last row, as when the table was a dict."""
