@@ -184,6 +184,15 @@ def _digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # then, where vm is exact and the digits removed from it were zeros, the
     # rest of its trailing zeros: 10**k divides vm where (vm - 1, vm] holds
     # a multiple of it.  vm_tz stays set where they were zeros.
+    # Where zeros == removed, vm_tz cannot change the result.  Let d be the
+    # exact vr - vm, so vr = vm + floor(d).  A power-of-two mantissa has an
+    # exact vm only at q = 0, (2**54 - 1) 2**e2, which ends in no zero; so
+    # removed = 0 there, and d = 2**e2 >= 1 keeps vr > vm.  Any other
+    # mantissa has vp = vm + floor(2 d), and d >= 2 (d = 2**(e2 + 1) / 10**q
+    # with 10**q <= 2**e2 where e2 >= 0, d >= 10 where e2 < 0).  There
+    # removed >= 1 needs vp >= vm + 10**removed, so vr - vm >= 10**removed / 2:
+    # either vr // 10**removed > vm // 10**removed, or the last digit removed
+    # is 5 or more.
     rows = np.flatnonzero(vm_tz)
     zeros = _removable(vm[rows], vm[rows] - _ONE)
     vm_tz[rows] = zeros >= removed[rows]

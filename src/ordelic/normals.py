@@ -57,7 +57,7 @@ def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
         boundaries = list(source)
     raw = [homogenize_boundary(bd) for bd in boundaries]
     n = len(raw[0])
-    units = np.stack([o / np.linalg.norm(o) for o in raw])  # as sample_boundary takes them
+    units = np.stack([o / np.linalg.norm(o) for o in raw])  # the draws below keep these bits
     slices = slice_vertices(units)  # name a boundary that cannot be sampled
 
     recovered = []

@@ -132,12 +132,6 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(r[:, None] < r)
 
 
-def _simplex_boundary_endpoints(o: np.ndarray) -> np.ndarray:
-    """Vertices of the slice {<o, p> = 0} of the simplex; see
-    :func:`_slice_vertex_sets`."""
-    return _slice_vertex_sets(np.asarray(o)[None])[0]
-
-
 def _slice_vertex_sets(O: np.ndarray) -> list[np.ndarray]:
     """Vertices of the slice {<o, p> = 0} of the simplex for each row o of
     the (k, n) array O: the vertices e_m with |o_m| <= 1e-12, then the edge
@@ -194,19 +188,12 @@ def orient_normals(raw_normals) -> OrientedNormals:
     return OrientedNormals(O)
 
 
-def sample_boundary(normal, count: int, seed: int) -> np.ndarray:
-    """Seeded points of the slice {<o, p> = 0} of the simplex, within 1e-10
-    of the hyperplane and with strictly positive coordinates: convex
-    combinations of the slice vertices with Dirichlet(1, ..., 1) weights,
-    or uniform points of the segment when the slice has two vertices."""
-    o = np.asarray(normal, dtype=np.float64)
-    o = o / np.linalg.norm(o)
-    return _sample_slice(o, _simplex_boundary_endpoints(o), count, seed)
-
-
 def _sample_slice(o: np.ndarray, V: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """:func:`sample_boundary` of the unit normal o whose slice has the
-    vertices V."""
+    """Seeded points of the slice {<o, p> = 0} of the simplex, for the unit
+    normal o whose slice has the vertices V, within 1e-10 of the hyperplane
+    and with strictly positive coordinates: convex combinations of the
+    slice vertices with Dirichlet(1, ..., 1) weights, or uniform points of
+    the segment when the slice has two vertices."""
     if count < 1:
         raise SpecError("need at least 1 sample")
     if len(V) < 2:
@@ -459,14 +446,16 @@ def _edge_points(O: np.ndarray, middle: list, norm: str) -> list[np.ndarray]:
     return np.split(E, np.cumsum(np.bincount(k[I[pair]], minlength=len(middle)))[:-1])
 
 
-def _regions(C: np.ndarray, S: np.ndarray) -> tuple[list, list]:
+def _regions(C: np.ndarray, S: np.ndarray, on: np.ndarray) -> tuple[list, list]:
     """The grid pieces l = -1..m-1 (S = C @ O.T has m columns) whose regions
-    do not lie inside one node slice, and the rows of C in each, from one
-    comparison of S with the tie band.  Piece l holds the rows on or above
-    node l and on or below node l + 1, within BOUNDARY_TOL; its region lies
-    inside slice l when none of them is above it beyond the band, or inside
-    slice l + 1 when none is below it."""
-    ge, le = S >= -BOUNDARY_TOL, S <= BOUNDARY_TOL
+    do not lie inside one node slice, and the rows of C in each.  A row
+    marked ``on`` node l is a vertex of slice l; every other row is on the
+    side of node l that the sign of its score gives, with no tolerance, so
+    the regions do not change with the scale of the nodes.  Piece l holds
+    the rows on or above node l and on or below node l + 1; its region lies
+    inside slice l when none of them is above it, or inside slice l + 1
+    when none is below it."""
+    ge, le = on | (S >= 0.0), on | (S <= 0.0)
     true = np.ones((len(S), 1), dtype=bool)
     inside = np.hstack([true, ge]) & np.hstack([le, true])  # column l + 1: piece l
     keep = (np.any(inside & np.hstack([true, ~le]), axis=0)
@@ -482,8 +471,10 @@ def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
     K is the max over the simplex of the dual norm of the gradient on
     sum-zero directions (see :func:`_dual`).  With h_l = nodes[:, l], piece
     l of the grid holds the p with <h_l, p> <= 0 <= <h_{l+1}, p>.  When two
-    consecutive slices {<h_l, p> = 0} share a point of the simplex, the root
-    there is a flat interval and K = inf; that point is returned.  Otherwise
+    consecutive slices {<h_l, p> = 0} share a point of the simplex, to
+    BOUNDARY_TOL in <h_{l+1}, p> at the vertices of slice l, the root there
+    is a flat interval and K = inf; that point is returned.  (So nodes of
+    magnitude near the band give K = inf, a true but vacuous bound.)  Otherwise
     the slices do not meet, so every piece's region polytope has simplex
     vertices and slice vertices as its vertices.  The tails are linear.  A
     middle piece's gradient depends on p only through (u, v) = (-<h_l, p>,
@@ -511,8 +502,10 @@ def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
                 return LipschitzMax(float("inf"), slices[l][int(np.argmax(s))], l,
                                     None, np.full(n, np.nan))
     C = np.vstack([np.eye(n), *slices])
+    on = np.zeros((len(C), m), dtype=bool)  # each slice vertex is on its own slice
+    on[np.arange(n, len(C)), np.repeat(np.arange(m), [len(V) for V in slices])] = True
     best = LipschitzMax(0.0, C[0], -1, C, np.zeros(n))
-    pieces, regions = _regions(C, C @ O.T)
+    pieces, regions = _regions(C, C @ O.T, on)
     if not pieces:
         return best
     edges = iter(_edge_points(O, [(l, R) for l, R in zip(pieces, regions)

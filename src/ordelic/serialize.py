@@ -836,24 +836,6 @@ def read_predictor(path, n: int) -> PredictorTable:
     return p
 
 
-def scenario_to_json(s: ScenarioSpec) -> dict:
-    out = {
-        "features": [
-            {"id": str(x), "weight": float(w), "conditional": c.tolist()}
-            for x, w, c in zip(s.feature_ids, s.weights, s.conditionals)
-        ],
-        "predictor": {"recipe": s.recipe},
-    }
-    if s.recipe == "perturbed":
-        out["predictor"]["eta"] = s.eta
-    if s.recipe == "fixed":
-        out["predictor"]["table"] = {
-            str(k): np.asarray(v, dtype=np.float64).tolist()
-            for k, v in s.fixed_table.items()
-        }
-    return out
-
-
 def scenario_from_json(d) -> ScenarioSpec:
     """Scenario from JSON; errors name the field at fault, and the feature
     or predictor that holds it."""

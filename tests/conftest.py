@@ -18,10 +18,12 @@ from ordelic.properties import (
     OrientedNormals,
     _dual,
     _pairs,
+    _sample_slice,
+    _slice_vertex_sets,
     homogenize_boundary,
     orient_normals,
 )
-from ordelic.scenario import sample_dataset
+from ordelic.scenario import ScenarioSpec, sample_dataset
 from ordelic.serialize import dumps, surrogate_to_json
 from ordelic.simplex import (
     SIMPLEX_TOL,
@@ -121,6 +123,14 @@ def random_normals(n: int, n_reports: int, seed: int) -> OrientedNormals:
     return normals_from_boundaries(random_orderable_spec(n, n_reports, seed)[0])
 
 
+def sample_boundary(normal, count: int, seed: int) -> np.ndarray:
+    """Seeded points of the slice {<o, p> = 0} of the simplex for the normal
+    o, scaled to unit norm; see :func:`ordelic.properties._sample_slice`."""
+    o = np.asarray(normal, dtype=np.float64)
+    o = o / np.linalg.norm(o)
+    return _sample_slice(o, _slice_vertex_sets(o[None])[0], count, seed)
+
+
 def labeled_rows(x_ids, y, n: int) -> tuple:
     """``write_dataset_csv`` arguments (keys, n, blocks) for the rows of the
     given x_ids and labels: one block, ids coded by first appearance."""
@@ -161,6 +171,25 @@ def sampled_counts(scenario, rows: int, seed: int) -> LabelCounts:
     order = np.argsort(first, kind="stable")[:np.count_nonzero(first < rows)]
     return LabelCounts(tuple(scenario.feature_ids[i] for i in order),
                        counts.reshape(features, n)[order])
+
+
+def scenario_to_json(s: ScenarioSpec) -> dict:
+    """The JSON object of a scenario, as ``scenario_from_json`` reads it."""
+    out = {
+        "features": [
+            {"id": str(x), "weight": float(w), "conditional": c.tolist()}
+            for x, w, c in zip(s.feature_ids, s.weights, s.conditionals)
+        ],
+        "predictor": {"recipe": s.recipe},
+    }
+    if s.recipe == "perturbed":
+        out["predictor"]["eta"] = s.eta
+    if s.recipe == "fixed":
+        out["predictor"]["table"] = {
+            str(k): np.asarray(v, dtype=np.float64).tolist()
+            for k, v in s.fixed_table.items()
+        }
+    return out
 
 
 def mass_counts(x_ids, weights, conditionals) -> LabelCounts:
@@ -515,15 +544,15 @@ def _edge_points_reference(O, l, V, norm):
     return V[I[pair]] + t[:, None] * (V[J[pair]] - V[I[pair]])
 
 
-def _region_reference(C, S, l):
+def _region_reference(C, S, on, l):
     m = S.shape[1]
+    above, below = ~on & (S > 0.0), ~on & (S < 0.0)
     inside = np.ones(len(C), dtype=bool)
     if l >= 0:
-        inside &= S[:, l] >= -BOUNDARY_TOL
+        inside &= ~below[:, l]
     if l < m - 1:
-        inside &= S[:, l + 1] <= BOUNDARY_TOL
-    if (l >= 0 and S[inside, l].max(initial=0.0) <= BOUNDARY_TOL) \
-            or (l < m - 1 and S[inside, l + 1].min(initial=0.0) >= -BOUNDARY_TOL):
+        inside &= ~above[:, l + 1]
+    if (l >= 0 and not above[inside, l].any()) or (l < m - 1 and not below[inside, l + 1].any()):
         return None
     return C[inside]
 
@@ -544,9 +573,11 @@ def lipschitz_reference(grid, nodes, norm) -> LipschitzMax:
                                     None, np.full(n, np.nan))
     C = np.vstack([np.eye(n), *slices])
     S = C @ O.T
+    owner = np.concatenate([np.full(n, -1)] + [np.full(len(V), l) for l, V in enumerate(slices)])
+    on = owner[:, None] == np.arange(m)
     best = LipschitzMax(0.0, C[0], -1, C, np.zeros(n))
     for l in range(-1, m):
-        R = _region_reference(C, S, l)
+        R = _region_reference(C, S, on, l)
         if R is None:
             continue
         V = R if l in (-1, m - 1) else np.vstack([R, _edge_points_reference(O, l, R, norm)])

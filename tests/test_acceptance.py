@@ -17,6 +17,7 @@ from conftest import (
     mass_counts,
     normals_from_boundaries,
     random_orderable_spec,
+    sample_boundary,
     sampled_counts,
     written_v_bar,
 )
@@ -38,7 +39,6 @@ from ordelic.properties import (
     CostMatrix,
     normal_from_boundary_samples,
     orient_normals,
-    sample_boundary,
 )
 from ordelic.scenario import ScenarioSpec, materialize_predictor
 from ordelic.serialize import write_json

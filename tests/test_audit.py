@@ -12,6 +12,7 @@ from conftest import (
     node_root_batch,
     normals_from_boundaries,
     random_orderable_spec,
+    sample_boundary,
     sampled_counts,
     sampled_rows,
 )
@@ -32,11 +33,7 @@ from ordelic.audit import (
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
 from ordelic.normals import build_from_normals
-from ordelic.properties import (
-    AffineBoundary,
-    CostMatrix,
-    sample_boundary,
-)
+from ordelic.properties import AffineBoundary, CostMatrix
 from ordelic.scenario import (
     ScenarioSpec,
     exact_dataset,

@@ -1,6 +1,9 @@
 """float_reprs against float.__repr__, on both sides of the kernel's
 threshold."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -95,3 +98,36 @@ def test_every_dropped_digit_count(monkeypatch):
     assert float_reprs(values) == _reference(values)
     assert float_reprs(-values) == _reference(-values)
     assert set(np.concatenate(counts).tolist()) == set(range(19))
+
+
+def _exact_lower_bounds() -> np.ndarray:
+    """The doubles whose lower rounding bound, the midpoint to the double
+    below, is c * 10**j for a c below 1000.  A midpoint is an integer only
+    from 2**54 on, and its odd part, below 2**54, holds 5**j, so j runs
+    over 14..23."""
+    found = set()
+    for c in range(1, 1000):
+        for j in range(14, 24):
+            bound = c * 10 ** j
+            for x in (math.nextafter(float(bound), 0.0), float(bound),
+                      math.nextafter(float(bound), math.inf)):
+                if Fraction(x) + Fraction(math.nextafter(x, 0.0)) == 2 * bound:
+                    found.add(x)
+    return np.array(sorted(found))
+
+
+def test_exact_lower_bounds():
+    """Where the mantissa is even the rounding interval is closed, and the
+    exact lower bound vm can be the shortest text: 4.75e+21 is repr's text
+    of the double above 4.75e21, which the kernel writes as
+    4.750000000000001e+21 unless it takes vm as exact (vm_tz).  The 224
+    such doubles, and their 223 odd neighbours, repeated past
+    KERNEL_MIN_VALUES, both signs."""
+    values = _exact_lower_bounds()
+    even = (values.view(np.uint64) & np.uint64(1)) == 0
+    assert len(values) == 447 and np.count_nonzero(even) == 224
+    assert np.array_equal(_floatrepr._bounds(values.view(np.uint64))[4], even)
+    assert repr(4.75e21) == "4.75e+21" and 4.75e21 in values.tolist()
+    values = np.tile(values, -(-KERNEL_MIN_VALUES // len(values)))
+    assert float_reprs(values) == _reference(values)
+    assert float_reprs(-values) == _reference(-values)

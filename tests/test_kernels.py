@@ -16,7 +16,7 @@ from conftest import (
 from ordelic._kernels import backend_name, roe_batch
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.normals import build_from_normals
-from ordelic.properties import AffineBoundary, CostMatrix, _simplex_boundary_endpoints
+from ordelic.properties import AffineBoundary, CostMatrix, _slice_vertex_sets
 from ordelic.simplex import sample_simplex
 
 
@@ -84,8 +84,7 @@ def _slice_points(s, count: int, seed: int) -> np.ndarray:
     convex combinations of them, which lie on the slices as well."""
     rng = np.random.default_rng(seed)
     out = []
-    for h in s.nodes.T:
-        V = _simplex_boundary_endpoints(h)
+    for V in _slice_vertex_sets(s.nodes.T):
         if len(V):
             out += [V, rng.dirichlet(np.ones(len(V)), count) @ V]
     return np.concatenate(out)

@@ -15,6 +15,7 @@ from conftest import (
     random_normals,
     random_orderable_spec,
     region_index,
+    sample_boundary,
     slice_distance_qp,
     written_v_bar,
 )
@@ -28,7 +29,6 @@ from ordelic.properties import (
     _dual,
     _gradients,
     orient_normals,
-    sample_boundary,
 )
 from ordelic.simplex import sample_simplex
 

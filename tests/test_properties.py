@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     EMBEDDING_TIE,
+    EQ1_PHI,
     NORMALS_TIE,
     O1,
     O2,
@@ -20,6 +21,7 @@ from conftest import (
     random_normals,
     random_orderable_spec,
     region_index,
+    sample_boundary,
     segment_distance,
     slice_distance_qp,
     slice_vertices_reference,
@@ -44,14 +46,12 @@ from ordelic.properties import (
     Surrogate,
     _first_columns,
     _min_norm_point,
-    _simplex_boundary_endpoints,
     _slice_vertex_sets,
     boundaries_from_cost,
     boundary_gap,
     homogenize_boundary,
     normal_from_boundary_samples,
     orient_normals,
-    sample_boundary,
 )
 from ordelic.serialize import dumps, surrogate_from_json, surrogate_to_json
 from ordelic.simplex import as_simplex_points, norm_order, sample_simplex
@@ -163,11 +163,10 @@ def _slice_vertex_loop(o, tol=1e-12):
 def test_slice_vertices_match_edge_loop(n, seed, zeros):
     """The batched enumeration returns the per-edge points bit for bit, in
     order, and each lies on the boundary within the simplex."""
-    from ordelic.properties import _simplex_boundary_endpoints
     o = np.random.default_rng(seed).standard_normal(n)
     o[: min(zeros, n - 2)] = 0.0
     o /= np.linalg.norm(o)
-    got = _simplex_boundary_endpoints(o)
+    got = _slice_vertex_sets(o[None])[0]
     want = _slice_vertex_loop(o)
     assert got.tolist() == [p.tolist() for p in want]
     assert np.all(got >= 0) and np.allclose(got.sum(axis=1), 1.0)
@@ -249,6 +248,26 @@ def test_nodes_up_to_the_bound_give_the_exact_k(fixture_embedding):
         Surrogate(s.grid, np.ldexp(s.nodes, k + 1), s.thresholds, cost=s.cost)
 
 
+
+@pytest.mark.parametrize("seed,n", [(None, 3), (9, 4), (32, 3), (3, 4), (0, 5)])
+def test_k_does_not_depend_on_the_cost_scale(fixture_cost, seed, n):
+    """The embedding of a cost times 1e9 or 1e25, with its outer slope
+    scaled alike, has the K of the cost itself to 1e-9 relative in every
+    norm: the README cost at phi 0, 1, 3 (seed None) and random specs.  At
+    1e25 the README cost's l2 K once read 18.708 against 21.654, and at 1e9
+    seed 9, n = 4 read 4.577 against 18.343, when the regions were cut with
+    a tie band on the node scores."""
+    cost, phi = (fixture_cost, EQ1_PHI) if seed is None else \
+        random_orderable_spec(n, 4, seed)[1:]
+    inp = build_envelope_loss(cost, phi)
+    s = build_surrogate(inp)
+    for scale in (1e9, 1e25):
+        big = build_surrogate(build_envelope_loss(
+            CostMatrix(cost.entries * scale), phi, inp.outer_slope * scale))
+        for norm in ("l1", "l2", "linf"):
+            assert big.lipschitz(norm) == pytest.approx(s.lipschitz(norm), rel=1e-9), \
+                (scale, norm)
+
 class TestOrderabilityErrors:
     """Each failure names its cause and the boundaries at fault, whether the
     normals are built or loaded from a surrogate file."""
@@ -298,7 +317,7 @@ class TestOrderabilityErrors:
         slices = OrientedNormals(O).slices
         assert len(slices) == len(O)
         for V, o in zip(slices, O):
-            assert np.array_equal(V, _simplex_boundary_endpoints(o))
+            assert np.array_equal(V, _slice_vertex_sets(o[None])[0])
 
 
 class TestBoundarySampling:
@@ -598,7 +617,7 @@ class TestGaps:
     def test_matches_segment_distance_at_n3(self, seed):
         normals = random_normals(3, 4, seed=seed)
         for i in (1, 2):
-            V, W = (_simplex_boundary_endpoints(o) for o in normals.o[i - 1:i + 1])
+            V, W = _slice_vertex_sets(normals.o[i - 1:i + 1])
             assert len(V) == len(W) == 2
             want = segment_distance(V[0], V[1], W[0], W[1])
             assert abs(boundary_gap(normals, i) - want) <= 1e-12
@@ -630,7 +649,7 @@ def test_gap_is_the_exact_slice_distance(n, n_reports, seed):
         assert abs(g - slice_distance_qp(O[i - 1], O[i])) <= 1e-12
         p, q = (sample_boundary(o, 64, seed + j) for j, o in enumerate(O[i - 1:i + 1]))
         assert g <= np.linalg.norm(p[:, None] - q, axis=2).min()
-        V, W = (_simplex_boundary_endpoints(o) for o in O[i - 1:i + 1])
+        V, W = _slice_vertex_sets(O[i - 1:i + 1])
         _, lam = _min_norm_point((V[:, None] - W).reshape(-1, n), _WOLFE_MAX_ITER)
         lam = lam.reshape(len(V), len(W))
         a, b = lam.sum(axis=1) @ V, lam.sum(axis=0) @ W

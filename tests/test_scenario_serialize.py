@@ -24,7 +24,9 @@ from conftest import (
     random_orderable_spec,
     reference_counts,
     sampled_counts,
+    sample_boundary,
     sampled_rows,
+    scenario_to_json,
     written_v_bar,
 )
 from ordelic import _floatrepr, serialize
@@ -33,10 +35,7 @@ from ordelic.audit import PredictorTable
 from ordelic.embedding import build_envelope_loss, build_surrogate
 from ordelic.errors import SpecError
 from ordelic.normals import build_from_normals
-from ordelic.properties import (
-    CostMatrix,
-    sample_boundary,
-)
+from ordelic.properties import CostMatrix
 from ordelic.scenario import (
     GUIDE_BUCKETS,
     ROW_BLOCK,
@@ -54,7 +53,6 @@ from ordelic.serialize import (
     read_dataset_csv,
     read_json,
     scenario_from_json,
-    scenario_to_json,
     surrogate_from_json,
     surrogate_to_json,
     write_dataset_csv,
