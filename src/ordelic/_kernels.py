@@ -12,13 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 _DEN_TOL = 1e-12
-# The one tie tolerance of region decisions (the kernel's grid piece, target
-# sets): a score against a boundary normal at most this is on the lower side.
+# The one tie band, as a unit-normal score: see tie_band.
 BOUNDARY_TOL = 1e-10
 
 
 def backend_name() -> str:
     return "numpy"
+
+
+def tie_band(C, tol=BOUNDARY_TOL) -> np.ndarray:
+    """tol * ||c|| for each c = C[:, ...] (a vector is one c): p is
+    in the tie band of the hyperplane <c, p> = 0 when |<c, p>| is at most
+    this, a unit-normal score of at most BOUNDARY_TOL, so scaling c moves no
+    point in or out of the band.  Every band test of the package uses it.
+    """
+    # hypot's reduction does not square, so entries up to 1e308 give a
+    # finite band
+    return tol * np.hypot.reduce(np.asarray(C, dtype=np.float64), axis=0)
 
 
 def _as_c(a) -> np.ndarray:
@@ -30,15 +40,18 @@ def roe_batch(grid, nodes, probs) -> np.ndarray:
 
     ``grid``: (m,) breakpoints; ``nodes``: (n, m) values v_y(grid_l), with
     unit-slope tails outside the grid.  With h_l = nodes[:, l] the root lies
-    on the piece l after the last node with <h_l, p> < -BOUNDARY_TOL, where
-    it is the ratio of expectations g_l + (g_{l+1} - g_l) a / (a + b),
-    a = -<h_l, p>, b = <h_{l+1}, p>.  A run of two or more nodes within
-    BOUNDARY_TOL of zero is a flat root interval; its midpoint is returned.
+    on the piece l after the last node with <h_l, p> below the tie band
+    (:func:`tie_band`), where it is the ratio of expectations
+    g_l + (g_{l+1} - g_l) a / (a + b), a = -<h_l, p>, b = <h_{l+1}, p>.  A
+    run of two or more nodes in their bands is a flat root interval; its
+    midpoint is returned.  A denominator a + b at most ``_DEN_TOL`` ||h_l||
+    raises.
     """
-    g = _as_c(grid)
-    M = _as_c(probs) @ _as_c(nodes)  # (batch, m)
+    g, H = _as_c(grid), _as_c(nodes)
+    M = _as_c(probs) @ H  # (batch, m)
     m = M.shape[1]
-    lo, hi = _count_columns(M < -BOUNDARY_TOL), _count_columns(M <= BOUNDARY_TOL)
+    band = tie_band(H)
+    lo, hi = _count_columns(M < -band), _count_columns(M <= band)
     out = np.empty(M.shape[0])
 
     first = lo == 0
@@ -53,7 +66,7 @@ def roe_batch(grid, nodes, probs) -> np.ndarray:
         at = rows * m + l
         a = -M.ravel()[at]
         den = a + M.ravel()[at + 1]
-        if np.any(den <= _DEN_TOL):
+        if np.any(den <= tie_band(H, _DEN_TOL)[l]):
             raise FloatingPointError(
                 "ratio-of-expectations denominator below tolerance; "
                 "strong orderability violated at a sample point"

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ordelic._kernels import tie_band
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
 from ordelic.properties import LipschitzMax, Surrogate
 from ordelic.simplex import (
@@ -30,8 +31,8 @@ from ordelic.simplex import (
 
 _BOUND_SLACK = 1e-9
 # Least distance of a counterexample point from a node slice, and of the
-# pair's points from each other; below it rounding and the kernel's tie band
-# (BOUNDARY_TOL) would decide the measured ratio.
+# pair's points from each other; below it rounding would decide the measured
+# ratio.
 _WITNESS_MARGIN = 1e-9
 _HALVINGS = 60  # scale halvings of a counterexample pair before giving up
 
@@ -322,12 +323,15 @@ def check_postprocessing_bound(bins: _Bins, surrogate: Surrogate,
                        extras={"epsilon_dist": eps, "epsilon_surrogate": eps_prime})
 
 
-def _clearance(nodes: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Least distance of each row of P from a node slice {<h_l, p> = 0}, or
-    its score |<h_l, p>| where that is smaller, so that a point clear by
-    more than BOUNDARY_TOL is outside the kernel's tie band of every node."""
-    H = nodes - nodes.mean(axis=0)
-    return (np.abs(P @ nodes) / np.maximum(1.0, np.linalg.norm(H, axis=0))).min(axis=1)
+def _clear(nodes: np.ndarray, P: np.ndarray) -> bool:
+    """Whether every row of P is clear of every node slice {<h_l, p> = 0}:
+    |<h_l, p>| above ``_WITNESS_MARGIN`` ||h_l - mean h_l||, a distance from
+    the slice in the simplex's plane, and above twice the kernel's tie band
+    (:func:`~ordelic._kernels.tie_band`), so that the kernel takes the
+    point's own grid piece."""
+    margin = np.maximum(tie_band(nodes - nodes.mean(axis=0), _WITNESS_MARGIN),
+                        2 * tie_band(nodes))
+    return bool(np.all(np.abs(P @ nodes) > margin))
 
 
 def _pairs_near_maximizer(nodes: np.ndarray, top: LipschitzMax):
@@ -350,7 +354,7 @@ def _pairs_near_maximizer(nodes: np.ndarray, top: LipschitzMax):
         delta = 0.5 ** k
         p = top.point + delta * (c - top.point)
         P = as_simplex_points(np.stack([p, p + rho * delta * top.direction]))
-        if _clearance(nodes, P).min() < _WITNESS_MARGIN:
+        if not _clear(nodes, P):
             return
         yield P
 
@@ -368,7 +372,7 @@ def _pairs_at_shared_point(nodes: np.ndarray, top: LipschitzMax):
     for k in range(1, _HALVINGS):
         P = as_simplex_points(np.stack([top.point,
                                         top.point + 0.5 ** k * (c - top.point)]))
-        if _clearance(nodes, P[1:]).min() < _WITNESS_MARGIN:
+        if not _clear(nodes, P[1:]):
             return
         yield P
 
@@ -385,8 +389,9 @@ def counterexample_gap(surrogate: Surrogate, C: float, norm="l2"):
     :func:`_pairs_near_maximizer` and, for K = inf,
     :func:`_pairs_at_shared_point`), halving its scale until the ratio,
     measured by ``gamma_many``, exceeds C.  The points stay at least 1e-9
-    from each other and, except for the shared point where K = inf, from
-    every node slice, so the kernel's tie band cannot inflate the ratio;
+    from each other and, except for the shared point where K = inf, 1e-9
+    from every node slice and outside its tie band (:func:`_clear`), so
+    the kernel's tie band cannot inflate the ratio;
     when C is too close to K to reach at that margin,
     :class:`SearchFailure` names the best certified ratio.
     """

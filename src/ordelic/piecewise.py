@@ -15,7 +15,8 @@ import numpy as np
 from ordelic.errors import SpecError
 
 CONTINUITY_TOL = 1e-9
-# A max-affine piece this close (relative) to the max is active there.
+# A max-affine piece this close to the max is active there, relative to the
+# largest |a u| + |b| of the pieces, so scaling the loss changes no active set.
 ACTIVE_TOL = 1e-9
 
 
@@ -38,12 +39,14 @@ class MaxAffinePieces:
 
     def derivative_interval_many(self, us) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) derivatives at each of ``us``: the least and the
-        largest slope of the pieces within ACTIVE_TOL (relative) of the max
-        there."""
+        largest slope of the pieces within ACTIVE_TOL of the max there,
+        relative to the largest |a u| + |b| of the pieces."""
         a, b = self.pieces[:, 0], self.pieces[:, 1]
-        vals = a * np.asarray(us, dtype=np.float64)[:, None] + b
+        au = a * np.asarray(us, dtype=np.float64)[:, None]
+        vals = au + b
         top = vals.max(axis=1, keepdims=True)
-        active = vals >= top - ACTIVE_TOL * (1.0 + np.abs(top))
+        size = (np.abs(au) + np.abs(b)).max(axis=1, keepdims=True)
+        active = vals >= top - ACTIVE_TOL * size
         return (np.where(active, a, np.inf).min(axis=1),
                 np.where(active, a, -np.inf).max(axis=1))
 

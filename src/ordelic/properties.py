@@ -15,7 +15,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from ordelic._kernels import BOUNDARY_TOL, roe_batch
+from ordelic._kernels import roe_batch, tie_band
 from ordelic.errors import (
     OrdelicError,
     OrderabilityError,
@@ -28,7 +28,7 @@ from ordelic.simplex import as_simplex_points, norm_name
 _SV_RTOL = 1e-9
 _MIN_GAP = 1e-9  # least separation, along a normal, of consecutive slices
 _WOLFE_MAX_ITER = 1000  # major plus minor cycles of one min-norm point search
-NODE_DECREASE_TOL = 1e-12  # largest fall between embedding nodes taken as flat
+NODE_DECREASE_TOL = 1e-12  # largest relative fall between embedding nodes taken as flat
 # Largest magnitude of an identification node: K's l2 edge points solve a
 # quadratic whose discriminant, of degree 10 in the nodes, overflows from 1e31.
 NODE_MAX_MAGNITUDE = 1e30
@@ -60,19 +60,26 @@ class CostMatrix:
         return self.entries.shape[1]
 
     def target_sets(self, probs) -> np.ndarray:
-        """(rows, reports) mask of the expected-cost minimizers within
-        BOUNDARY_TOL at each row of ``probs``."""
+        """(rows, reports) mask of the expected-cost minimizers at each row
+        of ``probs``: report r is in the set when, for every report s, p is
+        below or in the tie band of <l_r - l_s, p> = 0."""
         return self._target_mask(as_simplex_points(probs))
 
     def _target_mask(self, P: np.ndarray) -> np.ndarray:
-        """:meth:`target_sets` at rows already validated; the few columns are
-        reduced one at a time, which is several times faster than ``axis=1``."""
-        ec = P @ self.entries.T
-        low = ec[:, 0].copy()
-        for column in ec.T[1:]:
-            np.minimum(low, column, out=low)
-        low += BOUNDARY_TOL
-        return ec <= low[:, None]
+        """:meth:`target_sets` at rows already validated: the least
+        <l_s, p> + band[r, s] over s, for each r, with band[r, s] the tie band
+        of <l_r - l_s, p> = 0 (:func:`tie_band`), one column at a time,
+        which is several times faster than reducing over an axis."""
+        E = self.entries
+        ec = P @ E.T
+        mask = np.empty(ec.shape, dtype=bool)
+        low = np.empty(len(ec))
+        for r, band in enumerate(tie_band((E[:, None] - E).T)):
+            np.add(ec[:, 0], band[0], out=low)
+            for column, b in zip(ec.T[1:], band[1:]):
+                np.minimum(low, column + b, out=low)
+            np.less_equal(ec[:, r], low, out=mask[:, r])
+        return mask
 
 
 @dataclass(frozen=True)
@@ -190,8 +197,8 @@ def orient_normals(raw_normals) -> OrientedNormals:
 
 def _sample_slice(o: np.ndarray, V: np.ndarray, count: int, seed: int) -> np.ndarray:
     """Seeded points of the slice {<o, p> = 0} of the simplex, for the unit
-    normal o whose slice has the vertices V, within 1e-10 of the hyperplane
-    and with strictly positive coordinates: convex combinations of the
+    normal o whose slice has the vertices V, in its tie band and with
+    strictly positive coordinates: convex combinations of the
     slice vertices with Dirichlet(1, ..., 1) weights, or uniform points of
     the segment when the slice has two vertices."""
     if count < 1:
@@ -207,7 +214,7 @@ def _sample_slice(o: np.ndarray, V: np.ndarray, count: int, seed: int) -> np.nda
     pts = pts - np.outer(pts @ o, o)  # exact projection onto the hyperplane
     pts = np.clip(pts, 0.0, None)
     pts /= pts.sum(axis=1, keepdims=True)
-    if np.any(np.abs(pts @ o) > BOUNDARY_TOL) or np.any(pts <= 0):
+    if np.any(np.abs(pts @ o) > tie_band(o)) or np.any(pts <= 0):
         raise SimplexError("boundary sampling failed to stay in the relative interior")
     return pts
 
@@ -304,20 +311,21 @@ class OrientedNormals:
 
     def target_sets(self, probs) -> np.ndarray:
         """(rows, reports) mask of the regions holding each row of ``probs``;
-        a point within BOUNDARY_TOL of a boundary is in both adjacent ones."""
+        a point in the tie band of a boundary is in both adjacent ones."""
         return self._target_mask(as_simplex_points(probs))
 
     def _target_mask(self, P: np.ndarray) -> np.ndarray:
         """:meth:`target_sets` at rows already validated: region j holds the
         rows on or above boundaries 1..j-1 and on or below boundaries j..k,
-        within BOUNDARY_TOL, built one column at a time."""
+        up to the tie band, built one column at a time."""
         S = P @ self.o.T
+        band = tie_band(self.o.T)
         mask = np.ones((len(S), self.k + 1), dtype=bool)
         for j in range(1, self.k + 1):  # on or above every boundary below j
-            np.logical_and(mask[:, j - 1], S[:, j - 1] >= -BOUNDARY_TOL, out=mask[:, j])
+            np.logical_and(mask[:, j - 1], S[:, j - 1] >= -band[j - 1], out=mask[:, j])
         below = np.ones(len(S), dtype=bool)
         for j in range(self.k - 1, -1, -1):  # on or below every boundary from j
-            below &= S[:, j] <= BOUNDARY_TOL
+            below &= S[:, j] <= band[j]
             mask[:, j] &= below
         return mask
 
@@ -471,10 +479,11 @@ def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
     K is the max over the simplex of the dual norm of the gradient on
     sum-zero directions (see :func:`_dual`).  With h_l = nodes[:, l], piece
     l of the grid holds the p with <h_l, p> <= 0 <= <h_{l+1}, p>.  When two
-    consecutive slices {<h_l, p> = 0} share a point of the simplex, to
-    BOUNDARY_TOL in <h_{l+1}, p> at the vertices of slice l, the root there
-    is a flat interval and K = inf; that point is returned.  (So nodes of
-    magnitude near the band give K = inf, a true but vacuous bound.)  Otherwise
+    consecutive slices {<h_l, p> = 0} share a point of the simplex, up to
+    the tie band of h_{l+1} (:func:`~ordelic._kernels.tie_band`) at a vertex
+    of slice l, the kernel finds a flat root interval there and K = inf;
+    that vertex is returned.  The band is relative to ||h_{l+1}||, so K does
+    not change when the nodes are scaled.  Otherwise
     the slices do not meet, so every piece's region polytope has simplex
     vertices and slice vertices as its vertices.  The tails are linear.  A
     middle piece's gradient depends on p only through (u, v) = (-<h_l, p>,
@@ -495,10 +504,11 @@ def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
     m, n = O.shape
     if slices is None:
         slices = _slice_vertex_sets(O)
+    band = tie_band(O.T)
     for l in range(m - 1):
         if len(slices[l]):
             s = slices[l] @ O[l + 1]
-            if s.max() >= -BOUNDARY_TOL:
+            if s.max() >= -band[l + 1]:
                 return LipschitzMax(float("inf"), slices[l][int(np.argmax(s))], l,
                                     None, np.full(n, np.nan))
     C = np.vstack([np.eye(n), *slices])
@@ -533,7 +543,8 @@ class Surrogate:
     The property at p is the root of u -> sum_y p_y v_y(u), where v_y
     interpolates ``nodes[y]`` on the strictly increasing ``grid`` and has
     unit slope outside it; the nodes are exactly -o for the normals
-    construction and nondecreasing (to NODE_DECREASE_TOL) for the embedding.
+    construction and nondecreasing (to NODE_DECREASE_TOL times the largest
+    node magnitude) for the embedding.
     One kernel evaluates the root for both.  ``value_range`` spans the roots
     at the simplex vertices, which bound every root.  ``lipschitz_bound`` is
     the exact Euclidean Lipschitz constant of the property (inf where it is
@@ -541,9 +552,9 @@ class Surrogate:
     too, computed on first use.  The link maps u to report 1 + #(thresholds
     < u), exactly, so a u on a threshold goes to the lower report.  The
     discrete target comes from ``cost`` when present, else from ``normals``;
-    its sets hold every report within BOUNDARY_TOL of the best, and with
-    them the link of the property value is a target report at every point:
-    psi(gamma(p)) in Gamma(p).
+    its sets hold every report that no other beats by more than the tie
+    band of their boundary, and with them the link of the property value is
+    a target report at every point: psi(gamma(p)) in Gamma(p).
     """
 
     grid: np.ndarray
@@ -583,7 +594,7 @@ class Surrogate:
             raise SpecError(f"the identification nodes reach magnitude {big:g}; the exact "
                             f"Lipschitz constant takes at most {NODE_MAX_MAGNITUDE:g}")
         if want is None:
-            why, bad = "decrease along the grid", np.diff(nodes) < -NODE_DECREASE_TOL
+            why, bad = "decrease along the grid", np.diff(nodes) < -NODE_DECREASE_TOL * big
         else:
             why, bad = "are not the negated normals", nodes != want
         if np.any(bad):
@@ -645,7 +656,7 @@ class Surrogate:
 
     def discrete_set_many(self, probs) -> np.ndarray:
         """(rows, reports) mask of the target reports at each row of probs;
-        a point within BOUNDARY_TOL of a boundary gets both adjacent ones."""
+        a point in the tie band of a boundary gets both adjacent ones."""
         return self._target().target_sets(probs)
 
     def _target(self) -> CostMatrix | OrientedNormals:

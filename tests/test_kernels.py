@@ -30,11 +30,15 @@ class TestBackendAgreement:
     def test_node_root_flat_interval(self):
         # expectation flat at zero over [0, 1]: midpoint root
         assert roe_batch([0.0, 1.0], [[0.0, 0.0]], [[1.0]])[0] == 0.5
-        # a flat run in the middle of a longer grid, and one within the tie
-        # tolerance of zero
+        # a flat run in the middle of a longer grid, and one in the tie band,
+        # |<h_l, p>| <= BOUNDARY_TOL ||h_l||
         bp = [0.0, 1.0, 2.0, 4.0]
         assert roe_batch(bp, [[-1.0, 0.0, 0.0, 1.0]], [[1.0]])[0] == 1.5
-        assert roe_batch(bp, [[-1.0, -1e-11, 1e-11, 1.0]], [[1.0]])[0] == 1.5
+        nodes = [[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0 - 2e-11, 1.0 + 3e-11, 1.0]]
+        assert roe_batch(bp, nodes, [[0.5, 0.5]])[0] == 1.5
+        # the band scales with the node column: tiny nodes are no flat run,
+        # and the root is their ratio of expectations
+        assert roe_batch(bp, [[-1.0, -1e-11, 3e-11, 1.0]], [[1.0]])[0] == 1.25
 
     def test_node_root_outside_grid(self):
         # all node expectations positive: root on the unit-slope left tail
