@@ -7,7 +7,6 @@ predictors for the associated calibration notions.
 """
 
 from ordelic.simplex import LabelCounts, as_simplex_point, sample_simplex
-from ordelic.piecewise import MaxAffinePieces
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
@@ -24,7 +23,6 @@ __all__ = [
     "LabelCounts",
     "as_simplex_point",
     "sample_simplex",
-    "MaxAffinePieces",
     "AffineBoundary",
     "CostMatrix",
     "OrientedNormals",

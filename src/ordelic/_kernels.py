@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ordelic.errors import OrderabilityError
+
 _DEN_TOL = 1e-12
 # The one tie band, as a unit-normal score: see tie_band.
 BOUNDARY_TOL = 1e-10
@@ -45,7 +47,7 @@ def roe_batch(grid, nodes, probs) -> np.ndarray:
     g_l + (g_{l+1} - g_l) a / (a + b), a = -<h_l, p>, b = <h_{l+1}, p>.  A
     run of two or more nodes in their bands is a flat root interval; its
     midpoint is returned.  A denominator a + b at most ``_DEN_TOL`` ||h_l||
-    raises.
+    raises OrderabilityError.
     """
     g, H = _as_c(grid), _as_c(nodes)
     M = _as_c(probs) @ H  # (batch, m)
@@ -67,7 +69,7 @@ def roe_batch(grid, nodes, probs) -> np.ndarray:
         a = -M.ravel()[at]
         den = a + M.ravel()[at + 1]
         if np.any(den <= tie_band(H, _DEN_TOL)[l]):
-            raise FloatingPointError(
+            raise OrderabilityError(
                 "ratio-of-expectations denominator below tolerance; "
                 "strong orderability violated at a sample point"
             )

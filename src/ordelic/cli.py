@@ -19,7 +19,7 @@ import numpy as np
 
 from ordelic import audit as audit_mod
 from ordelic import serialize
-from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import OrdelicError, OrderabilityError, SearchFailure, SpecError
 from ordelic.normals import full_pipeline
 from ordelic.scenario import exact_dataset, materialize_predictor, sample_dataset
@@ -122,11 +122,11 @@ def _build_embedding(spec: dict, args):
     if cost is None:
         raise SpecError("the embedding construction needs a cost matrix spec")
     phi = _parse_phi(args.phi, cost.n_reports)
-    inp = build_envelope_loss(cost, phi, args.outer_slope)
+    inp = EmbeddingInput(cost, phi, args.outer_slope)
     try:
         surrogate = build_surrogate(inp)
-    except SpecError as exc:
-        raise SpecError(f"{args.spec}: {exc}") from None
+    except (SpecError, OrderabilityError) as exc:
+        raise type(exc)(f"{args.spec}: {exc}") from None
     report = {
         "algo": "embedding",
         "phi": phi.tolist(),

@@ -1,69 +1,82 @@
-"""Smoothed surrogate built from an embedded max-affine loss.
+"""Smoothed surrogate built from the slopes of the embedded costs.
 
 The discrete reports are embedded at strictly increasing reals phi.  Each
-outcome's loss becomes the max of the lower-convex-envelope chords through
-the embedded cost values plus steep outer extensions.  A three-case
-pseudo-derivative at the interpolation grid, linearly interpolated with
-unit-slope tails, gives a nondecreasing identification function whose
-expected root is a Lipschitz property refining the discrete target through
-a midpoint-threshold link.
+outcome's embedded loss interpolates its costs at phi linearly, with outer
+slopes -S and +S, and it is convex exactly when its slopes do not fall.
+Its three-case pseudo-derivative at phi and at the midpoints between them,
+linearly interpolated with unit-slope tails, gives a nondecreasing
+identification function whose expected root is a Lipschitz property
+refining the discrete target through a midpoint-threshold link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ordelic.errors import SpecError
-from ordelic.piecewise import MaxAffinePieces, lower_convex_envelope
-from ordelic.properties import CostMatrix, Surrogate
-
-_EMBED_TOL = 1e-10
+from ordelic.properties import NODE_DECREASE_TOL, CostMatrix, Surrogate
 
 
 @dataclass(frozen=True)
 class EmbeddingInput:
-    """Per-outcome embedded losses plus the report embedding points."""
+    """A cost matrix, the strictly increasing points ``phi`` its reports are
+    embedded at, and the outer slope S, by default 1 plus the steepest cost
+    slope of any outcome.
 
-    losses: tuple  # MaxAffinePieces per outcome
-    phi: np.ndarray  # strictly increasing, one per report
-    cost: CostMatrix | None = None
-    outer_slope: float | None = None  # of the outer extensions, when built here
+    ``slopes`` holds each outcome's embedded-loss slopes from left to right:
+    -S, the slopes (c_{r+1} - c_r) / (phi_{r+1} - phi_r) of its costs, S.
+    A row must not fall by more than NODE_DECREASE_TOL times its largest
+    magnitude, which makes each embedded loss convex: a fall inside names
+    the report triple that bends down and a phi that works, if one does; a
+    fall at an end means S is too small.
+    """
+
+    cost: CostMatrix
+    phi: np.ndarray
+    outer_slope: float | None = None
+    slopes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)
+        costs = self.cost.entries
+        if len(phi) != self.cost.n_reports:
+            raise SpecError("one embedding point per report required")
+        if not np.all(np.isfinite(phi)):
+            raise SpecError(f"embedding points phi must be finite, got {phi.tolist()}")
         if np.any(np.diff(phi) <= 0):
             raise SpecError("embedding points must be strictly increasing")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "losses", tuple(self.losses))
-        if self.cost is not None:
-            if len(phi) != self.cost.n_reports:
-                raise SpecError("one embedding point per report required")
-            if len(self.losses) != self.cost.n_outcomes:
-                raise SpecError("one loss per outcome required")
-            for y, loss in enumerate(self.losses):
-                got = loss(phi)
-                want = self.cost.entries[:, y]
-                if np.any(np.abs(got - want) > _EMBED_TOL * (1.0 + np.abs(want))):
-                    raise SpecError(_mismatch_message(want, phi, y + 1))
+        if self.outer_slope is not None and not 0 < float(self.outer_slope) < np.inf:
+            raise SpecError(f"outer slope must be finite and positive, got "
+                            f"{float(self.outer_slope)}")
+        d = np.diff(costs, axis=0).T / np.diff(phi)
+        S = float(1.0 + np.abs(d).max() if self.outer_slope is None else self.outer_slope)
+        slopes = np.column_stack([np.full(len(d), -S), d, np.full(len(d), S)])
+        falls = np.diff(slopes) < -NODE_DECREASE_TOL * np.abs(slopes).max(axis=1)[:, None]
+        ends = falls[:, [0, -1]].any(axis=1)
+        if ends.any():
+            y = int(np.argmax(ends))
+            raise SpecError(f"outer slope {S} does not dominate chord slopes "
+                            f"(max magnitude {np.abs(d[y]).max()}) for outcome {y + 1}")
+        if falls.any():
+            y = int(np.argmax(falls.any(axis=1)))
+            raise SpecError(f"{_mismatch_message(costs[:, y], phi, falls[y, 1:-1], y + 1)}; "
+                            f"{_convex_phi(costs, phi)}")
+        for name, value in (("phi", phi), ("outer_slope", S), ("slopes", slopes)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.losses)
 
-
-def _mismatch_message(costs: np.ndarray, phi: np.ndarray, outcome: int) -> str:
-    """Why an embedded loss misses an outcome's costs: the consecutive report
-    triple whose costs bend down most against phi, and the spacing ratio of
-    phi that would make it convex; a generic message if none bends down."""
+def _mismatch_message(costs: np.ndarray, phi: np.ndarray, falls: np.ndarray,
+                      outcome: int) -> str:
+    """Why an outcome's costs are not convex in phi: of the consecutive
+    report triples whose slope falls (``falls``), the one whose costs bend
+    down most against phi, and the spacing ratio of phi that would make it
+    convex."""
     d, gaps = np.diff(costs), np.diff(phi)
     ratio = gaps[1:] / gaps[:-1]
     bend = d[:-1] * ratio - d[1:]  # > 0: the middle point is above the chord
-    if not np.any(bend > 0):
-        return (f"loss for outcome {outcome} does not match the cost matrix "
-                "at the embedded points")
-    r = int(np.argmax(bend))
+    r = int(np.argmax(np.where(falls, bend, -np.inf)))
     d1, d2 = d[r], d[r + 1]
     spacing = f"(phi{r + 3} - phi{r + 2})/(phi{r + 2} - phi{r + 1})"
     if d1 < 0 or d2 > 0:
@@ -77,71 +90,51 @@ def _mismatch_message(costs: np.ndarray, phi: np.ndarray, outcome: int) -> str:
             f"{need}")
 
 
-def build_envelope_loss(cost: CostMatrix, phi, outer_slope: float | None = None
-                        ) -> EmbeddingInput:
-    """Embedded loss: envelope chords of (phi_r, cost[r, y]) plus outer
-    extensions of slope -S and +S through the extreme points.
+def _convex_phi(costs: np.ndarray, phi: np.ndarray) -> str:
+    """A phi from the first two of ``phi`` at which the costs of every
+    outcome (the columns of ``costs``) are convex, or why none exists.
 
-    ``outer_slope`` S must be at least the largest chord-slope magnitude so
-    the extensions never cut below the chords; by default it is 1 plus the
-    largest over all outcomes.
+    With cost steps d1, d2 across a report triple, its spacing ratio rho > 0
+    makes the triple convex when d1 rho <= d2: rho >= d2 / d1 where d1 < 0,
+    rho <= d2 / d1 where d1 > 0, and none where d1 = 0 > d2.  Each triple
+    keeps its ratio where it fits every outcome, else takes the middle of
+    the ratios that do, or twice the least when they have no upper bound.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    if len(phi) != cost.n_reports:
-        raise SpecError("one embedding point per report required")
-    if not np.all(np.isfinite(phi)):
-        raise SpecError(f"embedding points phi must be finite, got {phi.tolist()}")
-    if np.any(np.diff(phi) <= 0):
-        raise SpecError("embedding points must be strictly increasing")
-    if outer_slope is not None and not 0 < float(outer_slope) < np.inf:
-        raise SpecError(f"outer slope must be finite and positive, got {float(outer_slope)}")
-    points = [np.column_stack([phi, cost.entries[:, y]]) for y in range(cost.n_outcomes)]
-    chords = [lower_convex_envelope(pts) for pts in points]
-    steepest = [max(abs(a) for a, _ in c) for c in chords]
-    S = 1.0 + max(steepest) if outer_slope is None else float(outer_slope)
-    losses = []
-    for y, (pts, c, max_slope) in enumerate(zip(points, chords, steepest)):
-        if S < max_slope - 1e-12:
-            raise SpecError(
-                f"outer slope {S} does not dominate chord slopes "
-                f"(max magnitude {max_slope}) for outcome {y + 1}"
-            )
-        left = (-S, pts[0, 1] + S * pts[0, 0])
-        right = (S, pts[-1, 1] - S * pts[-1, 0])
-        pieces = []
-        for piece in [left] + c + [right]:
-            if not any(
-                abs(piece[0] - q[0]) <= 1e-12 and abs(piece[1] - q[1]) <= 1e-12
-                for q in pieces
-            ):
-                pieces.append(piece)
-        losses.append(MaxAffinePieces(np.array(pieces)))
-    return EmbeddingInput(tuple(losses), phi, cost=cost, outer_slope=S)
-
-
-def pseudo_identification_many(inp: EmbeddingInput, us, outcome: int) -> np.ndarray:
-    """Three-case pseudo-derivative of the embedded loss (1-based outcome)
-    at each of ``us``.
-
-    Differentiable: the derivative.  Left/right derivative signs differ: 0.
-    Same sign: their average.
-    """
-    dl, dr = inp.losses[outcome - 1].derivative_interval_many(us)
-    return np.where(np.abs(dl - dr) <= 1e-12, dl,
-                    np.where(np.sign(dl) != np.sign(dr), 0.0, 0.5 * (dl + dr)))
-
-
-def interpolation_grid(inp: EmbeddingInput) -> np.ndarray:
-    """Embedding points union consecutive midpoints, sorted."""
-    phi = inp.phi
-    mids = 0.5 * (phi[:-1] + phi[1:])
-    return np.unique(np.concatenate([phi, mids]))
+    gaps = np.diff(phi)
+    ratio = gaps[1:] / gaps[:-1]
+    d = np.diff(costs, axis=0)
+    d1, d2 = d[:-1], d[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = d2 / d1
+    least = np.where(d1 < 0, bound, 0.0).max(axis=1, initial=0.0)
+    most = np.where(d1 > 0, bound, np.inf).min(axis=1)
+    most[((d1 == 0) & (d2 < 0)).any(axis=1)] = 0.0
+    none = (most <= 0) | (least > most)
+    if none.any():
+        r = int(np.argmax(none))
+        return (f"no phi makes the costs of every outcome convex, as no spacing "
+                f"ratio (phi{r + 3} - phi{r + 2})/(phi{r + 2} - phi{r + 1}) does")
+    fits = (least <= ratio) & (ratio <= most)
+    pick = np.where(fits, ratio, np.where(most < np.inf, 0.5 * (least + most), 2.0 * least))
+    steps = gaps[0] * np.cumprod(np.concatenate([[1.0], pick]))
+    works = phi[0] + np.concatenate([[0.0], np.cumsum(steps)])
+    return f"phi {','.join(map(repr, works.tolist()))} makes the costs of every outcome convex"
 
 
 def build_surrogate(inp: EmbeddingInput) -> Surrogate:
     """Full construction: the identification nodes are each outcome's
-    pseudo-derivative on the interpolation grid; thresholds are midpoints."""
-    grid = interpolation_grid(inp)
-    nodes = [pseudo_identification_many(inp, grid, y) for y in range(1, inp.n_outcomes + 1)]
-    return Surrogate(grid, nodes, thresholds=0.5 * (inp.phi[:-1] + inp.phi[1:]),
-                     cost=inp.cost)
+    three-case pseudo-derivative of its embedded loss at phi and at the
+    midpoints between them; the thresholds are the midpoints.
+
+    At phi_r the left and right derivatives are the slopes on either side:
+    the node is 0 where their signs differ, else their mean (the derivative
+    where they are equal).  At a midpoint it is its interval's slope.
+    """
+    phi, s = inp.phi, inp.slopes
+    mids = 0.5 * (phi[:-1] + phi[1:])
+    left, right = s[:, :-1], s[:, 1:]
+    kinks = np.where(np.sign(left) != np.sign(right), 0.0, 0.5 * (left + right))
+    # a midpoint that rounds onto a point of phi is that point
+    grid, first = np.unique(np.concatenate([phi, mids]), return_index=True)
+    nodes = np.concatenate([kinks, s[:, 1:-1]], axis=1)[:, first]
+    return Surrogate(grid, nodes, thresholds=mids, cost=inp.cost)

@@ -141,11 +141,12 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _slice_vertex_sets(O: np.ndarray) -> list[np.ndarray]:
     """Vertices of the slice {<o, p> = 0} of the simplex for each row o of
-    the (k, n) array O: the vertices e_m with |o_m| <= 1e-12, then the edge
-    crossings (1-t) e_i + t e_j, i < j, at t = o_i / (o_i - o_j) in
-    (1e-12, 1 - 1e-12); points within 1e-9 of an earlier one of the same
-    slice are dropped.  Every row's candidates are laid out at once: n
-    vertices, then one crossing per edge."""
+    the (k, n) array O: the vertices e_m with |o_m| <= 1e-12 ||o||, then the
+    edge crossings (1-t) e_i + t e_j, i < j, with |o_i - o_j| > 1e-12 ||o||,
+    at t = o_i / (o_i - o_j) in (1e-12, 1 - 1e-12); points within 1e-9 of an
+    earlier one of the same slice are dropped.  Scaling o changes no
+    decision.  Every row's candidates are laid out at once: n vertices,
+    then one crossing per edge."""
     k, n = O.shape
     if not k:
         return []
@@ -153,8 +154,9 @@ def _slice_vertex_sets(O: np.ndarray) -> list[np.ndarray]:
     den = O[:, I] - O[:, J]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = O[:, I] / den
-    cross = (np.abs(den) > 1e-12) & (1e-12 < t) & (t < 1.0 - 1e-12)
-    keep = np.concatenate([np.abs(O) <= 1e-12, cross], axis=1)
+    tiny = 1e-12 * np.hypot.reduce(O, axis=1, keepdims=True)
+    cross = (np.abs(den) > tiny) & (1e-12 < t) & (t < 1.0 - 1e-12)
+    keep = np.concatenate([np.abs(O) <= tiny, cross], axis=1)
     edges = np.arange(n, n + len(I))
     P = np.zeros((k, n + len(I), n))
     P[:, np.arange(n), np.arange(n)] = 1.0

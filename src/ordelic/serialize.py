@@ -20,7 +20,6 @@ import numpy as np
 from ordelic._floatrepr import float_reprs
 from ordelic.audit import PredictorTable
 from ordelic.errors import OrdelicError, SimplexError, SpecError
-from ordelic.piecewise import CONTINUITY_TOL, _check_continuity, interpolate
 from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
 from ordelic.scenario import ScenarioSpec
 from ordelic.simplex import LabelCounts, as_simplex_points
@@ -129,13 +128,41 @@ def _spec_numbers(d, key: str, kind: type):
 # also hold integrated losses and, for the embedding, the grid (not read).
 
 SURROGATE_FORMAT = 4
+# Identification pieces must meet at each breakpoint within this, relative.
+CONTINUITY_TOL = 1e-9
+
+
+def interpolate(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
+    """(slopes, intercepts), one row per row of ``values``, of the linear
+    interpolations through (breakpoint, value) nodes with unit-slope tails,
+    checked for continuity: piece i lives on [b_{i-1}, b_i], unbounded at
+    the ends.  These are the ``v_bar`` functions a surrogate file spells
+    out, computed so that files are bit-stable."""
+    bp, V = np.asarray(breakpoints, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    a = np.ones((len(V), len(bp) + 1))
+    a[:, 1:-1] = np.diff(V, axis=1) / np.diff(bp)
+    c = np.empty_like(a)
+    c[:, :-1] = V - a[:, :-1] * bp
+    c[:, -1] = V[:, -1] - bp[-1]
+    _check_continuity(bp, a, c)
+    return a, c
+
+
+def _check_continuity(bp: np.ndarray, a: np.ndarray, c: np.ndarray) -> None:
+    """Raise unless the pieces (slopes a, intercepts c along the last axis)
+    meet at every breakpoint within CONTINUITY_TOL (relative)."""
+    left = a[..., :-1] * bp + c[..., :-1]
+    right = a[..., 1:] * bp + c[..., 1:]
+    scale = 1.0 + np.abs(left)
+    if np.any(np.abs(left - right) > CONTINUITY_TOL * scale):
+        raise SpecError("pieces disagree at a breakpoint; function not well-defined")
 
 
 def surrogate_to_json(s: Surrogate) -> dict:
     if not isinstance(s, Surrogate):
         raise SpecError(f"cannot serialize surrogate of type {type(s).__name__}")
     grid = s.grid.tolist()
-    slopes, intercepts = interpolate(s.grid, s.nodes, 1.0, 1.0)
+    slopes, intercepts = interpolate(s.grid, s.nodes)
     out = {
         "format": SURROGATE_FORMAT,
         "kind": s.kind,

@@ -7,10 +7,9 @@ import pytest
 
 from ordelic._kernels import BOUNDARY_TOL
 from ordelic.audit import PredictorTable, bin_predictions
-from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import SimplexError, SpecError
 from ordelic.normals import build_from_normals
-from ordelic.piecewise import ACTIVE_TOL
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
@@ -62,7 +61,7 @@ def fixture_boundaries():
 
 @pytest.fixture(scope="session")
 def fixture_embedding(fixture_cost):
-    return build_surrogate(build_envelope_loss(fixture_cost, EQ1_PHI, 3.0))
+    return build_surrogate(EmbeddingInput(fixture_cost, EQ1_PHI, 3.0))
 
 
 @pytest.fixture(scope="session")
@@ -476,16 +475,17 @@ class Antiderivative:
 
 def slice_vertices_reference(o) -> np.ndarray:
     """Vertices of the slice {<o, p> = 0} of the simplex, one normal at a
-    time: vertices e_m with |o_m| <= 1e-12, then the edge crossings at
-    t = o_i / (o_i - o_j) in (1e-12, 1 - 1e-12), less points within 1e-9 of
-    an earlier one."""
+    time: vertices e_m with |o_m| <= 1e-12 ||o||, then the edge crossings
+    with |o_i - o_j| > 1e-12 ||o|| at t = o_i / (o_i - o_j) in (1e-12,
+    1 - 1e-12), less points within 1e-9 of an earlier one."""
     n = len(o)
     I, J = _pairs(n)
     den = o[I] - o[J]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = o[I] / den
-    cross = (np.abs(den) > 1e-12) & (1e-12 < t) & (t < 1.0 - 1e-12)
-    zero = np.flatnonzero(np.abs(o) <= 1e-12)
+    tiny = 1e-12 * np.hypot.reduce(o)
+    cross = (np.abs(den) > tiny) & (1e-12 < t) & (t < 1.0 - 1e-12)
+    zero = np.flatnonzero(np.abs(o) <= tiny)
     rows = np.arange(len(zero), len(zero) + int(cross.sum()))
     P = np.zeros((len(zero) + len(rows), n))
     P[np.arange(len(zero)), zero] = 1.0
@@ -595,22 +595,69 @@ def lipschitz_reference(grid, nodes, norm) -> LipschitzMax:
     return best
 
 
-def embedding_nodes_reference(inp, grid) -> np.ndarray:
-    """Each outcome's three-case pseudo-derivative at each grid point, one
-    point at a time, from the active pieces of its max-affine loss."""
-    nodes = np.empty((inp.n_outcomes, len(grid)))
-    for y, loss in enumerate(inp.losses):
+# The embedding as the max-affine construction built it, the oracle of the
+# closed form: each outcome's loss a max of affine pieces from the lower
+# convex envelope of its embedded costs, with the derivatives read back from
+# the pieces active at each grid point, under that construction's tolerances.
+EMBED_TOL = 1e-10  # the loss must meet each cost within it, relative
+ACTIVE_TOL = 1e-9  # pieces within it of the max are active, relative
+
+
+def lower_convex_envelope_reference(points) -> list[tuple[float, float]]:
+    """(slope, intercept) of the chords of the lower convex hull of (u, v)
+    points with strictly increasing u, left to right; collinear points are
+    absorbed into one chord."""
+    hull: list[np.ndarray] = []
+    for p in np.asarray(points, dtype=np.float64):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0:
+                break
+            hull.pop()  # a lies on or above the chord o -> p
+        hull.append(p)
+    chords = []
+    for left, right in zip(hull[:-1], hull[1:]):
+        slope = (right[1] - left[1]) / (right[0] - left[0])
+        chords.append((float(slope), float(left[1] - slope * left[0])))
+    return chords
+
+
+def embedding_nodes_reference(cost, phi, outer_slope=None):
+    """(grid, nodes, S) of the embedding of ``cost`` at ``phi`` built from
+    max-affine losses, or None where that construction refused it: the
+    outer slope falls short of an outcome's steepest chord by more than
+    1e-12, or a loss misses a cost by more than EMBED_TOL (the costs are
+    not convex in phi).  Each node is the three-case pseudo-derivative at a
+    grid point, one point at a time, from the pieces within ACTIVE_TOL of
+    the max, relative to the largest |a u| + |b| of the pieces."""
+    phi = np.asarray(phi, dtype=np.float64)
+    points = [np.column_stack([phi, cost.entries[:, y]]) for y in range(cost.n_outcomes)]
+    chords = [lower_convex_envelope_reference(pts) for pts in points]
+    steepest = [max(abs(a) for a, _ in c) for c in chords]
+    S = 1.0 + max(steepest) if outer_slope is None else float(outer_slope)
+    grid = np.unique(np.concatenate([phi, 0.5 * (phi[:-1] + phi[1:])]))
+    nodes = np.empty((cost.n_outcomes, len(grid)))
+    for y, (pts, c, max_slope) in enumerate(zip(points, chords, steepest)):
+        if S < max_slope - 1e-12:
+            return None
+        pieces = []
+        for piece in [(-S, pts[0, 1] + S * pts[0, 0])] + c + [(S, pts[-1, 1] - S * pts[-1, 0])]:
+            if not any(abs(piece[0] - q[0]) <= 1e-12 and abs(piece[1] - q[1]) <= 1e-12
+                       for q in pieces):
+                pieces.append(piece)
+        a, b = np.array(pieces).T
+        want = pts[:, 1]
+        if np.any(np.abs((a * phi[:, None] + b).max(axis=1) - want)
+                  > EMBED_TOL * (1.0 + np.abs(want))):
+            return None
         for i, u in enumerate(grid.tolist()):
-            a, b = loss.pieces[:, 0], loss.pieces[:, 1]
             vals = a * u + b
-            # active: within ACTIVE_TOL of the max, relative to the largest
-            # |a u| + |b| of the pieces
             top, size = vals.max(), (np.abs(a * u) + np.abs(b)).max()
             active = a[vals >= top - ACTIVE_TOL * size]
             dl, dr = float(active.min()), float(active.max())
             nodes[y, i] = dl if abs(dl - dr) <= 1e-12 else \
                 0.0 if np.sign(dl) != np.sign(dr) else 0.5 * (dl + dr)
-    return nodes
+    return grid, nodes, S
 
 
 # How the JSON readers turned numbers into arrays before one converter

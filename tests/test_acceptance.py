@@ -32,7 +32,7 @@ from ordelic.audit import (
     surrogate_calibration,
 )
 from ordelic.cli import EXIT_OK, main
-from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.normals import build_from_normals, full_pipeline
 from ordelic.properties import (
     AffineBoundary,
@@ -83,8 +83,7 @@ class _Criterion:
 
 
 def _fixture_embedding():
-    return build_surrogate(
-        build_envelope_loss(CostMatrix(EQ1_COSTS), EQ1_PHI, 3.0))
+    return build_surrogate(EmbeddingInput(CostMatrix(EQ1_COSTS), EQ1_PHI, 3.0))
 
 
 def _fixture_normals():
@@ -95,15 +94,10 @@ def _fixture_normals():
 def test_criterion_1_embedding_fixture(capfd):
     with _Criterion(1, 1.0, capfd):
         s = _fixture_embedding()
-        inp = build_envelope_loss(CostMatrix(EQ1_COSTS), EQ1_PHI, 3.0)
-
-        def pieces(y):
-            return sorted(map(tuple, inp.losses[y].pieces.tolist()))
-
+        inp = EmbeddingInput(CostMatrix(EQ1_COSTS), EQ1_PHI, 3.0)
+        # each outcome's embedded-loss slopes: -S, its cost slopes, S
         tol = 1e-12
-        assert np.allclose(pieces(0), [(-3, 0), (1, 0), (3, -6)], atol=tol)
-        assert np.allclose(pieces(1), [(-3, 3), (0.5, -0.5), (3, -8)], atol=tol)
-        assert np.allclose(pieces(2), [(-3, 5), (-2, 5), (-1.5, 4.5), (3, -9)],
+        assert np.allclose(inp.slopes, [[-3, 1, 1, 3], [-3, -3, 0.5, 3], [-3, -2, -1.5, 3]],
                            atol=tol)
         assert np.allclose(s.grid, [0, 0.5, 1, 2, 3], atol=tol)
         assert np.allclose(s.thresholds, [0.5, 2.0], atol=tol)
@@ -147,7 +141,7 @@ def _refinement_ok(bds, cost, phi, n_samples, seed) -> bool:
     normals = normals_from_boundaries(bds)
     pts = sample_simplex(normals.n, n_samples, seed)
     S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
-    emb = build_surrogate(build_envelope_loss(cost, phi, S))
+    emb = build_surrogate(EmbeddingInput(cost, phi, S))
     links_e = emb.link_many(emb.gamma_many(pts))
     nrm = build_from_normals(normals)
     links_n = nrm.link_many(nrm.gamma_many(pts))
@@ -358,10 +352,9 @@ def test_criterion_9_level_set_grids(tmp_path, capfd):
 
 
 PUBLIC_NAMES = [
-    "LabelCounts", "as_simplex_point", "sample_simplex", "MaxAffinePieces",
-    "AffineBoundary", "CostMatrix", "OrientedNormals", "Surrogate",
-    "EmbeddingInput", "build_surrogate", "build_from_normals", "AuditReport",
-    "__version__",
+    "LabelCounts", "as_simplex_point", "sample_simplex", "AffineBoundary", "CostMatrix",
+    "OrientedNormals", "Surrogate", "EmbeddingInput", "build_surrogate",
+    "build_from_normals", "AuditReport", "__version__",
 ]
 
 

@@ -30,7 +30,7 @@ from ordelic.audit import (
     link_diameter,
     surrogate_calibration,
 )
-from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
 from ordelic.normals import build_from_normals
 from ordelic.properties import AffineBoundary, CostMatrix
@@ -367,7 +367,7 @@ class TestCounterexample:
             algo, n = case.split("-")
             bds, cost, phi = random_orderable_spec(int(n), 4, seed=int(n))
             s = build_from_normals(normals_from_boundaries(bds)) if algo == "normals" \
-                else build_surrogate(build_envelope_loss(cost, phi))
+                else build_surrogate(EmbeddingInput(cost, phi))
         K, ordv = s.lipschitz(norm), norm_order(norm)
         H = s.nodes - s.nodes.mean(axis=0)
         for C in (0.0, 0.5 * K, (1.0 - 1e-4) * K):
@@ -388,7 +388,7 @@ class TestCounterexample:
         next to it: the pair is e_1 and a point on a ray into the simplex."""
         cost = CostMatrix([[0, 3, 5], [0, 0, 3], [3, 1, 0]])
         phi = np.array([0.0, 1.0, 3.0])
-        s = build_surrogate(build_envelope_loss(cost, phi))
+        s = build_surrogate(EmbeddingInput(cost, phi))
         assert s.lipschitz_bound == np.inf
         p, q, instance = counterexample_gap(s, 1e3)
         P = np.stack([p, q])
@@ -516,7 +516,7 @@ def test_bound_params_label_estimated_k(n, normals):
         s = build_from_normals(normals_from_boundaries(bds))
     else:
         S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
-        s = build_surrogate(build_envelope_loss(cost, phi, S))
+        s = build_surrogate(EmbeddingInput(cost, phi, S))
     assert s.lipschitz_exact is True
     ids = ("a", "b", "c", "d")
     sc = ScenarioSpec(ids, np.full(4, 0.25), sample_simplex(n, 4, seed=n + 1),

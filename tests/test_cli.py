@@ -118,15 +118,18 @@ class TestConstruct:
         assert "cost_matrix" in d
 
     def test_nonconvex_embedding_names_the_triple(self, spec_file, tmp_path, capsys):
-        # the default phi = 0,1,2 bends outcome 3's costs 5, 3, 0 downwards
+        # the default phi = 0,1,2 bends outcome 3's costs 5, 3, 0 downwards;
+        # the spacing ratio must be in [1.5, 2], and the suggestion is 1.75
         rc = main(["construct", "--spec", spec_file, "--algo", "embedding",
                    "--out", str(tmp_path / "x.json")])
         assert rc == EXIT_SPEC
         err = capsys.readouterr().err
         assert "outcome 3" in err and "reports 1, 2, 3 cost 5, 3, 0 at phi 0, 1, 2" in err
         assert "(phi3 - phi2)/(phi2 - phi1) is 1 but this triple needs it >= 1.5" in err
-        assert main(["construct", "--spec", spec_file, "--algo", "embedding",
-                     "--phi", "0,1,2.5", "--out", str(tmp_path / "x.json")]) == EXIT_OK
+        assert err.endswith("; phi 0.0,1.0,2.75 makes the costs of every outcome convex\n")
+        for phi in ("0,1,2.5", "0.0,1.0,2.75"):
+            assert main(["construct", "--spec", spec_file, "--algo", "embedding",
+                         "--phi", phi, "--out", str(tmp_path / "x.json")]) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["construct", "levelsets"])
     @pytest.mark.parametrize("args,message", [
@@ -1128,6 +1131,17 @@ class TestInputFields:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and cause in err, (cause, err)
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("command", ["construct", "levelsets"])
+    def test_kernel_denominator_guard(self, command, tmp_path, capsys):
+        """Outcome 1's collinear costs 2, 1, 0 next to outcome 2's step to
+        2e10 put a vertex's root on a grid piece whose two node scores
+        cancel: the kernel's denominator guard exits 2 naming the spec, with
+        no traceback."""
+        self._spec_refused([command, "--algo", "embedding"],
+                           {**COST_SPEC, "cost_matrix": [[2, 0, 0], [1, 0, 0], [0, 2e10, 0]]},
+                           "ratio-of-expectations denominator below tolerance", tmp_path,
+                           capsys)
 
     @pytest.mark.parametrize("command", ["construct", "levelsets"])
     @pytest.mark.parametrize("algo", ["normals", "embedding"])

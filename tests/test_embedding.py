@@ -1,33 +1,28 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    EQ1_COSTS,
     EQ1_PHI,
     O1,
     O2,
     Antiderivative,
     bisect_expected_root,
+    embedding_nodes_reference,
     lipschitz_estimate,
     random_orderable_spec,
     written_v_bar,
 )
 from ordelic.audit import (PredictorTable, bin_predictions, check_discretization_bound,
                            check_postprocessing_bound)
-from ordelic.embedding import (
-    EmbeddingInput,
-    build_envelope_loss,
-    build_surrogate,
-    interpolation_grid,
-    pseudo_identification_many,
-)
+from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import SpecError
-from ordelic.piecewise import MaxAffinePieces
 from ordelic.properties import CostMatrix, Surrogate
 from ordelic.simplex import LabelCounts, sample_simplex
-
-
-def piece_set(loss: MaxAffinePieces):
-    return {(round(a, 10), round(b, 10)) for a, b in loss.pieces}
 
 
 def in_target(cost, pts, reports) -> np.ndarray:
@@ -35,55 +30,163 @@ def in_target(cost, pts, reports) -> np.ndarray:
     return cost.target_sets(pts)[np.arange(len(pts)), np.asarray(reports) - 1]
 
 
-class TestEnvelopeLoss:
-    def test_fixture_piece_sets(self, fixture_cost):
-        inp = build_envelope_loss(fixture_cost, EQ1_PHI, 3.0)
-        assert piece_set(inp.losses[0]) == {(-3.0, 0.0), (1.0, 0.0), (3.0, -6.0)}
-        assert piece_set(inp.losses[1]) == {(-3.0, 3.0), (0.5, -0.5), (3.0, -8.0)}
-        assert piece_set(inp.losses[2]) == {(-3.0, 5.0), (-2.0, 5.0),
-                                            (-1.5, 4.5), (3.0, -9.0)}
+class TestEmbeddingInput:
+    def test_fixture_slopes(self, fixture_cost):
+        inp = EmbeddingInput(fixture_cost, EQ1_PHI, 3.0)
+        assert inp.slopes.tolist() == [[-3.0, 1.0, 1.0, 3.0], [-3.0, -3.0, 0.5, 3.0],
+                                       [-3.0, -2.0, -1.5, 3.0]]
 
-    def test_matches_cost_at_embedded_points(self, fixture_cost):
-        inp = build_envelope_loss(fixture_cost, EQ1_PHI, 3.0)
-        for y in range(3):
-            got = inp.losses[y](EQ1_PHI)
-            assert np.allclose(got, fixture_cost.entries[:, y])
+    def test_default_outer_slope_is_one_plus_the_steepest(self, fixture_cost):
+        assert EmbeddingInput(fixture_cost, EQ1_PHI).outer_slope == 4.0
 
     def test_small_outer_slope_rejected(self, fixture_cost):
-        with pytest.raises(SpecError):
-            build_envelope_loss(fixture_cost, EQ1_PHI, 2.0)
-
-    def test_mismatched_loss_rejected(self, fixture_cost):
-        bad = MaxAffinePieces(np.array([[1.0, 0.0]]))
-        with pytest.raises(SpecError):
-            EmbeddingInput((bad, bad, bad), EQ1_PHI, cost=fixture_cost)
+        with pytest.raises(SpecError, match=r"^outer slope 2.0 does not dominate chord "
+                           r"slopes \(max magnitude 3.0\) for outcome 2$"):
+            EmbeddingInput(fixture_cost, EQ1_PHI, 2.0)
 
     def test_phi_must_increase(self, fixture_cost):
-        with pytest.raises(SpecError):
-            build_envelope_loss(fixture_cost, [0.0, 0.0, 1.0], 3.0)
+        with pytest.raises(SpecError, match="strictly increasing"):
+            EmbeddingInput(fixture_cost, [0.0, 0.0, 1.0], 3.0)
+
+    def test_slightly_concave_costs_are_refused(self):
+        """Outcome 1's costs 0, 1, 3 - 2e-11 at phi 0, 1, 3 fall in slope
+        by 1e-11, 2.5e-12 of the outer slope 4: refused (the CLI exits 2),
+        naming the triple.  The max-affine construction took them, as its
+        loss met each cost within 1e-10 relative."""
+        cost = CostMatrix([[0, 3, 5], [1, 0, 3], [3 - 2e-11, 1, 0]])
+        assert embedding_nodes_reference(cost, EQ1_PHI) is not None
+        with pytest.raises(SpecError, match="costs of outcome 1 are not convex in phi: "
+                           "reports 1, 2, 3 cost 0, 1, 3 at phi 0, 1, 3"):
+            EmbeddingInput(cost, EQ1_PHI)
 
 
-class TestPseudoIdentification:
-    def test_three_cases(self, fixture_cost):
-        inp = build_envelope_loss(fixture_cost, EQ1_PHI, 3.0)
-        # outcome 1: sign change at the kink u=0 (slopes -3 and 1), same-sign
-        # kink at u=3 (slopes 1 and 3 average to 2), differentiable at u=0.5
-        assert pseudo_identification_many(inp, [0.0, 3.0, 0.5], 1).tolist() == [0.0, 2.0, 1.0]
-        # outcome 3 roots at u=3: slopes -1.5 and 3 change sign
-        assert pseudo_identification_many(inp, [3.0], 3).tolist() == [0.0]
+class TestConvexPhi:
+    """A refused embedding suggests a phi at which every outcome's costs
+    are convex, or says that none exists (the README cost at phi 0, 1, 2
+    is in test_cli.py)."""
 
-    def test_grid_values(self, fixture_cost):
-        inp = build_envelope_loss(fixture_cost, EQ1_PHI, 3.0)
-        grid = interpolation_grid(inp)
-        assert np.allclose(grid, [0.0, 0.5, 1.0, 2.0, 3.0])
-        want = {
-            1: [0.0, 1.0, 1.0, 1.0, 2.0],
-            2: [-3.0, -3.0, 0.0, 0.5, 1.75],
-            3: [-2.5, -2.0, -1.75, -1.5, 0.0],
-        }
-        for y in (1, 2, 3):
-            got = pseudo_identification_many(inp, grid, y)
-            assert np.allclose(got, want[y])
+    @pytest.mark.parametrize("rows, triple", [
+        ([[0, 0, 0], [1, 1, 1], [0, 2, 2]], "(phi3 - phi2)/(phi2 - phi1)"),
+        ([[4, 0, 0], [3, 1, 0], [0, 3, 0]], "(phi3 - phi2)/(phi2 - phi1)"),
+        ([[0, 0, 0], [1, 0, 0], [3, 0, 0], [2, 0, 0]], "(phi4 - phi3)/(phi3 - phi2)"),
+    ], ids=["bends-down", "bounds-cross", "second-triple"])
+    def test_none_exists(self, rows, triple):
+        """Costs 0, 1, 0 bend down at every spacing; costs 4, 3, 0 need a
+        spacing ratio >= 3 where 0, 1, 3 need one <= 2; costs 1, 3, 2 of the
+        second triple bend down."""
+        with pytest.raises(SpecError, match=re.escape(
+                "; no phi makes the costs of every outcome convex, as no spacing "
+                f"ratio {triple} does") + "$"):
+            EmbeddingInput(CostMatrix(rows), np.arange(len(rows), dtype=np.float64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 8), n_reports=st.integers(3, 6), seed=st.integers(0, 2**20),
+           orderable=st.booleans())
+    @example(n=3, n_reports=3, seed=0, orderable=False)
+    def test_the_suggestion_works(self, n, n_reports, seed, orderable):
+        """Orderable or uniform random costs at random phi: where they are
+        refused as not convex, the suggested phi builds a surrogate, or, for
+        the triple named, no spacing ratio between 1e-6 and 1e6 makes every
+        outcome's costs convex.  Orderable costs are convex at unit spacing,
+        so they always get a phi."""
+        rng = np.random.default_rng(seed)
+        cost = random_orderable_spec(n, n_reports, seed)[1] if orderable else \
+            CostMatrix(rng.uniform(0.0, 5.0, (n_reports, n)))
+        phi = np.cumsum(rng.uniform(0.1, 3.0, n_reports))
+        try:
+            EmbeddingInput(cost, phi)
+            return
+        except SpecError as exc:
+            message = str(exc)
+        works = re.search(r"; phi (\S+) makes the costs of every outcome convex$", message)
+        if works is not None:
+            build_surrogate(EmbeddingInput(cost, [float(v) for v in works[1].split(",")]))
+            return
+        assert not orderable, message
+        r = int(re.search(r"as no spacing ratio \(phi(\d+) - ", message)[1]) - 3
+        d = np.diff(cost.entries, axis=0)
+        ratio = 10.0 ** np.linspace(-6, 6, 2401)[:, None]
+        assert np.all(np.any(d[r] * ratio > d[r + 1], axis=1)), message
+
+
+def _scaled_nodes(cost: CostMatrix, phi, k: int) -> np.ndarray:
+    """The embedding nodes of ``cost`` times 2^k at ``phi``, with its default
+    outer slope times 2^k."""
+    S = EmbeddingInput(cost, phi).outer_slope
+    return build_surrogate(EmbeddingInput(CostMatrix(np.ldexp(cost.entries, k)), phi,
+                                          np.ldexp(S, k))).nodes
+
+
+@pytest.mark.parametrize("n", [None, 3, 5, 8])
+def test_nodes_scale_with_the_costs(n):
+    """The nodes of the cost times 2^k, with the outer slope times 2^k, are
+    2^k times the nodes of the cost bit for bit, for k = -60..60: the README
+    cost at phi 0, 1, 3 (n None) and random_orderable_spec(n, 4, n).  The
+    max-affine construction missed by 2^-40, where its absolute 1e-12 on
+    slopes and intercepts merged pieces."""
+    cost, phi = (CostMatrix(EQ1_COSTS), EQ1_PHI) if n is None else \
+        random_orderable_spec(n, 4, n)[1:]
+    nodes = _scaled_nodes(cost, phi, 0)
+    for k in range(-60, 61):
+        assert _scaled_nodes(cost, phi, k).tobytes() == np.ldexp(nodes, k).tobytes(), k
+
+
+def _nodes_or_none(cost: CostMatrix, phi, outer_slope):
+    """(grid, nodes, outer slope) of the embedding, or None if refused."""
+    try:
+        inp = EmbeddingInput(cost, phi, outer_slope)
+    except SpecError:
+        return None
+    s = build_surrogate(inp)
+    return s.grid, s.nodes, inp.outer_slope
+
+
+def _decimal_costs(rng, n: int, n_reports: int) -> CostMatrix:
+    """Costs in hundredths, convex at unit spacing in decimal: each outcome
+    steps by a sorted draw of -4..4 hundredths, so equal steps make
+    collinear triples, which float division leaves a few ulps off."""
+    steps = np.sort(rng.integers(-4, 5, (n, n_reports - 1)), axis=1)
+    cents = np.concatenate([np.zeros((n, 1), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
+    cents -= cents.min(axis=1, keepdims=True) - rng.integers(0, 3, (n, 1))
+    return CostMatrix(cents.T / 100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 8), n_reports=st.integers(2, 5), seed=st.integers(0, 2**20),
+       spacing=st.sampled_from(["unit", "random"]),
+       slope=st.sampled_from(["default", "equal", "small"]))
+def test_nodes_match_the_max_affine_oracle(n, n_reports, seed, spacing, slope):
+    """Against the max-affine construction (conftest), on random orderable
+    costs at unit or random phi and with the default outer slope, the
+    steepest cost slope itself, or 0.9 times it: the same verdict, and the
+    same grid, nodes and outer slope bit for bit where both accept."""
+    rng = np.random.default_rng(seed)
+    cost = random_orderable_spec(n, n_reports, seed)[1]
+    phi = np.arange(n_reports, dtype=np.float64) if spacing == "unit" else \
+        np.cumsum(rng.uniform(0.1, 3.0, n_reports))
+    steepest = float(np.abs(np.diff(cost.entries, axis=0).T / np.diff(phi)).max())
+    S = {"default": None, "equal": steepest, "small": 0.9 * steepest}[slope]
+    got, want = _nodes_or_none(cost, phi, S), embedding_nodes_reference(cost, phi, S)
+    assert (got is None) == (want is None)
+    if got is not None:
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 8), n_reports=st.integers(2, 6), seed=st.integers(0, 2**20))
+def test_decimal_costs_match_the_max_affine_oracle(n, n_reports, seed):
+    """Two-decimal costs, collinear in decimal, at unit spacing: both
+    constructions accept them, with the same grid and nodes within 32 ulps.
+    The max-affine construction merged collinear points into one chord;
+    each interval now keeps its own slope."""
+    cost = _decimal_costs(np.random.default_rng(seed), n, n_reports)
+    phi = np.arange(n_reports, dtype=np.float64)
+    got, want = _nodes_or_none(cost, phi, None), embedding_nodes_reference(cost, phi)
+    assert got is not None and want is not None
+    assert got[0].tobytes() == want[0].tobytes()
+    ulps = 32 * np.spacing(np.maximum(np.abs(got[1]), np.abs(want[1])))
+    assert np.all(np.abs(got[1] - want[1]) <= ulps)
 
 
 class TestBuildSurrogate:
@@ -241,13 +344,13 @@ class TestRandomSpecs:
     def test_refinement_on_random_targets(self, seed):
         _, cost, phi = random_orderable_spec(3, 3, seed=seed + 200)
         S = 1.0 + 2.0 * float(np.abs(cost.entries).max())
-        s = build_surrogate(build_envelope_loss(cost, phi, S))
+        s = build_surrogate(EmbeddingInput(cost, phi, S))
         pts = sample_simplex(3, 2000, seed=seed + 300)
         assert np.all(in_target(cost, pts, s.link_many(s.gamma_many(pts))))
 
 
 def _embedding(cost, phi) -> Surrogate:
-    return build_surrogate(build_envelope_loss(cost, phi))
+    return build_surrogate(EmbeddingInput(cost, phi))
 
 
 def test_shared_slice_point_is_not_lipschitz():

@@ -14,7 +14,8 @@ from conftest import (
     random_orderable_spec,
 )
 from ordelic._kernels import backend_name, roe_batch
-from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.embedding import EmbeddingInput, build_surrogate
+from ordelic.errors import OrderabilityError
 from ordelic.normals import build_from_normals
 from ordelic.properties import AffineBoundary, CostMatrix, _slice_vertex_sets
 from ordelic.simplex import sample_simplex
@@ -50,11 +51,12 @@ class TestBackendAgreement:
         assert roe_batch(bp, nodes, probs)[0] == pytest.approx(3.0)
 
     def test_roe_degenerate_denominator_raises(self):
-        # opposed consecutive normals make the straddling denominator negative
+        # opposed consecutive normals make the straddling denominator
+        # negative: an OrderabilityError, which the CLI reports as exit 2
         bad = np.stack([-O1, O1])
         p = np.array([[0.05, 0.9, 0.05]])
         assert float(p[0] @ O1) > 0  # ensures the middle branch is taken
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(OrderabilityError, match="denominator below tolerance"):
             roe_batch([0.0, 1.0], -bad.T, p)
 
 
@@ -80,7 +82,7 @@ def _surrogate(kind: str, n: int):
         bds, cost, phi = random_orderable_spec(n, 4, seed=n)
     if kind == "normals":
         return build_from_normals(normals_from_boundaries(bds))
-    return build_surrogate(build_envelope_loss(cost, phi))
+    return build_surrogate(EmbeddingInput(cost, phi))
 
 
 def _slice_points(s, count: int, seed: int) -> np.ndarray:

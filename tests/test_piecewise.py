@@ -1,17 +1,14 @@
+"""Piecewise-affine identification functions: the ``v_bar`` pieces that
+surrogate files spell out, their antiderivative oracle, and their roots
+through the property kernel."""
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import AffinePieces, Antiderivative, bisect_expected_root
 from ordelic._kernels import roe_batch
 from ordelic.errors import SpecError
-from ordelic.piecewise import (
-    MaxAffinePieces,
-    _check_continuity,
-    interpolate,
-    lower_convex_envelope,
-)
+from ordelic.serialize import _check_continuity, interpolate
 
 # identification function nodes of the three-outcome fixture on {0,1/2,1,2,3}
 GRID = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
@@ -26,13 +23,9 @@ def vbar(y):
     return AffinePieces.through(GRID, NODES[y], 1.0, 1.0)
 
 
-def loss1():
-    return MaxAffinePieces(np.array([[-3.0, 0.0], [1.0, 0.0], [3.0, -6.0]]))
-
-
 class TestInterpolate:
     def test_interpolates_with_affine_tails(self):
-        a, c = interpolate(GRID, np.stack([NODES[1], NODES[2]]), 1.0, 1.0)
+        a, c = interpolate(GRID, np.stack([NODES[1], NODES[2]]))
         v = AffinePieces(GRID, a[0], c[0])
         assert v(0.25) == pytest.approx(0.5)
         assert v(1.5) == pytest.approx(1.0)
@@ -91,56 +84,6 @@ class TestIntegration:
                 dl, dr = L.derivative_interval(float(u))
                 assert dl == pytest.approx(dr, abs=1e-10)
                 assert dl == pytest.approx(float(v(u)), abs=1e-10)
-
-
-class TestSubgradient:
-    def test_max_affine_kink_left_right(self):
-        dl, dr = loss1().derivative_interval_many([0.0, 3.0, 0.5])
-        assert list(zip(dl.tolist(), dr.tolist())) == [(-3.0, 1.0), (1.0, 3.0), (1.0, 1.0)]
-
-
-class TestLowerConvexEnvelope:
-    def test_collinear_points_single_chord(self):
-        chords = lower_convex_envelope([(0, 0), (1, 1), (3, 3)])
-        assert chords == [(1.0, 0.0)]
-
-    def test_fixture_second_outcome(self):
-        chords = lower_convex_envelope([(0, 3), (1, 0), (3, 1)])
-        assert chords == [(-3.0, 3.0), (0.5, -0.5)]
-
-    def test_fixture_third_outcome(self):
-        chords = lower_convex_envelope([(0, 5), (1, 3), (3, 0)])
-        assert chords == [(-2.0, 5.0), (-1.5, 4.5)]
-
-    def test_input_validation(self):
-        with pytest.raises(SpecError):
-            lower_convex_envelope([(0, 0), (0, 1)])
-        with pytest.raises(SpecError):
-            lower_convex_envelope([(1, 0), (0, 1)])
-        with pytest.raises(SpecError):
-            lower_convex_envelope([(0, 0)])
-
-    @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=3,
-                    max_size=8, unique=True))
-    @settings(max_examples=50, deadline=None)
-    def test_slopes_nondecreasing_and_below_points(self, us):
-        us = sorted(us)
-        if min(np.diff(us)) < 1e-6:
-            return
-        rng = np.random.default_rng(abs(hash(tuple(us))) % 2**32)
-        vs = rng.uniform(-3, 3, size=len(us))
-        chords = lower_convex_envelope(list(zip(us, vs)))
-        slopes = [a for a, _ in chords]
-        assert all(s2 >= s1 - 1e-9 for s1, s2 in zip(slopes, slopes[1:]))
-        for u, v in zip(us, vs):
-            below = max(a * u + b for a, b in chords)
-            assert below <= v + 1e-9
-
-    def test_strictly_convex_points_give_strict_slopes(self):
-        us = np.linspace(0, 2, 6)
-        chords = lower_convex_envelope(list(zip(us, us**2)))
-        slopes = [a for a, _ in chords]
-        assert all(s2 > s1 for s1, s2 in zip(slopes, slopes[1:]))
 
 
 class TestExpectedRoot:

@@ -28,7 +28,7 @@ from conftest import (
     slice_vertices_reference,
     written_v_bar,
 )
-from ordelic.embedding import build_envelope_loss, build_surrogate, interpolation_grid
+from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import (
     OrdelicError,
     OrderabilityError,
@@ -142,13 +142,15 @@ class TestOrientation:
 
 
 def _slice_vertex_loop(o, tol=1e-12):
-    """Per-edge reference: zero-coordinate vertices, then edge crossings."""
+    """Per-edge reference: zero-coordinate vertices, then edge crossings;
+    a coordinate or a difference of two is zero within tol ||o||."""
     n = len(o)
-    pts = [np.eye(n)[i] for i in range(n) if abs(o[i]) <= tol]
+    tiny = tol * np.hypot.reduce(o)
+    pts = [np.eye(n)[i] for i in range(n) if abs(o[i]) <= tiny]
     for i in range(n):
         for j in range(i + 1, n):
             den = o[i] - o[j]
-            if abs(den) <= tol:
+            if abs(den) <= tiny:
                 continue
             t = o[i] / den
             if tol < t < 1.0 - tol:
@@ -212,10 +214,9 @@ def test_batched_construction_matches_references(kind, n, n_reports, seed):
     if kind == "normals":
         s = build_from_normals(normals_from_boundaries(bds))
     else:
-        inp = build_envelope_loss(cost, phi)
-        s = build_surrogate(inp)
-        assert s.nodes.tobytes() == embedding_nodes_reference(
-            inp, interpolation_grid(inp)).tobytes()
+        s = build_surrogate(EmbeddingInput(cost, phi))
+        grid, nodes, _ = embedding_nodes_reference(cost, phi)
+        assert s.grid.tobytes() == grid.tobytes() and s.nodes.tobytes() == nodes.tobytes()
     for V, h in zip(_slice_vertex_sets(-s.nodes.T), s.nodes.T):
         assert V.tolist() == slice_vertices_reference(-h).tolist()
     for norm in ("l1", "l2", "linf"):
@@ -260,8 +261,8 @@ def _scaled_surrogate(kind: str, cost: CostMatrix, phi, scale: float) -> Surroga
     scaled = CostMatrix(cost.entries * scale)
     if kind == "normals":
         return full_pipeline(scaled, 1)[0]
-    slope = build_envelope_loss(cost, phi).outer_slope
-    return build_surrogate(build_envelope_loss(scaled, phi, slope * scale))
+    slope = EmbeddingInput(cost, phi).outer_slope
+    return build_surrogate(EmbeddingInput(scaled, phi, slope * scale))
 
 
 @pytest.mark.parametrize("kind", ["embedding", "normals"])
@@ -282,6 +283,23 @@ def test_k_does_not_depend_on_the_cost_scale(fixture_cost, kind, seed, n):
     s = _scaled_surrogate(kind, cost, phi, 1.0)
     for scale in COST_SCALES:
         scaled = _scaled_surrogate(kind, cost, phi, scale)
+        for norm in ("l1", "l2", "linf"):
+            assert scaled.lipschitz(norm) == pytest.approx(s.lipschitz(norm), rel=1e-9), \
+                (scale, norm)
+
+
+@pytest.mark.parametrize("seed,n", [(None, 3), (9, 4), (32, 3), (3, 4), (0, 5), (1, 8)])
+def test_embedding_k_does_not_depend_on_small_cost_scales(fixture_cost, seed, n):
+    """The embedding of a cost times 1e-9, 1e-12, 2^-40 or 1e-20, with the
+    outer slope scaled alike, has the K of the cost itself to 1e-9 relative
+    in every norm.  With node entries below an absolute 1e-12 taken as zero
+    in the slice enumeration, and loss pieces within an absolute 1e-12 of
+    each other merged, the README cost read K = inf at 1e-12."""
+    cost, phi = (fixture_cost, EQ1_PHI) if seed is None else \
+        random_orderable_spec(n, 4, seed)[1:]
+    s = _scaled_surrogate("embedding", cost, phi, 1.0)
+    for scale in (1e-9, 1e-12, 2.0**-40, 1e-20):
+        scaled = _scaled_surrogate("embedding", cost, phi, scale)
         for norm in ("l1", "l2", "linf"):
             assert scaled.lipschitz(norm) == pytest.approx(s.lipschitz(norm), rel=1e-9), \
                 (scale, norm)
@@ -456,7 +474,7 @@ def _construction(kind: str, n: int, n_reports: int, seed: int):
     by ``full_pipeline`` from the cost or from the boundaries (no cost)."""
     bds, cost, phi = random_orderable_spec(n, n_reports, seed)
     if kind == "embedding":
-        return build_surrogate(build_envelope_loss(cost, phi))
+        return build_surrogate(EmbeddingInput(cost, phi))
     return full_pipeline(cost if kind == "normals_cost" else bds, seed)[0]
 
 
@@ -528,7 +546,7 @@ def test_levels_many_is_the_lowest_target_and_gamma(n, n_reports, seed, algo):
     bds, cost, phi = random_orderable_spec(n, n_reports, seed)
     normals = normals_from_boundaries(bds)
     if algo == "embedding":
-        s = build_surrogate(build_envelope_loss(cost, phi))
+        s = build_surrogate(EmbeddingInput(cost, phi))
     else:
         s = build_from_normals(normals)
     pts = np.vstack([sample_simplex(n, 300, seed), np.eye(n),
@@ -553,7 +571,7 @@ def test_link_ties_resolve_low(fixture_cost, algo):
     """A value on a threshold links to the lower report and the next float
     above it to the upper one, for either construction."""
     if algo == "embedding":
-        s = build_surrogate(build_envelope_loss(fixture_cost, [0.0, 1.0, 3.0], 3.0))
+        s = build_surrogate(EmbeddingInput(fixture_cost, [0.0, 1.0, 3.0], 3.0))
     else:
         s = build_from_normals(normals_from_boundaries(
             [AffineBoundary([-3, 1, 0], -2.0), AffineBoundary([-5, -4, 0], -3.0)]))
@@ -598,7 +616,7 @@ def test_k_is_exact_in_every_norm(n, n_reports, seed, algo):
     the returned maximizer, along the returned direction, reach K."""
     bds, cost, phi = random_orderable_spec(n, n_reports, seed)
     s = build_from_normals(normals_from_boundaries(bds)) if algo == "normals" else \
-        build_surrogate(build_envelope_loss(cost, phi))
+        build_surrogate(EmbeddingInput(cost, phi))
     assert s.lipschitz("l2") == s.lipschitz_bound
     a, b = sample_simplex(n, 20_000, seed), sample_simplex(n, 20_000, seed + 1)
     gap = np.abs(s.gamma_many(a) - s.gamma_many(b))

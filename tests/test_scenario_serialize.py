@@ -32,7 +32,7 @@ from conftest import (
 from ordelic import _floatrepr, serialize
 from ordelic._floatrepr import KERNEL_MIN_VALUES
 from ordelic.audit import PredictorTable
-from ordelic.embedding import build_envelope_loss, build_surrogate
+from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import SpecError
 from ordelic.normals import build_from_normals
 from ordelic.properties import CostMatrix
@@ -945,7 +945,7 @@ def test_format4_round_trip_is_exact(n, n_reports, seed):
     normals surrogate's value range is the closed form from its normals."""
     bds, cost, phi = random_orderable_spec(n, n_reports, seed)
     nrm = build_from_normals(normals_from_boundaries(bds))
-    emb = build_surrogate(build_envelope_loss(cost, phi))
+    emb = build_surrogate(EmbeddingInput(cost, phi))
     for s in (nrm, emb):
         back = surrogate_from_json(json.loads(dumps(surrogate_to_json(s))))
         for name in ("grid", "nodes", "thresholds"):
@@ -1009,7 +1009,7 @@ def test_old_embedding_files_load_to_the_exact_k(fmt):
     old = read_json(Path(__file__).parent / "data"
                     / f"readme_embedding_phi013.format{fmt}.json")
     assert old.get("format", 1) == fmt and old["lipschitz_bound"] == 3.5
-    fresh = build_surrogate(build_envelope_loss(CostMatrix(README_SPEC["cost_matrix"]),
+    fresh = build_surrogate(EmbeddingInput(CostMatrix(README_SPEC["cost_matrix"]),
                                                 [0.0, 1.0, 3.0], 4.0))
     assert surrogate_from_json(old).lipschitz_bound == fresh.lipschitz_bound
     assert fresh.lipschitz_bound == pytest.approx(21.6535, abs=1e-4)
