@@ -43,11 +43,12 @@ def roe_batch(grid, nodes, probs) -> np.ndarray:
     ``grid``: (m,) breakpoints; ``nodes``: (n, m) values v_y(grid_l), with
     unit-slope tails outside the grid.  With h_l = nodes[:, l] the root lies
     on the piece l after the last node with <h_l, p> below the tie band
-    (:func:`tie_band`), where it is the ratio of expectations
-    g_l + (g_{l+1} - g_l) a / (a + b), a = -<h_l, p>, b = <h_{l+1}, p>.  A
-    run of two or more nodes in their bands is a flat root interval; its
-    midpoint is returned.  A denominator a + b at most ``_DEN_TOL`` ||h_l||
-    raises OrderabilityError.
+    (:func:`tie_band`), or on piece 0 where <h_0, p> < 0 is in its band (the
+    tail's unit slope would add a node score to u), and there it is the ratio
+    of expectations g_l + (g_{l+1} - g_l) a / (a + b), a = -<h_l, p>, b =
+    <h_{l+1}, p>.  A run of two or more nodes in their bands is a flat root
+    interval; its midpoint is returned.  Except in the band of node 0, where
+    a, b > 0, a + b at most ``_DEN_TOL`` ||h_l|| raises OrderabilityError.
     """
     g, H = _as_c(grid), _as_c(nodes)
     M = _as_c(probs) @ H  # (batch, m)
@@ -56,26 +57,26 @@ def roe_batch(grid, nodes, probs) -> np.ndarray:
     lo, hi = _count_columns(M < -band), _count_columns(M <= band)
     out = np.empty(M.shape[0])
 
-    first = lo == 0
+    first = (lo == 0) & ((M[:, 0] >= 0.0) | (m == 1))  # else on piece 0
     out[first] = g[0] - M[first, 0]
     last = lo == m
     out[last] = g[-1] - M[last, m - 1]
 
-    mid = ~(first | last)
+    flat = hi - lo >= 2
+    mid = ~(first | last | flat)
     if np.any(mid):
         rows = np.nonzero(mid)[0]
-        l = lo[rows] - 1
+        l = np.maximum(lo[rows] - 1, 0)
         at = rows * m + l
         a = -M.ravel()[at]
         den = a + M.ravel()[at + 1]
-        if np.any(den <= tie_band(H, _DEN_TOL)[l]):
+        if np.any(den <= tie_band(H, _DEN_TOL)[l] * (lo[rows] > 0)):
             raise OrderabilityError(
                 "ratio-of-expectations denominator below tolerance; "
                 "strong orderability violated at a sample point"
             )
         out[rows] = g[l] + (g[l + 1] - g[l]) * a / den
 
-    flat = hi - lo >= 2
     if np.any(flat):
         out[flat] = 0.5 * (g[lo[flat]] + g[hi[flat] - 1])
     return out

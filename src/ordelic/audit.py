@@ -29,7 +29,7 @@ from ordelic.simplex import (
     ternary_plot_coords,
 )
 
-_BOUND_SLACK = 1e-9
+_BOUND_SLACK = 1e-9  # in probability; in u, times the largest |u| of the value range
 # Least distance of a counterexample point from a node slice, and of the
 # pair's points from each other; below it rounding would decide the measured
 # ratio.
@@ -299,12 +299,13 @@ def check_postprocessing_bound(bins: _Bins, surrogate: Surrogate,
     eps = bins.mean(_distance(bins, norm))
     gaps = _gap(bins, surrogate.gamma_many, bins.keys[bins.of])
     eps_prime = bins.mean(gaps)
+    slack = _BOUND_SLACK * np.abs(surrogate.value_range).max()
     bounds = [
         BoundCheck(
             name="postprocessing",
             lhs=eps_prime,
             rhs=_times_k(K, eps),
-            satisfied=bool(eps_prime <= _times_k(K, eps) + _BOUND_SLACK),
+            satisfied=bool(eps_prime <= _times_k(K, eps) + slack),
             params={"K": K, "K_exact": K_exact, "norm": norm_name(norm),
                     "epsilon": eps},
         )
@@ -315,7 +316,7 @@ def check_postprocessing_bound(bins: _Bins, surrogate: Surrogate,
                 name="contraction",
                 lhs=eps_prime,
                 rhs=eps,
-                satisfied=bool(eps_prime <= eps + _BOUND_SLACK),
+                satisfied=bool(eps_prime <= eps + slack),
                 params={"K": K, "K_exact": K_exact, "norm": norm_name(norm)},
             )
         )
@@ -537,11 +538,11 @@ def check_discretization_bound(
 
 def estimate_marginal_lipschitz(bins: _Bins, norm="l2") -> float:
     """Max difference quotient, in ``norm``, of bin conditionals across
-    adjacent prediction values, for the bins of a scalar predictor by its
-    values: a data-driven stand-in for C_marginal, flagged as an estimate."""
+    adjacent values more than 1e-15 times the largest |value| apart, for the
+    bins of a scalar predictor by value: a stand-in for C_marginal, flagged as an estimate."""
     order = np.argsort(bins.keys, kind="stable")
     du = np.diff(bins.keys[order])
     dq = np.linalg.norm(np.diff(bins.cond[order], axis=0), ord=norm_order(norm),
                         axis=1)
-    apart = du > 1e-15
+    apart = du > 1e-15 * np.abs(bins.keys).max(initial=0.0)
     return float(np.max(dq[apart] / du[apart], initial=0.0))

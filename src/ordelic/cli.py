@@ -144,10 +144,10 @@ def _build_normals(spec: dict, args):
     seed = _require_seed(args)
     try:
         surrogate, report = full_pipeline(source, seed)
-    except OrderabilityError as exc:
+    except (SpecError, OrderabilityError) as exc:
         rows = "" if spec["cost"] is None else \
             "; boundary i is where cost rows i and i + 1 tie"
-        raise OrderabilityError(f"{args.spec}: {exc}{rows}") from None
+        raise type(exc)(f"{args.spec}: {exc}{rows}") from None
     report = {"algo": "normals", **report,
               "thresholds": surrogate.thresholds.tolist(),
               "value_range": list(surrogate.value_range)}
@@ -174,8 +174,7 @@ def _cmd_levelsets(args) -> int:
         raise SpecError(f"--resolution must be at least 1, got {args.resolution}")
     build = _build_embedding if args.algo == "embedding" else _build_normals
     surrogate, _ = build(spec, args)
-    pts = triangle_grid(args.resolution)
-    serialize.write_levelsets_csv(args.out, pts, *surrogate.levels_many(pts))
+    serialize.write_levelsets_csv(args.out, *surrogate.levels_many(triangle_grid(args.resolution)))
     return EXIT_OK
 
 

@@ -22,8 +22,8 @@ from ordelic.properties import NODE_DECREASE_TOL, CostMatrix, Surrogate
 @dataclass(frozen=True)
 class EmbeddingInput:
     """A cost matrix, the strictly increasing points ``phi`` its reports are
-    embedded at, and the outer slope S, by default 1 plus the steepest cost
-    slope of any outcome.
+    embedded at, and the outer slope S, by default the steepest cost slope
+    of any outcome, so that scaling the costs or phi scales S alike.
 
     ``slopes`` holds each outcome's embedded-loss slopes from left to right:
     -S, the slopes (c_{r+1} - c_r) / (phi_{r+1} - phi_r) of its costs, S.
@@ -51,7 +51,7 @@ class EmbeddingInput:
             raise SpecError(f"outer slope must be finite and positive, got "
                             f"{float(self.outer_slope)}")
         d = np.diff(costs, axis=0).T / np.diff(phi)
-        S = float(1.0 + np.abs(d).max() if self.outer_slope is None else self.outer_slope)
+        S = float(np.abs(d).max() if self.outer_slope is None else self.outer_slope)
         slopes = np.column_stack([np.full(len(d), -S), d, np.full(len(d), S)])
         falls = np.diff(slopes) < -NODE_DECREASE_TOL * np.abs(slopes).max(axis=1)[:, None]
         ends = falls[:, [0, -1]].any(axis=1)

@@ -91,10 +91,8 @@ class AffineBoundary:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.float64)
-        if c.ndim != 1 or len(c) < 2:
-            raise SpecError("boundary coefficients must be a 1-d vector")
-        if np.linalg.norm(c - c.mean()) <= 1e-12 * (1.0 + np.linalg.norm(c)):
-            raise SpecError("coefficients proportional to the all-ones vector")
+        if c.ndim != 1 or len(c) < 2 or not np.isfinite(np.append(c, float(self.offset))).all():
+            raise SpecError("a boundary needs 2 or more finite coefficients and a finite offset")
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "offset", float(self.offset))
 
@@ -103,11 +101,12 @@ def homogenize_boundary(bd: AffineBoundary) -> np.ndarray:
     """Unit direction o with <o, p> = 0 iff <c, p> = b on the simplex.
 
     Uses sum(p) = 1 to fold the offset into the coefficients; the sign is
-    arbitrary until :func:`orient_normals`.
+    arbitrary until :func:`orient_normals`.  A c - b 1 of norm at most 1e-12
+    (||c|| + |b|) is refused; one along 1 meets no simplex edge.
     """
     o = bd.coeffs - bd.offset
     norm = np.linalg.norm(o)
-    if norm <= 1e-12:
+    if norm <= 1e-12 * (np.linalg.norm(bd.coeffs) + abs(bd.offset)):
         raise SpecError("degenerate boundary: coeffs - offset*ones vanishes")
     return o / norm
 
@@ -644,13 +643,13 @@ class Surrogate:
         """Property value at each row of ``probs``."""
         return roe_batch(self.grid, self.nodes, as_simplex_points(probs))
 
-    def levels_many(self, probs) -> tuple[np.ndarray, np.ndarray]:
-        """(lowest target report, property value) at each row of ``probs``:
-        ``argmax(discrete_set_many(probs), axis=1) + 1`` and
-        ``gamma_many(probs)``, with ``probs`` validated once for both."""
+    def levels_many(self, probs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(point, lowest target report, property value) for each row of
+        ``probs``: the row validated once, and ``argmax(discrete_set_many,
+        axis=1) + 1`` and ``gamma_many`` taken at that point."""
         P = as_simplex_points(probs)
         reports = _first_columns(self._target()._target_mask(P)) + 1
-        return reports, roe_batch(self.grid, self.nodes, P)
+        return P, reports, roe_batch(self.grid, self.nodes, P)
 
     def link_many(self, us) -> np.ndarray:
         """Report index of each value in ``us``: 1 + #(thresholds < u)."""

@@ -134,27 +134,26 @@ CONTINUITY_TOL = 1e-9
 
 def interpolate(breakpoints, values) -> tuple[np.ndarray, np.ndarray]:
     """(slopes, intercepts), one row per row of ``values``, of the linear
-    interpolations through (breakpoint, value) nodes with unit-slope tails,
-    checked for continuity: piece i lives on [b_{i-1}, b_i], unbounded at
-    the ends.  These are the ``v_bar`` functions a surrogate file spells
-    out, computed so that files are bit-stable."""
+    interpolations through (breakpoint, value) nodes with unit-slope tails:
+    piece i lives on [b_{i-1}, b_i], unbounded at the ends.  These are the
+    ``v_bar`` functions a surrogate file spells out, computed so that files
+    are bit-stable; they meet at each breakpoint up to rounding."""
     bp, V = np.asarray(breakpoints, dtype=np.float64), np.asarray(values, dtype=np.float64)
     a = np.ones((len(V), len(bp) + 1))
     a[:, 1:-1] = np.diff(V, axis=1) / np.diff(bp)
     c = np.empty_like(a)
     c[:, :-1] = V - a[:, :-1] * bp
     c[:, -1] = V[:, -1] - bp[-1]
-    _check_continuity(bp, a, c)
     return a, c
 
 
 def _check_continuity(bp: np.ndarray, a: np.ndarray, c: np.ndarray) -> None:
-    """Raise unless the pieces (slopes a, intercepts c along the last axis)
-    meet at every breakpoint within CONTINUITY_TOL (relative)."""
-    left = a[..., :-1] * bp + c[..., :-1]
-    right = a[..., 1:] * bp + c[..., 1:]
-    scale = 1.0 + np.abs(left)
-    if np.any(np.abs(left - right) > CONTINUITY_TOL * scale):
+    """Raise unless the pieces (slopes a, intercepts c) meet at every
+    breakpoint b_i within CONTINUITY_TOL times the largest of the terms a_i
+    b_i, c_i, a_{i+1} b_i, c_{i+1} compared there, as their rounding is."""
+    terms = np.array([a[:-1] * bp, c[:-1], a[1:] * bp, c[1:]])
+    gap = np.abs(terms[0] + terms[1] - terms[2] - terms[3])
+    if np.any(gap > CONTINUITY_TOL * np.abs(terms).max(axis=0)):
         raise SpecError("pieces disagree at a breakpoint; function not well-defined")
 
 

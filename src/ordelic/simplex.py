@@ -91,15 +91,15 @@ def _row_sums(P: np.ndarray) -> np.ndarray:
 def triangle_grid(resolution: int) -> np.ndarray:
     """The points (i, j, r - i - j) / r of the 3-outcome simplex, r =
     ``resolution``, with i outer and j inner.  Each coordinate is one IEEE
-    division of integers; rows are then renormalized by
-    :func:`as_simplex_points`."""
+    division of integers, so a row may sum to 1 only within rounding;
+    :func:`as_simplex_points` renormalizes them."""
     r = int(resolution)
     if r < 1:
         raise SpecError(f"grid resolution must be at least 1, got {r}")
     counts = np.arange(r + 1, 0, -1)  # r + 1 - i values of j for each i
     i = np.repeat(np.arange(r + 1), counts)
     j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return as_simplex_points(np.column_stack([i, j, r - i - j]) / r)
+    return np.column_stack([i, j, r - i - j]) / r
 
 
 def ternary_plot_coords(p) -> np.ndarray:

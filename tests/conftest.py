@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ordelic._kernels import BOUNDARY_TOL
+from ordelic._kernels import BOUNDARY_TOL, roe_batch
 from ordelic.audit import PredictorTable, bin_predictions
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import SimplexError, SpecError
@@ -41,7 +41,7 @@ O2 = np.array([-2.0, -1.0, 3.0]) / SQ14
 # in the target set.  The first is 1.05e-10 in unit-normal score below the
 # threshold 2.5 of the embedding of random_orderable_spec(3, 4, 17), just
 # outside the tie band: the target is {4}, and the value is the exact root
-# 2.5 + 5.2e-11, on the upper piece.  At the second the normals of
+# 2.5 + 1.4e-10, on the upper piece.  At the second the normals of
 # full_pipeline(cost, 0) of random_orderable_spec(3, 4, 0) give 4.6e-11,
 # inside the band: the target is {1, 2}, and the link 2.
 EMBEDDING_TIE = (0.2995183774083123, 0.6837551281407757, 0.016726494450912118)
@@ -417,11 +417,12 @@ def simplex_points_reference(x) -> np.ndarray:
 
 def write_levelsets_rows(path, surrogate, res: int) -> None:
     """The levelsets CSV written row by row: the grid built point by point
-    with Python divisions, one f-string per row."""
+    with Python divisions and validated once, both columns taken at those
+    points by the kernel and the target sets, one f-string per row."""
     pts = as_simplex_points(np.array([(i / res, j / res, (res - i - j) / res)
                                       for i in range(res + 1) for j in range(res + 1 - i)]))
-    gamma_s = surrogate.gamma_many(pts)
-    gamma_d = np.argmax(surrogate.discrete_set_many(pts), axis=1) + 1
+    gamma_s = roe_batch(surrogate.grid, surrogate.nodes, pts)
+    gamma_d = np.argmax(surrogate._target()._target_mask(pts), axis=1) + 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("p1,p2,p3,gamma_discrete,gamma_surrogate\n")
         fh.writelines(f"{p1!r},{p2!r},{p3!r},{gd},{gs!r}\n" for (p1, p2, p3), gd, gs
@@ -634,7 +635,7 @@ def embedding_nodes_reference(cost, phi, outer_slope=None):
     points = [np.column_stack([phi, cost.entries[:, y]]) for y in range(cost.n_outcomes)]
     chords = [lower_convex_envelope_reference(pts) for pts in points]
     steepest = [max(abs(a) for a, _ in c) for c in chords]
-    S = 1.0 + max(steepest) if outer_slope is None else float(outer_slope)
+    S = max(steepest) if outer_slope is None else float(outer_slope)
     grid = np.unique(np.concatenate([phi, 0.5 * (phi[:-1] + phi[1:])]))
     nodes = np.empty((cost.n_outcomes, len(grid)))
     for y, (pts, c, max_slope) in enumerate(zip(points, chords, steepest)):

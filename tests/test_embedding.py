@@ -36,8 +36,8 @@ class TestEmbeddingInput:
         assert inp.slopes.tolist() == [[-3.0, 1.0, 1.0, 3.0], [-3.0, -3.0, 0.5, 3.0],
                                        [-3.0, -2.0, -1.5, 3.0]]
 
-    def test_default_outer_slope_is_one_plus_the_steepest(self, fixture_cost):
-        assert EmbeddingInput(fixture_cost, EQ1_PHI).outer_slope == 4.0
+    def test_default_outer_slope_is_the_steepest(self, fixture_cost):
+        assert EmbeddingInput(fixture_cost, EQ1_PHI).outer_slope == 3.0
 
     def test_small_outer_slope_rejected(self, fixture_cost):
         with pytest.raises(SpecError, match=r"^outer slope 2.0 does not dominate chord "
@@ -50,7 +50,7 @@ class TestEmbeddingInput:
 
     def test_slightly_concave_costs_are_refused(self):
         """Outcome 1's costs 0, 1, 3 - 2e-11 at phi 0, 1, 3 fall in slope
-        by 1e-11, 2.5e-12 of the outer slope 4: refused (the CLI exits 2),
+        by 1e-11, 3.3e-12 of the outer slope 3: refused (the CLI exits 2),
         naming the triple.  The max-affine construction took them, as its
         loss met each cost within 1e-10 relative."""
         cost = CostMatrix([[0, 3, 5], [1, 0, 3], [3 - 2e-11, 1, 0]])

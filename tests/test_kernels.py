@@ -50,6 +50,20 @@ class TestBackendAgreement:
         nodes = np.array([[-3.0, -2.0]])
         assert roe_batch(bp, nodes, probs)[0] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_below_the_band_of_the_first_node(self, scale):
+        """A score below 0 in the band of node 0 puts the root on piece 0,
+        at its ratio of expectations, however small a + b is against
+        ||h_0||: nodes (-5000.5, -1), (0, 1), (0, 0) on the grid (0, 0.5)
+        times s, at p = (e, e + d, 1 - 2e - d) with e = 1e-13, d = 2e-10,
+        give s / 2 * 5000.5 e / (5000.5 e + d), the root of the expected
+        identification there.  The unit-slope tail read 5e-10 / s, and the
+        guard on a + b raised."""
+        e, d = 1e-13, 2e-10
+        nodes = np.array([[-5000.5, -1.0], [0.0, 1.0], [0.0, 0.0]]) / scale
+        got = roe_batch(np.array([0.0, 0.5]) * scale, nodes, [[e, e + d, 1 - 2 * e - d]])[0]
+        assert got == pytest.approx(0.5 * scale * 5000.5 * e / (5000.5 * e + d), rel=1e-9)
+
     def test_roe_degenerate_denominator_raises(self):
         # opposed consecutive normals make the straddling denominator
         # negative: an OrderabilityError, which the CLI reports as exit 2

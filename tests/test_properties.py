@@ -53,6 +53,7 @@ from ordelic.properties import (
     homogenize_boundary,
     normal_from_boundary_samples,
     orient_normals,
+    slice_vertices,
 )
 from ordelic.serialize import dumps, surrogate_from_json, surrogate_to_json
 from ordelic.simplex import as_simplex_points, norm_order, sample_simplex
@@ -98,8 +99,23 @@ class TestHomogenize:
         assert np.allclose(o, np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
 
     def test_ones_coefficients_rejected(self):
-        with pytest.raises(SpecError):
-            AffineBoundary([2.0, 2.0, 2.0], 1.0)
+        """c - b 1 along the all-ones vector meets no point of the simplex,
+        and c = b 1 is no hyperplane; both are refused naming that."""
+        o = homogenize_boundary(AffineBoundary([2.0, 2.0, 2.0], 1.0))
+        with pytest.raises(OrderabilityError, match="boundary 1 does not meet the simplex"):
+            slice_vertices(o[None])
+        with pytest.raises(SpecError, match="degenerate boundary"):
+            homogenize_boundary(AffineBoundary([2.0, 2.0, 2.0], 2.0))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-14, 1.0, 1e14, 1e150])
+    def test_scale_moves_no_decision(self, scale):
+        """A boundary and its multiples give the same unit normal to 1 ulp,
+        and c = b 1 is refused at every scale."""
+        o = homogenize_boundary(AffineBoundary([-3.0, 1.0, 0.0], -2.0))
+        got = homogenize_boundary(AffineBoundary(np.array([-3.0, 1.0, 0.0]) * scale, -2.0 * scale))
+        assert got == pytest.approx(o, rel=1e-15, abs=0)
+        with pytest.raises(SpecError, match="degenerate boundary"):
+            homogenize_boundary(AffineBoundary([scale] * 3, scale))
 
 
 class TestNormalRecovery:
@@ -250,8 +266,12 @@ def test_nodes_up_to_the_bound_give_the_exact_k(fixture_embedding):
         Surrogate(s.grid, np.ldexp(s.nodes, k + 1), s.thresholds, cost=s.cost)
 
 
-# The cost scales the surrogates are checked at against the cost itself.
-COST_SCALES = (1e-8, 1e-6, 1e-3, 1e9, 1e25)
+# The cost scales, and for the embedding the phi scales, the surrogates are
+# checked at against the cost itself at phi: both ends of the ranges, the
+# scales named in the tests' docstrings, and about one decade in three
+# between (the CLI tests take every decade of the README cost).
+COST_SCALES = (1e-14, 1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 1e3, 1e9, 1e15, 1e20, 1e25)
+PHI_SCALES = (1e-12, 1e-11, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e8, 1e9, 1e10, 1e11, 1e12)
 
 
 def _scaled_surrogate(kind: str, cost: CostMatrix, phi, scale: float) -> Surrogate:
@@ -265,27 +285,52 @@ def _scaled_surrogate(kind: str, cost: CostMatrix, phi, scale: float) -> Surroga
     return build_surrogate(EmbeddingInput(scaled, phi, slope * scale))
 
 
+def _scaled_surrogates(kind: str, cost: CostMatrix, phi):
+    """(case, s, surrogate) for each scaling whose property is s times that
+    of ``cost`` at ``phi``: the normals of the cost times each of
+    COST_SCALES (s = 1), and the embedding of the cost times each of them
+    (s = 1) and at phi times each of PHI_SCALES (s the phi scale), with the
+    default outer slope and with the cost's default scaled alike."""
+    if kind == "normals":
+        for scale in COST_SCALES:
+            yield ("cost", scale), 1.0, _scaled_surrogate(kind, cost, phi, scale)
+        return
+    slope = EmbeddingInput(cost, phi).outer_slope
+    for scale in COST_SCALES:
+        yield ("cost", scale, "scaled"), 1.0, _scaled_surrogate(kind, cost, phi, scale)
+        yield ("cost", scale, "default"), 1.0, \
+            build_surrogate(EmbeddingInput(CostMatrix(cost.entries * scale), phi))
+    for scale in PHI_SCALES:
+        for outer in ("scaled", "default"):
+            inp = EmbeddingInput(cost, np.asarray(phi) * scale,
+                                 slope / scale if outer == "scaled" else None)
+            yield ("phi", scale, outer), scale, build_surrogate(inp)
+
+
 @pytest.mark.parametrize("kind", ["embedding", "normals"])
 @pytest.mark.parametrize("seed,n", [(None, 3), (9, 4), (32, 3), (3, 4), (0, 5)])
 def test_k_does_not_depend_on_the_cost_scale(fixture_cost, kind, seed, n):
-    """Either construction from a cost times 1e-8, 1e-6, 1e-3, 1e9 or 1e25
-    (the embedding's outer slope scaled alike) has the K of the cost itself
-    to 1e-9 relative in every norm: the README cost at phi 0, 1, 3 (seed
-    None) and random specs.  At 1e25 the README cost's l2 K once read
+    """Either construction from a cost times 1e-14 .. 1e25, and the
+    embedding at phi times 1e-12 .. 1e12 (K times the phi scale), with the
+    default outer slope or the cost's scaled alike, has the K of the cost
+    itself to 1e-9 relative in every norm: the README cost at phi 0, 1, 3
+    (seed None) and random specs.  At 1e25 the README cost's l2 K once read
     18.708 against 21.654, and at 1e9 seed 9, n = 4 read 4.577 against
     18.343, when the regions were cut with a tie band on the node scores.
     At 1e-8 seed 32, n = 3 read inf while the K = inf test took that band
     in node score, and seed 3, n = 4 and seed 0, n = 5 read inf while the
     loss pieces active at a grid point were those within 1e-9 (1 + |max|) of
-    the max."""
+    the max.  The README normals at 1e-13 and 1e-14 were refused as
+    proportional to the all-ones vector, and with the default outer slope 1
+    plus the steepest cost slope the README embedding at phi times 1e3 read
+    K = 273.19 times 1e3."""
     cost, phi = (fixture_cost, EQ1_PHI) if seed is None else \
         random_orderable_spec(n, 4, seed)[1:]
     s = _scaled_surrogate(kind, cost, phi, 1.0)
-    for scale in COST_SCALES:
-        scaled = _scaled_surrogate(kind, cost, phi, scale)
+    for case, u_scale, scaled in _scaled_surrogates(kind, cost, phi):
         for norm in ("l1", "l2", "linf"):
-            assert scaled.lipschitz(norm) == pytest.approx(s.lipschitz(norm), rel=1e-9), \
-                (scale, norm)
+            assert scaled.lipschitz(norm) / u_scale == \
+                pytest.approx(s.lipschitz(norm), rel=1e-9), (case, norm)
 
 
 @pytest.mark.parametrize("seed,n", [(None, 3), (9, 4), (32, 3), (3, 4), (0, 5), (1, 8)])
@@ -311,12 +356,12 @@ def test_embedding_k_does_not_depend_on_small_cost_scales(fixture_cost, seed, n)
 @example(kind="embedding", n=3, seed=None)
 @example(kind="normals", n=3, seed=None)
 def test_property_does_not_depend_on_the_cost_scale(kind, n, seed):
-    """Built from a cost times each of COST_SCALES, either construction
-    gives the property of the cost itself within 1e-12 of its value range
-    and the same target sets, on 4,000 random points and the vertices: the
-    README cost at phi 0, 1, 3 (seed None) and random specs.  With the tie
-    band absolute in node score and in expected cost, the README embedding
-    at 1e-8 moved by 0.017 of its range, and the target sets of both
+    """Each scaling of _scaled_surrogates gives the property of the cost
+    itself, times the phi scale, within 1e-12 of its value range, and the
+    same target sets, on 4,000 random points and the vertices: the README
+    cost at phi 0, 1, 3 (seed None) and random specs.  With the tie band
+    absolute in node score and in expected cost, the README embedding at
+    cost times 1e-8 moved by 0.017 of its range, and the target sets of both
     constructions differed at 37 of these points."""
     cost, phi = (CostMatrix(EQ1_COSTS), EQ1_PHI) if seed is None else \
         random_orderable_spec(n, 4, seed)[1:]
@@ -325,10 +370,29 @@ def test_property_does_not_depend_on_the_cost_scale(kind, n, seed):
     s = _scaled_surrogate(kind, cost, phi, 1.0)
     gamma, sets = s.gamma_many(P), s.discrete_set_many(P)
     width = s.value_range[1] - s.value_range[0]
-    for scale in COST_SCALES:
-        scaled = _scaled_surrogate(kind, cost, phi, scale)
-        assert np.abs(scaled.gamma_many(P) - gamma).max() <= 1e-12 * width, scale
-        assert np.array_equal(scaled.discrete_set_many(P), sets), scale
+    for case, u_scale, scaled in _scaled_surrogates(kind, cost, phi):
+        assert np.abs(scaled.gamma_many(P) / u_scale - gamma).max() <= 1e-12 * width, case
+        assert np.array_equal(scaled.discrete_set_many(P), sets), case
+
+
+@pytest.mark.parametrize("phi_scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_a_root_in_the_band_of_the_first_node_scales_with_phi(phi_scale):
+    """Next to e1, where outcome 1's first node is 0, the README embedding's
+    property at phi times s is s times its property at phi, and links to
+    report 1, the target: the root in the band of the first node is on the
+    first grid piece.  Read on the left tail, whose slope is 1 in every
+    unit, it was g_0 + 3t for the point (1 - t, t, 0), t = 1e-10: 300 at phi
+    times 1e-12, past every threshold, so the link missed the target."""
+    cost = CostMatrix(EQ1_COSTS)
+    t = np.array([1e-9, 1e-10, 5e-11, 1e-12])
+    P = np.column_stack([1.0 - t, t, np.zeros_like(t)])
+    s = build_surrogate(EmbeddingInput(cost, EQ1_PHI))
+    scaled = build_surrogate(EmbeddingInput(cost, EQ1_PHI * phi_scale))
+    u = scaled.gamma_many(P)
+    assert u / phi_scale == pytest.approx(s.gamma_many(P), rel=1e-12)
+    assert u / phi_scale == pytest.approx(1.5 * t, rel=1e-9)
+    assert scaled.link_many(u).tolist() == [1] * len(t)
+    assert scaled.discrete_set_many(P)[:, 0].all()
 
 
 class TestOrderabilityErrors:
@@ -488,13 +552,13 @@ def _near_boundaries(s, n: int, seed: int, pairs: int = 96) -> np.ndarray:
     both ends of 60 bisection halvings, each moved along the segment by every
     one of ``_TIE_OFFSETS``."""
     A, B = np.split(sample_simplex(n, 2 * pairs, seed), 2)
-    ra = s.levels_many(A)[0]
-    keep = ra != s.levels_many(B)[0]
+    ra = s.levels_many(A)[1]
+    keep = ra != s.levels_many(B)[1]
     A, D, ra = A[keep], B[keep] - A[keep], ra[keep]
     lo, hi = np.zeros(len(A)), np.ones(len(A))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        same = s.levels_many(A + mid[:, None] * D)[0] == ra
+        same = s.levels_many(A + mid[:, None] * D)[1] == ra
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     t = np.clip(np.concatenate([lo, hi])[:, None] + _TIE_OFFSETS, 0.0, 1.0)
     A, D = np.concatenate([A, A]), np.concatenate([D, D])
@@ -540,9 +604,9 @@ def _target_sets_reference(target, P) -> np.ndarray:
 @given(n=st.integers(3, 8), n_reports=st.integers(2, 5), seed=st.integers(0, 2**20),
        algo=st.sampled_from(["embedding", "normals"]))
 def test_levels_many_is_the_lowest_target_and_gamma(n, n_reports, seed, algo):
-    """levels_many gives, bit for bit, the lowest report of
-    discrete_set_many and gamma_many, and the target sets equal their
-    whole-array form, on interior points, vertices and boundary ties."""
+    """levels_many gives, bit for bit, the validated points, the lowest
+    report of discrete_set_many and gamma_many, and the target sets equal
+    their whole-array form, on interior points, vertices and boundary ties."""
     bds, cost, phi = random_orderable_spec(n, n_reports, seed)
     normals = normals_from_boundaries(bds)
     if algo == "embedding":
@@ -551,10 +615,10 @@ def test_levels_many_is_the_lowest_target_and_gamma(n, n_reports, seed, algo):
         s = build_from_normals(normals)
     pts = np.vstack([sample_simplex(n, 300, seed), np.eye(n),
                      *(sample_boundary(o, 20, seed) for o in normals.o)])
-    reports, values = s.levels_many(pts)
+    P, reports, values = s.levels_many(pts)
+    assert P.tobytes() == as_simplex_points(pts).tobytes()
     assert reports.tobytes() == (np.argmax(s.discrete_set_many(pts), axis=1) + 1).tobytes()
     assert values.tobytes() == s.gamma_many(pts).tobytes()
-    P = as_simplex_points(pts)
     for target in (cost, normals):
         assert np.array_equal(target.target_sets(pts), _target_sets_reference(target, P))
 

@@ -972,8 +972,8 @@ BOUNDARY_SPEC = {"n": 3, "reports": [1, 2, 3],
         ("readme_normals_seed1", (1, 3), README_SPEC, ["--algo", "normals", "--seed", "1"]),
         ("boundaries_normals_seed1", (1,), BOUNDARY_SPEC,
          ["--algo", "normals", "--seed", "1"]),
-        ("readme_embedding_phi013", (1, 3), README_SPEC,
-         ["--algo", "embedding", "--phi", "0,1,3"]),
+        ("readme_embedding_phi013", (1, 3), README_SPEC,  # built at the outer slope 4
+         ["--algo", "embedding", "--phi", "0,1,3", "--outer-slope", "4"]),
     ) for fmt in fmts])
 def test_format1_file_matches_fresh_build(tmp_path, name, fmt, spec, args):
     """Surrogate files written in format 1 (with l_bar, without a format
