@@ -19,7 +19,7 @@ import numpy as np
 
 from ordelic import audit as audit_mod
 from ordelic import serialize
-from ordelic.embedding import EmbeddingInput, build_surrogate
+from ordelic.embedding import EmbeddingInput, build_surrogate, embedding_points
 from ordelic.errors import OrdelicError, OrderabilityError, SearchFailure, SpecError
 from ordelic.normals import full_pipeline
 from ordelic.scenario import exact_dataset, materialize_predictor, sample_dataset
@@ -112,18 +112,17 @@ def _parse_phi(arg, n_reports: int) -> np.ndarray:
     except ValueError:
         raise SpecError(f"--phi must be {n_reports} comma-separated numbers, "
                         f"got {arg!r}") from None
-    if len(phi) != n_reports:
-        raise SpecError(f"--phi needs {n_reports} values")
     return phi
 
 
 def _build_embedding(spec: dict, args):
     cost = spec["cost"]
     if cost is None:
-        raise SpecError("the embedding construction needs a cost matrix spec")
-    phi = _parse_phi(args.phi, cost.n_reports)
-    inp = EmbeddingInput(cost, phi, args.outer_slope)
-    try:
+        raise SpecError(f"{args.spec}: the embedding construction needs a cost_matrix, "
+                        "not boundaries")
+    phi = embedding_points(_parse_phi(args.phi, cost.n_reports), args.outer_slope)
+    try:  # the refusals left depend on the costs
+        inp = EmbeddingInput(cost, phi, args.outer_slope)
         surrogate = build_surrogate(inp)
     except (SpecError, OrderabilityError) as exc:
         raise type(exc)(f"{args.spec}: {exc}") from None
@@ -180,6 +179,8 @@ def _cmd_levelsets(args) -> int:
 
 def _cmd_simulate(args) -> int:
     seed = _require_seed(args)
+    if args.samples < 1:
+        raise SpecError(f"--samples must be at least 1, got {args.samples}")
     scenario = serialize.read_scenario(args.spec)
     rows = sample_dataset(scenario, args.samples, seed)
     predictor = materialize_predictor(scenario, seed + 1)
@@ -257,6 +258,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    if np.isnan(args.c):
+        raise SpecError(f"--c must be a number, got {args.c}")
     surrogate = serialize.read_surrogate(args.surrogate)
     _, _, instance = audit_mod.counterexample_gap(surrogate, args.c, norm=args.norm)
     f, data = audit_mod.instance_dataset(instance)

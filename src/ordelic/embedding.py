@@ -39,17 +39,11 @@ class EmbeddingInput:
     slopes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.float64)
+        phi = embedding_points(self.phi, self.outer_slope)
         costs = self.cost.entries
         if len(phi) != self.cost.n_reports:
-            raise SpecError("one embedding point per report required")
-        if not np.all(np.isfinite(phi)):
-            raise SpecError(f"embedding points phi must be finite, got {phi.tolist()}")
-        if np.any(np.diff(phi) <= 0):
-            raise SpecError("embedding points must be strictly increasing")
-        if self.outer_slope is not None and not 0 < float(self.outer_slope) < np.inf:
-            raise SpecError(f"outer slope must be finite and positive, got "
-                            f"{float(self.outer_slope)}")
+            raise SpecError(f"phi has {len(phi)} embedding points, but the cost matrix "
+                            f"has {self.cost.n_reports} reports")
         d = np.diff(costs, axis=0).T / np.diff(phi)
         S = float(np.abs(d).max() if self.outer_slope is None else self.outer_slope)
         slopes = np.column_stack([np.full(len(d), -S), d, np.full(len(d), S)])
@@ -65,6 +59,20 @@ class EmbeddingInput:
                             f"{_convex_phi(costs, phi)}")
         for name, value in (("phi", phi), ("outer_slope", S), ("slopes", slopes)):
             object.__setattr__(self, name, value)
+
+
+def embedding_points(phi, outer_slope=None) -> np.ndarray:
+    """``phi`` as floats, after the checks that read no costs: the points
+    must be finite and strictly increasing, and the outer slope, when
+    given, finite and positive."""
+    phi = np.asarray(phi, dtype=np.float64)
+    if not np.all(np.isfinite(phi)):
+        raise SpecError(f"embedding points phi must be finite, got {phi.tolist()}")
+    if np.any(np.diff(phi) <= 0):
+        raise SpecError("embedding points must be strictly increasing")
+    if outer_slope is not None and not 0 < float(outer_slope) < np.inf:
+        raise SpecError(f"outer slope must be finite and positive, got {float(outer_slope)}")
+    return phi
 
 
 def _mismatch_message(costs: np.ndarray, phi: np.ndarray, falls: np.ndarray,

@@ -42,11 +42,11 @@ def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
 
     Samples n-1 points per boundary, recovers each normal from their null
     space (resampling on rank deficiency), orients them by the slice chain
-    of :func:`orient_normals`, builds the surrogate, and verifies refinement
-    (the link of the property value is a target report) on
-    ``REFINEMENT_SAMPLES`` uniform points, where a miss is an
-    OrderabilityError: the boundaries do not bound the reports' regions in
-    report order.  The report lists the exact distance between each two
+    of :func:`orient_normals` over the slices they were sampled from, builds
+    the surrogate, and verifies refinement (the link of the property value
+    is a target report) on ``REFINEMENT_SAMPLES`` uniform points, where a
+    miss is an OrderabilityError: the boundaries do not bound the reports'
+    regions in report order.  The report lists the exact distances between
     consecutive boundary slices (:func:`~ordelic.properties.boundary_gap`).
     """
     if isinstance(source, CostMatrix):
@@ -79,7 +79,8 @@ def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
             got = -got        # convention of the source boundary
         recovered.append(got)
 
-    oriented = orient_normals(recovered)
+    # the sampled slices: the recovered normals' up to rounding, far below _MIN_GAP
+    oriented = orient_normals(recovered, slices)
     surrogate = build_from_normals(oriented, cost)
 
     gaps = [boundary_gap(oriented, i) for i in range(1, oriented.k)]

@@ -184,12 +184,12 @@ def slice_vertices(O: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def orient_normals(raw_normals) -> OrientedNormals:
+def orient_normals(raw_normals, slices) -> OrientedNormals:
     """Report-ordered unit normals with signs fixed by a chain: o_1 keeps its
     sign (region 1 is its negative side) and o_{i+1} takes the sign that puts
-    slice i (whose vertices no sign flip changes) on its negative side."""
+    slice i on its negative side.  Its vertices, which no sign flip changes,
+    are ``slices[i - 1]``."""
     O = np.array(raw_normals, dtype=np.float64)
-    slices = slice_vertices(O[:-1])
     for i in range(1, len(O)):
         if (slices[i - 1] @ O[i]).max() > -_MIN_GAP:
             O[i] = -O[i]
@@ -473,7 +473,7 @@ def _regions(C: np.ndarray, S: np.ndarray, on: np.ndarray) -> tuple[list, list]:
     return (columns - 1).tolist(), [C[inside[:, c]] for c in columns]
 
 
-def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
+def lipschitz_constant(grid, nodes, norm, slices) -> LipschitzMax:
     """Exact Lipschitz constant K of the property on (grid, nodes) over the
     simplex in ``norm`` (l1, l2 or linf), with its maximizer.
 
@@ -495,16 +495,13 @@ def lipschitz_constant(grid, nodes, norm="l2", slices=None) -> LipschitzMax:
     gives.  Regions inside one slice have no interior and are skipped.  The
     gradients of every piece go through one :func:`_dual`, and the first
     piece with the largest value gives the maximizer.
-    ``slices``, when given, holds the vertices of each node slice as
-    :func:`slice_vertices` of -h_l gives them (a normals surrogate's
-    ``normals.slices``).
+    ``slices`` holds the vertices of each node slice as
+    :func:`_slice_vertex_sets` of -h_l gives them (``Surrogate.slices``).
     """
     norm = norm_name(norm)
     O = -np.asarray(nodes, dtype=np.float64).T  # (m, n); row l is -h_l
     w = np.diff(np.asarray(grid, dtype=np.float64))
     m, n = O.shape
-    if slices is None:
-        slices = _slice_vertex_sets(O)
     band = tie_band(O.T)
     for l in range(m - 1):
         if len(slices[l]):
@@ -566,6 +563,7 @@ class Surrogate:
     value_range: tuple[float, float] = field(init=False)
     lipschitz_bound: float = field(init=False)
     lipschitz_exact: ClassVar[bool] = True
+    slices: tuple = field(init=False, repr=False, compare=False)  # of the nodes, for K
     _lipschitz: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -602,13 +600,15 @@ class Surrogate:
             raise SpecError(f"the identification nodes of outcome {np.nonzero(bad)[0][0] + 1} "
                             f"{why}, which the property kernel does not evaluate")
         roots = roe_batch(grid, nodes, np.eye(len(nodes)))
-        top = lipschitz_constant(grid, nodes, slices=self._slices())
+        slices = tuple(_slice_vertex_sets(-nodes.T)) if want is None else self.normals.slices
+        top = lipschitz_constant(grid, nodes, "l2", slices)
         for name, value in (
             ("grid", grid),
             ("nodes", nodes),
             ("thresholds", thresholds),
             ("value_range", (float(roots.min()), float(roots.max()))),
             ("lipschitz_bound", top.K),
+            ("slices", slices),
             ("_lipschitz", {"l2": top}),
         ):
             object.__setattr__(self, name, value)
@@ -627,13 +627,8 @@ class Surrogate:
         key = norm_name(norm)
         if key not in self._lipschitz:
             self._lipschitz[key] = lipschitz_constant(self.grid, self.nodes, key,
-                                                      self._slices())
+                                                      self.slices)
         return self._lipschitz[key]
-
-    def _slices(self) -> tuple | None:
-        """The node slices' vertices where the normals hold them: the nodes
-        of a normals surrogate are its negated normals."""
-        return None if self.normals is None else self.normals.slices
 
     def lipschitz(self, norm="l2") -> float:
         """The exact Lipschitz constant of the property in ``norm``."""

@@ -46,7 +46,7 @@ class ScenarioSpec:
         if self.recipe not in ("bayes", "perturbed", "fixed"):
             raise SpecError(f"unknown predictor recipe {self.recipe!r}")
         if self.recipe == "perturbed" and self.eta < 0:
-            raise SpecError("perturbation scale must be nonnegative")
+            raise SpecError(f"perturbation scale eta must be nonnegative, got {self.eta}")
         if self.recipe == "fixed" and self.fixed_table is None:
             raise SpecError("fixed recipe needs a predictor table")
         object.__setattr__(self, "feature_ids", ids)

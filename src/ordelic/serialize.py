@@ -417,10 +417,11 @@ def _not_utf8(path, line: int, exc: UnicodeDecodeError) -> SpecError:
 
 
 def _plain_lines(n: int) -> re.Pattern:
-    """Pattern of newline-terminated plain ``x_id,y`` lines: no quote or
-    carriage return, one comma, and a label of 1 to len(str(n)) ASCII
-    digits; the label's value is checked apart."""
-    return re.compile(rb'(?:[^,"\r\n]*,[0-9]{1,%d}\n)*' % len(str(n)))
+    """Pattern of plain ``x_id,y`` lines ended by a newline or a carriage
+    return and a newline: no quote or carriage return in the x_id, one
+    comma, and a label of 1 to len(str(n)) ASCII digits; the label's value
+    is checked apart."""
+    return re.compile(rb'(?:[^,"\r\n]*,[0-9]{1,%d}\r?\n)*' % len(str(n)))
 
 
 # A line of b bytes, with its newline, packs into ceil(b / 8) little-endian
@@ -537,7 +538,7 @@ class _LineCounts:
         self.label = np.zeros(0, dtype=np.int64)
         self.total = np.zeros(0, dtype=np.int64)    # lines counted per code
         self.packed = np.zeros((1, 0), dtype=np.uint64)
-        self.rows: list = []  # (feature codes, labels) of csv.reader chunks
+        self.parsed = np.zeros(0, dtype=np.int64)  # (feature, label) totals of csv.reader rows
         self._rebuild(_MIN_SLOT_BITS, 1)
 
     def add_lines(self, chunk: bytes, ends: np.ndarray) -> bool:
@@ -589,15 +590,18 @@ class _LineCounts:
         return True
 
     def add_rows(self, x_ids: list, labels: np.ndarray) -> None:
-        """Count rows parsed by csv.reader."""
-        self.rows.append((_coded(self.features, x_ids), labels))
+        """Count rows parsed by csv.reader into ``parsed``, which holds
+        features x n totals however many rows there are."""
+        codes = _coded(self.features, x_ids)
+        parsed = np.bincount(codes * self.n + labels - 1, minlength=len(self.features) * self.n)
+        parsed[:len(self.parsed)] += self.parsed
+        self.parsed = parsed
 
     def counts(self) -> LabelCounts:
-        n, size = self.n, len(self.features) * self.n
+        n = self.n
         counts = np.bincount(self.feature * n + self.label - 1, weights=self.total,
-                             minlength=size)
-        for codes, labels in self.rows:
-            counts += np.bincount(codes * n + labels - 1, minlength=size)
+                             minlength=len(self.features) * n)
+        counts[:len(self.parsed)] += self.parsed
         return LabelCounts(tuple(self.features), counts.reshape(-1, n))
 
     def _home(self, keys: np.ndarray) -> np.ndarray:

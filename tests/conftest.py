@@ -21,6 +21,7 @@ from ordelic.properties import (
     _slice_vertex_sets,
     homogenize_boundary,
     orient_normals,
+    slice_vertices,
 )
 from ordelic.scenario import ScenarioSpec, sample_dataset
 from ordelic.serialize import dumps, surrogate_to_json
@@ -78,7 +79,8 @@ def normals_from_boundaries(boundaries) -> OrientedNormals:
     """The oriented normals of report-ordered affine boundaries, each with
     its lower report on the <c, p> <= b side; see
     :func:`ordelic.properties.orient_normals`."""
-    return orient_normals([homogenize_boundary(bd) for bd in boundaries])
+    raw = [homogenize_boundary(bd) for bd in boundaries]
+    return orient_normals(raw, slice_vertices(raw))
 
 
 def random_orderable_spec(n: int, n_reports: int, seed: int):

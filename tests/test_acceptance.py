@@ -39,6 +39,7 @@ from ordelic.properties import (
     CostMatrix,
     normal_from_boundary_samples,
     orient_normals,
+    slice_vertices,
 )
 from ordelic.scenario import ScenarioSpec, materialize_predictor
 from ordelic.serialize import write_json
@@ -125,7 +126,7 @@ def test_criterion_2_normals_fixture(capfd):
         # region 1 holds e1; the slice chain orients boundary 2 from there
         if raw1[0] > 0:
             raw1 = -raw1
-        oriented = orient_normals([raw1, raw2])
+        oriented = orient_normals([raw1, raw2], slice_vertices([raw1, raw2]))
         assert np.allclose(oriented.o[0], O1, atol=1e-8)
         assert np.allclose(oriented.o[1], O2, atol=1e-8)
         # sampled pipeline recovery

@@ -151,6 +151,28 @@ class TestConstruct:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["construct", "levelsets"])
+    @pytest.mark.parametrize("doc,args,message", [
+        # the README cost with rows 2 and 3 swapped
+        ({**COST_SPEC, "cost_matrix": [[0, 3, 5], [3, 1, 0], [1, 0, 3]]}, [],
+         "costs of outcome 1 are not convex in phi: reports 1, 2, 3 cost 0, 3, 1"),
+        (COST_SPEC, ["--outer-slope", "1"], "outer slope 1.0 does not dominate chord slopes"),
+        (COST_SPEC, ["--phi", "0,1"],
+         "phi has 2 embedding points, but the cost matrix has 3 reports\n"),
+        (BOUNDARY_SPEC, [], "the embedding construction needs a cost_matrix, not boundaries\n"),
+    ])
+    def test_embedding_refusals_name_the_spec(self, tmp_path, capsys, command, doc, args,
+                                              message):
+        """An embedding refused for what the spec holds exits 2 naming the
+        spec, as a normals refusal does."""
+        spec, out = tmp_path / "spec.json", tmp_path / "x.out"
+        write_json(spec, doc)
+        rc = main([command, "--spec", str(spec), "--algo", "embedding", *args,
+                   "--out", str(out)])
+        assert rc == EXIT_SPEC
+        assert capsys.readouterr().err.startswith(f"error: {spec}: {message}")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, boundary_spec_file, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -330,6 +352,13 @@ class TestScales:
 
 
 class TestSimulate:
+    def test_no_samples_refused(self, scenario_file, tmp_path, capsys):
+        prefix = tmp_path / "sim"
+        assert main(["simulate", "--spec", scenario_file, "--samples", "0",
+                     "--seed", "4", "--out", str(prefix)]) == EXIT_SPEC
+        assert capsys.readouterr().err == "error: --samples must be at least 1, got 0\n"
+        assert not list(tmp_path.glob("sim*"))
+
     def test_outputs(self, scenario_file, tmp_path):
         prefix = str(tmp_path / "sim")
         rc = main(["simulate", "--spec", scenario_file, "--samples", "500",
@@ -779,6 +808,12 @@ class TestCounterexample:
         assert check["params"]["norm"] == "linf"
         assert check["params"]["K"] == pytest.approx(25.0, rel=1e-12)
 
+    def test_nan_constant_refused(self, surrogate_file, tmp_path, capsys):
+        assert main(["counterexample", "--surrogate", surrogate_file, "--c", "nan",
+                     "--out", str(tmp_path / "ce")]) == EXIT_SPEC
+        assert capsys.readouterr().err == "error: --c must be a number, got nan\n"
+        assert not list(tmp_path.glob("ce*"))
+
     @pytest.mark.parametrize("norm, c", [("linf", "25.25"), ("l1", "13")])
     def test_constant_above_the_norms_k_exits_at_once(self, readme_normals,
                                                       tmp_path, capsys, norm, c):
@@ -1064,6 +1099,8 @@ class TestInputFields:
         cases.append(("predictor: field 'b' must be a flat array with one number per "
                       "outcome", {**sc, "predictor": {**fixed, "table": {
                           "a": [0.5, 0.5, 0.0], "b": [0.5, 0.5]}}}))
+        cases.append(("perturbation scale eta must be nonnegative, got -0.1",
+                      {**sc, "predictor": {"recipe": "perturbed", "eta": -0.1}}))
         for cause, doc in cases:
             refused(command, "scenario", doc, cause)
 

@@ -20,6 +20,7 @@ from conftest import (
 from ordelic.audit import (PredictorTable, bin_predictions, check_discretization_bound,
                            check_postprocessing_bound)
 from ordelic.embedding import EmbeddingInput, build_surrogate
+from ordelic import properties
 from ordelic.errors import SpecError
 from ordelic.properties import CostMatrix, Surrogate
 from ordelic.simplex import LabelCounts, sample_simplex
@@ -300,6 +301,18 @@ class TestLipschitz:
         num = np.abs(s.gamma_many(a) - s.gamma_many(b))
         den = np.linalg.norm(a - b, axis=1)
         assert 3.0 < float(np.max(num / den)) <= s.lipschitz_bound
+
+    def test_slices_enumerated_once(self, fixture_cost, monkeypatch):
+        """Construction enumerates the node slices in one batched call, and
+        the l1 and linf constants read them from the surrogate."""
+        sizes, original = [], properties._slice_vertex_sets
+        monkeypatch.setattr(properties, "_slice_vertex_sets",
+                            lambda O: sizes.append(len(O)) or original(O))
+        s = build_surrogate(EmbeddingInput(fixture_cost, EQ1_PHI, 3.0))
+        assert sizes == [s.nodes.shape[1]]
+        for norm in ("l1", "linf"):
+            s.lipschitz(norm)
+        assert sizes == [s.nodes.shape[1]]
 
 
 def _normalized(s: Surrogate) -> Surrogate:

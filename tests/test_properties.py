@@ -139,22 +139,22 @@ class TestNormalRecovery:
 class TestOrientation:
     def test_fixture_chain(self):
         # o_1 keeps its sign; o_2 flips so that slice 1 is on its negative side
-        out = orient_normals([O1, -O2])
+        out = orient_normals([O1, -O2], slice_vertices([O1, O2]))
         assert np.array_equal(out.o, np.stack([O1, O2]))
-        assert np.array_equal(orient_normals([O1, O2]).o, out.o)
+        assert np.array_equal(orient_normals([O1, O2], slice_vertices([O1, O2])).o, out.o)
 
     def test_misordered_boundaries_raise(self):
         with pytest.raises(OrderabilityError, match="not met in report order"):
-            orient_normals([O2, O1])
+            orient_normals([O2, O1], slice_vertices([O2, O1]))
         # region 1 on the far side of boundary 1
         with pytest.raises(OrderabilityError, match="not met in report order"):
-            orient_normals([-O1, O2])
+            orient_normals([-O1, O2], slice_vertices([O1, O2]))
 
     @pytest.mark.parametrize("n,k,seed", [(3, 5, 0), (5, 4, 1), (8, 6, 1), (10, 3, 0)])
     def test_chain_recovers_random_spec(self, n, k, seed):
         O = random_normals(n, k, seed).o
         flips = np.where(np.arange(len(O)) % 2 == 1, -1.0, 1.0)[:, None]
-        assert np.array_equal(orient_normals(O * flips).o, O)
+        assert np.array_equal(orient_normals(O * flips, slice_vertices(O)).o, O)
 
 
 def _slice_vertex_loop(o, tol=1e-12):
@@ -423,7 +423,7 @@ class TestOrderabilityErrors:
         self._assert_rejected(np.stack([O[0], o2]),
                               "boundaries 1 and 2 cross inside the simplex")
         with pytest.raises(OrderabilityError, match="cross inside the simplex"):
-            orient_normals([O[0], o2])
+            orient_normals([O[0], o2], slice_vertices([O[0], o2]))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_report_order(self, n):

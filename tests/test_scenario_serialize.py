@@ -523,12 +523,15 @@ class TestDatasetReader:
     @given(ids=st.lists(_PLAIN_ID | st.sampled_from(_EDGE_IDS), min_size=1, max_size=16),
            picks=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 12)),
                           min_size=1, max_size=60),
-           chunk=st.integers(1, 64))
-    def test_byte_path_round_trip(self, tmp_path_factory, ids, picks, chunk):
+           chunk=st.integers(1, 64), crlf=st.booleans())
+    def test_byte_path_round_trip(self, tmp_path_factory, ids, picks, chunk, crlf):
+        """Plain lines, with LF or CRLF ends, are all counted line by line."""
         x_ids = [ids[i % len(ids)] for i, _ in picks]
         labels = [y for _, y in picks]
         path = tmp_path_factory.mktemp("csv") / "data.csv"
         write_dataset_csv(path, *labeled_rows(x_ids, labels, 12))
+        if crlf:
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(serialize._LineCounts, "add_rows", None)  # no csv.reader chunk
             _assert_same(_read_chunked(path, 12, chunk), reference_counts(x_ids, labels, 12))
@@ -567,6 +570,31 @@ class TestDatasetReader:
             with pytest.raises(SpecError) as err:
                 _read_chunked(path, 3, chunk)
             assert str(err.value) == f"{path}, line 252: {cause}"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("tail", ["b,2", '"b,",2'])
+    def test_last_line_without_newline(self, tmp_path, end, tail):
+        """A last line with no line end is counted, whether it is plain or
+        goes through csv.reader."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(f"x_id,y{end}a,1{end}{tail}".encode())
+        want = _csv_oracle(f"a,1{end}{tail}", 3)
+        for chunk in (1, 4, 1 << 18):
+            _assert_same(_read_chunked(path, 3, chunk), want)
+
+    def test_csv_reader_rows_fold_into_totals(self):
+        """Each chunk of rows parsed by csv.reader is added to the features x
+        n totals at once, so the table does not grow with the rows."""
+        rng = np.random.default_rng(0)
+        vocab = ["Smith, J", "Doe, A", 'say "hi"', "x\ny"]
+        table, x, y = serialize._LineCounts(3), [], []
+        for rows in (1, 50, 400, 3000):
+            xs = [vocab[i] for i in rng.integers(0, len(vocab), rows)]
+            ys = rng.integers(1, 4, rows)
+            table.add_rows(xs, ys)
+            x, y = x + xs, y + ys.tolist()
+            assert table.parsed.shape == (3 * len(table.features),)
+        _assert_same(table.counts(), reference_counts(x, y, 3))
 
     @pytest.mark.parametrize("mult", [0, 1])
     def test_keys_that_share_a_hash(self, tmp_path, mult):
