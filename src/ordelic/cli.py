@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 input or spec error, 3 bound violation, 4 no
 counterexample: C is at least the exact Lipschitz constant K of the norm, or
 C < K but too close to K for a pair clear of the node slices to certify.
-All randomness flows from --seed (fallback: the ORDELIC_SEED environment
-variable); outputs are byte-identical across repeated runs with the same
+Only simulate draws, from --seed (fallback: the ORDELIC_SEED environment
+variable), which it requires; the other commands accept --seed and use no
+randomness, and construct and counterexample record it in their report's
+config.  Outputs are byte-identical across repeated runs with the same
 configuration.
 """
 
@@ -97,13 +99,6 @@ def _resolve_seed(args) -> int | None:
     return int(env) if env else None
 
 
-def _require_seed(args) -> int:
-    seed = _resolve_seed(args)
-    if seed is None:
-        raise SpecError("a seed is required: pass --seed or set ORDELIC_SEED")
-    return seed
-
-
 def _parse_phi(arg, n_reports: int) -> np.ndarray:
     if arg is None:
         return np.arange(n_reports, dtype=np.float64)
@@ -140,9 +135,8 @@ def _build_embedding(spec: dict, args):
 
 def _build_normals(spec: dict, args):
     source = spec["cost"] if spec["cost"] is not None else spec["boundaries"]
-    seed = _require_seed(args)
     try:
-        surrogate, report = full_pipeline(source, seed)
+        surrogate, report = full_pipeline(source)
     except (SpecError, OrderabilityError) as exc:
         rows = "" if spec["cost"] is None else \
             "; boundary i is where cost rows i and i + 1 tie"
@@ -178,7 +172,9 @@ def _cmd_levelsets(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    seed = _require_seed(args)
+    seed = _resolve_seed(args)
+    if seed is None:
+        raise SpecError("a seed is required: pass --seed or set ORDELIC_SEED")
     if args.samples < 1:
         raise SpecError(f"--samples must be at least 1, got {args.samples}")
     scenario = serialize.read_scenario(args.spec)

@@ -19,10 +19,6 @@ class SimplexError(OrdelicError):
         self.reason, self.row = reason, row
 
 
-class RankDeficiencyError(OrdelicError):
-    """Boundary samples do not span the expected hyperplane."""
-
-
 class OrderabilityError(OrdelicError):
     """Input violates (strong) orderability: misordered regions, zero gaps."""
 

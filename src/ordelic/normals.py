@@ -11,23 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ordelic.errors import OrderabilityError, RankDeficiencyError
+from ordelic.errors import OrderabilityError
 from ordelic.properties import (
     CostMatrix,
     OrientedNormals,
     Surrogate,
-    _sample_slice,
     boundaries_from_cost,
     boundary_gap,
     homogenize_boundary,
-    normal_from_boundary_samples,
     orient_normals,
     slice_vertices,
 )
-from ordelic.simplex import sample_simplex
-
-# Uniform simplex points on which full_pipeline checks refinement.
-REFINEMENT_SAMPLES = 2000
 
 
 def build_from_normals(normals: OrientedNormals, cost: CostMatrix | None = None) -> Surrogate:
@@ -37,17 +31,21 @@ def build_from_normals(normals: OrientedNormals, cost: CostMatrix | None = None)
     return Surrogate(grid, -normals.o.T, thresholds=grid, normals=normals, cost=cost)
 
 
-def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
+def full_pipeline(source) -> tuple[Surrogate, dict]:
     """End-to-end construction from boundaries or a cost matrix.
 
-    Samples n-1 points per boundary, recovers each normal from their null
-    space (resampling on rank deficiency), orients them by the slice chain
-    of :func:`orient_normals` over the slices they were sampled from, builds
-    the surrogate, and verifies refinement (the link of the property value
-    is a target report) on ``REFINEMENT_SAMPLES`` uniform points, where a
-    miss is an OrderabilityError: the boundaries do not bound the reports'
-    regions in report order.  The report lists the exact distances between
-    consecutive boundary slices (:func:`~ordelic.properties.boundary_gap`).
+    Each boundary's unit normal is c - b 1 scaled to unit norm
+    (:func:`homogenize_boundary`), and a cost's boundary r is where rows r
+    and r + 1 tie.  The normals are oriented by the slice chain of
+    :func:`orient_normals`, the surrogate is built, and refinement (the
+    link of the property value is a target report) is checked exactly: a
+    normals region, where the link is its report, is the convex hull of
+    the simplex vertices and slice vertices in it, and each target set is
+    convex, so the region lies in its report's target set iff each of
+    those vertices does.  A vertex outside is an OrderabilityError: the
+    boundaries do not bound the reports' regions in report order.  The
+    report lists the exact distances between consecutive boundary slices
+    (:func:`~ordelic.properties.boundary_gap`).
     """
     if isinstance(source, CostMatrix):
         cost = source
@@ -56,50 +54,25 @@ def full_pipeline(source, seed: int) -> tuple[Surrogate, dict]:
         cost = None
         boundaries = list(source)
     raw = [homogenize_boundary(bd) for bd in boundaries]
-    n = len(raw[0])
-    units = np.stack([o / np.linalg.norm(o) for o in raw])  # the draws below keep these bits
-    slices = slice_vertices(units)  # name a boundary that cannot be sampled
-
-    recovered = []
-    for b_idx, o_true in enumerate(raw):
-        got = None
-        for attempt in range(20):
-            pts = _sample_slice(units[b_idx], slices[b_idx], n - 1,
-                                seed + 1000 * b_idx + attempt)
-            try:
-                got = normal_from_boundary_samples(pts)
-                break
-            except RankDeficiencyError:
-                continue
-        if got is None:
-            raise RankDeficiencyError(
-                f"could not recover normal {b_idx + 1} in 20 sampling rounds"
-            )
-        if got @ o_true < 0:  # null space is sign-ambiguous; keep the side
-            got = -got        # convention of the source boundary
-        recovered.append(got)
-
-    # the sampled slices: the recovered normals' up to rounding, far below _MIN_GAP
-    oriented = orient_normals(recovered, slices)
+    oriented = orient_normals(raw, slice_vertices(raw))
     surrogate = build_from_normals(oriented, cost)
 
     gaps = [boundary_gap(oriented, i) for i in range(1, oriented.k)]
-    pts = sample_simplex(n, REFINEMENT_SAMPLES, seed + 999)
-    links = surrogate.link_many(surrogate.gamma_many(pts))
-    hit = surrogate.discrete_set_many(pts)[np.arange(len(pts)), links - 1]
-    if not hit.all():
-        i = int(np.argmin(hit))
+    C = np.vstack([np.eye(oriented.n), *oriented.slices])
+    miss = oriented._target_mask(C) & ~surrogate._target()._target_mask(C)
+    if miss.any():
+        i, r = np.argwhere(miss)[0]
         raise OrderabilityError(
-            f"the surrogate links to report {links[i]} at p = {pts[i].tolist()}, outside the "
-            f"target set there ({np.count_nonzero(~hit)} of {REFINEMENT_SAMPLES} refinement "
-            "points miss it): the boundaries do not cut the simplex into the reports' "
-            "regions in report order")
+            f"the region of report {r + 1} has the vertex p = {C[i].tolist()}, outside "
+            f"the target set of report {r + 1} there ({np.count_nonzero(miss.any(axis=1))} "
+            f"of {len(C)} region vertices miss it): the boundaries do not cut the simplex "
+            "into the reports' regions in report order")
     report = {
         "recovered_normals": oriented.o.tolist(),
         "boundary_gaps": gaps,
         "lipschitz_bound": surrogate.lipschitz_bound,
         "lipschitz_exact": surrogate.lipschitz_exact,
-        "refinement_checked": REFINEMENT_SAMPLES,
+        "refinement_checked": len(C),
         "refinement_pass_rate": 1.0,
     }
     return surrogate, report

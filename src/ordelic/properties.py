@@ -16,16 +16,9 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from ordelic._kernels import roe_batch, tie_band
-from ordelic.errors import (
-    OrdelicError,
-    OrderabilityError,
-    RankDeficiencyError,
-    SimplexError,
-    SpecError,
-)
+from ordelic.errors import OrdelicError, OrderabilityError, SpecError
 from ordelic.simplex import as_simplex_points, norm_name
 
-_SV_RTOL = 1e-9
 _MIN_GAP = 1e-9  # least separation, along a normal, of consecutive slices
 _WOLFE_MAX_ITER = 1000  # major plus minor cycles of one min-norm point search
 NODE_DECREASE_TOL = 1e-12  # largest relative fall between embedding nodes taken as flat
@@ -111,26 +104,6 @@ def homogenize_boundary(bd: AffineBoundary) -> np.ndarray:
     return o / norm
 
 
-def normal_from_boundary_samples(points) -> np.ndarray:
-    """Unit null-space vector of n-1 stacked boundary points (sign-ambiguous).
-
-    Boundary points satisfy <o, p> = 0 exactly, so the stacked (n-1, n)
-    matrix has the normal as its null space when the points span the
-    hyperplane.  Raises :class:`RankDeficiencyError` otherwise, signalling
-    that the caller should resample.
-    """
-    P = np.asarray(points, dtype=np.float64)
-    if P.ndim != 2 or P.shape[0] != P.shape[1] - 1:
-        raise SpecError(f"need n-1 points of dimension n, got shape {P.shape}")
-    _, s, vh = np.linalg.svd(P)
-    if s[-1] < _SV_RTOL * s[0]:
-        raise RankDeficiencyError(
-            "boundary samples do not span the hyperplane; resample"
-        )
-    o = vh[-1]
-    return o / np.linalg.norm(o)
-
-
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j below k in row-major order, as ``np.triu_indices(k,
     1)`` gives them at a quarter of its cost."""
@@ -194,30 +167,6 @@ def orient_normals(raw_normals, slices) -> OrientedNormals:
         if (slices[i - 1] @ O[i]).max() > -_MIN_GAP:
             O[i] = -O[i]
     return OrientedNormals(O)
-
-
-def _sample_slice(o: np.ndarray, V: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Seeded points of the slice {<o, p> = 0} of the simplex, for the unit
-    normal o whose slice has the vertices V, in its tie band and with
-    strictly positive coordinates: convex combinations of the
-    slice vertices with Dirichlet(1, ..., 1) weights, or uniform points of
-    the segment when the slice has two vertices."""
-    if count < 1:
-        raise SpecError("need at least 1 sample")
-    if len(V) < 2:
-        raise SimplexError("boundary does not meet the simplex relative interior")
-    rng = np.random.default_rng(seed)
-    if len(V) > 2:
-        pts = rng.dirichlet(np.ones(len(V)), size=count) @ V
-    else:  # every n = 3 slice; this draw keeps their recovered normals
-        t = rng.uniform(1e-6, 1.0 - 1e-6, size=count)
-        pts = (1.0 - t)[:, None] * V[0] + t[:, None] * V[1]
-    pts = pts - np.outer(pts @ o, o)  # exact projection onto the hyperplane
-    pts = np.clip(pts, 0.0, None)
-    pts /= pts.sum(axis=1, keepdims=True)
-    if np.any(np.abs(pts @ o) > tie_band(o)) or np.any(pts <= 0):
-        raise SimplexError("boundary sampling failed to stay in the relative interior")
-    return pts
 
 
 def _min_norm_point(P: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray] | None:

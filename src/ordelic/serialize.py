@@ -79,7 +79,11 @@ def _property_spec(raw) -> dict:
     if not n.is_integer():
         raise SpecError(f"field 'n' must be an integer, not {n!r}")
     n = int(n)
+    if n < 3:
+        raise SpecError(f"field 'n' must be at least 3 outcomes, not {n}")
     reports = _field(raw, "reports", list)
+    if len(reports) < 2:
+        raise SpecError(f"field 'reports' must list at least 2 reports, not {len(reports)}")
     out = {"n": n, "reports": reports, "cost": None, "boundaries": None}
     if "cost_matrix" in raw:
         cm = _spec_numbers(raw, "cost_matrix", np.ndarray)

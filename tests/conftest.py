@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ordelic._kernels import BOUNDARY_TOL, roe_batch
+from ordelic._kernels import BOUNDARY_TOL, roe_batch, tie_band
 from ordelic.audit import PredictorTable, bin_predictions
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import SimplexError, SpecError
@@ -17,7 +17,6 @@ from ordelic.properties import (
     OrientedNormals,
     _dual,
     _pairs,
-    _sample_slice,
     _slice_vertex_sets,
     homogenize_boundary,
     orient_normals,
@@ -43,7 +42,7 @@ O2 = np.array([-2.0, -1.0, 3.0]) / SQ14
 # threshold 2.5 of the embedding of random_orderable_spec(3, 4, 17), just
 # outside the tie band: the target is {4}, and the value is the exact root
 # 2.5 + 1.4e-10, on the upper piece.  At the second the normals of
-# full_pipeline(cost, 0) of random_orderable_spec(3, 4, 0) give 4.6e-11,
+# full_pipeline(cost) of random_orderable_spec(3, 4, 0) give 4.6e-11,
 # inside the band: the target is {1, 2}, and the link 2.
 EMBEDDING_TIE = (0.2995183774083123, 0.6837551281407757, 0.016726494450912118)
 NORMALS_TIE = (0.3507801653986402, 0.614377593029099, 0.03484224157226082)
@@ -129,10 +128,27 @@ def random_normals(n: int, n_reports: int, seed: int) -> OrientedNormals:
 
 def sample_boundary(normal, count: int, seed: int) -> np.ndarray:
     """Seeded points of the slice {<o, p> = 0} of the simplex for the normal
-    o, scaled to unit norm; see :func:`ordelic.properties._sample_slice`."""
+    o, scaled to unit norm, in its tie band and with strictly positive
+    coordinates: convex combinations of the slice vertices with
+    Dirichlet(1, ..., 1) weights, or uniform points of the segment when the
+    slice has two vertices, projected onto the hyperplane."""
     o = np.asarray(normal, dtype=np.float64)
     o = o / np.linalg.norm(o)
-    return _sample_slice(o, _slice_vertex_sets(o[None])[0], count, seed)
+    V = _slice_vertex_sets(o[None])[0]
+    if len(V) < 2:
+        raise SimplexError("boundary does not meet the simplex relative interior")
+    rng = np.random.default_rng(seed)
+    if len(V) > 2:
+        pts = rng.dirichlet(np.ones(len(V)), size=count) @ V
+    else:
+        t = rng.uniform(1e-6, 1.0 - 1e-6, size=count)
+        pts = (1.0 - t)[:, None] * V[0] + t[:, None] * V[1]
+    pts = pts - np.outer(pts @ o, o)
+    pts = np.clip(pts, 0.0, None)
+    pts /= pts.sum(axis=1, keepdims=True)
+    if np.any(np.abs(pts @ o) > tie_band(o)) or np.any(pts <= 0):
+        raise SimplexError("boundary sampling failed to stay in the relative interior")
+    return pts
 
 
 def labeled_rows(x_ids, y, n: int) -> tuple:

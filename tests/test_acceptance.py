@@ -34,13 +34,7 @@ from ordelic.audit import (
 from ordelic.cli import EXIT_OK, main
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.normals import build_from_normals, full_pipeline
-from ordelic.properties import (
-    AffineBoundary,
-    CostMatrix,
-    normal_from_boundary_samples,
-    orient_normals,
-    slice_vertices,
-)
+from ordelic.properties import AffineBoundary, CostMatrix
 from ordelic.scenario import ScenarioSpec, materialize_predictor
 from ordelic.serialize import write_json
 from ordelic.simplex import sample_simplex
@@ -116,26 +110,19 @@ def test_criterion_1_embedding_fixture(capfd):
 
 def test_criterion_2_normals_fixture(capfd):
     with _Criterion(2, 1.0, capfd):
-        # deterministic recovery from the printed boundary points
-        p11 = np.array([0.7, 0.1, 0.2])
-        p12 = np.array([0.68, 0.04, 0.28])
-        p21 = np.array([0.5, 0.125, 0.375])
-        p22 = np.array([0.25, 0.4375, 0.3125])
-        raw1 = normal_from_boundary_samples(np.stack([p11, p12]))
-        raw2 = normal_from_boundary_samples(np.stack([p21, p22]))
-        # region 1 holds e1; the slice chain orients boundary 2 from there
-        if raw1[0] > 0:
-            raw1 = -raw1
-        oriented = orient_normals([raw1, raw2], slice_vertices([raw1, raw2]))
-        assert np.allclose(oriented.o[0], O1, atol=1e-8)
-        assert np.allclose(oriented.o[1], O2, atol=1e-8)
-        # sampled pipeline recovery
+        # the printed boundary points: the null space of each pair, by SVD,
+        # is an oracle independent of the spec's closed form c - b 1
+        points = [np.array([[0.7, 0.1, 0.2], [0.68, 0.04, 0.28]]),
+                  np.array([[0.5, 0.125, 0.375], [0.25, 0.4375, 0.3125]])]
+        oracle = np.array([np.linalg.svd(P)[2][-1] for P in points])
+        # region 3 holds e3, so e3 is on the positive side of both
+        oracle *= np.sign(oracle @ [0.0, 0.0, 1.0])[:, None]
         bds = [AffineBoundary([-3, 1, 0], -2.0),
                AffineBoundary([-5, -4, 0], -3.0)]
-        _, report = full_pipeline(bds, seed=101)
+        _, report = full_pipeline(bds)
         got = np.array(report["recovered_normals"])
-        assert np.allclose(got[0], O1, atol=1e-8)
-        assert np.allclose(got[1], O2, atol=1e-8)
+        assert np.allclose(got, oracle, rtol=0, atol=1e-15)
+        assert np.allclose(got, [O1, O2], rtol=0, atol=1e-15)
 
 
 def _refinement_ok(bds, cost, phi, n_samples, seed) -> bool:

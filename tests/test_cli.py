@@ -181,18 +181,22 @@ class TestConstruct:
                          "--seed", "7", "--out", str(out)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_missing_seed_is_spec_error(self, boundary_spec_file, tmp_path,
-                                        monkeypatch):
+    @pytest.mark.parametrize("command, out", [("construct", "sur.json"),
+                                              ("levelsets", "grid.csv")])
+    @pytest.mark.parametrize("spec", [COST_SPEC, BOUNDARY_SPEC], ids=["cost", "boundaries"])
+    def test_normals_use_no_seed(self, command, out, spec, tmp_path, monkeypatch):
+        """The normals construction draws nothing: its --out file is the
+        same with no seed, with --seed 1 and with --seed 7."""
         monkeypatch.delenv("ORDELIC_SEED", raising=False)
-        rc = main(["construct", "--spec", boundary_spec_file,
-                   "--out", str(tmp_path / "x.json")])
-        assert rc == EXIT_SPEC
-
-    def test_env_seed_fallback(self, boundary_spec_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("ORDELIC_SEED", "9")
-        rc = main(["construct", "--spec", boundary_spec_file,
-                   "--out", str(tmp_path / "x.json")])
-        assert rc == EXIT_OK
+        spec_path = str(tmp_path / "spec.json")
+        write_json(spec_path, spec)
+        files = []
+        for i, seed in enumerate(([], ["--seed", "1"], ["--seed", "7"])):
+            path = tmp_path / f"{i}.{out}"
+            assert main([command, "--spec", spec_path, "--algo", "normals", *seed,
+                         "--out", str(path)]) == EXIT_OK
+            files.append(path.read_bytes())
+        assert files[0] == files[1] == files[2]
 
     def test_bad_spec_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -248,14 +252,17 @@ class TestLevelsets:
     # once and both value columns taken at the points written.  When the
     # values were taken at the grid validated a second time, and on the left
     # tail in the band of the first node, 368 to 832 of the 45,451 rows
-    # differed in gamma_surrogate, by up to 5.6e-16.
+    # differed in gamma_surrogate, by up to 5.6e-16.  The README boundaries
+    # and cost give the same normals, so the same file; with their normals
+    # found again by SVD of sampled boundary points, 29,537 and 17,189 rows
+    # differed from it, by up to 6.7e-16 and 1.9e-15.
     @pytest.mark.parametrize("spec, algo_args, digest", [
         (COST_SPEC, ["--algo", "embedding", "--phi", "0,1,3"],
          "b3af8aeda9362eb4c31d4cb3bfa80b1986d21b4a1d57670882cba02c7e7ac61c"),
-        (BOUNDARY_SPEC, ["--algo", "normals", "--seed", "3"],
-         "ec21ef066cbaea54405064bea2450110618db5666f3ef8c48ceb9d2c7b770622"),
-        (COST_SPEC, ["--algo", "normals", "--seed", "1"],
-         "9be6261a3fb0a0e5008b042274b236b1dddf4271c9411ec3b3975b2b5a1ccd64"),
+        (BOUNDARY_SPEC, ["--algo", "normals"],
+         "e5d426be3857d534aeb232afda13fde390ea618ae0cd3ecec3ab0ffee55bbf51"),
+        (COST_SPEC, ["--algo", "normals"],
+         "e5d426be3857d534aeb232afda13fde390ea618ae0cd3ecec3ab0ffee55bbf51"),
     ], ids=["embedding", "normals", "normals-cost"])
     def test_resolution_300_digest(self, spec, algo_args, digest, tmp_path):
         spec_path, out = str(tmp_path / "s.json"), tmp_path / "g.csv"
@@ -352,6 +359,25 @@ class TestScales:
 
 
 class TestSimulate:
+    def test_missing_seed_is_spec_error(self, scenario_file, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.delenv("ORDELIC_SEED", raising=False)
+        rc = main(["simulate", "--spec", scenario_file, "--out", str(tmp_path / "sim")])
+        assert rc == EXIT_SPEC
+        assert capsys.readouterr().err == \
+            "error: a seed is required: pass --seed or set ORDELIC_SEED\n"
+        assert not list(tmp_path.glob("sim*"))
+
+    def test_env_seed_fallback(self, scenario_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("ORDELIC_SEED", "9")
+        files = []
+        for name, seed in (("env", []), ("arg", ["--seed", "9"])):
+            prefix = str(tmp_path / name)
+            assert main(["simulate", "--spec", scenario_file, "--samples", "50", *seed,
+                         "--out", prefix]) == EXIT_OK
+            files.append(Path(prefix + ".data.csv").read_bytes())
+        assert files[0] == files[1]
+
     def test_no_samples_refused(self, scenario_file, tmp_path, capsys):
         prefix = tmp_path / "sim"
         assert main(["simulate", "--spec", scenario_file, "--samples", "0",
@@ -1285,13 +1311,15 @@ class TestInputFields:
     @pytest.mark.parametrize("command", ["construct", "levelsets"])
     def test_cost_out_of_report_order(self, command, tmp_path, capsys):
         """The README cost with rows 2 and 3 swapped has strongly orderable
-        boundaries, but its regions are not in report order: the link misses
-        the target set at a refinement point, which is refused."""
+        boundaries, but its regions are not in report order: a vertex of a
+        normals region is outside its report's target set, which is
+        refused."""
         rows = COST_SPEC["cost_matrix"]
-        self._spec_refused([command, "--seed", "1"],
+        self._spec_refused([command],
                            {**COST_SPEC, "cost_matrix": [rows[0], rows[2], rows[1]]},
-                           "outside the target set there (1842 of 2000 refinement points "
-                           "miss it)", tmp_path, capsys)
+                           "the region of report 2 has the vertex p = [0.0, 1.0, 0.0], "
+                           "outside the target set of report 2 there (4 of 7 region "
+                           "vertices miss it)", tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["construct", "levelsets"])
     @pytest.mark.parametrize("scale, phi, top", [(1e40, "0,1,3", "3e+40"),
@@ -1316,6 +1344,14 @@ class TestInputFields:
                  ("field 'n' must be an integer, not 2.5", {**spec, "n": 2.5}),
                  ("property spec needs 'cost_matrix' or 'boundaries'",
                   {k: v for k, v in spec.items() if k != table})]
+        # one report, or two outcomes: construct and levelsets crashed on the
+        # first (IndexError), and refused the second naming no file
+        small = {"boundaries": ([], [{"c": [1, -1], "b": 0}]),
+                 "cost_matrix": ([[0, 3, 5]], [[0, 1], [1, 0]])}[table]
+        cases += [("field 'reports' must list at least 2 reports, not 1",
+                   {**spec, "reports": [1], table: small[0]}),
+                  ("field 'n' must be at least 3 outcomes, not 2",
+                   {**spec, "n": 2, "reports": [1, 2], table: small[1]})]
         cases += [case for case in self._mutations(spec, {
             "n": "a number", "reports": "an array",
             table: "an array of numbers" if table == "cost_matrix" else "an array"})

@@ -134,7 +134,7 @@ class TestEvaluation:
         assert s.lipschitz_exact
         # attained at the slice vertex (0.6, 0, 0.4) of region 2
         assert s.lipschitz_bound == pytest.approx(18.708286933869697, rel=1e-14)
-        _, report = full_pipeline(fixture_cost, seed=1)
+        _, report = full_pipeline(fixture_cost)
         assert report["lipschitz_bound"] == pytest.approx(18.708286933869697, rel=1e-14)
         assert s.lipschitz_bound == pytest.approx(18.7083, abs=1e-3)
         K_hat, _ = lipschitz_estimate(s.gamma_many, 3, seed=33)
@@ -165,20 +165,23 @@ class TestLink:
 
 
 class TestFullPipeline:
-    def test_recovery_from_boundaries(self, fixture_boundaries):
-        s, report = full_pipeline(fixture_boundaries, seed=35)
+    def test_recovery_from_boundaries(self, fixture_boundaries, fixture_oriented_normals):
+        """The normals are the spec's c - b 1 at unit norm, oriented, bit for
+        bit; refinement is checked at the 3 simplex vertices and the 2 + 2
+        slice vertices."""
+        s, report = full_pipeline(fixture_boundaries)
         got = np.array(report["recovered_normals"])
-        assert np.allclose(got[0], O1, atol=1e-8)
-        assert np.allclose(got[1], O2, atol=1e-8)
+        assert got.tobytes() == fixture_oriented_normals.o.tobytes()
+        assert np.allclose(got, [O1, O2], rtol=0, atol=1e-15)
         assert report["boundary_gaps"][0] == pytest.approx(0.0943, abs=2e-3)
         assert report["lipschitz_exact"]
+        assert report["refinement_checked"] == 7
         assert report["refinement_pass_rate"] == 1.0
 
     def test_recovery_from_cost(self, fixture_cost):
-        s, report = full_pipeline(fixture_cost, seed=36)
+        s, report = full_pipeline(fixture_cost)
         got = np.array(report["recovered_normals"])
-        assert np.allclose(got[0], O1, atol=1e-8)
-        assert np.allclose(got[1], O2, atol=1e-8)
+        assert np.allclose(got, [O1, O2], rtol=0, atol=1e-15)
         # refinement checked against the cost argmin route
         assert report["refinement_pass_rate"] == 1.0
         pts = sample_simplex(3, 1000, seed=37)
@@ -189,16 +192,17 @@ class TestFullPipeline:
         bds = [AffineBoundary([1.0, -1.0, 0.0], 0.0),
                AffineBoundary([1.0, 0.0, 0.0], 1 / 3)]
         with pytest.raises(OrderabilityError):
-            full_pipeline(bds, seed=38)
+            full_pipeline(bds)
 
     def test_cost_out_of_report_order_rejected(self):
         """The README cost with rows 2 and 3 swapped: its boundaries are
         strongly orderable, but report 3's region lies between those of 1
-        and 2, so the link misses the target set at a refinement point."""
+        and 2, so 4 of the 7 vertices of the normals' regions are outside
+        the target set of a report whose region holds them."""
         cost = CostMatrix([EQ1_COSTS[0], EQ1_COSTS[2], EQ1_COSTS[1]])
-        with pytest.raises(OrderabilityError, match=r"outside the target set there \(1842 "
-                           r"of 2000 refinement points miss it\)"):
-            full_pipeline(cost, seed=1)
+        with pytest.raises(OrderabilityError, match=r"outside the target set of report \d "
+                           r"there \(4 of 7 region vertices miss it\)"):
+            full_pipeline(cost)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_boundary_missing_interior_named(self, n):
@@ -206,15 +210,14 @@ class TestFullPipeline:
         outside = AffineBoundary(np.r_[0.0, np.ones(n - 1)], 0.0)  # only e1
         with pytest.raises(OrderabilityError,
                            match="boundary 2 does not meet the simplex interior"):
-            full_pipeline([inner, outside], seed=41)
+            full_pipeline([inner, outside])
 
     def test_higher_dimension(self):
         bds, cost, _ = random_orderable_spec(4, 3, seed=39)
         O = normals_from_boundaries(bds).o
-        s, report = full_pipeline(bds, seed=40)
+        s, report = full_pipeline(bds)
         got = np.array(report["recovered_normals"])
-        for i in range(2):
-            assert min(np.linalg.norm(got[i] - O[i]), np.linalg.norm(got[i] + O[i])) < 1e-7
+        assert got.tobytes() == O.tobytes()
         assert report["lipschitz_exact"]
         assert "boundary_gaps_exact" not in report  # every gap is exact
         for i, g in enumerate(report["boundary_gaps"]):
@@ -224,14 +227,15 @@ class TestFullPipeline:
     @pytest.mark.parametrize("n", [3, 6])
     def test_slices_enumerated_once_per_normal(self, n, monkeypatch):
         """A 3-boundary pipeline enumerates the slice vertices of 6 normals,
-        in two batched calls: once per raw normal, for the check, the
-        boundary samples and orient_normals alike; once per oriented normal,
-        which K reads too.  The l1 and linf constants read the same slices."""
+        in two batched calls: once per raw normal, for the check and
+        orient_normals alike; once per oriented normal, which K and the
+        refinement check read too.  The l1 and linf constants read the same
+        slices."""
         bds = random_orderable_spec(n, 4, seed=n)[0]
         sizes, original = [], properties._slice_vertex_sets
         monkeypatch.setattr(properties, "_slice_vertex_sets",
                             lambda O: sizes.append(len(O)) or original(O))
-        s, _ = full_pipeline(bds, seed=5)
+        s, _ = full_pipeline(bds)
         assert sum(sizes) == 6 and len(sizes) == 2
         for norm in ("l1", "linf"):
             s.lipschitz(norm)
@@ -243,10 +247,10 @@ class TestFullPipeline:
         bds, cost, _ = random_orderable_spec(n, n_reports, seed=seed)
         s = build_from_normals(normals_from_boundaries(bds))
         assert s.lipschitz_exact and s.lipschitz_bound > 0
-        s2, report = full_pipeline(bds, seed=seed)
-        assert np.allclose(report["recovered_normals"], s.normals.o, atol=1e-7)
+        s2, report = full_pipeline(bds)
+        assert report["recovered_normals"] == s.normals.o.tolist()
         assert report["refinement_pass_rate"] == 1.0
-        assert s2.lipschitz_bound == pytest.approx(s.lipschitz_bound, rel=1e-9)
+        assert s2.lipschitz_bound == s.lipschitz_bound
 
 
 @pytest.mark.parametrize("n", [3, 5])

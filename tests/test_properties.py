@@ -29,13 +29,7 @@ from conftest import (
     written_v_bar,
 )
 from ordelic.embedding import EmbeddingInput, build_surrogate
-from ordelic.errors import (
-    OrdelicError,
-    OrderabilityError,
-    RankDeficiencyError,
-    SimplexError,
-    SpecError,
-)
+from ordelic.errors import OrdelicError, OrderabilityError, SimplexError, SpecError
 from ordelic.normals import build_from_normals, full_pipeline
 from ordelic._kernels import BOUNDARY_TOL
 from ordelic.properties import (
@@ -51,7 +45,6 @@ from ordelic.properties import (
     boundaries_from_cost,
     boundary_gap,
     homogenize_boundary,
-    normal_from_boundary_samples,
     orient_normals,
     slice_vertices,
 )
@@ -116,24 +109,6 @@ class TestHomogenize:
         assert got == pytest.approx(o, rel=1e-15, abs=0)
         with pytest.raises(SpecError, match="degenerate boundary"):
             homogenize_boundary(AffineBoundary([scale] * 3, scale))
-
-
-class TestNormalRecovery:
-    def test_exact_points_recover_normal(self):
-        pts = sample_boundary(O1, 2, seed=0)
-        o = normal_from_boundary_samples(pts)
-        if o[0] > 0:
-            o = -o
-        assert np.allclose(o, O1, atol=1e-9)
-
-    def test_repeated_point_rank_deficient(self):
-        p = sample_boundary(O1, 1, seed=1)[0]
-        with pytest.raises(RankDeficiencyError):
-            normal_from_boundary_samples(np.stack([p, p]))
-
-    def test_shape_validated(self):
-        with pytest.raises(SpecError):
-            normal_from_boundary_samples(np.ones((3, 3)))
 
 
 class TestOrientation:
@@ -277,10 +252,10 @@ PHI_SCALES = (1e-12, 1e-11, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e8, 1e9, 1e10, 1e11, 1e
 def _scaled_surrogate(kind: str, cost: CostMatrix, phi, scale: float) -> Surrogate:
     """The surrogate of ``cost`` times ``scale``, linked to it: the embedding
     at ``phi`` with the cost's default outer slope times ``scale``, or the
-    normals ``full_pipeline`` recovers from the scaled cost at seed 1."""
+    normals ``full_pipeline`` builds from the scaled cost."""
     scaled = CostMatrix(cost.entries * scale)
     if kind == "normals":
-        return full_pipeline(scaled, 1)[0]
+        return full_pipeline(scaled)[0]
     slope = EmbeddingInput(cost, phi).outer_slope
     return build_surrogate(EmbeddingInput(scaled, phi, slope * scale))
 
@@ -355,6 +330,7 @@ def test_embedding_k_does_not_depend_on_small_cost_scales(fixture_cost, seed, n)
        seed=st.integers(0, 2**16))
 @example(kind="embedding", n=3, seed=None)
 @example(kind="normals", n=3, seed=None)
+@example(kind="normals", n=6, seed=446)
 def test_property_does_not_depend_on_the_cost_scale(kind, n, seed):
     """Each scaling of _scaled_surrogates gives the property of the cost
     itself, times the phi scale, within 1e-12 of its value range, and the
@@ -362,7 +338,10 @@ def test_property_does_not_depend_on_the_cost_scale(kind, n, seed):
     cost at phi 0, 1, 3 (seed None) and random specs.  With the tie band
     absolute in node score and in expected cost, the README embedding at
     cost times 1e-8 moved by 0.017 of its range, and the target sets of both
-    constructions differed at 37 of these points."""
+    constructions differed at 37 of these points.  With the normals found
+    again by SVD from seeded boundary samples, the normals property of seed
+    446, n = 6 moved by 2.46e-12 at cost times 1e-10, past 1e-12 of its
+    range (2.33e-12); built from the spec's normals, it moves by 6.7e-16."""
     cost, phi = (CostMatrix(EQ1_COSTS), EQ1_PHI) if seed is None else \
         random_orderable_spec(n, 4, seed)[1:]
     P = np.vstack([sample_simplex(cost.n_outcomes, 4000, seed or 0),
@@ -534,12 +513,12 @@ def test_boundary_ties_use_one_tolerance(n, boundary, seed, shift):
 @functools.cache
 def _construction(kind: str, n: int, n_reports: int, seed: int):
     """The surrogate of ``random_orderable_spec(n, n_reports, seed)``: the
-    embedding with its default phi and outer slope, or the normals recovered
-    by ``full_pipeline`` from the cost or from the boundaries (no cost)."""
+    embedding with its default phi and outer slope, or the normals built by
+    ``full_pipeline`` from the cost or from the boundaries (no cost)."""
     bds, cost, phi = random_orderable_spec(n, n_reports, seed)
     if kind == "embedding":
         return build_surrogate(EmbeddingInput(cost, phi))
-    return full_pipeline(cost if kind == "normals_cost" else bds, seed)[0]
+    return full_pipeline(cost if kind == "normals_cost" else bds)[0]
 
 
 # Offsets along a bisected segment, in units of the segment.
@@ -793,17 +772,6 @@ def test_gap_is_the_exact_slice_distance(n, n_reports, seed):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 2)])
-    def test_recover_normals_from_samples(self, n, k):
-        O = random_normals(n, k + 1, seed=10 * n + k).o
-        for i in range(k):
-            o = O[i]
-            pts = sample_boundary(o, n - 1, seed=100 + i)
-            got = normal_from_boundary_samples(pts)
-            if got @ o < 0:
-                got = -got
-            assert np.allclose(got, o, atol=1e-8)
-
     @pytest.mark.parametrize("seed", range(6))
     def test_random_spec_is_consistent(self, seed):
         bds, cost, phi = random_orderable_spec(3, 4, seed=seed)
