@@ -772,6 +772,26 @@ def test_gap_is_the_exact_slice_distance(n, n_reports, seed):
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 2)])
+    def test_recover_normals_from_samples(self, n, k):
+        """The normals full_pipeline builds from the spec in closed form are
+        the ones an SVD recovers from points on each boundary: where segments
+        between simplex points on its two sides cross <c, p> = b."""
+        bds, _, _ = random_orderable_spec(n, k + 1, seed=10 * n + k)
+        s, _ = full_pipeline(bds)
+        p = sample_simplex(n, 400, seed=100 + n)
+        for bd, o in zip(bds, s.normals.o):
+            side = p @ bd.coeffs - bd.offset
+            lo, hi = p[side < 0][:n], p[side > 0][:n]
+            assert len(lo) == len(hi) == n
+            t = side[side < 0][:n, None] / (side[side < 0][:n, None] - side[side > 0][:n])
+            pts = (lo[:, None] + t[..., None] * (hi - lo[:, None])).reshape(-1, n)
+            assert np.allclose(pts @ bd.coeffs, bd.offset, atol=1e-12)
+            got = np.linalg.svd(pts)[2][-1]
+            if got @ o < 0:
+                got = -got
+            assert np.allclose(got, o, atol=1e-8)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_spec_is_consistent(self, seed):
         bds, cost, phi = random_orderable_spec(3, 4, seed=seed)
