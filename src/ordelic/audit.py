@@ -399,6 +399,8 @@ def counterexample_gap(surrogate: Surrogate, C: float, norm="l2"):
     C = float(C)
     if np.isnan(C):
         raise SpecError("C must be a number")
+    if C < 0:
+        raise SpecError(f"C must be at least 0, got {C!r}")
     name, ordv = norm_name(norm), norm_order(norm)
     top = surrogate.lipschitz_max(norm)
     if C >= top.K:

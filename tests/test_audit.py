@@ -343,6 +343,14 @@ class TestCounterexample:
         _, _, instance = counterexample_gap(fixture_normals, C=0.0)
         assert instance["ratio"] > 0.0
 
+    @pytest.mark.parametrize("C, message", [
+        (np.nan, "C must be a number"), (-1.0, "C must be at least 0, got -1.0"),
+        (-np.inf, "C must be at least 0, got -inf"), (-0.0 - 5e-324, "got -5e-324")])
+    def test_nan_or_negative_constant_refused(self, fixture_normals, C, message):
+        """A Lipschitz constant is a number at least 0."""
+        with pytest.raises(SpecError, match=message):
+            counterexample_gap(fixture_normals, C=C)
+
     def test_constant_at_k_fails_search(self, fixture_normals):
         K = fixture_normals.lipschitz_bound
         with pytest.raises(SearchFailure, match=f"K = {K!r}"):

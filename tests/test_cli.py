@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import EMBEDDING_TIE, random_orderable_spec, write_levelsets_rows
-from ordelic.cli import EXIT_BOUND, EXIT_OK, EXIT_SEARCH, EXIT_SPEC, main
+from ordelic.cli import EXIT_BOUND, EXIT_OK, EXIT_SEARCH, EXIT_SPEC, _keep_freed_memory, main
 from ordelic.scenario import ROW_BLOCK
 from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, read_json, read_surrogate,
                                surrogate_from_json, write_json)
@@ -288,6 +288,21 @@ class TestLevelsets:
         assert message in err and "seed" not in err
         assert not (tmp_path / "g.csv").exists()
 
+    def test_grid_beyond_memory(self, spec_file, tmp_path, capsys, monkeypatch):
+        """A resolution whose grid does not fit in memory exits 2 naming
+        --resolution and the grid's rows, not with numpy's MemoryError; the
+        grid is made to raise here, so nothing large is allocated."""
+        def no_memory(resolution):
+            raise MemoryError(f"no memory for the grid at resolution {resolution}")
+
+        monkeypatch.setattr("ordelic.cli.triangle_grid", no_memory)
+        out = tmp_path / "g.csv"
+        assert main(["levelsets", "--spec", spec_file, "--resolution", "3000000000",
+                     "--out", str(out)]) == EXIT_SPEC
+        assert capsys.readouterr().err == (
+            "error: --resolution 3000000000 asks for a grid of (r + 1)(r + 2) / 2 = "
+            "4,500,000,004,500,000,001 rows, more than memory holds\n")
+        assert not out.exists()
 
     def test_the_cost_scale_changes_no_row(self, tmp_path):
         """levelsets of the README embedding at phi 0,1,3 from the cost times
@@ -580,6 +595,37 @@ class TestAudit:
         bound = read_json(out)["reports"][1]["bounds"][0]
         assert bound["params"]["vacuous"] and bound["satisfied"]
 
+    @pytest.mark.parametrize("kind, flags, refused, reader", [
+        ("distribution", ["--bin-width", "0.1"], "--bin-width", "scalar"),
+        ("distribution", ["--c-marginal", "3"], "--c-marginal", "scalar"),
+        ("distribution", ["--bin-width", "0.1", "--c-marginal", "3"], "--bin-width",
+         "scalar"),
+        ("report", ["--bin-width", "0.1"], "--bin-width", "scalar"),
+        ("report", ["--c-marginal", "3"], "--c-marginal", "scalar"),
+        ("report", ["--convention", "plot"], "--convention plot", "distribution"),
+        ("scalar", ["--convention", "plot"], "--convention plot", "distribution"),
+        ("scalar", ["--bin-width", "0.1", "--convention", "plot"], "--convention plot",
+         "distribution"),
+    ])
+    def test_flags_the_predictor_kind_does_not_read(self, surrogate_file, scenario_file,
+                                                    tmp_path, capsys, kind, flags,
+                                                    refused, reader):
+        """--bin-width and --c-marginal apply to a scalar predictor only, and
+        --convention plot to a distribution only; any other use exits 2
+        naming the flag, the predictor file and its kind, and writes
+        nothing.  Without the flags the same audit runs."""
+        value = {"distribution": [0.2, 0.3, 0.5], "scalar": 0.5, "report": 2}[kind]
+        pred, out = tmp_path / "pred.json", tmp_path / "audit.json"
+        write_json(pred, {"kind": kind, "table": {"a": value, "b": value}})
+        argv = ["audit", "--surrogate", surrogate_file, "--scenario", scenario_file,
+                "--predictor", str(pred), "--out", str(out)]
+        assert main([*argv, *flags]) == EXIT_SPEC
+        assert capsys.readouterr().err == (
+            f"error: {refused} applies only to a {reader} predictor, but {pred} holds "
+            f"a {kind} predictor\n")
+        assert not out.exists()
+        assert main(argv) in (EXIT_OK, EXIT_BOUND)
+
     def test_bin_width_beyond_int64_bins(self, surrogate_file, tmp_path, capsys):
         """A bin width that puts a scalar prediction u in a bin floor(u / w)
         beyond int64 exits 2 naming the flag and the largest |u| / w; the
@@ -834,11 +880,19 @@ class TestCounterexample:
         assert check["params"]["norm"] == "linf"
         assert check["params"]["K"] == pytest.approx(25.0, rel=1e-12)
 
-    def test_nan_constant_refused(self, surrogate_file, tmp_path, capsys):
-        assert main(["counterexample", "--surrogate", surrogate_file, "--c", "nan",
-                     "--out", str(tmp_path / "ce")]) == EXIT_SPEC
-        assert capsys.readouterr().err == "error: --c must be a number, got nan\n"
+    @pytest.mark.parametrize("c, message", [
+        ("nan", "--c must be a number, got nan"),
+        ("-1", "--c must be at least 0, got -1.0"),
+        ("-inf", "--c must be at least 0, got -inf")])
+    def test_nan_constant_refused(self, surrogate_file, tmp_path, capsys, c, message):
+        """--c is a Lipschitz constant, so a number at least 0; C = 0 is one."""
+        prefix = str(tmp_path / "ce")
+        assert main(["counterexample", "--surrogate", surrogate_file, f"--c={c}",
+                     "--out", prefix]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("ce*"))
+        assert main(["counterexample", "--surrogate", surrogate_file, "--c", "0",
+                     "--out", prefix]) == EXIT_OK
 
     @pytest.mark.parametrize("norm, c", [("linf", "25.25"), ("l1", "13")])
     def test_constant_above_the_norms_k_exits_at_once(self, readme_normals,
@@ -1389,6 +1443,48 @@ def test_json_that_does_not_decode(boundary_spec_file, scenario_file, tmp_path, 
     assert main(["audit", "--surrogate", sur, "--scenario", scenario_file, "--predictor",
                  str(pred), "--out", str(tmp_path / "a.json")]) == EXIT_SPEC
     assert capsys.readouterr().err.startswith(f"error: malformed JSON in {pred}: ")
+
+
+def _on_glibc() -> bool:
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+        return False
+    return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+
+
+class TestAllocatorPolicy:
+    """main sets glibc's mmap and trim thresholds once per process, and no
+    output depends on them."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self):
+        _keep_freed_memory.cache_clear()
+        yield
+        _keep_freed_memory.cache_clear()
+
+    @pytest.mark.skipif(not _on_glibc(), reason="the policy is set on glibc only")
+    def test_set_once_per_process(self, spec_file, tmp_path):
+        for name in ("a.json", "b.json"):
+            assert main(["construct", "--spec", spec_file,
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+        info = _keep_freed_memory.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert _keep_freed_memory() is True
+
+    def test_off_glibc_it_is_a_no_op(self, spec_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sur.json"
+        argv = ["construct", "--spec", spec_file, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        want = out.read_bytes(), capsys.readouterr().out
+        _keep_freed_memory.cache_clear()
+
+        def no_confstr(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "confstr", no_confstr)
+        assert _keep_freed_memory() is False
+        out.unlink()
+        assert main(argv) == EXIT_OK
+        assert (out.read_bytes(), capsys.readouterr().out) == want
 
 
 def test_unknown_arguments_exit_spec(capsys):
