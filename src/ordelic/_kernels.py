@@ -70,7 +70,7 @@ def roe_batch(grid, nodes, probs) -> np.ndarray:
         at = rows * m + l
         a = -M.ravel()[at]
         den = a + M.ravel()[at + 1]
-        if np.any(den <= tie_band(H, _DEN_TOL)[l] * (lo[rows] > 0)):
+        if np.any(den <= tie_band(H, tol=_DEN_TOL)[l] * (lo[rows] > 0)):
             raise OrderabilityError(
                 "ratio-of-expectations denominator below tolerance; "
                 "strong orderability violated at a sample point"

@@ -330,7 +330,7 @@ def _clear(nodes: np.ndarray, P: np.ndarray) -> bool:
     the slice in the simplex's plane, and above twice the kernel's tie band
     (:func:`~ordelic._kernels.tie_band`), so that the kernel takes the
     point's own grid piece."""
-    margin = np.maximum(tie_band(nodes - nodes.mean(axis=0), _WITNESS_MARGIN),
+    margin = np.maximum(tie_band(nodes - nodes.mean(axis=0), tol=_WITNESS_MARGIN),
                         2 * tie_band(nodes))
     return bool(np.all(np.abs(P @ nodes) > margin))
 

@@ -336,8 +336,15 @@ def _cmd_counterexample(args) -> int:
 
 def main(argv=None) -> int:
     """Run one command; returns its exit code.  The glibc allocator policy of
-    the module docstring is set here, once per process, and nowhere else."""
+    the module docstring is set here, once per process, and nowhere else.
+    A --flag VALUE whose VALUE starts with one "-" is read as --flag=VALUE."""
     _keep_freed_memory()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "-inf" or "-1,0,2" for an option
+        flag, value = argv[i - 1:i + 1]
+        if flag[:2] == "--" and "=" not in flag and not "--help".startswith(flag) \
+                and value[:1] == "-" and value[1:2] not in ("-", "h"):
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

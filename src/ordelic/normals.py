@@ -12,16 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ordelic.errors import OrderabilityError
-from ordelic.properties import (
-    CostMatrix,
-    OrientedNormals,
-    Surrogate,
-    boundaries_from_cost,
-    boundary_gap,
-    homogenize_boundary,
-    orient_normals,
-    slice_vertices,
-)
+from ordelic.properties import (AffineBoundary, CostMatrix, OrientedNormals, Surrogate,
+                                boundary_gap, homogenize_boundary)
 
 
 def build_from_normals(normals: OrientedNormals, cost: CostMatrix | None = None) -> Surrogate:
@@ -36,8 +28,8 @@ def full_pipeline(source) -> tuple[Surrogate, dict]:
 
     Each boundary's unit normal is c - b 1 scaled to unit norm
     (:func:`homogenize_boundary`), and a cost's boundary r is where rows r
-    and r + 1 tie.  The normals are oriented by the slice chain of
-    :func:`orient_normals`, the surrogate is built, and refinement (the
+    and r + 1 tie, <l_r - l_{r+1}, p> = 0.  :class:`OrientedNormals` orients
+    the normals on construction, the surrogate is built, and refinement (the
     link of the property value is a target report) is checked exactly: a
     normals region, where the link is its report, is the convex hull of
     the simplex vertices and slice vertices in it, and each target set is
@@ -47,14 +39,10 @@ def full_pipeline(source) -> tuple[Surrogate, dict]:
     report lists the exact distances between consecutive boundary slices
     (:func:`~ordelic.properties.boundary_gap`).
     """
-    if isinstance(source, CostMatrix):
-        cost = source
-        boundaries = boundaries_from_cost(cost)
-    else:
-        cost = None
-        boundaries = list(source)
-    raw = [homogenize_boundary(bd) for bd in boundaries]
-    oriented = orient_normals(raw, slice_vertices(raw))
+    cost = source if isinstance(source, CostMatrix) else None
+    boundaries = source if cost is None else [
+        AffineBoundary(a - b, 0.0) for a, b in zip(cost.entries, cost.entries[1:])]
+    oriented = OrientedNormals([homogenize_boundary(bd) for bd in boundaries])
     surrogate = build_from_normals(oriented, cost)
 
     gaps = [boundary_gap(oriented, i) for i in range(1, oriented.k)]

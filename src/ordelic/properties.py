@@ -94,8 +94,8 @@ def homogenize_boundary(bd: AffineBoundary) -> np.ndarray:
     """Unit direction o with <o, p> = 0 iff <c, p> = b on the simplex.
 
     Uses sum(p) = 1 to fold the offset into the coefficients; the sign is
-    arbitrary until :func:`orient_normals`.  A c - b 1 of norm at most 1e-12
-    (||c|| + |b|) is refused; one along 1 meets no simplex edge.
+    arbitrary until :class:`OrientedNormals` orients it.  A c - b 1 of norm
+    at most 1e-12 (||c|| + |b|) is refused; one along 1 meets no simplex edge.
     """
     o = bd.coeffs - bd.offset
     norm = np.linalg.norm(o)
@@ -147,28 +147,6 @@ def _slice_vertex_sets(O: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def slice_vertices(O: np.ndarray) -> list[np.ndarray]:
-    """Vertices of each boundary slice {p in simplex : <o_i, p> = 0}; raises
-    :class:`OrderabilityError` when a boundary crosses no simplex edge."""
-    out = _slice_vertex_sets(np.asarray(O, dtype=np.float64))
-    for i, V in enumerate(out, start=1):
-        if np.count_nonzero(V, axis=1).max(initial=0) < 2:
-            raise OrderabilityError(f"boundary {i} does not meet the simplex interior")
-    return out
-
-
-def orient_normals(raw_normals, slices) -> OrientedNormals:
-    """Report-ordered unit normals with signs fixed by a chain: o_1 keeps its
-    sign (region 1 is its negative side) and o_{i+1} takes the sign that puts
-    slice i on its negative side.  Its vertices, which no sign flip changes,
-    are ``slices[i - 1]``."""
-    O = np.array(raw_normals, dtype=np.float64)
-    for i in range(1, len(O)):
-        if (slices[i - 1] @ O[i]).max() > -_MIN_GAP:
-            O[i] = -O[i]
-    return OrientedNormals(O)
-
-
 def _min_norm_point(P: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Point of least Euclidean norm in the convex hull of the rows of P, by
     Wolfe's algorithm (Math. Programming 11, 1976).
@@ -214,40 +192,48 @@ def _min_norm_point(P: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarra
     return None
 
 
+def _misordered(i: int) -> OrderabilityError:
+    return OrderabilityError(
+        f"boundaries {i} and {i + 1} are not met in report order; list the boundaries "
+        "from report 1 up, each with its lower report on the <c, p> <= b side")
+
+
 @dataclass(frozen=True)
 class OrientedNormals:
-    """Ordered oriented unit normals o_1..o_k defining k+1 regions, with the
-    vertices of each boundary's slice of the simplex in ``slices``.
-
-    Raises :class:`OrderabilityError`, naming the cause and the boundaries,
-    unless the normals are strongly orderable: every boundary meets the
-    simplex interior, and slice i lies ``_MIN_GAP`` or more on the negative
-    side of o_{i+1} and slice i+1 on the positive side of o_i.  A slice's
-    extremes along a normal are at its vertices, so this is exact for any n.
-    """
+    """Ordered unit normals o_1..o_k defining k+1 regions, oriented on
+    construction: o_1 keeps its sign (region 1 is its negative side) and
+    o_{i+1} takes the one that puts slice i on its negative side.  ``slices``
+    holds the vertices of each boundary's slice of the simplex.  Raises
+    :class:`OrderabilityError`, naming the cause and the boundaries, unless
+    the normals are strongly orderable: every boundary meets the simplex
+    interior, and slice i lies ``_MIN_GAP`` or more on the negative side of
+    o_{i+1} and slice i+1 on the positive side of o_i; a slice's extremes
+    along a normal are at its vertices, so this is exact for any n."""
 
     o: np.ndarray  # (k, n)
     slices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        O = np.asarray(self.o, dtype=np.float64)
+        O = np.array(self.o, dtype=np.float64)  # a copy: the chain flips its rows
         if O.ndim != 2 or O.shape[0] < 1:
             raise SpecError("normals must form a (k, n) array")
         with np.errstate(over="ignore"):  # an entry near 1e308: an inf norm, refused
             norms = np.linalg.norm(O, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise SpecError("normals must have unit Euclidean norm")
-        slices = tuple(slice_vertices(O))
+        slices = tuple(_slice_vertex_sets(O))
+        for i, V in enumerate(slices, start=1):
+            if np.count_nonzero(V, axis=1).max(initial=0) < 2:
+                raise OrderabilityError(f"boundary {i} does not meet the simplex interior")
         for i in range(1, len(O)):
             s = slices[i - 1] @ O[i]
             if s.max() > -_MIN_GAP and s.min() < _MIN_GAP:
                 raise OrderabilityError(
                     f"boundaries {i} and {i + 1} cross inside the simplex")
-            if s.max() > -_MIN_GAP or (slices[i] @ O[i - 1]).min() <= 0.0:
-                raise OrderabilityError(
-                    f"boundaries {i} and {i + 1} are not met in report order; list "
-                    "the boundaries from report 1 up, each with its lower report "
-                    "on the <c, p> <= b side")
+            if s.max() > -_MIN_GAP:
+                O[i] = -O[i]
+            if (slices[i] @ O[i - 1]).min() <= 0.0:
+                raise _misordered(i)
         object.__setattr__(self, "o", O)
         object.__setattr__(self, "slices", slices)
 
@@ -620,14 +606,6 @@ def _first_columns(mask: np.ndarray) -> np.ndarray:
         first[mask[:, j]] = j
     first[mask[:, 0]] = 0
     return first
-
-
-def boundaries_from_cost(cost: CostMatrix) -> list[AffineBoundary]:
-    """Tie locus of consecutive reports: <l_r - l_{r+1}, p> = 0."""
-    return [
-        AffineBoundary(cost.entries[r] - cost.entries[r + 1], 0.0)
-        for r in range(cost.n_reports - 1)
-    ]
 
 
 def boundary_gap(normals: OrientedNormals, i: int) -> float:

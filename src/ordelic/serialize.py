@@ -20,7 +20,7 @@ import numpy as np
 from ordelic._floatrepr import float_reprs
 from ordelic.audit import PredictorTable
 from ordelic.errors import OrdelicError, SimplexError, SpecError
-from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate
+from ordelic.properties import AffineBoundary, CostMatrix, OrientedNormals, Surrogate, _misordered
 from ordelic.scenario import ScenarioSpec
 from ordelic.simplex import LabelCounts, as_simplex_points
 
@@ -193,7 +193,10 @@ def surrogate_from_json(d) -> Surrogate:
         raise SpecError(f"unknown surrogate format {d['format']!r}")
     if kind not in ("embedding", "normals") or (kind == "embedding" and "normals" in d):
         raise SpecError(f"unknown surrogate kind {kind!r}")
-    normals = OrientedNormals(_field(d, "normals", np.ndarray)) if kind == "normals" else None
+    raw = _field(d, "normals", np.ndarray) if kind == "normals" else None
+    normals = None if raw is None else OrientedNormals(raw)
+    if normals is not None and (normals.o != raw).any():  # a file holds them oriented
+        raise _misordered(int(np.argmax((normals.o != raw).any(axis=1))))
     if d.get("format") == SURROGATE_FORMAT:
         grid, nodes = _field(d, "grid", np.ndarray), _field(d, "nodes", np.ndarray)
     else:

@@ -19,8 +19,6 @@ from ordelic.properties import (
     _pairs,
     _slice_vertex_sets,
     homogenize_boundary,
-    orient_normals,
-    slice_vertices,
 )
 from ordelic.scenario import ScenarioSpec, sample_dataset
 from ordelic.serialize import dumps, surrogate_to_json
@@ -77,9 +75,8 @@ def fixture_normals(fixture_oriented_normals):
 def normals_from_boundaries(boundaries) -> OrientedNormals:
     """The oriented normals of report-ordered affine boundaries, each with
     its lower report on the <c, p> <= b side; see
-    :func:`ordelic.properties.orient_normals`."""
-    raw = [homogenize_boundary(bd) for bd in boundaries]
-    return orient_normals(raw, slice_vertices(raw))
+    :class:`ordelic.properties.OrientedNormals`."""
+    return OrientedNormals([homogenize_boundary(bd) for bd in boundaries])
 
 
 def random_orderable_spec(n: int, n_reports: int, seed: int):

@@ -53,6 +53,75 @@ GOLDEN_DIGESTS = {recipe: {
     ("fixed", "3608a795dca4fdd79e6f946610c9f41a0f693241c63d887cb7a2560255453aa8"))}
 
 
+# construct cases: spec source, then the flags; "cost-n" and "bounds-n" are
+# the cost matrix and the boundaries of random_orderable_spec(n, 4, seed=0).
+CONSTRUCT_CASES = {
+    "readme-cost-normals": ("readme-cost",),
+    "readme-cost-embedding": ("readme-cost", "--algo", "embedding", "--phi", "0,1,3"),
+    "readme-boundaries-normals": ("readme-boundaries",),
+    **{f"{kind}-{n}-{algo}": (f"{kind}-{n}", "--algo", algo)
+       for n in range(4, 9)
+       for kind, algo in (("bounds", "normals"), ("cost", "normals"), ("cost", "embedding"))},
+}
+# case -> sha256 of construct's stdout and of its surrogate file
+CONSTRUCT_DIGESTS = {
+    "bounds-4-normals": (
+        "1d3821bf3fd4111b7cc0477a67553fda456065cad207d885d991c1fc538bacb8",
+        "26547ff9a07c8ac89a5942d93d9fc76d93b7dc454a9032ecb46a83a2c2120cac"),
+    "bounds-5-normals": (
+        "2ebe8241cfba1b66436233db6cd9722ee0b0994154ee24ec252a1c28f5d38713",
+        "f196e359c70135839bf8116e1bba778a3dec22165101bcadceb0dcf3b20c9778"),
+    "bounds-6-normals": (
+        "e75fb1cff8c2b25078b30326b31e7034460ccd1b84862911da38c50ef33bf194",
+        "5aac4e1016d96d5ee0d1298bf52799343574c55f2a856c6e604c4c9ab3d8a81f"),
+    "bounds-7-normals": (
+        "e717cb3b6665e4e81fbe954cd498d186affbceec4c43ad02b68e9414e72195f7",
+        "f0298f526a5457ef0be5b08401e0a00aeb1319c6c51b4653910ef1c6fd94740f"),
+    "bounds-8-normals": (
+        "20f5f3ed4ae39f94f01fccfb2c44af7933addc7e806ca9d0acb7071451159ad0",
+        "f286408359c50dcba9c413bcac3a3cb93a365a650008e5790a91d0e829a3efa9"),
+    "cost-4-embedding": (
+        "789f0276522d942bca8a812406ec09dea8749f6fb976bc916c0229ac577cc8cf",
+        "686097b2512beee672953121198df95fbf46944cf7a81dcc56ebdd8a5171e53f"),
+    "cost-4-normals": (
+        "b965c9eabee49f1b61c65968c30bbf3a548f7183543ac69904fd79347871e369",
+        "5f35969331d94ec159709c6ed5f3f8b283cff7e054c53586f1a5fbfb4d483a98"),
+    "cost-5-embedding": (
+        "7363b9322e18d8035e930938a845feeb2e8272f80d5736b89b0e9276db686549",
+        "9da34a7da915a331262b99c32e53c724f79c269ac00bb3de2a415ca130b673e5"),
+    "cost-5-normals": (
+        "bd479b1d185176274a12d485b6ce29a98c1f5499cb51525a6e148eecf2507376",
+        "ce0304d879d4ce1f6d2ad60dc54ca26e62accdb3c9edc8e16b2a5cc47e5e8036"),
+    "cost-6-embedding": (
+        "5a91fc3317693ea1849c4af0797ac7d25b1e9a1fedee1529ee2fa1ca909954c9",
+        "84b55043c6d01348d7636d37cd4b167e762737210cdb8f1f26af1a8ceb60c725"),
+    "cost-6-normals": (
+        "fc6d7371a95bcf73751e9b704d22e4328c16f80e3ee79185ce135324df40ccbf",
+        "7b2a4a68a76ed142c978babd12e5a70776ffdfbad42ce5c3b27d6c97314bbc1c"),
+    "cost-7-embedding": (
+        "df966be801ed77b80fafa665fa79042ab6d97c09a11e0bdfe8c2f922801b02b1",
+        "1bad0c6dee208d0a1c92defca38f11e8f16a204b9b26172f1b93287115877aed"),
+    "cost-7-normals": (
+        "5383f45aac00b310779d3b03be4e8d7d78a5f2f5fbee822026652835ae971600",
+        "b30958b4867037ddd21289872497fe377880c2ed70b7590f976790e18e28f908"),
+    "cost-8-embedding": (
+        "4eb4cc830638261407791bc0392f16a4ef499f9f46f084b007d95bc2fb5a97d5",
+        "27f3c76b660be3690bbdefb83da37e58620e4f2a403cdf25834f100c01028e57"),
+    "cost-8-normals": (
+        "b14364bdfc66434b82b3f8549a45b90ef30561049736f49fff7f56db1cd9f5f9",
+        "3d5143ec4dc30dbffe94411abe6a5273c62f791e1e3f1b4caa25bd960573fb44"),
+    "readme-boundaries-normals": (
+        "d2effc5f2ecd27bfd471208578c1c11a638cb2485080d1b303c0a566141f6638",
+        "406633c68977b4490082829180420c2165f248c7be397dab496e752bbdf60d02"),
+    "readme-cost-embedding": (
+        "ccec3689a38a8e64d9b72495bbfd7872163931454e2499fd8fa45f4dc92467dc",
+        "00432382594b3c2c3633ce5ab8f9b43aa27284186a160761ce91a59441d75416"),
+    "readme-cost-normals": (
+        "d2effc5f2ecd27bfd471208578c1c11a638cb2485080d1b303c0a566141f6638",
+        "099ed71c08019c71b57e64f1a44414577746f7bdd8519b474c4b627014ed9ddb"),
+}
+
+
 @pytest.fixture()
 def spec_file(tmp_path):
     path = tmp_path / "spec.json"
@@ -197,6 +266,33 @@ class TestConstruct:
                          "--out", str(path)]) == EXIT_OK
             files.append(path.read_bytes())
         assert files[0] == files[1] == files[2]
+
+    @pytest.mark.parametrize("case", sorted(CONSTRUCT_DIGESTS))
+    def test_golden_digests(self, case, tmp_path, capsys, monkeypatch):
+        """construct prints and writes the bytes it did when the normals were
+        still oriented by a helper outside OrientedNormals; the paths are
+        relative, so the report's config does not depend on tmp_path."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ORDELIC_SEED", raising=False)
+        source, *args = CONSTRUCT_CASES[case]
+        if source == "readme-cost":
+            write_json("spec.json", COST_SPEC)
+        elif source == "readme-boundaries":
+            write_json("spec.json", BOUNDARY_SPEC)
+        else:
+            kind, n = source.split("-")
+            bds, cost, _ = random_orderable_spec(int(n), 4, seed=0)
+            spec = {"n": int(n), "reports": [1, 2, 3, 4]}
+            if kind == "cost":
+                spec["cost_matrix"] = cost.entries.tolist()
+            else:
+                spec["boundaries"] = [{"c": b.coeffs.tolist(), "b": b.offset} for b in bds]
+            write_json("spec.json", spec)
+        capsys.readouterr()
+        assert main(["construct", "--spec", "spec.json", *args, "--out", "sur.json"]) == EXIT_OK
+        got = (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+               hashlib.sha256(Path("sur.json").read_bytes()).hexdigest())
+        assert got == CONSTRUCT_DIGESTS[case]
 
     def test_bad_spec_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -946,6 +1042,21 @@ class TestLoadSurrogate:
         self._refused(command, d, tmp_path, capsys,
                       "boundaries 1 and 2 are not met in report order")
 
+    @pytest.mark.parametrize("nodes_follow", [False, True], ids=["nodes-kept", "nodes-negated"])
+    @pytest.mark.parametrize("command", ["audit", "counterexample"])
+    def test_flipped_normal(self, construct, command, nodes_follow, tmp_path, capsys):
+        """A file whose second normal points the other way is refused, though
+        orienting its normals would mend it, whether or not its nodes were
+        negated with the normal."""
+        d = construct("--algo", "normals")
+        d["normals"][1] = [-x for x in d["normals"][1]]
+        if nodes_follow:
+            for row in d["nodes"]:
+                row[1] = -row[1]
+        self._refused(command, d, tmp_path, capsys,
+                      "boundaries 1 and 2 are not met in report order; list the "
+                      "boundaries from report 1 up")
+
     def test_tail_slopes_other_than_one(self, tmp_path, capsys):
         d = read_json(DATA / "readme_normals_seed1.format3.json")
         for v in d["v_bar"]:  # slope 3 outside the grid, still continuous
@@ -1490,6 +1601,63 @@ class TestAllocatorPolicy:
 def test_unknown_arguments_exit_spec(capsys):
     assert main(["frobnicate"]) == EXIT_SPEC
     capsys.readouterr()
+
+
+class TestValuesThatStartWithADash:
+    """``--flag VALUE`` with a VALUE that argparse would take for an option,
+    as "-inf", "-1e-3" or "-1,0,2", reaches the same check or result as
+    ``--flag=VALUE``."""
+
+    @staticmethod
+    def _run(argv, tmp_path, capsys) -> tuple:
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("out*"))}
+        for p in tmp_path.glob("out*"):
+            p.unlink()
+        return code, out, err, files
+
+    @pytest.mark.parametrize("head, flag, value, code, message", [
+        (["counterexample", "--surrogate", "sur.json"], "--c", "-inf", EXIT_SPEC,
+         "error: --c must be at least 0, got -inf\n"),
+        (["counterexample", "--surrogate", "sur.json"], "--c", "-1e5", EXIT_SPEC,
+         "error: --c must be at least 0, got -100000.0\n"),
+        (["audit", "--surrogate", "sur.json", "--predictor", "p.json"], "--c-marginal",
+         "-inf", EXIT_SPEC, "error: --c-marginal must be at least 0, got -inf\n"),
+        (["audit", "--surrogate", "sur.json", "--predictor", "p.json"], "--bin-width",
+         "-1e5", EXIT_SPEC, "error: --bin-width must be finite and positive, got -100000.0\n"),
+        (["construct", "--spec", "spec.json", "--algo", "embedding"], "--outer-slope",
+         "-1e-3", EXIT_SPEC, "outer slope must be finite and positive, got -0.001"),
+        (["construct", "--spec", "spec.json", "--algo", "embedding"], "--phi", "-1,0,2",
+         EXIT_OK, ""),
+        (["levelsets", "--spec", "spec.json", "--algo", "embedding", "--resolution", "20"],
+         "--phi", "-1,0,2", EXIT_OK, ""),
+    ], ids=["c-inf", "c-exponent", "c-marginal", "bin-width", "outer-slope",
+            "construct-phi", "levelsets-phi"])
+    def test_both_spellings_agree(self, head, flag, value, code, message, tmp_path,
+                                  capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_json("spec.json", COST_SPEC)
+        assert main(["construct", "--spec", "spec.json", "--out", "sur.json"]) == EXIT_OK
+        spaced = self._run([*head, flag, value, "--out", "out"], tmp_path, capsys)
+        joined = self._run([*head, f"{flag}={value}", "--out", "out"], tmp_path, capsys)
+        assert spaced == joined
+        assert spaced[0] == code and message in spaced[2]
+        assert bool(spaced[3]) == (code == EXIT_OK)
+
+    def test_options_stay_options(self, tmp_path, capsys, monkeypatch):
+        """An option after a flag is still read as an option: the flag lacks
+        its value, and -h after a flag asks for no help."""
+        monkeypatch.chdir(tmp_path)
+        for value in ("--norm", "-h"):
+            capsys.readouterr()
+            assert main(["counterexample", "--surrogate", "s.json", "--c", value,
+                         "--out", "out"]) == EXIT_SPEC
+            assert "argument --c: expected one argument" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["construct", "--help", "-1"]) == EXIT_OK
+        assert "usage: ordelic construct" in capsys.readouterr().out
 
 
 # Runs CLI calls, given as a JSON list of argv lists, with scipy unimportable.

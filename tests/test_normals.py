@@ -28,8 +28,6 @@ from ordelic.properties import (
     OrientedNormals,
     _dual,
     _gradients,
-    orient_normals,
-    slice_vertices,
 )
 from ordelic.simplex import sample_simplex
 
@@ -226,20 +224,19 @@ class TestFullPipeline:
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_slices_enumerated_once_per_normal(self, n, monkeypatch):
-        """A 3-boundary pipeline enumerates the slice vertices of 6 normals,
-        in two batched calls: once per raw normal, for the check and
-        orient_normals alike; once per oriented normal, which K and the
-        refinement check read too.  The l1 and linf constants read the same
-        slices."""
+        """A 3-boundary pipeline enumerates the slice vertices of its 3
+        normals in one batched call, as OrientedNormals orients them; K and
+        the refinement check read those slices, and the l1 and linf
+        constants read them too."""
         bds = random_orderable_spec(n, 4, seed=n)[0]
         sizes, original = [], properties._slice_vertex_sets
         monkeypatch.setattr(properties, "_slice_vertex_sets",
                             lambda O: sizes.append(len(O)) or original(O))
         s, _ = full_pipeline(bds)
-        assert sum(sizes) == 6 and len(sizes) == 2
+        assert sizes == [3]
         for norm in ("l1", "linf"):
             s.lipschitz(norm)
-        assert sum(sizes) == 6 and len(sizes) == 2
+        assert sizes == [3]
 
     @pytest.mark.parametrize("n,n_reports,seed", [(8, 6, 1), (10, 3, 0)])
     def test_spec_with_small_regions(self, n, n_reports, seed):
@@ -289,7 +286,7 @@ def _tilted_normals(n: int, n_reports: int, seed: int, tilt: float):
     O = O + tilt * d / np.linalg.norm(d, axis=1, keepdims=True)
     O /= np.linalg.norm(O, axis=1, keepdims=True)
     try:
-        return orient_normals(O, slice_vertices(O))
+        return OrientedNormals(O)
     except OrderabilityError:
         return None
 
@@ -320,10 +317,10 @@ def test_lipschitz_bound_inside_a_region_edge():
     o1 = -np.cross(0.65 * e[0] + 0.35 * e[1], 0.05 * e[0] + 0.95 * e[2])
     o2 = np.cross(0.9 * e[1] + 0.1 * e[0], 0.75 * e[1] + 0.25 * e[2])
     raw = np.stack([o1 / np.linalg.norm(o1), o2 / np.linalg.norm(o2)])
-    normals = orient_normals(raw, slice_vertices(raw))
+    normals = OrientedNormals(raw)
     O = normals.o
     K = build_from_normals(normals).lipschitz_bound
-    C = np.vstack([e, *slice_vertices(O)])
+    C = np.vstack([e, *normals.slices])
     V = C[normals.target_sets(C)[:, 1]]
     at_vertices = float(_region_gradient_norms(O, 2, V).max())
     t = np.linspace(0.0, 1.0, 20_001)[:, None]

@@ -42,11 +42,8 @@ from ordelic.properties import (
     _first_columns,
     _min_norm_point,
     _slice_vertex_sets,
-    boundaries_from_cost,
     boundary_gap,
     homogenize_boundary,
-    orient_normals,
-    slice_vertices,
 )
 from ordelic.serialize import dumps, surrogate_from_json, surrogate_to_json
 from ordelic.simplex import as_simplex_points, norm_order, sample_simplex
@@ -96,7 +93,7 @@ class TestHomogenize:
         and c = b 1 is no hyperplane; both are refused naming that."""
         o = homogenize_boundary(AffineBoundary([2.0, 2.0, 2.0], 1.0))
         with pytest.raises(OrderabilityError, match="boundary 1 does not meet the simplex"):
-            slice_vertices(o[None])
+            OrientedNormals(o[None])
         with pytest.raises(SpecError, match="degenerate boundary"):
             homogenize_boundary(AffineBoundary([2.0, 2.0, 2.0], 2.0))
 
@@ -112,24 +109,30 @@ class TestHomogenize:
 
 
 class TestOrientation:
+    """OrientedNormals orients the normals it is given."""
+
     def test_fixture_chain(self):
         # o_1 keeps its sign; o_2 flips so that slice 1 is on its negative side
-        out = orient_normals([O1, -O2], slice_vertices([O1, O2]))
+        out = OrientedNormals([O1, -O2])
         assert np.array_equal(out.o, np.stack([O1, O2]))
-        assert np.array_equal(orient_normals([O1, O2], slice_vertices([O1, O2])).o, out.o)
+        assert np.array_equal(OrientedNormals([O1, O2]).o, out.o)
 
     def test_misordered_boundaries_raise(self):
         with pytest.raises(OrderabilityError, match="not met in report order"):
-            orient_normals([O2, O1], slice_vertices([O2, O1]))
+            OrientedNormals([O2, O1])
         # region 1 on the far side of boundary 1
         with pytest.raises(OrderabilityError, match="not met in report order"):
-            orient_normals([-O1, O2], slice_vertices([O1, O2]))
+            OrientedNormals([-O1, O2])
 
     @pytest.mark.parametrize("n,k,seed", [(3, 5, 0), (5, 4, 1), (8, 6, 1), (10, 3, 0)])
     def test_chain_recovers_random_spec(self, n, k, seed):
+        """Any signs of o_2..o_k give the same normals, and the array given
+        keeps its signs."""
         O = random_normals(n, k, seed).o
         flips = np.where(np.arange(len(O)) % 2 == 1, -1.0, 1.0)[:, None]
-        assert np.array_equal(orient_normals(O * flips, slice_vertices(O)).o, O)
+        given = O * flips
+        assert np.array_equal(OrientedNormals(given).o, O)
+        assert np.array_equal(given, O * flips)
 
 
 def _slice_vertex_loop(o, tol=1e-12):
@@ -402,7 +405,7 @@ class TestOrderabilityErrors:
         self._assert_rejected(np.stack([O[0], o2]),
                               "boundaries 1 and 2 cross inside the simplex")
         with pytest.raises(OrderabilityError, match="cross inside the simplex"):
-            orient_normals([O[0], o2], slice_vertices([O[0], o2]))
+            OrientedNormals([O[0], -o2])  # whichever its sign
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_report_order(self, n):
@@ -673,11 +676,11 @@ def test_k_is_exact_in_every_norm(n, n_reports, seed, algo):
 
 class TestSpecConstruction:
     def test_boundaries_from_cost_matches_fixture(self, fixture_cost):
-        bds = boundaries_from_cost(fixture_cost)
-        assert len(bds) == 2
-        # homogenization is sign-ambiguous before orientation
-        assert np.abs(homogenize_boundary(bds[0]) @ O1) == pytest.approx(1.0)
-        assert np.abs(homogenize_boundary(bds[1]) @ O2) == pytest.approx(1.0)
+        """A cost's boundary r, where rows r and r + 1 tie, gives the
+        normal of fixture boundary r."""
+        s, report = full_pipeline(fixture_cost)
+        assert s.normals.k == 2 and s.cost is fixture_cost
+        assert np.allclose(report["recovered_normals"], [O1, O2], rtol=0, atol=1e-15)
 
     def test_normals_from_boundaries_orients(self, fixture_oriented_normals):
         assert np.allclose(fixture_oriented_normals.o[0], O1)
