@@ -217,6 +217,8 @@ class OrientedNormals:
         O = np.array(self.o, dtype=np.float64)  # a copy: the chain flips its rows
         if O.ndim != 2 or O.shape[0] < 1:
             raise SpecError("normals must form a (k, n) array")
+        if not np.all(np.isfinite(O)):
+            raise SpecError("the normals are not finite")
         with np.errstate(over="ignore"):  # an entry near 1e308: an inf norm, refused
             norms = np.linalg.norm(O, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
@@ -479,15 +481,16 @@ class Surrogate:
     construction and nondecreasing (to NODE_DECREASE_TOL times the largest
     node magnitude) for the embedding.
     One kernel evaluates the root for both.  ``value_range`` spans the roots
-    at the simplex vertices, which bound every root.  ``lipschitz_bound`` is
-    the exact Euclidean Lipschitz constant of the property (inf where it is
-    not Lipschitz); :meth:`lipschitz` gives the constant for l1 and linf
-    too, computed on first use.  The link maps u to report 1 + #(thresholds
-    < u), exactly, so a u on a threshold goes to the lower report.  The
-    discrete target comes from ``cost`` when present, else from ``normals``;
-    its sets hold every report that no other beats by more than the tie
-    band of their boundary, and with them the link of the property value is
-    a target report at every point: psi(gamma(p)) in Gamma(p).
+    at the simplex vertices, which bound every root.  :meth:`lipschitz`
+    gives the exact Lipschitz constant of the property in l1, l2 or linf
+    (inf where it is not Lipschitz), each computed on first use;
+    ``lipschitz_bound`` is the l2 one.  The link maps u to report
+    1 + #(thresholds < u), exactly, so a u on a threshold goes to the lower
+    report.  The discrete target comes from ``cost`` when present, else
+    from ``normals``; its sets hold every report that no other beats by
+    more than the tie band of their boundary, and with them the link of the
+    property value is a target report at every point: psi(gamma(p)) in
+    Gamma(p).
     """
 
     grid: np.ndarray
@@ -496,10 +499,9 @@ class Surrogate:
     normals: OrientedNormals | None = None
     cost: CostMatrix | None = None
     value_range: tuple[float, float] = field(init=False)
-    lipschitz_bound: float = field(init=False)
     lipschitz_exact: ClassVar[bool] = True
     slices: tuple = field(init=False, repr=False, compare=False)  # of the nodes, for K
-    _lipschitz: dict = field(init=False, repr=False, compare=False)
+    _lipschitz: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -536,15 +538,12 @@ class Surrogate:
                             f"{why}, which the property kernel does not evaluate")
         roots = roe_batch(grid, nodes, np.eye(len(nodes)))
         slices = tuple(_slice_vertex_sets(-nodes.T)) if want is None else self.normals.slices
-        top = lipschitz_constant(grid, nodes, "l2", slices)
         for name, value in (
             ("grid", grid),
             ("nodes", nodes),
             ("thresholds", thresholds),
             ("value_range", (float(roots.min()), float(roots.max()))),
-            ("lipschitz_bound", top.K),
             ("slices", slices),
-            ("_lipschitz", {"l2": top}),
         ):
             object.__setattr__(self, name, value)
 
@@ -557,8 +556,8 @@ class Surrogate:
         return len(self.nodes)
 
     def lipschitz_max(self, norm="l2") -> LipschitzMax:
-        """The exact Lipschitz constant in ``norm`` with its maximizer; see
-        :func:`lipschitz_constant`."""
+        """The exact Lipschitz constant in ``norm`` with its maximizer, from
+        :func:`lipschitz_constant` on the first request for that norm."""
         key = norm_name(norm)
         if key not in self._lipschitz:
             self._lipschitz[key] = lipschitz_constant(self.grid, self.nodes, key,
@@ -569,6 +568,11 @@ class Surrogate:
         """The exact Lipschitz constant of the property in ``norm``."""
         return self.lipschitz_max(norm).K
 
+    @property
+    def lipschitz_bound(self) -> float:
+        """The exact Euclidean Lipschitz constant, ``lipschitz("l2")``."""
+        return self.lipschitz("l2")
+
     def gamma_many(self, probs) -> np.ndarray:
         """Property value at each row of ``probs``."""
         return roe_batch(self.grid, self.nodes, as_simplex_points(probs))
@@ -578,7 +582,7 @@ class Surrogate:
         ``probs``: the row validated once, and ``argmax(discrete_set_many,
         axis=1) + 1`` and ``gamma_many`` taken at that point."""
         P = as_simplex_points(probs)
-        reports = _first_columns(self._target()._target_mask(P)) + 1
+        reports = np.argmax(self._target()._target_mask(P), axis=1) + 1
         return P, reports, roe_batch(self.grid, self.nodes, P)
 
     def link_many(self, us) -> np.ndarray:
@@ -595,17 +599,6 @@ class Surrogate:
         if target is None:
             raise SpecError("need a cost matrix or normals for the discrete target")
         return target
-
-
-def _first_columns(mask: np.ndarray) -> np.ndarray:
-    """``np.argmax(mask, axis=1)`` of a (rows, reports) mask: the first True
-    column of each row, 0 for a row with none, by a loop over the few
-    columns from the last."""
-    first = np.zeros(len(mask), dtype=np.intp)
-    for j in range(mask.shape[1] - 1, 0, -1):
-        first[mask[:, j]] = j
-    first[mask[:, 0]] = 0
-    return first
 
 
 def boundary_gap(normals: OrientedNormals, i: int) -> float:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import EMBEDDING_TIE, random_orderable_spec, write_levelsets_rows
+from ordelic import properties
 from ordelic.cli import EXIT_BOUND, EXIT_OK, EXIT_SEARCH, EXIT_SPEC, _keep_freed_memory, main
 from ordelic.scenario import ROW_BLOCK
 from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, read_json, read_surrogate,
@@ -629,6 +630,25 @@ class TestAudit:
             assert r["data"]["weight"] == pytest.approx(1.0, rel=1e-15)
             assert r["data"]["features"] == 2
 
+    @pytest.mark.parametrize("kind,norm,computed", [
+        ("report", "l2", []), ("report", "l1", []),
+        ("distribution", "l1", ["l1"]), ("scalar", "linf", ["linf"])])
+    def test_k_only_in_the_norm_audited(self, surrogate_file, scenario_file, tmp_path,
+                                        monkeypatch, kind, norm, computed):
+        """An audit computes the exact Lipschitz constant once, in its own
+        norm only; a report audit, whose check has no K, computes none."""
+        norms, original = [], properties.lipschitz_constant
+        monkeypatch.setattr(properties, "lipschitz_constant",
+                            lambda *args: norms.append(args[2]) or original(*args))
+        value = {"report": 2, "distribution": [0.2, 0.3, 0.5], "scalar": 0.5}[kind]
+        pred = tmp_path / "pred.json"
+        write_json(pred, {"kind": kind, "table": {"a": value, "b": value}})
+        rc = main(["audit", "--surrogate", surrogate_file, "--scenario", scenario_file,
+                   "--predictor", str(pred), "--norm", norm,
+                   "--out", str(tmp_path / "audit.json")])
+        assert rc in (EXIT_OK, EXIT_BOUND)
+        assert norms == computed
+
     def test_exact_scenario_audit(self, surrogate_file, scenario_file,
                                   tmp_path):
         # bayes predictor on the exact joint: all epsilons vanish
@@ -1056,6 +1076,17 @@ class TestLoadSurrogate:
         self._refused(command, d, tmp_path, capsys,
                       "boundaries 1 and 2 are not met in report order; list the "
                       "boundaries from report 1 up")
+
+    @pytest.mark.parametrize("where", ["one-entry", "one-row"])
+    @pytest.mark.parametrize("command", ["audit", "counterexample"])
+    def test_nan_normals(self, construct, command, where, tmp_path, capsys):
+        """A file whose normals hold a NaN is refused as not finite."""
+        d = construct("--algo", "normals")
+        if where == "one-entry":
+            d["normals"][0][0] = float("nan")
+        else:
+            d["normals"][1] = [float("nan")] * len(d["normals"][1])
+        self._refused(command, d, tmp_path, capsys, "the normals are not finite")
 
     def test_tail_slopes_other_than_one(self, tmp_path, capsys):
         d = read_json(DATA / "readme_normals_seed1.format3.json")

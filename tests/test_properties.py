@@ -28,6 +28,7 @@ from conftest import (
     slice_vertices_reference,
     written_v_bar,
 )
+from ordelic import properties
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import OrdelicError, OrderabilityError, SimplexError, SpecError
 from ordelic.normals import build_from_normals, full_pipeline
@@ -39,7 +40,6 @@ from ordelic.properties import (
     CostMatrix,
     OrientedNormals,
     Surrogate,
-    _first_columns,
     _min_norm_point,
     _slice_vertex_sets,
     boundary_gap,
@@ -605,11 +605,25 @@ def test_levels_many_is_the_lowest_target_and_gamma(n, n_reports, seed, algo):
         assert np.array_equal(target.target_sets(pts), _target_sets_reference(target, P))
 
 
-@pytest.mark.parametrize("columns", [1, 2, 3, 6])
-def test_first_columns_is_argmax(columns):
-    mask = np.random.default_rng(columns).random((400, columns)) < 0.3  # some rows empty
-    assert not mask.any(axis=1).all()
-    assert _first_columns(mask).tobytes() == np.argmax(mask, axis=1).tobytes()
+@pytest.mark.parametrize("algo", ["embedding", "normals"])
+def test_k_computed_on_first_request(fixture_cost, fixture_boundaries, algo, monkeypatch):
+    """Building or loading a surrogate computes no Lipschitz constant; each
+    norm's is computed on its first request, ``lipschitz_bound`` included,
+    and then read back."""
+    norms, original = [], properties.lipschitz_constant
+    monkeypatch.setattr(properties, "lipschitz_constant",
+                        lambda *args: norms.append(args[2]) or original(*args))
+    s = build_surrogate(EmbeddingInput(fixture_cost, EQ1_PHI, 3.0)) if algo == "embedding" \
+        else build_from_normals(normals_from_boundaries(fixture_boundaries))
+    assert norms == []
+    d = surrogate_to_json(s)  # writes lipschitz_bound
+    assert norms == ["l2"]
+    loaded = surrogate_from_json(d)
+    assert norms == ["l2"]
+    for norm in ("l1", "l2", "linf", "l1", "linf"):
+        assert loaded.lipschitz(norm) == s.lipschitz(norm)
+    assert loaded.lipschitz_bound == d["lipschitz_bound"] == s.lipschitz("l2")
+    assert norms == ["l2", "l1", "l1", "l2", "linf", "linf"]
 
 
 @pytest.mark.parametrize("algo", ["embedding", "normals"])
