@@ -15,7 +15,6 @@ from ordelic.properties import (
 )
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.normals import build_from_normals
-from ordelic.audit import AuditReport
 
 __version__ = "0.1.0"
 
@@ -30,6 +29,5 @@ __all__ = [
     "EmbeddingInput",
     "build_surrogate",
     "build_from_normals",
-    "AuditReport",
     "__version__",
 ]

@@ -8,7 +8,10 @@ calibration (probability that the discrete prediction leaves the target set
 of its bin's conditional).  Bound checkers relate the three, including the
 post-processing inequality, its contraction corollary, the counterexample
 generator for too-small Lipschitz constants, and the discretization bound
-driven by distance-to-threshold margins.
+driven by distance-to-threshold margins.  Each estimator and check returns
+its report as the JSON object that ``audit`` prints under ``reports``:
+notion, norm, epsilon_hat, bins, data, bounds (each a dict of name, lhs,
+rhs, satisfied and params) and, when there are any, extras.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from ordelic.simplex import (
     LabelCounts,
     as_simplex_points,
     first_appearance,
-    norm_name,
     norm_order,
     ternary_plot_coords,
 )
@@ -91,53 +93,6 @@ class PredictorTable:
                                        len(x_ids))]
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    lhs: float
-    rhs: float
-    satisfied: bool
-    params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "params": self.params,
-        }
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    notion: str
-    norm: str
-    epsilon_hat: float
-    bin_count: int
-    bin_min_size: float
-    empty_bins: tuple
-    data_weight: float  # total weight of the data: its row count for a CSV
-    data_features: int  # features of positive weight
-    bounds: tuple = ()
-    extras: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "notion": self.notion,
-            "norm": self.norm,
-            "epsilon_hat": self.epsilon_hat,
-            "bins": {
-                "count": self.bin_count,
-                "min_size": self.bin_min_size,
-                "empty": list(self.empty_bins),
-            },
-            "data": {"weight": self.data_weight, "features": self.data_features},
-            "bounds": [b.as_dict() for b in self.bounds],
-            **({"extras": self.extras} if self.extras else {}),
-        }
-
-
 # ---------------------------------------------------------------------------
 # shared binning plumbing
 #
@@ -145,7 +100,8 @@ class AuditReport:
 # only the (features x outcomes) weighted label counts of a LabelCounts table,
 # whose size is O(features) whatever the number of rows.  An audit bins it
 # once per binning with bin_predictions; each estimator and bound check is a
-# function of those bins, working on per-feature and per-bin arrays.
+# function of those bins, working on per-feature and per-bin arrays, and
+# _Bins.report writes the JSON object of its report.
 
 
 @dataclass(frozen=True)
@@ -179,19 +135,22 @@ class _Bins:
         """Mass-weighted mean of a per-live-feature loss."""
         return float(np.sum(self.mass * loss) / np.sum(self.mass))
 
-    def report(self, notion: str, norm, loss, **extra) -> AuditReport:
-        """Report whose epsilon_hat is the mean of ``loss``."""
-        return AuditReport(
-            notion=notion,
-            norm=str(norm),
-            epsilon_hat=self.mean(loss),
-            bin_count=len(self.counts),
-            bin_min_size=float(self.counts.sum(axis=1).min()),
-            empty_bins=self.empty,
-            data_weight=float(np.sum(self.mass)),
-            data_features=len(self.mass),
-            **extra,
-        )
+    def report(self, notion: str, norm: str, loss, bounds=(), extras=None) -> dict:
+        """The JSON object ``audit`` prints for one estimator or check: its
+        epsilon_hat is the mean of ``loss``, and ``data`` has the total
+        weight of the data (its row count for a CSV) and the features of
+        positive weight."""
+        return {
+            "notion": notion,
+            "norm": norm,
+            "epsilon_hat": self.mean(loss),
+            "bins": {"count": len(self.counts),
+                     "min_size": float(self.counts.sum(axis=1).min()),
+                     "empty": list(self.empty)},
+            "data": {"weight": float(np.sum(self.mass)), "features": len(self.mass)},
+            "bounds": list(bounds),
+            **({"extras": extras} if extras else {}),
+        }
 
 
 def bin_predictions(f: PredictorTable, data: LabelCounts, key=None) -> _Bins:
@@ -240,7 +199,7 @@ def _member(sets: np.ndarray, reports) -> np.ndarray:
 # the three calibration estimators
 
 
-def dist_calibration_wrt(bins: _Bins, norm="l2", convention: str = "simplex") -> AuditReport:
+def dist_calibration_wrt(bins: _Bins, norm="l2", convention: str = "simplex") -> dict:
     """Mean norm distance between f(x) and its bin's empirical conditional,
     for the bins of a distributional predictor f.  With convention "plot"
     (3 outcomes only) distances are taken in the ternary plot plane instead
@@ -252,18 +211,19 @@ def dist_calibration_wrt(bins: _Bins, norm="l2", convention: str = "simplex") ->
 
 
 def surrogate_calibration(bins: _Bins, gamma_eval, norm="l2",
-                          bin_width: float | None = None) -> AuditReport:
+                          bin_width: float | None = None) -> dict:
     """Mean |gamma(bin conditional) - g(x)| for the bins of a scalar
     predictor g.  ``gamma_eval`` maps a batch of distributions to property
     values; ``bin_width`` is the width of uniform bins floor(g(x) / width),
     recorded in the report, or None for bins of one value."""
     if bins.table.kind != "scalar":
         raise SpecError("surrogate calibration needs a scalar predictor")
+    norm_order(norm)  # refuses a norm other than "l1", "l2" or "linf"
     return bins.report("surrogate", norm, _gap(bins, gamma_eval, bins.pred),
                        extras={"bin_width": bin_width})
 
 
-def discrete_calibration(bins: _Bins, gamma_set) -> AuditReport:
+def discrete_calibration(bins: _Bins, gamma_set) -> dict:
     """Probability that h(x) is outside the target set of its bin
     conditional, for the bins of a report-valued predictor h.
 
@@ -282,7 +242,7 @@ def discrete_calibration(bins: _Bins, gamma_set) -> AuditReport:
 
 
 def check_postprocessing_bound(bins: _Bins, surrogate: Surrogate,
-                               norm="l2") -> AuditReport:
+                               norm="l2") -> dict:
     """Post-processing inequality: the surrogate miscalibration of the scalar
     predictor gamma∘f is at most K times the distribution miscalibration of f
     binned by that same scalar value, with K the exact Lipschitz constant in
@@ -300,27 +260,15 @@ def check_postprocessing_bound(bins: _Bins, surrogate: Surrogate,
     gaps = _gap(bins, surrogate.gamma_many, bins.keys[bins.of])
     eps_prime = bins.mean(gaps)
     slack = _BOUND_SLACK * np.abs(surrogate.value_range).max()
-    bounds = [
-        BoundCheck(
-            name="postprocessing",
-            lhs=eps_prime,
-            rhs=_times_k(K, eps),
-            satisfied=bool(eps_prime <= _times_k(K, eps) + slack),
-            params={"K": K, "K_exact": K_exact, "norm": norm_name(norm),
-                    "epsilon": eps},
-        )
-    ]
+    rhs = _times_k(K, eps)
+    bounds = [{"name": "postprocessing", "lhs": eps_prime, "rhs": rhs,
+               "satisfied": bool(eps_prime <= rhs + slack),
+               "params": {"K": K, "K_exact": K_exact, "norm": norm, "epsilon": eps}}]
     if K < 1.0:
-        bounds.append(
-            BoundCheck(
-                name="contraction",
-                lhs=eps_prime,
-                rhs=eps,
-                satisfied=bool(eps_prime <= eps + slack),
-                params={"K": K, "K_exact": K_exact, "norm": norm_name(norm)},
-            )
-        )
-    return bins.report("postprocessing", norm, gaps, bounds=tuple(bounds),
+        bounds.append({"name": "contraction", "lhs": eps_prime, "rhs": eps,
+                       "satisfied": bool(eps_prime <= eps + slack),
+                       "params": {"K": K, "K_exact": K_exact, "norm": norm}})
+    return bins.report("postprocessing", norm, gaps, bounds,
                        extras={"epsilon_dist": eps, "epsilon_surrogate": eps_prime})
 
 
@@ -401,11 +349,11 @@ def counterexample_gap(surrogate: Surrogate, C: float, norm="l2"):
         raise SpecError("C must be a number")
     if C < 0:
         raise SpecError(f"C must be at least 0, got {C!r}")
-    name, ordv = norm_name(norm), norm_order(norm)
+    ordv = norm_order(norm)
     top = surrogate.lipschitz_max(norm)
     if C >= top.K:
         raise SearchFailure(
-            f"C = {C!r} is at least the exact {name} Lipschitz constant "
+            f"C = {C!r} is at least the exact {norm} Lipschitz constant "
             f"K = {top.K!r}, so no pair violates it")
     pairs = _pairs_at_shared_point if top.K == np.inf else _pairs_near_maximizer
     best = 0.0
@@ -426,11 +374,11 @@ def counterexample_gap(surrogate: Surrogate, C: float, norm="l2"):
                 "C": C,
                 "ratio": ratio,
                 "K": top.K,
-                "norm": name,
+                "norm": norm,
             }
         best = max(best, ratio)
     raise SearchFailure(
-        f"no pair clear of the node slices by {_WITNESS_MARGIN} has a {name} "
+        f"no pair clear of the node slices by {_WITNESS_MARGIN} has a {norm} "
         f"ratio above C = {C!r}; best certified ratio {best!r} against the "
         f"exact Lipschitz constant K = {top.K!r}")
 
@@ -471,7 +419,7 @@ def check_discretization_bound(
     t_grid=None,
     c_estimated: bool = False,
     norm="l2",
-) -> AuditReport:
+) -> dict:
     """Discretization bound: the discrete mismatch probability of the linked
     prediction is controlled by the threshold-margin tail plus
     (eps' + K*C*diam)/t, minimized over t.
@@ -516,15 +464,15 @@ def check_discretization_bound(
     best = int(np.argmin(rhs))
     best_rhs, best_t = float(rhs[best]), float(ts[best])
     vacuous = bool(best_rhs >= 1.0)
-    bound = BoundCheck(
-        name="discretization",
-        lhs=lhs,
-        rhs=float(best_rhs),
-        satisfied=bool(lhs <= best_rhs + _BOUND_SLACK),
-        params={
+    bound = {
+        "name": "discretization",
+        "lhs": lhs,
+        "rhs": best_rhs,
+        "satisfied": bool(lhs <= best_rhs + _BOUND_SLACK),
+        "params": {
             "K": K,
             "K_exact": surrogate.lipschitz_exact,
-            "norm": norm_name(norm),
+            "norm": norm,
             "C_marginal": C_marginal,
             "C_estimated": c_estimated,
             "diam": diam,
@@ -533,9 +481,8 @@ def check_discretization_bound(
             "t_star": best_t,
             "vacuous": vacuous,
         },
-    )
-    return bins.report("discretization", "0-1", miss, bounds=(bound,),
-                       extras={"vacuous": vacuous})
+    }
+    return bins.report("discretization", "0-1", miss, [bound], extras={"vacuous": vacuous})
 
 
 def estimate_marginal_lipschitz(bins: _Bins, norm="l2") -> float:

@@ -294,10 +294,10 @@ def _cmd_audit(args) -> int:
                    "scenario": args.scenario, "predictor": args.predictor,
                    "norm": args.norm, "bin_width": args.bin_width,
                    "convention": args.convention, "out": args.out},
-        "reports": [r.as_dict() for r in reports],
+        "reports": reports,
     }
     sys.stdout.write(serialize.write_json(args.out, payload))
-    all_ok = all(b.satisfied for r in reports for b in r.bounds)
+    all_ok = all(b["satisfied"] for r in reports for b in r["bounds"])
     return EXIT_OK if all_ok else EXIT_BOUND
 
 
@@ -311,7 +311,7 @@ def _cmd_counterexample(args) -> int:
     f, data = audit_mod.instance_dataset(instance)
     check = audit_mod.check_postprocessing_bound(
         audit_mod.bin_predictions(f, data, surrogate.gamma_many), surrogate, norm=args.norm)
-    dist_eps, sur_eps = check.extras["epsilon_dist"], check.extras["epsilon_surrogate"]
+    dist_eps, sur_eps = check["extras"]["epsilon_dist"], check["extras"]["epsilon_surrogate"]
     payload = {
         "config": {"surrogate": args.surrogate, "c": args.c,
                    "seed": _resolve_seed(args), "norm": args.norm, "out": args.out},

@@ -17,7 +17,7 @@ import numpy as np
 
 from ordelic._kernels import roe_batch, tie_band
 from ordelic.errors import OrdelicError, OrderabilityError, SpecError
-from ordelic.simplex import as_simplex_points, norm_name
+from ordelic.simplex import as_simplex_points, norm_order
 
 _MIN_GAP = 1e-9  # least separation, along a normal, of consecutive slices
 _WOLFE_MAX_ITER = 1000  # major plus minor cycles of one min-norm point search
@@ -435,7 +435,6 @@ def lipschitz_constant(grid, nodes, norm, slices) -> LipschitzMax:
     ``slices`` holds the vertices of each node slice as
     :func:`_slice_vertex_sets` of -h_l gives them (``Surrogate.slices``).
     """
-    norm = norm_name(norm)
     O = -np.asarray(nodes, dtype=np.float64).T  # (m, n); row l is -h_l
     w = np.diff(np.asarray(grid, dtype=np.float64))
     m, n = O.shape
@@ -558,11 +557,11 @@ class Surrogate:
     def lipschitz_max(self, norm="l2") -> LipschitzMax:
         """The exact Lipschitz constant in ``norm`` with its maximizer, from
         :func:`lipschitz_constant` on the first request for that norm."""
-        key = norm_name(norm)
-        if key not in self._lipschitz:
-            self._lipschitz[key] = lipschitz_constant(self.grid, self.nodes, key,
-                                                      self.slices)
-        return self._lipschitz[key]
+        norm_order(norm)  # refuses a norm other than "l1", "l2" or "linf"
+        if norm not in self._lipschitz:
+            self._lipschitz[norm] = lipschitz_constant(self.grid, self.nodes, norm,
+                                                       self.slices)
+        return self._lipschitz[norm]
 
     def lipschitz(self, norm="l2") -> float:
         """The exact Lipschitz constant of the property in ``norm``."""

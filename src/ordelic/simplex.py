@@ -17,26 +17,13 @@ from ordelic.errors import SimplexError, SpecError
 
 SIMPLEX_TOL = 1e-12
 
-NormKind = int | float | str  # 1, 2, inf / "l1", "l2", "linf"
 
-
-def norm_order(kind: NormKind) -> float:
-    """Map a norm spec (1, 2, inf, 'l1', 'l2', 'linf') to a numpy ord."""
-    if isinstance(kind, str):
-        table = {"l1": 1.0, "l2": 2.0, "linf": np.inf, "1": 1.0, "2": 2.0, "inf": np.inf}
-        try:
-            return table[kind.strip().lower()]
-        except KeyError:
-            raise SpecError(f"unknown norm kind {kind!r}") from None
-    value = float(kind)
-    if value not in (1.0, 2.0, np.inf):
-        raise SpecError(f"norm order must be 1, 2 or inf, got {kind!r}")
-    return value
-
-
-def norm_name(kind: NormKind) -> str:
-    """"l1", "l2" or "linf" for any norm spec :func:`norm_order` accepts."""
-    return {1.0: "l1", 2.0: "l2", np.inf: "linf"}[norm_order(kind)]
+def norm_order(norm: str) -> float:
+    """numpy's ord for the norm "l1", "l2" or "linf"; any other is refused."""
+    try:
+        return {"l1": 1.0, "l2": 2.0, "linf": np.inf}[norm]
+    except (KeyError, TypeError):  # TypeError: unhashable
+        raise SpecError(f"unknown norm {norm!r}: expected 'l1', 'l2' or 'linf'") from None
 
 
 def as_simplex_point(x) -> np.ndarray:

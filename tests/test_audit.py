@@ -92,17 +92,17 @@ class TestDistributionCalibration:
         sc = ScenarioSpec(("a", "b"), [0.4, 0.6], cond)
         f = materialize_predictor(sc, seed=0)
         rep = dist_calibration_wrt(bin_predictions(f, exact_dataset(sc)))
-        assert rep.epsilon_hat == pytest.approx(0.0, abs=1e-12)
-        assert rep.bin_count == 2
+        assert rep["epsilon_hat"] == pytest.approx(0.0, abs=1e-12)
+        assert rep["bins"]["count"] == 2
 
     def test_one_bin_plot_distance(self):
         # prediction and conditional 0.04 apart in the plot plane
         f, data = one_point_scenario(DOT, STAR)
         rep = dist_calibration_wrt(bin_predictions(f, data, _one_bin), convention="plot")
-        assert rep.epsilon_hat == pytest.approx(0.04, abs=1e-12)
+        assert rep["epsilon_hat"] == pytest.approx(0.04, abs=1e-12)
         rep2 = dist_calibration_wrt(bin_predictions(f, data, _one_bin))
         want = float(np.linalg.norm(DOT - STAR))
-        assert rep2.epsilon_hat == pytest.approx(want, abs=1e-12)
+        assert rep2["epsilon_hat"] == pytest.approx(want, abs=1e-12)
 
     def test_kind_checked(self):
         _, data = one_point_scenario(DOT, STAR)
@@ -119,7 +119,7 @@ class TestSurrogateCalibration:
         rep = surrogate_calibration(bin_predictions(g, data), linked_normals.gamma_many)
         assert _gamma(linked_normals, DOT) == pytest.approx(0.5949136, abs=1e-6)
         assert _gamma(linked_normals, STAR) == pytest.approx(1.0174679, abs=1e-6)
-        assert rep.epsilon_hat == pytest.approx(0.4225543, abs=1e-6)
+        assert rep["epsilon_hat"] == pytest.approx(0.4225543, abs=1e-6)
 
     def test_same_level_set_is_exactly_zero(self, linked_normals):
         # solve for the point on the DOT level set at plot height 0.5:
@@ -138,11 +138,11 @@ class TestSurrogateCalibration:
         g = PredictorTable.from_mapping("scalar", {"x0": _gamma(linked_normals, spade)})
         _, data = one_point_scenario(spade, DOT)
         rep = surrogate_calibration(bin_predictions(g, data), linked_normals.gamma_many)
-        assert rep.epsilon_hat <= 1e-9
+        assert rep["epsilon_hat"] <= 1e-9
         # yet the distributional miscalibration is far from zero
         f = PredictorTable.from_mapping("distribution", {"x0": spade})
         drep = dist_calibration_wrt(bin_predictions(f, data, _one_bin))
-        assert drep.epsilon_hat > 0.1
+        assert drep["epsilon_hat"] > 0.1
 
     def test_bin_width_merges_values(self, linked_normals):
         cond = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2]])
@@ -150,7 +150,7 @@ class TestSurrogateCalibration:
         g = PredictorTable.from_mapping("scalar", {"a": 0.41, "b": 0.44})
         bins = bin_predictions(g, data, lambda u: np.floor(u / 0.1).astype(np.int64))
         rep = surrogate_calibration(bins, linked_normals.gamma_many, bin_width=0.1)
-        assert rep.bin_count == 1
+        assert rep["bins"]["count"] == 1
 
 
 class TestDiscreteCalibration:
@@ -161,14 +161,14 @@ class TestDiscreteCalibration:
                                                   np.stack([qa, qb]))
         h = PredictorTable.from_mapping("report", {"a": 1, "b": 3})
         rep = discrete_calibration(bin_predictions(h, data), linked_normals.discrete_set_many)
-        assert rep.epsilon_hat == pytest.approx(0.5)
+        assert rep["epsilon_hat"] == pytest.approx(0.5)
 
     def test_perfect_reports_zero(self, linked_normals):
         qa = np.array([0.9, 0.05, 0.05])
         data = mass_counts(["a"], [1.0], qa[None, :])
         h = PredictorTable.from_mapping("report", {"a": 1})
         rep = discrete_calibration(bin_predictions(h, data), linked_normals.discrete_set_many)
-        assert rep.epsilon_hat == 0.0
+        assert rep["epsilon_hat"] == 0.0
 
 
 class TestZeroMassFeatures:
@@ -183,22 +183,22 @@ class TestZeroMassFeatures:
                                                          "b": np.array([0.1, 0.2, 0.7])})
         rep = dist_calibration_wrt(bin_predictions(f, self.DATA,
                                                    lambda P: np.take(P, 0, axis=-1)))
-        assert rep.epsilon_hat == pytest.approx(np.linalg.norm(f["a"] - self.Q))
-        assert (rep.bin_count, rep.bin_min_size) == (1, 2.0)
-        assert rep.as_dict()["bins"]["empty"] == [0.1]
+        assert rep["epsilon_hat"] == pytest.approx(np.linalg.norm(f["a"] - self.Q))
+        assert (rep["bins"]["count"], rep["bins"]["min_size"]) == (1, 2.0)
+        assert rep["bins"]["empty"] == [0.1]
 
     def test_scalar_and_report(self, linked_normals):
         g = PredictorTable.from_mapping("scalar", {"a": 0.5, "b": 2.0})
         rep = surrogate_calibration(bin_predictions(g, self.DATA), linked_normals.gamma_many)
-        assert rep.epsilon_hat == pytest.approx(abs(_gamma(linked_normals, self.Q) - 0.5))
-        assert (rep.bin_count, rep.empty_bins) == (1, (2.0,))
+        assert rep["epsilon_hat"] == pytest.approx(abs(_gamma(linked_normals, self.Q) - 0.5))
+        assert (rep["bins"]["count"], rep["bins"]["empty"]) == (1, [2.0])
         rep = check_discretization_bound(bin_predictions(g, self.DATA), linked_normals,
                                          C_marginal=0.0)
-        assert np.isfinite(rep.bounds[0].lhs) and rep.empty_bins == (2.0,)
+        assert np.isfinite(rep["bounds"][0]["lhs"]) and rep["bins"]["empty"] == [2.0]
         h = PredictorTable.from_mapping("report", {"a": 2, "b": 3})
         rep = discrete_calibration(bin_predictions(h, self.DATA),
                                    linked_normals.discrete_set_many)
-        assert (rep.epsilon_hat, rep.empty_bins) == (0.0, (3,))
+        assert (rep["epsilon_hat"], rep["bins"]["empty"]) == (0.0, [3])
 
 
 def _loop_reference(rows, n, key_of):
@@ -249,22 +249,22 @@ def test_columnar_estimators_match_loop_reference(linked_normals, seed, exact):
 
     agg, cond = _loop_reference(rows, 3, lambda x: gamma(f[x]))
     bins = bin_predictions(f, data, linked_normals.gamma_many)
-    close(dist_calibration_wrt(bins).epsilon_hat,
+    close(dist_calibration_wrt(bins)["epsilon_hat"],
           _loop_mean(agg, lambda x: np.linalg.norm(f[x] - cond[gamma(f[x])])))
     rep = check_postprocessing_bound(bins, linked_normals)
-    close(rep.epsilon_hat, _loop_mean(agg, lambda x: abs(gamma(cond[gamma(f[x])])
+    close(rep["epsilon_hat"], _loop_mean(agg, lambda x: abs(gamma(cond[gamma(f[x])])
                                                          - gamma(f[x]))))
     agg, cond = _loop_reference(rows, 3, lambda x: g[x])
     bins = bin_predictions(g, data)
-    close(surrogate_calibration(bins, linked_normals.gamma_many).epsilon_hat,
+    close(surrogate_calibration(bins, linked_normals.gamma_many)["epsilon_hat"],
           _loop_mean(agg, lambda x: abs(gamma(cond[g[x]]) - g[x])))
     rep = check_discretization_bound(bins, linked_normals, C_marginal=0.0)
-    close(rep.epsilon_hat, _loop_mean(agg, lambda x: float(
+    close(rep["epsilon_hat"], _loop_mean(agg, lambda x: float(
         int(linked_normals.link_many(g[x])) not in target(cond[g[x]]))))
-    assert rep.bin_count == len(cond)
+    assert rep["bins"]["count"] == len(cond)
     agg, cond = _loop_reference(rows, 3, lambda x: h[x])
     close(discrete_calibration(bin_predictions(h, data),
-                               linked_normals.discrete_set_many).epsilon_hat,
+                               linked_normals.discrete_set_many)["epsilon_hat"],
           _loop_mean(agg, lambda x: float(h[x] not in target(cond[h[x]]))))
 
 
@@ -280,10 +280,10 @@ class TestPostprocessingBound:
         f = materialize_predictor(sc, seed=seed + 600)
         rep = check_postprocessing_bound(
             bin_predictions(f, exact_dataset(sc), linked_normals.gamma_many), linked_normals)
-        b = rep.bounds[0]
-        assert b.name == "postprocessing"
-        assert b.satisfied
-        assert b.lhs <= b.rhs + 1e-9
+        b = rep["bounds"][0]
+        assert b["name"] == "postprocessing"
+        assert b["satisfied"]
+        assert b["lhs"] <= b["rhs"] + 1e-9
 
     def test_scaling_is_exactly_linear(self, linked_normals):
         # rescaling the property by alpha keeps the binning partition and the
@@ -302,9 +302,9 @@ class TestPostprocessingBound:
         r1 = surrogate_calibration(bin_predictions(g1, data), linked_normals.gamma_many)
         r2 = surrogate_calibration(bin_predictions(g2, data),
                                    lambda P: alpha * linked_normals.gamma_many(P))
-        assert r2.bin_count == r1.bin_count
-        assert abs(r2.epsilon_hat - alpha * r1.epsilon_hat) \
-            <= 1e-12 * max(1.0, abs(alpha * r1.epsilon_hat))
+        assert r2["bins"]["count"] == r1["bins"]["count"]
+        assert abs(r2["epsilon_hat"] - alpha * r1["epsilon_hat"]) \
+            <= 1e-12 * max(1.0, abs(alpha * r1["epsilon_hat"]))
 
     def test_contraction_branch_for_small_k(self):
         s = build_from_normals(normals_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)]))
@@ -315,9 +315,9 @@ class TestPostprocessingBound:
         f = materialize_predictor(sc, seed=11)
         rep = check_postprocessing_bound(
             bin_predictions(f, exact_dataset(sc), s.gamma_many), s)
-        names = [b.name for b in rep.bounds]
+        names = [b["name"] for b in rep["bounds"]]
         assert names == ["postprocessing", "contraction"]
-        assert all(b.satisfied for b in rep.bounds)
+        assert all(b["satisfied"] for b in rep["bounds"])
 
     def test_needs_bins_by_property_value(self, linked_normals):
         """Bins by the whole distribution hold no value gamma(f(x))."""
@@ -337,7 +337,7 @@ class TestCounterexample:
         assert gap > 5.0 * eps
         f, data = instance_dataset(instance)
         drep = dist_calibration_wrt(bin_predictions(f, data, _one_bin))
-        assert drep.epsilon_hat == pytest.approx(eps, abs=1e-12)
+        assert drep["epsilon_hat"] == pytest.approx(eps, abs=1e-12)
 
     def test_trivial_constant(self, fixture_normals):
         _, _, instance = counterexample_gap(fixture_normals, C=0.0)
@@ -443,11 +443,11 @@ class TestDiscretizationBound:
             x: 0.5 + float(rng.uniform(-0.05, 0.05)) for x in ids})
         rep = check_discretization_bound(bin_predictions(g, data), linked_normals,
                                          C_marginal=0.0)
-        b = rep.bounds[0]
-        assert rep.epsilon_hat == 0.0
-        assert b.satisfied
-        assert b.rhs < 1.0
-        assert not b.params["vacuous"]
+        b = rep["bounds"][0]
+        assert rep["epsilon_hat"] == 0.0
+        assert b["satisfied"]
+        assert b["rhs"] < 1.0
+        assert not b["params"]["vacuous"]
 
     def test_threshold_straddle_is_vacuous(self):
         s = build_from_normals(normals_from_boundaries([AffineBoundary([1.0, 2.0, 3.0], 1.5)]))
@@ -460,10 +460,10 @@ class TestDiscretizationBound:
         data = mass_counts(["a"], [1.0], q[None, :])
         g = PredictorTable.from_mapping("scalar", {"a": -0.01})  # prediction just below
         rep = check_discretization_bound(bin_predictions(g, data), s, C_marginal=0.0)
-        b = rep.bounds[0]
-        assert b.params["vacuous"]
-        assert rep.extras["vacuous"]
-        assert b.satisfied  # the bound still holds, it just says nothing
+        b = rep["bounds"][0]
+        assert b["params"]["vacuous"]
+        assert rep["extras"]["vacuous"]
+        assert b["satisfied"]  # the bound still holds, it just says nothing
 
     def test_holds_for_every_fixed_t(self, linked_normals):
         q = _point_with_value(linked_normals, 0.5)
@@ -473,7 +473,7 @@ class TestDiscretizationBound:
         for t in (0.05, 0.1, 0.2, 0.4):
             rep = check_discretization_bound(
                 bin_predictions(g, data), linked_normals, C_marginal=0.0, t_grid=[t])
-            assert rep.bounds[0].satisfied
+            assert rep["bounds"][0]["satisfied"]
 
     def test_kind_checked(self, linked_normals):
         q = _point_with_value(linked_normals, 0.5)
@@ -488,8 +488,8 @@ class TestDiscretizationBound:
         data = mass_counts(["a"], [1.0], q[None, :])
         g = PredictorTable.from_mapping("scalar", {"a": 0.5, "unseen": 0.99})
         rep = check_discretization_bound(bin_predictions(g, data), linked_normals, 0.0)
-        assert rep.bounds[0].params["delta_min"] == pytest.approx(0.01)
-        assert rep.data_features == 1
+        assert rep["bounds"][0]["params"]["delta_min"] == pytest.approx(0.01)
+        assert rep["data"]["features"] == 1
 
 
 class TestLipschitzEstimates:
@@ -532,7 +532,27 @@ def test_bound_params_label_estimated_k(n, normals):
     data = exact_dataset(sc)
     rep = check_postprocessing_bound(
         bin_predictions(materialize_predictor(sc, seed=n), data, s.gamma_many), s)
-    assert [b.params["K_exact"] for b in rep.bounds] == [True] * len(rep.bounds)
+    assert [b["params"]["K_exact"] for b in rep["bounds"]] == [True] * len(rep["bounds"])
     g = PredictorTable.from_mapping("scalar", dict.fromkeys(ids, 0.5))
     rep = check_discretization_bound(bin_predictions(g, data), s, C_marginal=0.0)
-    assert rep.bounds[0].params["K_exact"] is True
+    assert rep["bounds"][0]["params"]["K_exact"] is True
+
+
+@pytest.mark.parametrize("norm", [2, np.inf, "2", "L2", "bogus"])
+def test_every_norm_taker_refuses_other_spellings(linked_normals, norm):
+    """Each estimator, check and constant takes a norm only as "l1", "l2"
+    or "linf", the --norm choices; a report never names another."""
+    f, data = one_point_scenario(DOT, STAR)
+    g = PredictorTable.from_mapping("scalar", {"x0": 0.5})
+    dist_bins, scalar_bins = bin_predictions(f, data, linked_normals.gamma_many), \
+        bin_predictions(g, data)
+    for call in (lambda: dist_calibration_wrt(dist_bins, norm),
+                 lambda: surrogate_calibration(scalar_bins, linked_normals.gamma_many, norm),
+                 lambda: check_postprocessing_bound(dist_bins, linked_normals, norm),
+                 lambda: check_discretization_bound(scalar_bins, linked_normals, 0.0,
+                                                    norm=norm),
+                 lambda: estimate_marginal_lipschitz(scalar_bins, norm),
+                 lambda: counterexample_gap(linked_normals, 1.0, norm),
+                 lambda: linked_normals.lipschitz(norm)):
+        with pytest.raises(SpecError, match="expected 'l1', 'l2' or 'linf'"):
+            call()

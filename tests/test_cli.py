@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import EMBEDDING_TIE, random_orderable_spec, write_levelsets_rows
-from ordelic import properties
+from ordelic import audit, properties
 from ordelic.cli import EXIT_BOUND, EXIT_OK, EXIT_SEARCH, EXIT_SPEC, _keep_freed_memory, main
 from ordelic.scenario import ROW_BLOCK
-from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, read_json, read_surrogate,
-                               surrogate_from_json, write_json)
+from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, dumps, read_dataset_csv, read_json,
+                               read_predictor, read_surrogate, surrogate_from_json,
+                               write_json)
 
 DATA = Path(__file__).parent / "data"
 COST_SPEC = {"n": 3, "reports": [1, 2, 3],
@@ -629,6 +630,46 @@ class TestAudit:
         for r in reports:
             assert r["data"]["weight"] == pytest.approx(1.0, rel=1e-15)
             assert r["data"]["features"] == 2
+
+    def test_library_reports_are_the_printed_ones(self, surrogate_file, scenario_file,
+                                                  tmp_path, capsys):
+        """For a distribution, a scalar and a report predictor on one
+        simulated dataset, the reports the library's estimators and checks
+        return are, as JSON, the reports ``audit`` prints."""
+        prefix = str(tmp_path / "sim")
+        assert main(["simulate", "--spec", scenario_file, "--samples", "2000",
+                     "--seed", "6", "--out", prefix]) == EXIT_OK
+        csv_path = prefix + ".data.csv"
+        scalar, report = tmp_path / "g.json", tmp_path / "h.json"
+        write_json(scalar, {"kind": "scalar", "table": {"a": 0.25, "b": 1.5}})
+        write_json(report, {"kind": "report", "table": {"a": 1, "b": 3}})
+        s = read_surrogate(surrogate_file)
+        data = read_dataset_csv(csv_path, s.n_outcomes)
+
+        def predictor_bins(path, key=None):
+            return audit.bin_predictions(read_predictor(path, s.n_outcomes), data, key)
+
+        f_bins = predictor_bins(prefix + ".predictor.json", s.gamma_many)
+        g_bins = predictor_bins(scalar)
+        g_width = predictor_bins(scalar, lambda u: np.floor(u / 0.5).astype(np.int64))
+        cases = [
+            (prefix + ".predictor.json", ["--norm", "l1"],
+             [audit.dist_calibration_wrt(f_bins, "l1"),
+              audit.check_postprocessing_bound(f_bins, s, "l1")]),
+            (scalar, ["--norm", "linf", "--bin-width", "0.5"],
+             [audit.surrogate_calibration(g_width, s.gamma_many, "linf", bin_width=0.5),
+              audit.check_discretization_bound(
+                  g_bins, s, audit.estimate_marginal_lipschitz(g_bins, "linf"),
+                  c_estimated=True, norm="linf")]),
+            (report, [], [audit.discrete_calibration(predictor_bins(report),
+                                                     s.discrete_set_many)]),
+        ]
+        for predictor, flags, reports in cases:
+            main(["audit", "--surrogate", surrogate_file, "--data", csv_path,
+                  "--predictor", str(predictor), *flags,
+                  "--out", str(tmp_path / "audit.json")])
+            printed = capsys.readouterr().out
+            assert dumps({**json.loads(printed), "reports": reports}) == printed
 
     @pytest.mark.parametrize("kind,norm,computed", [
         ("report", "l2", []), ("report", "l1", []),

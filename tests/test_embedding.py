@@ -382,7 +382,7 @@ def test_shared_slice_point_is_not_lipschitz():
     g = PredictorTable.from_mapping("scalar", dict.fromkeys(ids, 0.5))
     for rep in (check_postprocessing_bound(bin_predictions(f, data, s.gamma_many), s),
                 check_discretization_bound(bin_predictions(g, data), s, C_marginal=0.0)):
-        for bound in rep.bounds:
-            assert bound.satisfied and bound.rhs == np.inf
+        for bound in rep["bounds"]:
+            assert bound["satisfied"] and bound["rhs"] == np.inf
             assert not any(isinstance(v, float) and np.isnan(v)
-                           for v in bound.params.values())
+                           for v in bound["params"].values())
