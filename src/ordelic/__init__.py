@@ -12,9 +12,9 @@ from ordelic.properties import (
     CostMatrix,
     OrientedNormals,
     Surrogate,
+    build_from_normals,
 )
 from ordelic.embedding import EmbeddingInput, build_surrogate
-from ordelic.normals import build_from_normals
 
 __version__ = "0.1.0"
 

@@ -6,8 +6,12 @@ C < K but too close to K for a pair clear of the node slices to certify.
 Only simulate draws, from --seed (fallback: the ORDELIC_SEED environment
 variable), which it requires; the other commands accept --seed and use no
 randomness, and construct and counterexample record it in their report's
-config.  Outputs are byte-identical across repeated runs with the same
-configuration.
+config.  The seed these three commands read must be a non-negative
+integer, checked before anything is written.  --phi and --outer-slope
+shape only the embedding; with --algo normals they are refused.  construct
+alone builds a report (the Lipschitz constant, and for normals the
+boundary gaps); levelsets builds the surrogate and its grid only.  Outputs
+are byte-identical across repeated runs with the same configuration.
 
 On glibc, ``main`` first sets the process's allocator policy, once per
 process (``mallopt(3)``: M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 256 MiB).
@@ -34,7 +38,7 @@ from ordelic import audit as audit_mod
 from ordelic import serialize
 from ordelic.embedding import EmbeddingInput, build_surrogate, embedding_points
 from ordelic.errors import OrdelicError, OrderabilityError, SearchFailure, SpecError
-from ordelic.normals import full_pipeline
+from ordelic.properties import Surrogate, boundary_gap, full_pipeline
 from ordelic.scenario import exact_dataset, materialize_predictor, sample_dataset
 from ordelic.simplex import triangle_grid
 
@@ -129,10 +133,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int | None:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("ORDELIC_SEED")
-    return int(env) if env else None
+    """The seed of --seed, else of ORDELIC_SEED, else None; a SpecError
+    naming its source unless it is a non-negative integer."""
+    name, value = ("--seed", args.seed) if args.seed is not None else \
+        ("ORDELIC_SEED", os.environ.get("ORDELIC_SEED") or None)
+    if value is None:
+        return None
+    if not str(value).isdecimal():
+        raise SpecError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _parse_phi(arg, n_reports: int) -> np.ndarray:
@@ -146,50 +155,51 @@ def _parse_phi(arg, n_reports: int) -> np.ndarray:
     return phi
 
 
-def _build_embedding(spec: dict, args):
+def _build(spec: dict, args) -> tuple[Surrogate, EmbeddingInput | None]:
+    """The surrogate of ``spec`` by --algo, with the embedding input it was
+    built from (None for normals); errors name the spec file."""
     cost = spec["cost"]
+    if args.algo == "normals":
+        for flag, value in (("--phi", args.phi), ("--outer-slope", args.outer_slope)):
+            if value is not None:
+                raise SpecError(f"{flag} applies only to --algo embedding")
+        try:
+            return full_pipeline(spec["boundaries"] if cost is None else cost), None
+        except (SpecError, OrderabilityError) as exc:
+            rows = "" if cost is None else "; boundary i is where cost rows i and i + 1 tie"
+            raise type(exc)(f"{args.spec}: {exc}{rows}") from None
     if cost is None:
         raise SpecError(f"{args.spec}: the embedding construction needs a cost_matrix, "
                         "not boundaries")
     phi = embedding_points(_parse_phi(args.phi, cost.n_reports), args.outer_slope)
     try:  # the refusals left depend on the costs
         inp = EmbeddingInput(cost, phi, args.outer_slope)
-        surrogate = build_surrogate(inp)
+        return build_surrogate(inp), inp
     except (SpecError, OrderabilityError) as exc:
         raise type(exc)(f"{args.spec}: {exc}") from None
-    report = {
-        "algo": "embedding",
-        "phi": phi.tolist(),
-        "outer_slope": inp.outer_slope,
-        "u_grid": surrogate.grid.tolist(),
-        "thresholds": surrogate.thresholds.tolist(),
-        "lipschitz_bound": surrogate.lipschitz_bound,
-        "value_range": list(surrogate.value_range),
-    }
-    return surrogate, report
-
-
-def _build_normals(spec: dict, args):
-    source = spec["cost"] if spec["cost"] is not None else spec["boundaries"]
-    try:
-        surrogate, report = full_pipeline(source)
-    except (SpecError, OrderabilityError) as exc:
-        rows = "" if spec["cost"] is None else \
-            "; boundary i is where cost rows i and i + 1 tie"
-        raise type(exc)(f"{args.spec}: {exc}{rows}") from None
-    report = {"algo": "normals", **report,
-              "thresholds": surrogate.thresholds.tolist(),
-              "value_range": list(surrogate.value_range)}
-    return surrogate, report
 
 
 def _cmd_construct(args) -> int:
+    seed = _resolve_seed(args)
     spec = serialize.load_property_spec(args.spec)
-    build = _build_embedding if args.algo == "embedding" else _build_normals
-    surrogate, report = build(spec, args)
+    surrogate, inp = _build(spec, args)
+    if inp is not None:
+        report = {"phi": inp.phi.tolist(), "outer_slope": inp.outer_slope,
+                  "u_grid": surrogate.grid.tolist()}
+    else:
+        normals = surrogate.normals
+        report = {"recovered_normals": normals.o.tolist(),
+                  "boundary_gaps": [boundary_gap(normals, i) for i in range(1, normals.k)],
+                  "lipschitz_exact": surrogate.lipschitz_exact,
+                  # Surrogate checked refinement at each simplex and slice vertex
+                  "refinement_checked": normals.n + sum(len(V) for V in normals.slices),
+                  "refinement_pass_rate": 1.0}
+    report.update({"algo": args.algo, "thresholds": surrogate.thresholds.tolist(),
+                   "lipschitz_bound": surrogate.lipschitz_bound,
+                   "value_range": list(surrogate.value_range),
+                   "config": {"spec": args.spec, "algo": args.algo, "seed": seed,
+                              "out": args.out}})
     serialize.write_json(args.out, serialize.surrogate_to_json(surrogate))
-    report["config"] = {"spec": args.spec, "algo": args.algo,
-                        "seed": _resolve_seed(args), "out": args.out}
     sys.stdout.write(serialize.dumps(report))
     return EXIT_OK
 
@@ -201,8 +211,7 @@ def _cmd_levelsets(args) -> int:
                         f"but {args.spec} has n = {spec['n']}")
     if args.resolution < 1:
         raise SpecError(f"--resolution must be at least 1, got {args.resolution}")
-    build = _build_embedding if args.algo == "embedding" else _build_normals
-    surrogate, _ = build(spec, args)
+    surrogate, _ = _build(spec, args)
     try:
         levels = surrogate.levels_many(triangle_grid(args.resolution))
     except MemoryError:

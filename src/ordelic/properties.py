@@ -489,7 +489,13 @@ class Surrogate:
     from ``normals``; its sets hold every report that no other beats by
     more than the tie band of their boundary, and with them the link of the
     property value is a target report at every point: psi(gamma(p)) in
-    Gamma(p).
+    Gamma(p).  A surrogate with both ``normals`` and ``cost`` checks this
+    refinement exactly on construction: a normals region, where the link
+    is its report, is the convex hull of the simplex vertices and slice
+    vertices in it, and each target set is convex, so the region lies in
+    its report's target set iff each of those vertices does.  A vertex
+    outside is an :class:`OrderabilityError`: the boundaries do not bound
+    the reports' regions in report order.
     """
 
     grid: np.ndarray
@@ -535,6 +541,20 @@ class Surrogate:
         if np.any(bad):
             raise SpecError(f"the identification nodes of outcome {np.nonzero(bad)[0][0] + 1} "
                             f"{why}, which the property kernel does not evaluate")
+        if self.cost is not None and self.cost.n_outcomes != len(nodes):
+            raise SpecError(f"the cost matrix has {self.cost.n_outcomes} outcomes, but the "
+                            f"nodes have {len(nodes)}")
+        if self.normals is not None and self.cost is not None:
+            C = np.vstack([np.eye(self.normals.n), *self.normals.slices])
+            miss = self.normals._target_mask(C) & ~self.cost._target_mask(C)
+            if miss.any():
+                i, r = np.argwhere(miss)[0]
+                raise OrderabilityError(
+                    f"the region of report {r + 1} has the vertex p = {C[i].tolist()}, "
+                    f"outside the target set of report {r + 1} there "
+                    f"({np.count_nonzero(miss.any(axis=1))} of {len(C)} region vertices "
+                    "miss it): the boundaries do not cut the simplex into the reports' "
+                    "regions in report order")
         roots = roe_batch(grid, nodes, np.eye(len(nodes)))
         slices = tuple(_slice_vertex_sets(-nodes.T)) if want is None else self.normals.slices
         for name, value in (
@@ -598,6 +618,33 @@ class Surrogate:
         if target is None:
             raise SpecError("need a cost matrix or normals for the discrete target")
         return target
+
+
+def build_from_normals(normals: OrientedNormals, cost: CostMatrix | None = None) -> Surrogate:
+    """Identification nodes from the oriented (so strongly orderable) normals;
+    ``cost``, when given, is the discrete target the surrogate links to.
+
+    The identification function pins integer report values at the region
+    boundaries: v(u, y) interpolates the node values -o_{l+1, y} at the
+    integer grid 0..k-1 and continues with unit slope outside it, and the
+    link thresholds are the boundary values 0..k-1."""
+    grid = np.arange(normals.k, dtype=np.float64)
+    return Surrogate(grid, -normals.o.T, thresholds=grid, normals=normals, cost=cost)
+
+
+def full_pipeline(source) -> Surrogate:
+    """The normals surrogate of boundaries or of a cost matrix.
+
+    Each boundary's unit normal is c - b 1 scaled to unit norm
+    (:func:`homogenize_boundary`), and a cost's boundary r is where rows r
+    and r + 1 tie, <l_r - l_{r+1}, p> = 0.  :class:`OrientedNormals` orients
+    the normals, and :class:`Surrogate` checks that a cost's reports refine
+    them."""
+    cost = source if isinstance(source, CostMatrix) else None
+    boundaries = source if cost is None else [
+        AffineBoundary(a - b, 0.0) for a, b in zip(cost.entries, cost.entries[1:])]
+    return build_from_normals(OrientedNormals([homogenize_boundary(bd) for bd in boundaries]),
+                              cost)
 
 
 def boundary_gap(normals: OrientedNormals, i: int) -> float:

@@ -9,7 +9,6 @@ from ordelic._kernels import BOUNDARY_TOL, roe_batch, tie_band
 from ordelic.audit import PredictorTable, bin_predictions
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import SimplexError, SpecError
-from ordelic.normals import build_from_normals
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
@@ -18,6 +17,7 @@ from ordelic.properties import (
     _dual,
     _pairs,
     _slice_vertex_sets,
+    build_from_normals,
     homogenize_boundary,
 )
 from ordelic.scenario import ScenarioSpec, sample_dataset

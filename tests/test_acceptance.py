@@ -33,8 +33,7 @@ from ordelic.audit import (
 )
 from ordelic.cli import EXIT_OK, main
 from ordelic.embedding import EmbeddingInput, build_surrogate
-from ordelic.normals import build_from_normals, full_pipeline
-from ordelic.properties import AffineBoundary, CostMatrix
+from ordelic.properties import AffineBoundary, CostMatrix, build_from_normals, full_pipeline
 from ordelic.scenario import ScenarioSpec, materialize_predictor
 from ordelic.serialize import write_json
 from ordelic.simplex import sample_simplex
@@ -119,8 +118,7 @@ def test_criterion_2_normals_fixture(capfd):
         oracle *= np.sign(oracle @ [0.0, 0.0, 1.0])[:, None]
         bds = [AffineBoundary([-3, 1, 0], -2.0),
                AffineBoundary([-5, -4, 0], -3.0)]
-        _, report = full_pipeline(bds)
-        got = np.array(report["recovered_normals"])
+        got = full_pipeline(bds).normals.o
         assert np.allclose(got, oracle, rtol=0, atol=1e-15)
         assert np.allclose(got, [O1, O2], rtol=0, atol=1e-15)
 

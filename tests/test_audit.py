@@ -32,8 +32,7 @@ from ordelic.audit import (
 )
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import DegenerateRangeError, SearchFailure, SpecError
-from ordelic.normals import build_from_normals
-from ordelic.properties import AffineBoundary, CostMatrix
+from ordelic.properties import AffineBoundary, CostMatrix, build_from_normals, full_pipeline
 from ordelic.scenario import (
     ScenarioSpec,
     exact_dataset,
@@ -284,6 +283,28 @@ class TestPostprocessingBound:
         assert b["name"] == "postprocessing"
         assert b["satisfied"]
         assert b["lhs"] <= b["rhs"] + 1e-9
+
+    @pytest.mark.parametrize("construction", ["normals", "embedding"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_holds_on_random_specs(self, n, construction):
+        """The bound holds on perturbed exact scenarios (6 features, eta =
+        0.2) of random orderable specs with 4 reports, seeds 0-7, for either
+        construction linked to the spec's cost, in l1, l2 and linf."""
+        for seed in range(8):
+            _, cost, phi = random_orderable_spec(n, 4, seed)
+            s = full_pipeline(cost) if construction == "normals" else \
+                build_surrogate(EmbeddingInput(cost, phi))
+            m = 6
+            sc = ScenarioSpec(tuple(f"x{i}" for i in range(m)),
+                              np.random.default_rng(seed).dirichlet(np.ones(m)),
+                              sample_simplex(n, m, seed=seed + 100), recipe="perturbed",
+                              eta=0.2)
+            bins = bin_predictions(materialize_predictor(sc, seed=seed + 200),
+                                   exact_dataset(sc), s.gamma_many)
+            for norm in ("l1", "l2", "linf"):
+                rep = check_postprocessing_bound(bins, s, norm=norm)
+                assert rep["bounds"][0]["name"] == "postprocessing"
+                assert all(b["satisfied"] for b in rep["bounds"]), (seed, norm, rep["bounds"])
 
     def test_scaling_is_exactly_linear(self, linked_normals):
         # rescaling the property by alpha keeps the binning partition and the

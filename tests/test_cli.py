@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import EMBEDDING_TIE, random_orderable_spec, write_levelsets_rows
-from ordelic import audit, properties
+from ordelic import audit, cli, properties
 from ordelic.cli import EXIT_BOUND, EXIT_OK, EXIT_SEARCH, EXIT_SPEC, _keep_freed_memory, main
 from ordelic.scenario import ROW_BLOCK
 from ordelic.serialize import (LEVELSETS_BLOCK_ROWS, dumps, read_dataset_csv, read_json,
@@ -269,6 +269,46 @@ class TestConstruct:
             files.append(path.read_bytes())
         assert files[0] == files[1] == files[2]
 
+    @pytest.mark.parametrize("command, out", [("construct", "sur.json"),
+                                              ("levelsets", "grid.csv")])
+    @pytest.mark.parametrize("flag", [["--phi", "0,1,3"], ["--outer-slope", "4"]])
+    def test_embedding_flags_refused_with_normals(self, spec_file, command, out, flag,
+                                                  tmp_path, capsys):
+        """--phi and --outer-slope shape only the embedding: with --algo
+        normals they exit 2 naming the flag and write nothing."""
+        path = tmp_path / out
+        assert main([command, "--spec", spec_file, "--algo", "normals", *flag,
+                     "--out", str(path)]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {flag[0]} applies only to --algo embedding\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["construct", "simulate", "counterexample"])
+    @pytest.mark.parametrize("seed, env, cause", [
+        (["--seed", "-5"], None, "--seed must be a non-negative integer, got -5"),
+        ([], "abc", "ORDELIC_SEED must be a non-negative integer, got 'abc'"),
+        ([], "-3", "ORDELIC_SEED must be a non-negative integer, got '-3'"),
+        ([], "1.5", "ORDELIC_SEED must be a non-negative integer, got '1.5'"),
+    ], ids=["flag-negative", "env-word", "env-negative", "env-fraction"])
+    def test_bad_seed_refused_before_any_write(self, spec_file, scenario_file, command,
+                                               seed, env, cause, tmp_path, capsys,
+                                               monkeypatch):
+        """A seed, from --seed or else ORDELIC_SEED, that is not a
+        non-negative integer exits 2 naming its source, and nothing is
+        written: construct once wrote its file first, and simulate passed a
+        negative one on to numpy."""
+        sur = str(tmp_path / "sur.json")
+        assert main(["construct", "--spec", spec_file, "--out", sur]) == EXIT_OK
+        if env is not None:
+            monkeypatch.setenv("ORDELIC_SEED", env)
+        out = tmp_path / "out"
+        out.mkdir()
+        source = {"construct": ["--spec", spec_file], "simulate": ["--spec", scenario_file],
+                  "counterexample": ["--surrogate", sur, "--c", "5"]}[command]
+        capsys.readouterr()
+        assert main([command, *source, *seed, "--out", str(out / "x")]) == EXIT_SPEC
+        assert capsys.readouterr().err == f"error: {cause}\n"
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("case", sorted(CONSTRUCT_DIGESTS))
     def test_golden_digests(self, case, tmp_path, capsys, monkeypatch):
         """construct prints and writes the bytes it did when the normals were
@@ -386,6 +426,27 @@ class TestLevelsets:
         assert message in err and "seed" not in err
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("algo_args, construct_calls", [
+        (["--algo", "normals"], ["boundary_gap", "lipschitz_constant"]),
+        (["--algo", "embedding", "--phi", "0,1,3"], ["lipschitz_constant"])])
+    def test_no_constant_and_no_gap(self, spec_file, algo_args, construct_calls,
+                                    tmp_path, monkeypatch):
+        """levelsets builds the surrogate and evaluates it: it computes no
+        Lipschitz constant and no boundary gap, which only construct's
+        report holds."""
+        calls = []
+        for module, name in ((properties, "lipschitz_constant"), (cli, "boundary_gap")):
+            def counted(*args, name=name, original=getattr(module, name)):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert main(["levelsets", "--spec", spec_file, *algo_args, "--resolution", "10",
+                     "--out", str(tmp_path / "g.csv")]) == EXIT_OK
+        assert calls == []
+        assert main(["construct", "--spec", spec_file, *algo_args,
+                     "--out", str(tmp_path / "sur.json")]) == EXIT_OK
+        assert sorted(calls) == construct_calls
+
     def test_grid_beyond_memory(self, spec_file, tmp_path, capsys, monkeypatch):
         """A resolution whose grid does not fit in memory exits 2 naming
         --resolution and the grid's rows, not with numpy's MemoryError; the
@@ -466,7 +527,8 @@ class TestScales:
     def test_cost_scale(self, algo, k, tmp_path, capsys):
         """The normals at cost times 1e-13 and 1e-14 were once refused as
         proportional to the all-ones vector."""
-        args = ["--algo", algo, "--phi", "0,1,3", "--seed", "1"]
+        args = ["--algo", algo, *(["--phi", "0,1,3"] if algo == "embedding" else []),
+                "--seed", "1"]
         self._same(*(self._build(tmp_path / str(i), 10.0**e, args, capsys)
                      for i, e in enumerate((0, k))), 1.0)
 
@@ -1102,6 +1164,28 @@ class TestLoadSurrogate:
         d["normals"] = d["normals"][::-1]
         self._refused(command, d, tmp_path, capsys,
                       "boundaries 1 and 2 are not met in report order")
+
+    @pytest.mark.parametrize("command", ["audit", "counterexample"])
+    @pytest.mark.parametrize("fmt", [4, 3])
+    def test_cost_rows_reversed(self, construct, command, fmt, tmp_path, capsys):
+        """A normals file whose cost rows are reversed is refused on load:
+        the reports' target sets do not hold the normals' regions, which a
+        scalar audit once reported as a violated discretization bound."""
+        d = construct("--algo", "normals", "--seed", "1") if fmt == 4 else \
+            read_json(DATA / "readme_normals_seed1.format3.json")
+        assert d["format"] == fmt
+        d["cost_matrix"] = d["cost_matrix"][::-1]
+        self._refused(command, d, tmp_path, capsys,
+                      "the region of report 1 has the vertex p = [1.0, 0.0, 0.0], outside "
+                      "the target set of report 1 there (6 of 7 region vertices miss it)")
+
+    @pytest.mark.parametrize("algo", ["normals", "embedding"])
+    def test_cost_of_other_outcomes(self, construct, algo, tmp_path, capsys):
+        d = construct("--algo", algo,
+                      *(["--seed", "1"] if algo == "normals" else ["--phi", "0,1,3"]))
+        d["cost_matrix"] = [row + [1.0] for row in d["cost_matrix"]]
+        self._refused("audit", d, tmp_path, capsys,
+                      "the cost matrix has 4 outcomes, but the nodes have 3")
 
     @pytest.mark.parametrize("nodes_follow", [False, True], ids=["nodes-kept", "nodes-negated"])
     @pytest.mark.parametrize("command", ["audit", "counterexample"])

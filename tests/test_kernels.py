@@ -16,8 +16,8 @@ from conftest import (
 from ordelic._kernels import backend_name, roe_batch
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import OrderabilityError
-from ordelic.normals import build_from_normals
-from ordelic.properties import AffineBoundary, CostMatrix, _slice_vertex_sets
+from ordelic.properties import (AffineBoundary, CostMatrix, _slice_vertex_sets,
+                                build_from_normals)
 from ordelic.simplex import sample_simplex
 
 

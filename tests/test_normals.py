@@ -20,14 +20,16 @@ from conftest import (
     written_v_bar,
 )
 from ordelic import properties
-from ordelic.errors import OrderabilityError
-from ordelic.normals import build_from_normals, full_pipeline
+from ordelic.errors import OrderabilityError, SpecError
 from ordelic.properties import (
     AffineBoundary,
     CostMatrix,
     OrientedNormals,
     _dual,
     _gradients,
+    boundary_gap,
+    build_from_normals,
+    full_pipeline,
 )
 from ordelic.simplex import sample_simplex
 
@@ -132,8 +134,8 @@ class TestEvaluation:
         assert s.lipschitz_exact
         # attained at the slice vertex (0.6, 0, 0.4) of region 2
         assert s.lipschitz_bound == pytest.approx(18.708286933869697, rel=1e-14)
-        _, report = full_pipeline(fixture_cost)
-        assert report["lipschitz_bound"] == pytest.approx(18.708286933869697, rel=1e-14)
+        assert full_pipeline(fixture_cost).lipschitz_bound == \
+            pytest.approx(18.708286933869697, rel=1e-14)
         assert s.lipschitz_bound == pytest.approx(18.7083, abs=1e-3)
         K_hat, _ = lipschitz_estimate(s.gamma_many, 3, seed=33)
         assert K_hat <= s.lipschitz_bound + 1e-6
@@ -167,21 +169,18 @@ class TestFullPipeline:
         """The normals are the spec's c - b 1 at unit norm, oriented, bit for
         bit; refinement is checked at the 3 simplex vertices and the 2 + 2
         slice vertices."""
-        s, report = full_pipeline(fixture_boundaries)
-        got = np.array(report["recovered_normals"])
+        s = full_pipeline(fixture_boundaries)
+        got = s.normals.o
         assert got.tobytes() == fixture_oriented_normals.o.tobytes()
         assert np.allclose(got, [O1, O2], rtol=0, atol=1e-15)
-        assert report["boundary_gaps"][0] == pytest.approx(0.0943, abs=2e-3)
-        assert report["lipschitz_exact"]
-        assert report["refinement_checked"] == 7
-        assert report["refinement_pass_rate"] == 1.0
+        assert boundary_gap(s.normals, 1) == pytest.approx(0.0943, abs=2e-3)
+        assert s.lipschitz_exact
+        assert s.normals.n + sum(len(V) for V in s.normals.slices) == 7
 
     def test_recovery_from_cost(self, fixture_cost):
-        s, report = full_pipeline(fixture_cost)
-        got = np.array(report["recovered_normals"])
-        assert np.allclose(got, [O1, O2], rtol=0, atol=1e-15)
+        s = full_pipeline(fixture_cost)
+        assert np.allclose(s.normals.o, [O1, O2], rtol=0, atol=1e-15)
         # refinement checked against the cost argmin route
-        assert report["refinement_pass_rate"] == 1.0
         pts = sample_simplex(3, 1000, seed=37)
         links = s.link_many(s.gamma_many(pts))
         assert np.all(fixture_cost.target_sets(pts)[np.arange(len(pts)), links - 1])
@@ -202,6 +201,17 @@ class TestFullPipeline:
                            r"there \(4 of 7 region vertices miss it\)"):
             full_pipeline(cost)
 
+    def test_build_from_normals_checks_the_cost(self, fixture_oriented_normals):
+        """The surrogate checks refinement however it is built: the README
+        cost with its rows reversed does not refine the fixture normals,
+        and a cost of 4 outcomes does not fit their 3."""
+        with pytest.raises(OrderabilityError, match=r"\(6 of 7 region vertices miss it\)"):
+            build_from_normals(fixture_oriented_normals, CostMatrix(EQ1_COSTS[::-1]))
+        with pytest.raises(SpecError, match="the cost matrix has 4 outcomes, but the "
+                           "nodes have 3"):
+            build_from_normals(fixture_oriented_normals,
+                               CostMatrix([row + [1.0] for row in EQ1_COSTS]))
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_boundary_missing_interior_named(self, n):
         inner = AffineBoundary(np.arange(n, dtype=float), (n - 1) / 2)
@@ -213,14 +223,13 @@ class TestFullPipeline:
     def test_higher_dimension(self):
         bds, cost, _ = random_orderable_spec(4, 3, seed=39)
         O = normals_from_boundaries(bds).o
-        s, report = full_pipeline(bds)
-        got = np.array(report["recovered_normals"])
+        s = full_pipeline(bds)
+        got = s.normals.o
         assert got.tobytes() == O.tobytes()
-        assert report["lipschitz_exact"]
-        assert "boundary_gaps_exact" not in report  # every gap is exact
-        for i, g in enumerate(report["boundary_gaps"]):
-            assert abs(g - slice_distance_qp(got[i], got[i + 1])) <= 1e-12
-        assert report["refinement_pass_rate"] == 1.0
+        assert s.lipschitz_exact
+        for i in range(1, s.normals.k):
+            g = boundary_gap(s.normals, i)
+            assert abs(g - slice_distance_qp(got[i - 1], got[i])) <= 1e-12
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_slices_enumerated_once_per_normal(self, n, monkeypatch):
@@ -232,7 +241,7 @@ class TestFullPipeline:
         sizes, original = [], properties._slice_vertex_sets
         monkeypatch.setattr(properties, "_slice_vertex_sets",
                             lambda O: sizes.append(len(O)) or original(O))
-        s, _ = full_pipeline(bds)
+        s = full_pipeline(bds)
         assert sizes == [3]
         for norm in ("l1", "linf"):
             s.lipschitz(norm)
@@ -244,9 +253,8 @@ class TestFullPipeline:
         bds, cost, _ = random_orderable_spec(n, n_reports, seed=seed)
         s = build_from_normals(normals_from_boundaries(bds))
         assert s.lipschitz_exact and s.lipschitz_bound > 0
-        s2, report = full_pipeline(bds)
-        assert report["recovered_normals"] == s.normals.o.tolist()
-        assert report["refinement_pass_rate"] == 1.0
+        s2 = full_pipeline(bds)
+        assert np.array_equal(s2.normals.o, s.normals.o)
         assert s2.lipschitz_bound == s.lipschitz_bound
 
 

@@ -31,7 +31,6 @@ from conftest import (
 from ordelic import properties
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import OrdelicError, OrderabilityError, SimplexError, SpecError
-from ordelic.normals import build_from_normals, full_pipeline
 from ordelic._kernels import BOUNDARY_TOL
 from ordelic.properties import (
     _WOLFE_MAX_ITER,
@@ -43,6 +42,8 @@ from ordelic.properties import (
     _min_norm_point,
     _slice_vertex_sets,
     boundary_gap,
+    build_from_normals,
+    full_pipeline,
     homogenize_boundary,
 )
 from ordelic.serialize import dumps, surrogate_from_json, surrogate_to_json
@@ -258,7 +259,7 @@ def _scaled_surrogate(kind: str, cost: CostMatrix, phi, scale: float) -> Surroga
     normals ``full_pipeline`` builds from the scaled cost."""
     scaled = CostMatrix(cost.entries * scale)
     if kind == "normals":
-        return full_pipeline(scaled)[0]
+        return full_pipeline(scaled)
     slope = EmbeddingInput(cost, phi).outer_slope
     return build_surrogate(EmbeddingInput(scaled, phi, slope * scale))
 
@@ -521,7 +522,7 @@ def _construction(kind: str, n: int, n_reports: int, seed: int):
     bds, cost, phi = random_orderable_spec(n, n_reports, seed)
     if kind == "embedding":
         return build_surrogate(EmbeddingInput(cost, phi))
-    return full_pipeline(cost if kind == "normals_cost" else bds)[0]
+    return full_pipeline(cost if kind == "normals_cost" else bds)
 
 
 # Offsets along a bisected segment, in units of the segment.
@@ -718,9 +719,9 @@ class TestSpecConstruction:
     def test_boundaries_from_cost_matches_fixture(self, fixture_cost):
         """A cost's boundary r, where rows r and r + 1 tie, gives the
         normal of fixture boundary r."""
-        s, report = full_pipeline(fixture_cost)
+        s = full_pipeline(fixture_cost)
         assert s.normals.k == 2 and s.cost is fixture_cost
-        assert np.allclose(report["recovered_normals"], [O1, O2], rtol=0, atol=1e-15)
+        assert np.allclose(s.normals.o, [O1, O2], rtol=0, atol=1e-15)
 
     def test_normals_from_boundaries_orients(self, fixture_oriented_normals):
         assert np.allclose(fixture_oriented_normals.o[0], O1)
@@ -821,7 +822,7 @@ class TestRoundTrip:
         the ones an SVD recovers from points on each boundary: where segments
         between simplex points on its two sides cross <c, p> = b."""
         bds, _, _ = random_orderable_spec(n, k + 1, seed=10 * n + k)
-        s, _ = full_pipeline(bds)
+        s = full_pipeline(bds)
         p = sample_simplex(n, 400, seed=100 + n)
         for bd, o in zip(bds, s.normals.o):
             side = p @ bd.coeffs - bd.offset

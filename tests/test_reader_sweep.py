@@ -12,8 +12,7 @@ import pytest
 
 from conftest import EQ1_COSTS
 from ordelic.cli import main
-from ordelic.normals import full_pipeline
-from ordelic.properties import CostMatrix
+from ordelic.properties import CostMatrix, full_pipeline
 from ordelic.serialize import surrogate_to_json, write_json
 
 DATA = Path(__file__).parent / "data"
@@ -91,7 +90,7 @@ def files(tmp_path_factory):
     out = {"surrogate": tmp / "s.json", "scenario": tmp / "sc.json", "spec": tmp / "spec.json",
            "data": tmp / "d.csv", "out": tmp / "out.json", "mutant": tmp / "mutant.json",
            "mutant_csv": tmp / "mutant.csv"}
-    write_json(out["surrogate"], surrogate_to_json(full_pipeline(CostMatrix(EQ1_COSTS))[0]))
+    write_json(out["surrogate"], surrogate_to_json(full_pipeline(CostMatrix(EQ1_COSTS))))
     write_json(out["scenario"], SCENARIO)
     write_json(out["spec"], SPEC)
     out["data"].write_text("".join(",".join(row) + "\n" for row in DATASET))

@@ -34,8 +34,7 @@ from ordelic._floatrepr import KERNEL_MIN_VALUES
 from ordelic.audit import PredictorTable
 from ordelic.embedding import EmbeddingInput, build_surrogate
 from ordelic.errors import SpecError
-from ordelic.normals import build_from_normals
-from ordelic.properties import CostMatrix, OrientedNormals
+from ordelic.properties import CostMatrix, OrientedNormals, build_from_normals
 from ordelic.scenario import (
     GUIDE_BUCKETS,
     ROW_BLOCK,
